@@ -28,6 +28,7 @@ from .discrepancy import (
     verify_family,
 )
 from .distributions import (
+    best_in_class,
     build_single_scale_family,
     build_two_scale_family,
     discretize_pair,
@@ -38,6 +39,7 @@ from .distributions import (
     sample_labeled,
     sample_unlabeled,
     scenario_to_dict,
+    true_risk,
 )
 from .hypotheses import project_class, threshold_class
 from .procedures import ConfidenceParams
@@ -186,9 +188,8 @@ def cmd_scenario(args) -> int:
         raise ConfigError("scenario describe/emit needs --set id=N")
     sid = int(cfg["id"])
     gamma = cfg.get("gamma")
-    spec = {k: v for k, v in cfg.items()}
     if args.action == "describe":
-        pair, cls = pair_from_config(spec)
+        pair = pair_from_config(cfg)[0]
         payload = {
             "id": sid,
             "summary": SCENARIO_SUMMARY[sid],
@@ -200,8 +201,8 @@ def cmd_scenario(args) -> int:
         return 0
     if args.action == "emit":
         if sid != 1:
-            spec.setdefault("cells", 256)
-        pair, cls = pair_from_config(spec)
+            cfg.setdefault("cells", 256)
+        pair = pair_from_config(cfg)[0]
         _emit(scenario_to_dict(pair), args.out)
         return 0
     raise ConfigError(f"unknown scenario action {args.action!r}")
@@ -351,7 +352,6 @@ def cmd_adaptive(args) -> int:
         n_unlabeled = unlabeled_requirement(eps, conf.delta, cls.vc_dim, kappa)
     trials = int(cfg.get("trials", 1))
     rows, summary = [], {"returned_by": [], "total_cost": [], "excess": []}
-    from .distributions import best_in_class, true_risk
     q_best = true_risk(pair.q, best_in_class(pair.q, cls))
     for trial in range(trials):
         unlabeled = sample_unlabeled(pair.q, int(n_unlabeled), args.seed + 7919 * trial + 1)

@@ -23,8 +23,8 @@ from .hypotheses import (
     THRESHOLD,
     Hypothesis,
     HypothesisClass,
+    MemberView,
     project_class,
-    threshold_hypothesis,
 )
 
 ZERO = 1e-14
@@ -56,29 +56,22 @@ class ExponentReport:
 class PairProfile:
     """Exact per-hypothesis quantities for one enumerated class.
 
-    Arrays are aligned with `members`: excess risks under P and Q, marginal
-    disagreement masses with the P-optimal classifier, plain Q risks, and the
-    index of the P- and Q-optimal members.
+    Arrays are aligned with `members`, which builds a member only when it is
+    indexed: excess risks under P and Q, marginal disagreement masses with the
+    P-optimal classifier, the Q disagreement mass with the Q-optimal member,
+    plain Q risks, and the index of the P- and Q-optimal members.
     """
 
-    members: list[Hypothesis]
+    members: MemberView
     e_p: np.ndarray
     e_q: np.ndarray
     dis_p: np.ndarray
     dis_q: np.ndarray
+    dis_q_own: np.ndarray
     risk_q: np.ndarray
     star_p: int
     star_q: int
     grid_size: int | None = None
-
-    def dis_own(self, side: str) -> np.ndarray:
-        if side == "p":
-            return self.dis_p
-        star = self.members[self.star_q]
-        return self._dis_q_to(star)
-
-    def _dis_q_to(self, star):  # filled in by the builders below
-        raise NotImplementedError
 
 
 def default_grid(pair: TransferPair, size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
@@ -101,22 +94,25 @@ def pair_profile(pair: TransferPair, cls: HypothesisClass,
 def _discrete_profile(pair: TransferPair, cls: HypothesisClass) -> PairProfile:
     if cls.kind == THRESHOLD:
         cls = project_class(cls, pair.p.support)
+    members = MemberView(cls.label_matrix, cls.thresholds)
     risks_p = member_true_risks(pair.p, cls)
     risks_q = member_true_risks(pair.q, cls)
     star_p = int(np.argmin(risks_p))
     star_q = int(np.argmin(risks_q))
-    h_star_p = cls.members[star_p]
-    profile = PairProfile(
-        members=cls.members,
+    h_star_p = members[star_p]
+    dis_q = member_disagreement_mass(pair.q, cls, h_star_p)
+    dis_q_own = dis_q if star_q == star_p else \
+        member_disagreement_mass(pair.q, cls, members[star_q])
+    return PairProfile(
+        members=members,
         e_p=risks_p - risks_p[star_p],
         e_q=risks_q - risks_q[star_q],
         dis_p=member_disagreement_mass(pair.p, cls, h_star_p),
-        dis_q=member_disagreement_mass(pair.q, cls, h_star_p),
+        dis_q=dis_q,
+        dis_q_own=dis_q_own,
         risk_q=risks_q,
         star_p=star_p,
         star_q=star_q)
-    profile._dis_q_to = lambda star: member_disagreement_mass(pair.q, cls, star)
-    return profile
 
 
 def _threshold_profile(pair: TransferPair, grid: np.ndarray) -> PairProfile:
@@ -127,20 +123,18 @@ def _threshold_profile(pair: TransferPair, grid: np.ndarray) -> PairProfile:
     at_star_q = float(q.density.cdf(q.h_star))
     dis_p = np.abs(cdf_p - at_star_p)
     dis_q = np.abs(cdf_q - at_star_q)
-    members = [threshold_hypothesis(t) for t in grid]
-    star = int(np.argmin(dis_p))
-    profile = PairProfile(
-        members=members,
+    star_q = int(np.argmin(dis_q))
+    return PairProfile(
+        members=MemberView(thresholds=grid),
         e_p=dis_p,  # noiseless labels: excess risk equals disagreement mass
         e_q=dis_q,
         dis_p=dis_p,
         dis_q=dis_q,
+        dis_q_own=np.abs(cdf_q - q.density.cdf(grid[star_q])),
         risk_q=dis_q,
-        star_p=star,
-        star_q=int(np.argmin(dis_q)),
+        star_p=int(np.argmin(dis_p)),
+        star_q=star_q,
         grid_size=grid.size)
-    profile._dis_q_to = lambda s: np.abs(cdf_q - q.density.cdf(s.threshold))
-    return profile
 
 
 def _max_exponent(lhs: np.ndarray, rhs: np.ndarray, constant: float,
@@ -166,13 +160,13 @@ def _max_exponent(lhs: np.ndarray, rhs: np.ndarray, constant: float,
             return ExponentReport(math.inf, constant, members[i], grid_size=grid_size)
         ratio = math.log(s) / math.log(r)
         if ratio > best:
-            best, witness = ratio, members[i]
+            best, witness = ratio, i
     if witness is None:
         return ExponentReport(1.0 if floor is None else floor, constant,
                               degenerate=True, grid_size=grid_size)
     if floor is not None:
         best = max(best, floor)
-    return ExponentReport(best, constant, witness, grid_size=grid_size)
+    return ExponentReport(best, constant, members[witness], grid_size=grid_size)
 
 
 def rho_min(pair: TransferPair, cls: HypothesisClass, c_rho: float = 1.0,
@@ -235,10 +229,11 @@ def beta_max(dist, cls: HypothesisClass, c_noise: float = 1.0, grid=None) -> Exp
             continue
         ratio = min(1.0, math.log(d) / math.log(e)) if d < 1.0 else 0.0
         if ratio < best:
-            best, witness = ratio, prof.members[i]
+            best, witness = ratio, i
     if witness is None:
         return ExponentReport(1.0, c_noise, degenerate=True, grid_size=prof.grid_size)
-    return ExponentReport(max(best, 0.0), c_noise, witness, grid_size=prof.grid_size)
+    return ExponentReport(max(best, 0.0), c_noise, prof.members[witness],
+                          grid_size=prof.grid_size)
 
 
 def d_a(pair: TransferPair, cls: HypothesisClass, grid=None) -> float:
@@ -280,21 +275,20 @@ def verify_membership(pair: TransferPair, cls: HypothesisClass, rho: float,
     constrained pair class: constant*E_P >= E_Q^rho, P-side noise condition at
     beta_p, Q-side noise condition at beta_q (both with the same constant)."""
     prof = pair_profile(pair, cls, grid)
-    dis_q_own = prof.dis_own("q")
     checks = (
         ("transfer", np.power(prof.e_q, rho), constant * prof.e_p),
         ("noise_p", prof.dis_p, constant * np.power(prof.e_p, beta_p)),
-        ("noise_q", dis_q_own, constant * np.power(prof.e_q, beta_q)),
+        ("noise_q", prof.dis_q_own, constant * np.power(prof.e_q, beta_q)),
     )
     violations = []
     for name, small, big in checks:
         bad = np.flatnonzero(small > big + tol)
         for i in bad:
+            labels = prof.members[i].labels
             violations.append({
                 "check": name, "member": int(i),
                 "lhs": float(small[i]), "rhs": float(big[i]),
-                "witness_labels": None if prof.members[i].labels is None
-                else list(prof.members[i].labels)})
+                "witness_labels": None if labels is None else list(labels)})
     return MembershipReport(ok=not violations, violations=violations)
 
 

@@ -22,6 +22,8 @@ from .hypotheses import (
     HypothesisClass,
     LabeledSample,
     UnlabeledSample,
+    _cube_patterns,
+    _labels_on_support,
     finite_class,
     finite_hypothesis,
     full_cube_class,
@@ -138,23 +140,6 @@ class ThresholdMarginal:
 
 
 @dataclass(frozen=True)
-class ThresholdScenario:
-    """A (P, Q) pair of 1-D marginals sharing a single optimal threshold."""
-
-    p_density: Density1D
-    q_density: Density1D
-    h_star: float
-
-    @property
-    def p(self) -> ThresholdMarginal:
-        return ThresholdMarginal(self.p_density, self.h_star)
-
-    @property
-    def q(self) -> ThresholdMarginal:
-        return ThresholdMarginal(self.q_density, self.h_star)
-
-
-@dataclass(frozen=True)
 class Certified:
     """Discrepancy metadata known by construction for a pair."""
 
@@ -225,21 +210,13 @@ def sample_unlabeled(dist, n: int, seed: int) -> UnlabeledSample:
 def true_risk(dist, h: Hypothesis) -> float:
     """Exact misclassification risk of h under the distribution."""
     if isinstance(dist, DiscreteJoint):
-        labels = _labels_on(dist, h).astype(np.float64)
+        labels = _labels_on_support(h, dist.size, dist.support)
         return float(np.dot(dist.mass, labels * (1.0 - dist.eta) + (1.0 - labels) * dist.eta))
     if isinstance(dist, ThresholdMarginal):
         if h.threshold is None:
             raise TypeError("line scenarios evaluate threshold hypotheses only")
         return abs(dist.density.interval_mass(h.threshold, dist.h_star))
     raise TypeError(f"cannot evaluate risk under {type(dist).__name__}")
-
-
-def _labels_on(joint: DiscreteJoint, h: Hypothesis) -> np.ndarray:
-    if h.labels is not None and len(h.labels) == joint.size:
-        return np.asarray(h.labels, dtype=np.int8)
-    if h.threshold is not None:
-        return (joint.support <= h.threshold).astype(np.int8)
-    raise TypeError("hypothesis is not expressible over this support")
 
 
 def member_true_risks(joint: DiscreteJoint, cls: HypothesisClass) -> np.ndarray:
@@ -252,7 +229,7 @@ def member_true_risks(joint: DiscreteJoint, cls: HypothesisClass) -> np.ndarray:
 def member_disagreement_mass(joint: DiscreteJoint, cls: HypothesisClass,
                              ref: Hypothesis) -> np.ndarray:
     lab = cls.label_matrix
-    ref_lab = _labels_on(joint, ref).astype(np.float64)
+    ref_lab = _labels_on_support(ref, joint.size, joint.support)
     # 1[h != ref] = h + ref - 2 h ref, folded into one matrix-vector product
     return lab @ (joint.mass * (1.0 - 2.0 * ref_lab)) + float(np.dot(joint.mass, ref_lab))
 
@@ -392,10 +369,8 @@ def _anchored_cube_class(d: int, coords: np.ndarray) -> HypothesisClass:
     if d > 14:
         raise ValueError("families need d_h - 1 <= 14: certification enumerates "
                          f"all 2^d anchored patterns and d = {d} is too large")
-    patterns = []
-    for i in range(2 ** d):
-        bits = tuple(int((i >> j) & 1) for j in range(d))
-        patterns.append((1,) + bits)
+    patterns = np.ones((2 ** d, d + 1), dtype=np.int64)
+    patterns[:, 1:] = _cube_patterns(d)
     return finite_class(patterns, vc_dim=d, support_coords=coords)
 
 
@@ -407,8 +382,7 @@ def _family_sigmas(d: int, sigmas, seed: int, max_enumerate: int = 10,
             raise ValueError("sigmas must be sign vectors of length d")
         return arr
     if d <= max_enumerate:
-        grid = ((np.arange(2 ** d)[:, None] >> np.arange(d)[None, :]) & 1)
-        return (grid.astype(np.int8) * 2 - 1)
+        return _cube_patterns(d).astype(np.int8) * 2 - 1
     return vg_packing(d, seed=seed, target=min(packing_size, 2 ** d))
 
 
@@ -566,32 +540,32 @@ def example_scenario(sid: int, gamma: float | None = None, n_angles: int = 16,
     2: P uniform on [0, 2], Q uniform on [0, 1], threshold at 1/2.
     3: P density ~ t^(gamma-1) right of the optimum (gamma >= 1), Q uniform.
     4: P density ~ |t|^(gamma-1) around the optimum (0 < gamma < 1), Q uniform.
-    Scenarios 2-4 return a ThresholdScenario-backed TransferPair.
+    Scenarios 2-4 return a TransferPair of two ThresholdMarginals sharing
+    the optimal threshold.
     """
     if sid == 1:
         return _ring_surrogate(n_angles, radii)
     if sid == 2:
-        scen = ThresholdScenario(uniform_density(0.0, 2.0), uniform_density(0.0, 1.0), 0.5)
         cert = Certified(rho=1.0, c_rho=2.0, gamma=1.0, c_gamma=2.0,
                          beta_p=1.0, beta_q=1.0, c_p=1.0, c_q=1.0)
-        return TransferPair(scen.p, scen.q, cert)
+        return TransferPair(ThresholdMarginal(uniform_density(0.0, 2.0), 0.5),
+                            ThresholdMarginal(uniform_density(0.0, 1.0), 0.5), cert)
     if sid == 3:
         if gamma is None or gamma < 1.0:
             raise ValueError("scenario 3 needs gamma >= 1")
-        scen = ThresholdScenario(Density1D(form="left-uniform-right-power", g=gamma),
-                                 uniform_density(-1.0, 1.0), 0.0)
         cert = Certified(rho=gamma, c_rho=1.0, gamma=gamma, c_gamma=1.0,
                          beta_p=1.0, beta_q=1.0, c_p=1.0, c_q=1.0)
-        return TransferPair(scen.p, scen.q, cert)
+        return TransferPair(
+            ThresholdMarginal(Density1D(form="left-uniform-right-power", g=gamma), 0.0),
+            ThresholdMarginal(uniform_density(-1.0, 1.0), 0.0), cert)
     if sid == 4:
         if gamma is None or not 0.0 < gamma < 1.0:
             raise ValueError("scenario 4 needs 0 < gamma < 1")
         c = 2.0 ** (1.0 - gamma)
-        scen = ThresholdScenario(Density1D(form="symmetric-power", g=gamma),
-                                 uniform_density(-1.0, 1.0), 0.0)
         cert = Certified(rho=gamma, c_rho=c, gamma=gamma, c_gamma=c,
                          beta_p=1.0, beta_q=1.0, c_p=1.0, c_q=1.0)
-        return TransferPair(scen.p, scen.q, cert)
+        return TransferPair(ThresholdMarginal(Density1D(form="symmetric-power", g=gamma), 0.0),
+                            ThresholdMarginal(uniform_density(-1.0, 1.0), 0.0), cert)
     raise ValueError("scenario id must be one of 1, 2, 3, 4")
 
 

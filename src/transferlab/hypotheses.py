@@ -1,29 +1,27 @@
-"""Hypothesis representations, empirical risks, and ERM over enumerable classes.
+"""Hypothesis classes as label matrices, empirical risks, and exact ERM.
 
-Two kinds of classifiers are supported: finite-enumerated classes given by
-explicit 0/1 label patterns over a finite support, and the one-sided threshold
-class on the line (label 1 iff x <= t).  Every optimization in the package is
-exact: threshold classes are reduced to finite classes by projection onto the
-relevant points, so sup/argmin computations never rely on numeric search.
+A finite class is one read-only float64 label matrix of shape (M, s): row i
+holds member i's 0/1 labels over s support points, and every risk, ERM and
+certification is a product with it.  Projecting the one-sided threshold class
+(label 1 iff x <= t) onto a point set gives such a matrix plus a representative
+threshold per row, so sup/argmin computations never rely on numeric search.
+
+`Hypothesis` objects are built from the matrix on demand: `members` builds and
+caches the whole list when a procedure first returns a member, and a
+`MemberView` builds single members, such as the witnesses certification reports.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
 FINITE = "finite-enumerated"
 THRESHOLD = "one-sided-threshold"
-
-
-@dataclass(frozen=True)
-class SupportPoint:
-    """A point of a finite support: contiguous integer id plus a coordinate."""
-
-    index: int
-    coordinate: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -82,10 +80,6 @@ class LabeledSample:
     def __len__(self) -> int:
         return int(self.xs.size)
 
-    @property
-    def points(self) -> list[tuple]:
-        return [(x, int(y)) for x, y in zip(self.xs.tolist(), self.ys.tolist())]
-
 
 @dataclass(frozen=True)
 class UnlabeledSample:
@@ -99,78 +93,112 @@ class UnlabeledSample:
         return int(self.xs.size)
 
 
-def empty_labeled(seed: int = 0, discrete: bool = True) -> LabeledSample:
-    dtype = np.int64 if discrete else np.float64
-    return LabeledSample(np.empty(0, dtype=dtype), np.empty(0, dtype=np.int8), seed)
+def _hypotheses(label_matrix, thresholds, rows=slice(None)) -> list[Hypothesis]:
+    """The members in `rows`: labels as tuples of int, thresholds as float."""
+    labels = repeat(None) if label_matrix is None else \
+        map(tuple, label_matrix[rows].astype(np.int8).tolist())
+    if thresholds is None:
+        return [Hypothesis(FINITE, lab) for lab in labels]
+    return [Hypothesis(THRESHOLD, lab, t)
+            for lab, t in zip(labels, thresholds[rows].tolist())]
 
 
-@dataclass
-class HypothesisClass:
-    """An enumerable hypothesis class.
+class MemberView(Sequence):
+    """The members a label matrix and/or a threshold array describe, each built
+    only when it is indexed."""
 
-    kind FINITE: `members` lists every label pattern (no duplicates), over a
-    support of size `support_size`.  kind THRESHOLD: the un-projected one-sided
-    threshold class on the line; enumeration happens through `project_class`.
-    """
-
-    kind: str
-    members: list[Hypothesis] | None = None
-    vc_dim: int = 1
-    support_size: int | None = None
-    support_coords: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind == FINITE:
-            if not self.members:
-                raise ValueError("finite class needs at least one member")
-            if self.support_size is None:
-                self.support_size = len(self.members[0].labels)
-            seen = set()
-            for h in self.members:
-                if h.labels is None or len(h.labels) != self.support_size:
-                    raise ValueError("member label length differs from support size")
-                if h.labels in seen:
-                    raise ValueError("duplicate label pattern in enumeration")
-                seen.add(h.labels)
-        if self.vc_dim < 1:
-            raise ValueError("vc_dim must be >= 1")
+    def __init__(self, label_matrix=None, thresholds=None):
+        self._label_matrix = label_matrix
+        self._thresholds = thresholds
 
     def __len__(self) -> int:
-        if self.members is None:
+        return len(self._thresholds if self._label_matrix is None else self._label_matrix)
+
+    def __getitem__(self, i: int) -> Hypothesis:
+        return _hypotheses(self._label_matrix, self._thresholds, [i])[0]
+
+
+class HypothesisClass:
+    """An enumerable hypothesis class, stored as its label matrix.
+
+    `label_matrix` is a read-only float64 (M, s) array of distinct 0/1 rows
+    over `support_size` = s points at optional `support_coords`; `len()` is M.
+    A projected threshold class also keeps `thresholds`, one representative
+    per row.  The un-projected threshold class has no matrix: `len()`,
+    `members` and `label_matrix` raise TypeError until it is projected.
+    `members` builds every member on first access and caches the list, so
+    `cls.members[i]` is the same object on every call.
+    """
+
+    def __init__(self, label_matrix=None, vc_dim: int = 1, support_coords=None,
+                 thresholds=None):
+        if vc_dim < 1:
+            raise ValueError("vc_dim must be >= 1")
+        if label_matrix is not None:
+            label_matrix = np.array(label_matrix, dtype=np.float64)
+            label_matrix.setflags(write=False)
+        self._label_matrix = label_matrix
+        self.vc_dim = vc_dim
+        self.support_coords = support_coords
+        self.thresholds = thresholds
+
+    @property
+    def kind(self) -> str:
+        return THRESHOLD if self._label_matrix is None else FINITE
+
+    @property
+    def label_matrix(self) -> np.ndarray:
+        if self._label_matrix is None:
             raise TypeError("threshold class is not enumerated; project it first")
-        return len(self.members)
+        return self._label_matrix
+
+    @property
+    def support_size(self) -> int | None:
+        return None if self._label_matrix is None else self._label_matrix.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.label_matrix)
 
     @cached_property
-    def label_matrix(self) -> np.ndarray:
-        """Member labels stacked as a (members, support) float array."""
-        if self.members is None:
-            raise TypeError("threshold class is not enumerated; project it first")
-        return np.array([h.labels for h in self.members], dtype=np.float64)
+    def members(self) -> list[Hypothesis]:
+        return _hypotheses(self.label_matrix, self.thresholds)
+
+
+def _cube_patterns(n: int) -> np.ndarray:
+    """All 2^n 0/1 patterns over n points; row i holds the bits of i, lowest first."""
+    return (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
 
 
 def finite_class(patterns, vc_dim: int | None = None,
                  support_coords=None) -> HypothesisClass:
-    members = [finite_hypothesis(p) for p in patterns]
-    size = len(members[0].labels)
+    """The class whose members are the given 0/1 label patterns, in order."""
+    lab = np.asarray(patterns)
+    if lab.ndim != 2 or lab.size == 0:
+        raise ValueError("finite class needs non-empty label patterns of one length")
+    if not ((lab == 0) | (lab == 1)).all():
+        raise ValueError("label patterns must hold only 0 and 1")
+    # one bytes key per row: np.unique on packed rows is far cheaper than axis=0
+    packed = np.packbits(lab.astype(bool), axis=1)
+    if np.unique(packed.view(np.dtype((np.void, packed.shape[1])))).size < len(lab):
+        raise ValueError("duplicate label pattern in enumeration")
+    m, size = lab.shape
     if vc_dim is None:
         # a full enumeration over s points shatters all of them
-        vc_dim = size if len(members) == 2 ** size else max(1, int(np.log2(len(members))))
+        vc_dim = size if m == 2 ** size else max(1, int(np.log2(m)))
     coords = None if support_coords is None else np.asarray(support_coords, dtype=np.float64)
-    return HypothesisClass(kind=FINITE, members=members, vc_dim=vc_dim,
-                           support_size=size, support_coords=coords)
+    return HypothesisClass(lab, vc_dim, coords)
 
 
 def full_cube_class(n_points: int, support_coords=None) -> HypothesisClass:
     """All 2^n label patterns over n support points."""
     if n_points > 16:
         raise ValueError("full enumeration beyond 2^16 patterns refused")
-    patterns = ((i >> np.arange(n_points)) & 1 for i in range(2 ** n_points))
-    return finite_class([tuple(int(b) for b in p) for p in patterns],
-                        vc_dim=n_points, support_coords=support_coords)
+    return finite_class(_cube_patterns(n_points), vc_dim=n_points,
+                        support_coords=support_coords)
 
 
 def threshold_class() -> HypothesisClass:
-    return HypothesisClass(kind=THRESHOLD, members=None, vc_dim=1)
+    return HypothesisClass()
 
 
 def project_class(cls: HypothesisClass, points) -> HypothesisClass:
@@ -191,12 +219,9 @@ def project_class(cls: HypothesisClass, points) -> HypothesisClass:
     reps[0] = pts[0] - 1.0
     reps[1:n] = 0.5 * (pts[:-1] + pts[1:])
     reps[n] = pts[-1] + 1.0
-    members = []
-    for i, t in enumerate(reps):
-        labels = tuple(1 if j < i else 0 for j in range(n))
-        members.append(threshold_hypothesis(t, labels))
-    return HypothesisClass(kind=FINITE, members=members, vc_dim=1,
-                           support_size=n, support_coords=pts)
+    # row i labels the i smallest points 1
+    return HypothesisClass(np.tri(n + 1, n, -1), vc_dim=1, support_coords=pts,
+                           thresholds=reps)
 
 
 def empirical_risk(h: Hypothesis, sample: LabeledSample) -> float:
@@ -246,19 +271,20 @@ def member_disagreements(cls: HypothesisClass, ref: Hypothesis, sample) -> np.nd
         return np.zeros(len(cls))
     counts = _point_counts(cls, sample)
     lab = cls.label_matrix
-    ref_lab = _labels_on_support(cls, ref)
+    ref_lab = _labels_on_support(ref, cls.support_size, cls.support_coords)
     n = counts.sum()
     # 1[h != ref] = h + ref - 2 h ref; counts are integers, so folding the
     # reference into the weight vector keeps every sum exact
     return (lab @ (counts * (1.0 - 2.0 * ref_lab)) + np.dot(ref_lab, counts)) / n
 
 
-def _labels_on_support(cls: HypothesisClass, h: Hypothesis) -> np.ndarray:
-    if h.labels is not None and len(h.labels) == cls.support_size:
+def _labels_on_support(h: Hypothesis, size: int, coords) -> np.ndarray:
+    """Labels of h, as floats, over a support of `size` points at `coords`."""
+    if h.labels is not None and len(h.labels) == size:
         return np.asarray(h.labels, dtype=np.float64)
-    if h.threshold is not None and cls.support_coords is not None:
-        return (cls.support_coords <= h.threshold).astype(np.float64)
-    raise TypeError("hypothesis is not expressible over this class's support")
+    if h.threshold is not None and coords is not None:
+        return (coords <= h.threshold).astype(np.float64)
+    raise TypeError("hypothesis is not expressible over this support")
 
 
 def _sample_indices(cls: HypothesisClass, xs: np.ndarray) -> np.ndarray:
@@ -304,5 +330,4 @@ def _threshold_erm(sample: LabeledSample) -> Hypothesis:
         t = pts[-1] + 1.0
     else:
         t = 0.5 * (pts[cut - 1] + pts[cut])
-    labels = tuple(1 if j < cut else 0 for j in range(n))
-    return threshold_hypothesis(t, labels)
+    return Hypothesis(THRESHOLD, (1,) * cut + (0,) * (n - cut), float(t))

@@ -56,18 +56,6 @@ class DensityFamily:
     def __len__(self) -> int:
         return len(self.weights)
 
-    def sup_norm(self, i: int) -> float:
-        return float(np.max(self.weights[i]))
-
-    @classmethod
-    def from_scenario_dict(cls, doc: dict, densities, pseudo_dim=None) -> "DensityFamily":
-        size = len(doc["support"])
-        weights = [np.asarray(w, dtype=np.float64) for w in densities]
-        for w in weights:
-            if w.size != size:
-                raise ValueError("density length differs from scenario support")
-        return cls(weights, pseudo_dim)
-
 
 def _weights_on_sample(f: np.ndarray, sample: LabeledSample) -> np.ndarray:
     xs = np.asarray(sample.xs)

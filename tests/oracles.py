@@ -9,6 +9,38 @@ import math
 
 import numpy as np
 
+from transferlab.hypotheses import FINITE, THRESHOLD, Hypothesis
+
+
+def full_cube_members(n):
+    """All 2^n patterns, member i holding the bits of i, lowest first."""
+    members = []
+    for i in range(2 ** n):
+        members.append(Hypothesis(FINITE, tuple(int((i >> j) & 1) for j in range(n))))
+    return members
+
+
+def anchored_cube_members(d):
+    """All patterns over x_0..x_d with x_0 labeled 1, in full-cube order."""
+    return [Hypothesis(FINITE, (1,) + h.labels) for h in full_cube_members(d)]
+
+
+def projected_members(points):
+    """The n+1 threshold members over n distinct points: cut i labels the i
+    smallest points 1 and sits below, between or above the points."""
+    pts = sorted(set(float(x) for x in points))
+    n = len(pts)
+    members = []
+    for i in range(n + 1):
+        if i == 0:
+            t = pts[0] - 1.0
+        elif i == n:
+            t = pts[-1] + 1.0
+        else:
+            t = 0.5 * (pts[i - 1] + pts[i])
+        members.append(Hypothesis(THRESHOLD, tuple(1 if j < i else 0 for j in range(n)), t))
+    return members
+
 
 def predict(member, xs):
     xs = np.asarray(xs)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -216,3 +217,6 @@ def test_report_serialization():
     doc = rep.to_json_dict()
     assert set(doc) == {"value", "constant", "witness_labels"}
     assert doc["value"] == rep.value
+    labels = json.loads(json.dumps(doc))["witness_labels"]
+    assert labels == list(rep.witness.labels)
+    assert all(type(b) is int for b in labels)

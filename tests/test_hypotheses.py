@@ -15,8 +15,20 @@ from transferlab import (
     threshold_class,
     threshold_hypothesis,
 )
+from transferlab.distributions import _anchored_cube_class
 
 import oracles
+
+
+def assert_same_members(cls, want):
+    """Same members in the same order: labels as ints, thresholds as floats."""
+    got = cls.members
+    assert len(cls) == len(want)
+    assert got == want
+    assert np.array_equal(cls.label_matrix, [h.labels for h in want])
+    for h in got:
+        assert all(type(b) is int for b in h.labels)
+        assert h.threshold is None or type(h.threshold) is float
 
 
 def make_sample(xs, ys, discrete=True):
@@ -86,6 +98,33 @@ def test_project_class_monotone_patterns():
 def test_project_class_empty_errors():
     with pytest.raises(ValueError):
         project_class(threshold_class(), [])
+    # the raw threshold class has no enumeration until it is projected
+    for enumerate_ in (len, lambda c: c.members, lambda c: c.label_matrix):
+        with pytest.raises(TypeError, match="project it first"):
+            enumerate_(threshold_class())
+
+
+def test_full_cube_class_matches_oracle():
+    for n in range(1, 7):
+        assert_same_members(full_cube_class(n), oracles.full_cube_members(n))
+
+
+def test_anchored_cube_class_matches_oracle():
+    for d in range(1, 10):
+        cls = _anchored_cube_class(d, np.arange(d + 1, dtype=np.float64))
+        assert_same_members(cls, oracles.anchored_cube_members(d))
+
+
+def test_project_class_matches_oracle():
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        n = int(rng.integers(1, 30))
+        pts = rng.normal(size=n)
+        # repeat some points: duplicates collapse to one support point
+        pts = np.concatenate([pts, rng.choice(pts, size=int(rng.integers(0, n + 1)))])
+        rng.shuffle(pts)
+        assert_same_members(project_class(threshold_class(), pts),
+                            oracles.projected_members(pts))
 
 
 def test_erm_empty_sample_tie_break():
