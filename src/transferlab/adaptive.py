@@ -20,6 +20,7 @@ from .distributions import rng_from
 from .hypotheses import (
     HypothesisClass,
     LabeledSample,
+    ensure_finite,
     erm,
     member_disagreements,
     member_risks,
@@ -28,7 +29,6 @@ from .procedures import (
     ConfidenceParams,
     confidence_width,
     confidence_width_anytime,
-    ensure_finite,
     near_optimal_mask,
 )
 
@@ -85,7 +85,7 @@ def delta_hat(sample: LabeledSample, probe, cls: HypothesisClass,
     across all rounds of the doubling loop).  An empty sample makes every
     hypothesis eligible.
     """
-    cls = ensure_finite(cls, (sample, probe))
+    cls, (sample, probe) = ensure_finite(cls, (sample, probe))
     if width is None:
         width = confidence_width_anytime(len(sample), cls.vc_dim, conf.delta)
     mask = near_optimal_mask(cls, sample, conf, width=width)
@@ -95,7 +95,7 @@ def delta_hat(sample: LabeledSample, probe, cls: HypothesisClass,
         erm_ix = int(np.argmin(member_risks(cls, sample)))
     if len(probe) == 0:
         return 0.0
-    dis = member_disagreements(cls, cls.members[erm_ix], probe)
+    dis = member_disagreements(cls, cls[erm_ix], probe)
     return float(np.max(dis[mask]))
 
 

@@ -301,7 +301,7 @@ def cmd_rates(args) -> int:
                                                 p["beta_q"], eps)
                 return fam.pairs[_sigma_index(fam, cfg["family"])], fam.cls
 
-            table = sweep(build, estimator, grid, trials, seed, conf, jobs=1)
+            table = sweep(build, estimator, grid, trials, seed, conf, jobs=jobs)
         else:
             table = monte_carlo(family.pairs[six], family.cls, estimator, grid,
                                 trials, seed, conf, jobs=jobs)

@@ -23,7 +23,6 @@ from .hypotheses import (
     THRESHOLD,
     Hypothesis,
     HypothesisClass,
-    MemberView,
     project_class,
 )
 
@@ -56,13 +55,14 @@ class ExponentReport:
 class PairProfile:
     """Exact per-hypothesis quantities for one enumerated class.
 
-    Arrays are aligned with `members`, which builds a member only when it is
+    Arrays are aligned with `members` (the class itself, or for a line pair
+    the threshold grid as a class), which builds a member only when it is
     indexed: excess risks under P and Q, marginal disagreement masses with the
     P-optimal classifier, the Q disagreement mass with the Q-optimal member,
     plain Q risks, and the index of the P- and Q-optimal members.
     """
 
-    members: MemberView
+    members: HypothesisClass
     e_p: np.ndarray
     e_q: np.ndarray
     dis_p: np.ndarray
@@ -94,17 +94,16 @@ def pair_profile(pair: TransferPair, cls: HypothesisClass,
 def _discrete_profile(pair: TransferPair, cls: HypothesisClass) -> PairProfile:
     if cls.kind == THRESHOLD:
         cls = project_class(cls, pair.p.support)
-    members = MemberView(cls.label_matrix, cls.thresholds)
     risks_p = member_true_risks(pair.p, cls)
     risks_q = member_true_risks(pair.q, cls)
     star_p = int(np.argmin(risks_p))
     star_q = int(np.argmin(risks_q))
-    h_star_p = members[star_p]
+    h_star_p = cls[star_p]
     dis_q = member_disagreement_mass(pair.q, cls, h_star_p)
     dis_q_own = dis_q if star_q == star_p else \
-        member_disagreement_mass(pair.q, cls, members[star_q])
+        member_disagreement_mass(pair.q, cls, cls[star_q])
     return PairProfile(
-        members=members,
+        members=cls,
         e_p=risks_p - risks_p[star_p],
         e_q=risks_q - risks_q[star_q],
         dis_p=member_disagreement_mass(pair.p, cls, h_star_p),
@@ -125,7 +124,7 @@ def _threshold_profile(pair: TransferPair, grid: np.ndarray) -> PairProfile:
     dis_q = np.abs(cdf_q - at_star_q)
     star_q = int(np.argmin(dis_q))
     return PairProfile(
-        members=MemberView(thresholds=grid),
+        members=HypothesisClass(thresholds=grid),
         e_p=dis_p,  # noiseless labels: excess risk equals disagreement mass
         e_q=dis_q,
         dis_p=dis_p,

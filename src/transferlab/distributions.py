@@ -239,7 +239,7 @@ def best_in_class(dist, cls: HypothesisClass) -> Hypothesis:
     if isinstance(dist, DiscreteJoint):
         if cls.kind == THRESHOLD:
             cls = project_class(cls, dist.support)
-        return cls.members[int(np.argmin(member_true_risks(dist, cls)))]
+        return cls[int(np.argmin(member_true_risks(dist, cls)))]
     if isinstance(dist, ThresholdMarginal):
         return Hypothesis(kind=THRESHOLD, threshold=dist.h_star)
     raise TypeError(f"cannot optimize over {type(dist).__name__}")

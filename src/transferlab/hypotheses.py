@@ -1,22 +1,23 @@
-"""Hypothesis classes as label matrices, empirical risks, and exact ERM.
+"""Hypothesis classes, empirical risks, and exact ERM.
 
-A finite class is one read-only float64 label matrix of shape (M, s): row i
-holds member i's 0/1 labels over s support points, and every risk, ERM and
-certification is a product with it.  Projecting the one-sided threshold class
-(label 1 iff x <= t) onto a point set gives such a matrix plus a representative
-threshold per row, so sup/argmin computations never rely on numeric search.
+A class is the sequence of its members, evaluated as a 0/1 label matrix of
+shape (M, s) over s support points.  A finite class stores that matrix.
+Projecting the one-sided threshold class (label 1 iff x <= t) onto a point set
+gives a cut class: the sorted points plus n+1 representative thresholds, where
+cut i labels the i smallest points 1.  Its risks and disagreements are prefix
+sums over the points, and its matrix is built only for callers that need one.
 
-`Hypothesis` objects are built from the matrix on demand: `members` builds and
-caches the whole list when a procedure first returns a member, and a
-`MemberView` builds single members, such as the witnesses certification reports.
+`ensure_finite` projects the threshold class onto the union of a procedure's
+samples and maps every sample onto support indices in the same pass.  Members
+are built one at a time when indexed (`cls[i]`) and cached, so a procedure
+returns the same `Hypothesis` object as `cls.members[i]`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 
@@ -93,41 +94,20 @@ class UnlabeledSample:
         return int(self.xs.size)
 
 
-def _hypotheses(label_matrix, thresholds, rows=slice(None)) -> list[Hypothesis]:
-    """The members in `rows`: labels as tuples of int, thresholds as float."""
-    labels = repeat(None) if label_matrix is None else \
-        map(tuple, label_matrix[rows].astype(np.int8).tolist())
-    if thresholds is None:
-        return [Hypothesis(FINITE, lab) for lab in labels]
-    return [Hypothesis(THRESHOLD, lab, t)
-            for lab, t in zip(labels, thresholds[rows].tolist())]
+class HypothesisClass(Sequence):
+    """An enumerable hypothesis class: the sequence of its members.
 
+    A finite class stores a read-only float64 (M, s) `label_matrix` of distinct
+    0/1 rows over `support_size` = s points at optional `support_coords`.  A cut
+    class, the threshold class projected onto sorted `support_coords`, stores
+    only those points and one representative threshold per member in
+    `thresholds`; its `label_matrix` is built on first access.  Threshold
+    members at a grid with no support carry no labels.  The un-projected
+    threshold class has neither: `len()`, indexing, `members` and
+    `label_matrix` raise TypeError until it is projected.
 
-class MemberView(Sequence):
-    """The members a label matrix and/or a threshold array describe, each built
-    only when it is indexed."""
-
-    def __init__(self, label_matrix=None, thresholds=None):
-        self._label_matrix = label_matrix
-        self._thresholds = thresholds
-
-    def __len__(self) -> int:
-        return len(self._thresholds if self._label_matrix is None else self._label_matrix)
-
-    def __getitem__(self, i: int) -> Hypothesis:
-        return _hypotheses(self._label_matrix, self._thresholds, [i])[0]
-
-
-class HypothesisClass:
-    """An enumerable hypothesis class, stored as its label matrix.
-
-    `label_matrix` is a read-only float64 (M, s) array of distinct 0/1 rows
-    over `support_size` = s points at optional `support_coords`; `len()` is M.
-    A projected threshold class also keeps `thresholds`, one representative
-    per row.  The un-projected threshold class has no matrix: `len()`,
-    `members` and `label_matrix` raise TypeError until it is projected.
-    `members` builds every member on first access and caches the list, so
-    `cls.members[i]` is the same object on every call.
+    `cls[i]` builds member i once and caches it; `members` is the cached list
+    of those same objects.
     """
 
     def __init__(self, label_matrix=None, vc_dim: int = 1, support_coords=None,
@@ -141,27 +121,55 @@ class HypothesisClass:
         self.vc_dim = vc_dim
         self.support_coords = support_coords
         self.thresholds = thresholds
+        self._built: dict[int, Hypothesis] = {}
 
     @property
     def kind(self) -> str:
-        return THRESHOLD if self._label_matrix is None else FINITE
+        if self._label_matrix is None and self.thresholds is None:
+            return THRESHOLD
+        return FINITE
 
     @property
     def label_matrix(self) -> np.ndarray:
         if self._label_matrix is None:
-            raise TypeError("threshold class is not enumerated; project it first")
+            if self.support_coords is None:
+                raise TypeError("threshold class is not enumerated; project it first")
+            n = self.support_coords.size
+            # row i labels the i smallest points 1
+            self._label_matrix = np.tri(n + 1, n, -1)
+            self._label_matrix.setflags(write=False)
         return self._label_matrix
 
     @property
     def support_size(self) -> int | None:
-        return None if self._label_matrix is None else self._label_matrix.shape[1]
+        if self._label_matrix is not None:
+            return self._label_matrix.shape[1]
+        return None if self.support_coords is None else self.support_coords.size
 
     def __len__(self) -> int:
+        if self.thresholds is not None:
+            return len(self.thresholds)
         return len(self.label_matrix)
+
+    def __getitem__(self, i: int) -> Hypothesis:
+        i = range(len(self))[i]
+        h = self._built.get(i)
+        if h is None:
+            h = self._built[i] = self._build(i)
+        return h
+
+    def _build(self, i: int) -> Hypothesis:
+        """Member i: labels as a tuple of int, threshold as float."""
+        if self.thresholds is None:
+            return Hypothesis(FINITE, tuple(self.label_matrix[i].astype(np.int8).tolist()))
+        t = float(self.thresholds[i])
+        if self.support_coords is None:
+            return Hypothesis(THRESHOLD, None, t)
+        return Hypothesis(THRESHOLD, (1,) * i + (0,) * (self.support_coords.size - i), t)
 
     @cached_property
     def members(self) -> list[Hypothesis]:
-        return _hypotheses(self.label_matrix, self.thresholds)
+        return list(self)
 
 
 def _cube_patterns(n: int) -> np.ndarray:
@@ -204,24 +212,45 @@ def threshold_class() -> HypothesisClass:
 def project_class(cls: HypothesisClass, points) -> HypothesisClass:
     """Finite reduction of the threshold class onto a point set.
 
-    Returns the n+1 label patterns the one-sided threshold class induces on n
-    distinct points, each realized by a representative threshold: one below all
-    points, midpoints between neighbors, one above all points.  Duplicate
-    points collapse.  A finite class projects to itself.
+    Returns the cut class over the distinct points: its n+1 members are the
+    label patterns the one-sided threshold class induces on them.  A finite
+    class projects to itself.
     """
     if cls.kind == FINITE:
         return cls
     pts = np.unique(np.asarray(points, dtype=np.float64))
     if pts.size == 0:
         raise ValueError("cannot project onto an empty point set")
+    return _cut_class(pts)
+
+
+def _cut_class(pts: np.ndarray) -> HypothesisClass:
+    """The cut class over sorted distinct points, each cut realized by a
+    representative threshold: one below all points, midpoints between
+    neighbors, one above all points."""
     n = pts.size
     reps = np.empty(n + 1)
     reps[0] = pts[0] - 1.0
     reps[1:n] = 0.5 * (pts[:-1] + pts[1:])
     reps[n] = pts[-1] + 1.0
-    # row i labels the i smallest points 1
-    return HypothesisClass(np.tri(n + 1, n, -1), vc_dim=1, support_coords=pts,
-                           thresholds=reps)
+    return HypothesisClass(vc_dim=1, support_coords=pts, thresholds=reps)
+
+
+def ensure_finite(cls: HypothesisClass, samples):
+    """The class in enumerated form, and the samples over its support.
+
+    A finite class and its samples come back unchanged.  The threshold class
+    is projected onto the union of all sample points, and the same np.unique
+    maps every sample onto support indices, so no point is searched again.
+    """
+    if cls.kind != THRESHOLD:
+        return cls, samples
+    xs = [np.asarray(s.xs, dtype=np.float64) for s in samples]
+    pts, idx = np.unique(np.concatenate(xs), return_inverse=True)
+    if pts.size == 0:
+        return project_class(cls, [0.0]), samples
+    parts = np.split(idx, np.cumsum([x.size for x in xs])[:-1])
+    return _cut_class(pts), tuple(replace(s, xs=ix) for s, ix in zip(samples, parts))
 
 
 def empirical_risk(h: Hypothesis, sample: LabeledSample) -> float:
@@ -245,14 +274,10 @@ def erm(cls: HypothesisClass, sample: LabeledSample) -> Hypothesis:
     the smallest representative threshold.  An empty sample returns the
     tie-break member.
     """
-    if cls.kind == THRESHOLD:
-        if len(sample) == 0:
-            return erm(project_class(cls, [0.0]), sample)
-        return _threshold_erm(sample)
+    cls, (sample,) = ensure_finite(cls, (sample,))
     if len(sample) == 0:
-        return cls.members[0]
-    risks = member_risks(cls, sample)
-    return cls.members[int(np.argmin(risks))]
+        return cls[0]
+    return cls[int(np.argmin(member_risks(cls, sample)))]
 
 
 def member_risks(cls: HypothesisClass, sample: LabeledSample) -> np.ndarray:
@@ -260,9 +285,8 @@ def member_risks(cls: HypothesisClass, sample: LabeledSample) -> np.ndarray:
     if len(sample) == 0:
         return np.zeros(len(cls))
     n0, n1 = _label_counts(cls, sample)
-    lab = cls.label_matrix
     n = len(sample)
-    return (lab @ (n0 - n1) + n1.sum()) / n
+    return (_matvec(cls, n0 - n1) + n1.sum()) / n
 
 
 def member_disagreements(cls: HypothesisClass, ref: Hypothesis, sample) -> np.ndarray:
@@ -270,12 +294,22 @@ def member_disagreements(cls: HypothesisClass, ref: Hypothesis, sample) -> np.nd
     if len(sample) == 0:
         return np.zeros(len(cls))
     counts = _point_counts(cls, sample)
-    lab = cls.label_matrix
     ref_lab = _labels_on_support(ref, cls.support_size, cls.support_coords)
     n = counts.sum()
     # 1[h != ref] = h + ref - 2 h ref; counts are integers, so folding the
     # reference into the weight vector keeps every sum exact
-    return (lab @ (counts * (1.0 - 2.0 * ref_lab)) + np.dot(ref_lab, counts)) / n
+    return (_matvec(cls, counts * (1.0 - 2.0 * ref_lab)) + np.dot(ref_lab, counts)) / n
+
+
+def _matvec(cls: HypothesisClass, w: np.ndarray) -> np.ndarray:
+    """label_matrix @ w for an integer-valued w.
+
+    Cut i sums the first i entries of w, so a cut class takes prefix sums; every
+    partial sum of integers is exact, so both forms agree bit for bit.
+    """
+    if cls.thresholds is None:
+        return cls.label_matrix @ w
+    return np.concatenate(([0.0], np.cumsum(w)))
 
 
 def _labels_on_support(h: Hypothesis, size: int, coords) -> np.ndarray:
@@ -310,24 +344,3 @@ def _label_counts(cls: HypothesisClass, sample: LabeledSample):
 def _point_counts(cls: HypothesisClass, sample) -> np.ndarray:
     idx = _sample_indices(cls, sample.xs)
     return np.bincount(idx, minlength=cls.support_size).astype(np.float64)
-
-
-def _threshold_erm(sample: LabeledSample) -> Hypothesis:
-    """Exact threshold ERM via prefix sums over the sorted unique points."""
-    xs = np.asarray(sample.xs, dtype=np.float64)
-    ys = np.asarray(sample.ys)
-    pts, inv = np.unique(xs, return_inverse=True)
-    ones = np.bincount(inv, weights=(ys == 1), minlength=pts.size)
-    zeros = np.bincount(inv, weights=(ys == 0), minlength=pts.size)
-    # cut i labels the first i unique points 1: errors = zeros left + ones right
-    errors = np.concatenate(([0.0], np.cumsum(zeros))) + \
-        np.concatenate((np.cumsum(ones[::-1])[::-1], [0.0]))
-    cut = int(np.argmin(errors))
-    n = pts.size
-    if cut == 0:
-        t = pts[0] - 1.0
-    elif cut == n:
-        t = pts[-1] + 1.0
-    else:
-        t = 0.5 * (pts[cut - 1] + pts[cut])
-    return Hypothesis(THRESHOLD, (1,) * cut + (0,) * (n - cut), float(t))

@@ -15,13 +15,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .hypotheses import (
-    THRESHOLD,
     Hypothesis,
     HypothesisClass,
     LabeledSample,
+    ensure_finite,
     member_disagreements,
     member_risks,
-    project_class,
 )
 
 
@@ -68,22 +67,7 @@ def confidence_width_anytime(n: int, vc_dim: int, delta: float) -> float:
 
 def confidence_width_weighted(n: int, vc_dim: int, pdim: int, delta: float) -> float:
     """Width with the density family's capacity added to the class dimension."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return math.inf
-    d = vc_dim + pdim
-    return (d / n) * math.log(max(n, d) / d) + (1.0 / n) * math.log(1.0 / delta)
-
-
-def ensure_finite(cls: HypothesisClass, samples) -> HypothesisClass:
-    """Project the threshold class onto the union of all sample points."""
-    if cls.kind != THRESHOLD:
-        return cls
-    points = [np.asarray(s.xs, dtype=np.float64) for s in samples if len(s)]
-    if not points:
-        return project_class(cls, [0.0])
-    return project_class(cls, np.concatenate(points))
+    return confidence_width(n, vc_dim + pdim, delta)
 
 
 def near_optimal_mask(cls: HypothesisClass, sample: LabeledSample,
@@ -101,7 +85,7 @@ def near_optimal_mask(cls: HypothesisClass, sample: LabeledSample,
         return np.ones(m, dtype=bool)
     risks = member_risks(cls, sample)
     best = int(np.argmin(risks))
-    dis = member_disagreements(cls, cls.members[best], sample)
+    dis = member_disagreements(cls, cls[best], sample)
     radius = conf.c * np.sqrt(dis * width) + conf.c * width
     return (risks - risks[best]) <= radius
 
@@ -113,11 +97,11 @@ def transfer_erm(sample_p: LabeledSample, sample_q: LabeledSample,
     The target ERM is always feasible, so the program is never infeasible; with
     no target data the constraint is vacuous and this is plain source ERM.
     """
-    cls = ensure_finite(cls, (sample_p, sample_q))
+    cls, (sample_p, sample_q) = ensure_finite(cls, (sample_p, sample_q))
     feasible = near_optimal_mask(cls, sample_q, conf)
     risks_p = member_risks(cls, sample_p)
     idx = np.flatnonzero(feasible)
-    return cls.members[int(idx[np.argmin(risks_p[idx])])]
+    return cls[int(idx[np.argmin(risks_p[idx])])]
 
 
 def reverse_transfer_erm(sample_p: LabeledSample, sample_q: LabeledSample,
@@ -136,11 +120,11 @@ def select_source_or_target(sample_p: LabeledSample, sample_q: LabeledSample,
     optimum is genuinely worse on the target: the additive penalty is then the
     target excess of the source optimum.
     """
-    cls = ensure_finite(cls, (sample_p, sample_q))
+    cls, (sample_p, sample_q) = ensure_finite(cls, (sample_p, sample_q))
     feasible = near_optimal_mask(cls, sample_q, conf)
     risks_p = member_risks(cls, sample_p)
     erm_p = int(np.argmin(risks_p))
     if feasible[erm_p]:
-        return cls.members[erm_p]
+        return cls[erm_p]
     risks_q = member_risks(cls, sample_q)
-    return cls.members[int(np.argmin(risks_q))]
+    return cls[int(np.argmin(risks_q))]

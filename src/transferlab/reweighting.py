@@ -18,13 +18,13 @@ from .hypotheses import (
     Hypothesis,
     HypothesisClass,
     LabeledSample,
+    ensure_finite,
     member_risks,
 )
 from .procedures import (
     ConfidenceParams,
     confidence_width,
     confidence_width_weighted,
-    ensure_finite,
     near_optimal_mask,
 )
 
@@ -132,7 +132,9 @@ def delta_hat_weighted(sample_p: LabeledSample, f: np.ndarray, probe,
                        pdim: int) -> float:
     """Largest probe disagreement with the weighted ERM among hypotheses
     passing the f-weighted near-optimality constraint."""
-    cls = ensure_finite(cls, (sample_p, probe))
+    # weighted operations keep the caller's samples: weights are indexed by
+    # support point, never by position in the projected union
+    cls, _ = ensure_finite(cls, (sample_p, probe))
     mask, anchor = _weighted_feasible(cls, sample_p, np.asarray(f, dtype=np.float64),
                                       conf, pdim)
     if len(probe) == 0:
@@ -153,7 +155,7 @@ def reweighted_transfer_erm(sample_p: LabeledSample, sample_q: LabeledSample,
     Returns (hypothesis, chosen density index); ties in the density choice
     break by family order.
     """
-    cls = ensure_finite(cls, (sample_p, sample_q, unlabeled))
+    cls, (_, sample_q, _) = ensure_finite(cls, (sample_p, sample_q, unlabeled))
     radii = [delta_hat_weighted(sample_p, f, unlabeled, cls, conf, family.pseudo_dim)
              for f in family.weights]
     f_ix = int(np.argmin(radii))
@@ -161,7 +163,7 @@ def reweighted_transfer_erm(sample_p: LabeledSample, sample_q: LabeledSample,
     mask, _ = _weighted_feasible(cls, sample_p, f, conf, family.pseudo_dim)
     risks_q = member_risks(cls, sample_q)
     idx = np.flatnonzero(mask)
-    return cls.members[int(idx[np.argmin(risks_q[idx])])], f_ix
+    return cls[int(idx[np.argmin(risks_q[idx])])], f_ix
 
 
 def multi_source_transfer_erm(sources: list[LabeledSample], sample_q: LabeledSample,
@@ -175,7 +177,7 @@ def multi_source_transfer_erm(sources: list[LabeledSample], sample_q: LabeledSam
     """
     if not sources:
         raise ValueError("need at least one source sample")
-    cls = ensure_finite(cls, (*sources, sample_q, unlabeled))
+    cls, (*sources, sample_q, unlabeled) = ensure_finite(cls, (*sources, sample_q, unlabeled))
     scaled = conf.scaled(len(sources))
     radii = [delta_hat(s, unlabeled, cls, scaled) for s in sources]
     i_hat = int(np.argmin(radii))
@@ -184,4 +186,4 @@ def multi_source_transfer_erm(sources: list[LabeledSample], sample_q: LabeledSam
     mask = near_optimal_mask(cls, chosen, scaled, width=width)
     risks_q = member_risks(cls, sample_q)
     idx = np.flatnonzero(mask)
-    return cls.members[int(idx[np.argmin(risks_q[idx])])], i_hat
+    return cls[int(idx[np.argmin(risks_q[idx])])], i_hat

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import transferlab as tl
+from transferlab import ratelab
 from transferlab.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
@@ -79,6 +80,25 @@ def test_rates_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run(args + ["--out", str(a)]) == 0
     assert run(args + ["--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_rates_tuned_cells_honour_jobs(tmp_path, monkeypatch):
+    workers = []
+
+    class Pool(ratelab.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            workers.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(ratelab, "ProcessPoolExecutor", Pool)
+    args = ["rates", "--seed", "0", "--config", str(CONFIGS / "target_rate_sweep.json"),
+            "--set", "grid=[[0,64],[0,128],[0,256]]", "--set", "trials=20",
+            "--set", "drop_smallest=0"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run(args + ["--jobs", "1", "--out", str(a)]) == 0
+    assert run(args + ["--jobs", "2", "--out", str(b)]) == 0
+    assert workers == [2]
     assert a.read_bytes() == b.read_bytes()
 
 

@@ -16,6 +16,7 @@ from transferlab import (
     threshold_hypothesis,
 )
 from transferlab.distributions import _anchored_cube_class
+from transferlab.hypotheses import ensure_finite, member_disagreements, member_risks
 
 import oracles
 
@@ -99,7 +100,8 @@ def test_project_class_empty_errors():
     with pytest.raises(ValueError):
         project_class(threshold_class(), [])
     # the raw threshold class has no enumeration until it is projected
-    for enumerate_ in (len, lambda c: c.members, lambda c: c.label_matrix):
+    for enumerate_ in (len, lambda c: c.members, lambda c: c.label_matrix,
+                       lambda c: c[0]):
         with pytest.raises(TypeError, match="project it first"):
             enumerate_(threshold_class())
 
@@ -125,6 +127,48 @@ def test_project_class_matches_oracle():
         rng.shuffle(pts)
         assert_same_members(project_class(threshold_class(), pts),
                             oracles.projected_members(pts))
+
+
+def test_indexing_builds_each_member_once():
+    for cls in (full_cube_class(3), project_class(threshold_class(), [0.3, 0.1, 0.3, 0.7])):
+        first = cls[2]
+        assert cls[2] is first
+        assert cls.members[2] is first
+        assert all(cls[i] is h for i, h in enumerate(cls.members))
+        assert cls[-1] is cls.members[-1]
+        with pytest.raises(IndexError):
+            cls[len(cls)]
+
+
+def test_cut_class_kernels_match_matrix_and_oracle():
+    # prefix sums over the cuts must equal the explicit label-matrix products
+    # bit for bit; coordinates on a small grid give duplicate points
+    rng = np.random.default_rng(29)
+    tc = threshold_class()
+    for _ in range(60):
+        n = int(rng.integers(1, 40))
+        s = make_sample(rng.integers(0, 8, n) / 8.0, rng.integers(0, 2, n), discrete=False)
+        cls, (idx_sample,) = ensure_finite(tc, (s,))
+        lab = cls.label_matrix
+        members = oracles.projected_members(s.xs)
+        assert cls.members == members
+        ix = np.searchsorted(cls.support_coords, s.xs)
+        size = cls.support_size
+        n1 = np.bincount(ix[s.ys == 1], minlength=size).astype(np.float64)
+        n0 = np.bincount(ix[s.ys == 0], minlength=size).astype(np.float64)
+        want = (lab @ (n0 - n1) + n1.sum()) / n
+        for sample in (s, idx_sample):
+            got = member_risks(cls, sample)
+            assert np.array_equal(got, want)
+            assert got.tolist() == [oracles.risk(h, s) for h in members]
+        ref = members[int(rng.integers(0, len(members)))]
+        ref_lab = np.asarray(ref.labels, dtype=np.float64)
+        counts = n0 + n1
+        want = (lab @ (counts * (1.0 - 2.0 * ref_lab)) + np.dot(ref_lab, counts)) / n
+        for sample in (s, idx_sample):
+            got = member_disagreements(cls, ref, sample)
+            assert np.array_equal(got, want)
+            assert got.tolist() == [oracles.disagreement(h, ref, s) for h in members]
 
 
 def test_erm_empty_sample_tie_break():

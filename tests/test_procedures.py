@@ -172,6 +172,32 @@ def test_transfer_erm_threshold_class_projection():
     assert h == want
 
 
+def test_raw_threshold_procedures_match_oracles_randomized():
+    # float samples on a small grid, so points repeat within and across samples
+    rng = np.random.default_rng(37)
+    tc = tl.threshold_class()
+    for _ in range(80):
+        def sample(n):
+            return make_sample(rng.integers(0, 12, n) / 12.0, rng.integers(0, 2, n),
+                               discrete=False)
+        sp = sample(int(rng.integers(1, 40)))
+        sq = sample(int(rng.integers(0, 40)))
+        probe = tl.UnlabeledSample(rng.integers(0, 12, int(rng.integers(1, 40))) / 12.0, 0)
+        c = float(rng.choice([0.5, 1.0, 2.0]))
+        delta = float(rng.choice([0.05, 0.1, 0.3]))
+        conf = tl.ConfidenceParams(c=c, delta=delta)
+        members = oracles.projected_members(np.concatenate([sp.xs, sq.xs]))
+        assert tl.transfer_erm(sp, sq, tc, conf) == \
+            members[oracles.transfer_erm_index(members, sp, sq, c, delta, 1)]
+        assert tl.reverse_transfer_erm(sp, sq, tc, conf) == \
+            members[oracles.transfer_erm_index(members, sq, sp, c, delta, 1)]
+        assert tl.select_source_or_target(sp, sq, tc, conf) == \
+            members[oracles.selector_index(members, sp, sq, c, delta, 1)]
+        members = oracles.projected_members(np.concatenate([sq.xs, probe.xs]))
+        assert tl.delta_hat(sq, probe, tc, conf) == \
+            oracles.delta_hat_value(members, sq, probe, c, delta, 1)
+
+
 def test_scaled_confidence():
     conf = tl.ConfidenceParams(c=1.0, delta=0.2)
     assert conf.scaled(4).delta == pytest.approx(0.05)

@@ -224,3 +224,17 @@ def test_reweighted_output_replays_constraint():
     lhs = tl.weighted_excess(sp, f, h, cls)
     dis = tl.weighted_disagreement_f2(sp, f, h, cls.members[anchor])
     assert lhs <= CONF.c * np.sqrt(dis * width) + CONF.c * float(np.max(f)) * width + 1e-12
+
+
+def test_weighted_ops_reject_coordinates_on_raw_threshold_class():
+    # weights are per support point: projecting the raw class must not turn a
+    # float sample into positions in the union of the samples
+    pair = tl.example_scenario(2)
+    sp = tl.sample_labeled(pair.p, 50, seed=1)
+    sq = tl.sample_labeled(pair.q, 20, seed=2)
+    u = tl.sample_unlabeled(pair.q, 40, seed=3)
+    fam = tl.DensityFamily([np.ones(4)])
+    with pytest.raises(TypeError, match="index samples"):
+        tl.reweighted_transfer_erm(sp, sq, u, fam, tl.threshold_class(), CONF)
+    with pytest.raises(TypeError, match="index samples"):
+        tl.delta_hat_weighted(sp, np.ones(4), u, tl.threshold_class(), CONF, 1)
