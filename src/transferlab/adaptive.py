@@ -89,13 +89,10 @@ def delta_hat(sample: LabeledSample, probe, cls: HypothesisClass,
     if width is None:
         width = confidence_width_anytime(len(sample), cls.vc_dim, conf.delta)
     mask = near_optimal_mask(cls, sample, conf, width=width)
-    if len(sample) == 0:
-        erm_ix = 0
-    else:
-        erm_ix = int(np.argmin(member_risks(cls, sample)))
+    erm_ix = int(np.argmin(member_risks(cls, sample)))
     if len(probe) == 0:
         return 0.0
-    dis = member_disagreements(cls, cls[erm_ix], probe)
+    dis = member_disagreements(cls, erm_ix, probe)
     return float(np.max(dis[mask]))
 
 

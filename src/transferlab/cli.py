@@ -116,6 +116,13 @@ def _emit(payload, out_path):
         print(text)
 
 
+def _trials(cfg: dict, default: int) -> int:
+    trials = int(cfg.get("trials", default))
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
+    return trials
+
+
 def _confidence(cfg: dict) -> ConfidenceParams:
     spec = cfg.get("confidence", {})
     check_fields(spec, {"c", "delta"}, where="confidence")
@@ -281,7 +288,7 @@ def cmd_rates(args) -> int:
     if estimator not in ESTIMATORS:
         raise ConfigError(f"estimator must be one of {sorted(ESTIMATORS)}")
     grid = [(int(a), int(b)) for a, b in cfg["grid"]]
-    trials = int(cfg.get("trials", 200))
+    trials = _trials(cfg, 200)
     conf = _confidence(cfg)
     seed = args.seed
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
@@ -333,6 +340,7 @@ def cmd_adaptive(args) -> int:
                        "unlabeled", "kappa", "trials", "confidence",
                        "step6_width", "q_only", "max_rounds"},
                  {"eps", "cost_p", "cost_q"})
+    trials = _trials(cfg, 1)
     conf = _confidence(cfg)
     eps = float(cfg["eps"])
     sched_p = _cost_from_config(cfg["cost_p"], "cost_p")
@@ -350,7 +358,6 @@ def cmd_adaptive(args) -> int:
     n_unlabeled = cfg.get("unlabeled", "auto")
     if n_unlabeled == "auto":
         n_unlabeled = unlabeled_requirement(eps, conf.delta, cls.vc_dim, kappa)
-    trials = int(cfg.get("trials", 1))
     rows, summary = [], {"returned_by": [], "total_cost": [], "excess": []}
     q_best = true_risk(pair.q, best_in_class(pair.q, cls))
     for trial in range(trials):
@@ -386,7 +393,10 @@ def cmd_select(args) -> int:
     cfg = load_config(args)
     check_fields(cfg, {"sources", "n_sources", "n_q", "unlabeled", "trials",
                        "confidence"}, {"sources", "n_sources", "unlabeled"})
+    trials = _trials(cfg, 1)
     conf = _confidence(cfg)
+    if not isinstance(cfg["sources"], list) or not cfg["sources"]:
+        raise ConfigError("sources must be a non-empty list of scenarios")
     built = [pair_from_config(s) for s in cfg["sources"]]
     pairs = [p for p, _ in built]
     cls = built[0][1]
@@ -396,7 +406,6 @@ def cmd_select(args) -> int:
     if len(n_sources) != len(pairs):
         raise ConfigError("n_sources length must match sources")
     n_q = int(cfg.get("n_q", 0))
-    trials = int(cfg.get("trials", 1))
     choices = []
     for trial in range(trials):
         samples = [sample_labeled(p.p, n, args.seed + 31 * trial + 100 + i)
@@ -417,15 +426,18 @@ def cmd_reweight(args) -> int:
     check_fields(cfg, {"scenario", "densities", "pseudo_dim", "n_p", "n_q",
                        "unlabeled", "trials", "confidence"},
                  {"scenario", "densities", "n_p", "unlabeled"})
+    trials = _trials(cfg, 1)
     conf = _confidence(cfg)
     pair, cls = pair_from_config(cfg["scenario"])
     if not pair.discrete:
         raise ConfigError("reweight needs a discrete scenario; set scenario.cells")
     weights = [np.asarray(w, dtype=np.float64) for w in cfg["densities"]]
+    if not weights or any(w.shape != (pair.p.size,) for w in weights):
+        raise ConfigError(f"densities must be a non-empty list of weight vectors "
+                          f"with {pair.p.size} entries, one per support point")
     family = DensityFamily(weights, cfg.get("pseudo_dim"))
     n_p = int(cfg["n_p"])
     n_q = int(cfg.get("n_q", 0))
-    trials = int(cfg.get("trials", 1))
     chosen = []
     labels = None
     for trial in range(trials):

@@ -98,15 +98,14 @@ def _discrete_profile(pair: TransferPair, cls: HypothesisClass) -> PairProfile:
     risks_q = member_true_risks(pair.q, cls)
     star_p = int(np.argmin(risks_p))
     star_q = int(np.argmin(risks_q))
-    h_star_p = cls[star_p]
-    dis_q = member_disagreement_mass(pair.q, cls, h_star_p)
+    dis_q = member_disagreement_mass(pair.q, cls, star_p)
     dis_q_own = dis_q if star_q == star_p else \
-        member_disagreement_mass(pair.q, cls, cls[star_q])
+        member_disagreement_mass(pair.q, cls, star_q)
     return PairProfile(
         members=cls,
         e_p=risks_p - risks_p[star_p],
         e_q=risks_q - risks_q[star_q],
-        dis_p=member_disagreement_mass(pair.p, cls, h_star_p),
+        dis_p=member_disagreement_mass(pair.p, cls, star_p),
         dis_q=dis_q,
         dis_q_own=dis_q_own,
         risk_q=risks_q,
@@ -137,7 +136,7 @@ def _threshold_profile(pair: TransferPair, grid: np.ndarray) -> PairProfile:
 
 
 def _max_exponent(lhs: np.ndarray, rhs: np.ndarray, constant: float,
-                  members, grid_size, floor=None) -> ExponentReport:
+                  members, grid_size) -> ExponentReport:
     """Smallest k with constant*lhs >= rhs^k for every member.
 
     Computed as the max over members of log(constant*lhs)/log(rhs) among those
@@ -161,40 +160,37 @@ def _max_exponent(lhs: np.ndarray, rhs: np.ndarray, constant: float,
         if ratio > best:
             best, witness = ratio, i
     if witness is None:
-        return ExponentReport(1.0 if floor is None else floor, constant,
-                              degenerate=True, grid_size=grid_size)
-    if floor is not None:
-        best = max(best, floor)
+        return ExponentReport(1.0, constant, degenerate=True, grid_size=grid_size)
     return ExponentReport(best, constant, members[witness], grid_size=grid_size)
 
 
 def rho_min(pair: TransferPair, cls: HypothesisClass, c_rho: float = 1.0,
-            grid=None, floor: float | None = None) -> ExponentReport:
+            grid=None) -> ExponentReport:
     """Smallest transfer exponent at constant c_rho: c_rho E_P(h) >= E_Q(h)^rho."""
     if c_rho <= 0:
         raise ValueError("constant must be positive")
     prof = pair_profile(pair, cls, grid)
-    return _max_exponent(prof.e_p, prof.e_q, c_rho, prof.members, prof.grid_size, floor)
+    return _max_exponent(prof.e_p, prof.e_q, c_rho, prof.members, prof.grid_size)
 
 
 def gamma_min(pair: TransferPair, cls: HypothesisClass, c_gamma: float = 1.0,
-              grid=None, floor: float | None = None) -> ExponentReport:
+              grid=None) -> ExponentReport:
     """Smallest marginal transfer exponent: c_gamma P_X(h != h*_P) >= Q_X(h != h*_P)^gamma."""
     if c_gamma <= 0:
         raise ValueError("constant must be positive")
     prof = pair_profile(pair, cls, grid)
-    return _max_exponent(prof.dis_p, prof.dis_q, c_gamma, prof.members, prof.grid_size, floor)
+    return _max_exponent(prof.dis_p, prof.dis_q, c_gamma, prof.members, prof.grid_size)
 
 
 def rho_prime_min(pair: TransferPair, cls: HypothesisClass, c: float = 1.0,
-                  grid=None, floor: float | None = None) -> ExponentReport:
+                  grid=None) -> ExponentReport:
     """rho_min with the target excess clipped at the source-optimal classifier:
     max{R_Q(h) - R_Q(h*_P), 0} replaces E_Q(h)."""
     if c <= 0:
         raise ValueError("constant must be positive")
     prof = pair_profile(pair, cls, grid)
     clipped = np.maximum(prof.risk_q - prof.risk_q[prof.star_p], 0.0)
-    return _max_exponent(prof.e_p, clipped, c, prof.members, prof.grid_size, floor)
+    return _max_exponent(prof.e_p, clipped, c, prof.members, prof.grid_size)
 
 
 def beta_max(dist, cls: HypothesisClass, c_noise: float = 1.0, grid=None) -> ExponentReport:

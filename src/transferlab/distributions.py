@@ -23,7 +23,6 @@ from .hypotheses import (
     LabeledSample,
     UnlabeledSample,
     _cube_patterns,
-    _labels_on_support,
     finite_class,
     finite_hypothesis,
     full_cube_class,
@@ -207,6 +206,15 @@ def sample_unlabeled(dist, n: int, seed: int) -> UnlabeledSample:
     return UnlabeledSample(sample_labeled(dist, n, seed).xs, seed)
 
 
+def _labels_on_support(h: Hypothesis, size: int, coords) -> np.ndarray:
+    """Labels of h, as floats, over a support of `size` points at `coords`."""
+    if h.labels is not None and len(h.labels) == size:
+        return np.asarray(h.labels, dtype=np.float64)
+    if h.threshold is not None and coords is not None:
+        return (coords <= h.threshold).astype(np.float64)
+    raise TypeError("hypothesis is not expressible over this support")
+
+
 def true_risk(dist, h: Hypothesis) -> float:
     """Exact misclassification risk of h under the distribution."""
     if isinstance(dist, DiscreteJoint):
@@ -227,9 +235,10 @@ def member_true_risks(joint: DiscreteJoint, cls: HypothesisClass) -> np.ndarray:
 
 
 def member_disagreement_mass(joint: DiscreteJoint, cls: HypothesisClass,
-                             ref: Hypothesis) -> np.ndarray:
+                             ref: int) -> np.ndarray:
+    """Marginal mass where each member disagrees with member `ref`, exactly."""
     lab = cls.label_matrix
-    ref_lab = _labels_on_support(ref, joint.size, joint.support)
+    ref_lab = lab[ref]
     # 1[h != ref] = h + ref - 2 h ref, folded into one matrix-vector product
     return lab @ (joint.mass * (1.0 - 2.0 * ref_lab)) + float(np.dot(joint.mass, ref_lab))
 
@@ -580,15 +589,12 @@ def _ring_surrogate(n_angles: int, radii: tuple[float, float]):
     mass_p = np.concatenate([np.full(k, 1.0 / k), np.zeros(k)])
     mass_q = np.concatenate([np.zeros(k), np.full(k, 1.0 / k)])
     eta = np.concatenate([labels_star, labels_star]).astype(np.float64)
-    patterns, seen = [], set()
-    for m in range(k):
-        for orient in (1, -1):
-            lab = (orient * np.cos(theta - 2.0 * np.pi * m / k) > 0.0).astype(int)
-            pat = tuple(lab) + tuple(lab)
-            if pat not in seen:
-                seen.add(pat)
-                patterns.append(pat)
-    cls = finite_class(patterns, vc_dim=2, support_coords=coords)
+    # half-plane m (normal at angle 2 pi m / k) and its flip, both rings alike;
+    # the rows run m-major and repeats keep their first occurrence
+    cos = np.cos(theta[None, :] - (2.0 * np.pi * np.arange(k) / k)[:, None])
+    lab = np.stack([cos > 0.0, -cos > 0.0], axis=1).reshape(2 * k, k)
+    first = np.sort(np.unique(lab, axis=0, return_index=True)[1])
+    cls = finite_class(np.tile(lab[first], 2), vc_dim=2, support_coords=coords)
     cert = Certified(rho=1.0, c_rho=1.0, gamma=1.0, c_gamma=1.0,
                      beta_p=1.0, beta_q=1.0, c_p=1.0, c_q=1.0)
     pair = TransferPair(DiscreteJoint(coords, mass_p, eta),

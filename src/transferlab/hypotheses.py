@@ -8,9 +8,11 @@ cut i labels the i smallest points 1.  Its risks and disagreements are prefix
 sums over the points, and its matrix is built only for callers that need one.
 
 `ensure_finite` projects the threshold class onto the union of a procedure's
-samples and maps every sample onto support indices in the same pass.  Members
-are built one at a time when indexed (`cls[i]`) and cached, so a procedure
-returns the same `Hypothesis` object as `cls.members[i]`.
+samples and maps every sample onto support indices in the same pass.  The
+kernels take members by index: a disagreement's reference member is a row
+number, and its labels are read from the class.  Members are built one at a
+time only when indexed (`cls[i]`) and cached, so a procedure returns the same
+`Hypothesis` object as `cls.members[i]`.
 """
 
 from __future__ import annotations
@@ -271,12 +273,10 @@ def erm(cls: HypothesisClass, sample: LabeledSample) -> Hypothesis:
     """Empirical risk minimizer with deterministic tie-breaking.
 
     Ties go to the lowest enumeration index; for the threshold class that is
-    the smallest representative threshold.  An empty sample returns the
-    tie-break member.
+    the smallest representative threshold.  An empty sample gives every member
+    risk 0, so it returns the tie-break member.
     """
     cls, (sample,) = ensure_finite(cls, (sample,))
-    if len(sample) == 0:
-        return cls[0]
     return cls[int(np.argmin(member_risks(cls, sample)))]
 
 
@@ -289,12 +289,12 @@ def member_risks(cls: HypothesisClass, sample: LabeledSample) -> np.ndarray:
     return (_matvec(cls, n0 - n1) + n1.sum()) / n
 
 
-def member_disagreements(cls: HypothesisClass, ref: Hypothesis, sample) -> np.ndarray:
-    """Empirical disagreement of every member with `ref` on the sample points."""
+def member_disagreements(cls: HypothesisClass, ref: int, sample) -> np.ndarray:
+    """Empirical disagreement of every member with member `ref` on the sample points."""
+    ref_lab = _row(cls, ref)
     if len(sample) == 0:
         return np.zeros(len(cls))
     counts = _point_counts(cls, sample)
-    ref_lab = _labels_on_support(ref, cls.support_size, cls.support_coords)
     n = counts.sum()
     # 1[h != ref] = h + ref - 2 h ref; counts are integers, so folding the
     # reference into the weight vector keeps every sum exact
@@ -312,13 +312,12 @@ def _matvec(cls: HypothesisClass, w: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(w)))
 
 
-def _labels_on_support(h: Hypothesis, size: int, coords) -> np.ndarray:
-    """Labels of h, as floats, over a support of `size` points at `coords`."""
-    if h.labels is not None and len(h.labels) == size:
-        return np.asarray(h.labels, dtype=np.float64)
-    if h.threshold is not None and coords is not None:
-        return (coords <= h.threshold).astype(np.float64)
-    raise TypeError("hypothesis is not expressible over this support")
+def _row(cls: HypothesisClass, i: int) -> np.ndarray:
+    """Labels of member i over the support, as floats; indexed like `cls[i]`."""
+    i = range(len(cls))[i]
+    if cls.thresholds is None:
+        return cls.label_matrix[i]
+    return (np.arange(cls.support_size) < i).astype(np.float64)
 
 
 def _sample_indices(cls: HypothesisClass, xs: np.ndarray) -> np.ndarray:

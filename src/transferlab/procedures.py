@@ -85,7 +85,7 @@ def near_optimal_mask(cls: HypothesisClass, sample: LabeledSample,
         return np.ones(m, dtype=bool)
     risks = member_risks(cls, sample)
     best = int(np.argmin(risks))
-    dis = member_disagreements(cls, cls[best], sample)
+    dis = member_disagreements(cls, best, sample)
     radius = conf.c * np.sqrt(dis * width) + conf.c * width
     return (risks - risks[best]) <= radius
 

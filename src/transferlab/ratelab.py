@@ -63,9 +63,6 @@ class RateTable:
     def __len__(self):
         return len(self.rows)
 
-    def column(self, name):
-        return [getattr(r, name) for r in self.rows]
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -19,13 +19,13 @@ from .hypotheses import (
     HypothesisClass,
     LabeledSample,
     ensure_finite,
+    member_disagreements,
     member_risks,
 )
 from .procedures import (
     ConfidenceParams,
-    confidence_width,
     confidence_width_weighted,
-    near_optimal_mask,
+    reverse_transfer_erm,
 )
 
 
@@ -139,10 +139,7 @@ def delta_hat_weighted(sample_p: LabeledSample, f: np.ndarray, probe,
                                       conf, pdim)
     if len(probe) == 0:
         return 0.0
-    xs = np.asarray(probe.xs)
-    dis = np.mean(cls.label_matrix[:, xs] != cls.label_matrix[anchor][xs][None, :],
-                  axis=1)
-    return float(np.max(dis[mask]))
+    return float(np.max(member_disagreements(cls, anchor, probe)[mask]))
 
 
 def reweighted_transfer_erm(sample_p: LabeledSample, sample_q: LabeledSample,
@@ -181,9 +178,4 @@ def multi_source_transfer_erm(sources: list[LabeledSample], sample_q: LabeledSam
     scaled = conf.scaled(len(sources))
     radii = [delta_hat(s, unlabeled, cls, scaled) for s in sources]
     i_hat = int(np.argmin(radii))
-    chosen = sources[i_hat]
-    width = confidence_width(len(chosen), cls.vc_dim, scaled.delta)
-    mask = near_optimal_mask(cls, chosen, scaled, width=width)
-    risks_q = member_risks(cls, sample_q)
-    idx = np.flatnonzero(mask)
-    return cls[int(idx[np.argmin(risks_q[idx])])], i_hat
+    return reverse_transfer_erm(sources[i_hat], sample_q, cls, scaled), i_hat

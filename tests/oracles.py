@@ -42,6 +42,21 @@ def projected_members(points):
     return members
 
 
+def ring_members(k):
+    """Label patterns of the ring surrogate over k angles on each of two rings:
+    half-plane m and its flip, m = 0..k-1, first occurrences in loop order."""
+    theta = 2.0 * np.pi * (np.arange(k) + 0.5) / k
+    patterns, seen = [], set()
+    for m in range(k):
+        for orient in (1, -1):
+            lab = (orient * np.cos(theta - 2.0 * np.pi * m / k) > 0.0).astype(int)
+            pat = tuple(lab.tolist()) * 2
+            if pat not in seen:
+                seen.add(pat)
+                patterns.append(pat)
+    return patterns
+
+
 def predict(member, xs):
     xs = np.asarray(xs)
     if member.labels is not None and (np.issubdtype(xs.dtype, np.integer)):

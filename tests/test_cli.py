@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 import transferlab as tl
 from transferlab import ratelab
 from transferlab.cli import build_parser, main
@@ -178,3 +180,33 @@ def test_cli_idempotent_given_seed(tmp_path, capsys):
     first = capsys.readouterr().out
     assert run(args) == 0
     assert capsys.readouterr().out == first
+
+
+def test_select_rejects_empty_sources(capsys):
+    assert run(["select", "--set", "sources=[]", "--set", "n_sources=[]",
+                "--set", "unlabeled=64"]) == 2
+    assert "sources" in capsys.readouterr().err
+
+
+def test_reweight_rejects_densities_off_the_support(capsys):
+    for dens in ([[1, 1, 1]], [[1, 1, 1, 1], [1, 1, 1, 1, 9, 9]]):
+        assert run(["reweight", "--set", 'scenario={"id":2,"cells":4}',
+                    "--set", f"densities={json.dumps(dens)}",
+                    "--set", "n_p=16", "--set", "unlabeled=16"]) == 2
+        assert "densities" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["select", "--set", 'sources=[{"id":3,"gamma":1.0,"cells":8}]',
+     "--set", "n_sources=[16]", "--set", "unlabeled=64"],
+    ["reweight", "--set", 'scenario={"id":2,"cells":4}', "--set", "densities=[[1,1,1,1]]",
+     "--set", "n_p=16", "--set", "unlabeled=16"],
+    ["adaptive", "--set", 'scenario={"id":2,"cells":16}', "--set", "eps=0.2",
+     "--set", 'cost_p={"form":"linear","unit":1}', "--set", 'cost_q={"form":"linear","unit":1}'],
+    ["rates", "--out", "unused.csv", "--set", 'scenario={"id":2,"cells":16}',
+     "--set", "estimator=transfer", "--set", "grid=[[4,4]]"],
+], ids=lambda c: c[0])
+def test_zero_trials_rejected(command, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(command + ["--set", "trials=0"]) == 2
+    assert "trials" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import pytest
 
 import transferlab as tl
 from transferlab.discrepancy import pair_profile
+from transferlab.hypotheses import HypothesisClass
 
 
 def identical_noiseless_pair():
@@ -220,3 +221,29 @@ def test_report_serialization():
     labels = json.loads(json.dumps(doc))["witness_labels"]
     assert labels == list(rep.witness.labels)
     assert all(type(b) is int for b in labels)
+
+
+def test_certification_and_radii_build_no_member(monkeypatch):
+    # kernels take the reference member by index, so profiling a pair and the
+    # near-optimality radii never build a Hypothesis
+    fam = tl.build_single_scale_family(9, 2.0, 0.5, 0.9, 0.25)
+    pair = fam.pairs[3]
+    line = tl.example_scenario(3, gamma=2.0)
+    sample = tl.sample_labeled(pair.q, 200, seed=5)
+    probe = tl.sample_unlabeled(pair.q, 300, seed=6)
+    line_sample = tl.sample_labeled(line.q, 200, seed=7)
+    line_probe = tl.sample_unlabeled(line.q, 300, seed=8)
+    rcs, rcs_cls = tl.rcs_violating_pair(0.15)
+
+    def refuse(cls, i):
+        raise AssertionError(f"member {i} was built")
+
+    monkeypatch.setattr(HypothesisClass, "_build", refuse)
+    conf = tl.ConfidenceParams(c=1.0, delta=0.1)
+    pair_profile(pair, fam.cls)
+    prof = pair_profile(rcs, rcs_cls)  # distinct P- and Q-optimal members
+    assert prof.star_p != prof.star_q
+    tl.near_optimal_mask(fam.cls, sample, conf)
+    tl.delta_hat(sample, probe, fam.cls, conf)
+    tl.delta_hat(line_sample, line_probe, tl.threshold_class(), conf)
+    assert fam.cls._built == {} and rcs_cls._built == {}

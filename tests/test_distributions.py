@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 import transferlab as tl
+from transferlab.distributions import member_disagreement_mass
 
 
 def all_ones_index(family):
@@ -238,6 +240,32 @@ def test_ring_surrogate_disjoint_supports():
     assert float(pair.p.mass @ pair.q.mass) == 0.0  # no shared atoms
     bayes = tl.best_in_class(pair.q, cls)
     assert tl.excess_risk(pair.p, bayes, cls) == 0.0
+
+
+@pytest.mark.parametrize("k", [4, 6, 8, 10, 16, 32])
+def test_ring_surrogate_matches_oracle(k):
+    # k = 6 and 10 put points on the half-plane boundary, where only the sign
+    # of a rounded cosine decides the label
+    _, cls = tl.example_scenario(1, n_angles=k)
+    assert [h.labels for h in cls.members] == oracles.ring_members(k)
+    assert cls.vc_dim == 2
+
+
+def test_member_disagreement_mass_matches_formula():
+    fam = tl.build_single_scale_family(9, 2.0, 0.5, 0.9, 0.25)
+    cut_pair, cut = tl.discretize_pair(tl.example_scenario(3, gamma=2.0), 12)
+    for joint, cls in ((fam.pairs[5].q, fam.cls), (fam.pairs[5].p, fam.cls),
+                       (cut_pair.p, cut), (cut_pair.q, cut)):
+        lab = cls.label_matrix
+        for i in range(len(cls)):
+            got = member_disagreement_mass(joint, cls, i)
+            # the folded product over member i's own labels gives the same
+            # bits; summing the disagreeing masses directly agrees to rounding
+            ref = np.asarray(cls[i].labels, dtype=np.float64)
+            assert np.array_equal(
+                got, lab @ (joint.mass * (1.0 - 2.0 * ref)) + np.dot(joint.mass, ref))
+            want = ((lab != ref) * joint.mass).sum(axis=1)
+            assert np.allclose(got, want, rtol=0.0, atol=1e-15)
 
 
 def test_rcs_pair_construction():

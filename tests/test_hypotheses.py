@@ -161,14 +161,34 @@ def test_cut_class_kernels_match_matrix_and_oracle():
             got = member_risks(cls, sample)
             assert np.array_equal(got, want)
             assert got.tolist() == [oracles.risk(h, s) for h in members]
-        ref = members[int(rng.integers(0, len(members)))]
+        ref_ix = int(rng.integers(0, len(members)))
+        ref = members[ref_ix]
         ref_lab = np.asarray(ref.labels, dtype=np.float64)
         counts = n0 + n1
         want = (lab @ (counts * (1.0 - 2.0 * ref_lab)) + np.dot(ref_lab, counts)) / n
         for sample in (s, idx_sample):
-            got = member_disagreements(cls, ref, sample)
+            got = member_disagreements(cls, ref_ix, sample)
             assert np.array_equal(got, want)
             assert got.tolist() == [oracles.disagreement(h, ref, s) for h in members]
+
+
+def test_member_disagreements_index_like_the_class():
+    rng = np.random.default_rng(41)
+    s = make_sample(rng.integers(0, 8, 30) / 8.0, rng.integers(0, 2, 30), discrete=False)
+    cut, (idx_sample,) = ensure_finite(threshold_class(), (s,))
+    cube = full_cube_class(3)
+    cube_sample = make_sample(rng.integers(0, 3, 30), rng.integers(0, 2, 30))
+    for cls, sample in ((cube, cube_sample), (cut, idx_sample)):
+        m = len(cls)
+        for i in range(-m, 0):
+            assert np.array_equal(member_disagreements(cls, i, sample),
+                                  member_disagreements(cls, i + m, sample))
+        for i in (m, -m - 1):
+            with pytest.raises(IndexError):
+                cls[i]
+            for smp in (sample, make_sample([], [])):
+                with pytest.raises(IndexError):
+                    member_disagreements(cls, i, smp)
 
 
 def test_erm_empty_sample_tie_break():
