@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -23,13 +23,12 @@ from .hypotheses import (
     ensure_finite,
     erm,
     member_disagreements,
-    member_risks,
 )
 from .procedures import (
     ConfidenceParams,
+    _near_optimal,
     confidence_width,
     confidence_width_anytime,
-    near_optimal_mask,
 )
 
 
@@ -77,21 +76,19 @@ def minimal_n_for_cost(schedule: CostSchedule, budget: float) -> int:
 
 
 def delta_hat(sample: LabeledSample, probe, cls: HypothesisClass,
-              conf: ConfidenceParams, width: float | None = None) -> float:
+              conf: ConfidenceParams) -> float:
     """Largest probe-measured disagreement with the sample's ERM among
     hypotheses near-optimal on the sample.
 
     The near-optimality radius uses the anytime width of |sample| (valid
-    across all rounds of the doubling loop).  An empty sample makes every
-    hypothesis eligible.
+    across all rounds of the doubling loop); one `member_risks` pass finds the
+    ERM too.  An empty sample makes every hypothesis eligible.
     """
     cls, (sample, probe) = ensure_finite(cls, (sample, probe))
-    if width is None:
-        width = confidence_width_anytime(len(sample), cls.vc_dim, conf.delta)
-    mask = near_optimal_mask(cls, sample, conf, width=width)
-    erm_ix = int(np.argmin(member_risks(cls, sample)))
     if len(probe) == 0:
         return 0.0
+    width = confidence_width_anytime(len(sample), cls.vc_dim, conf.delta)
+    mask, erm_ix = _near_optimal(cls, sample, conf, width)
     dis = member_disagreements(cls, erm_ix, probe)
     return float(np.max(dis[mask]))
 
@@ -108,10 +105,7 @@ class Round:
     decision: str  # "continue" | "step6" | "step7"
 
     def to_json_dict(self) -> dict:
-        return {"t": self.t, "n_tp": self.n_tp, "n_tq": self.n_tq,
-                "cost_p": self.cost_p, "cost_q": self.cost_q,
-                "step6_lhs": self.step6_lhs, "step7_stat": self.step7_stat,
-                "decision": self.decision}
+        return asdict(self)
 
 
 @dataclass
@@ -145,68 +139,55 @@ def unlabeled_requirement(eps: float, delta: float, vc_dim: int,
 def run_adaptive_sampling(eps: float, sched_p: CostSchedule, sched_q: CostSchedule,
                           sampler_p, sampler_q, unlabeled, cls: HypothesisClass,
                           conf: ConfidenceParams = ConfidenceParams(c=1.0, delta=0.1),
-                          seed: int = 0, kappa: float = 4.0,
-                          step6_width: str = "basic", max_rounds: int = 64,
-                          skip_unlabeled_check: bool = False,
+                          seed: int = 0, kappa: float = 4.0, max_rounds: int = 64,
                           q_only: bool = False):
     """Doubling-budget sampling until the requested target accuracy certifies.
 
-    sampler_p / sampler_q are opaque callbacks (n, seed) -> LabeledSample so
-    that real distributions, stubs, and replay logs all plug in.  Returns
-    (hypothesis, transcript).  step6_width selects the width printed in the
-    target stopping rule ("basic") or the anytime variant ("anytime").
-    q_only runs the target-only baseline: no source batches, no source
-    stopping rule, so the transcript prices what pure target sampling costs.
+    Each round appends one `Round`.  Step 6 stops when the target sample
+    certifies eps, step 7 when the source delta_hat on the unlabeled pool is at
+    most eps/4; a stop returns the ERM of the certifying sample.  Samplers are
+    callbacks (n, seed) -> LabeledSample.  Returns (hypothesis, transcript).
+    q_only runs the target-only baseline: no source batches and no step 7.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    if not skip_unlabeled_check:
-        need = unlabeled_requirement(eps, conf.delta, cls.vc_dim, kappa)
-        if len(unlabeled) < need:
-            raise ValueError(f"unlabeled pool of {len(unlabeled)} is below the "
-                             f"required {need} for eps={eps}, delta={conf.delta}")
-    width6 = confidence_width if step6_width == "basic" else confidence_width_anytime
-    xs_p, ys_p = [], []
-    xs_q, ys_q = [], []
+    need = unlabeled_requirement(eps, conf.delta, cls.vc_dim, kappa)
+    if len(unlabeled) < need:
+        raise ValueError(f"unlabeled pool of {len(unlabeled)} is below the "
+                         f"required {need} for eps={eps}, delta={conf.delta}")
+    batches_p, batches_q = [], []
     transcript = SamplingTranscript()
     for t in range(1, max_rounds + 1):
         budget = 2.0 ** (t - 1)
-        if q_only:
-            n_tp, cost_p = 0, 0.0
-        else:
+        n_tp, cost_p = 0, 0.0
+        if not q_only:
             n_tp = sched_p.minimal_n(budget)
-            batch_p = sampler_p(n_tp, int(rng_from(seed, t, 0).integers(2 ** 63)))
-            xs_p.append(batch_p.xs)
-            ys_p.append(batch_p.ys)
             cost_p = sched_p.cost(n_tp)
+            batches_p.append(sampler_p(n_tp, int(rng_from(seed, t, 0).integers(2 ** 63))))
         n_tq = sched_q.minimal_n(budget)
-        batch_q = sampler_q(n_tq, int(rng_from(seed, t, 1).integers(2 ** 63)))
-        xs_q.append(batch_q.xs)
-        ys_q.append(batch_q.ys)
-        sample_q = LabeledSample(np.concatenate(xs_q), np.concatenate(ys_q), seed)
         cost_q = sched_q.cost(n_tq)
+        batches_q.append(sampler_q(n_tq, int(rng_from(seed, t, 1).integers(2 ** 63))))
         transcript.total_cost += cost_p + cost_q
 
-        a_q = width6(len(sample_q), cls.vc_dim, conf.delta)
+        sample_q = LabeledSample(np.concatenate([b.xs for b in batches_q]),
+                                 np.concatenate([b.ys for b in batches_q]), seed)
+        a_q = confidence_width(len(sample_q), cls.vc_dim, conf.delta)
         dhat_q = delta_hat(sample_q, sample_q, cls, conf)
         step6_lhs = conf.c * math.sqrt(dhat_q * a_q) + conf.c * a_q
+        step7_stat, decision, winner = None, "continue", None
         if step6_lhs <= eps:
-            transcript.rounds.append(Round(t, n_tp, n_tq, cost_p, cost_q,
-                                           step6_lhs, None, "step6"))
-            transcript.returned_by = "step6"
-            return erm(cls, sample_q), transcript
-        if not q_only:
-            sample_p = LabeledSample(np.concatenate(xs_p), np.concatenate(ys_p), seed)
+            decision, winner = "step6", sample_q
+        elif not q_only:
+            sample_p = LabeledSample(np.concatenate([b.xs for b in batches_p]),
+                                     np.concatenate([b.ys for b in batches_p]), seed)
             step7_stat = delta_hat(sample_p, unlabeled, cls, conf)
             if step7_stat <= eps / 4.0:
-                transcript.rounds.append(Round(t, n_tp, n_tq, cost_p, cost_q,
-                                               step6_lhs, step7_stat, "step7"))
-                transcript.returned_by = "step7"
-                return erm(cls, sample_p), transcript
-        else:
-            step7_stat = None
+                decision, winner = "step7", sample_p
         transcript.rounds.append(Round(t, n_tp, n_tq, cost_p, cost_q,
-                                       step6_lhs, step7_stat, "continue"))
+                                       step6_lhs, step7_stat, decision))
+        if winner is not None:
+            transcript.returned_by = decision
+            return erm(cls, winner), transcript
     raise RuntimeError(f"no stopping rule fired within {max_rounds} rounds; "
                        f"eps={eps} is likely unreachable at this configuration")
 

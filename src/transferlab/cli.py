@@ -176,8 +176,21 @@ def family_from_config(spec: dict):
     raise ConfigError(f"unknown family kind {kind!r}")
 
 
+def _pair_and_class(cfg: dict, command: str):
+    """(pair, class, family or None) from exactly one of family or scenario."""
+    if ("family" in cfg) == ("scenario" in cfg):
+        raise ConfigError(f"{command} needs exactly one of family or scenario")
+    if "scenario" in cfg:
+        return (*pair_from_config(cfg["scenario"]), None)
+    family = family_from_config(cfg["family"])
+    return family.pairs[_sigma_index(family, cfg["family"])], family.cls, family
+
+
 def _sigma_index(family, spec) -> int:
-    return family.sigma_index(spec.get("sigma_index", "all-ones"))
+    try:
+        return family.sigma_index(spec.get("sigma_index", "all-ones"))
+    except ValueError as exc:
+        raise ConfigError(f"family.sigma_index: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -290,42 +303,47 @@ def cmd_rates(args) -> int:
     grid = [(int(a), int(b)) for a, b in cfg["grid"]]
     trials = _trials(cfg, 200)
     conf = _confidence(cfg)
+    fit = _fit_options(cfg, grid) if "theory_exponent" in cfg else None
     seed = args.seed
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
-    if ("family" in cfg) == ("scenario" in cfg):
-        raise ConfigError("rates needs exactly one of family or scenario")
-    if "family" in cfg:
-        family = family_from_config(cfg["family"])
-        six = _sigma_index(family, cfg["family"])
-        if cfg.get("tune", False):
-            p = family.params
-            c1 = float(cfg.get("c1", 1.0))
-
-            def build(n_p, n_q):
-                eps = epsilon_schedule(max(n_p, 1), max(n_q, 1), p["d_h"], p["rho"],
-                                       p["beta_p"], p["beta_q"], c1)
-                fam = build_single_scale_family(p["d_h"], p["rho"], p["beta_p"],
-                                                p["beta_q"], eps)
-                return fam.pairs[_sigma_index(fam, cfg["family"])], fam.cls
-
-            table = sweep(build, estimator, grid, trials, seed, conf, jobs=jobs)
-        else:
-            table = monte_carlo(family.pairs[six], family.cls, estimator, grid,
-                                trials, seed, conf, jobs=jobs)
-    else:
-        pair, cls = pair_from_config(cfg["scenario"])
-        table = monte_carlo(pair, cls, estimator, grid, trials, seed, conf, jobs=jobs)
     if not args.out:
         raise ConfigError("rates needs --out for the CSV table")
+    pair, cls, family = _pair_and_class(cfg, "rates")
+    if family is not None and cfg.get("tune", False):
+        p = family.params
+        c1 = float(cfg.get("c1", 1.0))
+
+        def build(n_p, n_q):
+            eps = epsilon_schedule(max(n_p, 1), max(n_q, 1), p["d_h"], p["rho"],
+                                   p["beta_p"], p["beta_q"], c1)
+            fam = build_single_scale_family(p["d_h"], p["rho"], p["beta_p"],
+                                            p["beta_q"], eps)
+            return fam.pairs[_sigma_index(fam, cfg["family"])], fam.cls
+
+        table = sweep(build, estimator, grid, trials, seed, conf, jobs=jobs)
+    else:
+        table = monte_carlo(pair, cls, estimator, grid, trials, seed, conf, jobs=jobs)
     table.to_csv(args.out)
-    if "theory_exponent" in cfg:
-        report = compare_to_theory(
-            table, float(cfg["theory_exponent"]), float(cfg.get("tolerance", 0.2)),
-            axis=cfg.get("axis", "n_q"), statistic=cfg.get("statistic", "median"),
-            drop_smallest=int(cfg.get("drop_smallest", 2)))
+    if fit is not None:
+        report = compare_to_theory(table, float(cfg["theory_exponent"]),
+                                   float(cfg.get("tolerance", 0.2)), **fit)
         _emit(report, args.out + ".report.json")
         print(json.dumps(report))
     return 0
+
+
+def _fit_options(cfg: dict, grid) -> dict:
+    """Slope-fit options, refused before any trial runs where `fit_slope` would."""
+    axis, statistic = cfg.get("axis", "n_q"), cfg.get("statistic", "median")
+    if axis not in ("n_p", "n_q") or statistic not in ("mean", "median"):
+        raise ConfigError(f"axis must be 'n_p' or 'n_q' and statistic 'mean' or "
+                          f"'median', got axis={axis!r}, statistic={statistic!r}")
+    drop = int(cfg.get("drop_smallest", 2))
+    distinct = len({n_p if axis == "n_p" else n_q for n_p, n_q in grid})
+    if distinct < max(drop, 0) + 3:
+        raise ConfigError(f"grid has {distinct} distinct {axis} values; the slope fit "
+                          f"needs drop_smallest + 3 = {max(drop, 0) + 3}")
+    return {"axis": axis, "statistic": statistic, "drop_smallest": drop}
 
 
 def _cost_from_config(spec, name) -> CostSchedule:
@@ -338,37 +356,35 @@ def cmd_adaptive(args) -> int:
     cfg = load_config(args)
     check_fields(cfg, {"family", "scenario", "eps", "cost_p", "cost_q",
                        "unlabeled", "kappa", "trials", "confidence",
-                       "step6_width", "q_only", "max_rounds"},
+                       "q_only", "max_rounds"},
                  {"eps", "cost_p", "cost_q"})
     trials = _trials(cfg, 1)
     conf = _confidence(cfg)
     eps = float(cfg["eps"])
+    if not 0.0 < eps < 1.0:
+        raise ConfigError(f"eps must lie in (0, 1), got {eps}")
     sched_p = _cost_from_config(cfg["cost_p"], "cost_p")
     sched_q = _cost_from_config(cfg["cost_q"], "cost_q")
-    if ("family" in cfg) == ("scenario" in cfg):
-        raise ConfigError("adaptive needs exactly one of family or scenario")
-    if "family" in cfg:
-        family = family_from_config(cfg["family"])
-        pair, cls = family.pairs[_sigma_index(family, cfg["family"])], family.cls
-    else:
-        pair, cls = pair_from_config(cfg["scenario"])
-        if not pair.discrete:
-            raise ConfigError("adaptive runs need a discrete pair; set scenario.cells")
+    pair, cls, _ = _pair_and_class(cfg, "adaptive")
+    if not pair.discrete:
+        raise ConfigError("adaptive runs need a discrete pair; set scenario.cells")
     kappa = float(cfg.get("kappa", 4.0))
+    need = unlabeled_requirement(eps, conf.delta, cls.vc_dim, kappa)
     n_unlabeled = cfg.get("unlabeled", "auto")
-    if n_unlabeled == "auto":
-        n_unlabeled = unlabeled_requirement(eps, conf.delta, cls.vc_dim, kappa)
+    n_unlabeled = need if n_unlabeled == "auto" else int(n_unlabeled)
+    if n_unlabeled < need:
+        raise ConfigError(f"unlabeled={n_unlabeled} is below the required {need} "
+                          f"for eps={eps}, delta={conf.delta}, kappa={kappa}")
     rows, summary = [], {"returned_by": [], "total_cost": [], "excess": []}
     q_best = true_risk(pair.q, best_in_class(pair.q, cls))
     for trial in range(trials):
-        unlabeled = sample_unlabeled(pair.q, int(n_unlabeled), args.seed + 7919 * trial + 1)
+        unlabeled = sample_unlabeled(pair.q, n_unlabeled, args.seed + 7919 * trial + 1)
         h, transcript = run_adaptive_sampling(
             eps, sched_p, sched_q,
             lambda n, s: sample_labeled(pair.p, n, s),
             lambda n, s: sample_labeled(pair.q, n, s),
             unlabeled, cls, conf, seed=args.seed + 7919 * trial,
-            kappa=kappa, step6_width=cfg.get("step6_width", "basic"),
-            max_rounds=int(cfg.get("max_rounds", 64)),
+            kappa=kappa, max_rounds=int(cfg.get("max_rounds", 64)),
             q_only=bool(cfg.get("q_only", False)))
         for r in transcript.rounds:
             rows.append({"trial": trial, **r.to_json_dict()})
@@ -402,6 +418,9 @@ def cmd_select(args) -> int:
     cls = built[0][1]
     if any(not p.discrete for p in pairs):
         raise ConfigError("select needs discrete sources; set scenario.cells")
+    if any(not np.array_equal(p.p.support, pairs[0].p.support) for p in pairs):
+        raise ConfigError("sources must be discretized onto one shared support; "
+                          f"their supports have {[p.p.size for p in pairs]} points")
     n_sources = [int(n) for n in cfg["n_sources"]]
     if len(n_sources) != len(pairs):
         raise ConfigError("n_sources length must match sources")

@@ -74,10 +74,10 @@ class PairProfile:
     grid_size: int | None = None
 
 
-def default_grid(pair: TransferPair, size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
+def default_grid(pair: TransferPair) -> np.ndarray:
     lo = min(pair.p.lo, pair.q.lo)
     hi = max(pair.p.hi, pair.q.hi)
-    grid = np.linspace(lo, hi, size)
+    grid = np.linspace(lo, hi, DEFAULT_GRID_SIZE)
     return np.unique(np.concatenate([grid, [pair.p.h_star, lo - 1.0, hi + 1.0]]))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -70,9 +70,6 @@ class DiscreteJoint:
     @property
     def size(self) -> int:
         return int(self.mass.size)
-
-    def bayes_labels(self) -> np.ndarray:
-        return (self.eta > 0.5).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -154,14 +151,11 @@ class Certified:
     JSON_KEYS = ("rho", "C_rho", "gamma", "C_gamma", "beta_P", "beta_Q", "c_P", "c_Q")
 
     def to_json_dict(self) -> dict:
-        vals = (self.rho, self.c_rho, self.gamma, self.c_gamma,
-                self.beta_p, self.beta_q, self.c_p, self.c_q)
-        return {k: v for k, v in zip(self.JSON_KEYS, vals)}
+        return dict(zip(self.JSON_KEYS, astuple(self)))
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Certified":
-        fields = ("rho", "c_rho", "gamma", "c_gamma", "beta_p", "beta_q", "c_p", "c_q")
-        return cls(**{f: d.get(k) for f, k in zip(fields, cls.JSON_KEYS)})
+        return cls(*(d.get(k) for k in cls.JSON_KEYS))
 
 
 @dataclass(frozen=True)
@@ -262,8 +256,7 @@ def excess_risk(dist, h: Hypothesis, cls: HypothesisClass) -> float:
 # packing and KL utilities
 
 
-def vg_packing(d: int, seed: int = 0, target: int | None = None,
-               max_tries: int | None = None) -> np.ndarray:
+def vg_packing(d: int, seed: int = 0, target: int | None = None) -> np.ndarray:
     """Greedy sign-vector packing with pairwise Hamming distance >= d/8.
 
     Starts from the all-ones vector and greedily admits seeded random
@@ -277,7 +270,7 @@ def vg_packing(d: int, seed: int = 0, target: int | None = None,
     rng = rng_from(seed, 0x9AC)
     kept = np.ones((1, d), dtype=np.int8)
     tries = 0
-    cap = max_tries if max_tries is not None else 10_000 * need
+    cap = 10_000 * need
     while kept.shape[0] < need:
         if tries >= cap:
             raise RuntimeError(f"packing stalled after {tries} candidates")
@@ -353,15 +346,14 @@ class SigmaFamily:
 
     def sigma_index(self, which="all-ones") -> int:
         """Index of a sign vector: "all-ones", an integer, or an explicit vector."""
+        if isinstance(which, (int, np.integer)):
+            if not 0 <= which < len(self):
+                raise ValueError(f"sigma index {which} is outside [0, {len(self)})")
+            return int(which)
         if isinstance(which, str):
             if which != "all-ones":
                 raise ValueError(f"unknown sigma selector {which!r}")
-            hits = np.flatnonzero((self.sigmas == 1).all(axis=1))
-            if hits.size == 0:
-                raise ValueError("family does not contain the all-ones vector")
-            return int(hits[0])
-        if isinstance(which, (int, np.integer)):
-            return int(which)
+            which = np.ones(self.sigmas.shape[1])
         target = np.asarray(which, dtype=np.int8)
         hits = np.flatnonzero((self.sigmas == target).all(axis=1))
         if hits.size == 0:
@@ -383,16 +375,16 @@ def _anchored_cube_class(d: int, coords: np.ndarray) -> HypothesisClass:
     return finite_class(patterns, vc_dim=d, support_coords=coords)
 
 
-def _family_sigmas(d: int, sigmas, seed: int, max_enumerate: int = 10,
-                   packing_size: int = 64) -> np.ndarray:
+def _family_sigmas(d: int, sigmas, seed: int) -> np.ndarray:
     if sigmas is not None:
         arr = np.asarray(sigmas, dtype=np.int8)
         if arr.ndim != 2 or arr.shape[1] != d or not np.isin(arr, (-1, 1)).all():
             raise ValueError("sigmas must be sign vectors of length d")
         return arr
-    if d <= max_enumerate:
+    # every sign vector up to d = 10, a packing of 64 above
+    if d <= 10:
         return _cube_patterns(d).astype(np.int8) * 2 - 1
-    return vg_packing(d, seed=seed, target=min(packing_size, 2 ** d))
+    return vg_packing(d, seed=seed, target=min(64, 2 ** d))
 
 
 def build_single_scale_family(d_h: int, rho: float, beta_p: float, beta_q: float,
@@ -540,8 +532,7 @@ def kl_product(family: SigmaFamily, i: int, j: int, n_p: int, n_q: int) -> float
 # benchmark scenarios
 
 
-def example_scenario(sid: int, gamma: float | None = None, n_angles: int = 16,
-                     radii: tuple[float, float] = (1.0, 0.5)):
+def example_scenario(sid: int, gamma: float | None = None, n_angles: int = 16):
     """The four benchmark scenarios.
 
     1: disjoint concentric rings with halfplane labels (finite surrogate of the
@@ -553,7 +544,7 @@ def example_scenario(sid: int, gamma: float | None = None, n_angles: int = 16,
     the optimal threshold.
     """
     if sid == 1:
-        return _ring_surrogate(n_angles, radii)
+        return _ring_surrogate(n_angles)
     if sid == 2:
         cert = Certified(rho=1.0, c_rho=2.0, gamma=1.0, c_gamma=2.0,
                          beta_p=1.0, beta_q=1.0, c_p=1.0, c_q=1.0)
@@ -578,7 +569,7 @@ def example_scenario(sid: int, gamma: float | None = None, n_angles: int = 16,
     raise ValueError("scenario id must be one of 1, 2, 3, 4")
 
 
-def _ring_surrogate(n_angles: int, radii: tuple[float, float]):
+def _ring_surrogate(n_angles: int):
     if n_angles < 4 or n_angles % 2:
         raise ValueError("ring surrogate needs an even number of angles >= 4")
     k = n_angles

@@ -46,23 +46,23 @@ class ConfidenceParams:
         return replace(self, delta=self.delta / m)
 
 
-def confidence_width(n: int, vc_dim: int, delta: float) -> float:
-    """(d/n) log(max{n, d}/d) + (1/n) log(1/delta); +inf at n = 0."""
+def _width(n: int, vc_dim: int, tail: float) -> float:
+    """(d/n) log(max{n, d}/d) + (1/n) log(tail); +inf at n = 0."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return math.inf
-    return (vc_dim / n) * math.log(max(n, vc_dim) / vc_dim) + (1.0 / n) * math.log(1.0 / delta)
+    return (vc_dim / n) * math.log(max(n, vc_dim) / vc_dim) + (1.0 / n) * math.log(tail)
+
+
+def confidence_width(n: int, vc_dim: int, delta: float) -> float:
+    """(d/n) log(max{n, d}/d) + (1/n) log(1/delta); +inf at n = 0."""
+    return _width(n, vc_dim, 1.0 / delta)
 
 
 def confidence_width_anytime(n: int, vc_dim: int, delta: float) -> float:
     """Width valid simultaneously over all sample sizes: log(2 n^2 / delta) tail."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return math.inf
-    return (vc_dim / n) * math.log(max(n, vc_dim) / vc_dim) \
-        + (1.0 / n) * math.log(2.0 * n * n / delta)
+    return _width(n, vc_dim, 2.0 * n * n / delta)
 
 
 def confidence_width_weighted(n: int, vc_dim: int, pdim: int, delta: float) -> float:
@@ -78,16 +78,26 @@ def near_optimal_mask(cls: HypothesisClass, sample: LabeledSample,
     confidence width of the sample; an empty sample (A infinite) makes every
     member feasible.
     """
-    m = len(cls)
     if width is None:
         width = confidence_width(len(sample), cls.vc_dim, conf.delta)
+    return _near_optimal(cls, sample, conf, width)[0]
+
+
+def _near_optimal(cls: HypothesisClass, sample: LabeledSample, conf: ConfidenceParams,
+                  width: float) -> tuple[np.ndarray, int]:
+    """`near_optimal_mask` and the anchor (ERM) index from one `member_risks`.
+
+    Where every member is feasible without a pass, the anchor is 0: the ERM
+    of an empty sample, the only sample whose width is infinite.
+    """
+    m = len(cls)
     if len(sample) == 0 or math.isinf(width):
-        return np.ones(m, dtype=bool)
+        return np.ones(m, dtype=bool), 0
     risks = member_risks(cls, sample)
     best = int(np.argmin(risks))
     dis = member_disagreements(cls, best, sample)
     radius = conf.c * np.sqrt(dis * width) + conf.c * width
-    return (risks - risks[best]) <= radius
+    return (risks - risks[best]) <= radius, best
 
 
 def transfer_erm(sample_p: LabeledSample, sample_q: LabeledSample,

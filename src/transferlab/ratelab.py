@@ -151,16 +151,12 @@ def sweep(cell_builder, estimator, grid, trials: int, seed: int,
         if callable(estimator):
             raise ValueError("parallel runs need a registry estimator id")
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            excesses = list(pool.map(_cell_excesses_star, args))
+            excesses = list(pool.map(_cell_excesses, *zip(*args)))
     else:
         excesses = [_cell_excesses(*a) for a in args]
     rows = [_summarize(exc, n_p, n_q, name, trials, seed)
             for exc, (n_p, n_q) in zip(excesses, cells)]
     return RateTable(rows)
-
-
-def _cell_excesses_star(a):
-    return _cell_excesses(*a)
 
 
 @dataclass

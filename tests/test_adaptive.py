@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import transferlab as tl
 import oracles
 
 CONF = tl.ConfidenceParams(c=1.0, delta=0.1)
+GOLDEN = Path(__file__).parent / "data" / "adaptive_golden"
 
 
 def test_minimal_n_linear():
@@ -63,6 +65,24 @@ def test_delta_hat_matches_oracle():
         got = tl.delta_hat(s, u, cls, CONF)
         want = oracles.delta_hat_value(cls.members, s, u, CONF.c, CONF.delta, cls.vc_dim)
         assert got == want
+
+
+def test_delta_hat_computes_member_risks_once(monkeypatch):
+    calls = []
+    real = tl.hypotheses.member_risks
+
+    def counted(cls, sample):
+        calls.append(len(sample))
+        return real(cls, sample)
+
+    for mod in (tl.hypotheses, tl.procedures, tl.adaptive):
+        if hasattr(mod, "member_risks"):
+            monkeypatch.setattr(mod, "member_risks", counted)
+    fam = tl.build_single_scale_family(9, 1.0, 1.0, 1.0, 0.25)
+    s = tl.sample_labeled(fam.pairs[3].q, 500, seed=1)
+    u = tl.sample_unlabeled(fam.pairs[3].q, 200, seed=2)
+    tl.delta_hat(s, u, fam.cls, CONF)
+    assert calls == [500]
 
 
 def test_delta_hat_shrinks_with_sample_size():
@@ -178,7 +198,7 @@ def test_cost_ordering_in_source_price():
             u = tl.sample_unlabeled(pair.q, 512, seed=900 + t)
             _, tr = tl.run_adaptive_sampling(
                 0.1, tl.CostSchedule("linear", unit), tl.CostSchedule("linear", 1.0),
-                sp, sq, u, cls, CONF, seed=700 + t, skip_unlabeled_check=True)
+                sp, sq, u, cls, CONF, seed=700 + t)
             costs.append(tr.total_cost)
         medians.append(float(np.median(costs)))
     assert medians[0] >= medians[1] - 1e-9 >= medians[2] - 2e-9
@@ -202,3 +222,28 @@ def test_theory_cost_picks_cheaper_route():
     out = tl.optimal_sampling_costs(0.1, 10, 1.0, 0.5, 1.0, cheap_p, lin)
     # n_p* = 10/0.1 = 100 at unit 0.01 -> cost 1; n_q* = 10/0.1^1.5
     assert out.cost_star == pytest.approx(1.0)
+
+
+def _golden_run(name: str) -> str:
+    """Transcript JSONL of one fixed adaptive run, then its stopping rule and labels."""
+    unit = tl.CostSchedule("linear", 1.0)
+    if name == "noisy_d9":
+        fam = tl.build_single_scale_family(9, 2.0, 0.5, 0.5, 0.25)
+        pair, cls, eps, sched_p = fam.pairs[7], fam.cls, 0.05, unit
+    else:
+        pair, cls = tl.discretize_pair(tl.example_scenario(3, gamma=2.0), 256)
+        eps, sched_p = 0.1, tl.CostSchedule("linear", 0.01)
+    sp, sq = _samplers(pair)
+    u = tl.sample_unlabeled(pair.q, tl.unlabeled_requirement(eps, CONF.delta, cls.vc_dim),
+                            seed=21)
+    h, tr = tl.run_adaptive_sampling(eps, sched_p, unit, sp, sq, u, cls, CONF, seed=5,
+                                     q_only=name.endswith("q_only"))
+    tail = {"returned_by": tr.returned_by, "labels": [int(v) for v in h.labels]}
+    return tr.to_jsonl() + json.dumps(tail) + "\n"
+
+
+@pytest.mark.parametrize("name", ["noisy_d9", "scenario3_gamma2", "scenario3_gamma2_q_only"])
+def test_adaptive_golden_replay(name):
+    # the files pin every round record and the returned labels byte for byte;
+    # regenerate them only for an intended change of output
+    assert _golden_run(name) == (GOLDEN / f"{name}.jsonl").read_text()

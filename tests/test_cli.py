@@ -210,3 +210,68 @@ def test_zero_trials_rejected(command, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run(command + ["--set", "trials=0"]) == 2
     assert "trials" in capsys.readouterr().err
+
+
+def test_adaptive_rejects_removed_step6_width(capsys):
+    assert run(["adaptive", "--config", str(CONFIGS / "cheap_source_adaptive.json"),
+                "--set", "trials=1", "--set", "step6_width=basic"]) == 2
+    assert "step6_width" in capsys.readouterr().err
+
+
+def test_select_rejects_sources_on_different_supports(capsys):
+    assert run(["select", "--set", 'sources=[{"id":3,"gamma":1.0,"cells":8},'
+                '{"id":3,"gamma":1.0,"cells":16}]',
+                "--set", "n_sources=[16,16]", "--set", "unlabeled=64"]) == 2
+    assert "sources" in capsys.readouterr().err
+
+
+def test_rates_rejects_sigma_index_out_of_range(tmp_path, capsys):
+    family = ('family={"kind":"single-scale","d_h":9,"rho":1,"beta_p":0.5,'
+              '"beta_q":0.5,"epsilon":0.25,"sigma_index":%d}')
+    for ix in (999, 256, -1):
+        assert run(["rates", "--jobs", "1", "--out", str(tmp_path / "r.csv"),
+                    "--set", family % ix, "--set", "estimator=erm_q",
+                    "--set", "grid=[[0,8]]", "--set", "trials=1"]) == 2
+        assert "sigma_index" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("override,field", [
+    (["--set", "axis=n_x"], "axis"),
+    (["--set", "statistic=mode"], "statistic"),
+    (["--set", "grid=[[0,64],[0,128],[0,256],[0,512]]"], "drop_smallest"),
+    (["--set", "axis=n_p"], "n_p"),
+], ids=["axis", "statistic", "few-n_q", "few-n_p"])
+def test_rates_fit_options_fail_before_trials(override, field, tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert run(["rates", "--jobs", "1", "--out", str(out),
+                "--config", str(CONFIGS / "target_rate_sweep.json")] + override) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_adaptive_rejects_small_explicit_unlabeled(capsys):
+    need = tl.unlabeled_requirement(0.1, 0.1, 1)
+    assert run(["adaptive", "--config", str(CONFIGS / "cheap_source_adaptive.json"),
+                "--set", f"unlabeled={need - 1}"]) == 2
+    err = capsys.readouterr().err
+    assert "unlabeled" in err and str(need) in err
+
+
+CONFIG_COMMANDS = {
+    "cheap_source_adaptive.json": ["adaptive", "--set", "trials=2"],
+    "example2_exponent.json": ["exponent"],
+    "single_scale_verify.json": ["verify-family"],
+    "target_rate_sweep.json": ["rates", "--set", "trials=5"],
+}
+
+
+def test_every_shipped_config_is_covered():
+    assert sorted(p.name for p in CONFIGS.glob("*.json")) == sorted(CONFIG_COMMANDS)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_COMMANDS))
+def test_shipped_config_runs(name, tmp_path, capsys):
+    command = CONFIG_COMMANDS[name]
+    assert run(command + ["--config", str(CONFIGS / name), "--seed", "0", "--jobs", "1",
+                          "--out", str(tmp_path / "out")]) == 0

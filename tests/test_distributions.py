@@ -101,6 +101,17 @@ def test_single_scale_bayes_labels_anchor():
                               (fam.sigmas[i] > 0).astype(int))
 
 
+def test_sigma_index_selectors():
+    fam = tl.build_single_scale_family(9, 1.0, 0.5, 0.5, 0.5)
+    ones = fam.sigma_index("all-ones")
+    assert (fam.sigmas[ones] == 1).all()
+    assert fam.sigma_index(list(fam.sigmas[5])) == 5
+    assert fam.sigma_index(np.int64(255)) == 255
+    for bad in (256, -1, "all-zeros"):
+        with pytest.raises(ValueError):
+            fam.sigma_index(bad)
+
+
 def test_single_scale_rejects_bad_params():
     with pytest.raises(ValueError):
         tl.build_single_scale_family(8, 1.0, 0.5, 0.5, 0.25)  # d = 7 < 8
