@@ -2,8 +2,14 @@
 
 Every command reads an optional JSON config (--config) overridden by repeated
 --set key=value flags (dotted keys reach into nested objects, values parse as
-JSON when possible).  Unknown config fields are rejected.  Exit codes: 0 on
-success, 2 on validation errors, 3 on runtime failures.
+JSON when possible).  Each command's config, and each object nested in it, is
+declared once below as a frozen dataclass: field types and defaults, the
+inputs a field applies to and the ranges the library checks late or not at
+all.  `_parse` reads the merged config into it once, before any work starts.
+Exit codes: 0 on success; 2 when a field is malformed, out of range or does
+not apply to the chosen input, with a message that starts with the field's
+dotted path (`scenario.cells`, `sources[1].gamma`); 3 when a valid config's
+run fails.
 """
 
 from __future__ import annotations
@@ -11,7 +17,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
+import types
+import typing
+from contextlib import contextmanager
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from typing import ClassVar, Literal
 
 import numpy as np
 
@@ -52,6 +64,9 @@ SCENARIO_SUMMARY = {
     3: "source density ~ t^(gamma-1) on one side (gamma >= 1), target uniform",
     4: "source density ~ |t|^(gamma-1) (0 < gamma < 1), target uniform",
 }
+
+QUANTITIES = ("rho", "gamma", "rho_prime", "beta_p", "beta_q", "d_a", "d_y",
+              "d_y_localized")
 
 
 class ConfigError(ValueError):
@@ -98,15 +113,6 @@ def load_config(args) -> dict:
     return _merge(cfg, _parse_set(getattr(args, "set", None)))
 
 
-def check_fields(cfg: dict, allowed: set, required: set = frozenset(), where: str = "config"):
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {where} fields: {sorted(unknown)}")
-    missing = required - set(cfg)
-    if missing:
-        raise ConfigError(f"missing {where} fields: {sorted(missing)}")
-
-
 def _emit(payload, out_path):
     text = json.dumps(payload, indent=1)
     if out_path:
@@ -116,366 +122,502 @@ def _emit(payload, out_path):
         print(text)
 
 
-def _trials(cfg: dict, default: int) -> int:
-    trials = int(cfg.get("trials", default))
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
-    return trials
+# ---------------------------------------------------------------------------
+# config declarations and the one parser over them
+
+_UNIONS = (typing.Union, types.UnionType)  # int | Literal["auto"] is a typing.Union
+_RANGES = {">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1, ">= 2": lambda v: v >= 2,
+           "> 0": lambda v: v > 0, "in (0, 1)": lambda v: 0 < v < 1}
 
 
-def _confidence(cfg: dict) -> ConfidenceParams:
-    spec = cfg.get("confidence", {})
-    check_fields(spec, {"c", "delta"}, where="confidence")
-    return ConfidenceParams(c=float(spec.get("c", 1.0)),
-                            delta=float(spec.get("delta", 0.05)))
+def _opt(default=MISSING, *, needs=(), must=None):
+    """A declared field.  It applies only where `needs = (key, *values)`
+    holds: sibling `key` (dotted to reach into a nested object) is given, or
+    takes one of `values`.  Without a default it is required where it
+    applies.  `must` names the `_RANGES` check every number in it passes."""
+    required = default is MISSING and bool(needs)
+    return field(default=None if required else default,
+                 metadata={"needs": needs, "must": must, "required": required})
 
 
-def pair_from_config(spec: dict, grid_size: int | None = None):
-    """Build (pair, class) from a scenario spec: an example id (optionally
-    discretized onto `cells`), a scenario file, or the built-in shifted pair."""
-    check_fields(spec, {"id", "gamma", "cells", "n_angles", "file", "rcs_gap"},
-                 where="scenario")
-    if "file" in spec:
-        pair = load_scenario(spec["file"])
-        cls = project_class(threshold_class(), pair.p.support)
-        return pair, cls
-    if "rcs_gap" in spec:
-        return rcs_violating_pair(float(spec["rcs_gap"]))
-    if "id" not in spec:
-        raise ConfigError("scenario needs one of: id, file, rcs_gap")
-    sid = int(spec["id"])
-    gamma = spec.get("gamma")
-    gamma = None if gamma is None else float(gamma)
-    if sid == 1:
-        return example_scenario(1, n_angles=int(spec.get("n_angles", 16)))
-    pair = example_scenario(sid, gamma=gamma)
-    if "cells" in spec:
-        return discretize_pair(pair, int(spec["cells"]))
-    return pair, threshold_class()
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
 
 
-def family_from_config(spec: dict):
-    check_fields(spec, {"kind", "d_h", "rho", "beta_p", "beta_q", "epsilon",
-                        "eps1", "eps2", "tau", "seed", "sigma_index"},
-                 {"kind", "d_h", "rho", "beta_p", "beta_q"}, where="family")
-    kind = spec["kind"]
-    common = dict(d_h=int(spec["d_h"]), rho=float(spec["rho"]),
-                  beta_p=float(spec["beta_p"]), beta_q=float(spec["beta_q"]),
-                  seed=int(spec.get("seed", 0)))
-    if kind == "single-scale":
-        if "epsilon" not in spec:
-            raise ConfigError("single-scale family needs epsilon")
-        return build_single_scale_family(epsilon=float(spec["epsilon"]), **common)
-    if kind == "two-scale":
-        for k in ("eps1", "eps2"):
-            if k not in spec:
-                raise ConfigError("two-scale family needs eps1 and eps2")
-        tau = spec.get("tau")
-        return build_two_scale_family(eps1=float(spec["eps1"]), eps2=float(spec["eps2"]),
-                                      tau=None if tau is None else float(tau), **common)
-    raise ConfigError(f"unknown family kind {kind!r}")
-
-
-def _pair_and_class(cfg: dict, command: str):
-    """(pair, class, family or None) from exactly one of family or scenario."""
-    if ("family" in cfg) == ("scenario" in cfg):
-        raise ConfigError(f"{command} needs exactly one of family or scenario")
-    if "scenario" in cfg:
-        return (*pair_from_config(cfg["scenario"]), None)
-    family = family_from_config(cfg["family"])
-    return family.pairs[_sigma_index(family, cfg["family"])], family.cls, family
-
-
-def _sigma_index(family, spec) -> int:
+@contextmanager
+def _owned(path: str, *names: str):
+    """A library constructor's ValueError (or, reading a file, OSError) as a
+    ConfigError naming the fields among `names` that its message mentions (the
+    only one, if one is given), else the object at `path`."""
     try:
-        return family.sigma_index(spec.get("sigma_index", "all-ones"))
-    except ValueError as exc:
-        raise ConfigError(f"family.sigma_index: {exc}") from None
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, OSError) as exc:
+        named = [n for n in names if re.search(rf"\b{n}\b", str(exc))]
+        if not named and len(names) == 1:
+            named = names
+        raise ConfigError(f"{', '.join(_join(path, n) for n in named) or path}: {exc}") from None
+
+
+def _kind(tp) -> str:
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is Literal:
+        return "one of " + ", ".join(map(json.dumps, args))
+    if origin in _UNIONS:
+        return " or ".join(_kind(t) for t in args if t is not type(None))
+    if origin in (list, tuple):
+        return "a list" + (f" of {len(args)} items" if origin is tuple else "")
+    if is_dataclass(tp):
+        return "a JSON object"
+    return {int: "an integer", float: "a number", bool: "true or false", str: "a string"}[tp]
+
+
+def _convert(tp, value, path: str):
+    """`value` as type `tp`, strictly: an int is a JSON integer and not a bool,
+    a float a JSON number, a bool true or false; JSON null is no value."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if is_dataclass(tp):
+        return _parse(tp, value, path)
+    if origin in (list, tuple):
+        if isinstance(value, list) and (origin is list or len(value) == len(args)):
+            items = [_convert(t, v, f"{path}[{i}]")
+                     for i, (t, v) in enumerate(zip(args * len(value), value))]
+            return items if origin is list else tuple(items)
+    elif origin in _UNIONS:
+        members = [t for t in args if t is not type(None)]
+        for t in members:
+            try:
+                return _convert(t, value, path)
+            except ConfigError:
+                if len(members) == 1:
+                    raise
+    elif origin is Literal:
+        if isinstance(value, str) and value in args:
+            return value
+    elif tp is float:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+    elif isinstance(value, tp) and (tp is bool or not isinstance(value, bool)):
+        return value
+    raise ConfigError(f"{path}: must be {_kind(tp)}, got {json.dumps(value)}")
+
+
+def _check_range(value, must: str, path: str):
+    if isinstance(value, (list, tuple)):
+        for i, v in enumerate(value):
+            _check_range(v, must, f"{path}[{i}]")
+    elif isinstance(value, (int, float)) and not _RANGES[must](value):
+        raise ConfigError(f"{path}: must be {must}, got {json.dumps(value)}")
+
+
+def _parse(decl, raw, path: str = ""):
+    """`decl` filled from the JSON object `raw`.  Unknown, missing and
+    inapplicable keys, wrong types and declared ranges raise a ConfigError
+    that names the dotted path; then the constructor runs, whose ValueError
+    (a library dataclass checks its own ranges) names the field too."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path or 'config'}: must be a JSON object, got {json.dumps(raw)}")
+    declared = {f.name: f for f in fields(decl)}
+    unknown = sorted(set(raw) - set(declared))
+    if unknown:
+        raise ConfigError(f"{_join(path, unknown[0])}: unknown field")
+    if hasattr(decl, "ONE_OF") and sum(k in raw for k in decl.ONE_OF) != 1:
+        raise ConfigError(f"{path or 'config'}: needs exactly one of {', '.join(decl.ONE_OF)}")
+    hints = typing.get_type_hints(decl)
+    values = {}
+    for name in (n for n in declared if n in raw):
+        values[name] = _convert(hints[name], raw[name], _join(path, name))
+        if declared[name].metadata.get("must"):
+            _check_range(values[name], declared[name].metadata["must"], _join(path, name))
+    for name, f in declared.items():
+        key, *allowed = f.metadata.get("needs") or ("",)
+        applies = True
+        if key:
+            head, _, attr = key.partition(".")
+            current = values.get(head, declared[head].default)
+            current = getattr(current, attr, None) if attr else current
+            applies = current in allowed if allowed else current is not None
+        if name in raw and not applies:
+            wanted = " or ".join(map(json.dumps, allowed))
+            raise ConfigError(f"{_join(path, name)}: applies only with {key} {wanted}".rstrip())
+        if applies and name not in raw and (f.metadata.get("required") or f.default is MISSING):
+            raise ConfigError(f"{_join(path, name)}: required field is missing")
+    with _owned(path, *declared):
+        return decl(**values)
+
+
+@dataclass(frozen=True)
+class _Example:
+    """One of the four benchmark scenarios: the `scenario` command's config."""
+
+    id: int | None = None
+    gamma: float | None = _opt(None, needs=("id", 3, 4))
+    cells: int | None = _opt(None, needs=("id", 2, 3, 4), must=">= 1")
+    n_angles: int = _opt(16, needs=("id", 1))
+
+    def build(self, path: str = ""):
+        """(pair, class); a line scenario is discretized onto `cells` if given."""
+        if self.id == 1:
+            with _owned(path, "n_angles"):
+                return example_scenario(1, n_angles=self.n_angles)
+        with _owned(path, "id", "gamma"):
+            pair = example_scenario(self.id, gamma=self.gamma)
+        if self.cells is None:
+            return pair, threshold_class()
+        return discretize_pair(pair, self.cells)
+
+    def run(self, args) -> int:
+        if args.action == "list":
+            for sid, desc in SCENARIO_SUMMARY.items():
+                print(f"{sid}: {desc}")
+            return 0
+        if self.id is None:
+            raise ConfigError("scenario describe/emit needs --set id=N")
+        if args.action == "describe":
+            pair = self.build()[0]
+            payload = {
+                "id": self.id,
+                "summary": SCENARIO_SUMMARY[self.id],
+                "gamma": load_config(args).get("gamma"),  # echoed as given
+                "discrete": pair.discrete,
+                "certified": None if pair.certified is None else pair.certified.to_json_dict(),
+            }
+            _emit(payload, args.out)
+            return 0
+        cells = 256 if self.id != 1 and self.cells is None else self.cells
+        _emit(scenario_to_dict(replace(self, cells=cells).build()[0]), args.out)
+        return 0
+
+
+@dataclass(frozen=True)
+class _Scenario(_Example):
+    """A nested scenario: an example, a scenario file, or the built-in pair
+    whose source-optimal classifier has target excess `rcs_gap`."""
+
+    ONE_OF: ClassVar[tuple] = ("id", "file", "rcs_gap")
+    file: str | None = None
+    rcs_gap: float | None = None
+
+    def build(self, path: str = ""):
+        if self.file is not None:
+            with _owned(path, "file"):
+                pair = load_scenario(self.file)
+            return pair, project_class(threshold_class(), pair.p.support)
+        if self.rcs_gap is not None:
+            with _owned(path, "rcs_gap"):
+                return rcs_violating_pair(self.rcs_gap)
+        return super().build(path)
+
+
+@dataclass(frozen=True)
+class _Family:
+    kind: Literal["single-scale", "two-scale"]
+    d_h: int
+    rho: float
+    beta_p: float
+    beta_q: float
+    epsilon: float | None = _opt(needs=("kind", "single-scale"))
+    eps1: float | None = _opt(needs=("kind", "two-scale"))
+    eps2: float | None = _opt(needs=("kind", "two-scale"))
+    tau: float | None = _opt(None, needs=("kind", "two-scale"))
+    seed: int = 0
+
+    def build(self, path: str):
+        with _owned(path, *(f.name for f in fields(self))):
+            if self.kind == "single-scale":
+                return build_single_scale_family(self.d_h, self.rho, self.beta_p,
+                                                 self.beta_q, self.epsilon, seed=self.seed)
+            return build_two_scale_family(self.d_h, self.rho, self.beta_p, self.beta_q,
+                                          self.eps1, self.eps2, tau=self.tau, seed=self.seed)
+
+
+@dataclass(frozen=True)
+class _FamilyPair(_Family):
+    """A family and the pair of it that `sigma_index` selects."""
+
+    sigma_index: int | str | list[int] = "all-ones"
+
+    def pair(self, family, path: str):
+        with _owned(path, "sigma_index"):
+            return family.pairs[family.sigma_index(self.sigma_index)]
+
+
+@dataclass(frozen=True)
+class _Cost(CostSchedule):
+    exponent: float = _opt(1.0, needs=("form", "power"))
+
+
+def _pair_and_class(cfg):
+    """(pair, class, family or None) from the config's family or scenario."""
+    if cfg.scenario is not None:
+        return (*cfg.scenario.build("scenario"), None)
+    family = cfg.family.build("family")
+    return cfg.family.pair(family, "family"), family.cls, family
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_scenario(args) -> int:
-    cfg = load_config(args)
-    check_fields(cfg, {"id", "gamma", "cells", "n_angles"})
-    if args.action == "list":
-        for sid, desc in SCENARIO_SUMMARY.items():
-            print(f"{sid}: {desc}")
+@dataclass(frozen=True)
+class _Exponent:
+    scenario: _Scenario
+    quantity: Literal[QUANTITIES]
+    constant: float = _opt(1.0, needs=("quantity", "rho", "gamma", "rho_prime", "beta_p",
+                                       "beta_q"), must="> 0")
+    eps: float | None = _opt(needs=("quantity", "d_y_localized"), must=">= 0")
+    grid_size: int | None = _opt(None, must=">= 2")
+
+    def run(self, args) -> int:
+        quantity, constant = self.quantity, self.constant
+        pair, cls = self.scenario.build("scenario")
+        grid = None
+        if self.grid_size is not None:
+            if pair.discrete:
+                raise ConfigError("grid_size: applies only to a continuous scenario")
+            lo = min(pair.p.lo, pair.q.lo)
+            hi = max(pair.p.hi, pair.q.hi)
+            grid = np.linspace(lo, hi, self.grid_size)
+        if quantity in ("d_a", "d_y"):
+            value = {"d_a": d_a, "d_y": d_y}[quantity](pair, cls, grid=grid)
+            payload = {"quantity": quantity, "value": value}
+        elif quantity == "d_y_localized":
+            value = d_y_localized(pair, cls, self.eps, grid=grid)
+            payload = {"quantity": quantity, "eps": self.eps, "value": value}
+        elif quantity in ("beta_p", "beta_q"):
+            side = pair.p if quantity == "beta_p" else pair.q
+            rep = beta_max(side, cls, constant, grid=grid)
+            payload = {"quantity": quantity, **rep.to_json_dict()}
+        else:
+            op = {"rho": rho_min, "gamma": gamma_min, "rho_prime": rho_prime_min}[quantity]
+            rep = op(pair, cls, constant, grid=grid)
+            payload = {"quantity": quantity, **rep.to_json_dict()}
+        _emit(payload, args.out)
         return 0
-    if "id" not in cfg:
-        raise ConfigError("scenario describe/emit needs --set id=N")
-    sid = int(cfg["id"])
-    gamma = cfg.get("gamma")
-    if args.action == "describe":
-        pair = pair_from_config(cfg)[0]
+
+
+@dataclass(frozen=True)
+class _VerifyFamily:
+    family: _Family
+    constant: float | None = None
+    tol: float = 1e-9
+    rho: float | None = None
+    beta_p: float | None = None
+    beta_q: float | None = None
+
+    def run(self, args) -> int:
+        family = self.family.build("family")
+        reports = verify_family(family, constant=self.constant, tol=self.tol, rho=self.rho,
+                                beta_p=self.beta_p, beta_q=self.beta_q)
         payload = {
-            "id": sid,
-            "summary": SCENARIO_SUMMARY[sid],
-            "gamma": gamma,
-            "discrete": pair.discrete,
-            "certified": None if pair.certified is None else pair.certified.to_json_dict(),
+            "family": family.params,
+            "kind": family.kind,
+            "pairs": len(family),
+            "all_ok": all(r.ok for r in reports),
+            "per_sigma_ok": [r.ok for r in reports],
+            "violations": sum(len(r.violations) for r in reports),
         }
         _emit(payload, args.out)
         return 0
-    if args.action == "emit":
-        if sid != 1:
-            cfg.setdefault("cells", 256)
-        pair = pair_from_config(cfg)[0]
-        _emit(scenario_to_dict(pair), args.out)
+
+
+@dataclass(frozen=True)
+class _Rates:
+    ONE_OF: ClassVar[tuple] = ("family", "scenario")
+    estimator: Literal[tuple(ESTIMATORS)]
+    grid: list[tuple[int, int]] = _opt(must=">= 0")
+    family: _FamilyPair | None = None
+    scenario: _Scenario | None = None
+    trials: int = _opt(200, must=">= 1")
+    tune: bool = _opt(False, needs=("family.kind", "single-scale"))
+    c1: float = _opt(1.0, needs=("tune", True), must="> 0")
+    confidence: ConfidenceParams = ConfidenceParams()
+    theory_exponent: float | None = None
+    tolerance: float = _opt(0.2, needs=("theory_exponent",))
+    axis: Literal["n_p", "n_q"] = _opt("n_q", needs=("theory_exponent",))
+    statistic: Literal["mean", "median"] = _opt("median", needs=("theory_exponent",))
+    drop_smallest: int = _opt(2, needs=("theory_exponent",))
+
+    def run(self, args) -> int:
+        fit = self._fit_options() if self.theory_exponent is not None else None
+        seed = args.seed
+        jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
+        if not args.out:
+            raise ConfigError("rates needs --out for the CSV table")
+        pair, cls, family = _pair_and_class(self)
+        if self.tune:
+            p = family.params
+
+            def build(n_p, n_q):
+                eps = epsilon_schedule(max(n_p, 1), max(n_q, 1), p["d_h"], p["rho"],
+                                       p["beta_p"], p["beta_q"], self.c1)
+                fam = build_single_scale_family(p["d_h"], p["rho"], p["beta_p"],
+                                                p["beta_q"], eps)
+                return self.family.pair(fam, "family"), fam.cls
+
+            table = sweep(build, self.estimator, self.grid, self.trials, seed,
+                          self.confidence, jobs=jobs)
+        else:
+            table = monte_carlo(pair, cls, self.estimator, self.grid, self.trials, seed,
+                                self.confidence, jobs=jobs)
+        table.to_csv(args.out)
+        if fit is not None:
+            report = compare_to_theory(table, self.theory_exponent, self.tolerance, **fit)
+            _emit(report, args.out + ".report.json")
+            print(json.dumps(report))
         return 0
-    raise ConfigError(f"unknown scenario action {args.action!r}")
+
+    def _fit_options(self) -> dict:
+        """Slope-fit options, refused before any trial runs where `fit_slope` would."""
+        drop = self.drop_smallest
+        distinct = len({n_p if self.axis == "n_p" else n_q for n_p, n_q in self.grid})
+        if distinct < max(drop, 0) + 3:
+            raise ConfigError(f"grid: has {distinct} distinct {self.axis} values; the slope "
+                              f"fit needs drop_smallest + 3 = {max(drop, 0) + 3}")
+        return {"axis": self.axis, "statistic": self.statistic, "drop_smallest": drop}
 
 
-QUANTITIES = ("rho", "gamma", "rho_prime", "beta_p", "beta_q", "d_a", "d_y",
-              "d_y_localized")
+@dataclass(frozen=True)
+class _Adaptive:
+    ONE_OF: ClassVar[tuple] = ("family", "scenario")
+    eps: float = _opt(must="in (0, 1)")
+    cost_p: _Cost
+    cost_q: _Cost
+    family: _FamilyPair | None = None
+    scenario: _Scenario | None = None
+    unlabeled: int | Literal["auto"] = _opt("auto", must=">= 0")
+    kappa: float = _opt(4.0, must="> 0")
+    trials: int = _opt(1, must=">= 1")
+    confidence: ConfidenceParams = ConfidenceParams()
+    q_only: bool = False
+    max_rounds: int = _opt(64, must=">= 1")
+
+    def run(self, args) -> int:
+        trials, conf, eps, kappa = self.trials, self.confidence, self.eps, self.kappa
+        pair, cls, _ = _pair_and_class(self)
+        if not pair.discrete:
+            raise ConfigError("scenario: adaptive runs need a discrete pair; set scenario.cells")
+        need = unlabeled_requirement(eps, conf.delta, cls.vc_dim, kappa)
+        n_unlabeled = need if self.unlabeled == "auto" else self.unlabeled
+        if n_unlabeled < need:
+            raise ConfigError(f"unlabeled: {n_unlabeled} is below the required {need} "
+                              f"for eps={eps}, delta={conf.delta}, kappa={kappa}")
+        rows, summary = [], {"returned_by": [], "total_cost": [], "excess": []}
+        q_best = true_risk(pair.q, best_in_class(pair.q, cls))
+        for trial in range(trials):
+            unlabeled = sample_unlabeled(pair.q, n_unlabeled, args.seed + 7919 * trial + 1)
+            h, transcript = run_adaptive_sampling(
+                eps, self.cost_p, self.cost_q,
+                lambda n, s: sample_labeled(pair.p, n, s),
+                lambda n, s: sample_labeled(pair.q, n, s),
+                unlabeled, cls, conf, seed=args.seed + 7919 * trial,
+                kappa=kappa, max_rounds=self.max_rounds, q_only=self.q_only)
+            for r in transcript.rounds:
+                rows.append({"trial": trial, **r.to_json_dict()})
+            summary["returned_by"].append(transcript.returned_by)
+            summary["total_cost"].append(transcript.total_cost)
+            summary["excess"].append(true_risk(pair.q, h) - q_best)
+        if args.out:
+            with open(args.out, "w") as fh:
+                for row in rows:
+                    fh.write(json.dumps(row) + "\n")
+        print(json.dumps({
+            "trials": trials, "eps": eps,
+            "success_rate": float(np.mean([e <= eps for e in summary["excess"]])),
+            "median_cost": float(np.median(summary["total_cost"])),
+            "step6_frac": float(np.mean([r == "step6" for r in summary["returned_by"]])),
+            "step7_frac": float(np.mean([r == "step7" for r in summary["returned_by"]])),
+        }))
+        return 0
 
 
-def cmd_exponent(args) -> int:
-    cfg = load_config(args)
-    check_fields(cfg, {"scenario", "quantity", "constant", "eps", "grid_size"},
-                 {"scenario", "quantity"})
-    quantity = cfg["quantity"]
-    if quantity not in QUANTITIES:
-        raise ConfigError(f"quantity must be one of {QUANTITIES}")
-    constant = float(cfg.get("constant", 1.0))
-    grid_size = cfg.get("grid_size")
-    pair, cls = pair_from_config(cfg["scenario"])
-    grid = None
-    if not pair.discrete and grid_size is not None:
-        lo = min(pair.p.lo, pair.q.lo)
-        hi = max(pair.p.hi, pair.q.hi)
-        grid = np.linspace(lo, hi, int(grid_size))
-    if quantity in ("d_a", "d_y"):
-        value = {"d_a": d_a, "d_y": d_y}[quantity](pair, cls, grid=grid)
-        payload = {"quantity": quantity, "value": value}
-    elif quantity == "d_y_localized":
-        if "eps" not in cfg:
-            raise ConfigError("d_y_localized needs eps")
-        value = d_y_localized(pair, cls, float(cfg["eps"]), grid=grid)
-        payload = {"quantity": quantity, "eps": float(cfg["eps"]), "value": value}
-    elif quantity in ("beta_p", "beta_q"):
-        side = pair.p if quantity == "beta_p" else pair.q
-        rep = beta_max(side, cls, constant, grid=grid)
-        payload = {"quantity": quantity, **rep.to_json_dict()}
-    else:
-        op = {"rho": rho_min, "gamma": gamma_min, "rho_prime": rho_prime_min}[quantity]
-        rep = op(pair, cls, constant, grid=grid)
-        payload = {"quantity": quantity, **rep.to_json_dict()}
-    _emit(payload, args.out)
-    return 0
+@dataclass(frozen=True)
+class _Select:
+    sources: list[_Scenario]
+    n_sources: list[int] = _opt(must=">= 0")
+    unlabeled: int = _opt(must=">= 0")
+    n_q: int = _opt(0, must=">= 0")
+    trials: int = _opt(1, must=">= 1")
+    confidence: ConfidenceParams = ConfidenceParams()
+
+    def run(self, args) -> int:
+        if not self.sources:
+            raise ConfigError("sources: must be a non-empty list of scenarios")
+        built = [s.build(f"sources[{i}]") for i, s in enumerate(self.sources)]
+        pairs = [p for p, _ in built]
+        cls = built[0][1]
+        if any(not p.discrete for p in pairs):
+            raise ConfigError("sources: select needs discrete sources; set their cells")
+        if any(not np.array_equal(p.p.support, pairs[0].p.support) for p in pairs):
+            raise ConfigError("sources: must be discretized onto one shared support; "
+                              f"their supports have {[p.p.size for p in pairs]} points")
+        if len(self.n_sources) != len(pairs):
+            raise ConfigError("n_sources: length must match sources")
+        choices = []
+        for trial in range(self.trials):
+            samples = [sample_labeled(p.p, n, args.seed + 31 * trial + 100 + i)
+                       for i, (p, n) in enumerate(zip(pairs, self.n_sources))]
+            sq = sample_labeled(pairs[0].q, self.n_q, args.seed + 31 * trial + 7)
+            unlabeled = sample_unlabeled(pairs[0].q, self.unlabeled,
+                                         args.seed + 31 * trial + 13)
+            _, i_hat = multi_source_transfer_erm(samples, sq, unlabeled, cls, self.confidence)
+            choices.append(i_hat)
+        freq = [choices.count(i) / self.trials for i in range(len(pairs))]
+        payload = {"trials": self.trials, "choices": choices, "frequency": freq}
+        _emit(payload, args.out)
+        return 0
 
 
-def cmd_verify_family(args) -> int:
-    cfg = load_config(args)
-    check_fields(cfg, {"family", "constant", "tol", "rho", "beta_p", "beta_q"},
-                 {"family"})
-    family = family_from_config(cfg["family"])
-    reports = verify_family(
-        family,
-        constant=None if "constant" not in cfg else float(cfg["constant"]),
-        tol=float(cfg.get("tol", 1e-9)),
-        rho=None if "rho" not in cfg else float(cfg["rho"]),
-        beta_p=None if "beta_p" not in cfg else float(cfg["beta_p"]),
-        beta_q=None if "beta_q" not in cfg else float(cfg["beta_q"]))
-    payload = {
-        "family": family.params,
-        "kind": family.kind,
-        "pairs": len(family),
-        "all_ok": all(r.ok for r in reports),
-        "per_sigma_ok": [r.ok for r in reports],
-        "violations": sum(len(r.violations) for r in reports),
-    }
-    _emit(payload, args.out)
-    return 0
+@dataclass(frozen=True)
+class _Reweight:
+    scenario: _Scenario
+    densities: list[list[float]]
+    n_p: int = _opt(must=">= 0")
+    unlabeled: int = _opt(must=">= 0")
+    pseudo_dim: int | None = _opt(None, must=">= 1")
+    n_q: int = _opt(0, must=">= 0")
+    trials: int = _opt(1, must=">= 1")
+    confidence: ConfidenceParams = ConfidenceParams()
 
-
-def cmd_rates(args) -> int:
-    cfg = load_config(args)
-    check_fields(cfg, {"family", "scenario", "estimator", "grid", "trials",
-                       "tune", "c1", "confidence", "drop_smallest",
-                       "theory_exponent", "tolerance", "axis", "statistic"},
-                 {"estimator", "grid"})
-    estimator = cfg["estimator"]
-    if estimator not in ESTIMATORS:
-        raise ConfigError(f"estimator must be one of {sorted(ESTIMATORS)}")
-    grid = [(int(a), int(b)) for a, b in cfg["grid"]]
-    trials = _trials(cfg, 200)
-    conf = _confidence(cfg)
-    fit = _fit_options(cfg, grid) if "theory_exponent" in cfg else None
-    seed = args.seed
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
-    if not args.out:
-        raise ConfigError("rates needs --out for the CSV table")
-    pair, cls, family = _pair_and_class(cfg, "rates")
-    if family is not None and cfg.get("tune", False):
-        p = family.params
-        c1 = float(cfg.get("c1", 1.0))
-
-        def build(n_p, n_q):
-            eps = epsilon_schedule(max(n_p, 1), max(n_q, 1), p["d_h"], p["rho"],
-                                   p["beta_p"], p["beta_q"], c1)
-            fam = build_single_scale_family(p["d_h"], p["rho"], p["beta_p"],
-                                            p["beta_q"], eps)
-            return fam.pairs[_sigma_index(fam, cfg["family"])], fam.cls
-
-        table = sweep(build, estimator, grid, trials, seed, conf, jobs=jobs)
-    else:
-        table = monte_carlo(pair, cls, estimator, grid, trials, seed, conf, jobs=jobs)
-    table.to_csv(args.out)
-    if fit is not None:
-        report = compare_to_theory(table, float(cfg["theory_exponent"]),
-                                   float(cfg.get("tolerance", 0.2)), **fit)
-        _emit(report, args.out + ".report.json")
-        print(json.dumps(report))
-    return 0
-
-
-def _fit_options(cfg: dict, grid) -> dict:
-    """Slope-fit options, refused before any trial runs where `fit_slope` would."""
-    axis, statistic = cfg.get("axis", "n_q"), cfg.get("statistic", "median")
-    if axis not in ("n_p", "n_q") or statistic not in ("mean", "median"):
-        raise ConfigError(f"axis must be 'n_p' or 'n_q' and statistic 'mean' or "
-                          f"'median', got axis={axis!r}, statistic={statistic!r}")
-    drop = int(cfg.get("drop_smallest", 2))
-    distinct = len({n_p if axis == "n_p" else n_q for n_p, n_q in grid})
-    if distinct < max(drop, 0) + 3:
-        raise ConfigError(f"grid has {distinct} distinct {axis} values; the slope fit "
-                          f"needs drop_smallest + 3 = {max(drop, 0) + 3}")
-    return {"axis": axis, "statistic": statistic, "drop_smallest": drop}
-
-
-def _cost_from_config(spec, name) -> CostSchedule:
-    check_fields(spec, {"form", "unit", "exponent"}, {"form", "unit"}, where=name)
-    return CostSchedule(form=spec["form"], unit=float(spec["unit"]),
-                        exponent=float(spec.get("exponent", 1.0)))
-
-
-def cmd_adaptive(args) -> int:
-    cfg = load_config(args)
-    check_fields(cfg, {"family", "scenario", "eps", "cost_p", "cost_q",
-                       "unlabeled", "kappa", "trials", "confidence",
-                       "q_only", "max_rounds"},
-                 {"eps", "cost_p", "cost_q"})
-    trials = _trials(cfg, 1)
-    conf = _confidence(cfg)
-    eps = float(cfg["eps"])
-    if not 0.0 < eps < 1.0:
-        raise ConfigError(f"eps must lie in (0, 1), got {eps}")
-    sched_p = _cost_from_config(cfg["cost_p"], "cost_p")
-    sched_q = _cost_from_config(cfg["cost_q"], "cost_q")
-    pair, cls, _ = _pair_and_class(cfg, "adaptive")
-    if not pair.discrete:
-        raise ConfigError("adaptive runs need a discrete pair; set scenario.cells")
-    kappa = float(cfg.get("kappa", 4.0))
-    need = unlabeled_requirement(eps, conf.delta, cls.vc_dim, kappa)
-    n_unlabeled = cfg.get("unlabeled", "auto")
-    n_unlabeled = need if n_unlabeled == "auto" else int(n_unlabeled)
-    if n_unlabeled < need:
-        raise ConfigError(f"unlabeled={n_unlabeled} is below the required {need} "
-                          f"for eps={eps}, delta={conf.delta}, kappa={kappa}")
-    rows, summary = [], {"returned_by": [], "total_cost": [], "excess": []}
-    q_best = true_risk(pair.q, best_in_class(pair.q, cls))
-    for trial in range(trials):
-        unlabeled = sample_unlabeled(pair.q, n_unlabeled, args.seed + 7919 * trial + 1)
-        h, transcript = run_adaptive_sampling(
-            eps, sched_p, sched_q,
-            lambda n, s: sample_labeled(pair.p, n, s),
-            lambda n, s: sample_labeled(pair.q, n, s),
-            unlabeled, cls, conf, seed=args.seed + 7919 * trial,
-            kappa=kappa, max_rounds=int(cfg.get("max_rounds", 64)),
-            q_only=bool(cfg.get("q_only", False)))
-        for r in transcript.rounds:
-            rows.append({"trial": trial, **r.to_json_dict()})
-        summary["returned_by"].append(transcript.returned_by)
-        summary["total_cost"].append(transcript.total_cost)
-        summary["excess"].append(true_risk(pair.q, h) - q_best)
-    if args.out:
-        with open(args.out, "w") as fh:
-            for row in rows:
-                fh.write(json.dumps(row) + "\n")
-    print(json.dumps({
-        "trials": trials, "eps": eps,
-        "success_rate": float(np.mean([e <= eps for e in summary["excess"]])),
-        "median_cost": float(np.median(summary["total_cost"])),
-        "step6_frac": float(np.mean([r == "step6" for r in summary["returned_by"]])),
-        "step7_frac": float(np.mean([r == "step7" for r in summary["returned_by"]])),
-    }))
-    return 0
-
-
-def cmd_select(args) -> int:
-    cfg = load_config(args)
-    check_fields(cfg, {"sources", "n_sources", "n_q", "unlabeled", "trials",
-                       "confidence"}, {"sources", "n_sources", "unlabeled"})
-    trials = _trials(cfg, 1)
-    conf = _confidence(cfg)
-    if not isinstance(cfg["sources"], list) or not cfg["sources"]:
-        raise ConfigError("sources must be a non-empty list of scenarios")
-    built = [pair_from_config(s) for s in cfg["sources"]]
-    pairs = [p for p, _ in built]
-    cls = built[0][1]
-    if any(not p.discrete for p in pairs):
-        raise ConfigError("select needs discrete sources; set scenario.cells")
-    if any(not np.array_equal(p.p.support, pairs[0].p.support) for p in pairs):
-        raise ConfigError("sources must be discretized onto one shared support; "
-                          f"their supports have {[p.p.size for p in pairs]} points")
-    n_sources = [int(n) for n in cfg["n_sources"]]
-    if len(n_sources) != len(pairs):
-        raise ConfigError("n_sources length must match sources")
-    n_q = int(cfg.get("n_q", 0))
-    choices = []
-    for trial in range(trials):
-        samples = [sample_labeled(p.p, n, args.seed + 31 * trial + 100 + i)
-                   for i, (p, n) in enumerate(zip(pairs, n_sources))]
-        sq = sample_labeled(pairs[0].q, n_q, args.seed + 31 * trial + 7)
-        unlabeled = sample_unlabeled(pairs[0].q, int(cfg["unlabeled"]),
-                                     args.seed + 31 * trial + 13)
-        _, i_hat = multi_source_transfer_erm(samples, sq, unlabeled, cls, conf)
-        choices.append(i_hat)
-    freq = [choices.count(i) / trials for i in range(len(pairs))]
-    payload = {"trials": trials, "choices": choices, "frequency": freq}
-    _emit(payload, args.out)
-    return 0
-
-
-def cmd_reweight(args) -> int:
-    cfg = load_config(args)
-    check_fields(cfg, {"scenario", "densities", "pseudo_dim", "n_p", "n_q",
-                       "unlabeled", "trials", "confidence"},
-                 {"scenario", "densities", "n_p", "unlabeled"})
-    trials = _trials(cfg, 1)
-    conf = _confidence(cfg)
-    pair, cls = pair_from_config(cfg["scenario"])
-    if not pair.discrete:
-        raise ConfigError("reweight needs a discrete scenario; set scenario.cells")
-    weights = [np.asarray(w, dtype=np.float64) for w in cfg["densities"]]
-    if not weights or any(w.shape != (pair.p.size,) for w in weights):
-        raise ConfigError(f"densities must be a non-empty list of weight vectors "
-                          f"with {pair.p.size} entries, one per support point")
-    family = DensityFamily(weights, cfg.get("pseudo_dim"))
-    n_p = int(cfg["n_p"])
-    n_q = int(cfg.get("n_q", 0))
-    chosen = []
-    labels = None
-    for trial in range(trials):
-        sp = sample_labeled(pair.p, n_p, args.seed + 17 * trial + 3)
-        sq = sample_labeled(pair.q, n_q, args.seed + 17 * trial + 5)
-        unlabeled = sample_unlabeled(pair.q, int(cfg["unlabeled"]),
-                                     args.seed + 17 * trial + 11)
-        h, f_ix = reweighted_transfer_erm(sp, sq, unlabeled, family, cls, conf)
-        chosen.append(f_ix)
-        labels = None if h.labels is None else list(h.labels)
-    freq = [chosen.count(i) / trials for i in range(len(family))]
-    payload = {"trials": trials, "chosen": chosen, "frequency": freq,
-               "last_hypothesis_labels": labels}
-    _emit(payload, args.out)
-    return 0
+    def run(self, args) -> int:
+        pair, cls = self.scenario.build("scenario")
+        if not pair.discrete:
+            raise ConfigError("scenario: reweight needs a discrete scenario; set scenario.cells")
+        weights = [np.asarray(w, dtype=np.float64) for w in self.densities]
+        if not weights or any(w.shape != (pair.p.size,) for w in weights):
+            raise ConfigError(f"densities: must be a non-empty list of weight vectors "
+                              f"with {pair.p.size} entries, one per support point")
+        with _owned("", "densities", "pseudo_dim"):
+            family = DensityFamily(weights, self.pseudo_dim)
+        chosen = []
+        labels = None
+        for trial in range(self.trials):
+            sp = sample_labeled(pair.p, self.n_p, args.seed + 17 * trial + 3)
+            sq = sample_labeled(pair.q, self.n_q, args.seed + 17 * trial + 5)
+            unlabeled = sample_unlabeled(pair.q, self.unlabeled, args.seed + 17 * trial + 11)
+            h, f_ix = reweighted_transfer_erm(sp, sq, unlabeled, family, cls, self.confidence)
+            chosen.append(f_ix)
+            labels = None if h.labels is None else list(h.labels)
+        freq = [chosen.count(i) / self.trials for i in range(len(family))]
+        payload = {"trials": self.trials, "chosen": chosen, "frequency": freq,
+                   "last_hypothesis_labels": labels}
+        _emit(payload, args.out)
+        return 0
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+_COMMANDS = {  # name: (config declaration, help)
+    "scenario": (_Example, "list, describe, or emit benchmark scenarios"),
+    "exponent": (_Exponent, "brute-force discrepancy quantities for a pair"),
+    "verify-family": (_VerifyFamily, "certify every pair of a constructed family"),
+    "rates": (_Rates, "Monte Carlo excess-risk table over an (n_p, n_q) grid"),
+    "adaptive": (_Adaptive, "doubling-budget adaptive sampling runs"),
+    "select": (_Select, "choose among labeled sources with unlabeled target data"),
+    "reweight": (_Reweight, "choose a source reweighting from a density family"),
+}
 
 
 def _formatter(prog):
@@ -489,53 +631,20 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=_formatter)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    def common(p, needs_out=False):
+    for name, (decl, text) in _COMMANDS.items():
+        p = sub.add_parser(name, formatter_class=_formatter, help=text)
+        if name == "scenario":
+            p.add_argument("action", choices=("list", "describe", "emit"))
         p.add_argument("--config", metavar="PATH", help="JSON config file")
         p.add_argument("--seed", type=int, default=0, metavar="U64",
                        help="master seed; all randomness derives from it")
-        p.add_argument("--out", metavar="PATH", required=needs_out,
+        p.add_argument("--out", metavar="PATH", required=name == "rates",
                        help="output file (stdout if omitted where applicable)")
         p.add_argument("--jobs", type=int, default=0, metavar="N",
                        help="worker processes for Monte Carlo (0 = all cores)")
         p.add_argument("--set", action="append", metavar="K=V",
                        help="config override, e.g. --set family.rho=2 (repeatable)")
-
-    p = sub.add_parser("scenario", formatter_class=_formatter,
-                       help="list, describe, or emit benchmark scenarios")
-    p.add_argument("action", choices=("list", "describe", "emit"))
-    common(p)
-    p.set_defaults(func=cmd_scenario)
-
-    p = sub.add_parser("exponent", formatter_class=_formatter,
-                       help="brute-force discrepancy quantities for a pair")
-    common(p)
-    p.set_defaults(func=cmd_exponent)
-
-    p = sub.add_parser("verify-family", formatter_class=_formatter,
-                       help="certify every pair of a constructed family")
-    common(p)
-    p.set_defaults(func=cmd_verify_family)
-
-    p = sub.add_parser("rates", formatter_class=_formatter,
-                       help="Monte Carlo excess-risk table over an (n_p, n_q) grid")
-    common(p, needs_out=True)
-    p.set_defaults(func=cmd_rates)
-
-    p = sub.add_parser("adaptive", formatter_class=_formatter,
-                       help="doubling-budget adaptive sampling runs")
-    common(p)
-    p.set_defaults(func=cmd_adaptive)
-
-    p = sub.add_parser("select", formatter_class=_formatter,
-                       help="choose among labeled sources with unlabeled target data")
-    common(p)
-    p.set_defaults(func=cmd_select)
-
-    p = sub.add_parser("reweight", formatter_class=_formatter,
-                       help="choose a source reweighting from a density family")
-    common(p)
-    p.set_defaults(func=cmd_reweight)
+        p.set_defaults(decl=decl)
     return parser
 
 
@@ -543,7 +652,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if args.jobs < 0:
+            raise ConfigError(f"--jobs: must be >= 0, got {args.jobs}")
+        return _parse(args.decl, load_config(args)).run(args)
     except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -387,6 +387,19 @@ def _family_sigmas(d: int, sigmas, seed: int) -> np.ndarray:
     return vg_packing(d, seed=seed, target=min(64, 2 ** d))
 
 
+def _sigma_pairs(sigmas, coords, mass_p, margin_p, mass_q, margin_q, certified):
+    """One pair per sign vector, sharing both marginals: eta is 1 on the anchor
+    and 1/2 + (sigma/2) * margin on the other points."""
+    def etas(margin):
+        eta = np.ones((len(sigmas), len(coords)))
+        eta[:, 1:] = 0.5 + (sigmas / 2.0) * margin
+        return eta
+
+    return [TransferPair(p=DiscreteJoint(coords, mass_p, eta_p),
+                         q=DiscreteJoint(coords, mass_q, eta_q), certified=certified)
+            for eta_p, eta_q in zip(etas(margin_p), etas(margin_q))]
+
+
 def build_single_scale_family(d_h: int, rho: float, beta_p: float, beta_q: float,
                               epsilon: float, sigmas=None, seed: int = 0) -> SigmaFamily:
     """Hard pairs on d_h points with one scale epsilon.
@@ -424,18 +437,7 @@ def build_single_scale_family(d_h: int, rho: float, beta_p: float, beta_q: float
         c_gamma=1.0 if gamma is not None and gamma >= 1.0 else None,
         beta_p=beta_p, beta_q=beta_q, c_p=1.0, c_q=1.0)
 
-    pairs = []
-    for sig in sigmas:
-        eta_q = np.empty(d + 1)
-        eta_q[0] = 1.0
-        eta_q[1:] = 0.5 + (sig / 2.0) * margin_q
-        eta_p = np.empty(d + 1)
-        eta_p[0] = 1.0
-        eta_p[1:] = 0.5 + (sig / 2.0) * margin_p
-        pairs.append(TransferPair(
-            p=DiscreteJoint(coords, mass_p, eta_p),
-            q=DiscreteJoint(coords, mass_q, eta_q),
-            certified=certified))
+    pairs = _sigma_pairs(sigmas, coords, mass_p, margin_p, mass_q, margin_q, certified)
     params = dict(d_h=d_h, rho=rho, beta_p=beta_p, beta_q=beta_q, epsilon=epsilon)
     return SigmaFamily(sigmas=sigmas, pairs=pairs, cls=cls, params=params,
                        kind="single-scale")
@@ -493,14 +495,7 @@ def build_two_scale_family(d_h: int, rho: float, beta_p: float, beta_q: float,
 
     certified = Certified(rho=rho, c_rho=1.0, gamma=gamma, c_gamma=2.0,
                           beta_p=beta_p, beta_q=beta_q, c_p=1.0, c_q=2.0)
-    pairs = []
-    for sig in sigmas:
-        eta_q = np.concatenate([[1.0], 0.5 + (sig / 2.0) * margin_q])
-        eta_p = np.concatenate([[1.0], 0.5 + (sig / 2.0) * margin_p])
-        pairs.append(TransferPair(
-            p=DiscreteJoint(coords, mass_p, eta_p),
-            q=DiscreteJoint(coords, mass_q, eta_q),
-            certified=certified))
+    pairs = _sigma_pairs(sigmas, coords, mass_p, margin_p, mass_q, margin_q, certified)
     params = dict(d_h=d_h, rho=rho, beta_p=beta_p, beta_q=beta_q,
                   eps1=eps1, eps2=eps2, tau=tau, gamma=gamma)
     return SigmaFamily(sigmas=sigmas, pairs=pairs, cls=cls, params=params,

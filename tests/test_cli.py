@@ -1,18 +1,29 @@
+import copy
 import json
+import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import transferlab as tl
 from transferlab import ratelab
-from transferlab.cli import build_parser, main
+from transferlab.cli import build_parser, load_config, main
 
 DATA = Path(__file__).parent / "data"
 CONFIGS = Path(__file__).parent.parent / "configs"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def run(args):
     return main(args)
+
+
+def named_fields(err: str) -> list[str]:
+    """The dotted paths an exit-2 message starts with."""
+    assert err.startswith("error: "), err
+    return err[len("error: "):].split(": ", 1)[0].split(", ")
 
 
 def test_help_golden():
@@ -159,15 +170,22 @@ def test_reweight_cmd(capsys):
     assert len(doc["chosen"]) == 2
 
 
-def test_cli_runtime_error_exit_code(tmp_path):
+def test_cli_runtime_error_exit_code(tmp_path, capsys):
     # adaptive on a continuous scenario without cells is a config error
     assert run(["adaptive", "--set", 'scenario={"id":2}', "--set", "eps=0.1",
                 "--set", 'cost_p={"form":"linear","unit":1}',
                 "--set", 'cost_q={"form":"linear","unit":1}']) == 2
-    # malformed family parameters surface as runtime errors
+    assert "scenario" in named_fields(capsys.readouterr().err)
+    # a family parameter the family constructor refuses is a config error too
     assert run(["verify-family", "--set",
                 'family={"kind":"single-scale","d_h":7,"rho":1,"beta_p":0.5,'
-                '"beta_q":0.5,"epsilon":0.25}']) == 3
+                '"beta_q":0.5,"epsilon":0.25}']) == 2
+    assert "family.d_h" in named_fields(capsys.readouterr().err)
+    # a valid config whose run fails is a runtime error
+    out = tmp_path / "runs.jsonl"
+    assert run(["adaptive", "--config", str(CONFIGS / "cheap_source_adaptive.json"),
+                "--set", "trials=1", "--set", "max_rounds=1", "--out", str(out)]) == 3
+    assert "no stopping rule fired" in capsys.readouterr().err
 
 
 def test_cli_idempotent_given_seed(tmp_path, capsys):
@@ -275,3 +293,163 @@ def test_shipped_config_runs(name, tmp_path, capsys):
     command = CONFIG_COMMANDS[name]
     assert run(command + ["--config", str(CONFIGS / name), "--seed", "0", "--jobs", "1",
                           "--out", str(tmp_path / "out")]) == 0
+
+
+FAMILY9 = '{"kind":"single-scale","d_h":9,"rho":1,"beta_p":0.5,"beta_q":0.5,"epsilon":0.25}'
+EXPONENT = ["exponent", "--set", "scenario.id=2", "--set", "quantity=gamma"]
+VERIFY = ["verify-family", "--set", "family=" + FAMILY9]
+RATES = ["rates", "--set", 'scenario={"id":2,"cells":16}', "--set", "estimator=erm_q",
+         "--set", "grid=[[0,8]]", "--set", "trials=1"]
+ADAPTIVE = ["adaptive", "--config", str(CONFIGS / "cheap_source_adaptive.json"),
+            "--set", "trials=1"]
+SELECT = ["select", "--set", 'sources=[{"id":3,"gamma":1.0,"cells":8}]',
+          "--set", "n_sources=[16]", "--set", "unlabeled=64"]
+REWEIGHT = ["reweight", "--set", 'scenario={"id":2,"cells":4}', "--set", "densities=[[1,1,1,1]]",
+            "--set", "n_p=16", "--set", "unlabeled=16"]
+
+BAD_FIELDS = [
+    # accepted with another meaning, or ignored
+    (RATES + ["--set", "tune=true"], "tune"),
+    (RATES + ["--set", "c1=0.5"], "c1"),
+    (RATES + ["--set", "axis=n_p"], "axis"),
+    (["exponent", "--set", 'scenario={"id":2,"cells":8}', "--set", "quantity=gamma",
+      "--set", "grid_size=10"], "grid_size"),
+    (EXPONENT + ["--set", "eps=0.1"], "eps"),
+    (["exponent", "--set", "scenario.id=2", "--set", "quantity=d_a", "--set", "constant=2"],
+     "constant"),
+    (["scenario", "describe", "--set", "id=2", "--set", "n_angles=8"], "n_angles"),
+    (EXPONENT + ["--set", "scenario.n_angles=8"], "scenario.n_angles"),
+    (["scenario", "describe", "--set", "id=2", "--set", "gamma=2"], "gamma"),
+    (["scenario", "emit", "--set", "id=1", "--set", "cells=8"], "cells"),
+    (VERIFY + ["--set", "family.eps1=0.1"], "family.eps1"),
+    (VERIFY + ["--set", "family.sigma_index=3"], "family.sigma_index"),
+    (ADAPTIVE + ["--set", "cost_q.exponent=0.5"], "cost_q.exponent"),
+    (ADAPTIVE + ["--set", "q_only=no"], "q_only"),
+    (SELECT + ["--set", "trials=2.9"], "trials"),
+    (["scenario", "describe", "--set", "id=2.7"], "id"),
+    (["scenario", "list", "--set", "id=abc"], "id"),
+    (EXPONENT + ["--jobs", "-1"], "--jobs"),
+    # refused only by the library, after setup
+    (SELECT + ["--set", "trials=abc"], "trials"),
+    (ADAPTIVE + ["--set", "unlabeled=abc"], "unlabeled"),
+    (ADAPTIVE + ["--set", "cost_p=3"], "cost_p"),
+    (ADAPTIVE + ["--set", "confidence=5"], "confidence"),
+    (RATES + ["--set", "grid=[[0]]"], "grid[0]"),
+    (["rates", "--config", str(CONFIGS / "target_rate_sweep.json"), "--set", "trials=2",
+      "--set", "theory_exponent=null"], "theory_exponent"),
+    (ADAPTIVE + ["--set", "confidence.delta=2"], "confidence.delta"),
+    (EXPONENT + ["--set", "scenario.id=9"], "scenario.id"),
+    (["exponent", "--set", 'scenario={"id":3}', "--set", "quantity=gamma"], "scenario.gamma"),
+    (EXPONENT + ["--set", "scenario.cells=0"], "scenario.cells"),
+    (RATES + ["--set", "grid=[[-5,8]]"], "grid[0][0]"),
+    (SELECT + ["--set", "n_sources=[-4]"], "n_sources[0]"),
+    (SELECT + ["--set", "unlabeled=-1"], "unlabeled"),
+    (REWEIGHT + ["--set", "pseudo_dim=-3"], "pseudo_dim"),
+    (REWEIGHT + ["--set", "densities=[[1,1,-1,1]]"], "densities"),
+    (ADAPTIVE + ["--set", "cost_p.form=foo"], "cost_p.form"),
+    (ADAPTIVE + ["--set", "kappa=-1"], "kappa"),
+    (ADAPTIVE + ["--set", "max_rounds=0"], "max_rounds"),
+    (EXPONENT + ["--set", "constant=-1"], "constant"),
+    (["exponent", "--set", "scenario.id=2", "--set", "quantity=d_y_localized",
+      "--set", "eps=-1"], "eps"),
+    (EXPONENT + ["--set", "grid_size=0"], "grid_size"),
+    (VERIFY + ["--set", "family.d_h=30"], "family.d_h"),
+    (VERIFY + ["--set", "family.epsilon=0.9"], "family.epsilon"),
+    (["scenario", "describe", "--set", "id=7"], "id"),
+    # refused before, but naming something else
+    (["verify-family", "--set", "family=abc"], "family"),
+]
+
+
+@pytest.mark.parametrize("argv,field", BAD_FIELDS,
+                         ids=[f"{i}-{a[0]}-{f}" for i, (a, f) in enumerate(BAD_FIELDS)])
+def test_bad_field_exits_2_and_names_it(argv, field, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert field in named_fields(capsys.readouterr().err)
+    assert not out.exists()
+
+
+def readme_commands() -> list[list[str]]:
+    """Every `transferlab ...` line of the README's "Command line" block."""
+    block = README.read_text().split("## Command line", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("transferlab ")]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda a: "-".join(a[:2]))
+def test_readme_example_runs(argv, tmp_path, capsys):
+    argv = [str(CONFIGS.parent / a) if a.startswith("configs/") else a for a in argv]
+    if "--out" in argv:
+        i = argv.index("--out") + 1
+        argv[i] = str(tmp_path / argv[i])
+    assert run(argv + ["--jobs", "1"]) == 0
+
+
+def _examples():
+    """(command words, config) of each shipped config and README example."""
+    parser = build_parser()
+    argvs = [command + ["--config", str(CONFIGS / name)]
+             for name, command in CONFIG_COMMANDS.items()] + readme_commands()
+    seen = []
+    for argv in argvs:
+        argv = [str(CONFIGS.parent / a) if a.startswith("configs/") else a for a in argv]
+        args = parser.parse_args(argv + ["--out", "unused"])
+        words = [args.command] + ([args.action] if args.command == "scenario" else [])
+        example = (words, load_config(args))
+        if example[1] and example not in seen:
+            seen.append(example)
+    return seen
+
+
+def _paths(node, path=""):
+    """Dotted path of every object key under `node`, through lists of objects."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        sub = f"{path}[{key}]" if isinstance(node, list) else (f"{path}.{key}" if path else key)
+        if isinstance(node, dict):
+            yield sub
+        if isinstance(value, dict) or (isinstance(value, list) and value
+                                       and all(isinstance(v, dict) for v in value)):
+            yield from _paths(value, sub)
+
+
+def _set(node, path, value):
+    *parents, last = path.replace("[", ".[").split(".")
+    for key in parents:
+        node = node[int(key[1:-1])] if key.startswith("[") else node[key]
+    node[last] = value
+
+
+JSON_KINDS = {
+    str: st.text(max_size=5),
+    list: st.lists(st.none() | st.booleans() | st.text(max_size=2), max_size=3),
+    dict: st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    type(None): st.none(),
+    bool: st.booleans(),
+}
+FIELD_CASES = [(words, cfg, path) for words, cfg in _examples() for path in _paths(cfg)]
+
+
+def _get(node, path):
+    for key in path.replace("[", ".[").split("."):
+        node = node[int(key[1:-1])] if key.startswith("[") else node[key]
+    return node
+
+
+@pytest.mark.parametrize("words,cfg,path", FIELD_CASES,
+                         ids=[f"{'-'.join(w)}-{p}" for w, _, p in FIELD_CASES])
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_wrong_json_type_exits_2_and_names_field(words, cfg, path, data, tmp_path, capsys):
+    given_kind = type(_get(cfg, path))
+    kinds = [k for k in JSON_KINDS if not issubclass(given_kind, k)]
+    value = data.draw(st.sampled_from(kinds).flatmap(JSON_KINDS.get))
+    bad = copy.deepcopy(cfg)
+    _set(bad, path, value)
+    config, out = tmp_path / "bad.json", tmp_path / "out"
+    config.write_text(json.dumps(bad))
+    assert run(words + ["--config", str(config), "--out", str(out)]) == 2
+    assert path in named_fields(capsys.readouterr().err)
+    assert not out.exists()
