@@ -48,6 +48,7 @@ from .distributions import (
     example_scenario,
     load_scenario,
     rcs_violating_pair,
+    rng_from,
     sample_labeled,
     sample_unlabeled,
     scenario_to_dict,
@@ -348,6 +349,15 @@ class _Cost(CostSchedule):
     exponent: float = _opt(1.0, needs=("form", "power"))
 
 
+# the roles of a CLI trial's draws; each draw has its own stream
+# rng_from(seed, trial, role[, source]), as every rate-table trial has
+_SOURCE, _TARGET, _UNLABELED, _ADAPTIVE_RUN = range(4)
+
+
+def _draw_seed(seed: int, trial: int, role: int, *source: int) -> int:
+    return int(rng_from(seed, trial, role, *source).integers(2 ** 62))
+
+
 def _pair_and_class(cfg):
     """(pair, class, family or None) from the config's family or scenario."""
     if cfg.scenario is not None:
@@ -506,12 +516,13 @@ class _Adaptive:
         rows, summary = [], {"returned_by": [], "total_cost": [], "excess": []}
         q_best = true_risk(pair.q, best_in_class(pair.q, cls))
         for trial in range(trials):
-            unlabeled = sample_unlabeled(pair.q, n_unlabeled, args.seed + 7919 * trial + 1)
+            unlabeled = sample_unlabeled(pair.q, n_unlabeled,
+                                         _draw_seed(args.seed, trial, _UNLABELED))
             h, transcript = run_adaptive_sampling(
                 eps, self.cost_p, self.cost_q,
                 lambda n, s: sample_labeled(pair.p, n, s),
                 lambda n, s: sample_labeled(pair.q, n, s),
-                unlabeled, cls, conf, seed=args.seed + 7919 * trial,
+                unlabeled, cls, conf, seed=_draw_seed(args.seed, trial, _ADAPTIVE_RUN),
                 kappa=kappa, max_rounds=self.max_rounds, q_only=self.q_only)
             for r in transcript.rounds:
                 rows.append({"trial": trial, **r.to_json_dict()})
@@ -556,11 +567,11 @@ class _Select:
             raise ConfigError("n_sources: length must match sources")
         choices = []
         for trial in range(self.trials):
-            samples = [sample_labeled(p.p, n, args.seed + 31 * trial + 100 + i)
+            samples = [sample_labeled(p.p, n, _draw_seed(args.seed, trial, _SOURCE, i))
                        for i, (p, n) in enumerate(zip(pairs, self.n_sources))]
-            sq = sample_labeled(pairs[0].q, self.n_q, args.seed + 31 * trial + 7)
+            sq = sample_labeled(pairs[0].q, self.n_q, _draw_seed(args.seed, trial, _TARGET))
             unlabeled = sample_unlabeled(pairs[0].q, self.unlabeled,
-                                         args.seed + 31 * trial + 13)
+                                         _draw_seed(args.seed, trial, _UNLABELED))
             _, i_hat = multi_source_transfer_erm(samples, sq, unlabeled, cls, self.confidence)
             choices.append(i_hat)
         freq = [choices.count(i) / self.trials for i in range(len(pairs))]
@@ -593,9 +604,10 @@ class _Reweight:
         chosen = []
         labels = None
         for trial in range(self.trials):
-            sp = sample_labeled(pair.p, self.n_p, args.seed + 17 * trial + 3)
-            sq = sample_labeled(pair.q, self.n_q, args.seed + 17 * trial + 5)
-            unlabeled = sample_unlabeled(pair.q, self.unlabeled, args.seed + 17 * trial + 11)
+            sp = sample_labeled(pair.p, self.n_p, _draw_seed(args.seed, trial, _SOURCE))
+            sq = sample_labeled(pair.q, self.n_q, _draw_seed(args.seed, trial, _TARGET))
+            unlabeled = sample_unlabeled(pair.q, self.unlabeled,
+                                         _draw_seed(args.seed, trial, _UNLABELED))
             h, f_ix = reweighted_transfer_erm(sp, sq, unlabeled, family, cls, self.confidence)
             chosen.append(f_ix)
             labels = None if h.labels is None else list(h.labels)

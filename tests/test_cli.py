@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import transferlab as tl
-from transferlab import ratelab
+from transferlab import cli, ratelab
 from transferlab.cli import build_parser, load_config, main
 
 DATA = Path(__file__).parent / "data"
@@ -198,6 +198,26 @@ def test_cli_idempotent_given_seed(tmp_path, capsys):
     first = capsys.readouterr().out
     assert run(args) == 0
     assert capsys.readouterr().out == first
+
+
+def test_select_draws_pairwise_distinct_seeds(monkeypatch, capsys):
+    seeds = []
+
+    def recording(sample):
+        def wrapper(dist, n, seed):
+            seeds.append(seed)
+            return sample(dist, n, seed)
+        return wrapper
+
+    monkeypatch.setattr(cli, "sample_labeled", recording(tl.sample_labeled))
+    monkeypatch.setattr(cli, "sample_unlabeled", recording(tl.sample_unlabeled))
+    source = '{"id":3,"gamma":1.0,"cells":8}'
+    assert run(["select", "--set", f"sources=[{source},{source},{source}]",
+                "--set", "n_sources=[8,8,8]", "--set", "n_q=4", "--set", "unlabeled=16",
+                "--set", "trials=40"]) == 0
+    # per trial: three sources, the target sample and the unlabeled pool
+    assert len(seeds) == 40 * 5
+    assert len(set(seeds)) == len(seeds)
 
 
 def test_select_rejects_empty_sources(capsys):
