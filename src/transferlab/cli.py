@@ -451,7 +451,6 @@ class _Rates:
 
     def run(self, args) -> int:
         fit = self._fit_options() if self.theory_exponent is not None else None
-        seed = args.seed
         jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
         if not args.out:
             raise ConfigError("rates needs --out for the CSV table")
@@ -466,11 +465,11 @@ class _Rates:
                                                 p["beta_q"], eps)
                 return self.family.pair(fam, "family"), fam.cls
 
-            table = sweep(build, self.estimator, self.grid, self.trials, seed,
+            table = sweep(build, self.estimator, self.grid, self.trials, args.seed,
                           self.confidence, jobs=jobs)
         else:
-            table = monte_carlo(pair, cls, self.estimator, self.grid, self.trials, seed,
-                                self.confidence, jobs=jobs)
+            table = monte_carlo(pair, cls, self.estimator, self.grid, self.trials,
+                                args.seed, self.confidence, jobs=jobs)
         table.to_csv(args.out)
         if fit is not None:
             report = compare_to_theory(table, self.theory_exponent, self.tolerance, **fit)

@@ -391,15 +391,17 @@ def test_bad_field_exits_2_and_names_it(argv, field, tmp_path, capsys):
 
 
 def readme_commands() -> list[list[str]]:
-    """Every `transferlab ...` line of the README's "Command line" block."""
+    """Every `transferlab ...` line of the README's "Command line" block, with
+    `configs/` paths made absolute."""
     block = README.read_text().split("## Command line", 1)[1].split("```")[1]
     lines = block.replace("\\\n", " ").splitlines()
-    return [shlex.split(line)[1:] for line in lines if line.startswith("transferlab ")]
+    return [[str(CONFIGS.parent / a) if a.startswith("configs/") else a
+             for a in shlex.split(line)[1:]]
+            for line in lines if line.startswith("transferlab ")]
 
 
 @pytest.mark.parametrize("argv", readme_commands(), ids=lambda a: "-".join(a[:2]))
-def test_readme_example_runs(argv, tmp_path, capsys):
-    argv = [str(CONFIGS.parent / a) if a.startswith("configs/") else a for a in argv]
+def test_readme_example_runs(argv, tmp_path):
     if "--out" in argv:
         i = argv.index("--out") + 1
         argv[i] = str(tmp_path / argv[i])
@@ -413,7 +415,6 @@ def _examples():
              for name, command in CONFIG_COMMANDS.items()] + readme_commands()
     seen = []
     for argv in argvs:
-        argv = [str(CONFIGS.parent / a) if a.startswith("configs/") else a for a in argv]
         args = parser.parse_args(argv + ["--out", "unused"])
         words = [args.command] + ([args.action] if args.command == "scenario" else [])
         example = (words, load_config(args))
@@ -434,11 +435,11 @@ def _paths(node, path=""):
             yield from _paths(value, sub)
 
 
-def _set(node, path, value):
-    *parents, last = path.replace("[", ".[").split(".")
-    for key in parents:
+def _walk(node, keys):
+    """The value under `node` at `keys`: object keys, or "[i]" list indices."""
+    for key in keys:
         node = node[int(key[1:-1])] if key.startswith("[") else node[key]
-    node[last] = value
+    return node
 
 
 JSON_KINDS = {
@@ -451,23 +452,16 @@ JSON_KINDS = {
 FIELD_CASES = [(words, cfg, path) for words, cfg in _examples() for path in _paths(cfg)]
 
 
-def _get(node, path):
-    for key in path.replace("[", ".[").split("."):
-        node = node[int(key[1:-1])] if key.startswith("[") else node[key]
-    return node
-
-
 @pytest.mark.parametrize("words,cfg,path", FIELD_CASES,
                          ids=[f"{'-'.join(w)}-{p}" for w, _, p in FIELD_CASES])
 @settings(max_examples=8, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_wrong_json_type_exits_2_and_names_field(words, cfg, path, data, tmp_path, capsys):
-    given_kind = type(_get(cfg, path))
-    kinds = [k for k in JSON_KINDS if not issubclass(given_kind, k)]
-    value = data.draw(st.sampled_from(kinds).flatmap(JSON_KINDS.get))
+    keys = path.replace("[", ".[").split(".")
+    kinds = [k for k in JSON_KINDS if not isinstance(_walk(cfg, keys), k)]
     bad = copy.deepcopy(cfg)
-    _set(bad, path, value)
+    _walk(bad, keys[:-1])[keys[-1]] = data.draw(st.sampled_from(kinds).flatmap(JSON_KINDS.get))
     config, out = tmp_path / "bad.json", tmp_path / "out"
     config.write_text(json.dumps(bad))
     assert run(words + ["--config", str(config), "--out", str(out)]) == 2
