@@ -3,7 +3,9 @@
 Density families are finite lists of per-point weight vectors over a discrete
 support (unnormalized densities with respect to the source marginal).  The f^2
 weighting in the disagreement terms reflects that these act as variance
-weights in the underlying concentration bounds.
+weights in the underlying concentration bounds.  The class-wide kernels weigh
+per-support counts and sum each member's own terms in support order, so
+members that lose the same weight at every support point tie bit for bit.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from .hypotheses import (
     Hypothesis,
     HypothesisClass,
     LabeledSample,
+    _label_counts,
+    _point_counts,
     ensure_finite,
     member_disagreements,
     member_risks,
@@ -57,11 +61,10 @@ class DensityFamily:
         return len(self.weights)
 
 
-def _weights_on_sample(f: np.ndarray, sample: LabeledSample) -> np.ndarray:
-    xs = np.asarray(sample.xs)
-    if not np.issubdtype(xs.dtype, np.integer):
+def _support_weights(f, sample) -> np.ndarray:
+    if not np.issubdtype(sample.xs.dtype, np.integer):
         raise TypeError("weighted operations need index samples over the support")
-    return f[xs]
+    return np.asarray(f, dtype=np.float64)
 
 
 def weighted_risk(sample: LabeledSample, f: np.ndarray, h: Hypothesis) -> float:
@@ -69,30 +72,29 @@ def weighted_risk(sample: LabeledSample, f: np.ndarray, h: Hypothesis) -> float:
     if len(sample) == 0:
         return 0.0
     mis = (h.predict(sample.xs) != sample.ys).astype(np.float64)
-    return float(np.dot(_weights_on_sample(np.asarray(f, dtype=np.float64), sample), mis)) / len(sample)
+    return float(np.dot(_support_weights(f, sample)[sample.xs], mis)) / len(sample)
 
 
 def weighted_disagreement_f2(sample, f: np.ndarray, h: Hypothesis, h2: Hypothesis) -> float:
     """(1/n) sum of f(x)^2 over points where the two hypotheses disagree."""
     if len(sample) == 0:
         return 0.0
-    f = np.asarray(f, dtype=np.float64)
     dis = (h.predict(sample.xs) != h2.predict(sample.xs)).astype(np.float64)
-    return float(np.dot(_weights_on_sample(f, sample) ** 2, dis)) / len(sample)
+    return float(np.dot(_support_weights(f, sample)[sample.xs] ** 2, dis)) / len(sample)
 
 
 def weighted_member_risks(cls: HypothesisClass, sample: LabeledSample,
                           f: np.ndarray) -> np.ndarray:
-    # one dot product per member: real-valued weights make blocked matmul
-    # summation order visible, and exact ties must break by member index
+    """(1/n) sum of f(x) over each member's mislabeled sample points: row sums
+    (prefix sums for cuts), not a blocked matrix product; 0 on an empty sample."""
     if len(sample) == 0:
         return np.zeros(len(cls))
-    f = np.asarray(f, dtype=np.float64)
-    xs = np.asarray(sample.xs)
-    w = _weights_on_sample(f, sample)
-    mis = (cls.label_matrix[:, xs] != sample.ys[None, :]).astype(np.float64, order="C")
-    n = len(sample)
-    return np.array([np.dot(row, w) for row in mis]) / n
+    f = _support_weights(f, sample)
+    n0, n1 = _label_counts(cls, sample)
+    w = f * (n0 - n1)
+    own = ((cls.label_matrix * w).sum(axis=1) if cls.thresholds is None
+           else np.concatenate(([0.0], np.cumsum(w))))
+    return (own + np.dot(f, n1)) / len(sample)
 
 
 def weighted_erm(cls: HypothesisClass, sample: LabeledSample, f: np.ndarray) -> int:
@@ -111,20 +113,26 @@ def _weighted_feasible(cls: HypothesisClass, sample: LabeledSample, f: np.ndarra
                        conf: ConfidenceParams, pdim: int):
     """Feasibility mask of the reweighted near-optimality constraint plus the
     anchor (weighted ERM) index."""
-    f = np.asarray(f, dtype=np.float64)
-    m = len(cls)
     width = confidence_width_weighted(len(sample), cls.vc_dim, pdim, conf.delta)
     if len(sample) == 0 or math.isinf(width):
-        return np.ones(m, dtype=bool), 0
+        return np.ones(len(cls), dtype=bool), 0
     risks = weighted_member_risks(cls, sample, f)
     anchor = int(np.argmin(risks))
-    xs = np.asarray(sample.xs)
-    w2 = f[xs] ** 2
-    dis = (cls.label_matrix[:, xs]
-           != cls.label_matrix[anchor][xs][None, :]).astype(np.float64, order="C")
-    dis_f2 = np.array([np.dot(row, w2) for row in dis]) / len(sample)
+    dis_f2 = _f2_disagreements(cls, anchor, sample, f)
     radius = conf.c * np.sqrt(dis_f2 * width) + conf.c * float(np.max(f)) * width
     return (risks - risks[anchor]) <= radius, anchor
+
+
+def _f2_disagreements(cls: HypothesisClass, ref: int, sample: LabeledSample,
+                      f: np.ndarray) -> np.ndarray:
+    """(1/n) sum of f(x)^2 over the sample points where each member and member
+    `ref` disagree (for cuts: the points between them), a masked sum: never < 0."""
+    w2 = np.square(f) * _point_counts(cls, sample)
+    if cls.thresholds is None:
+        dis = np.where(cls.label_matrix != cls.label_matrix[ref], w2, 0.0).sum(axis=1)
+    else:
+        dis = np.concatenate((np.cumsum(w2[:ref][::-1])[::-1], [0.0], np.cumsum(w2[ref:])))
+    return dis / len(sample)
 
 
 def delta_hat_weighted(sample_p: LabeledSample, f: np.ndarray, probe,
@@ -135,8 +143,7 @@ def delta_hat_weighted(sample_p: LabeledSample, f: np.ndarray, probe,
     # weighted operations keep the caller's samples: weights are indexed by
     # support point, never by position in the projected union
     cls, _ = ensure_finite(cls, (sample_p, probe))
-    mask, anchor = _weighted_feasible(cls, sample_p, np.asarray(f, dtype=np.float64),
-                                      conf, pdim)
+    mask, anchor = _weighted_feasible(cls, sample_p, f, conf, pdim)
     if len(probe) == 0:
         return 0.0
     return float(np.max(member_disagreements(cls, anchor, probe)[mask]))

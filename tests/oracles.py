@@ -6,6 +6,7 @@ the package under test beyond the data types.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -147,13 +148,17 @@ def delta_hat_value(members, sample, probe, c, delta, vc_dim):
 
 
 def weighted_risk_value(member, sample, f):
+    """(1/n) sum of f(x) over the mislabeled sample points, as an exact Fraction."""
     if len(sample) == 0:
-        return 0.0
-    mis = (predict(member, sample.xs) != sample.ys).astype(float)
-    return float(np.dot(np.asarray(f)[sample.xs], mis)) / len(sample)
+        return Fraction(0)
+    mis = predict(member, sample.xs) != sample.ys
+    return sum((Fraction(float(f[x])) for x in sample.xs[mis]), Fraction(0)) / len(sample)
 
 
 def delta_hat_weighted_value(members, sample, f, probe, c, delta, vc_dim, pdim):
+    """Weighted delta-hat in exact arithmetic: the weighted risks and f^2
+    disagreements are Fractions, the anchor is the lowest index at the exact
+    minimum, and each excess is compared exactly with the float radius."""
     f = np.asarray(f, dtype=float)
     width = width_weighted(len(sample), vc_dim, pdim, delta)
     if len(sample) == 0 or math.isinf(width):
@@ -161,14 +166,16 @@ def delta_hat_weighted_value(members, sample, f, probe, c, delta, vc_dim, pdim):
         anchor = 0
     else:
         risks = [weighted_risk_value(h, sample, f) for h in members]
-        anchor = int(np.argmin(risks))
+        anchor = risks.index(min(risks))
         mask = []
         sup = float(np.max(f))
+        ref = predict(members[anchor], sample.xs)
         for i in range(len(members)):
-            mis = (predict(members[i], sample.xs) != predict(members[anchor], sample.xs)).astype(float)
-            dis_f2 = float(np.dot(f[sample.xs] ** 2, mis)) / len(sample)
-            mask.append(risks[i] - risks[anchor]
-                        <= c * math.sqrt(dis_f2 * width) + c * sup * width)
+            dis = predict(members[i], sample.xs) != ref
+            dis_f2 = sum((Fraction(float(f[x])) ** 2 for x in sample.xs[dis]),
+                         Fraction(0)) / len(sample)
+            radius = c * math.sqrt(float(dis_f2) * width) + c * sup * width
+            mask.append(risks[i] - risks[anchor] <= Fraction(radius))
     if len(probe) == 0:
         return 0.0
     best = -math.inf

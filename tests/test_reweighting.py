@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import transferlab as tl
-from transferlab.reweighting import weighted_member_risks
+from transferlab.reweighting import _f2_disagreements, weighted_member_risks
 
 import oracles
 
@@ -98,6 +98,67 @@ def test_delta_hat_weighted_matches_oracle_random_weights():
         assert got == want
 
 
+def test_weighted_erm_breaks_an_exact_tie_to_the_lowest_index():
+    # the members differ only at point 0, which is drawn once with each label,
+    # so both risks are exactly (3 * 0.4 + 0.6) / 5; a sum in sample order
+    # rounds them apart and hands the tie to member 1
+    cls = tl.finite_class([(0, 1, 1), (1, 1, 1)], vc_dim=1)
+    s = make_sample([1, 0, 1, 1, 0], [0, 0, 0, 0, 1])
+    f = np.array([0.6, 0.4, 0.6])
+    risks = weighted_member_risks(cls, s, f)
+    assert risks[0] == risks[1]
+    assert tl.weighted_erm(cls, s, f) == 0
+
+
+def test_members_agreeing_on_the_sample_tie_bit_for_bit():
+    # real weights over up to 12 points, and classes that hold every labeling
+    # of the unsampled points for each pattern on the sampled ones, cut to an M
+    # that is not a multiple of 8: a blocked matrix product rounds the rows
+    # left over after its blocks differently from their twins
+    rng = np.random.default_rng(47)
+    for trial in range(3000):
+        s = int(rng.integers(2, 13))
+        sampled = s - int(rng.integers(1, min(3, s - 1) + 1))
+        if trial % 3 == 0:
+            cls = tl.project_class(tl.threshold_class(), np.arange(s, dtype=np.float64))
+        else:
+            base = rng.choice(2 ** sampled, min(2 ** sampled, int(rng.integers(2, 9))),
+                              replace=False)
+            codes = (base[:, None] | (np.arange(2 ** (s - sampled)) << sampled)).ravel()
+            m = int(rng.integers(2, len(codes) + 1))
+            m -= m % 8 == 0
+            codes = rng.permutation(codes)[:m]
+            cls = tl.finite_class((codes[:, None] >> np.arange(s)) & 1)
+        n = int(rng.integers(1, 65))
+        sample = make_sample(rng.integers(0, sampled, n), rng.integers(0, 2, n))
+        f = rng.uniform(0.0, 3.0, size=s)
+        _, first, group = np.unique(cls.label_matrix[:, :sampled], axis=0,
+                                    return_index=True, return_inverse=True)
+        twin = first[group.ravel()]
+        risks = weighted_member_risks(cls, sample, f)
+        dis = _f2_disagreements(cls, int(rng.integers(len(cls))), sample, f)
+        assert np.array_equal(risks, risks[twin]), trial
+        assert np.array_equal(dis, dis[twin]), trial
+
+
+def test_f2_disagreements_never_negative_or_nan():
+    # weights over sixteen orders of magnitude, where a folded
+    # h + ref - 2 h ref sum cancels and can round below zero
+    rng = np.random.default_rng(5)
+    for trial in range(300):
+        s = int(rng.integers(2, 9))
+        cls = (tl.full_cube_class(s) if trial % 2 else
+               tl.project_class(tl.threshold_class(), np.arange(s, dtype=np.float64)))
+        n = int(rng.integers(1, 65))
+        sample = make_sample(rng.integers(0, s, n), rng.integers(0, 2, n))
+        f = 10.0 ** rng.uniform(-8.0, 8.0, size=s)
+        for ref in rng.choice(len(cls), 4):
+            dis = _f2_disagreements(cls, int(ref), sample, f)
+            assert (dis >= 0.0).all(), trial
+            assert dis[ref] == 0.0
+        tl.delta_hat_weighted(sample, f, sample, cls, CONF, 1)
+
+
 def test_density_family_validation_and_pdim_proxy():
     fam = tl.DensityFamily([np.ones(3), 2 * np.ones(3)])
     assert fam.pseudo_dim == 1
@@ -175,11 +236,9 @@ def test_multi_source_single_reduces_to_constrained_erm():
     h, i_hat = tl.multi_source_transfer_erm([sp], sq, u, fam.cls, CONF)
     assert i_hat == 0
     # same program as the two-sample procedure at the union-bound width
-    from transferlab.procedures import near_optimal_mask, confidence_width
+    from transferlab.procedures import near_optimal_mask
     from transferlab.hypotheses import member_risks
-    scaled = CONF.scaled(1)
-    mask = near_optimal_mask(fam.cls, sp, scaled,
-                             width=confidence_width(len(sp), fam.cls.vc_dim, scaled.delta))
+    mask = near_optimal_mask(fam.cls, sp, CONF.scaled(1))
     risks_q = member_risks(fam.cls, sq)
     idx = np.flatnonzero(mask)
     assert h is fam.cls.members[int(idx[np.argmin(risks_q[idx])])]
