@@ -181,15 +181,11 @@ def sample_labeled(dist, n: int, seed: int) -> LabeledSample:
         raise ValueError("n must be >= 0")
     rng = rng_from(seed)
     if isinstance(dist, DiscreteJoint):
-        if n == 0:
-            return LabeledSample(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8), seed)
         xs = np.searchsorted(np.cumsum(dist.mass), rng.random(n), side="right")
         xs = np.minimum(xs, dist.size - 1).astype(np.int64)
         ys = (rng.random(n) < dist.eta[xs]).astype(np.int8)
         return LabeledSample(xs, ys, seed)
     if isinstance(dist, ThresholdMarginal):
-        if n == 0:
-            return LabeledSample(np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int8), seed)
         xs = dist.density.ppf(rng.random(n))
         ys = (xs <= dist.h_star).astype(np.int8)
         return LabeledSample(xs, ys, seed)

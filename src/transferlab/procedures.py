@@ -71,15 +71,14 @@ def confidence_width_weighted(n: int, vc_dim: int, pdim: int, delta: float) -> f
 
 
 def near_optimal_mask(cls: HypothesisClass, sample: LabeledSample,
-                      conf: ConfidenceParams, width: float | None = None) -> np.ndarray:
+                      conf: ConfidenceParams) -> np.ndarray:
     """Members whose empirical risk is within the adaptive radius of the ERM.
 
     The radius for member h is c*sqrt(dis(h, erm) * A) + c*A with A the
     confidence width of the sample; an empty sample (A infinite) makes every
     member feasible.
     """
-    if width is None:
-        width = confidence_width(len(sample), cls.vc_dim, conf.delta)
+    width = confidence_width(len(sample), cls.vc_dim, conf.delta)
     return _near_optimal(cls, sample, conf, width)[0]
 
 

@@ -128,10 +128,7 @@ def monte_carlo(pair: TransferPair, cls: HypothesisClass, estimator, grid,
     Deterministic given (grid, trials, seed) regardless of the worker count:
     every trial derives its own seed from (seed, cell index, trial index).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    builder = lambda n_p, n_q: (pair, cls)
-    return sweep(builder, estimator, grid, trials, seed, conf, jobs)
+    return sweep(lambda n_p, n_q: (pair, cls), estimator, grid, trials, seed, conf, jobs)
 
 
 def sweep(cell_builder, estimator, grid, trials: int, seed: int,
@@ -141,6 +138,8 @@ def sweep(cell_builder, estimator, grid, trials: int, seed: int,
     Used for minimax-style experiments where the hard instance is re-tuned to
     each sample size; `cell_builder(n_p, n_q)` returns the cell's pair/class.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     _, name = _resolve(estimator)
     cells = [(int(n_p), int(n_q)) for n_p, n_q in grid]
     args = []

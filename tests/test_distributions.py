@@ -20,6 +20,13 @@ def test_sample_empty():
     fam = tl.build_single_scale_family(9, 1.0, 0.5, 0.5, 0.25)
     s = tl.sample_labeled(fam.pairs[0].q, 0, seed=1)
     assert len(s) == 0
+    # an empty draw has the dtypes of a non-empty one, for both kinds of input
+    for dist, x_dtype in ((fam.pairs[0].q, np.int64),
+                          (tl.example_scenario(3, gamma=2.0).p, np.float64)):
+        s = tl.sample_labeled(dist, 0, seed=1)
+        assert (s.xs.dtype, s.ys.dtype) == (x_dtype, np.int8)
+        assert s.xs.shape == s.ys.shape == (0,)
+        assert tl.sample_unlabeled(dist, 0, seed=1).xs.dtype == x_dtype
 
 
 def test_sample_point_mass_deterministic_label():

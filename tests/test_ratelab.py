@@ -37,6 +37,15 @@ def test_monte_carlo_quantiles_ordered():
     assert r.trials == 50
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_trials_below_one_rejected(trials):
+    pair, cls = small_family()
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        tl.sweep(lambda n_p, n_q: (pair, cls), "erm_q", [(0, 8)], trials, 1, CONF)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        tl.monte_carlo(pair, cls, "erm_q", [(0, 8)], trials, 1, CONF)
+
+
 def test_parallel_jobs_bit_identical(tmp_path):
     pair, cls = small_family()
     grid = [(0, 64), (0, 128), (0, 256)]
