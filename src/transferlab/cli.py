@@ -359,11 +359,11 @@ def _draw_seed(seed: int, trial: int, role: int, *source: int) -> int:
 
 
 def _pair_and_class(cfg):
-    """(pair, class, family or None) from the config's family or scenario."""
+    """(pair, class) from the config's family or scenario."""
     if cfg.scenario is not None:
-        return (*cfg.scenario.build("scenario"), None)
+        return cfg.scenario.build("scenario")
     family = cfg.family.build("family")
-    return cfg.family.pair(family, "family"), family.cls, family
+    return cfg.family.pair(family, "family"), family.cls
 
 
 # ---------------------------------------------------------------------------
@@ -454,16 +454,14 @@ class _Rates:
         jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
         if not args.out:
             raise ConfigError("rates needs --out for the CSV table")
-        pair, cls, family = _pair_and_class(self)
+        pair, cls = _pair_and_class(self)
         if self.tune:
-            p = family.params
-
             def build(n_p, n_q):
-                eps = epsilon_schedule(max(n_p, 1), max(n_q, 1), p["d_h"], p["rho"],
-                                       p["beta_p"], p["beta_q"], self.c1)
-                fam = build_single_scale_family(p["d_h"], p["rho"], p["beta_p"],
-                                                p["beta_q"], eps)
-                return self.family.pair(fam, "family"), fam.cls
+                f = self.family
+                eps = epsilon_schedule(max(n_p, 1), max(n_q, 1), f.d_h, f.rho,
+                                       f.beta_p, f.beta_q, self.c1)
+                fam = replace(f, epsilon=eps).build("family")
+                return f.pair(fam, "family"), fam.cls
 
             table = sweep(build, self.estimator, self.grid, self.trials, args.seed,
                           self.confidence, jobs=jobs)
@@ -504,7 +502,7 @@ class _Adaptive:
 
     def run(self, args) -> int:
         trials, conf, eps, kappa = self.trials, self.confidence, self.eps, self.kappa
-        pair, cls, _ = _pair_and_class(self)
+        pair, cls = _pair_and_class(self)
         if not pair.discrete:
             raise ConfigError("scenario: adaptive runs need a discrete pair; set scenario.cells")
         need = unlabeled_requirement(eps, conf.delta, cls.vc_dim, kappa)

@@ -115,6 +115,21 @@ def test_rates_tuned_cells_honour_jobs(tmp_path, monkeypatch):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_rates_tuned_cells_use_family_seed(tmp_path):
+    # at d_h = 12 the sign vectors are a seeded packing, so sigma_index 5 names
+    # a different pair under each family.seed, in every tuned cell too
+    out = {}
+    for seed in (0, 3):
+        out[seed] = tmp_path / f"seed{seed}.csv"
+        assert run(["rates", "--seed", "1", "--jobs", "1", "--out", str(out[seed]),
+                    "--set", 'family={"kind":"single-scale","d_h":12,"rho":1,'
+                    '"beta_p":0.5,"beta_q":0.5,"epsilon":0.25,"sigma_index":5,'
+                    f'"seed":{seed}}}', "--set", "tune=true",
+                    "--set", "estimator=erm_q", "--set", "grid=[[0,64],[0,256]]",
+                    "--set", "trials=5"]) == 0
+    assert out[0].read_bytes() != out[3].read_bytes()
+
+
 def test_rates_requires_exactly_one_input(tmp_path):
     assert run(["rates", "--out", str(tmp_path / "x.csv"),
                 "--set", "estimator=erm_q", "--set", "grid=[[0,8]]"]) == 2
