@@ -71,10 +71,6 @@ class CostSchedule:
         return n
 
 
-def minimal_n_for_cost(schedule: CostSchedule, budget: float) -> int:
-    return schedule.minimal_n(budget)
-
-
 def delta_hat(sample: LabeledSample, probe, cls: HypothesisClass,
               conf: ConfidenceParams) -> float:
     """Largest probe-measured disagreement with the sample's ERM among

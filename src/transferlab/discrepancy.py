@@ -135,33 +135,33 @@ def _threshold_profile(pair: TransferPair, grid: np.ndarray) -> PairProfile:
         grid_size=grid.size)
 
 
+def _logs(x: np.ndarray) -> np.ndarray:
+    """math.log of every entry: np.log may round differently in the last bit."""
+    return np.fromiter(map(math.log, x.tolist()), np.float64, x.size)
+
+
 def _max_exponent(lhs: np.ndarray, rhs: np.ndarray, constant: float,
                   members, grid_size) -> ExponentReport:
     """Smallest k with constant*lhs >= rhs^k for every member.
 
     Computed as the max over members of log(constant*lhs)/log(rhs) among those
-    with 0 < rhs < 1 and constant*lhs < 1; a member with lhs = 0 < rhs forces
-    +inf.  Members with constant*lhs >= 1 satisfy the inequality for free.
+    with 0 < rhs < 1 and constant*lhs < 1; the first member with lhs = 0 < rhs,
+    or rhs = 1 > constant*lhs, forces +inf.  Members with constant*lhs >= 1
+    satisfy the inequality for free.  Ties go to the lowest index.
     """
     scaled = constant * lhs
-    best, witness = -math.inf, None
-    for i in range(len(members)):
-        r = rhs[i]
-        if r <= ZERO:
-            continue
-        s = scaled[i]
-        if s <= ZERO:
-            return ExponentReport(math.inf, constant, members[i], grid_size=grid_size)
-        if s >= 1.0 - ZERO:
-            continue
-        if r >= 1.0 - ZERO:
-            return ExponentReport(math.inf, constant, members[i], grid_size=grid_size)
-        ratio = math.log(s) / math.log(r)
-        if ratio > best:
-            best, witness = ratio, i
-    if witness is None:
+    live = (rhs > ZERO) & (scaled < 1.0 - ZERO)
+    forcing = live & ((scaled <= ZERO) | (rhs >= 1.0 - ZERO))
+    if forcing.any():
+        return ExponentReport(math.inf, constant, members[int(np.argmax(forcing))],
+                              grid_size=grid_size)
+    idx = np.flatnonzero(live)
+    if idx.size == 0:
         return ExponentReport(1.0, constant, degenerate=True, grid_size=grid_size)
-    return ExponentReport(best, constant, members[witness], grid_size=grid_size)
+    ratios = _logs(scaled[idx]) / _logs(rhs[idx])
+    k = int(np.argmax(ratios))
+    return ExponentReport(float(ratios[k]), constant, members[int(idx[k])],
+                          grid_size=grid_size)
 
 
 def rho_min(pair: TransferPair, cls: HypothesisClass, c_rho: float = 1.0,
@@ -193,6 +193,28 @@ def rho_prime_min(pair: TransferPair, cls: HypothesisClass, c: float = 1.0,
     return _max_exponent(prof.e_p, clipped, c, prof.members, prof.grid_size)
 
 
+def _min_noise_exponent(excess: np.ndarray, dis: np.ndarray, c_noise: float,
+                        members, grid_size) -> ExponentReport:
+    """beta_max's reduction: the first member with excess > 0 and dis >
+    c_noise (1 + ZERO) violates beta = 0; otherwise the min of
+    min(1, log(dis/c_noise)/log(excess)) over members with 0 < excess < 1 and
+    dis > 0, taken as 0 where dis >= c_noise.  Ties go to the lowest index."""
+    dis = dis / c_noise
+    violating = (excess > ZERO) & (dis > 1.0 + ZERO)
+    if violating.any():
+        return ExponentReport(0.0, c_noise, members[int(np.argmax(violating))],
+                              satisfied=False, grid_size=grid_size)
+    idx = np.flatnonzero((excess > ZERO) & (excess < 1.0 - ZERO) & (dis > ZERO))
+    if idx.size == 0:
+        return ExponentReport(1.0, c_noise, degenerate=True, grid_size=grid_size)
+    d, below = dis[idx], dis[idx] < 1.0
+    ratios = np.zeros(idx.size)
+    ratios[below] = np.minimum(1.0, _logs(d[below]) / _logs(excess[idx][below]))
+    k = int(np.argmin(ratios))
+    return ExponentReport(float(ratios[k]), c_noise, members[int(idx[k])],
+                          grid_size=grid_size)
+
+
 def beta_max(dist, cls: HypothesisClass, c_noise: float = 1.0, grid=None) -> ExponentReport:
     """Largest beta in [0, 1] with dis(h, h*) <= c_noise * excess(h)^beta.
 
@@ -208,27 +230,7 @@ def beta_max(dist, cls: HypothesisClass, c_noise: float = 1.0, grid=None) -> Exp
         raise TypeError("pass one side of the pair, not the pair itself")
     pair = TransferPair(dist, dist)
     prof = pair_profile(pair, cls, grid)
-    excess, dis = prof.e_p, prof.dis_p
-    best, witness = math.inf, None
-    for i in range(len(prof.members)):
-        e = excess[i]
-        if e <= ZERO:
-            continue
-        d = dis[i] / c_noise
-        if d <= ZERO:
-            continue
-        if d > 1.0 + ZERO:
-            return ExponentReport(0.0, c_noise, prof.members[i], satisfied=False,
-                                  grid_size=prof.grid_size)
-        if e >= 1.0 - ZERO:
-            continue
-        ratio = min(1.0, math.log(d) / math.log(e)) if d < 1.0 else 0.0
-        if ratio < best:
-            best, witness = ratio, i
-    if witness is None:
-        return ExponentReport(1.0, c_noise, degenerate=True, grid_size=prof.grid_size)
-    return ExponentReport(max(best, 0.0), c_noise, prof.members[witness],
-                          grid_size=prof.grid_size)
+    return _min_noise_exponent(prof.e_p, prof.dis_p, c_noise, prof.members, prof.grid_size)
 
 
 def d_a(pair: TransferPair, cls: HypothesisClass, grid=None) -> float:
@@ -247,13 +249,17 @@ def d_y_localized(pair: TransferPair, cls: HypothesisClass, eps: float,
                   grid=None) -> float:
     """sup of |E_P - E_Q| over hypotheses with E_P <= eps.
 
-    The P-optimal classifier always qualifies, so the feasible set is never
-    empty for eps >= 0.
+    On a finite support the P-optimal member has E_P = 0, so it qualifies for
+    every eps >= 0.  A threshold grid that misses h*_P has E_P > 0 everywhere;
+    if no grid point has E_P <= eps, ValueError names the smallest E_P.
     """
     if eps < 0:
         raise ValueError("eps must be >= 0")
     prof = pair_profile(pair, cls, grid)
     mask = prof.e_p <= eps
+    if not mask.any():
+        raise ValueError(f"no hypothesis has E_P <= eps = {eps!r}: the smallest "
+                         f"E_P on the grid is {float(prof.e_p.min())!r}")
     return float(np.max(np.abs(prof.e_p[mask] - prof.e_q[mask])))
 
 

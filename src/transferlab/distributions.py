@@ -23,6 +23,8 @@ from .hypotheses import (
     LabeledSample,
     UnlabeledSample,
     _cube_patterns,
+    _matvec,
+    _row,
     finite_class,
     finite_hypothesis,
     full_cube_class,
@@ -218,19 +220,17 @@ def true_risk(dist, h: Hypothesis) -> float:
 
 
 def member_true_risks(joint: DiscreteJoint, cls: HypothesisClass) -> np.ndarray:
-    """Exact risk of every member of a finite class, as one matrix product."""
-    lab = cls.label_matrix
+    """Exact risk of every member of an enumerated class, as one product."""
     w = joint.mass * (1.0 - 2.0 * joint.eta)
-    return lab @ w + float(np.dot(joint.mass, joint.eta))
+    return _matvec(cls, w) + float(np.dot(joint.mass, joint.eta))
 
 
 def member_disagreement_mass(joint: DiscreteJoint, cls: HypothesisClass,
                              ref: int) -> np.ndarray:
     """Marginal mass where each member disagrees with member `ref`, exactly."""
-    lab = cls.label_matrix
-    ref_lab = lab[ref]
-    # 1[h != ref] = h + ref - 2 h ref, folded into one matrix-vector product
-    return lab @ (joint.mass * (1.0 - 2.0 * ref_lab)) + float(np.dot(joint.mass, ref_lab))
+    ref_lab = _row(cls, ref)
+    # 1[h != ref] = h + ref - 2 h ref, folded into one product
+    return _matvec(cls, joint.mass * (1.0 - 2.0 * ref_lab)) + float(np.dot(joint.mass, ref_lab))
 
 
 def best_in_class(dist, cls: HypothesisClass) -> Hypothesis:

@@ -5,7 +5,7 @@ shape (M, s) over s support points.  A finite class stores that matrix.
 Projecting the one-sided threshold class (label 1 iff x <= t) onto a point set
 gives a cut class: the sorted points plus n+1 representative thresholds, where
 cut i labels the i smallest points 1.  Its risks and disagreements are prefix
-sums over the points, and its matrix is built only for callers that need one.
+sums over the points, so it holds no matrix and takes O(n) memory.
 
 `ensure_finite` projects the threshold class onto the union of a procedure's
 samples and maps every sample onto support indices in the same pass.  The
@@ -103,10 +103,10 @@ class HypothesisClass(Sequence):
     0/1 rows over `support_size` = s points at optional `support_coords`.  A cut
     class, the threshold class projected onto sorted `support_coords`, stores
     only those points and one representative threshold per member in
-    `thresholds`; its `label_matrix` is built on first access.  Threshold
-    members at a grid with no support carry no labels.  The un-projected
-    threshold class has neither: `len()`, indexing, `members` and
-    `label_matrix` raise TypeError until it is projected.
+    `thresholds`, and its `label_matrix` raises TypeError.  Threshold members
+    at a grid with no support carry no labels.  The un-projected threshold
+    class has neither: `len()`, indexing, `members` and `label_matrix` raise
+    TypeError until it is projected.
 
     `cls[i]` builds member i once and caches it; `members` is the cached list
     of those same objects.
@@ -136,10 +136,7 @@ class HypothesisClass(Sequence):
         if self._label_matrix is None:
             if self.support_coords is None:
                 raise TypeError("threshold class is not enumerated; project it first")
-            n = self.support_coords.size
-            # row i labels the i smallest points 1
-            self._label_matrix = np.tri(n + 1, n, -1)
-            self._label_matrix.setflags(write=False)
+            raise TypeError("a cut class holds no label matrix; use its prefix-sum kernels")
         return self._label_matrix
 
     @property
@@ -302,11 +299,9 @@ def member_disagreements(cls: HypothesisClass, ref: int, sample) -> np.ndarray:
 
 
 def _matvec(cls: HypothesisClass, w: np.ndarray) -> np.ndarray:
-    """label_matrix @ w for an integer-valued w.
-
-    Cut i sums the first i entries of w, so a cut class takes prefix sums; every
-    partial sum of integers is exact, so both forms agree bit for bit.
-    """
+    """Each member's labels dotted with the support weights w: one BLAS
+    product for a finite class, prefix sums for a cut class (cut i sums the
+    first i weights), which on integer w equal the matrix product bit for bit."""
     if cls.thresholds is None:
         return cls.label_matrix @ w
     return np.concatenate(([0.0], np.cumsum(w)))
@@ -314,10 +309,9 @@ def _matvec(cls: HypothesisClass, w: np.ndarray) -> np.ndarray:
 
 def _row(cls: HypothesisClass, i: int) -> np.ndarray:
     """Labels of member i over the support, as floats; indexed like `cls[i]`."""
-    i = range(len(cls))[i]
     if cls.thresholds is None:
         return cls.label_matrix[i]
-    return (np.arange(cls.support_size) < i).astype(np.float64)
+    return (np.arange(cls.support_size) < range(len(cls))[i]).astype(np.float64)
 
 
 def _sample_indices(cls: HypothesisClass, xs: np.ndarray) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 Everything here is written as a direct transliteration of the defining
 formulas: per-member loops, no label-count aggregation, no shared code with
-the package under test beyond the data types.
+the package under test beyond the data types.  `tri_class` is the one
+exception: it hands a cut class's explicit label matrix to the package's
+finite-class kernels.
 """
 
 import math
@@ -10,7 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from transferlab.hypotheses import FINITE, THRESHOLD, Hypothesis
+from transferlab.discrepancy import ZERO, ExponentReport
+from transferlab.hypotheses import FINITE, THRESHOLD, Hypothesis, finite_class
 
 
 def full_cube_members(n):
@@ -183,3 +186,66 @@ def delta_hat_weighted_value(members, sample, f, probe, c, delta, vc_dim, pdim):
         if mask[i]:
             best = max(best, disagreement(members[i], members[anchor], probe))
     return best
+
+
+def label_matrix(cls):
+    """The class's (M, s) label matrix; for a cut class over s points, the
+    (s+1) x s matrix whose row i labels the i smallest points 1."""
+    if cls.thresholds is None:
+        return cls.label_matrix
+    n = cls.support_size
+    return np.tri(n + 1, n, -1)
+
+
+def tri_class(cls):
+    """A cut class as the finite class of its label matrix over the same
+    points: the matrix path every kernel took before cut classes dropped it."""
+    return finite_class(label_matrix(cls), vc_dim=cls.vc_dim,
+                        support_coords=cls.support_coords)
+
+
+def max_exponent_loop(lhs, rhs, constant, members, grid_size):
+    """Smallest k with constant*lhs >= rhs^k, one member at a time."""
+    scaled = constant * lhs
+    best, witness = -math.inf, None
+    for i in range(len(members)):
+        r = rhs[i]
+        if r <= ZERO:
+            continue
+        s = scaled[i]
+        if s <= ZERO:
+            return ExponentReport(math.inf, constant, members[i], grid_size=grid_size)
+        if s >= 1.0 - ZERO:
+            continue
+        if r >= 1.0 - ZERO:
+            return ExponentReport(math.inf, constant, members[i], grid_size=grid_size)
+        ratio = math.log(s) / math.log(r)
+        if ratio > best:
+            best, witness = ratio, i
+    if witness is None:
+        return ExponentReport(1.0, constant, degenerate=True, grid_size=grid_size)
+    return ExponentReport(best, constant, members[witness], grid_size=grid_size)
+
+
+def beta_max_loop(excess, dis, c_noise, members, grid_size):
+    """Largest beta in [0, 1] with dis <= c_noise * excess^beta, one member at
+    a time."""
+    best, witness = math.inf, None
+    for i in range(len(members)):
+        e = excess[i]
+        if e <= ZERO:
+            continue
+        d = dis[i] / c_noise
+        if d <= ZERO:
+            continue
+        if d > 1.0 + ZERO:
+            return ExponentReport(0.0, c_noise, members[i], satisfied=False,
+                                  grid_size=grid_size)
+        if e >= 1.0 - ZERO:
+            continue
+        ratio = min(1.0, math.log(d) / math.log(e)) if d < 1.0 else 0.0
+        if ratio < best:
+            best, witness = ratio, i
+    if witness is None:
+        return ExponentReport(1.0, c_noise, degenerate=True, grid_size=grid_size)
+    return ExponentReport(max(best, 0.0), c_noise, members[witness], grid_size=grid_size)

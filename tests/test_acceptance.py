@@ -107,6 +107,12 @@ def _tuned_family_builder(rho, beta_p, beta_q, c1=1.0):
 
 
 def test_criterion_04_target_axis_slopes():
+    """Target-axis slopes of tuned single-scale families.
+
+    Each cell builds its family at `epsilon_schedule(n_p, n_q)`, the scale the
+    theory rate is made of, so the fitted slope confirms the construction and
+    is not evidence for the rate.
+    """
     with Timer() as t:
         for beta_q in (0.5, 1.0):
             build = _tuned_family_builder(1.0, beta_q, beta_q)
@@ -120,6 +126,13 @@ def test_criterion_04_target_axis_slopes():
 
 
 def test_criterion_05_source_axis_slopes():
+    """Source-axis slopes of tuned single-scale families, then raw scenario 4.
+
+    As in criterion 4, the tuned cells take their scale from
+    `epsilon_schedule`, so their slopes confirm the construction and are not
+    evidence for the rate.  Only the scenario-4 fit draws from a fixed
+    distribution.
+    """
     with Timer() as t:
         for rho, beta_p in ((1.0, 1.0), (2.0, 0.5)):
             build = _tuned_family_builder(rho, beta_p, 0.5)

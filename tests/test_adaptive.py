@@ -14,15 +14,15 @@ GOLDEN = Path(__file__).parent / "data" / "adaptive_golden"
 
 
 def test_minimal_n_linear():
-    assert tl.minimal_n_for_cost(tl.CostSchedule("linear", 1.0), 8) == 8
-    assert tl.minimal_n_for_cost(tl.CostSchedule("linear", 2.0), 1) == 1
-    assert tl.minimal_n_for_cost(tl.CostSchedule("linear", 0.01), 1) == 100
+    assert tl.CostSchedule("linear", 1.0).minimal_n(8) == 8
+    assert tl.CostSchedule("linear", 2.0).minimal_n(1) == 1
+    assert tl.CostSchedule("linear", 0.01).minimal_n(1) == 100
 
 
 def test_minimal_n_power():
     sched = tl.CostSchedule("power", 1.0, 0.5)
-    assert tl.minimal_n_for_cost(sched, 4) == 16
-    assert tl.minimal_n_for_cost(sched, 4.0001) == 17
+    assert sched.minimal_n(4) == 16
+    assert sched.minimal_n(4.0001) == 17
 
 
 def test_minimal_n_is_exact_inverse():

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import transferlab as tl
-from transferlab.discrepancy import pair_profile
-from transferlab.hypotheses import HypothesisClass
+from transferlab.discrepancy import ZERO, _max_exponent, _min_noise_exponent, pair_profile
+from transferlab.hypotheses import HypothesisClass, threshold_class
+
+import oracles
 
 
 def identical_noiseless_pair():
@@ -148,6 +150,18 @@ def test_d_y_localized_tracks_inverse_n():
     assert abs(slope + 1.0) < 0.1
 
 
+def test_d_y_localized_grid_missing_h_star_names_eps():
+    # four grid points, none at h*_P = 0: every E_P is positive
+    pair, cls = tl.example_scenario(2), threshold_class()
+    grid = np.linspace(-1.0, 1.0, 4)
+    smallest = float(pair_profile(pair, cls, grid).e_p.min())
+    assert smallest > 0.0
+    with pytest.raises(ValueError, match=rf"eps = 0\.0: the smallest E_P on the grid "
+                       rf"is {smallest!r}"):
+        tl.d_y_localized(pair, cls, 0.0, grid=grid)
+    assert tl.d_y_localized(pair, cls, smallest, grid=grid) >= 0.0
+
+
 def test_asymmetry_example3():
     pair = tl.example_scenario(3, gamma=3.0)
     cls = tl.threshold_class()
@@ -247,3 +261,128 @@ def test_certification_and_radii_build_no_member(monkeypatch):
     tl.delta_hat(sample, probe, fam.cls, conf)
     tl.delta_hat(line_sample, line_probe, tl.threshold_class(), conf)
     assert fam.cls._built == {} and rcs_cls._built == {}
+
+
+BOUNDARY = (0.0, ZERO, 1.0 - ZERO, 1.0, 1.0 + ZERO, 2.0)
+
+
+def reduction_values(rng, m, p_boundary):
+    """m values in (0, 1): uniform or log-uniform down to 1e-13, each replaced
+    with probability p_boundary by a value at or beyond a cutoff."""
+    vals = np.where(rng.random(m) < 0.5, rng.uniform(0.0, 1.0, m),
+                    10.0 ** rng.uniform(-13.0, 0.0, m))
+    at = rng.random(m) < p_boundary
+    vals[at] = rng.choice(BOUNDARY, int(at.sum()))
+    return vals
+
+
+def test_exponent_reductions_match_the_loops():
+    # boundary values land exactly after scaling by a power of two; a copy of
+    # the witness at a later index is an exact tie at the extreme; a forcing
+    # member or violator goes after the candidates
+    rng = np.random.default_rng(41)
+    for trial in range(3000):
+        m = int(rng.integers(1, 40))
+        c = float(rng.choice([0.25, 0.5, 1.0, 2.0])) if trial % 4 else float(rng.uniform(0.1, 4.0))
+        p_boundary = (0.0, 0.02, 0.1)[trial % 3]
+        small, big = reduction_values(rng, m, p_boundary), reduction_values(rng, m, p_boundary)
+        for reduce_, loop, lhs, rhs, late in (
+                (_max_exponent, oracles.max_exponent_loop, small / c, big, (0.0, 0.5)),
+                (_min_noise_exponent, oracles.beta_max_loop, big, small * c, (0.5, 2.0 * c))):
+            want = loop(lhs, rhs, c, range(m), None)
+            if want.witness is not None and trial % 2:
+                j = int(rng.integers(want.witness + 1, m + 1))
+                lhs = np.insert(lhs, j, lhs[want.witness])
+                rhs = np.insert(rhs, j, rhs[want.witness])
+            if trial % 5 == 0:
+                lhs, rhs = np.append(lhs, late[0]), np.append(rhs, late[1])
+            members = range(lhs.size)
+            want = loop(lhs, rhs, c, members, None)
+            assert reduce_(lhs, rhs, c, members, None) == want, (trial, reduce_.__name__)
+
+
+def test_exponent_reductions_match_the_loops_on_pairs():
+    fam = tl.build_single_scale_family(9, 2.0, 0.5, 0.9, 0.25)
+    tc = threshold_class()
+    cases = [(pair, fam.cls) for pair in fam.pairs] + [
+        (tl.example_scenario(2), tc), (tl.example_scenario(3, gamma=2.0), tc),
+        (tl.example_scenario(4, gamma=0.5), tc)]
+    for pair, cls in cases:
+        prof = pair_profile(pair, cls)
+        clipped = np.maximum(prof.risk_q - prof.risk_q[prof.star_p], 0.0)
+        for c in (0.5, 1.0, 2.0):
+            for op, lhs, rhs in ((tl.rho_min, prof.e_p, prof.e_q),
+                                 (tl.gamma_min, prof.dis_p, prof.dis_q),
+                                 (tl.rho_prime_min, prof.e_p, clipped)):
+                assert op(pair, cls, c) == oracles.max_exponent_loop(
+                    lhs, rhs, c, prof.members, prof.grid_size)
+            for side in (pair.p, pair.q):
+                own = pair_profile(tl.TransferPair(side, side), cls)
+                assert tl.beta_max(side, cls, c) == oracles.beta_max_loop(
+                    own.e_p, own.dis_p, c, own.members, own.grid_size)
+
+
+def assert_reports_close(got, want, members, ratio_at):
+    """Values within 1e-15 and the same witness.  Where the witnesses differ,
+    the matrix computation ties them: its ratio at the cut class's witness,
+    ratio_at(i), is within 1e-15 of its extreme."""
+    assert (got.satisfied, got.degenerate) == (want.satisfied, want.degenerate)
+    assert got.value == want.value or abs(got.value - want.value) <= 1e-15
+    assert (got.witness is None) == (want.witness is None)
+    if got.witness is not None and got.witness.labels != want.witness.labels:
+        assert abs(ratio_at(members.index(got.witness)) - want.value) <= 1e-15
+
+
+def test_cut_class_matches_its_matrix():
+    # float prefix sums and BLAS products round apart, so members that tie in
+    # exact arithmetic (14, 34, 42, 49, 53, 60 and 61 cells) may swap witnesses
+    scenarios = (tl.example_scenario(2), tl.example_scenario(3, gamma=2.0),
+                 tl.example_scenario(4, gamma=0.5))
+    for line in scenarios:
+        for cells in range(12, 65):
+            pair, cut = tl.discretize_pair(line, cells)
+            twin = oracles.tri_class(cut)
+            got, want = pair_profile(pair, cut), pair_profile(pair, twin)
+            assert (got.star_p, got.star_q) == (want.star_p, want.star_q)
+            for name in ("e_p", "e_q", "dis_p", "dis_q", "dis_q_own", "risk_q"):
+                assert np.allclose(getattr(got, name), getattr(want, name),
+                                   rtol=0.0, atol=1e-15), name
+            clipped = np.maximum(want.risk_q - want.risk_q[want.star_p], 0.0)
+            for c in (0.5, 1.0, 2.0):
+                for op, lhs, rhs in ((tl.rho_min, want.e_p, want.e_q),
+                                     (tl.gamma_min, want.dis_p, want.dis_q),
+                                     (tl.rho_prime_min, want.e_p, clipped)):
+                    assert_reports_close(
+                        op(pair, cut, c), op(pair, twin, c), cut,
+                        lambda i: math.log(c * lhs[i]) / math.log(rhs[i]))
+                for side in (pair.p, pair.q):
+                    own = pair_profile(tl.TransferPair(side, side), twin)
+                    assert_reports_close(
+                        tl.beta_max(side, cut, c), tl.beta_max(side, twin, c), cut,
+                        lambda i: min(1.0, math.log(own.dis_p[i] / c) / math.log(own.e_p[i])))
+            for args in ((2.0, 1.0, 1.0, 1.0), (1.0, 0.5, 0.5, 1.0), (3.0, 1.0, 1.0, 0.5)):
+                a = tl.verify_membership(pair, cut, *args).violations
+                b = tl.verify_membership(pair, twin, *args).violations
+                assert [(v["check"], v["member"], v["witness_labels"]) for v in a] == \
+                    [(v["check"], v["member"], v["witness_labels"]) for v in b]
+                for va, vb in zip(a, b):
+                    assert abs(va["lhs"] - vb["lhs"]) <= 1e-15
+                    assert abs(va["rhs"] - vb["rhs"]) <= 1e-15
+            for side in (pair.p, pair.q):
+                best = tl.best_in_class(side, cut)
+                assert best is cut[cut.members.index(best)]
+                assert best.labels == tl.best_in_class(side, twin).labels
+                for i in range(len(cut)):
+                    assert abs(tl.excess_risk(side, cut[i], cut)
+                               - tl.excess_risk(side, twin[i], twin)) <= 1e-15
+
+
+def test_rho_min_runs_at_2_16_cells():
+    # the (s+1) x s label matrix over 2^16 cells would take 34 GB
+    pair, cls = tl.discretize_pair(tl.example_scenario(3, gamma=2.0), 2 ** 16)
+    rep = tl.rho_min(pair, cls)
+    assert 1.9 < rep.value <= 2.0
+    # index the witness by its threshold: listing every member would build
+    # 2^16 label tuples of 2^16 entries each
+    i = int(np.searchsorted(cls.thresholds, rep.witness.threshold))
+    assert rep.witness is cls[i]

@@ -274,7 +274,7 @@ def test_member_disagreement_mass_matches_formula():
     cut_pair, cut = tl.discretize_pair(tl.example_scenario(3, gamma=2.0), 12)
     for joint, cls in ((fam.pairs[5].q, fam.cls), (fam.pairs[5].p, fam.cls),
                        (cut_pair.p, cut), (cut_pair.q, cut)):
-        lab = cls.label_matrix
+        lab = oracles.label_matrix(cls)
         for i in range(len(cls)):
             got = member_disagreement_mass(joint, cls, i)
             # the folded product over member i's own labels gives the same

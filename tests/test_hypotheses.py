@@ -26,7 +26,7 @@ def assert_same_members(cls, want):
     got = cls.members
     assert len(cls) == len(want)
     assert got == want
-    assert np.array_equal(cls.label_matrix, [h.labels for h in want])
+    assert np.array_equal(oracles.label_matrix(cls), [h.labels for h in want])
     for h in got:
         assert all(type(b) is int for b in h.labels)
         assert h.threshold is None or type(h.threshold) is float
@@ -106,6 +106,13 @@ def test_project_class_empty_errors():
             enumerate_(threshold_class())
 
 
+def test_cut_class_holds_no_matrix():
+    cls = project_class(threshold_class(), [0.3, 0.1, 0.7])
+    with pytest.raises(TypeError, match="cut class holds no label matrix"):
+        cls.label_matrix
+    assert len(cls) == 4 and cls.support_size == 3
+
+
 def test_full_cube_class_matches_oracle():
     for n in range(1, 7):
         assert_same_members(full_cube_class(n), oracles.full_cube_members(n))
@@ -149,7 +156,7 @@ def test_cut_class_kernels_match_matrix_and_oracle():
         n = int(rng.integers(1, 40))
         s = make_sample(rng.integers(0, 8, n) / 8.0, rng.integers(0, 2, n), discrete=False)
         cls, (idx_sample,) = ensure_finite(tc, (s,))
-        lab = cls.label_matrix
+        lab = oracles.label_matrix(cls)
         members = oracles.projected_members(s.xs)
         assert cls.members == members
         ix = np.searchsorted(cls.support_coords, s.xs)

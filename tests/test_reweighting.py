@@ -132,7 +132,7 @@ def test_members_agreeing_on_the_sample_tie_bit_for_bit():
         n = int(rng.integers(1, 65))
         sample = make_sample(rng.integers(0, sampled, n), rng.integers(0, 2, n))
         f = rng.uniform(0.0, 3.0, size=s)
-        _, first, group = np.unique(cls.label_matrix[:, :sampled], axis=0,
+        _, first, group = np.unique(oracles.label_matrix(cls)[:, :sampled], axis=0,
                                     return_index=True, return_inverse=True)
         twin = first[group.ravel()]
         risks = weighted_member_risks(cls, sample, f)
