@@ -207,9 +207,8 @@ def _min_noise_exponent(excess: np.ndarray, dis: np.ndarray, c_noise: float,
     idx = np.flatnonzero((excess > ZERO) & (excess < 1.0 - ZERO) & (dis > ZERO))
     if idx.size == 0:
         return ExponentReport(1.0, c_noise, degenerate=True, grid_size=grid_size)
-    d, below = dis[idx], dis[idx] < 1.0
-    ratios = np.zeros(idx.size)
-    ratios[below] = np.minimum(1.0, _logs(d[below]) / _logs(excess[idx][below]))
+    d, e = dis[idx], excess[idx]
+    ratios = np.where(d < 1.0, np.minimum(1.0, _logs(d) / _logs(e)), 0.0)
     k = int(np.argmin(ratios))
     return ExponentReport(float(ratios[k]), c_noise, members[int(idx[k])],
                           grid_size=grid_size)
