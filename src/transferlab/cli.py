@@ -358,6 +358,12 @@ def _draw_seed(seed: int, trial: int, role: int, *source: int) -> int:
     return int(rng_from(seed, trial, role, *source).integers(2 ** 62))
 
 
+def _draw(sample, dist, n: int, seed: int, trial: int, role: int, *source: int):
+    """`sample(dist, n, s)` on the stream of (trial, role[, source]); an empty
+    draw derives no seed."""
+    return sample(dist, n, _draw_seed(seed, trial, role, *source) if n else 0)
+
+
 def _pair_and_class(cfg):
     """(pair, class) from the config's family or scenario."""
     if cfg.scenario is not None:
@@ -513,8 +519,7 @@ class _Adaptive:
         rows, summary = [], {"returned_by": [], "total_cost": [], "excess": []}
         q_best = true_risk(pair.q, best_in_class(pair.q, cls))
         for trial in range(trials):
-            unlabeled = sample_unlabeled(pair.q, n_unlabeled,
-                                         _draw_seed(args.seed, trial, _UNLABELED))
+            unlabeled = _draw(sample_unlabeled, pair.q, n_unlabeled, args.seed, trial, _UNLABELED)
             h, transcript = run_adaptive_sampling(
                 eps, self.cost_p, self.cost_q,
                 lambda n, s: sample_labeled(pair.p, n, s),
@@ -564,11 +569,11 @@ class _Select:
             raise ConfigError("n_sources: length must match sources")
         choices = []
         for trial in range(self.trials):
-            samples = [sample_labeled(p.p, n, _draw_seed(args.seed, trial, _SOURCE, i))
+            samples = [_draw(sample_labeled, p.p, n, args.seed, trial, _SOURCE, i)
                        for i, (p, n) in enumerate(zip(pairs, self.n_sources))]
-            sq = sample_labeled(pairs[0].q, self.n_q, _draw_seed(args.seed, trial, _TARGET))
-            unlabeled = sample_unlabeled(pairs[0].q, self.unlabeled,
-                                         _draw_seed(args.seed, trial, _UNLABELED))
+            sq = _draw(sample_labeled, pairs[0].q, self.n_q, args.seed, trial, _TARGET)
+            unlabeled = _draw(sample_unlabeled, pairs[0].q, self.unlabeled,
+                              args.seed, trial, _UNLABELED)
             _, i_hat = multi_source_transfer_erm(samples, sq, unlabeled, cls, self.confidence)
             choices.append(i_hat)
         freq = [choices.count(i) / self.trials for i in range(len(pairs))]
@@ -601,10 +606,10 @@ class _Reweight:
         chosen = []
         labels = None
         for trial in range(self.trials):
-            sp = sample_labeled(pair.p, self.n_p, _draw_seed(args.seed, trial, _SOURCE))
-            sq = sample_labeled(pair.q, self.n_q, _draw_seed(args.seed, trial, _TARGET))
-            unlabeled = sample_unlabeled(pair.q, self.unlabeled,
-                                         _draw_seed(args.seed, trial, _UNLABELED))
+            sp = _draw(sample_labeled, pair.p, self.n_p, args.seed, trial, _SOURCE)
+            sq = _draw(sample_labeled, pair.q, self.n_q, args.seed, trial, _TARGET)
+            unlabeled = _draw(sample_unlabeled, pair.q, self.unlabeled,
+                              args.seed, trial, _UNLABELED)
             h, f_ix = reweighted_transfer_erm(sp, sq, unlabeled, family, cls, self.confidence)
             chosen.append(f_ix)
             labels = None if h.labels is None else list(h.labels)

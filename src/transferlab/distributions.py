@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import astuple, dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -36,7 +37,13 @@ MASS_TOL = 1e-12
 
 
 def rng_from(seed, *path) -> np.random.Generator:
-    """Deterministic child generator for (seed, path...) without state sharing."""
+    """Deterministic child generator for (seed, path...) without state sharing.
+
+    `SeedSequence` reads (seed, *path) as a sequence of 32-bit words, and
+    pads one shorter than four words with zeros.  So `rng_from(5, 0, 1)` and
+    `rng_from(5, 0, 1, 0)` give the same stream, and a seed of 2^32 or more
+    takes two words.  A caller must keep one path length per role.
+    """
     return np.random.default_rng(np.random.SeedSequence((int(seed) & (2**64 - 1), *path)))
 
 
@@ -72,6 +79,35 @@ class DiscreteJoint:
     @property
     def size(self) -> int:
         return int(self.mass.size)
+
+    def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
+        """Support index of each uniform u in [0, 1): the number of cumulative
+        masses <= u, capped at s - 1.  It equals
+        `min(np.searchsorted(np.cumsum(mass), u, "right"), s - 1)` exactly,
+        found by table lookup, with a search only for u in a split bucket."""
+        cum_b, table = self._guide
+        u = u * table.size
+        xs = table[u.astype(np.intp)].astype(np.int64)
+        split = np.flatnonzero(xs < 0)
+        if split.size:
+            xs[split] = np.minimum(np.searchsorted(cum_b, u[split], "right"), self.size - 1)
+        return xs
+
+    @cached_property
+    def _guide(self) -> tuple[np.ndarray, np.ndarray]:
+        """Chen & Asau's guide table over b = 2^k >= 16 s equal buckets of
+        [0, 1), as (b * cumulative mass, table).  Scaling by a power of two is
+        exact, so floor(u * b) is u's bucket and every comparison keeps its
+        outcome.  A bucket with no cumulative mass strictly inside holds the
+        one index of all its u; a split bucket holds -1.  The int32 table
+        takes at most 128 s bytes."""
+        b = 1 << (16 * self.size - 1).bit_length()  # the least power of two >= 16 s
+        cum_b = np.cumsum(self.mass) * b
+        table = np.minimum(np.searchsorted(cum_b, np.arange(b, dtype=np.float64), "right"),
+                           self.size - 1).astype(np.int32)
+        inside = cum_b[(cum_b < b) & (cum_b != np.floor(cum_b))]
+        table[inside.astype(np.intp)] = -1
+        return cum_b, table
 
 
 @dataclass(frozen=True)
@@ -178,24 +214,35 @@ class TransferPair:
 
 
 def sample_labeled(dist, n: int, seed: int) -> LabeledSample:
-    """n i.i.d. labeled draws; x first, then y ~ Bernoulli(eta(x))."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    rng = rng_from(seed)
-    if isinstance(dist, DiscreteJoint):
-        xs = np.searchsorted(np.cumsum(dist.mass), rng.random(n), side="right")
-        xs = np.minimum(xs, dist.size - 1).astype(np.int64)
-        ys = (rng.random(n) < dist.eta[xs]).astype(np.int8)
-        return LabeledSample(xs, ys, seed)
-    if isinstance(dist, ThresholdMarginal):
-        xs = dist.density.ppf(rng.random(n))
-        ys = (xs <= dist.h_star).astype(np.int8)
-        return LabeledSample(xs, ys, seed)
-    raise TypeError(f"cannot sample from {type(dist).__name__}")
+    """n i.i.d. labeled draws: x from the seed's first n uniforms, then
+    y ~ Bernoulli(eta(x)) from the next n.  An empty draw builds no generator."""
+    draw = _uniforms(n, seed)
+    xs = _inverse_cdf(dist, draw())
+    ys = draw() < dist.eta[xs] if isinstance(dist, DiscreteJoint) else xs <= dist.h_star
+    return LabeledSample(xs, ys.view(np.int8), seed)
 
 
 def sample_unlabeled(dist, n: int, seed: int) -> UnlabeledSample:
-    return UnlabeledSample(sample_labeled(dist, n, seed).xs, seed)
+    """The xs of `sample_labeled(dist, n, seed)`, without drawing labels."""
+    return UnlabeledSample(_inverse_cdf(dist, _uniforms(n, seed)()), seed)
+
+
+def _uniforms(n: int, seed: int):
+    """A function giving the next n uniforms of the seed's stream per call;
+    for an empty draw it gives empty arrays and builds no generator."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n == 0:
+        return lambda: np.empty(0)
+    return partial(rng_from(seed).random, n)
+
+
+def _inverse_cdf(dist, u: np.ndarray) -> np.ndarray:
+    if isinstance(dist, DiscreteJoint):
+        return dist.inverse_cdf(u)
+    if isinstance(dist, ThresholdMarginal):
+        return dist.density.ppf(u)
+    raise TypeError(f"cannot sample from {type(dist).__name__}")
 
 
 def _labels_on_support(h: Hypothesis, size: int, coords) -> np.ndarray:

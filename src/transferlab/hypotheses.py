@@ -68,6 +68,7 @@ class LabeledSample:
 
     xs holds support indices (integer dtype) for draws from a finite-support
     joint, or raw coordinates (float dtype) for draws from a line scenario.
+    ys holds labels 0 and 1, stored as int8; any other label raises ValueError.
     """
 
     xs: np.ndarray
@@ -75,8 +76,13 @@ class LabeledSample:
     seed: int = 0
 
     def __post_init__(self):
+        ys = np.atleast_1d(np.asarray(self.ys))
+        bad = ys != (ys > 0)  # 0 and 1 are the only labels y with y == (y > 0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"labels must be 0 or 1; ys[{i}] is {ys[i]}")
         object.__setattr__(self, "xs", np.atleast_1d(np.asarray(self.xs)))
-        object.__setattr__(self, "ys", np.atleast_1d(np.asarray(self.ys, dtype=np.int8)))
+        object.__setattr__(self, "ys", ys.astype(np.int8, copy=False))
         if self.xs.shape != self.ys.shape:
             raise ValueError("xs and ys must have equal length")
 
@@ -316,7 +322,7 @@ def _row(cls: HypothesisClass, i: int) -> np.ndarray:
 
 def _sample_indices(cls: HypothesisClass, xs: np.ndarray) -> np.ndarray:
     if np.issubdtype(xs.dtype, np.integer):
-        return xs.astype(np.int64)
+        return xs.astype(np.int64, copy=False)
     if cls.support_coords is None:
         raise TypeError("float-coordinate sample over a class without coordinates")
     idx = np.searchsorted(cls.support_coords, xs)
@@ -327,11 +333,11 @@ def _sample_indices(cls: HypothesisClass, xs: np.ndarray) -> np.ndarray:
 
 
 def _label_counts(cls: HypothesisClass, sample: LabeledSample):
+    """Per-support counts of label 0 and of label 1, from one bincount: slot
+    2i counts (i, 0) and slot 2i + 1 counts (i, 1)."""
     idx = _sample_indices(cls, sample.xs)
-    s = cls.support_size
-    n1 = np.bincount(idx[sample.ys == 1], minlength=s).astype(np.float64)
-    n0 = np.bincount(idx[sample.ys == 0], minlength=s).astype(np.float64)
-    return n0, n1
+    counts = np.bincount(2 * idx + sample.ys, minlength=2 * cls.support_size)
+    return counts[0::2].astype(np.float64), counts[1::2].astype(np.float64)
 
 
 def _point_counts(cls: HypothesisClass, sample) -> np.ndarray:

@@ -2,9 +2,11 @@
 
 Everything here is written as a direct transliteration of the defining
 formulas: per-member loops, no label-count aggregation, no shared code with
-the package under test beyond the data types.  `tri_class` is the one
-exception: it hands a cut class's explicit label matrix to the package's
-finite-class kernels.
+the package under test beyond the data types.  The exceptions: `tri_class`
+hands a cut class's explicit label matrix to the package's finite-class
+kernels, and `sample_labeled` and `label_counts_two_masks` are the package's
+earlier binary-search sampler and two-pass label counts, kept verbatim on the
+package's `rng_from` and sample indexing.
 """
 
 import math
@@ -13,7 +15,15 @@ from fractions import Fraction
 import numpy as np
 
 from transferlab.discrepancy import ZERO, ExponentReport
-from transferlab.hypotheses import FINITE, THRESHOLD, Hypothesis, finite_class
+from transferlab.distributions import DiscreteJoint, ThresholdMarginal, rng_from
+from transferlab.hypotheses import (
+    FINITE,
+    THRESHOLD,
+    Hypothesis,
+    LabeledSample,
+    _sample_indices,
+    finite_class,
+)
 
 
 def full_cube_members(n):
@@ -249,3 +259,36 @@ def beta_max_loop(excess, dis, c_noise, members, grid_size):
     if witness is None:
         return ExponentReport(1.0, c_noise, degenerate=True, grid_size=grid_size)
     return ExponentReport(max(best, 0.0), c_noise, members[witness], grid_size=grid_size)
+
+
+def searchsorted_draw(mass, u):
+    """Support index of each uniform: a binary search of the cumulative mass,
+    capped at the last point."""
+    xs = np.searchsorted(np.cumsum(mass), u, side="right")
+    return np.minimum(xs, len(mass) - 1).astype(np.int64)
+
+
+def sample_labeled(dist, n: int, seed: int) -> LabeledSample:
+    """n i.i.d. labeled draws; x first, then y ~ Bernoulli(eta(x))."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    rng = rng_from(seed)
+    if isinstance(dist, DiscreteJoint):
+        xs = np.searchsorted(np.cumsum(dist.mass), rng.random(n), side="right")
+        xs = np.minimum(xs, dist.size - 1).astype(np.int64)
+        ys = (rng.random(n) < dist.eta[xs]).astype(np.int8)
+        return LabeledSample(xs, ys, seed)
+    if isinstance(dist, ThresholdMarginal):
+        xs = dist.density.ppf(rng.random(n))
+        ys = (xs <= dist.h_star).astype(np.int8)
+        return LabeledSample(xs, ys, seed)
+    raise TypeError(f"cannot sample from {type(dist).__name__}")
+
+
+def label_counts_two_masks(cls, sample):
+    """Per-support counts of label 0 and of label 1, one masked bincount each."""
+    idx = _sample_indices(cls, sample.xs)
+    s = cls.support_size
+    n1 = np.bincount(idx[sample.ys == 1], minlength=s).astype(np.float64)
+    n0 = np.bincount(idx[sample.ys == 0], minlength=s).astype(np.float64)
+    return n0, n1

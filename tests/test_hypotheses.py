@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,12 @@ from transferlab import (
     threshold_hypothesis,
 )
 from transferlab.distributions import _anchored_cube_class
-from transferlab.hypotheses import ensure_finite, member_disagreements, member_risks
+from transferlab.hypotheses import (
+    _label_counts,
+    ensure_finite,
+    member_disagreements,
+    member_risks,
+)
 
 import oracles
 
@@ -56,6 +63,42 @@ def test_empirical_risk_hand_count():
     # mismatches: (0,0) vs 1; (1,0) vs 0 ok; (2,1) vs 1 ok; (2,0) vs 1; (1,1) vs 0
     assert empirical_risk(h, s) == 3 / 5
     assert empirical_risk(h, s) == oracles.risk(h, s)
+
+
+@pytest.mark.parametrize("ys,first_bad", [
+    ([1, -1, -1], "ys[1] is -1"),
+    ([0, 1, 2], "ys[2] is 2"),
+    ([0.0, 0.6, 1.0], "ys[1] is 0.6"),
+    ([1.0, 0.0, 0.5], "ys[2] is 0.5"),
+    ([0.0, np.nan, 1.0], "ys[1] is nan"),
+])
+def test_labels_outside_zero_one_rejected(ys, first_bad):
+    # a -1 or a fractional label would be miscounted, not rejected: int8
+    # truncates 0.6 to 0, and the per-support counts read -1 as neither label
+    with pytest.raises(ValueError, match=re.escape(first_bad)):
+        LabeledSample(np.array([0, 1, 1]), np.asarray(ys))
+
+
+def test_labels_zero_one_accepted_in_any_dtype():
+    for ys in ([0, 1, 1], [False, True, True], [0.0, 1.0, 1.0], np.array([0, 1, 1], np.uint8)):
+        s = LabeledSample(np.array([0, 1, 2]), np.asarray(ys))
+        assert s.ys.dtype == np.int8 and s.ys.tolist() == [0, 1, 1]
+
+
+def test_label_counts_match_two_masks():
+    rng = np.random.default_rng(43)
+    for _ in range(40):
+        size, n = int(rng.integers(1, 300)), int(rng.integers(0, 2000))
+        cls = finite_class(np.eye(size, dtype=int))
+        on_cls = make_sample(rng.integers(0, size, n), rng.integers(0, 2, n))
+        line = make_sample(rng.integers(0, 16, n) / 16.0, rng.integers(0, 2, n), discrete=False)
+        cut, (on_cut,) = ensure_finite(threshold_class(), (line,))
+        for c, sample in ((cls, on_cls), (cut, on_cut)):
+            got = _label_counts(c, sample)
+            want = oracles.label_counts_two_masks(c, sample)
+            for g, w in zip(got, want):
+                assert g.dtype == np.float64 and g.flags.c_contiguous
+                assert np.array_equal(g, w)
 
 
 def test_empirical_risk_empty_sample_is_zero():

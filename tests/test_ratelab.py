@@ -22,6 +22,20 @@ def test_noiseless_identical_median_zero():
     assert table.rows[0].median == 0.0
 
 
+def test_empty_side_derives_no_seed(monkeypatch):
+    paths = []
+    for module in (tl.ratelab, tl.distributions):
+        real = module.rng_from
+        monkeypatch.setattr(module, "rng_from",
+                            lambda *a, real=real: paths.append(a) or real(*a))
+    pair, cls = small_family()
+    tl.monte_carlo(pair, cls, "erm_q", [(0, 32)], 3, seed=5, conf=CONF)
+    # per trial: the Q side's seed (role 1) and its draw; nothing for P
+    derived = [p for p in paths if len(p) > 1]
+    assert derived == [(5, 0, t, 1) for t in range(3)]
+    assert len(paths) == 6
+
+
 def test_monte_carlo_reproducible_row():
     pair, cls = small_family()
     a = tl.monte_carlo(pair, cls, "transfer", [(64, 64)], 1, seed=5, conf=CONF)
