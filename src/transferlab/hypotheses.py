@@ -1,4 +1,4 @@
-"""Hypothesis classes, empirical risks, and exact ERM.
+"""Hypothesis classes, their evaluation kernels, and exact ERM.
 
 A class is the sequence of its members, evaluated as a 0/1 label matrix of
 shape (M, s) over s support points.  A finite class stores that matrix.
@@ -9,10 +9,13 @@ sums over the points, so it holds no matrix and takes O(n) memory.
 
 `ensure_finite` projects the threshold class onto the union of a procedure's
 samples and maps every sample onto support indices in the same pass.  The
-kernels take members by index: a disagreement's reference member is a row
-number, and its labels are read from the class.  Members are built one at a
-time only when indexed (`cls[i]`) and cached, so a procedure returns the same
-`Hypothesis` object as `cls.members[i]`.
+kernels here are the only code that evaluates members and the only code that
+reads a class's representation: each returns one value per member, plain or
+density-weighted, from per-support label counts.  They take members by
+index: a disagreement's reference member is a row number, and its labels are
+read from the class.  A `Hypothesis` is a record that evaluates nothing.
+Members are built one at a time only when indexed (`cls[i]`) and cached, so
+a procedure returns the same `Hypothesis` object as `cls.members[i]`.
 """
 
 from __future__ import annotations
@@ -29,28 +32,17 @@ THRESHOLD = "one-sided-threshold"
 
 @dataclass(frozen=True)
 class Hypothesis:
-    """A classifier: either a label pattern over a finite support or a threshold.
-
-    Threshold form labels 1 on x <= threshold.  A projected threshold member
-    carries both its representative threshold and the labels it induces.
+    """A member of a class, as a record: a label pattern over a finite
+    support, a threshold (label 1 on x <= threshold), or both for a projected
+    threshold member.  It is built only to be returned or reported as a
+    witness, and it evaluates nothing: the class kernels (`member_risks`,
+    `member_disagreements`, `weighted_member_risks`) give every member's
+    value, and member i's is entry i.
     """
 
     kind: str
     labels: tuple[int, ...] | None = None
     threshold: float | None = None
-
-    def predict(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs)
-        if self.kind == THRESHOLD and self.labels is None:
-            return (xs <= self.threshold).astype(np.int8)
-        if np.issubdtype(xs.dtype, np.integer):
-            return np.asarray(self.labels, dtype=np.int8)[xs]
-        if self.threshold is not None:
-            return (xs <= self.threshold).astype(np.int8)
-        raise TypeError("finite hypothesis cannot label raw coordinates")
-
-    def __call__(self, xs):
-        return self.predict(xs)
 
 
 def finite_hypothesis(labels) -> Hypothesis:
@@ -258,20 +250,6 @@ def ensure_finite(cls: HypothesisClass, samples):
     return _cut_class(pts), tuple(replace(s, xs=ix) for s, ix in zip(samples, parts))
 
 
-def empirical_risk(h: Hypothesis, sample: LabeledSample) -> float:
-    """Fraction of sample pairs (x, y) with h(x) != y; 0 on an empty sample."""
-    if len(sample) == 0:
-        return 0.0
-    return float(np.mean(h.predict(sample.xs) != sample.ys))
-
-
-def empirical_disagreement(h: Hypothesis, h2: Hypothesis, sample) -> float:
-    """Fraction of sample points where the two hypotheses disagree."""
-    if len(sample) == 0:
-        return 0.0
-    return float(np.mean(h.predict(sample.xs) != h2.predict(sample.xs)))
-
-
 def erm(cls: HypothesisClass, sample: LabeledSample) -> Hypothesis:
     """Empirical risk minimizer with deterministic tie-breaking.
 
@@ -302,6 +280,38 @@ def member_disagreements(cls: HypothesisClass, ref: int, sample) -> np.ndarray:
     # 1[h != ref] = h + ref - 2 h ref; counts are integers, so folding the
     # reference into the weight vector keeps every sum exact
     return (_matvec(cls, counts * (1.0 - 2.0 * ref_lab)) + np.dot(ref_lab, counts)) / n
+
+
+def weighted_member_risks(cls: HypothesisClass, sample: LabeledSample,
+                          f: np.ndarray) -> np.ndarray:
+    """(1/n) sum of f(x) over each member's mislabeled sample points: row sums
+    (prefix sums for cuts), not a blocked matrix product; 0 on an empty sample."""
+    if len(sample) == 0:
+        return np.zeros(len(cls))
+    f = _support_weights(f, sample)
+    n0, n1 = _label_counts(cls, sample)
+    w = f * (n0 - n1)
+    own = ((cls.label_matrix * w).sum(axis=1) if cls.thresholds is None
+           else np.concatenate(([0.0], np.cumsum(w))))
+    return (own + np.dot(f, n1)) / len(sample)
+
+
+def _f2_disagreements(cls: HypothesisClass, ref: int, sample: LabeledSample,
+                      f: np.ndarray) -> np.ndarray:
+    """(1/n) sum of f(x)^2 over the sample points where each member and member
+    `ref` disagree (for cuts: the points between them), a masked sum: never < 0."""
+    w2 = np.square(f) * _point_counts(cls, sample)
+    if cls.thresholds is None:
+        dis = np.where(cls.label_matrix != cls.label_matrix[ref], w2, 0.0).sum(axis=1)
+    else:
+        dis = np.concatenate((np.cumsum(w2[:ref][::-1])[::-1], [0.0], np.cumsum(w2[ref:])))
+    return dis / len(sample)
+
+
+def _support_weights(f, sample) -> np.ndarray:
+    if not np.issubdtype(sample.xs.dtype, np.integer):
+        raise TypeError("weighted operations need index samples over the support")
+    return np.asarray(f, dtype=np.float64)
 
 
 def _matvec(cls: HypothesisClass, w: np.ndarray) -> np.ndarray:

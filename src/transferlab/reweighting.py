@@ -3,9 +3,11 @@
 Density families are finite lists of per-point weight vectors over a discrete
 support (unnormalized densities with respect to the source marginal).  The f^2
 weighting in the disagreement terms reflects that these act as variance
-weights in the underlying concentration bounds.  The class-wide kernels weigh
-per-support counts and sum each member's own terms in support order, so
-members that lose the same weight at every support point tie bit for bit.
+weights in the underlying concentration bounds.  Members are evaluated only
+by the class kernels of `hypotheses` (`weighted_member_risks` and the f^2
+disagreements), which weigh per-support counts and sum each member's own
+terms in support order, so members that lose the same weight at every
+support point tie bit for bit.  A returned member is a record.
 """
 
 from __future__ import annotations
@@ -17,14 +19,13 @@ import numpy as np
 
 from .adaptive import delta_hat
 from .hypotheses import (
-    Hypothesis,
     HypothesisClass,
     LabeledSample,
-    _label_counts,
-    _point_counts,
+    _f2_disagreements,
     ensure_finite,
     member_disagreements,
     member_risks,
+    weighted_member_risks,
 )
 from .procedures import (
     ConfidenceParams,
@@ -61,52 +62,9 @@ class DensityFamily:
         return len(self.weights)
 
 
-def _support_weights(f, sample) -> np.ndarray:
-    if not np.issubdtype(sample.xs.dtype, np.integer):
-        raise TypeError("weighted operations need index samples over the support")
-    return np.asarray(f, dtype=np.float64)
-
-
-def weighted_risk(sample: LabeledSample, f: np.ndarray, h: Hypothesis) -> float:
-    """(1/n) sum of f(x) over mislabeled sample points; 0 on an empty sample."""
-    if len(sample) == 0:
-        return 0.0
-    mis = (h.predict(sample.xs) != sample.ys).astype(np.float64)
-    return float(np.dot(_support_weights(f, sample)[sample.xs], mis)) / len(sample)
-
-
-def weighted_disagreement_f2(sample, f: np.ndarray, h: Hypothesis, h2: Hypothesis) -> float:
-    """(1/n) sum of f(x)^2 over points where the two hypotheses disagree."""
-    if len(sample) == 0:
-        return 0.0
-    dis = (h.predict(sample.xs) != h2.predict(sample.xs)).astype(np.float64)
-    return float(np.dot(_support_weights(f, sample)[sample.xs] ** 2, dis)) / len(sample)
-
-
-def weighted_member_risks(cls: HypothesisClass, sample: LabeledSample,
-                          f: np.ndarray) -> np.ndarray:
-    """(1/n) sum of f(x) over each member's mislabeled sample points: row sums
-    (prefix sums for cuts), not a blocked matrix product; 0 on an empty sample."""
-    if len(sample) == 0:
-        return np.zeros(len(cls))
-    f = _support_weights(f, sample)
-    n0, n1 = _label_counts(cls, sample)
-    w = f * (n0 - n1)
-    own = ((cls.label_matrix * w).sum(axis=1) if cls.thresholds is None
-           else np.concatenate(([0.0], np.cumsum(w))))
-    return (own + np.dot(f, n1)) / len(sample)
-
-
 def weighted_erm(cls: HypothesisClass, sample: LabeledSample, f: np.ndarray) -> int:
     """Index of the weighted empirical risk minimizer (lowest index on ties)."""
     return int(np.argmin(weighted_member_risks(cls, sample, f)))
-
-
-def weighted_excess(sample: LabeledSample, f: np.ndarray, h: Hypothesis,
-                    cls: HypothesisClass) -> float:
-    """Weighted risk of h above the weighted ERM's weighted risk."""
-    risks = weighted_member_risks(cls, sample, f)
-    return weighted_risk(sample, f, h) - float(risks[int(np.argmin(risks))])
 
 
 def _weighted_feasible(cls: HypothesisClass, sample: LabeledSample, f: np.ndarray,
@@ -121,18 +79,6 @@ def _weighted_feasible(cls: HypothesisClass, sample: LabeledSample, f: np.ndarra
     dis_f2 = _f2_disagreements(cls, anchor, sample, f)
     radius = conf.c * np.sqrt(dis_f2 * width) + conf.c * float(np.max(f)) * width
     return (risks - risks[anchor]) <= radius, anchor
-
-
-def _f2_disagreements(cls: HypothesisClass, ref: int, sample: LabeledSample,
-                      f: np.ndarray) -> np.ndarray:
-    """(1/n) sum of f(x)^2 over the sample points where each member and member
-    `ref` disagree (for cuts: the points between them), a masked sum: never < 0."""
-    w2 = np.square(f) * _point_counts(cls, sample)
-    if cls.thresholds is None:
-        dis = np.where(cls.label_matrix != cls.label_matrix[ref], w2, 0.0).sum(axis=1)
-    else:
-        dis = np.concatenate((np.cumsum(w2[:ref][::-1])[::-1], [0.0], np.cumsum(w2[ref:])))
-    return dis / len(sample)
 
 
 def delta_hat_weighted(sample_p: LabeledSample, f: np.ndarray, probe,

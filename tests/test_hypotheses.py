@@ -7,15 +7,12 @@ from hypothesis import strategies as st
 
 from transferlab import (
     LabeledSample,
-    empirical_disagreement,
-    empirical_risk,
     erm,
     finite_class,
     finite_hypothesis,
     full_cube_class,
     project_class,
     threshold_class,
-    threshold_hypothesis,
 )
 from transferlab.distributions import _anchored_cube_class
 from transferlab.hypotheses import (
@@ -45,24 +42,24 @@ def make_sample(xs, ys, discrete=True):
 
 
 def test_empirical_risk_consistent_labels():
-    h = finite_hypothesis([1])
+    cls = finite_class([[1]])
     s = make_sample([0, 0], [1, 1])
-    assert empirical_risk(h, s) == 0.0
+    assert member_risks(cls, s)[0] == 0.0
 
 
 def test_empirical_risk_half_mislabelled():
-    h = finite_hypothesis([1])
+    cls = finite_class([[1]])
     s = make_sample([0, 0], [0, 1])
-    assert empirical_risk(h, s) == 0.5
+    assert member_risks(cls, s)[0] == 0.5
 
 
 def test_empirical_risk_hand_count():
     # 3-point support, h = (1,0,1), 5 draws; oracle is a direct count
-    h = finite_hypothesis([1, 0, 1])
+    cls = finite_class([[1, 0, 1]])
     s = make_sample([0, 1, 2, 2, 1], [0, 0, 1, 0, 1])
     # mismatches: (0,0) vs 1; (1,0) vs 0 ok; (2,1) vs 1 ok; (2,0) vs 1; (1,1) vs 0
-    assert empirical_risk(h, s) == 3 / 5
-    assert empirical_risk(h, s) == oracles.risk(h, s)
+    assert member_risks(cls, s)[0] == 3 / 5
+    assert member_risks(cls, s)[0] == oracles.risk(cls[0], s)
 
 
 @pytest.mark.parametrize("ys,first_bad", [
@@ -102,23 +99,22 @@ def test_label_counts_match_two_masks():
 
 
 def test_empirical_risk_empty_sample_is_zero():
-    h = finite_hypothesis([1, 0])
-    assert empirical_risk(h, make_sample([], [])) == 0.0
+    cls = finite_class([[1, 0]])
+    assert member_risks(cls, make_sample([], []))[0] == 0.0
 
 
 def test_disagreement_identity_and_complement():
-    h = finite_hypothesis([1, 0, 1])
-    hc = finite_hypothesis([0, 1, 0])
+    cls = finite_class([[1, 0, 1], [0, 1, 0]])  # h and its complement
     s = make_sample([0, 1, 2, 0], [1, 1, 1, 1])
-    assert empirical_disagreement(h, h, s) == 0.0
-    assert empirical_disagreement(h, hc, s) == 1.0
+    assert member_disagreements(cls, 0, s).tolist() == [0.0, 1.0]
 
 
 def test_disagreement_threshold_pair():
-    a = threshold_hypothesis(0.3)
-    b = threshold_hypothesis(0.7)
     s = make_sample([0.1, 0.5, 0.9], [1, 1, 0], discrete=False)
-    assert empirical_disagreement(a, b, s) == pytest.approx(1 / 3)
+    cls = project_class(threshold_class(), s.xs)
+    # the cuts that label 0.1, and 0.1 and 0.5, are the thresholds 0.3 and 0.7
+    a, b = (int(np.sum(s.xs <= t)) for t in (0.3, 0.7))
+    assert member_disagreements(cls, a, s)[b] == pytest.approx(1 / 3)
 
 
 def test_project_class_counts():
@@ -285,8 +281,8 @@ def test_erm_never_beaten():
         n = int(rng.integers(1, 30))
         s = make_sample(rng.integers(0, 4, n), rng.integers(0, 2, n))
         best = erm(cls, s)
-        r = empirical_risk(best, s)
-        assert all(r <= empirical_risk(h, s) + 1e-15 for h in cls.members)
+        r = oracles.risk(best, s)
+        assert all(r <= oracles.risk(h, s) + 1e-15 for h in cls.members)
 
 
 @settings(max_examples=60, deadline=None)
@@ -297,18 +293,17 @@ def test_disagreement_symmetry_and_triangle(xs, data):
     cls = full_cube_class(4)
     picks = data.draw(st.tuples(*[st.integers(0, len(cls) - 1)] * 3))
     a, b, c = (cls.members[i] for i in picks)
-    dab = empirical_disagreement(a, b, s)
-    assert dab == empirical_disagreement(b, a, s)
-    assert dab <= empirical_disagreement(a, c, s) + empirical_disagreement(c, b, s) + 1e-12
+    dab = oracles.disagreement(a, b, s)
+    assert dab == oracles.disagreement(b, a, s)
+    assert dab <= oracles.disagreement(a, c, s) + oracles.disagreement(c, b, s) + 1e-12
     if a.labels == b.labels:
         assert dab == 0.0
 
 
 def test_disagreement_zero_iff_equal_patterns_on_sample():
     s = make_sample([0, 1], [1, 1])
-    a = finite_hypothesis([1, 0, 1])
-    b = finite_hypothesis([1, 0, 0])  # differs only at unsampled point 2
-    assert empirical_disagreement(a, b, s) == 0.0
+    cls = finite_class([[1, 0, 1], [1, 0, 0]])  # differ only at unsampled point 2
+    assert member_disagreements(cls, 0, s)[1] == 0.0
 
 
 def test_duplicate_patterns_rejected():
@@ -322,7 +317,7 @@ def test_erm_minimality_on_large_enumeration():
     rng = np.random.default_rng(19)
     s = make_sample(rng.integers(0, 10, 48), rng.integers(0, 2, 48))
     best = erm(cls, s)
-    r = empirical_risk(best, s)
-    risks = [empirical_risk(h, s) for h in cls.members]
+    r = oracles.risk(best, s)
+    risks = [oracles.risk(h, s) for h in cls.members]
     assert r == min(risks)
     assert cls.members.index(best) == int(np.argmin(risks))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import transferlab as tl
+from transferlab.hypotheses import member_disagreements, member_risks
 from transferlab.reweighting import _f2_disagreements, weighted_member_risks
 
 import oracles
@@ -20,20 +21,20 @@ def test_unit_density_matches_unweighted():
     for _ in range(25):
         n = int(rng.integers(1, 40))
         s = make_sample(rng.integers(0, 4, n), rng.integers(0, 2, n))
-        for h in (cls.members[3], cls.members[9]):
-            assert tl.weighted_risk(s, ones, h) == tl.empirical_risk(h, s)
-            assert tl.weighted_disagreement_f2(s, ones, h, cls.members[0]) == \
-                tl.empirical_disagreement(h, cls.members[0], s)
+        risks, dis = member_risks(cls, s), member_disagreements(cls, 0, s)
+        for i in (3, 9):
+            assert weighted_member_risks(cls, s, ones)[i] == risks[i]
+            assert _f2_disagreements(cls, 0, s, ones)[i] == dis[i]
 
 
 def test_scaling_law():
     cls = tl.full_cube_class(3)
     s = make_sample([0, 1, 2, 1], [1, 0, 1, 1])
-    h, h2 = cls.members[5], cls.members[2]
-    base = tl.weighted_risk(s, np.ones(3), h)
-    assert tl.weighted_risk(s, 2 * np.ones(3), h) == pytest.approx(2 * base)
-    d1 = tl.weighted_disagreement_f2(s, np.ones(3), h, h2)
-    d2 = tl.weighted_disagreement_f2(s, 2 * np.ones(3), h, h2)
+    h, h2 = 5, 2
+    base = weighted_member_risks(cls, s, np.ones(3))[h]
+    assert weighted_member_risks(cls, s, 2 * np.ones(3))[h] == pytest.approx(2 * base)
+    d1 = _f2_disagreements(cls, h2, s, np.ones(3))[h]
+    d2 = _f2_disagreements(cls, h2, s, 2 * np.ones(3))[h]
     assert d2 == pytest.approx(4 * d1)
 
 
@@ -41,22 +42,11 @@ def test_hand_computed_weighted_sums():
     cls = tl.full_cube_class(3)
     f = np.array([2.0, 0.5, 1.0])
     s = make_sample([0, 1, 2], [0, 1, 1])
-    h = tl.finite_hypothesis([1, 1, 0])  # mis at x0 (y=0), ok at x1, mis at x2
-    assert tl.weighted_risk(s, f, h) == pytest.approx((2.0 + 1.0) / 3)
-    h2 = tl.finite_hypothesis([0, 1, 1])
+    h = cls.members.index(tl.finite_hypothesis([1, 1, 0]))  # mis at x0 (y=0), ok at x1, mis at x2
+    assert weighted_member_risks(cls, s, f)[h] == pytest.approx((2.0 + 1.0) / 3)
+    h2 = cls.members.index(tl.finite_hypothesis([0, 1, 1]))
     # disagreement at x0 and x2: f^2 weights 4.0 and 1.0
-    assert tl.weighted_disagreement_f2(s, f, h, h2) == pytest.approx((4.0 + 1.0) / 3)
-
-
-def test_weighted_excess_anchored_at_weighted_erm():
-    cls = tl.full_cube_class(3)
-    f = np.array([3.0, 1.0, 1.0])
-    s = make_sample([0, 0, 1, 2], [1, 1, 0, 0])
-    risks = weighted_member_risks(cls, s, f)
-    anchor = int(np.argmin(risks))
-    h = cls.members[6]
-    assert tl.weighted_excess(s, f, h, cls) == pytest.approx(
-        tl.weighted_risk(s, f, h) - tl.weighted_risk(s, f, cls.members[anchor]))
+    assert _f2_disagreements(cls, h2, s, f)[h] == pytest.approx((4.0 + 1.0) / 3)
 
 
 def test_delta_hat_weighted_single_member():
@@ -280,9 +270,10 @@ def test_reweighted_output_replays_constraint():
     # the printed inequality itself holds for the returned hypothesis
     f = fam.weights[f_ix]
     width = confidence_width_weighted(len(sp), cls.vc_dim, fam.pseudo_dim, CONF.delta)
-    lhs = tl.weighted_excess(sp, f, h, cls)
-    dis = tl.weighted_disagreement_f2(sp, f, h, cls.members[anchor])
-    assert lhs <= CONF.c * np.sqrt(dis * width) + CONF.c * float(np.max(f)) * width + 1e-12
+    risks = weighted_member_risks(cls, sp, f)
+    lhs = risks[i] - risks[anchor]
+    dis = _f2_disagreements(cls, anchor, sp, f)[i]
+    assert lhs <= CONF.c * np.sqrt(dis * width) + CONF.c * float(np.max(f)) * width
 
 
 def test_weighted_ops_reject_coordinates_on_raw_threshold_class():
