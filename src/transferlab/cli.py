@@ -54,7 +54,7 @@ from .distributions import (
     scenario_to_dict,
     true_risk,
 )
-from .hypotheses import project_class, threshold_class
+from .hypotheses import project_onto_support, threshold_class
 from .procedures import ConfidenceParams
 from .ratelab import ESTIMATORS, compare_to_theory, monte_carlo, sweep
 from .reweighting import DensityFamily, multi_source_transfer_erm, reweighted_transfer_erm
@@ -304,7 +304,7 @@ class _Scenario(_Example):
         if self.file is not None:
             with _owned(path, "file"):
                 pair = load_scenario(self.file)
-            return pair, project_class(threshold_class(), pair.p.support)
+                return pair, project_onto_support(threshold_class(), pair.p.support)
         if self.rcs_gap is not None:
             with _owned(path, "rcs_gap"):
                 return rcs_violating_pair(self.rcs_gap)
@@ -450,10 +450,10 @@ class _Rates:
     c1: float = _opt(1.0, needs=("tune", True), must="> 0")
     confidence: ConfidenceParams = ConfidenceParams()
     theory_exponent: float | None = None
-    tolerance: float = _opt(0.2, needs=("theory_exponent",))
+    tolerance: float = _opt(0.2, needs=("theory_exponent",), must=">= 0")
     axis: Literal["n_p", "n_q"] = _opt("n_q", needs=("theory_exponent",))
     statistic: Literal["mean", "median"] = _opt("median", needs=("theory_exponent",))
-    drop_smallest: int = _opt(2, needs=("theory_exponent",))
+    drop_smallest: int = _opt(2, needs=("theory_exponent",), must=">= 0")
 
     def run(self, args) -> int:
         fit = self._fit_options() if self.theory_exponent is not None else None
@@ -485,9 +485,9 @@ class _Rates:
         """Slope-fit options, refused before any trial runs where `fit_slope` would."""
         drop = self.drop_smallest
         distinct = len({n_p if self.axis == "n_p" else n_q for n_p, n_q in self.grid})
-        if distinct < max(drop, 0) + 3:
+        if distinct < drop + 3:
             raise ConfigError(f"grid: has {distinct} distinct {self.axis} values; the slope "
-                              f"fit needs drop_smallest + 3 = {max(drop, 0) + 3}")
+                              f"fit needs drop_smallest + 3 = {drop + 3}")
         return {"axis": self.axis, "statistic": self.statistic, "drop_smallest": drop}
 
 

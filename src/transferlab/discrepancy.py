@@ -23,7 +23,7 @@ from .hypotheses import (
     THRESHOLD,
     Hypothesis,
     HypothesisClass,
-    project_class,
+    project_onto_support,
 )
 
 ZERO = 1e-14
@@ -92,8 +92,7 @@ def pair_profile(pair: TransferPair, cls: HypothesisClass,
 
 
 def _discrete_profile(pair: TransferPair, cls: HypothesisClass) -> PairProfile:
-    if cls.kind == THRESHOLD:
-        cls = project_class(cls, pair.p.support)
+    cls = project_onto_support(cls, pair.p.support)
     risks_p = member_true_risks(pair.p, cls)
     risks_q = member_true_risks(pair.q, cls)
     star_p = int(np.argmin(risks_p))

@@ -30,6 +30,7 @@ from .hypotheses import (
     finite_hypothesis,
     full_cube_class,
     project_class,
+    project_onto_support,
     threshold_class,
 )
 
@@ -65,12 +66,12 @@ class DiscreteJoint:
         eta = np.asarray(self.eta, dtype=np.float64)
         if not (support.shape == mass.shape == eta.shape):
             raise ValueError("support, mass, eta must have equal length")
-        if abs(mass.sum() - 1.0) > MASS_TOL:
-            raise ValueError(f"mass sums to {mass.sum()!r}, not 1")
-        if (mass < -MASS_TOL).any():
-            raise ValueError("negative mass")
-        if (eta < -MASS_TOL).any() or (eta > 1 + MASS_TOL).any():
-            raise ValueError("eta outside [0, 1]")
+        # every test here fails on a NaN, as any comparison with NaN is false,
+        # and only a joint that fails one pays for the checks that name the fault
+        if not (np.isfinite(support).all() and abs(mass.sum() - 1.0) <= MASS_TOL
+                and mass.min() >= -MASS_TOL
+                and eta.min() >= -MASS_TOL and eta.max() <= 1 + MASS_TOL):
+            _check_joint(support, mass, eta)
         for name, arr in (("support", support), ("mass", np.maximum(mass, 0.0)),
                           ("eta", np.clip(eta, 0.0, 1.0))):
             arr.setflags(write=False)
@@ -108,6 +109,20 @@ class DiscreteJoint:
         inside = cum_b[(cum_b < b) & (cum_b != np.floor(cum_b))]
         table[inside.astype(np.intp)] = -1
         return cum_b, table
+
+
+def _check_joint(support: np.ndarray, mass: np.ndarray, eta: np.ndarray) -> None:
+    """Raise the ValueError that names the first fault of a joint's arrays."""
+    for name, arr in (("support", support), ("mass", mass), ("eta", eta)):
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            raise ValueError(f"{name}[{bad[0]}] is {arr[bad[0]]}, not a finite number")
+    if abs(mass.sum() - 1.0) > MASS_TOL:
+        raise ValueError(f"mass sums to {mass.sum()!r}, not 1")
+    if (mass < -MASS_TOL).any():
+        raise ValueError("negative mass")
+    if (eta < -MASS_TOL).any() or (eta > 1 + MASS_TOL).any():
+        raise ValueError("eta outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -283,8 +298,7 @@ def member_disagreement_mass(joint: DiscreteJoint, cls: HypothesisClass,
 def best_in_class(dist, cls: HypothesisClass) -> Hypothesis:
     """Exhaustive minimizer of the true risk; lowest index on ties."""
     if isinstance(dist, DiscreteJoint):
-        if cls.kind == THRESHOLD:
-            cls = project_class(cls, dist.support)
+        cls = project_onto_support(cls, dist.support)
         return cls[int(np.argmin(member_true_risks(dist, cls)))]
     if isinstance(dist, ThresholdMarginal):
         return Hypothesis(kind=THRESHOLD, threshold=dist.h_star)

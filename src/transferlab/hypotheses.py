@@ -221,6 +221,21 @@ def project_class(cls: HypothesisClass, points) -> HypothesisClass:
     return _cut_class(pts)
 
 
+def project_onto_support(cls: HypothesisClass, support) -> HypothesisClass:
+    """The class over a joint's support: a finite class unchanged, the
+    threshold class projected.  Projection sorts and merges the points, while
+    the joint's mass and eta keep the order of `support`, so the threshold
+    class needs a strictly increasing support; any other raises ValueError."""
+    if cls.kind == FINITE:
+        return cls
+    bad = np.flatnonzero(~(np.diff(support) > 0))
+    if bad.size:
+        i = bad[0] + 1
+        raise ValueError(f"support must be strictly increasing to project the threshold "
+                         f"class onto it; support[{i}] is {support[i]} after {support[i - 1]}")
+    return project_class(cls, support)
+
+
 def _cut_class(pts: np.ndarray) -> HypothesisClass:
     """The cut class over sorted distinct points, each cut realized by a
     representative threshold: one below all points, midpoints between

@@ -179,6 +179,8 @@ def fit_slope(table: RateTable, axis: str, statistic: str = "median",
         raise ValueError("axis must be 'n_p' or 'n_q'")
     if statistic not in ("mean", "median"):
         raise ValueError("statistic must be 'mean' or 'median'")
+    if drop_smallest < 0:
+        raise ValueError(f"drop_smallest must be >= 0, got {drop_smallest}")
     xs = np.array([getattr(r, axis) for r in table.rows], dtype=np.float64)
     ys = np.array([getattr(r, statistic) for r in table.rows], dtype=np.float64)
     if drop_smallest > 0:

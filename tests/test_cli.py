@@ -397,6 +397,12 @@ BAD_FIELDS = [
     (["scenario", "describe", "--set", "id=7"], "id"),
     # refused before, but naming something else
     (["verify-family", "--set", "family=abc"], "family"),
+    # accepted with another meaning: a negative drop is no drop, and a
+    # negative tolerance fails every fit
+    (["rates", "--config", str(CONFIGS / "target_rate_sweep.json"),
+      "--set", "drop_smallest=-1"], "drop_smallest"),
+    (["rates", "--config", str(CONFIGS / "target_rate_sweep.json"),
+      "--set", "tolerance=-0.1"], "tolerance"),
 ]
 
 
@@ -407,6 +413,35 @@ def test_bad_field_exits_2_and_names_it(argv, field, tmp_path, capsys):
     assert run(argv + ["--out", str(out)]) == 2
     assert field in named_fields(capsys.readouterr().err)
     assert not out.exists()
+
+
+def three_point_doc(**fields) -> dict:
+    doc = {"support": [0.0, 1.0, 2.0], "mass_p": [0.2, 0.3, 0.5], "eta_p": [0.9, 0.8, 0.1],
+           "mass_q": [0.5, 0.3, 0.2], "eta_q": [1.0, 0.7, 0.0], "certified": None}
+    return {**doc, **fields}
+
+
+@pytest.mark.parametrize("doc,message", [
+    # the same pair with its points in another order: the threshold class
+    # would be projected onto the sorted points, mass and eta left in file order
+    (three_point_doc(support=[1.0, 0.0, 2.0], mass_p=[0.3, 0.2, 0.5], eta_p=[0.8, 0.9, 0.1],
+                     mass_q=[0.3, 0.5, 0.2], eta_q=[0.7, 1.0, 0.0]), "strictly increasing"),
+    (three_point_doc(support=[0.0, 1.0, 1.0]), "strictly increasing"),
+    (three_point_doc(mass_p=[0.2, float("nan"), 0.5]), "mass[1] is nan"),
+    (three_point_doc(support=[0.0, float("nan"), 2.0]), "support[1] is nan"),
+], ids=["unsorted", "repeated", "nan-mass", "nan-support"])
+def test_bad_scenario_file_exits_2_naming_it(doc, message, tmp_path, capsys):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(doc))  # json writes and reads NaN
+    scenario = json.dumps({"file": str(path)})
+    assert run(["exponent", "--set", f"scenario={scenario}", "--set", "quantity=rho"]) == 2
+    err = capsys.readouterr().err
+    assert named_fields(err) == ["scenario.file"] and message in err
+    sources = json.dumps([{"id": 2, "cells": 3}, {"file": str(path)}])
+    assert run(["select", "--set", f"sources={sources}", "--set", "n_sources=[4,4]",
+                "--set", "unlabeled=4"]) == 2
+    err = capsys.readouterr().err
+    assert named_fields(err) == ["sources[1].file"] and message in err
 
 
 def readme_commands() -> list[list[str]]:

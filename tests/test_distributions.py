@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -429,6 +430,33 @@ def test_joint_invariants_enforced():
         tl.DiscreteJoint(np.arange(2.0), [0.5, 0.5], [1.5, 0.5])
     with pytest.raises(ValueError):
         tl.DiscreteJoint(np.arange(2.0), [-0.5, 1.5], [0.5, 0.5])
+    # finite coordinates whose sum overflows are a valid support
+    assert tl.DiscreteJoint(np.array([1e308, 1.5e308]), [0.5, 0.5], [0.5, 0.5]).size == 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["support", "mass", "eta"])
+def test_joint_rejects_non_finite_entries(name, bad):
+    # every other check is a comparison, which a NaN passes
+    arrays = {"support": [0.0, 1.0, 2.0], "mass": [0.5, 0.0, 0.5], "eta": [0.5, 0.5, 0.5]}
+    arrays[name][1] = bad
+    with pytest.raises(ValueError, match=re.escape(f"{name}[1] is {bad}, not a finite")):
+        tl.DiscreteJoint(np.asarray(arrays["support"]), arrays["mass"], arrays["eta"])
+
+
+@pytest.mark.parametrize("support", [[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]],
+                         ids=["unsorted", "repeated"])
+def test_threshold_class_needs_an_increasing_support(support):
+    # projection sorts and merges the coordinates while mass and eta keep
+    # their order, so such a pair is refused, not evaluated on the wrong points
+    joint = tl.DiscreteJoint(np.asarray(support), [0.3, 0.5, 0.2], [1.0, 1.0, 0.0])
+    pair = tl.TransferPair(joint, joint)
+    for evaluate in (lambda: tl.best_in_class(pair.q, tl.threshold_class()),
+                     lambda: tl.pair_profile(pair, tl.threshold_class())):
+        with pytest.raises(ValueError, match=r"support must be strictly increasing"):
+            evaluate()
+    increasing = tl.DiscreteJoint(np.arange(3.0), [0.3, 0.5, 0.2], [1.0, 1.0, 0.0])
+    assert tl.true_risk(increasing, tl.best_in_class(increasing, tl.threshold_class())) == 0.0
 
 
 def test_certified_metadata_confirmed_by_brute_force():

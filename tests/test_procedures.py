@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import transferlab as tl
 from transferlab.procedures import near_optimal_mask
@@ -158,6 +160,32 @@ def test_procedures_match_oracles_randomized():
         want_sel = cls.members[oracles.selector_index(cls.members, sp, sq, c,
                                                       delta, cls.vc_dim)]
         assert got_sel is want_sel
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_empty_target_gives_the_source_erm(data):
+    # with no target data the constraint is vacuous, so both procedures
+    # return the source ERM itself on a finite class; the raw threshold class
+    # is projected afresh on every call, so there the member is only equal
+    conf = tl.ConfidenceParams(c=data.draw(st.sampled_from([0.5, 1.0, 2.0])),
+                               delta=data.draw(st.sampled_from([0.05, 0.1, 0.3])))
+    s = data.draw(st.integers(1, 5))
+    patterns = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=s, max_size=s),
+                                  min_size=1, max_size=2 ** s, unique_by=tuple))
+    n = data.draw(st.integers(0, 40))
+    xs = data.draw(st.lists(st.integers(0, s - 1), min_size=n, max_size=n))
+    ys = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    cls, sp = tl.finite_class(patterns), make_sample(xs, ys)
+    want = tl.erm(cls, sp)
+    assert tl.transfer_erm(sp, empty(), cls, conf) is want
+    assert tl.select_source_or_target(sp, empty(), cls, conf) is want
+    points = data.draw(st.lists(st.one_of(st.integers(0, 8).map(lambda k: k / 8.0),
+                                          st.floats(-1e6, 1e6)), min_size=n, max_size=n))
+    line = make_sample(points, ys, discrete=False)
+    want = tl.erm(tl.threshold_class(), line)
+    assert tl.transfer_erm(line, empty(), tl.threshold_class(), conf) == want
+    assert tl.select_source_or_target(line, empty(), tl.threshold_class(), conf) == want
 
 
 def test_transfer_erm_threshold_class_projection():

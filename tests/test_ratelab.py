@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import transferlab as tl
 
@@ -83,6 +85,26 @@ def test_csv_header_and_roundtrip(tmp_path):
     assert back.rows == t.rows
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(stats=st.lists(st.tuples(FINITE, FINITE, FINITE, FINITE), min_size=1, max_size=4))
+@example(stats=[(-0.0, 5e-324, 1e308, -1e308)])
+@example(stats=[(2.0 ** -1060, -5e-324, 0.0, 1.7976931348623157e308)])
+def test_csv_roundtrip_is_exact_for_any_finite_float(stats, tmp_path):
+    rows = [tl.RateRow(i, 2 * i, "transfer", 3, *values, 2 ** 63 + i)
+            for i, values in enumerate(stats)]
+    path = tmp_path / "rates.csv"
+    tl.RateTable(rows).to_csv(path)
+    back = tl.RateTable.from_csv(path).rows
+    assert back == rows
+    # == does not tell -0.0 from 0.0; the hex form does
+    assert [[float.hex(x) for x in (r.mean, r.median, r.q10, r.q90)] for r in back] == \
+        [[float.hex(x) for x in values] for values in stats]
+
+
 def test_fit_slope_exact_power_law():
     rows = [tl.RateRow(0, int(n), "erm_q", 1, float(n) ** -0.5, float(n) ** -0.5,
                        0.0, 0.0, 0) for n in (8, 16, 32, 64)]
@@ -119,6 +141,8 @@ def test_fit_slope_errors_and_exclusions():
     assert fit.n_used == 3
     with pytest.raises(ValueError):
         tl.fit_slope(tl.RateTable(ok_rows), "n_q", "median", drop_smallest=3)
+    with pytest.raises(ValueError, match="drop_smallest must be >= 0, got -1"):
+        tl.fit_slope(tl.RateTable(ok_rows), "n_q", "median", drop_smallest=-1)
 
 
 def test_theory_rates_frozen_values():
