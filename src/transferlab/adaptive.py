@@ -5,7 +5,10 @@ covers from both distributions, and stops as soon as either (a) the target
 sample alone certifies the requested accuracy, or (b) every hypothesis that is
 near-optimal on the source sample is close to the source ERM in unlabeled
 target mass.  The disagreement-radius statistic driving both stopping rules is
-computed exactly over the projected class.
+computed exactly over the projected class.  Each batch enters the running
+source and target samples once: a finite-support batch is binned into label
+counts that add to the running counts, and the unlabeled pool is binned once
+before the first round (`hypotheses.tally`).  Line samples are concatenated.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .hypotheses import (
     ensure_finite,
     erm,
     member_disagreements,
+    tally,
 )
 from .procedures import (
     ConfidenceParams,
@@ -78,14 +82,17 @@ def delta_hat(sample: LabeledSample, probe, cls: HypothesisClass,
 
     The near-optimality radius uses the anytime width of |sample| (valid
     across all rounds of the doubling loop); one `member_risks` pass finds the
-    ERM too.  An empty sample makes every hypothesis eligible.
+    ERM too, and a probe that is the sample itself reuses the disagreements
+    that pass measured.  An empty sample makes every hypothesis eligible.
     """
+    same = probe is sample
     cls, (sample, probe) = ensure_finite(cls, (sample, probe))
     if len(probe) == 0:
         return 0.0
     width = confidence_width_anytime(len(sample), cls.vc_dim, conf.delta)
-    mask, erm_ix = _near_optimal(cls, sample, conf, width)
-    dis = member_disagreements(cls, erm_ix, probe)
+    mask, erm_ix, dis = _near_optimal(cls, sample, conf, width)
+    if not same:
+        dis = member_disagreements(cls, erm_ix, probe)
     return float(np.max(dis[mask]))
 
 
@@ -151,7 +158,8 @@ def run_adaptive_sampling(eps: float, sched_p: CostSchedule, sched_q: CostSchedu
     if len(unlabeled) < need:
         raise ValueError(f"unlabeled pool of {len(unlabeled)} is below the "
                          f"required {need} for eps={eps}, delta={conf.delta}")
-    batches_p, batches_q = [], []
+    pool = tally(cls, unlabeled)
+    sample_p = sample_q = None
     transcript = SamplingTranscript()
     for t in range(1, max_rounds + 1):
         budget = 2.0 ** (t - 1)
@@ -159,14 +167,14 @@ def run_adaptive_sampling(eps: float, sched_p: CostSchedule, sched_q: CostSchedu
         if not q_only:
             n_tp = sched_p.minimal_n(budget)
             cost_p = sched_p.cost(n_tp)
-            batches_p.append(sampler_p(n_tp, int(rng_from(seed, t, 0).integers(2 ** 63))))
+            batch = tally(cls, sampler_p(n_tp, int(rng_from(seed, t, 0).integers(2 ** 63))))
+            sample_p = batch if sample_p is None else sample_p + batch
         n_tq = sched_q.minimal_n(budget)
         cost_q = sched_q.cost(n_tq)
-        batches_q.append(sampler_q(n_tq, int(rng_from(seed, t, 1).integers(2 ** 63))))
+        batch = tally(cls, sampler_q(n_tq, int(rng_from(seed, t, 1).integers(2 ** 63))))
+        sample_q = batch if sample_q is None else sample_q + batch
         transcript.total_cost += cost_p + cost_q
 
-        sample_q = LabeledSample(np.concatenate([b.xs for b in batches_q]),
-                                 np.concatenate([b.ys for b in batches_q]), seed)
         a_q = confidence_width(len(sample_q), cls.vc_dim, conf.delta)
         dhat_q = delta_hat(sample_q, sample_q, cls, conf)
         step6_lhs = conf.c * math.sqrt(dhat_q * a_q) + conf.c * a_q
@@ -174,9 +182,7 @@ def run_adaptive_sampling(eps: float, sched_p: CostSchedule, sched_q: CostSchedu
         if step6_lhs <= eps:
             decision, winner = "step6", sample_q
         elif not q_only:
-            sample_p = LabeledSample(np.concatenate([b.xs for b in batches_p]),
-                                     np.concatenate([b.ys for b in batches_p]), seed)
-            step7_stat = delta_hat(sample_p, unlabeled, cls, conf)
+            step7_stat = delta_hat(sample_p, pool, cls, conf)
             if step7_stat <= eps / 4.0:
                 decision, winner = "step7", sample_p
         transcript.rounds.append(Round(t, n_tp, n_tq, cost_p, cost_q,

@@ -8,7 +8,9 @@ cut i labels the i smallest points 1.  Its risks and disagreements are prefix
 sums over the points, so it holds no matrix and takes O(n) memory.
 
 `ensure_finite` projects the threshold class onto the union of a procedure's
-samples and maps every sample onto support indices in the same pass.  The
+samples and maps every sample onto support indices in the same pass.  The raw
+threshold class reads samples as coordinates, so it refuses a sample of
+support indices: such a sample needs the class over its joint's support.  The
 kernels here are the only code that evaluates members and the only code that
 reads a class's representation: each returns one value per member, plain or
 density-weighted, from per-support label counts.  They take members by
@@ -16,12 +18,19 @@ index: a disagreement's reference member is a row number, and its labels are
 read from the class.  A `Hypothesis` is a record that evaluates nothing.
 Members are built one at a time only when indexed (`cls[i]`) and cached, so
 a procedure returns the same `Hypothesis` object as `cls.members[i]`.
+
+A sample the kernels read more than once is binned once: `tally` turns a
+sample of support indices into its `SampleCounts`, which the kernels read
+without binning again and which add by adding their counts.  A line sample
+keeps its float points, which `+` concatenates, because the threshold class is
+projected afresh onto every union of them.  This module alone makes that
+choice.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -61,6 +70,9 @@ class LabeledSample:
     xs holds support indices (integer dtype) for draws from a finite-support
     joint, or raw coordinates (float dtype) for draws from a line scenario.
     ys holds labels 0 and 1, stored as int8; any other label raises ValueError.
+    `len()` is the number of draws.  A sample of support indices that is read
+    more than once is kept as its `SampleCounts` (see `tally`); a line sample
+    stays points, and `a + b` concatenates two of them.
     """
 
     xs: np.ndarray
@@ -81,6 +93,11 @@ class LabeledSample:
     def __len__(self) -> int:
         return int(self.xs.size)
 
+    def __add__(self, other: "LabeledSample") -> "LabeledSample":
+        """The draws of both samples in order, under this sample's seed."""
+        return LabeledSample(np.concatenate((self.xs, other.xs)),
+                             np.concatenate((self.ys, other.ys)), self.seed)
+
 
 @dataclass(frozen=True)
 class UnlabeledSample:
@@ -92,6 +109,34 @@ class UnlabeledSample:
 
     def __len__(self) -> int:
         return int(self.xs.size)
+
+
+@dataclass(frozen=True)
+class SampleCounts:
+    """A sample of support indices as per-support counts: `points[i]` draws
+    fell on support point i, and `ones[i]` of them carry label 1 (None for an
+    unlabeled sample).  `len()` is the number of draws.  Two counts over one
+    support add by adding their counts.  Built by `tally`.
+    """
+
+    points: np.ndarray
+    ones: np.ndarray | None = None
+    n: int = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "n", int(self.points.sum()))
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __add__(self, other: "SampleCounts") -> "SampleCounts":
+        if self.points.size != other.points.size:
+            raise ValueError(f"counts over {self.points.size} and {other.points.size} "
+                             f"support points do not add")
+        if (self.ones is None) != (other.ones is None):
+            raise TypeError("labeled and unlabeled counts do not add")
+        ones = None if self.ones is None else self.ones + other.ones
+        return SampleCounts(self.points + other.points, ones)
 
 
 class HypothesisClass(Sequence):
@@ -254,9 +299,16 @@ def ensure_finite(cls: HypothesisClass, samples):
     A finite class and its samples come back unchanged.  The threshold class
     is projected onto the union of all sample points, and the same np.unique
     maps every sample onto support indices, so no point is searched again.
+    It reads points as coordinates, so a sample of support indices (counts,
+    or a non-empty integer sample) raises TypeError.
     """
     if cls.kind != THRESHOLD:
         return cls, samples
+    for s in samples:
+        if isinstance(s, SampleCounts) or (len(s) and _indexed(s)):
+            raise TypeError("the threshold class reads samples as coordinates, not support "
+                            "indices; project it onto the joint's support first "
+                            "(project_onto_support or discretize_pair)")
     xs = [np.asarray(s.xs, dtype=np.float64) for s in samples]
     pts, idx = np.unique(np.concatenate(xs), return_inverse=True)
     if pts.size == 0:
@@ -324,9 +376,14 @@ def _f2_disagreements(cls: HypothesisClass, ref: int, sample: LabeledSample,
 
 
 def _support_weights(f, sample) -> np.ndarray:
-    if not np.issubdtype(sample.xs.dtype, np.integer):
+    if not _indexed(sample):
         raise TypeError("weighted operations need index samples over the support")
     return np.asarray(f, dtype=np.float64)
+
+
+def _indexed(sample) -> bool:
+    """True for a sample over a support: counts, or integer support indices."""
+    return isinstance(sample, SampleCounts) or np.issubdtype(sample.xs.dtype, np.integer)
 
 
 def _matvec(cls: HypothesisClass, w: np.ndarray) -> np.ndarray:
@@ -357,14 +414,46 @@ def _sample_indices(cls: HypothesisClass, xs: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _label_counts(cls: HypothesisClass, sample: LabeledSample):
-    """Per-support counts of label 0 and of label 1, from one bincount: slot
-    2i counts (i, 0) and slot 2i + 1 counts (i, 1)."""
+def tally(cls: HypothesisClass, sample):
+    """The sample as the kernels should keep it: a sample of support indices
+    over a class with a support becomes its `SampleCounts`, binned here once;
+    any other sample comes back as it is."""
+    if cls.kind == THRESHOLD or isinstance(sample, SampleCounts) or not _indexed(sample):
+        return sample
+    if not hasattr(sample, "ys"):
+        return SampleCounts(_bin(cls, sample, labels=False))
+    counts = _bin(cls, sample, labels=True)
+    return SampleCounts(counts[0::2] + counts[1::2], counts[1::2])
+
+
+def _bin(cls: HypothesisClass, sample, labels: bool) -> np.ndarray:
+    """One bincount of a point sample over the support: with labels, slot 2i
+    counts (i, 0) and slot 2i + 1 counts (i, 1); without, slot i counts i."""
     idx = _sample_indices(cls, sample.xs)
-    counts = np.bincount(2 * idx + sample.ys, minlength=2 * cls.support_size)
-    return counts[0::2].astype(np.float64), counts[1::2].astype(np.float64)
+    if labels:
+        return np.bincount(2 * idx + sample.ys, minlength=2 * cls.support_size)
+    return np.bincount(idx, minlength=cls.support_size)
+
+
+def _on_support(cls: HypothesisClass, counts: SampleCounts) -> SampleCounts:
+    if counts.points.size != cls.support_size:
+        raise ValueError(f"counts over {counts.points.size} support points for a class "
+                         f"over {cls.support_size}")
+    return counts
+
+
+def _label_counts(cls: HypothesisClass, sample):
+    """Per-support counts of label 0 and of label 1, as floats."""
+    if not isinstance(sample, SampleCounts):
+        counts = _bin(cls, sample, labels=True)
+        return counts[0::2].astype(np.float64), counts[1::2].astype(np.float64)
+    c = _on_support(cls, sample)
+    if c.ones is None:
+        raise TypeError("label counts need a labeled sample")
+    return (c.points - c.ones).astype(np.float64), c.ones.astype(np.float64)
 
 
 def _point_counts(cls: HypothesisClass, sample) -> np.ndarray:
-    idx = _sample_indices(cls, sample.xs)
-    return np.bincount(idx, minlength=cls.support_size).astype(np.float64)
+    if not isinstance(sample, SampleCounts):
+        return _bin(cls, sample, labels=False).astype(np.float64)
+    return _on_support(cls, sample).points.astype(np.float64)

@@ -83,20 +83,22 @@ def near_optimal_mask(cls: HypothesisClass, sample: LabeledSample,
 
 
 def _near_optimal(cls: HypothesisClass, sample: LabeledSample, conf: ConfidenceParams,
-                  width: float) -> tuple[np.ndarray, int]:
-    """`near_optimal_mask` and the anchor (ERM) index from one `member_risks`.
+                  width: float) -> tuple[np.ndarray, int, np.ndarray | None]:
+    """`near_optimal_mask`, the anchor (ERM) index and every member's
+    disagreement with the anchor on the sample, from one `member_risks`.
 
-    Where every member is feasible without a pass, the anchor is 0: the ERM
-    of an empty sample, the only sample whose width is infinite.
+    Where every member is feasible without a pass (an empty sample, the only
+    sample whose width is infinite), the anchor is 0, that sample's ERM, and
+    the disagreements are None.
     """
     m = len(cls)
     if len(sample) == 0 or math.isinf(width):
-        return np.ones(m, dtype=bool), 0
+        return np.ones(m, dtype=bool), 0, None
     risks = member_risks(cls, sample)
     best = int(np.argmin(risks))
     dis = member_disagreements(cls, best, sample)
     radius = conf.c * np.sqrt(dis * width) + conf.c * width
-    return (risks - risks[best]) <= radius, best
+    return (risks - risks[best]) <= radius, best, dis
 
 
 def transfer_erm(sample_p: LabeledSample, sample_q: LabeledSample,

@@ -7,7 +7,9 @@ weights in the underlying concentration bounds.  Members are evaluated only
 by the class kernels of `hypotheses` (`weighted_member_risks` and the f^2
 disagreements), which weigh per-support counts and sum each member's own
 terms in support order, so members that lose the same weight at every
-support point tie bit for bit.  A returned member is a record.
+support point tie bit for bit.  A returned member is a record.  The choosers
+bin each sample once (`hypotheses.tally`) and evaluate every candidate
+density or source on those counts.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .hypotheses import (
     ensure_finite,
     member_disagreements,
     member_risks,
+    tally,
     weighted_member_risks,
 )
 from .procedures import (
@@ -106,6 +109,7 @@ def reweighted_transfer_erm(sample_p: LabeledSample, sample_q: LabeledSample,
     break by family order.
     """
     cls, (_, sample_q, _) = ensure_finite(cls, (sample_p, sample_q, unlabeled))
+    sample_p, unlabeled = tally(cls, sample_p), tally(cls, unlabeled)
     radii = [delta_hat_weighted(sample_p, f, unlabeled, cls, conf, family.pseudo_dim)
              for f in family.weights]
     f_ix = int(np.argmin(radii))
@@ -127,7 +131,8 @@ def multi_source_transfer_erm(sources: list[LabeledSample], sample_q: LabeledSam
     """
     if not sources:
         raise ValueError("need at least one source sample")
-    cls, (*sources, sample_q, unlabeled) = ensure_finite(cls, (*sources, sample_q, unlabeled))
+    cls, samples = ensure_finite(cls, (*sources, sample_q, unlabeled))
+    *sources, sample_q, unlabeled = (tally(cls, s) for s in samples)
     scaled = conf.scaled(len(sources))
     radii = [delta_hat(s, unlabeled, cls, scaled) for s in sources]
     i_hat = int(np.argmin(radii))

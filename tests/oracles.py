@@ -4,9 +4,12 @@ Everything here is written as a direct transliteration of the defining
 formulas: per-member loops, no label-count aggregation, no shared code with
 the package under test beyond the data types.  The exceptions: `tri_class`
 hands a cut class's explicit label matrix to the package's finite-class
-kernels, and `sample_labeled` and `label_counts_two_masks` are the package's
+kernels; `sample_labeled` and `label_counts_two_masks` are the package's
 earlier binary-search sampler and two-pass label counts, kept verbatim on the
-package's `rng_from` and sample indexing.
+package's `rng_from` and sample indexing; and `adaptive_loop` is the package's
+earlier adaptive loop, which concatenates every batch bought so far and
+recounts the whole sample each round, kept verbatim on the package's
+`delta_hat`, `erm` and widths.
 """
 
 import math
@@ -14,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from transferlab.adaptive import Round, SamplingTranscript, delta_hat, unlabeled_requirement
 from transferlab.discrepancy import ZERO, ExponentReport
 from transferlab.distributions import DiscreteJoint, ThresholdMarginal, rng_from
 from transferlab.hypotheses import (
@@ -22,8 +26,10 @@ from transferlab.hypotheses import (
     Hypothesis,
     LabeledSample,
     _sample_indices,
+    erm,
     finite_class,
 )
+from transferlab.procedures import confidence_width
 
 
 def full_cube_members(n):
@@ -292,3 +298,50 @@ def label_counts_two_masks(cls, sample):
     n1 = np.bincount(idx[sample.ys == 1], minlength=s).astype(np.float64)
     n0 = np.bincount(idx[sample.ys == 0], minlength=s).astype(np.float64)
     return n0, n1
+
+
+def adaptive_loop(eps, sched_p, sched_q, sampler_p, sampler_q, unlabeled, cls, conf,
+                  seed=0, kappa=4.0, max_rounds=64, q_only=False):
+    """`run_adaptive_sampling` as a concatenate-and-recount loop: each round
+    joins every batch bought so far into one sample and evaluates it afresh."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie in (0, 1)")
+    need = unlabeled_requirement(eps, conf.delta, cls.vc_dim, kappa)
+    if len(unlabeled) < need:
+        raise ValueError(f"unlabeled pool of {len(unlabeled)} is below the "
+                         f"required {need} for eps={eps}, delta={conf.delta}")
+    batches_p, batches_q = [], []
+    transcript = SamplingTranscript()
+    for t in range(1, max_rounds + 1):
+        budget = 2.0 ** (t - 1)
+        n_tp, cost_p = 0, 0.0
+        if not q_only:
+            n_tp = sched_p.minimal_n(budget)
+            cost_p = sched_p.cost(n_tp)
+            batches_p.append(sampler_p(n_tp, int(rng_from(seed, t, 0).integers(2 ** 63))))
+        n_tq = sched_q.minimal_n(budget)
+        cost_q = sched_q.cost(n_tq)
+        batches_q.append(sampler_q(n_tq, int(rng_from(seed, t, 1).integers(2 ** 63))))
+        transcript.total_cost += cost_p + cost_q
+
+        sample_q = LabeledSample(np.concatenate([b.xs for b in batches_q]),
+                                 np.concatenate([b.ys for b in batches_q]), seed)
+        a_q = confidence_width(len(sample_q), cls.vc_dim, conf.delta)
+        dhat_q = delta_hat(sample_q, sample_q, cls, conf)
+        step6_lhs = conf.c * math.sqrt(dhat_q * a_q) + conf.c * a_q
+        step7_stat, decision, winner = None, "continue", None
+        if step6_lhs <= eps:
+            decision, winner = "step6", sample_q
+        elif not q_only:
+            sample_p = LabeledSample(np.concatenate([b.xs for b in batches_p]),
+                                     np.concatenate([b.ys for b in batches_p]), seed)
+            step7_stat = delta_hat(sample_p, unlabeled, cls, conf)
+            if step7_stat <= eps / 4.0:
+                decision, winner = "step7", sample_p
+        transcript.rounds.append(Round(t, n_tp, n_tq, cost_p, cost_q,
+                                       step6_lhs, step7_stat, decision))
+        if winner is not None:
+            transcript.returned_by = decision
+            return erm(cls, winner), transcript
+    raise RuntimeError(f"no stopping rule fired within {max_rounds} rounds; "
+                       f"eps={eps} is likely unreachable at this configuration")

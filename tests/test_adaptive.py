@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import transferlab as tl
 
@@ -247,3 +249,108 @@ def test_adaptive_golden_replay(name):
     # the files pin every round record and the returned labels byte for byte;
     # regenerate them only for an intended change of output
     assert _golden_run(name) == (GOLDEN / f"{name}.jsonl").read_text()
+
+
+def test_delta_hat_on_itself_equals_a_separate_probe():
+    # the sample as its own probe reuses the near-optimality pass's disagreements
+    rng = np.random.default_rng(6)
+    cls = tl.full_cube_class(4)
+    for _ in range(40):
+        n = int(rng.integers(0, 50))
+        s = tl.LabeledSample(rng.integers(0, 4, n), rng.integers(0, 2, n), 0)
+        copy = tl.LabeledSample(s.xs.copy(), s.ys.copy(), 0)
+        want = oracles.delta_hat_value(cls.members, s, copy, CONF.c, CONF.delta, cls.vc_dim)
+        assert tl.delta_hat(s, s, cls, CONF) == tl.delta_hat(s, copy, cls, CONF) == want
+
+
+def _joint(draw, size):
+    weights = np.array(draw(st.lists(st.integers(1, 9), min_size=size, max_size=size)))
+    eta = draw(st.lists(st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.8, 1.0]),
+                        min_size=size, max_size=size))
+    return tl.DiscreteJoint(np.arange(float(size)), weights / weights.sum(), np.array(eta))
+
+
+@st.composite
+def adaptive_cases(draw):
+    size = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        cls = tl.hypotheses.project_onto_support(tl.threshold_class(), np.arange(float(size)))
+    else:
+        patterns = draw(st.lists(st.lists(st.integers(0, 1), min_size=size, max_size=size),
+                                 min_size=1, max_size=2 ** size, unique_by=tuple))
+        cls = tl.finite_class(patterns)
+    scheds = st.one_of(st.sampled_from([0.1, 0.5, 1.0, 2.0]).map(
+                           lambda u: tl.CostSchedule("linear", u)),
+                       st.tuples(st.sampled_from([0.5, 1.0]), st.sampled_from([0.5, 0.8])).map(
+                           lambda ua: tl.CostSchedule("power", *ua)))
+    return dict(pair=tl.TransferPair(_joint(draw, size), _joint(draw, size)), cls=cls,
+                sched_p=draw(scheds), sched_q=draw(scheds),
+                eps=draw(st.sampled_from([0.3, 0.2, 0.1])), q_only=draw(st.booleans()),
+                seed=draw(st.integers(0, 2 ** 40)), useed=draw(st.integers(0, 2 ** 40)))
+
+
+def _both_runs(case, max_rounds):
+    """The package's run and the concatenating oracle's, each as its returned
+    member and transcript or as the RuntimeError it raised."""
+    pair, cls, eps = case["pair"], case["cls"], case["eps"]
+    sp, sq = _samplers(pair)
+    pool = tl.sample_unlabeled(pair.q, tl.unlabeled_requirement(eps, CONF.delta, cls.vc_dim),
+                               case["useed"])
+    out = []
+    for run in (tl.run_adaptive_sampling, oracles.adaptive_loop):
+        try:
+            out.append(run(eps, case["sched_p"], case["sched_q"], sp, sq, pool, cls, CONF,
+                           seed=case["seed"], max_rounds=max_rounds, q_only=case["q_only"]))
+        except RuntimeError as e:
+            out.append(str(e))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(adaptive_cases())
+def test_adaptive_run_matches_the_concatenating_oracle(case):
+    got, want = _both_runs(case, max_rounds=9)
+    if isinstance(want, str):
+        assert got == want
+        return
+    (h, tr), (h_want, tr_want) = got, want
+    assert tr.to_jsonl() == tr_want.to_jsonl()
+    assert tr.returned_by == tr_want.returned_by
+    assert h is h_want
+
+
+def test_adaptive_run_bins_each_batch_once(monkeypatch):
+    calls = []
+    real = tl.hypotheses._bin
+
+    def counted(cls, sample, labels):
+        calls.append(len(sample))
+        return real(cls, sample, labels)
+
+    monkeypatch.setattr(tl.hypotheses, "_bin", counted)
+    pair, cls = tl.discretize_pair(tl.example_scenario(3, gamma=2.0), 256)
+    sp, sq = _samplers(pair)
+    u = tl.sample_unlabeled(pair.q, tl.unlabeled_requirement(0.1, CONF.delta, cls.vc_dim), 21)
+    for q_only in (False, True):
+        calls.clear()
+        h, tr = tl.run_adaptive_sampling(0.1, tl.CostSchedule("linear", 0.01),
+                                         tl.CostSchedule("linear", 1.0), sp, sq, u, cls, CONF,
+                                         seed=5, q_only=q_only)
+        batches = [n for r in tr.rounds for n in ((r.n_tq,) if q_only else (r.n_tp, r.n_tq))]
+        assert calls == [len(u)] + batches
+
+
+@pytest.mark.parametrize("gamma, q_only, stop", [(2.0, False, ("step7", 7)),
+                                                 (3.0, False, ("step6", 9)),
+                                                 (2.0, True, ("step6", 9))])
+def test_raw_threshold_class_runs_with_line_samplers(gamma, q_only, stop):
+    # line samples stay points: each round projects the raw class onto their union
+    pair = tl.example_scenario(3, gamma=gamma)
+    case = dict(pair=pair, cls=tl.threshold_class(), eps=0.1, q_only=q_only, seed=5,
+                useed=21, sched_p=tl.CostSchedule("linear", 0.01),
+                sched_q=tl.CostSchedule("linear", 1.0))
+    (h, tr), (h_want, tr_want) = _both_runs(case, max_rounds=64)
+    assert tr.to_jsonl() == tr_want.to_jsonl()
+    assert (tr.returned_by, len(tr.rounds)) == stop
+    assert h == h_want
+    assert tl.excess_risk(pair.q, h, tl.threshold_class()) <= 0.1

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import transferlab as tl
 from transferlab import (
     LabeledSample,
+    UnlabeledSample,
     erm,
     finite_class,
     finite_hypothesis,
@@ -16,10 +18,15 @@ from transferlab import (
 )
 from transferlab.distributions import _anchored_cube_class
 from transferlab.hypotheses import (
+    SampleCounts,
+    _f2_disagreements,
     _label_counts,
     ensure_finite,
     member_disagreements,
     member_risks,
+    project_onto_support,
+    tally,
+    weighted_member_risks,
 )
 
 import oracles
@@ -321,3 +328,113 @@ def test_erm_minimality_on_large_enumeration():
     risks = [oracles.risk(h, s) for h in cls.members]
     assert r == min(risks)
     assert cls.members.index(best) == int(np.argmin(risks))
+
+
+def _counts_fixture(rng):
+    """A finite class, its class over coordinates, and index and line samples
+    of the same draws."""
+    size = int(rng.integers(1, 7))
+    coords = np.sort(rng.choice(64, size, replace=False)) / 8.0
+    cube = full_cube_class(size, support_coords=coords)
+    cut = project_onto_support(threshold_class(), coords)
+    n = int(rng.integers(0, 60))
+    ix = rng.integers(0, size, n)
+    ys = rng.integers(0, 2, n)
+    return cube, cut, coords, make_sample(ix, ys), make_sample(coords[ix], ys, discrete=False)
+
+
+def test_summed_batch_counts_equal_the_binned_concatenation():
+    rng = np.random.default_rng(53)
+    for _ in range(40):
+        size = int(rng.integers(1, 40))
+        cls = finite_class(np.eye(size, dtype=int))
+        batches = [make_sample(rng.integers(0, size, n), rng.integers(0, 2, n))
+                   for n in rng.integers(0, 50, int(rng.integers(1, 6)))]
+        total = tally(cls, batches[0])
+        joined = batches[0]
+        for b in batches[1:]:
+            total = total + tally(cls, b)
+            joined = joined + b
+        want = tally(cls, joined)
+        assert isinstance(total, SampleCounts) and len(total) == len(joined)
+        assert np.array_equal(total.points, want.points)
+        assert np.array_equal(total.ones, want.ones)
+        pool = [UnlabeledSample(rng.integers(0, size, n)) for n in (0, 7, 30)]
+        counted = tally(cls, pool[0]) + tally(cls, pool[1]) + tally(cls, pool[2])
+        assert counted.ones is None
+        assert np.array_equal(counted.points, np.bincount(
+            np.concatenate([u.xs for u in pool]), minlength=size))
+
+
+def test_counts_refuse_a_mismatched_support_or_missing_labels():
+    cls = full_cube_class(3)
+    c = tally(cls, make_sample([0, 2], [1, 0]))
+    with pytest.raises(ValueError, match="support points"):
+        c + tally(full_cube_class(2), make_sample([0], [1]))
+    with pytest.raises(ValueError, match="support points"):
+        member_risks(full_cube_class(4), c)
+    with pytest.raises(TypeError, match="labeled and unlabeled"):
+        c + tally(cls, UnlabeledSample(np.array([1])))
+    with pytest.raises(TypeError, match="labeled sample"):
+        member_risks(cls, tally(cls, UnlabeledSample(np.array([1]))))
+
+
+def test_tally_counts_only_samples_over_a_support():
+    line = make_sample([0.25, 0.5], [1, 0], discrete=False)
+    idx = make_sample([0, 1], [1, 0])
+    cube = full_cube_class(2)
+    assert tally(threshold_class(), line) is line
+    assert tally(threshold_class(), idx) is idx
+    assert tally(cube, line) is line
+    counted = tally(cube, idx)
+    assert tally(cube, counted) is counted
+
+
+def test_kernels_equal_on_points_and_counts():
+    # counts are integers, so a kernel reading them must match the points
+    # sample bit for bit, on a finite class and on a cut class
+    rng = np.random.default_rng(59)
+    conf = tl.ConfidenceParams(c=1.0, delta=0.1)
+    for _ in range(60):
+        cube, cut, coords, idx, line = _counts_fixture(rng)
+        f = rng.choice((0.0, 0.5, 1.0, 2.0, 3.0), size=coords.size)
+        m = int(rng.integers(0, 40))
+        pool_ix = rng.integers(0, coords.size, m)
+        for cls, points in ((cube, idx), (cut, idx), (cut, line)):
+            pool = UnlabeledSample(pool_ix if points is idx else coords[pool_ix])
+            counts, pool_counts = tally(cls, idx), tally(cls, UnlabeledSample(pool_ix))
+            assert np.array_equal(member_risks(cls, points), member_risks(cls, counts))
+            ref = int(rng.integers(0, len(cls)))
+            for a, b in ((points, counts), (pool, pool_counts)):
+                assert np.array_equal(member_disagreements(cls, ref, a),
+                                      member_disagreements(cls, ref, b))
+            assert tl.delta_hat(points, pool, cls, conf) == tl.delta_hat(counts, pool_counts,
+                                                                         cls, conf)
+            if points is line:
+                continue
+            assert np.array_equal(weighted_member_risks(cls, points, f),
+                                  weighted_member_risks(cls, counts, f))
+            if len(points):
+                assert np.array_equal(_f2_disagreements(cls, ref, points, f),
+                                      _f2_disagreements(cls, ref, counts, f))
+            for pdim in (1, 3):
+                assert (tl.delta_hat_weighted(points, f, pool, cls, conf, pdim)
+                        == tl.delta_hat_weighted(counts, f, pool_counts, cls, conf, pdim))
+
+
+def test_raw_threshold_class_refuses_index_samples():
+    # support indices read as coordinates gave a threshold in index space,
+    # here 1.0 with two labels over a three-point support
+    joint = tl.DiscreteJoint(np.array([0.0, 10.0, 20.0]), np.array([0.45, 0.1, 0.45]),
+                             np.array([1.0, 1.0, 0.0]))
+    s = make_sample([0, 0, 2, 2], [1, 1, 0, 0])
+    for samples in ((s,), (make_sample([], []), s), (tally(full_cube_class(3), s),)):
+        with pytest.raises(TypeError, match="project_onto_support"):
+            ensure_finite(threshold_class(), samples)
+    with pytest.raises(TypeError, match="project_onto_support"):
+        erm(threshold_class(), s)
+    h = erm(project_onto_support(threshold_class(), joint.support), s)
+    assert (h.labels, h.threshold) == ((1, 0, 0), 5.0)
+    assert tl.true_risk(joint, h) == 0.1
+    cut, (empty,) = ensure_finite(threshold_class(), (make_sample([], []),))
+    assert len(cut) == 2 and len(empty) == 0
