@@ -6,9 +6,10 @@ sample alone certifies the requested accuracy, or (b) every hypothesis that is
 near-optimal on the source sample is close to the source ERM in unlabeled
 target mass.  The disagreement-radius statistic driving both stopping rules is
 computed exactly over the projected class.  Each batch enters the running
-source and target samples once: a finite-support batch is binned into label
-counts that add to the running counts, and the unlabeled pool is binned once
-before the first round (`hypotheses.tally`).  Line samples are concatenated.
+source and target samples once: a finite-support batch arrives as label
+counts (`sample_labeled` draws it so) that add to the running counts, and a
+point batch or point pool over a support is binned once (`hypotheses.tally`).
+Line samples are concatenated.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .distributions import rng_from
+from .distributions import derive_seed
 from .hypotheses import (
     HypothesisClass,
     LabeledSample,
@@ -149,7 +150,9 @@ def run_adaptive_sampling(eps: float, sched_p: CostSchedule, sched_q: CostSchedu
     Each round appends one `Round`.  Step 6 stops when the target sample
     certifies eps, step 7 when the source delta_hat on the unlabeled pool is at
     most eps/4; a stop returns the ERM of the certifying sample.  Samplers are
-    callbacks (n, seed) -> LabeledSample.  Returns (hypothesis, transcript).
+    callbacks (n, seed) -> sample, such as `sample_labeled`; round t draws the
+    source batch on `derive_seed(seed, t, 0, bits=63)` and the target batch on
+    `derive_seed(seed, t, 1, bits=63)`.  Returns (hypothesis, transcript).
     q_only runs the target-only baseline: no source batches and no step 7.
     """
     if not 0.0 < eps < 1.0:
@@ -167,11 +170,11 @@ def run_adaptive_sampling(eps: float, sched_p: CostSchedule, sched_q: CostSchedu
         if not q_only:
             n_tp = sched_p.minimal_n(budget)
             cost_p = sched_p.cost(n_tp)
-            batch = tally(cls, sampler_p(n_tp, int(rng_from(seed, t, 0).integers(2 ** 63))))
+            batch = tally(cls, sampler_p(n_tp, derive_seed(seed, t, 0, bits=63)))
             sample_p = batch if sample_p is None else sample_p + batch
         n_tq = sched_q.minimal_n(budget)
         cost_q = sched_q.cost(n_tq)
-        batch = tally(cls, sampler_q(n_tq, int(rng_from(seed, t, 1).integers(2 ** 63))))
+        batch = tally(cls, sampler_q(n_tq, derive_seed(seed, t, 1, bits=63)))
         sample_q = batch if sample_q is None else sample_q + batch
         transcript.total_cost += cost_p + cost_q
 

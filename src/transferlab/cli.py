@@ -43,12 +43,12 @@ from .distributions import (
     best_in_class,
     build_single_scale_family,
     build_two_scale_family,
+    derive_seed,
     discretize_pair,
     epsilon_schedule,
     example_scenario,
     load_scenario,
     rcs_violating_pair,
-    rng_from,
     sample_labeled,
     sample_unlabeled,
     scenario_to_dict,
@@ -349,19 +349,15 @@ class _Cost(CostSchedule):
     exponent: float = _opt(1.0, needs=("form", "power"))
 
 
-# the roles of a CLI trial's draws; each draw has its own stream
-# rng_from(seed, trial, role[, source]), as every rate-table trial has
+# the roles of a CLI trial's draws; each draw has its own stream, seeded by
+# derive_seed(seed, trial, role[, source]), as every rate-table trial is
 _SOURCE, _TARGET, _UNLABELED, _ADAPTIVE_RUN = range(4)
-
-
-def _draw_seed(seed: int, trial: int, role: int, *source: int) -> int:
-    return int(rng_from(seed, trial, role, *source).integers(2 ** 62))
 
 
 def _draw(sample, dist, n: int, seed: int, trial: int, role: int, *source: int):
     """`sample(dist, n, s)` on the stream of (trial, role[, source]); an empty
     draw derives no seed."""
-    return sample(dist, n, _draw_seed(seed, trial, role, *source) if n else 0)
+    return sample(dist, n, derive_seed(seed, trial, role, *source) if n else 0)
 
 
 def _pair_and_class(cfg):
@@ -524,7 +520,7 @@ class _Adaptive:
                 eps, self.cost_p, self.cost_q,
                 lambda n, s: sample_labeled(pair.p, n, s),
                 lambda n, s: sample_labeled(pair.q, n, s),
-                unlabeled, cls, conf, seed=_draw_seed(args.seed, trial, _ADAPTIVE_RUN),
+                unlabeled, cls, conf, seed=derive_seed(args.seed, trial, _ADAPTIVE_RUN),
                 kappa=kappa, max_rounds=self.max_rounds, q_only=self.q_only)
             for r in transcript.rounds:
                 rows.append({"trial": trial, **r.to_json_dict()})

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import astuple, dataclass
 from functools import cached_property, partial
 
@@ -22,6 +23,7 @@ from .hypotheses import (
     Hypothesis,
     HypothesisClass,
     LabeledSample,
+    SampleCounts,
     UnlabeledSample,
     _cube_patterns,
     _matvec,
@@ -40,12 +42,39 @@ MASS_TOL = 1e-12
 def rng_from(seed, *path) -> np.random.Generator:
     """Deterministic child generator for (seed, path...) without state sharing.
 
-    `SeedSequence` reads (seed, *path) as a sequence of 32-bit words, and
-    pads one shorter than four words with zeros.  So `rng_from(5, 0, 1)` and
-    `rng_from(5, 0, 1, 0)` give the same stream, and a seed of 2^32 or more
-    takes two words.  A caller must keep one path length per role.
+    `SeedSequence` reads (seed mod 2^64, *path) as a sequence of 32-bit words,
+    and pads one shorter than four words with zeros.  So `rng_from(5, 0, 1)`
+    and `rng_from(5, 0, 1, 0)` give the same stream, and a seed of 2^32 or
+    more takes two words.  A caller must keep one path length per role.  The
+    words are handed over as one uint32 array (`_seed_words`), which numpy
+    reads exactly as it reads the ints, without coercing each one.
     """
-    return np.random.default_rng(np.random.SeedSequence((int(seed) & (2**64 - 1), *path)))
+    return np.random.default_rng(np.random.SeedSequence(_seed_words(seed, path)))
+
+
+def derive_seed(seed, *path, bits: int = 62) -> int:
+    """`int(rng_from(seed, *path).integers(2 ** bits))`, for 32 < bits < 64,
+    without building a `Generator`.  For a power-of-two range numpy's bounded
+    draw (Lemire's method) returns the top `bits` bits of the first raw PCG64
+    output, so that is what this returns."""
+    if not 32 < bits < 64:
+        raise ValueError(f"bits must lie in (32, 64), got {bits}")
+    raw = np.random.PCG64(np.random.SeedSequence(_seed_words(seed, path))).random_raw()
+    return int(raw) >> (64 - bits)
+
+
+def _seed_words(seed, path) -> np.ndarray:
+    """(seed mod 2^64, *path) as the little-endian 32-bit words `SeedSequence`
+    splits each int into: one word for a value below 2^32, zero included.  A
+    negative path entry raises ValueError, as it does in `SeedSequence`."""
+    words = []
+    for v in (int(seed) & (2**64 - 1), *map(operator.index, path)):
+        if v < 0:
+            raise ValueError(f"rng path entries must be >= 0, got {v}")
+        words.append(v & 0xFFFFFFFF)
+        while v := v >> 32:
+            words.append(v & 0xFFFFFFFF)
+    return np.array(words, dtype=np.uint32)
 
 
 # ---------------------------------------------------------------------------
@@ -228,18 +257,32 @@ class TransferPair:
 # sampling and exact risks
 
 
-def sample_labeled(dist, n: int, seed: int) -> LabeledSample:
+def sample_labeled(dist, n: int, seed: int) -> SampleCounts | LabeledSample:
     """n i.i.d. labeled draws: x from the seed's first n uniforms, then
-    y ~ Bernoulli(eta(x)) from the next n.  An empty draw builds no generator."""
+    y ~ Bernoulli(eta(x)) from the next n.
+
+    A draw from a `DiscreteJoint` is born as its `SampleCounts`, from one
+    bincount over the 2s cells 2x + y; its points are never kept.  A draw
+    from a line scenario is a `LabeledSample` of float points labeled by the
+    optimal threshold.  An empty draw builds no generator.
+    """
     draw = _uniforms(n, seed)
-    xs = _inverse_cdf(dist, draw())
-    ys = draw() < dist.eta[xs] if isinstance(dist, DiscreteJoint) else xs <= dist.h_star
-    return LabeledSample(xs, ys.view(np.int8), seed)
+    if isinstance(dist, DiscreteJoint):
+        xs = dist.inverse_cdf(draw())
+        cells = np.bincount(2 * xs + (draw() < dist.eta[xs]), minlength=2 * dist.size)
+        return SampleCounts(cells[0::2] + cells[1::2], cells[1::2])
+    xs = _line_points(dist, draw())
+    return LabeledSample(xs, (xs <= dist.h_star).view(np.int8), seed)
 
 
-def sample_unlabeled(dist, n: int, seed: int) -> UnlabeledSample:
-    """The xs of `sample_labeled(dist, n, seed)`, without drawing labels."""
-    return UnlabeledSample(_inverse_cdf(dist, _uniforms(n, seed)()), seed)
+def sample_unlabeled(dist, n: int, seed: int) -> SampleCounts | UnlabeledSample:
+    """The xs of `sample_labeled(dist, n, seed)`, without drawing labels: per
+    support point counts for a `DiscreteJoint`, float points for a line
+    scenario."""
+    u = _uniforms(n, seed)()
+    if isinstance(dist, DiscreteJoint):
+        return SampleCounts(np.bincount(dist.inverse_cdf(u), minlength=dist.size))
+    return UnlabeledSample(_line_points(dist, u), seed)
 
 
 def _uniforms(n: int, seed: int):
@@ -252,9 +295,7 @@ def _uniforms(n: int, seed: int):
     return partial(rng_from(seed).random, n)
 
 
-def _inverse_cdf(dist, u: np.ndarray) -> np.ndarray:
-    if isinstance(dist, DiscreteJoint):
-        return dist.inverse_cdf(u)
+def _line_points(dist, u: np.ndarray) -> np.ndarray:
     if isinstance(dist, ThresholdMarginal):
         return dist.density.ppf(u)
     raise TypeError(f"cannot sample from {type(dist).__name__}")

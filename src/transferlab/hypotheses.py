@@ -19,12 +19,13 @@ read from the class.  A `Hypothesis` is a record that evaluates nothing.
 Members are built one at a time only when indexed (`cls[i]`) and cached, so
 a procedure returns the same `Hypothesis` object as `cls.members[i]`.
 
-A sample the kernels read more than once is binned once: `tally` turns a
-sample of support indices into its `SampleCounts`, which the kernels read
-without binning again and which add by adding their counts.  A line sample
-keeps its float points, which `+` concatenates, because the threshold class is
-projected afresh onto every union of them.  This module alone makes that
-choice.
+A sample over a support enters the kernels as its `SampleCounts`, which they
+read without binning and which add by adding their counts.  A draw from a
+finite-support joint is born in that form (`distributions.sample_labeled`);
+`tally` bins a user-built `LabeledSample` of support indices into it once.  A
+line sample keeps its float points, which `+` concatenates, because the
+threshold class is projected afresh onto every union of them.  This module
+alone makes that choice.
 """
 
 from __future__ import annotations
@@ -67,8 +68,9 @@ def threshold_hypothesis(t: float, labels=None) -> Hypothesis:
 class LabeledSample:
     """Ordered i.i.d. draws (x, y) plus the seed that generated them.
 
-    xs holds support indices (integer dtype) for draws from a finite-support
-    joint, or raw coordinates (float dtype) for draws from a line scenario.
+    xs holds raw coordinates (float dtype) for draws from a line scenario, or
+    support indices (integer dtype) for a sample built by hand over a
+    support; a draw from a finite-support joint is born as `SampleCounts`.
     ys holds labels 0 and 1, stored as int8; any other label raises ValueError.
     `len()` is the number of draws.  A sample of support indices that is read
     more than once is kept as its `SampleCounts` (see `tally`); a line sample
@@ -116,7 +118,9 @@ class SampleCounts:
     """A sample of support indices as per-support counts: `points[i]` draws
     fell on support point i, and `ones[i]` of them carry label 1 (None for an
     unlabeled sample).  `len()` is the number of draws.  Two counts over one
-    support add by adding their counts.  Built by `tally`.
+    support add by adding their counts.  `sample_labeled` and
+    `sample_unlabeled` return a draw from a finite-support joint in this form;
+    `tally` builds it from a point sample.
     """
 
     points: np.ndarray
@@ -404,6 +408,11 @@ def _row(cls: HypothesisClass, i: int) -> np.ndarray:
 
 def _sample_indices(cls: HypothesisClass, xs: np.ndarray) -> np.ndarray:
     if np.issubdtype(xs.dtype, np.integer):
+        s = cls.support_size
+        if xs.size and (xs.min() < 0 or xs.max() >= s):
+            i = int(np.flatnonzero((xs < 0) | (xs >= s))[0])
+            raise ValueError(f"sample index xs[{i}] is {xs[i]}, outside [0, {s}) "
+                             f"for a class over {s} support points")
         return xs.astype(np.int64, copy=False)
     if cls.support_coords is None:
         raise TypeError("float-coordinate sample over a class without coordinates")
@@ -415,9 +424,9 @@ def _sample_indices(cls: HypothesisClass, xs: np.ndarray) -> np.ndarray:
 
 
 def tally(cls: HypothesisClass, sample):
-    """The sample as the kernels should keep it: a sample of support indices
-    over a class with a support becomes its `SampleCounts`, binned here once;
-    any other sample comes back as it is."""
+    """The sample as the kernels should keep it: a point sample of support
+    indices over a class with a support becomes its `SampleCounts`, binned
+    here once; any other sample, counts included, comes back as it is."""
     if cls.kind == THRESHOLD or isinstance(sample, SampleCounts) or not _indexed(sample):
         return sample
     if not hasattr(sample, "ys"):

@@ -20,7 +20,7 @@ import numpy as np
 from .distributions import (
     TransferPair,
     best_in_class,
-    rng_from,
+    derive_seed,
     sample_labeled,
     true_risk,
 )
@@ -96,8 +96,8 @@ def _resolve(estimator):
 def _trial_excess(pair: TransferPair, cls: HypothesisClass, est_fn, n_p, n_q,
                   seed, cell_key, trial, conf, q_best_risk) -> float:
     # an empty side derives no seed
-    seed_p = int(rng_from(seed, cell_key, trial, 0).integers(2 ** 62)) if n_p else 0
-    seed_q = int(rng_from(seed, cell_key, trial, 1).integers(2 ** 62)) if n_q else 0
+    seed_p = derive_seed(seed, cell_key, trial, 0) if n_p else 0
+    seed_q = derive_seed(seed, cell_key, trial, 1) if n_q else 0
     sp = sample_labeled(pair.p, n_p, seed_p)
     sq = sample_labeled(pair.q, n_q, seed_q)
     h = est_fn(sp, sq, cls, conf)

@@ -8,8 +8,8 @@ by the class kernels of `hypotheses` (`weighted_member_risks` and the f^2
 disagreements), which weigh per-support counts and sum each member's own
 terms in support order, so members that lose the same weight at every
 support point tie bit for bit.  A returned member is a record.  The choosers
-bin each sample once (`hypotheses.tally`) and evaluate every candidate
-density or source on those counts.
+read each sample as counts, binning a point sample once (`hypotheses.tally`),
+and evaluate every candidate density or source on those counts.
 """
 
 from __future__ import annotations

@@ -4,12 +4,15 @@ Everything here is written as a direct transliteration of the defining
 formulas: per-member loops, no label-count aggregation, no shared code with
 the package under test beyond the data types.  The exceptions: `tri_class`
 hands a cut class's explicit label matrix to the package's finite-class
-kernels; `sample_labeled` and `label_counts_two_masks` are the package's
-earlier binary-search sampler and two-pass label counts, kept verbatim on the
-package's `rng_from` and sample indexing; and `adaptive_loop` is the package's
-earlier adaptive loop, which concatenates every batch bought so far and
-recounts the whole sample each round, kept verbatim on the package's
-`delta_hat`, `erm` and widths.
+kernels; `rng_from` is the package's earlier stream derivation, which hands
+`SeedSequence` a tuple of ints; `sample_labeled` is the package's earlier
+point draw, which returned every draw as a point (support index or
+coordinate) and its label, here with a binary search for the guide table;
+`label_counts_two_masks` is the package's earlier two-pass label counts on
+its sample indexing; and `adaptive_loop` is the package's earlier adaptive
+loop, which concatenates every point batch bought so far and recounts the
+whole sample each round, kept verbatim on the package's `delta_hat`, `erm`
+and widths.
 """
 
 import math
@@ -19,12 +22,13 @@ import numpy as np
 
 from transferlab.adaptive import Round, SamplingTranscript, delta_hat, unlabeled_requirement
 from transferlab.discrepancy import ZERO, ExponentReport
-from transferlab.distributions import DiscreteJoint, ThresholdMarginal, rng_from
+from transferlab.distributions import DiscreteJoint, ThresholdMarginal
 from transferlab.hypotheses import (
     FINITE,
     THRESHOLD,
     Hypothesis,
     LabeledSample,
+    UnlabeledSample,
     _sample_indices,
     erm,
     finite_class,
@@ -274,6 +278,12 @@ def searchsorted_draw(mass, u):
     return np.minimum(xs, len(mass) - 1).astype(np.int64)
 
 
+def rng_from(seed, *path):
+    """The generator of (seed mod 2^64, *path), with the ints coerced by
+    `SeedSequence` itself."""
+    return np.random.default_rng(np.random.SeedSequence((int(seed) & (2**64 - 1), *path)))
+
+
 def sample_labeled(dist, n: int, seed: int) -> LabeledSample:
     """n i.i.d. labeled draws; x first, then y ~ Bernoulli(eta(x))."""
     if n < 0:
@@ -289,6 +299,11 @@ def sample_labeled(dist, n: int, seed: int) -> LabeledSample:
         ys = (xs <= dist.h_star).astype(np.int8)
         return LabeledSample(xs, ys, seed)
     raise TypeError(f"cannot sample from {type(dist).__name__}")
+
+
+def sample_unlabeled(dist, n: int, seed: int) -> UnlabeledSample:
+    """The points of `sample_labeled(dist, n, seed)`, without their labels."""
+    return UnlabeledSample(sample_labeled(dist, n, seed).xs, seed)
 
 
 def label_counts_two_masks(cls, sample):

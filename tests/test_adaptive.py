@@ -106,9 +106,9 @@ def test_unlabeled_requirement_scaling():
     assert b > a >= 8
 
 
-def _samplers(pair):
-    return (lambda n, s: tl.sample_labeled(pair.p, n, s),
-            lambda n, s: tl.sample_labeled(pair.q, n, s))
+def _samplers(pair, sample=tl.sample_labeled):
+    return (lambda n, s: sample(pair.p, n, s),
+            lambda n, s: sample(pair.q, n, s))
 
 
 def test_adaptive_run_noiseless_identical():
@@ -290,14 +290,15 @@ def adaptive_cases(draw):
 
 
 def _both_runs(case, max_rounds):
-    """The package's run and the concatenating oracle's, each as its returned
-    member and transcript or as the RuntimeError it raised."""
+    """The package's run on the package's draws and the concatenating
+    oracle's on the oracle's point draws, each as its returned member and
+    transcript or as the RuntimeError it raised."""
     pair, cls, eps = case["pair"], case["cls"], case["eps"]
-    sp, sq = _samplers(pair)
-    pool = tl.sample_unlabeled(pair.q, tl.unlabeled_requirement(eps, CONF.delta, cls.vc_dim),
-                               case["useed"])
+    need = tl.unlabeled_requirement(eps, CONF.delta, cls.vc_dim)
     out = []
-    for run in (tl.run_adaptive_sampling, oracles.adaptive_loop):
+    for run, lib in ((tl.run_adaptive_sampling, tl), (oracles.adaptive_loop, oracles)):
+        sp, sq = _samplers(pair, lib.sample_labeled)
+        pool = lib.sample_unlabeled(pair.q, need, case["useed"])
         try:
             out.append(run(eps, case["sched_p"], case["sched_q"], sp, sq, pool, cls, CONF,
                            seed=case["seed"], max_rounds=max_rounds, q_only=case["q_only"]))
@@ -329,15 +330,22 @@ def test_adaptive_run_bins_each_batch_once(monkeypatch):
 
     monkeypatch.setattr(tl.hypotheses, "_bin", counted)
     pair, cls = tl.discretize_pair(tl.example_scenario(3, gamma=2.0), 256)
-    sp, sq = _samplers(pair)
-    u = tl.sample_unlabeled(pair.q, tl.unlabeled_requirement(0.1, CONF.delta, cls.vc_dim), 21)
-    for q_only in (False, True):
-        calls.clear()
-        h, tr = tl.run_adaptive_sampling(0.1, tl.CostSchedule("linear", 0.01),
-                                         tl.CostSchedule("linear", 1.0), sp, sq, u, cls, CONF,
-                                         seed=5, q_only=q_only)
-        batches = [n for r in tr.rounds for n in ((r.n_tq,) if q_only else (r.n_tp, r.n_tq))]
-        assert calls == [len(u)] + batches
+    need = tl.unlabeled_requirement(0.1, CONF.delta, cls.vc_dim)
+    # library draws are born as counts and bin zero times; a user-built point
+    # pool bins once, and user-built point batches once each
+    for pool_lib, batch_lib in ((tl, tl), (oracles, tl), (oracles, oracles)):
+        sp, sq = _samplers(pair, batch_lib.sample_labeled)
+        u = pool_lib.sample_unlabeled(pair.q, need, 21)
+        for q_only in (False, True):
+            calls.clear()
+            h, tr = tl.run_adaptive_sampling(0.1, tl.CostSchedule("linear", 0.01),
+                                             tl.CostSchedule("linear", 1.0), sp, sq, u, cls,
+                                             CONF, seed=5, q_only=q_only)
+            batches = [n for r in tr.rounds
+                       for n in ((r.n_tq,) if q_only else (r.n_tp, r.n_tq))]
+            want = (([len(u)] if pool_lib is oracles else [])
+                    + (batches if batch_lib is oracles else []))
+            assert calls == want
 
 
 @pytest.mark.parametrize("gamma, q_only, stop", [(2.0, False, ("step7", 7)),

@@ -3,11 +3,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import transferlab as tl
 from transferlab import distributions
 from transferlab.distributions import MASS_TOL, member_disagreement_mass
+from transferlab.hypotheses import project_onto_support, tally
 
 
 def all_ones_index(family):
@@ -20,15 +23,21 @@ def all_ones_index(family):
 
 def test_sample_empty():
     fam = tl.build_single_scale_family(9, 1.0, 0.5, 0.5, 0.25)
-    s = tl.sample_labeled(fam.pairs[0].q, 0, seed=1)
+    joint = fam.pairs[0].q
+    # an empty finite-support draw is zero counts over the whole support
+    s = tl.sample_labeled(joint, 0, seed=1)
     assert len(s) == 0
-    # an empty draw has the dtypes of a non-empty one, for both kinds of input
-    for dist, x_dtype in ((fam.pairs[0].q, np.int64),
-                          (tl.example_scenario(3, gamma=2.0).p, np.float64)):
-        s = tl.sample_labeled(dist, 0, seed=1)
-        assert (s.xs.dtype, s.ys.dtype) == (x_dtype, np.int8)
-        assert s.xs.shape == s.ys.shape == (0,)
-        assert tl.sample_unlabeled(dist, 0, seed=1).xs.dtype == x_dtype
+    assert s.points.tolist() == s.ones.tolist() == [0] * joint.size
+    assert s.points.dtype == s.ones.dtype == np.int64
+    u = tl.sample_unlabeled(joint, 0, seed=1)
+    assert (len(u), u.points.tolist(), u.ones) == (0, [0] * joint.size, None)
+    # an empty line draw has the dtypes of a non-empty one
+    line = tl.example_scenario(3, gamma=2.0).p
+    s = tl.sample_labeled(line, 0, seed=1)
+    assert len(s) == 0
+    assert (s.xs.dtype, s.ys.dtype) == (np.float64, np.int8)
+    assert s.xs.shape == s.ys.shape == (0,)
+    assert tl.sample_unlabeled(line, 0, seed=1).xs.dtype == np.float64
 
 
 def _guide_supports():
@@ -89,6 +98,18 @@ def test_sampling_replays_the_binary_search_sampler(n):
             want = oracles.sample_labeled(dist, n, seed)
             got = tl.sample_labeled(dist, n, seed)
             unlabeled = tl.sample_unlabeled(dist, n, seed)
+            if isinstance(dist, tl.DiscreteJoint):
+                # the same uniforms give the oracle's points, and the draw is
+                # born as those points' per-support counts
+                u = distributions.rng_from(seed).random(n)
+                assert np.array_equal(dist.inverse_cdf(u), want.xs)
+                points = np.bincount(want.xs, minlength=dist.size)
+                ones = np.bincount(want.xs[want.ys == 1], minlength=dist.size)
+                assert got.points.dtype == got.ones.dtype == np.int64
+                assert np.array_equal(got.points, points) and np.array_equal(got.ones, ones)
+                assert np.array_equal(unlabeled.points, points) and unlabeled.ones is None
+                assert len(got) == len(unlabeled) == n
+                continue
             assert got.xs.dtype == want.xs.dtype == unlabeled.xs.dtype
             assert got.ys.dtype == want.ys.dtype == np.int8
             assert np.array_equal(got.xs, want.xs) and np.array_equal(got.ys, want.ys)
@@ -122,18 +143,67 @@ def test_rng_from_pads_short_paths_with_zeros():
     assert not np.array_equal(first(5, 0, 1, 0), first(5, 0, 1, 0, 0))
 
 
+# seeds below 2^32, of two words, above 2^64 and negative: rng_from reads any
+# seed mod 2^64
+SEEDS = st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 66),
+                  st.integers(-2 ** 64, -1))
+PATH_WORDS = st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 70))
+
+
+@st.composite
+def finite_draws(draw):
+    size = draw(st.integers(1, 8))
+    weights = draw(st.lists(st.integers(0, 9), min_size=size, max_size=size).filter(any))
+    eta = draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+                        min_size=size, max_size=size))
+    joint = tl.DiscreteJoint(np.arange(float(size)), np.array(weights) / sum(weights),
+                             np.array(eta))
+    return joint, draw(st.sampled_from([0, 1, 7, 4096])), draw(SEEDS)
+
+
+@settings(max_examples=80, deadline=None)
+@given(finite_draws())
+def test_counted_draws_equal_the_tallied_oracle_points(case):
+    # zero-mass cells come from zero weights
+    joint, n, seed = case
+    cls = project_onto_support(tl.threshold_class(), joint.support)
+    got, unlabeled = tl.sample_labeled(joint, n, seed), tl.sample_unlabeled(joint, n, seed)
+    want = tally(cls, oracles.sample_labeled(joint, n, seed))
+    pool = tally(cls, oracles.sample_unlabeled(joint, n, seed))
+    assert len(got) == len(want) == len(unlabeled) == n
+    assert got.points.dtype == want.points.dtype and got.ones.dtype == want.ones.dtype
+    assert np.array_equal(got.points, want.points) and np.array_equal(got.ones, want.ones)
+    assert unlabeled.points.dtype == pool.points.dtype
+    assert np.array_equal(unlabeled.points, pool.points)
+    assert unlabeled.ones is None and pool.ones is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS, st.lists(PATH_WORDS, max_size=4), st.sampled_from([62, 63]),
+       st.integers(1, 2 ** 40))
+def test_derive_seed_equals_the_bounded_generator_draw(seed, path, bits, neg):
+    want = int(oracles.rng_from(seed, *path).integers(2 ** bits))
+    assert int(distributions.rng_from(seed, *path).integers(2 ** bits)) == want
+    assert distributions.derive_seed(seed, *path, bits=bits) == want
+    # the uint32 words give the stream of the ints
+    assert np.array_equal(distributions.rng_from(seed, *path).random(3),
+                          oracles.rng_from(seed, *path).random(3))
+    for fn in (oracles.rng_from, distributions.rng_from, distributions.derive_seed):
+        with pytest.raises(ValueError):
+            fn(seed, *path, -neg)
+
+
 def test_sample_point_mass_deterministic_label():
     joint = tl.DiscreteJoint(np.arange(3.0), [1.0, 0.0, 0.0], [1.0, 0.5, 0.5])
     s = tl.sample_labeled(joint, 5, seed=3)
-    assert np.array_equal(s.xs, np.zeros(5, dtype=np.int64))
-    assert np.array_equal(s.ys, np.ones(5, dtype=np.int8))
+    assert s.points.tolist() == s.ones.tolist() == [5, 0, 0]
 
 
 def test_sample_frequencies_match_mass():
     joint = tl.DiscreteJoint(np.arange(4.0), [0.4, 0.3, 0.2, 0.1], [1, 1, 0, 0])
     n = 100_000
     s = tl.sample_labeled(joint, n, seed=5)
-    freq = np.bincount(s.xs, minlength=4) / n
+    freq = s.points / n
     for f, m in zip(freq, joint.mass):
         sigma = math.sqrt(m * (1 - m) / n)
         assert abs(f - m) <= 3 * sigma
@@ -143,7 +213,7 @@ def test_sampling_deterministic_given_seed():
     joint = tl.DiscreteJoint(np.arange(3.0), [0.5, 0.25, 0.25], [0.9, 0.5, 0.1])
     a = tl.sample_labeled(joint, 100, seed=42)
     b = tl.sample_labeled(joint, 100, seed=42)
-    assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ys, b.ys)
+    assert np.array_equal(a.points, b.points) and np.array_equal(a.ones, b.ones)
 
 
 def test_threshold_scenario_sampling_labels():

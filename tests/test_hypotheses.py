@@ -422,6 +422,20 @@ def test_kernels_equal_on_points_and_counts():
                         == tl.delta_hat_weighted(counts, f, pool_counts, cls, conf, pdim))
 
 
+@pytest.mark.parametrize("xs, first", [([0, 5], "xs[1] is 5"), ([-1, 0], "xs[0] is -1"),
+                                       ([2, 3, 4], "xs[1] is 3")])
+def test_out_of_range_support_indices_are_refused(xs, first):
+    # a finite class and a cut class, each over three support points
+    message = re.escape(first) + r".*\[0, 3\).*3 support points"
+    sample = make_sample(xs, [1] * len(xs))
+    for cls in (full_cube_class(3), project_onto_support(threshold_class(), np.arange(3.0))):
+        for kernel in (member_risks, erm, tally):
+            with pytest.raises(ValueError, match=message):
+                kernel(cls, sample)
+        with pytest.raises(ValueError, match=message):
+            member_disagreements(cls, 0, UnlabeledSample(np.array(xs)))
+
+
 def test_raw_threshold_class_refuses_index_samples():
     # support indices read as coordinates gave a threshold in index space,
     # here 1.0 with two labels over a three-point support

@@ -25,17 +25,17 @@ def test_noiseless_identical_median_zero():
 
 
 def test_empty_side_derives_no_seed(monkeypatch):
-    paths = []
-    for module in (tl.ratelab, tl.distributions):
-        real = module.rng_from
-        monkeypatch.setattr(module, "rng_from",
-                            lambda *a, real=real: paths.append(a) or real(*a))
+    derived, draws = [], []
+    real_derive, real_rng = tl.ratelab.derive_seed, tl.distributions.rng_from
+    monkeypatch.setattr(tl.ratelab, "derive_seed",
+                        lambda *a: derived.append(a) or real_derive(*a))
+    monkeypatch.setattr(tl.distributions, "rng_from",
+                        lambda *a: draws.append(a) or real_rng(*a))
     pair, cls = small_family()
     tl.monte_carlo(pair, cls, "erm_q", [(0, 32)], 3, seed=5, conf=CONF)
     # per trial: the Q side's seed (role 1) and its draw; nothing for P
-    derived = [p for p in paths if len(p) > 1]
     assert derived == [(5, 0, t, 1) for t in range(3)]
-    assert len(paths) == 6
+    assert len(draws) == 3 and all(len(p) == 1 for p in draws)
 
 
 def test_monte_carlo_reproducible_row():
