@@ -6,10 +6,10 @@ sample alone certifies the requested accuracy, or (b) every hypothesis that is
 near-optimal on the source sample is close to the source ERM in unlabeled
 target mass.  The disagreement-radius statistic driving both stopping rules is
 computed exactly over the projected class.  Each batch enters the running
-source and target samples once: a finite-support batch arrives as label
-counts (`sample_labeled` draws it so) that add to the running counts, and a
-point batch or point pool over a support is binned once (`hypotheses.tally`).
-Line samples are concatenated.
+source and target samples once, through `hypotheses.tally`: over a support
+as counts that add to the running counts (a user-built point batch or pool
+is binned there once), and for the raw threshold class as line points, which
+are concatenated.
 """
 
 from __future__ import annotations

@@ -269,8 +269,7 @@ def sample_labeled(dist, n: int, seed: int) -> SampleCounts | LabeledSample:
     draw = _uniforms(n, seed)
     if isinstance(dist, DiscreteJoint):
         xs = dist.inverse_cdf(draw())
-        cells = np.bincount(2 * xs + (draw() < dist.eta[xs]), minlength=2 * dist.size)
-        return SampleCounts(cells[0::2] + cells[1::2], cells[1::2])
+        return SampleCounts._of(xs, draw() < dist.eta[xs], dist.size)
     xs = _line_points(dist, draw())
     return LabeledSample(xs, (xs <= dist.h_star).view(np.int8), seed)
 
@@ -281,7 +280,7 @@ def sample_unlabeled(dist, n: int, seed: int) -> SampleCounts | UnlabeledSample:
     scenario."""
     u = _uniforms(n, seed)()
     if isinstance(dist, DiscreteJoint):
-        return SampleCounts(np.bincount(dist.inverse_cdf(u), minlength=dist.size))
+        return SampleCounts._of(dist.inverse_cdf(u), None, dist.size)
     return UnlabeledSample(_line_points(dist, u), seed)
 
 

@@ -8,30 +8,28 @@ cut i labels the i smallest points 1.  Its risks and disagreements are prefix
 sums over the points, so it holds no matrix and takes O(n) memory.
 
 `ensure_finite` projects the threshold class onto the union of a procedure's
-samples and maps every sample onto support indices in the same pass.  The raw
-threshold class reads samples as coordinates, so it refuses a sample of
-support indices: such a sample needs the class over its joint's support.  The
-kernels here are the only code that evaluates members and the only code that
-reads a class's representation: each returns one value per member, plain or
-density-weighted, from per-support label counts.  They take members by
-index: a disagreement's reference member is a row number, and its labels are
-read from the class.  A `Hypothesis` is a record that evaluates nothing.
-Members are built one at a time only when indexed (`cls[i]`) and cached, so
-a procedure returns the same `Hypothesis` object as `cls.members[i]`.
+samples.  The raw threshold class reads samples as coordinates, so it refuses
+a sample of support indices: such a sample needs the class over its joint's
+support.  The kernels here are the only code that evaluates members and the
+only code that reads a class's representation: each returns one value per
+member, plain or density-weighted, from per-support label counts.  They take
+members by index: a disagreement's reference member is a row number, and its
+labels are read from the class.  A `Hypothesis` is a record that evaluates
+nothing.  Members are built one at a time only when indexed (`cls[i]`) and
+cached, so a procedure returns the same `Hypothesis` object as
+`cls.members[i]`.
 
-A sample over a support enters the kernels as its `SampleCounts`, which they
-read without binning and which add by adding their counts.  A draw from a
-finite-support joint is born in that form (`distributions.sample_labeled`);
-`tally` bins a user-built `LabeledSample` of support indices into it once.  A
-line sample keeps its float points, which `+` concatenates, because the
-threshold class is projected afresh onto every union of them.  This module
-alone makes that choice.
+Every kernel reads a sample as its `SampleCounts`, which add by adding their
+counts.  A finite-support draw is born in that form; `tally` and
+`ensure_finite` (over the cut class it projects) are the only places where a
+point sample becomes counts.  A line sample keeps its float points for the
+raw threshold class, which is projected afresh onto every union of them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -72,9 +70,8 @@ class LabeledSample:
     support indices (integer dtype) for a sample built by hand over a
     support; a draw from a finite-support joint is born as `SampleCounts`.
     ys holds labels 0 and 1, stored as int8; any other label raises ValueError.
-    `len()` is the number of draws.  A sample of support indices that is read
-    more than once is kept as its `SampleCounts` (see `tally`); a line sample
-    stays points, and `a + b` concatenates two of them.
+    `len()` is the number of draws.  The kernels read it as its `SampleCounts`
+    (see `tally` and `ensure_finite`); `a + b` concatenates two samples.
     """
 
     xs: np.ndarray
@@ -115,12 +112,12 @@ class UnlabeledSample:
 
 @dataclass(frozen=True)
 class SampleCounts:
-    """A sample of support indices as per-support counts: `points[i]` draws
-    fell on support point i, and `ones[i]` of them carry label 1 (None for an
-    unlabeled sample).  `len()` is the number of draws.  Two counts over one
-    support add by adding their counts.  `sample_labeled` and
-    `sample_unlabeled` return a draw from a finite-support joint in this form;
-    `tally` builds it from a point sample.
+    """A sample over a support as per-support counts, the one form the
+    kernels read: `points[i]` draws fell on support point i, and `ones[i]` of
+    them carry label 1 (None for an unlabeled sample).  `len()` is the number
+    of draws; two counts over one support add.  Counts built here are checked
+    (ValueError at the first bad index); the library's, valid by
+    construction, skip the check through `_trusted`.
     """
 
     points: np.ndarray
@@ -128,7 +125,39 @@ class SampleCounts:
     n: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "n", int(self.points.sum()))
+        points = np.asarray(self.points)
+        ones = np.zeros_like(points) if self.ones is None else np.asarray(self.ones)
+        if not (points.ndim == 1 and points.shape == ones.shape
+                and points.dtype.kind in "iu" and ones.dtype.kind in "iu"):
+            raise ValueError("points and ones must be 1-D integer arrays of one shape")
+        bad = (ones < 0) | (ones > points)  # with 0 <= ones <= points, no entry is < 0
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"invalid counts at support point {i}: points[{i}] is "
+                             f"{points[i]}, ones[{i}] is {ones[i]}; need 0 <= ones <= points")
+        self._fill(points, None if self.ones is None else ones)
+
+    def _fill(self, points, ones) -> "SampleCounts":
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "ones", ones)
+        object.__setattr__(self, "n", int(points.sum()))
+        return self
+
+    @classmethod
+    def _trusted(cls, points, ones=None) -> "SampleCounts":
+        """Counts valid by construction (one bincount, or a sum of valid
+        counts), built without the check: the library's only path past it."""
+        return cls.__new__(cls)._fill(points, ones)
+
+    @classmethod
+    def _of(cls, idx: np.ndarray, ys, size: int) -> "SampleCounts":
+        """Counts of support indices idx in [0, size) with labels ys (0 or 1;
+        None for an unlabeled sample), from one bincount: with labels, slot
+        2i counts (i, 0) and slot 2i + 1 counts (i, 1)."""
+        if ys is None:
+            return cls._trusted(np.bincount(idx, minlength=size))
+        cells = np.bincount(2 * idx + ys, minlength=2 * size)
+        return cls._trusted(cells[0::2] + cells[1::2], cells[1::2])
 
     def __len__(self) -> int:
         return self.n
@@ -140,7 +169,7 @@ class SampleCounts:
         if (self.ones is None) != (other.ones is None):
             raise TypeError("labeled and unlabeled counts do not add")
         ones = None if self.ones is None else self.ones + other.ones
-        return SampleCounts(self.points + other.points, ones)
+        return SampleCounts._trusted(self.points + other.points, ones)
 
 
 class HypothesisClass(Sequence):
@@ -298,27 +327,29 @@ def _cut_class(pts: np.ndarray) -> HypothesisClass:
 
 
 def ensure_finite(cls: HypothesisClass, samples):
-    """The class in enumerated form, and the samples over its support.
+    """The class in enumerated form, and each sample as its `SampleCounts`
+    over that class's support.
 
-    A finite class and its samples come back unchanged.  The threshold class
-    is projected onto the union of all sample points, and the same np.unique
-    maps every sample onto support indices, so no point is searched again.
-    It reads points as coordinates, so a sample of support indices (counts,
-    or a non-empty integer sample) raises TypeError.
+    A finite class comes back unchanged and each sample is tallied.  The
+    threshold class is projected onto the union of all sample points, and the
+    same np.unique bins every sample into counts over the cut class, so no
+    point is searched again.  It reads points as coordinates, so a sample of
+    support indices (counts, or a non-empty integer sample) raises TypeError.
     """
     if cls.kind != THRESHOLD:
-        return cls, samples
+        return cls, tuple([tally(cls, s) for s in samples])
     for s in samples:
-        if isinstance(s, SampleCounts) or (len(s) and _indexed(s)):
+        if isinstance(s, SampleCounts) or (len(s) and np.issubdtype(s.xs.dtype, np.integer)):
             raise TypeError("the threshold class reads samples as coordinates, not support "
                             "indices; project it onto the joint's support first "
                             "(project_onto_support or discretize_pair)")
     xs = [np.asarray(s.xs, dtype=np.float64) for s in samples]
     pts, idx = np.unique(np.concatenate(xs), return_inverse=True)
     if pts.size == 0:
-        return project_class(cls, [0.0]), samples
+        pts = np.zeros(1)  # only empty samples: any one point gives the two cuts
     parts = np.split(idx, np.cumsum([x.size for x in xs])[:-1])
-    return _cut_class(pts), tuple(replace(s, xs=ix) for s, ix in zip(samples, parts))
+    return _cut_class(pts), tuple(SampleCounts._of(ix, getattr(s, "ys", None), pts.size)
+                                  for s, ix in zip(samples, parts))
 
 
 def erm(cls: HypothesisClass, sample: LabeledSample) -> Hypothesis:
@@ -359,7 +390,7 @@ def weighted_member_risks(cls: HypothesisClass, sample: LabeledSample,
     (prefix sums for cuts), not a blocked matrix product; 0 on an empty sample."""
     if len(sample) == 0:
         return np.zeros(len(cls))
-    f = _support_weights(f, sample)
+    f = np.asarray(f, dtype=np.float64)
     n0, n1 = _label_counts(cls, sample)
     w = f * (n0 - n1)
     own = ((cls.label_matrix * w).sum(axis=1) if cls.thresholds is None
@@ -377,17 +408,6 @@ def _f2_disagreements(cls: HypothesisClass, ref: int, sample: LabeledSample,
     else:
         dis = np.concatenate((np.cumsum(w2[:ref][::-1])[::-1], [0.0], np.cumsum(w2[ref:])))
     return dis / len(sample)
-
-
-def _support_weights(f, sample) -> np.ndarray:
-    if not _indexed(sample):
-        raise TypeError("weighted operations need index samples over the support")
-    return np.asarray(f, dtype=np.float64)
-
-
-def _indexed(sample) -> bool:
-    """True for a sample over a support: counts, or integer support indices."""
-    return isinstance(sample, SampleCounts) or np.issubdtype(sample.xs.dtype, np.integer)
 
 
 def _matvec(cls: HypothesisClass, w: np.ndarray) -> np.ndarray:
@@ -424,45 +444,34 @@ def _sample_indices(cls: HypothesisClass, xs: np.ndarray) -> np.ndarray:
 
 
 def tally(cls: HypothesisClass, sample):
-    """The sample as the kernels should keep it: a point sample of support
-    indices over a class with a support becomes its `SampleCounts`, binned
-    here once; any other sample, counts included, comes back as it is."""
-    if cls.kind == THRESHOLD or isinstance(sample, SampleCounts) or not _indexed(sample):
+    """The sample as the kernels read it: over a class with a support, its
+    `SampleCounts` (a point sample is binned here, once); for the raw
+    threshold class, which is projected afresh onto every union of samples,
+    the sample as it is."""
+    if isinstance(sample, SampleCounts) or cls.kind == THRESHOLD:
         return sample
-    if not hasattr(sample, "ys"):
-        return SampleCounts(_bin(cls, sample, labels=False))
-    counts = _bin(cls, sample, labels=True)
-    return SampleCounts(counts[0::2] + counts[1::2], counts[1::2])
+    return SampleCounts._of(_sample_indices(cls, sample.xs), getattr(sample, "ys", None),
+                            cls.support_size)
 
 
-def _bin(cls: HypothesisClass, sample, labels: bool) -> np.ndarray:
-    """One bincount of a point sample over the support: with labels, slot 2i
-    counts (i, 0) and slot 2i + 1 counts (i, 1); without, slot i counts i."""
-    idx = _sample_indices(cls, sample.xs)
-    if labels:
-        return np.bincount(2 * idx + sample.ys, minlength=2 * cls.support_size)
-    return np.bincount(idx, minlength=cls.support_size)
-
-
-def _on_support(cls: HypothesisClass, counts: SampleCounts) -> SampleCounts:
-    if counts.points.size != cls.support_size:
-        raise ValueError(f"counts over {counts.points.size} support points for a class "
-                         f"over {cls.support_size}")
-    return counts
+def _counts(cls: HypothesisClass, sample) -> SampleCounts:
+    """The sample as counts over the class's support: tallied, then sized."""
+    size = cls.support_size
+    if size is None:
+        raise TypeError("threshold class is not enumerated; project it first")
+    c = tally(cls, sample)
+    if c.points.size != size:
+        raise ValueError(f"counts over {c.points.size} support points for a class over {size}")
+    return c
 
 
 def _label_counts(cls: HypothesisClass, sample):
     """Per-support counts of label 0 and of label 1, as floats."""
-    if not isinstance(sample, SampleCounts):
-        counts = _bin(cls, sample, labels=True)
-        return counts[0::2].astype(np.float64), counts[1::2].astype(np.float64)
-    c = _on_support(cls, sample)
+    c = _counts(cls, sample)
     if c.ones is None:
         raise TypeError("label counts need a labeled sample")
     return (c.points - c.ones).astype(np.float64), c.ones.astype(np.float64)
 
 
 def _point_counts(cls: HypothesisClass, sample) -> np.ndarray:
-    if not isinstance(sample, SampleCounts):
-        return _bin(cls, sample, labels=False).astype(np.float64)
-    return _on_support(cls, sample).points.astype(np.float64)
+    return _counts(cls, sample).points.astype(np.float64)

@@ -5,11 +5,12 @@ support (unnormalized densities with respect to the source marginal).  The f^2
 weighting in the disagreement terms reflects that these act as variance
 weights in the underlying concentration bounds.  Members are evaluated only
 by the class kernels of `hypotheses` (`weighted_member_risks` and the f^2
-disagreements), which weigh per-support counts and sum each member's own
-terms in support order, so members that lose the same weight at every
-support point tie bit for bit.  A returned member is a record.  The choosers
-read each sample as counts, binning a point sample once (`hypotheses.tally`),
-and evaluate every candidate density or source on those counts.
+disagreements), which read every sample as its `SampleCounts` and sum each
+member's own terms in support order, so members that lose the same weight at
+every support point tie bit for bit.  A returned member is a record.  The
+choosers take each sample's counts from `ensure_finite` once for every
+candidate density or source.  Weights are per support point, so the weighted
+entry points refuse the raw threshold class.
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ import numpy as np
 
 from .adaptive import delta_hat
 from .hypotheses import (
+    THRESHOLD,
     HypothesisClass,
     LabeledSample,
     _f2_disagreements,
     ensure_finite,
     member_disagreements,
     member_risks,
-    tally,
     weighted_member_risks,
 )
 from .procedures import (
@@ -67,7 +68,14 @@ class DensityFamily:
 
 def weighted_erm(cls: HypothesisClass, sample: LabeledSample, f: np.ndarray) -> int:
     """Index of the weighted empirical risk minimizer (lowest index on ties)."""
+    _refuse_raw_threshold(cls)
     return int(np.argmin(weighted_member_risks(cls, sample, f)))
+
+
+def _refuse_raw_threshold(cls: HypothesisClass) -> None:
+    if cls.kind == THRESHOLD:
+        raise TypeError("weighted operations need index samples over the support; project "
+                        "the threshold class onto the joint's support first")
 
 
 def _weighted_feasible(cls: HypothesisClass, sample: LabeledSample, f: np.ndarray,
@@ -89,9 +97,8 @@ def delta_hat_weighted(sample_p: LabeledSample, f: np.ndarray, probe,
                        pdim: int) -> float:
     """Largest probe disagreement with the weighted ERM among hypotheses
     passing the f-weighted near-optimality constraint."""
-    # weighted operations keep the caller's samples: weights are indexed by
-    # support point, never by position in the projected union
-    cls, _ = ensure_finite(cls, (sample_p, probe))
+    _refuse_raw_threshold(cls)
+    cls, (sample_p, probe) = ensure_finite(cls, (sample_p, probe))
     mask, anchor = _weighted_feasible(cls, sample_p, f, conf, pdim)
     if len(probe) == 0:
         return 0.0
@@ -108,8 +115,8 @@ def reweighted_transfer_erm(sample_p: LabeledSample, sample_q: LabeledSample,
     Returns (hypothesis, chosen density index); ties in the density choice
     break by family order.
     """
-    cls, (_, sample_q, _) = ensure_finite(cls, (sample_p, sample_q, unlabeled))
-    sample_p, unlabeled = tally(cls, sample_p), tally(cls, unlabeled)
+    _refuse_raw_threshold(cls)
+    cls, (sample_p, sample_q, unlabeled) = ensure_finite(cls, (sample_p, sample_q, unlabeled))
     radii = [delta_hat_weighted(sample_p, f, unlabeled, cls, conf, family.pseudo_dim)
              for f in family.weights]
     f_ix = int(np.argmin(radii))
@@ -131,8 +138,7 @@ def multi_source_transfer_erm(sources: list[LabeledSample], sample_q: LabeledSam
     """
     if not sources:
         raise ValueError("need at least one source sample")
-    cls, samples = ensure_finite(cls, (*sources, sample_q, unlabeled))
-    *sources, sample_q, unlabeled = (tally(cls, s) for s in samples)
+    cls, (*sources, sample_q, unlabeled) = ensure_finite(cls, (*sources, sample_q, unlabeled))
     scaled = conf.scaled(len(sources))
     radii = [delta_hat(s, unlabeled, cls, scaled) for s in sources]
     i_hat = int(np.argmin(radii))

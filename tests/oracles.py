@@ -91,13 +91,13 @@ def predict(member, xs):
 def risk(member, sample):
     if len(sample) == 0:
         return 0.0
-    return float(np.mean(predict(member, sample.xs) != sample.ys))
+    return int(np.count_nonzero(predict(member, sample.xs) != sample.ys)) / len(sample)
 
 
 def disagreement(a, b, sample):
     if len(sample) == 0:
         return 0.0
-    return float(np.mean(predict(a, sample.xs) != predict(b, sample.xs)))
+    return int(np.count_nonzero(predict(a, sample.xs) != predict(b, sample.xs))) / len(sample)
 
 
 def erm_index(members, sample):
@@ -170,35 +170,48 @@ def delta_hat_value(members, sample, probe, c, delta, vc_dim):
     return best
 
 
+def _units(f, xs):
+    """f(x) for each sample point x as an exact integer multiple of one power
+    of two, 1/den: returns those integers (as Python ints) and den."""
+    ratios = [float(v).as_integer_ratio() for v in f]
+    den = max(d for _, d in ratios)
+    units = [num * (den // d) for num, d in ratios]
+    return np.array([units[x] for x in xs.tolist()], dtype=object), den
+
+
 def weighted_risk_value(member, sample, f):
     """(1/n) sum of f(x) over the mislabeled sample points, as an exact Fraction."""
     if len(sample) == 0:
         return Fraction(0)
+    units, den = _units(f, sample.xs)
     mis = predict(member, sample.xs) != sample.ys
-    return sum((Fraction(float(f[x])) for x in sample.xs[mis]), Fraction(0)) / len(sample)
+    return Fraction(units[mis].sum(), den * len(sample))
 
 
 def delta_hat_weighted_value(members, sample, f, probe, c, delta, vc_dim, pdim):
     """Weighted delta-hat in exact arithmetic: the weighted risks and f^2
-    disagreements are Fractions, the anchor is the lowest index at the exact
-    minimum, and each excess is compared exactly with the float radius."""
+    disagreements are integer sums over one power-of-two denominator, the
+    anchor is the lowest index at the exact minimum, and each excess is
+    compared exactly with the float radius."""
     f = np.asarray(f, dtype=float)
     width = width_weighted(len(sample), vc_dim, pdim, delta)
     if len(sample) == 0 or math.isinf(width):
         mask = [True] * len(members)
         anchor = 0
     else:
-        risks = [weighted_risk_value(h, sample, f) for h in members]
+        n = len(sample)
+        units, den = _units(f, sample.xs)
+        # risks in units of 1/(den n), f^2 disagreements in units of 1/(den^2 n)
+        risks = [units[predict(h, sample.xs) != sample.ys].sum() for h in members]
         anchor = risks.index(min(risks))
         mask = []
         sup = float(np.max(f))
         ref = predict(members[anchor], sample.xs)
         for i in range(len(members)):
             dis = predict(members[i], sample.xs) != ref
-            dis_f2 = sum((Fraction(float(f[x])) ** 2 for x in sample.xs[dis]),
-                         Fraction(0)) / len(sample)
+            dis_f2 = Fraction((units[dis] ** 2).sum(), den * den * n)
             radius = c * math.sqrt(float(dis_f2) * width) + c * sup * width
-            mask.append(risks[i] - risks[anchor] <= Fraction(radius))
+            mask.append(Fraction(risks[i] - risks[anchor], den * n) <= Fraction(radius))
     if len(probe) == 0:
         return 0.0
     best = -math.inf

@@ -321,14 +321,15 @@ def test_adaptive_run_matches_the_concatenating_oracle(case):
 
 
 def test_adaptive_run_bins_each_batch_once(monkeypatch):
+    # every read of a point sample's support indices is one binning
     calls = []
-    real = tl.hypotheses._bin
+    real = tl.hypotheses._sample_indices
 
-    def counted(cls, sample, labels):
-        calls.append(len(sample))
-        return real(cls, sample, labels)
+    def counted(cls, xs):
+        calls.append(len(xs))
+        return real(cls, xs)
 
-    monkeypatch.setattr(tl.hypotheses, "_bin", counted)
+    monkeypatch.setattr(tl.hypotheses, "_sample_indices", counted)
     pair, cls = tl.discretize_pair(tl.example_scenario(3, gamma=2.0), 256)
     need = tl.unlabeled_requirement(0.1, CONF.delta, cls.vc_dim)
     # library draws are born as counts and bin zero times; a user-built point

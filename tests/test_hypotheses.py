@@ -97,9 +97,10 @@ def test_label_counts_match_two_masks():
         on_cls = make_sample(rng.integers(0, size, n), rng.integers(0, 2, n))
         line = make_sample(rng.integers(0, 16, n) / 16.0, rng.integers(0, 2, n), discrete=False)
         cut, (on_cut,) = ensure_finite(threshold_class(), (line,))
-        for c, sample in ((cls, on_cls), (cut, on_cut)):
+        # the oracle reads the points; the cut class's counts come from ensure_finite
+        for c, points, sample in ((cls, on_cls, on_cls), (cut, line, on_cut)):
             got = _label_counts(c, sample)
-            want = oracles.label_counts_two_masks(c, sample)
+            want = oracles.label_counts_two_masks(c, points)
             for g, w in zip(got, want):
                 assert g.dtype == np.float64 and g.flags.c_contiguous
                 assert np.array_equal(g, w)
@@ -146,8 +147,10 @@ def test_project_class_empty_errors():
     with pytest.raises(ValueError):
         project_class(threshold_class(), [])
     # the raw threshold class has no enumeration until it is projected
+    line = make_sample([0.5], [1], discrete=False)
     for enumerate_ in (len, lambda c: c.members, lambda c: c.label_matrix,
-                       lambda c: c[0]):
+                       lambda c: c[0], lambda c: member_risks(c, line),
+                       lambda c: weighted_member_risks(c, line, [1.0])):
         with pytest.raises(TypeError, match="project it first"):
             enumerate_(threshold_class())
 
@@ -383,26 +386,45 @@ def test_tally_counts_only_samples_over_a_support():
     line = make_sample([0.25, 0.5], [1, 0], discrete=False)
     idx = make_sample([0, 1], [1, 0])
     cube = full_cube_class(2)
+    # the raw threshold class keeps points: it is projected onto every union afresh
     assert tally(threshold_class(), line) is line
     assert tally(threshold_class(), idx) is idx
-    assert tally(cube, line) is line
+    # float points need the class's coordinates, in tally as in the kernels
+    for read in (tally, member_risks):
+        with pytest.raises(TypeError, match="float-coordinate sample"):
+            read(cube, line)
     counted = tally(cube, idx)
     assert tally(cube, counted) is counted
+    on_coords = tally(full_cube_class(2, support_coords=[0.25, 0.5]), line)
+    assert np.array_equal(on_coords.points, counted.points)
+    assert np.array_equal(on_coords.ones, counted.ones)
 
 
 def test_kernels_equal_on_points_and_counts():
-    # counts are integers, so a kernel reading them must match the points
-    # sample bit for bit, on a finite class and on a cut class
+    # counts are integers, so a kernel or a procedure reading them must match
+    # the points sample bit for bit, on a finite class and on a cut class
     rng = np.random.default_rng(59)
     conf = tl.ConfidenceParams(c=1.0, delta=0.1)
     for _ in range(60):
         cube, cut, coords, idx, line = _counts_fixture(rng)
         f = rng.choice((0.0, 0.5, 1.0, 2.0, 3.0), size=coords.size)
-        m = int(rng.integers(0, 40))
+        fam = tl.DensityFamily([f, rng.choice((0.0, 1.0, 2.0), size=coords.size)])
+        m, k = int(rng.integers(0, 40)), int(rng.integers(0, 30))
         pool_ix = rng.integers(0, coords.size, m)
+        q_ix, q_ys = rng.integers(0, coords.size, k), rng.integers(0, 2, k)
         for cls, points in ((cube, idx), (cut, idx), (cut, line)):
-            pool = UnlabeledSample(pool_ix if points is idx else coords[pool_ix])
+            on_line = points is line
+            pool = UnlabeledSample(coords[pool_ix] if on_line else pool_ix)
+            q_points = make_sample(coords[q_ix] if on_line else q_ix, q_ys,
+                                   discrete=not on_line)
             counts, pool_counts = tally(cls, idx), tally(cls, UnlabeledSample(pool_ix))
+            q_counts = tally(cls, make_sample(q_ix, q_ys))
+            _, finite = ensure_finite(cls, (points, pool, q_points))
+            for got, want in zip(finite, (counts, pool_counts, q_counts)):
+                assert isinstance(got, SampleCounts)
+                assert np.array_equal(got.points, want.points)
+                assert (got.ones is None) == (want.ones is None)
+                assert want.ones is None or np.array_equal(got.ones, want.ones)
             assert np.array_equal(member_risks(cls, points), member_risks(cls, counts))
             ref = int(rng.integers(0, len(cls)))
             for a, b in ((points, counts), (pool, pool_counts)):
@@ -410,8 +432,6 @@ def test_kernels_equal_on_points_and_counts():
                                       member_disagreements(cls, ref, b))
             assert tl.delta_hat(points, pool, cls, conf) == tl.delta_hat(counts, pool_counts,
                                                                          cls, conf)
-            if points is line:
-                continue
             assert np.array_equal(weighted_member_risks(cls, points, f),
                                   weighted_member_risks(cls, counts, f))
             if len(points):
@@ -420,6 +440,60 @@ def test_kernels_equal_on_points_and_counts():
             for pdim in (1, 3):
                 assert (tl.delta_hat_weighted(points, f, pool, cls, conf, pdim)
                         == tl.delta_hat_weighted(counts, f, pool_counts, cls, conf, pdim))
+            assert erm(cls, points) is erm(cls, counts)
+            assert tl.weighted_erm(cls, points, f) == tl.weighted_erm(cls, counts, f)
+            for procedure in (tl.transfer_erm, tl.reverse_transfer_erm,
+                              tl.select_source_or_target):
+                assert (procedure(points, q_points, cls, conf)
+                        is procedure(counts, q_counts, cls, conf))
+            h, i = tl.multi_source_transfer_erm([points, q_points], q_points, pool, cls, conf)
+            h_c, i_c = tl.multi_source_transfer_erm([counts, q_counts], q_counts,
+                                                    pool_counts, cls, conf)
+            assert h is h_c and i == i_c
+            h, i = tl.reweighted_transfer_erm(points, q_points, pool, fam, cls, conf)
+            h_c, i_c = tl.reweighted_transfer_erm(counts, q_counts, pool_counts, fam, cls, conf)
+            assert h is h_c and i == i_c
+        # the raw threshold class bins line points over the cut class it projects
+        raw_cut, (raw_line, raw_pool) = ensure_finite(
+            threshold_class(), (line, UnlabeledSample(coords[pool_ix])))
+        for got, points in ((raw_line, line), (raw_pool, UnlabeledSample(coords[pool_ix]))):
+            want = tally(raw_cut, points)
+            assert isinstance(got, SampleCounts) and len(got) == len(points)
+            assert np.array_equal(got.points, want.points)
+            assert (got.ones is None) == (want.ones is None)
+            assert want.ones is None or np.array_equal(got.ones, want.ones)
+
+
+@pytest.mark.parametrize("points, ones, message", [
+    ([1, 1], [3, 0], "point 0: points[0] is 1, ones[0] is 3"),
+    ([2, -1], None, "point 1: points[1] is -1"),
+    ([2, 1, 4], [0, 1, -1], "point 2: points[2] is 4, ones[2] is -1"),
+    ([[1, 2]], None, "1-D integer arrays"),
+    ([1.0, 2.0], None, "1-D integer arrays"),
+    ([1, 2], [True, False], "1-D integer arrays"),
+    ([1, 2], [1], "of one shape"),
+])
+def test_user_built_counts_are_checked(points, ones, message):
+    # unchecked, counts of 1 draw with 3 ones gave risks [1.5, -1, 2, -0.5],
+    # and negative points gave len() 1 and risks -2 and 3
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SampleCounts(np.array(points), None if ones is None else np.array(ones))
+    cube = full_cube_class(2)
+    built = SampleCounts([2, 1], [1, 0])
+    assert len(built) == 3 and built.points.dtype.kind == "i"
+    assert np.array_equal(member_risks(cube, built),
+                          member_risks(cube, make_sample([0, 0, 1], [1, 0, 0])))
+    assert len(SampleCounts(np.array([2, 0, 1]))) == 3
+
+
+def test_unlabeled_points_where_labels_are_needed_raise_type_error():
+    cube = full_cube_class(2)
+    u = UnlabeledSample(np.array([0, 1, 1]))
+    line = UnlabeledSample(np.array([0.25, 0.5]))
+    for run in (lambda: member_risks(cube, u), lambda: erm(cube, u),
+                lambda: tl.transfer_erm(u, u, cube), lambda: erm(threshold_class(), line)):
+        with pytest.raises(TypeError, match="label counts need a labeled sample"):
+            run()
 
 
 @pytest.mark.parametrize("xs, first", [([0, 5], "xs[1] is 5"), ([-1, 0], "xs[0] is -1"),
