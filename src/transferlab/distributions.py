@@ -14,7 +14,6 @@ import json
 import math
 import operator
 from dataclasses import astuple, dataclass
-from functools import cached_property, partial
 
 import numpy as np
 
@@ -40,15 +39,11 @@ MASS_TOL = 1e-12
 
 
 def rng_from(seed, *path) -> np.random.Generator:
-    """Deterministic child generator for (seed, path...) without state sharing.
-
-    `SeedSequence` reads (seed mod 2^64, *path) as a sequence of 32-bit words,
-    and pads one shorter than four words with zeros.  So `rng_from(5, 0, 1)`
-    and `rng_from(5, 0, 1, 0)` give the same stream, and a seed of 2^32 or
-    more takes two words.  A caller must keep one path length per role.  The
-    words are handed over as one uint32 array (`_seed_words`), which numpy
-    reads exactly as it reads the ints, without coercing each one.
-    """
+    """The generator of (seed, *path): every distinct (seed mod 2^64, path)
+    has its own stream, whatever the length of the path or of its entries.
+    `SeedSequence` reads the entropy as 32-bit words and pads fewer than four
+    with zeros; `_seed_words` prefixes each value with its word count, so no
+    two keys give the same words, padded or not."""
     return np.random.default_rng(np.random.SeedSequence(_seed_words(seed, path)))
 
 
@@ -64,16 +59,20 @@ def derive_seed(seed, *path, bits: int = 62) -> int:
 
 
 def _seed_words(seed, path) -> np.ndarray:
-    """(seed mod 2^64, *path) as the little-endian 32-bit words `SeedSequence`
-    splits each int into: one word for a value below 2^32, zero included.  A
-    negative path entry raises ValueError, as it does in `SeedSequence`."""
+    """(seed mod 2^64, *path) as uint32 words: each value as its number of
+    32-bit words, then those words, least significant first (one word for a
+    value below 2^32, zero included).  The counts make the words decodable,
+    so distinct keys give distinct words, and no word count is 0, so padding
+    with zeros makes no key's words another's.  A negative path entry raises
+    ValueError, as it does in `SeedSequence`."""
     words = []
     for v in (int(seed) & (2**64 - 1), *map(operator.index, path)):
         if v < 0:
             raise ValueError(f"rng path entries must be >= 0, got {v}")
-        words.append(v & 0xFFFFFFFF)
+        value = [v & 0xFFFFFFFF]
         while v := v >> 32:
-            words.append(v & 0xFFFFFFFF)
+            value.append(v & 0xFFFFFFFF)
+        words += (len(value), *value)
     return np.array(words, dtype=np.uint32)
 
 
@@ -81,7 +80,7 @@ def _seed_words(seed, path) -> np.ndarray:
 # finite-support joints
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteJoint:
     """Joint distribution on a finite support: marginal mass and eta(x) = E[Y|x]."""
 
@@ -109,35 +108,6 @@ class DiscreteJoint:
     @property
     def size(self) -> int:
         return int(self.mass.size)
-
-    def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
-        """Support index of each uniform u in [0, 1): the number of cumulative
-        masses <= u, capped at s - 1.  It equals
-        `min(np.searchsorted(np.cumsum(mass), u, "right"), s - 1)` exactly,
-        found by table lookup, with a search only for u in a split bucket."""
-        cum_b, table = self._guide
-        u = u * table.size
-        xs = table[u.astype(np.intp)].astype(np.int64)
-        split = np.flatnonzero(xs < 0)
-        if split.size:
-            xs[split] = np.minimum(np.searchsorted(cum_b, u[split], "right"), self.size - 1)
-        return xs
-
-    @cached_property
-    def _guide(self) -> tuple[np.ndarray, np.ndarray]:
-        """Chen & Asau's guide table over b = 2^k >= 16 s equal buckets of
-        [0, 1), as (b * cumulative mass, table).  Scaling by a power of two is
-        exact, so floor(u * b) is u's bucket and every comparison keeps its
-        outcome.  A bucket with no cumulative mass strictly inside holds the
-        one index of all its u; a split bucket holds -1.  The int32 table
-        takes at most 128 s bytes."""
-        b = 1 << (16 * self.size - 1).bit_length()  # the least power of two >= 16 s
-        cum_b = np.cumsum(self.mass) * b
-        table = np.minimum(np.searchsorted(cum_b, np.arange(b, dtype=np.float64), "right"),
-                           self.size - 1).astype(np.int32)
-        inside = cum_b[(cum_b < b) & (cum_b != np.floor(cum_b))]
-        table[inside.astype(np.intp)] = -1
-        return cum_b, table
 
 
 def _check_joint(support: np.ndarray, mass: np.ndarray, eta: np.ndarray) -> None:
@@ -258,46 +228,49 @@ class TransferPair:
 
 
 def sample_labeled(dist, n: int, seed: int) -> SampleCounts | LabeledSample:
-    """n i.i.d. labeled draws: x from the seed's first n uniforms, then
-    y ~ Bernoulli(eta(x)) from the next n.
+    """n i.i.d. labeled draws on the seed's stream.
 
-    A draw from a `DiscreteJoint` is born as its `SampleCounts`, from one
-    bincount over the 2s cells 2x + y; its points are never kept.  A draw
-    from a line scenario is a `LabeledSample` of float points labeled by the
-    optimal threshold.  An empty draw builds no generator.
+    A draw from a `DiscreteJoint` is its `SampleCounts`, from one multinomial
+    over the 2s cells (x, 0), (x, 1) with probabilities mass * (1 - eta) and
+    mass * eta; no point is drawn.  A draw from a line scenario is a
+    `LabeledSample` of float points from the seed's first n uniforms, labeled
+    by the optimal threshold.  An empty draw builds no generator.
     """
-    draw = _uniforms(n, seed)
     if isinstance(dist, DiscreteJoint):
-        xs = dist.inverse_cdf(draw())
-        return SampleCounts._of(xs, draw() < dist.eta[xs], dist.size)
-    xs = _line_points(dist, draw())
+        cells = _multinomial(n, np.column_stack((dist.mass * (1.0 - dist.eta),
+                                                 dist.mass * dist.eta)).ravel(), seed)
+        return SampleCounts._trusted(cells[0::2] + cells[1::2], cells[1::2])
+    xs = _line_points(dist, n, seed)
     return LabeledSample(xs, (xs <= dist.h_star).view(np.int8), seed)
 
 
 def sample_unlabeled(dist, n: int, seed: int) -> SampleCounts | UnlabeledSample:
-    """The xs of `sample_labeled(dist, n, seed)`, without drawing labels: per
-    support point counts for a `DiscreteJoint`, float points for a line
-    scenario."""
-    u = _uniforms(n, seed)()
+    """n i.i.d. unlabeled draws on the seed's stream: per support point
+    counts from one multinomial over `mass` for a `DiscreteJoint`, the float
+    points of `sample_labeled(dist, n, seed)` for a line scenario."""
     if isinstance(dist, DiscreteJoint):
-        return SampleCounts._of(dist.inverse_cdf(u), None, dist.size)
-    return UnlabeledSample(_line_points(dist, u), seed)
+        return SampleCounts._trusted(_multinomial(n, dist.mass, seed))
+    return UnlabeledSample(_line_points(dist, n, seed), seed)
 
 
-def _uniforms(n: int, seed: int):
-    """A function giving the next n uniforms of the seed's stream per call;
-    for an empty draw it gives empty arrays and builds no generator."""
+def _multinomial(n: int, p: np.ndarray, seed: int) -> np.ndarray:
+    """Counts of n draws over the cells of p, normalized by its sum."""
+    rng = _rng(n, seed)
+    return np.zeros(p.size, dtype=np.int64) if rng is None else rng.multinomial(n, p / p.sum())
+
+
+def _line_points(dist, n: int, seed: int) -> np.ndarray:
+    if not isinstance(dist, ThresholdMarginal):
+        raise TypeError(f"cannot sample from {type(dist).__name__}")
+    rng = _rng(n, seed)
+    return dist.density.ppf(np.empty(0) if rng is None else rng.random(n))
+
+
+def _rng(n: int, seed: int) -> np.random.Generator | None:
+    """The seed's generator for a draw of n >= 0; None for an empty draw."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return lambda: np.empty(0)
-    return partial(rng_from(seed).random, n)
-
-
-def _line_points(dist, u: np.ndarray) -> np.ndarray:
-    if isinstance(dist, ThresholdMarginal):
-        return dist.density.ppf(u)
-    raise TypeError(f"cannot sample from {type(dist).__name__}")
+    return rng_from(seed) if n else None
 
 
 def _labels_on_support(h: Hypothesis, size: int, coords) -> np.ndarray:

@@ -20,10 +20,11 @@ cached, so a procedure returns the same `Hypothesis` object as
 `cls.members[i]`.
 
 Every kernel reads a sample as its `SampleCounts`, which add by adding their
-counts.  A finite-support draw is born in that form; `tally` and
-`ensure_finite` (over the cut class it projects) are the only places where a
-point sample becomes counts.  A line sample keeps its float points for the
-raw threshold class, which is projected afresh onto every union of them.
+counts.  A finite-support draw is born in that form, as one multinomial over
+the support's cells, and never holds points; `tally` and `ensure_finite`
+(over the cut class it projects) are the only places where a point sample
+becomes counts.  A line sample keeps its float points for the raw threshold
+class, which is projected afresh onto every union of them.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def threshold_hypothesis(t: float, labels=None) -> Hypothesis:
     return Hypothesis(kind=THRESHOLD, labels=lab, threshold=float(t))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledSample:
     """Ordered i.i.d. draws (x, y) plus the seed that generated them.
 
@@ -98,7 +99,7 @@ class LabeledSample:
                              np.concatenate((self.ys, other.ys)), self.seed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnlabeledSample:
     xs: np.ndarray
     seed: int = 0
@@ -110,7 +111,7 @@ class UnlabeledSample:
         return int(self.xs.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleCounts:
     """A sample over a support as per-support counts, the one form the
     kernels read: `points[i]` draws fell on support point i, and `ones[i]` of
@@ -145,8 +146,9 @@ class SampleCounts:
 
     @classmethod
     def _trusted(cls, points, ones=None) -> "SampleCounts":
-        """Counts valid by construction (one bincount, or a sum of valid
-        counts), built without the check: the library's only path past it."""
+        """Counts valid by construction (one bincount or multinomial, or a
+        sum of valid counts), built without the check: the library's only
+        path past it."""
         return cls.__new__(cls)._fill(points, ones)
 
     @classmethod

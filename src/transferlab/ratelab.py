@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -165,15 +164,17 @@ class SlopeFit:
     intercept: float
     r2: float
     n_used: int
+    n_excluded: int
 
 
 def fit_slope(table: RateTable, axis: str, statistic: str = "median",
               drop_smallest: int = 0) -> SlopeFit:
     """Least squares on (log n, log statistic) along one axis of the table.
 
-    Rows with a nonpositive statistic are excluded with a warning; fewer than
-    three usable rows is an error.  drop_smallest removes that many of the
-    smallest distinct axis values first (transient small-sample regime).
+    Rows with a nonpositive statistic are left out and counted in
+    `n_excluded`; fewer than three usable rows is an error.  drop_smallest
+    removes that many of the smallest distinct axis values first (transient
+    small-sample regime).
     """
     if axis not in ("n_p", "n_q"):
         raise ValueError("axis must be 'n_p' or 'n_q'")
@@ -188,8 +189,6 @@ def fit_slope(table: RateTable, axis: str, statistic: str = "median",
         mask = np.isin(xs, keep_from)
         xs, ys = xs[mask], ys[mask]
     pos = ys > 0
-    if not pos.all():
-        warnings.warn(f"excluding {int((~pos).sum())} rows with zero statistic")
     xs, ys = xs[pos], ys[pos]
     if xs.size < 3:
         raise ValueError("need at least 3 usable rows for a slope fit")
@@ -199,7 +198,7 @@ def fit_slope(table: RateTable, axis: str, statistic: str = "median",
     ss_res = float(np.sum((ly - pred) ** 2))
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return SlopeFit(float(slope), float(intercept), r2, int(xs.size))
+    return SlopeFit(float(slope), float(intercept), r2, int(xs.size), int(pos.size - xs.size))
 
 
 @dataclass(frozen=True)
@@ -243,6 +242,7 @@ def compare_to_theory(table: RateTable, theory_exponent: float, tolerance: float
     return {
         "slope": fit.slope, "theory": float(theory_exponent),
         "gap": gap, "tolerance": float(tolerance), "r2": fit.r2,
-        "n_used": fit.n_used, "drop_smallest": int(drop_smallest),
+        "n_used": fit.n_used, "n_excluded": fit.n_excluded,
+        "drop_smallest": int(drop_smallest),
         "passed": bool(gap <= tolerance),
     }

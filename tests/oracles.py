@@ -4,15 +4,13 @@ Everything here is written as a direct transliteration of the defining
 formulas: per-member loops, no label-count aggregation, no shared code with
 the package under test beyond the data types.  The exceptions: `tri_class`
 hands a cut class's explicit label matrix to the package's finite-class
-kernels; `rng_from` is the package's earlier stream derivation, which hands
-`SeedSequence` a tuple of ints; `sample_labeled` is the package's earlier
-point draw, which returned every draw as a point (support index or
-coordinate) and its label, here with a binary search for the guide table;
-`label_counts_two_masks` is the package's earlier two-pass label counts on
-its sample indexing; and `adaptive_loop` is the package's earlier adaptive
-loop, which concatenates every point batch bought so far and recounts the
-whole sample each round, kept verbatim on the package's `delta_hat`, `erm`
-and widths.
+kernels; `sample_labeled` and `sample_unlabeled` expand the package's counted
+finite-support draws into points (`points_of`), so a point-built and a
+count-built run see the same data; `label_counts_two_masks` is the package's
+earlier two-pass label counts on its sample indexing; and `adaptive_loop` is
+the package's earlier adaptive loop, which concatenates every point batch
+bought so far and recounts the whole sample each round, kept verbatim on the
+package's `delta_hat`, `erm` and widths.
 """
 
 import math
@@ -23,6 +21,8 @@ import numpy as np
 from transferlab.adaptive import Round, SamplingTranscript, delta_hat, unlabeled_requirement
 from transferlab.discrepancy import ZERO, ExponentReport
 from transferlab.distributions import DiscreteJoint, ThresholdMarginal
+from transferlab.distributions import sample_labeled as package_sample_labeled
+from transferlab.distributions import sample_unlabeled as package_sample_unlabeled
 from transferlab.hypotheses import (
     FINITE,
     THRESHOLD,
@@ -284,38 +284,52 @@ def beta_max_loop(excess, dis, c_noise, members, grid_size):
     return ExponentReport(max(best, 0.0), c_noise, members[witness], grid_size=grid_size)
 
 
-def searchsorted_draw(mass, u):
-    """Support index of each uniform: a binary search of the cumulative mass,
-    capped at the last point."""
-    xs = np.searchsorted(np.cumsum(mass), u, side="right")
-    return np.minimum(xs, len(mass) - 1).astype(np.int64)
-
-
 def rng_from(seed, *path):
-    """The generator of (seed mod 2^64, *path), with the ints coerced by
-    `SeedSequence` itself."""
-    return np.random.default_rng(np.random.SeedSequence((int(seed) & (2**64 - 1), *path)))
+    """The generator of (seed mod 2^64, *path): each value written in base
+    2^32, least significant digit first, after its number of digits, and the
+    digits handed to `SeedSequence` as a tuple of ints."""
+    entropy = []
+    for v in (seed % 2 ** 64, *path):
+        if v < 0:
+            raise ValueError(f"negative path entry {v}")
+        digits = [v % 2 ** 32]
+        while v >= 2 ** 32:
+            v //= 2 ** 32
+            digits.append(v % 2 ** 32)
+        entropy += [len(digits)] + digits
+    return np.random.default_rng(np.random.SeedSequence(tuple(entropy)))
+
+
+def points_of(counts, seed=0):
+    """A point sample of support indices holding exactly the given counts,
+    in support order, label 0 before label 1 at each point."""
+    idx = np.arange(counts.points.size)
+    if counts.ones is None:
+        return UnlabeledSample(np.repeat(idx, counts.points), seed)
+    cells = np.column_stack((counts.points - counts.ones, counts.ones)).ravel()
+    return LabeledSample(np.repeat(np.repeat(idx, 2), cells),
+                         np.repeat(np.tile([0, 1], idx.size), cells), seed)
 
 
 def sample_labeled(dist, n: int, seed: int) -> LabeledSample:
-    """n i.i.d. labeled draws; x first, then y ~ Bernoulli(eta(x))."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    rng = rng_from(seed)
+    """n labeled draws as points: for a `DiscreteJoint`, the package's
+    counted draw expanded into support indices; for a line scenario, the
+    quantiles of the seed's first n uniforms, labeled by the threshold."""
     if isinstance(dist, DiscreteJoint):
-        xs = np.searchsorted(np.cumsum(dist.mass), rng.random(n), side="right")
-        xs = np.minimum(xs, dist.size - 1).astype(np.int64)
-        ys = (rng.random(n) < dist.eta[xs]).astype(np.int8)
-        return LabeledSample(xs, ys, seed)
+        return points_of(package_sample_labeled(dist, n, seed), seed)
     if isinstance(dist, ThresholdMarginal):
-        xs = dist.density.ppf(rng.random(n))
-        ys = (xs <= dist.h_star).astype(np.int8)
-        return LabeledSample(xs, ys, seed)
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        xs = dist.density.ppf(rng_from(seed).random(n))
+        return LabeledSample(xs, (xs <= dist.h_star).astype(np.int8), seed)
     raise TypeError(f"cannot sample from {type(dist).__name__}")
 
 
 def sample_unlabeled(dist, n: int, seed: int) -> UnlabeledSample:
-    """The points of `sample_labeled(dist, n, seed)`, without their labels."""
+    """n unlabeled draws as points: the package's counted draw expanded for a
+    `DiscreteJoint`, the points of `sample_labeled` for a line scenario."""
+    if isinstance(dist, DiscreteJoint):
+        return points_of(package_sample_unlabeled(dist, n, seed), seed)
     return UnlabeledSample(sample_labeled(dist, n, seed).xs, seed)
 
 

@@ -310,6 +310,25 @@ def test_criterion_10_instance_59_weighted_tie():
                                             cls.vc_dim, pdim)
 
 
+def test_criterion_10_instance_10_support_order():
+    # members 2 and 36 tie exactly at the weighted minimum; summing each
+    # member's terms in sample order (a cumulative sum along the draws) rounds
+    # them apart, anchors on member 36 and returns 0.9285714285714286 instead
+    # of the exact 0.8571428571428571
+    rng = np.random.default_rng(2024)
+    for _ in range(11):
+        cls, sp, sq, probe, f = _random_instance(rng)
+        c = float(rng.choice([0.25, 0.5, 1.0, 2.0]))
+        delta = float(rng.choice([0.05, 0.1, 0.25]))
+        pdim = int(rng.integers(0, 4))
+    exact = [oracles.weighted_risk_value(h, sp, f) for h in cls.members]
+    assert exact[2] == exact[36] == min(exact)
+    assert tl.weighted_erm(cls, sp, f) == 2
+    assert tl.delta_hat_weighted(sp, f, probe, cls, tl.ConfidenceParams(c, delta), pdim) \
+        == oracles.delta_hat_weighted_value(cls.members, sp, f, probe, c, delta,
+                                            cls.vc_dim, pdim) == 0.8571428571428571
+
+
 def test_criterion_11_infrastructure():
     # kl dominated by its chi-square bound across the scale grid
     for eps in np.arange(0.01, 0.50, 0.01):

@@ -244,10 +244,14 @@ def _golden_run(name: str) -> str:
     return tr.to_jsonl() + json.dumps(tail) + "\n"
 
 
-@pytest.mark.parametrize("name", ["noisy_d9", "scenario3_gamma2", "scenario3_gamma2_q_only"])
+GOLDEN_RUNS = ("noisy_d9", "scenario3_gamma2", "scenario3_gamma2_q_only")
+
+
+@pytest.mark.parametrize("name", GOLDEN_RUNS)
 def test_adaptive_golden_replay(name):
     # the files pin every round record and the returned labels byte for byte;
-    # regenerate them only for an intended change of output
+    # regenerate them (see the end of this file) only for an intended change
+    # of output
     assert _golden_run(name) == (GOLDEN / f"{name}.jsonl").read_text()
 
 
@@ -349,7 +353,7 @@ def test_adaptive_run_bins_each_batch_once(monkeypatch):
             assert calls == want
 
 
-@pytest.mark.parametrize("gamma, q_only, stop", [(2.0, False, ("step7", 7)),
+@pytest.mark.parametrize("gamma, q_only, stop", [(2.0, False, ("step6", 9)),
                                                  (3.0, False, ("step6", 9)),
                                                  (2.0, True, ("step6", 9))])
 def test_raw_threshold_class_runs_with_line_samplers(gamma, q_only, stop):
@@ -363,3 +367,11 @@ def test_raw_threshold_class_runs_with_line_samplers(gamma, q_only, stop):
     assert (tr.returned_by, len(tr.rounds)) == stop
     assert h == h_want
     assert tl.excess_risk(pair.q, h, tl.threshold_class()) <= 0.1
+
+
+if __name__ == "__main__":
+    # rewrite the golden files from the current code:
+    #   PYTHONPATH=src python tests/test_adaptive.py
+    for name in GOLDEN_RUNS:
+        (GOLDEN / f"{name}.jsonl").write_text(_golden_run(name))
+        print(f"wrote {GOLDEN / name}.jsonl")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
 import transferlab as tl
 from transferlab import cli, ratelab
 from transferlab.cli import build_parser, load_config, main
@@ -237,6 +238,52 @@ def test_select_draws_pairwise_distinct_seeds(monkeypatch, capsys):
     # per trial: three sources, the target sample and the unlabeled pool
     assert len(seeds) == 40 * 5
     assert len(set(seeds)) == len(seeds)
+
+
+# one run per command that draws, each on finite-support pairs
+POINTS_VS_COUNTS = {
+    "select": ["select", "--seed", "4", "--set",
+               'sources=[{"id":3,"gamma":1.0,"cells":64},{"id":3,"gamma":3.0,"cells":64}]',
+               "--set", "n_sources=[512,512]", "--set", "n_q=16", "--set", "unlabeled=1024",
+               "--set", "trials=3"],
+    "reweight": ["reweight", "--seed", "2", "--set", 'scenario={"id":2,"cells":16}',
+                 "--set", "densities=[[1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1],"
+                 "[2,2,2,2,2,2,2,2,0,0,0,0,0,0,0,0]]",
+                 "--set", "n_p=512", "--set", "n_q=16", "--set", "unlabeled=1024",
+                 "--set", "trials=3"],
+    "adaptive": ["adaptive", "--config", str(CONFIGS / "cheap_source_adaptive.json"),
+                 "--seed", "7", "--set", "trials=3"],
+    "rates": ["rates", "--config", str(CONFIGS / "target_rate_sweep.json"), "--seed", "2",
+              "--jobs", "1", "--set", "trials=5"],
+}
+
+
+@pytest.mark.parametrize("command", list(POINTS_VS_COUNTS))
+def test_cli_bytes_equal_on_points_and_counts(command, monkeypatch, tmp_path, capsys):
+    # the same draws handed over as support-index points, expanded from the
+    # counts, give the same bytes: counts are integers, so every sum is exact
+    def output(tag):
+        out = tmp_path / f"{tag}.out"
+        assert run(POINTS_VS_COUNTS[command] + ["--out", str(out)]) == 0
+        return capsys.readouterr().out, out.read_bytes(), (
+            (tmp_path / f"{tag}.out.report.json").read_text() if command == "rates" else None)
+
+    counts = output("counts")
+    expanded = []
+
+    def as_points(sample):
+        def draw(dist, n, seed):
+            got = sample(dist, n, seed)
+            expanded.append(len(got))
+            return oracles.points_of(got, seed)
+        return draw
+
+    for module in (cli, ratelab):
+        monkeypatch.setattr(module, "sample_labeled", as_points(tl.sample_labeled))
+    monkeypatch.setattr(cli, "sample_unlabeled", as_points(tl.sample_unlabeled))
+    points = output("points")
+    assert sum(expanded) > 0
+    assert points == counts
 
 
 def test_select_rejects_empty_sources(capsys):

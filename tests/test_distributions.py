@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 import oracles
 import transferlab as tl
-from transferlab import distributions
-from transferlab.distributions import MASS_TOL, member_disagreement_mass
-from transferlab.hypotheses import project_onto_support, tally
+from transferlab import cli, distributions
+from transferlab.distributions import member_disagreement_mass
 
 
 def all_ones_index(family):
@@ -40,53 +39,8 @@ def test_sample_empty():
     assert tl.sample_unlabeled(line, 0, seed=1).xs.dtype == np.float64
 
 
-def _guide_supports():
-    """(name, mass) cases for the guide table: sizes 1 to 2^16, zero-mass
-    points, dyadic masses whose cumulative values land on bucket edges, and
-    cumulative masses ending just below or just above 1 within MASS_TOL."""
-    rng = np.random.default_rng(41)
-    for s in (1, 2, 9, 64, 256, 4096, 2 ** 16):
-        m = rng.random(s) ** 3
-        yield f"random-{s}", m / m.sum()
-        if s > 1:
-            m[rng.random(s) < 0.3] = 0.0
-            m[0] = m[-1] = 0.0
-            m[s // 2] += 1.0
-            yield f"zeros-{s}", m / m.sum()
-    dyadic = np.array([0.5, 0.25, 0.0, 0.125, 0.0625, 0.03125, 0.015625, 0.015625, 0.0])
-    yield "dyadic", dyadic
-    yield "uniform-64", np.full(64, 1.0 / 64)
-    m = rng.random(9)
-    m /= m.sum()
-    for shift in (-0.5, 0.5):
-        yield f"sum-1{shift:+}tol", m * (1.0 + shift * MASS_TOL)
-
-
-GUIDE_SUPPORTS = dict(_guide_supports())
-
-
-@pytest.mark.parametrize("name", list(GUIDE_SUPPORTS))
-def test_guide_table_draw_matches_binary_search(name):
-    mass = GUIDE_SUPPORTS[name]
-    joint = tl.DiscreteJoint(np.arange(mass.size, dtype=np.float64), mass,
-                             np.full(mass.size, 0.5))
-    s = joint.size
-    table = joint._guide[1]
-    b = table.size
-    assert b & (b - 1) == 0 and 16 * s <= b < 32 * s
-    assert table.nbytes <= 128 * s
-    cum = np.cumsum(joint.mass)
-    u = np.concatenate([
-        cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0),
-        np.arange(b) / b, np.nextafter(np.arange(1, b) / b, 0.0),
-        [0.0, 1.0 - 2.0 ** -53], np.random.default_rng(s).random(20_000)])
-    u = u[(u >= 0.0) & (u < 1.0)]
-    assert np.array_equal(joint.inverse_cdf(u), oracles.searchsorted_draw(joint.mass, u))
-    assert joint.inverse_cdf(u).dtype == np.int64
-
-
 @pytest.mark.parametrize("n", [0, 1, 7, 4096])
-def test_sampling_replays_the_binary_search_sampler(n):
+def test_draws_replay_the_oracle_points(n):
     fam = tl.build_single_scale_family(9, 2.0, 0.5, 0.5, 0.25)
     ring, _ = tl.example_scenario(1)
     line = tl.example_scenario(3, gamma=2.0)
@@ -95,26 +49,96 @@ def test_sampling_replays_the_binary_search_sampler(n):
              tl.example_scenario(4, gamma=0.5).p)
     for dist in dists:
         for seed in range(20):
-            want = oracles.sample_labeled(dist, n, seed)
             got = tl.sample_labeled(dist, n, seed)
             unlabeled = tl.sample_unlabeled(dist, n, seed)
             if isinstance(dist, tl.DiscreteJoint):
-                # the same uniforms give the oracle's points, and the draw is
-                # born as those points' per-support counts
-                u = distributions.rng_from(seed).random(n)
-                assert np.array_equal(dist.inverse_cdf(u), want.xs)
-                points = np.bincount(want.xs, minlength=dist.size)
-                ones = np.bincount(want.xs[want.ys == 1], minlength=dist.size)
-                assert got.points.dtype == got.ones.dtype == np.int64
-                assert np.array_equal(got.points, points) and np.array_equal(got.ones, ones)
-                assert np.array_equal(unlabeled.points, points) and unlabeled.ones is None
-                assert len(got) == len(unlabeled) == n
+                # counts of n draws that only the joint's cells can hold
+                assert got.points.dtype == got.ones.dtype == unlabeled.points.dtype == np.int64
+                assert len(got) == len(unlabeled) == n and unlabeled.ones is None
+                for c in (got.points, unlabeled.points):
+                    assert (c >= 0).all() and not c[dist.mass == 0].any()
+                assert (0 <= got.ones).all() and (got.ones <= got.points).all()
+                assert not got.ones[dist.eta == 0].any()
+                assert np.array_equal(got.ones[dist.eta == 1], got.points[dist.eta == 1])
                 continue
+            want = oracles.sample_labeled(dist, n, seed)
             assert got.xs.dtype == want.xs.dtype == unlabeled.xs.dtype
             assert got.ys.dtype == want.ys.dtype == np.int8
             assert np.array_equal(got.xs, want.xs) and np.array_equal(got.ys, want.ys)
             assert np.array_equal(unlabeled.xs, want.xs)
             assert got.seed == unlabeled.seed == seed
+
+
+# the law test: three joints with a zero-mass cell and eta 0, fractional and
+# 1; every draw is pooled over seeds 0..19 of 50_000 draws each
+LAW_JOINTS = (([0.5, 0.0, 0.3, 0.2], [0.0, 0.5, 0.3, 1.0]),
+              ([0.1, 0.2, 0.7], [1.0, 0.25, 0.0]),
+              ([0.25, 0.25, 0.0, 0.5], [0.6, 0.0, 1.0, 0.9]))
+LAW_SEEDS, LAW_N = range(20), 50_000
+# Each of the 6 checks (3 joints x labeled/unlabeled) rejects at most 1e-6/6
+# of the time under the chi-square law of Pearson's statistic, so the test
+# fails a correct sampler with probability <= 1e-6.  The expected count of
+# every cell that can be hit is >= 1e6 * 0.05 = 50_000, far inside the
+# chi-square approximation.
+LAW_ALPHA = 1e-6 / 6
+
+
+def _law_cells(mass, eta):
+    """The cell probabilities of a labeled and of an unlabeled draw."""
+    mass, eta = np.asarray(mass), np.asarray(eta)
+    return np.column_stack((mass * (1 - eta), mass * eta)).ravel(), mass
+
+
+def _pooled(sample, joint):
+    """Cell counts of the pooled draws: labeled as (x, 0), (x, 1) pairs."""
+    total = 0
+    for seed in LAW_SEEDS:
+        c = sample(joint, LAW_N, seed)
+        total = total + (c.points if c.ones is None
+                         else np.column_stack((c.points - c.ones, c.ones)).ravel())
+    return total
+
+
+def _rejects(counts, p) -> bool:
+    """Pearson's chi-square test of counts against N p at level LAW_ALPHA; a
+    count in a zero-probability cell rejects at once.  The critical value is
+    Laurent and Massart's bound on the chi-square quantile with k degrees of
+    freedom: P(X >= k + 2 sqrt(k x) + 2 x) <= exp(-x)."""
+    pos = p > 0
+    if counts[~pos].any():
+        return True
+    expected = counts.sum() * p[pos]
+    stat = float(np.sum((counts[pos] - expected) ** 2 / expected))
+    k, x = int(pos.sum()) - 1, math.log(1 / LAW_ALPHA)
+    return stat > k + 2 * math.sqrt(k * x) + 2 * x
+
+
+def test_finite_draws_follow_their_law(monkeypatch):
+    for mass, eta in LAW_JOINTS:
+        joint = tl.DiscreteJoint(np.arange(float(len(mass))), mass, eta)
+        p_labeled, p_unlabeled = _law_cells(mass, eta)
+        assert not _rejects(_pooled(tl.sample_labeled, joint), p_labeled)
+        assert not _rejects(_pooled(tl.sample_unlabeled, joint), p_unlabeled)
+        # a sampler that labels with 1 - eta fails
+        flipped = tl.DiscreteJoint(joint.support, mass, 1 - np.asarray(eta))
+        assert _rejects(_pooled(tl.sample_labeled, flipped), p_labeled)
+    # a sampler that moves 0.01 of probability from its largest cell to the
+    # last other cell that can be hit fails
+    real = distributions._multinomial
+
+    def shifted(n, p, seed):
+        p = p / p.sum()
+        i, hit = np.argmax(p), np.flatnonzero(p > 0)
+        p[i] -= 0.01
+        p[hit[hit != i][-1]] += 0.01
+        return real(n, p, seed)
+
+    monkeypatch.setattr(distributions, "_multinomial", shifted)
+    for mass, eta in LAW_JOINTS:
+        joint = tl.DiscreteJoint(np.arange(float(len(mass))), mass, eta)
+        p_labeled, p_unlabeled = _law_cells(mass, eta)
+        assert _rejects(_pooled(tl.sample_labeled, joint), p_labeled)
+        assert _rejects(_pooled(tl.sample_unlabeled, joint), p_unlabeled)
 
 
 def test_empty_draws_build_no_generator(monkeypatch):
@@ -132,15 +156,68 @@ def test_empty_draws_build_no_generator(monkeypatch):
     assert calls == [(1,), (2,)]
 
 
-def test_rng_from_pads_short_paths_with_zeros():
-    # SeedSequence reads the key as 32-bit words (two for a seed >= 2^32) and
-    # pads fewer than four with zeros, so these keys share a stream; a fix
-    # would move every stream in the lab
+def test_rng_from_keeps_short_paths_apart():
+    # keys that shared a stream while paths were padded with zero words
     def first(*key):
         return distributions.rng_from(*key).random(4)
-    assert np.array_equal(first(5, 0, 1), first(5, 0, 1, 0))
-    assert np.array_equal(first(2 ** 32 + 5, 1), first(5, 1, 1))
-    assert not np.array_equal(first(5, 0, 1, 0), first(5, 0, 1, 0, 0))
+    assert not np.array_equal(first(5, 0, 1), first(5, 0, 1, 0))
+    assert not np.array_equal(first(2 ** 32 + 5, 1), first(5, 1, 1))
+    assert not np.array_equal(first(5), first(5, 0))
+
+    # the CLI source draw of trial 0 at --seed 2^32 + 5 and of trial 1 at --seed 5
+    def draw_seed(seed, trial, *source):
+        return cli._draw(lambda dist, n, s: s, None, 1, seed, trial, cli._SOURCE, *source)
+    assert draw_seed(2 ** 32 + 5, 0) != draw_seed(5, 1)
+    assert draw_seed(2 ** 32 + 5, 0, 2) != draw_seed(5, 1, 2)
+
+
+def _decode(words):
+    """(seed, path) back from `_seed_words`: each value's word count, then
+    its words, least significant first."""
+    values, i = [], 0
+    while i < len(words):
+        k = int(words[i])
+        assert k >= 1 and i + k < len(words) and (k == 1 or words[i + k] != 0)
+        values.append(sum(int(w) << (32 * j) for j, w in enumerate(words[i + 1:i + 1 + k])))
+        i += 1 + k
+    return values[0], tuple(values[1:])
+
+
+# path entries of one, two and three words, with zeros and word edges often
+ENTRIES = st.one_of(st.sampled_from([0, 1, 5, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 5, 2 ** 64,
+                                     2 ** 64 + 5]),
+                    st.integers(0, 2 ** 96 - 1))
+KEYS = st.tuples(st.one_of(st.sampled_from([0, 5, 2 ** 32 + 5, 2 ** 64 + 5, -5]),
+                           st.integers(-2 ** 65, 2 ** 65)),
+                 st.lists(ENTRIES, max_size=4).map(tuple))
+
+
+@st.composite
+def key_pairs(draw):
+    """Two keys, the second often the first with trailing zeros added or
+    dropped, or its seed moved by 2^32 or 2^64."""
+    seed, path = a = draw(KEYS)
+    zeros = (0,) * draw(st.integers(1, 3))
+    b = draw(st.one_of(KEYS, st.just((seed, path + zeros)),
+                       st.just((seed, path[:-1])) if path else KEYS,
+                       st.sampled_from([(seed + 2 ** 32, path), (seed + 2 ** 64, path),
+                                        (seed, (seed % 2 ** 64,) + path)])))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(key_pairs())
+def test_seed_words_are_injective(pair):
+    (seed_a, path_a), (seed_b, path_b) = pair
+    key_a, key_b = (seed_a % 2 ** 64, path_a), (seed_b % 2 ** 64, path_b)
+    words_a = distributions._seed_words(seed_a, path_a)
+    words_b = distributions._seed_words(seed_b, path_b)
+    assert _decode(words_a) == key_a and _decode(words_b) == key_b
+    # SeedSequence pads entropy shorter than four words with zeros
+
+    def padded(w):
+        return tuple(w.tolist()) + (0,) * (4 - w.size)
+    assert (padded(words_a) == padded(words_b)) == (key_a == key_b)
 
 
 # seeds below 2^32, of two words, above 2^64 and negative: rng_from reads any
@@ -148,34 +225,6 @@ def test_rng_from_pads_short_paths_with_zeros():
 SEEDS = st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 66),
                   st.integers(-2 ** 64, -1))
 PATH_WORDS = st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 70))
-
-
-@st.composite
-def finite_draws(draw):
-    size = draw(st.integers(1, 8))
-    weights = draw(st.lists(st.integers(0, 9), min_size=size, max_size=size).filter(any))
-    eta = draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
-                        min_size=size, max_size=size))
-    joint = tl.DiscreteJoint(np.arange(float(size)), np.array(weights) / sum(weights),
-                             np.array(eta))
-    return joint, draw(st.sampled_from([0, 1, 7, 4096])), draw(SEEDS)
-
-
-@settings(max_examples=80, deadline=None)
-@given(finite_draws())
-def test_counted_draws_equal_the_tallied_oracle_points(case):
-    # zero-mass cells come from zero weights
-    joint, n, seed = case
-    cls = project_onto_support(tl.threshold_class(), joint.support)
-    got, unlabeled = tl.sample_labeled(joint, n, seed), tl.sample_unlabeled(joint, n, seed)
-    want = tally(cls, oracles.sample_labeled(joint, n, seed))
-    pool = tally(cls, oracles.sample_unlabeled(joint, n, seed))
-    assert len(got) == len(want) == len(unlabeled) == n
-    assert got.points.dtype == want.points.dtype and got.ones.dtype == want.ones.dtype
-    assert np.array_equal(got.points, want.points) and np.array_equal(got.ones, want.ones)
-    assert unlabeled.points.dtype == pool.points.dtype
-    assert np.array_equal(unlabeled.points, pool.points)
-    assert unlabeled.ones is None and pool.ones is None
 
 
 @settings(max_examples=100, deadline=None)
@@ -214,6 +263,23 @@ def test_sampling_deterministic_given_seed():
     a = tl.sample_labeled(joint, 100, seed=42)
     b = tl.sample_labeled(joint, 100, seed=42)
     assert np.array_equal(a.points, b.points) and np.array_equal(a.ones, b.ones)
+
+
+def test_samples_and_joints_compare_by_identity():
+    # dataclasses over arrays: == is identity and hash works, where a
+    # generated __eq__ raised on the arrays' ambiguous truth value
+    joint = tl.DiscreteJoint(np.arange(3.0), [0.5, 0.25, 0.25], [0.9, 0.5, 0.1])
+    twin = tl.DiscreteJoint(np.arange(3.0), [0.5, 0.25, 0.25], [0.9, 0.5, 0.1])
+    line = tl.example_scenario(2).p
+    values = (joint, tl.sample_labeled(joint, 8, 1), tl.sample_unlabeled(joint, 8, 1),
+              tl.sample_labeled(line, 8, 1), tl.sample_unlabeled(line, 8, 1))
+    twins = (twin, tl.sample_labeled(joint, 8, 1), tl.sample_unlabeled(joint, 8, 1),
+             tl.sample_labeled(line, 8, 1), tl.sample_unlabeled(line, 8, 1))
+    for a, b in zip(values, twins):
+        assert a == a and a != b and hash(a) == hash(a)
+    assert len(set(values + twins)) == 10
+    assert tl.TransferPair(joint, joint) == tl.TransferPair(joint, joint)
+    assert tl.TransferPair(joint, joint) != tl.TransferPair(joint, twin)
 
 
 def test_threshold_scenario_sampling_labels():

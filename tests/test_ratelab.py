@@ -133,8 +133,15 @@ def test_fit_slope_noisy_recovers_truth():
 def test_fit_slope_errors_and_exclusions():
     rows = [tl.RateRow(0, n, "erm_q", 1, 0.0, 0.0, 0.0, 0.0, 0) for n in (8, 16, 32)]
     with pytest.raises(ValueError):
-        with pytest.warns(UserWarning):
-            tl.fit_slope(tl.RateTable(rows), "n_q", "median")
+        tl.fit_slope(tl.RateTable(rows), "n_q", "median")
+    # rows with a zero statistic are left out of the fit and counted
+    mixed = rows + [tl.RateRow(0, n, "erm_q", 1, 1.0 / n, 1.0 / n, 0, 0, 0)
+                    for n in (64, 128, 256)]
+    fit = tl.fit_slope(tl.RateTable(mixed), "n_q", "median")
+    assert (fit.n_used, fit.n_excluded) == (3, 3)
+    assert fit.slope == pytest.approx(-1.0, abs=1e-12)
+    report = tl.compare_to_theory(tl.RateTable(mixed), -1.0, 0.01, drop_smallest=1)
+    assert (report["n_used"], report["n_excluded"], report["passed"]) == (3, 2, True)
     ok_rows = [tl.RateRow(0, int(n), "e", 1, 1.0 / n, 1.0 / n, 0, 0, 0)
                for n in (8, 16, 32, 64, 128)]
     fit = tl.fit_slope(tl.RateTable(ok_rows), "n_q", "median", drop_smallest=2)
