@@ -59,8 +59,6 @@ class CostSchedule:
     def cost(self, n: float) -> float:
         if n < 0:
             raise ValueError("n must be >= 0")
-        if self.form == "linear":
-            return self.unit * n
         return self.unit * float(n) ** self.exponent
 
     def minimal_n(self, budget: float) -> int:

@@ -389,10 +389,11 @@ def member_disagreements(cls: HypothesisClass, ref: int, sample) -> np.ndarray:
 def weighted_member_risks(cls: HypothesisClass, sample: LabeledSample,
                           f: np.ndarray) -> np.ndarray:
     """(1/n) sum of f(x) over each member's mislabeled sample points: row sums
-    (prefix sums for cuts), not a blocked matrix product; 0 on an empty sample."""
+    (prefix sums for cuts), not a blocked matrix product; 0 on an empty sample.
+    f must hold one finite, nonnegative weight per support point."""
+    f = _weights(cls, f)
     if len(sample) == 0:
         return np.zeros(len(cls))
-    f = np.asarray(f, dtype=np.float64)
     n0, n1 = _label_counts(cls, sample)
     w = f * (n0 - n1)
     own = ((cls.label_matrix * w).sum(axis=1) if cls.thresholds is None
@@ -456,11 +457,27 @@ def tally(cls: HypothesisClass, sample):
                             cls.support_size)
 
 
-def _counts(cls: HypothesisClass, sample) -> SampleCounts:
-    """The sample as counts over the class's support: tallied, then sized."""
+def _support_size(cls: HypothesisClass) -> int:
     size = cls.support_size
     if size is None:
         raise TypeError("threshold class is not enumerated; project it first")
+    return size
+
+
+def _weights(cls: HypothesisClass, f) -> np.ndarray:
+    """f as float64, refused unless one finite, nonnegative weight per support point."""
+    size, f = _support_size(cls), np.asarray(f, dtype=np.float64)
+    if f.shape != (size,):
+        raise ValueError(f"f has shape {f.shape}, not one weight for each of {size} points")
+    bad = np.flatnonzero(~((f >= 0) & (f < np.inf)))
+    if bad.size:
+        raise ValueError(f"f[{bad[0]}] is {f[bad[0]]}; weights must be finite and nonnegative")
+    return f
+
+
+def _counts(cls: HypothesisClass, sample) -> SampleCounts:
+    """The sample as counts over the class's support: tallied, then sized."""
+    size = _support_size(cls)
     c = tally(cls, sample)
     if c.points.size != size:
         raise ValueError(f"counts over {c.points.size} support points for a class over {size}")

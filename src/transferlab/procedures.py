@@ -18,9 +18,11 @@ from .hypotheses import (
     Hypothesis,
     HypothesisClass,
     LabeledSample,
+    _f2_disagreements,
     ensure_finite,
     member_disagreements,
     member_risks,
+    weighted_member_risks,
 )
 
 
@@ -72,32 +74,31 @@ def confidence_width_weighted(n: int, vc_dim: int, pdim: int, delta: float) -> f
 
 def near_optimal_mask(cls: HypothesisClass, sample: LabeledSample,
                       conf: ConfidenceParams) -> np.ndarray:
-    """Members whose empirical risk is within the adaptive radius of the ERM.
-
-    The radius for member h is c*sqrt(dis(h, erm) * A) + c*A with A the
-    confidence width of the sample; an empty sample (A infinite) makes every
-    member feasible.
-    """
+    """Members near-optimal on the sample (`_near_optimal`) at its confidence width."""
     width = confidence_width(len(sample), cls.vc_dim, conf.delta)
     return _near_optimal(cls, sample, conf, width)[0]
 
 
 def _near_optimal(cls: HypothesisClass, sample: LabeledSample, conf: ConfidenceParams,
-                  width: float) -> tuple[np.ndarray, int, np.ndarray | None]:
-    """`near_optimal_mask`, the anchor (ERM) index and every member's
-    disagreement with the anchor on the sample, from one `member_risks`.
+                  width: float, f=None) -> tuple[np.ndarray, int, np.ndarray | None]:
+    """The near-optimal set {h : R(h) - R(erm) <= c*sqrt(dis(h, erm)*A) + c*A}
+    at width A as a mask, the anchor erm's index and dis, from one risk pass.
 
-    Where every member is feasible without a pass (an empty sample, the only
-    sample whose width is infinite), the anchor is 0, that sample's ERM, and
-    the disagreements are None.
+    With per-support weights f, R is f-weighted, dis f^2-weighted and the last
+    term c*max(f)*A: the reweighted constraint.  An infinite A (an empty
+    sample, or a subnormal delta) makes every member feasible without a pass;
+    the anchor is then 0 and dis None.
     """
-    m = len(cls)
     if len(sample) == 0 or math.isinf(width):
-        return np.ones(m, dtype=bool), 0, None
-    risks = member_risks(cls, sample)
+        return np.ones(len(cls), dtype=bool), 0, None
+    if f is None:
+        risks, sup = member_risks(cls, sample), 1.0
+    else:
+        risks, sup = weighted_member_risks(cls, sample, f), float(np.max(f))
     best = int(np.argmin(risks))
-    dis = member_disagreements(cls, best, sample)
-    radius = conf.c * np.sqrt(dis * width) + conf.c * width
+    dis = (member_disagreements(cls, best, sample) if f is None
+           else _f2_disagreements(cls, best, sample, f))
+    radius = conf.c * np.sqrt(dis * width) + conf.c * sup * width
     return (risks - risks[best]) <= radius, best, dis
 
 
@@ -132,10 +133,7 @@ def select_source_or_target(sample_p: LabeledSample, sample_q: LabeledSample,
     target excess of the source optimum.
     """
     cls, (sample_p, sample_q) = ensure_finite(cls, (sample_p, sample_q))
-    feasible = near_optimal_mask(cls, sample_q, conf)
-    risks_p = member_risks(cls, sample_p)
-    erm_p = int(np.argmin(risks_p))
-    if feasible[erm_p]:
-        return cls[erm_p]
-    risks_q = member_risks(cls, sample_q)
-    return cls[int(np.argmin(risks_q))]
+    width = confidence_width(len(sample_q), cls.vc_dim, conf.delta)
+    feasible, erm_q, _ = _near_optimal(cls, sample_q, conf, width)
+    erm_p = int(np.argmin(member_risks(cls, sample_p)))
+    return cls[erm_p if feasible[erm_p] else erm_q]

@@ -1,13 +1,10 @@
 """Reweighting the source sample and choosing among multiple sources.
 
 Density families are finite lists of per-point weight vectors over a discrete
-support (unnormalized densities with respect to the source marginal).  The f^2
-weighting in the disagreement terms reflects that these act as variance
-weights in the underlying concentration bounds.  Members are evaluated only
-by the class kernels of `hypotheses` (`weighted_member_risks` and the f^2
-disagreements), which read every sample as its `SampleCounts` and sum each
-member's own terms in support order, so members that lose the same weight at
-every support point tie bit for bit.  A returned member is a record.  The
+support (unnormalized densities with respect to the source marginal).  A
+density f enters as the weights of the near-optimal set
+(`procedures._near_optimal`), whose f^2-weighted disagreements reflect that f
+acts as a variance weight in the underlying concentration bounds.  The
 choosers take each sample's counts from `ensure_finite` once for every
 candidate density or source.  Weights are per support point, so the weighted
 entry points refuse the raw threshold class.
@@ -25,7 +22,6 @@ from .hypotheses import (
     THRESHOLD,
     HypothesisClass,
     LabeledSample,
-    _f2_disagreements,
     ensure_finite,
     member_disagreements,
     member_risks,
@@ -33,6 +29,7 @@ from .hypotheses import (
 )
 from .procedures import (
     ConfidenceParams,
+    _near_optimal,
     confidence_width_weighted,
     reverse_transfer_erm,
 )
@@ -40,7 +37,7 @@ from .procedures import (
 
 @dataclass
 class DensityFamily:
-    """Finite family of nonnegative per-point weight vectors over a support.
+    """Finite family of finite, nonnegative per-point weight vectors over a support.
 
     pseudo_dim is caller-declared capacity; for a finite family the default
     proxy is ceil(log2 of the family size).
@@ -57,8 +54,8 @@ class DensityFamily:
         for w in self.weights:
             if w.size != size:
                 raise ValueError("weight vectors must share the support")
-            if (w < 0).any():
-                raise ValueError("densities must be nonnegative")
+            if not ((w >= 0) & (w < np.inf)).all():
+                raise ValueError("densities must be finite and nonnegative")
         if self.pseudo_dim is None:
             self.pseudo_dim = max(1, math.ceil(math.log2(max(2, len(self.weights)))))
 
@@ -78,20 +75,6 @@ def _refuse_raw_threshold(cls: HypothesisClass) -> None:
                         "the threshold class onto the joint's support first")
 
 
-def _weighted_feasible(cls: HypothesisClass, sample: LabeledSample, f: np.ndarray,
-                       conf: ConfidenceParams, pdim: int):
-    """Feasibility mask of the reweighted near-optimality constraint plus the
-    anchor (weighted ERM) index."""
-    width = confidence_width_weighted(len(sample), cls.vc_dim, pdim, conf.delta)
-    if len(sample) == 0 or math.isinf(width):
-        return np.ones(len(cls), dtype=bool), 0
-    risks = weighted_member_risks(cls, sample, f)
-    anchor = int(np.argmin(risks))
-    dis_f2 = _f2_disagreements(cls, anchor, sample, f)
-    radius = conf.c * np.sqrt(dis_f2 * width) + conf.c * float(np.max(f)) * width
-    return (risks - risks[anchor]) <= radius, anchor
-
-
 def delta_hat_weighted(sample_p: LabeledSample, f: np.ndarray, probe,
                        cls: HypothesisClass, conf: ConfidenceParams,
                        pdim: int) -> float:
@@ -99,7 +82,8 @@ def delta_hat_weighted(sample_p: LabeledSample, f: np.ndarray, probe,
     passing the f-weighted near-optimality constraint."""
     _refuse_raw_threshold(cls)
     cls, (sample_p, probe) = ensure_finite(cls, (sample_p, probe))
-    mask, anchor = _weighted_feasible(cls, sample_p, f, conf, pdim)
+    width = confidence_width_weighted(len(sample_p), cls.vc_dim, pdim, conf.delta)
+    mask, anchor, _ = _near_optimal(cls, sample_p, conf, width, f)
     if len(probe) == 0:
         return 0.0
     return float(np.max(member_disagreements(cls, anchor, probe)[mask]))
@@ -120,8 +104,8 @@ def reweighted_transfer_erm(sample_p: LabeledSample, sample_q: LabeledSample,
     radii = [delta_hat_weighted(sample_p, f, unlabeled, cls, conf, family.pseudo_dim)
              for f in family.weights]
     f_ix = int(np.argmin(radii))
-    f = family.weights[f_ix]
-    mask, _ = _weighted_feasible(cls, sample_p, f, conf, family.pseudo_dim)
+    width = confidence_width_weighted(len(sample_p), cls.vc_dim, family.pseudo_dim, conf.delta)
+    mask = _near_optimal(cls, sample_p, conf, width, family.weights[f_ix])[0]
     risks_q = member_risks(cls, sample_q)
     idx = np.flatnonzero(mask)
     return cls[int(idx[np.argmin(risks_q[idx])])], f_ix

@@ -40,6 +40,17 @@ def test_minimal_n_is_exact_inverse():
         assert n == 1 or sched.cost(n - 1) < budget
 
 
+def test_linear_cost_is_unit_times_n():
+    # the linear form is the power form at exponent 1: float(n) ** 1.0 is
+    # float(n), the rounding that unit * n applies to an int n as well
+    rng = np.random.default_rng(12)
+    for _ in range(500):
+        sched = tl.CostSchedule("linear", float(rng.uniform(0.01, 3.0)))
+        for n in (int(rng.integers(2 ** 53, 2 ** 62)), 2 ** 53 + 1,
+                  float(rng.uniform(0.0, 1e6)), float(rng.uniform(0.0, 2.0 ** 80))):
+            assert sched.cost(n) == sched.unit * n
+
+
 def test_cost_schedule_validation():
     with pytest.raises(ValueError):
         tl.CostSchedule("power", 1.0, 1.5)
@@ -355,7 +366,8 @@ def test_adaptive_run_bins_each_batch_once(monkeypatch):
 
 @pytest.mark.parametrize("gamma, q_only, stop", [(2.0, False, ("step6", 9)),
                                                  (3.0, False, ("step6", 9)),
-                                                 (2.0, True, ("step6", 9))])
+                                                 (2.0, True, ("step6", 9)),
+                                                 (1.0, False, ("step7", 6))])
 def test_raw_threshold_class_runs_with_line_samplers(gamma, q_only, stop):
     # line samples stay points: each round projects the raw class onto their union
     pair = tl.example_scenario(3, gamma=gamma)

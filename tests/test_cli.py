@@ -450,6 +450,8 @@ BAD_FIELDS = [
       "--set", "drop_smallest=-1"], "drop_smallest"),
     (["rates", "--config", str(CONFIGS / "target_rate_sweep.json"),
       "--set", "tolerance=-0.1"], "tolerance"),
+    # exited 3: a NaN weight reached the weighted kernels
+    (REWEIGHT + ["--set", "densities=[[NaN,1,1,1],[1,1,1,1]]"], "densities"),
 ]
 
 

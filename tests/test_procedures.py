@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import transferlab as tl
-from transferlab.procedures import near_optimal_mask
+from transferlab.procedures import _near_optimal, near_optimal_mask
 from transferlab.hypotheses import member_risks
 
 import oracles
@@ -143,6 +143,53 @@ def test_selector_rejects_misleading_source():
         h = tl.select_source_or_target(sp, sq, cls, CONF)
         rejections += tl.excess_risk(pair.q, h, cls) < 0.1
     assert rejections >= 32  # most runs fall back to the target ERM
+
+
+def test_selector_reads_the_target_erm_from_the_near_optimal_set(monkeypatch):
+    # a rejected source ERM falls back to the anchor of the target's
+    # near-optimal set: one risk pass over the target sample, not two
+    calls = []
+    real = tl.hypotheses.member_risks
+
+    def counted(cls, sample):
+        calls.append(len(sample))
+        return real(cls, sample)
+
+    for mod in (tl.hypotheses, tl.procedures):
+        monkeypatch.setattr(mod, "member_risks", counted)
+    pair, cls = tl.rcs_violating_pair(0.15)
+    sp = tl.sample_labeled(pair.p, 8192, seed=1)
+    sq = tl.sample_labeled(pair.q, 4096, seed=2)
+    h = tl.select_source_or_target(sp, sq, cls, CONF)
+    assert sorted(calls) == [4096, 8192]
+    assert h is tl.erm(cls, sq) and h is not tl.erm(cls, sp)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_unit_weights_give_the_plain_near_optimal_set(data):
+    # counts are integers, so the plain and the f = 1 kernels sum exactly: the
+    # set, its anchor and the disagreements agree bit for bit at any width
+    s = data.draw(st.integers(1, 6))
+    if data.draw(st.booleans()):
+        patterns = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=s, max_size=s),
+                                      min_size=1, max_size=2 ** s, unique_by=tuple))
+        cls = tl.finite_class(patterns)
+    else:
+        cls = tl.project_class(tl.threshold_class(), np.arange(float(s)))
+    top = data.draw(st.sampled_from([0, 1, 50]))  # 0: the empty sample
+    points = data.draw(st.lists(st.integers(0, top), min_size=s, max_size=s))
+    ones = [data.draw(st.integers(0, k)) for k in points]
+    sample = tl.SampleCounts(np.array(points, dtype=np.int64), np.array(ones, dtype=np.int64))
+    conf = tl.ConfidenceParams(c=data.draw(st.sampled_from([0.5, 1.0, 2.0])),
+                               delta=data.draw(st.sampled_from([0.05, 0.1, 0.3])))
+    width = data.draw(st.one_of(
+        st.just(tl.confidence_width(len(sample), cls.vc_dim, conf.delta)),
+        st.floats(0.0, 10.0), st.just(math.inf)))
+    mask, anchor, dis = _near_optimal(cls, sample, conf, width)
+    mask1, anchor1, dis1 = _near_optimal(cls, sample, conf, width, np.ones(s))
+    assert np.array_equal(mask, mask1) and anchor == anchor1
+    assert (dis is None and dis1 is None) or np.array_equal(dis, dis1)
 
 
 def test_procedures_match_oracles_randomized():

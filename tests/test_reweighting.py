@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import transferlab as tl
-from transferlab.hypotheses import member_disagreements, member_risks
-from transferlab.reweighting import _f2_disagreements, weighted_member_risks
+from transferlab.hypotheses import _f2_disagreements, member_disagreements, member_risks
+from transferlab.procedures import _near_optimal, confidence_width_weighted
+from transferlab.reweighting import weighted_member_risks
 
 import oracles
 
@@ -12,6 +13,12 @@ CONF = tl.ConfidenceParams(c=1.0, delta=0.1)
 
 def make_sample(xs, ys):
     return tl.LabeledSample(np.asarray(xs, dtype=np.int64), np.asarray(ys), seed=0)
+
+
+def weighted_set(cls, sample, f, pdim):
+    """The f-weighted near-optimal set of the sample: (mask, anchor, f^2 dis)."""
+    width = confidence_width_weighted(len(sample), cls.vc_dim, pdim, CONF.delta)
+    return _near_optimal(cls, sample, CONF, width, f)
 
 
 def test_unit_density_matches_unweighted():
@@ -160,6 +167,37 @@ def test_density_family_validation_and_pdim_proxy():
         tl.DensityFamily([np.array([1.0, -0.5])])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_density_family_refuses_non_finite_weights(bad):
+    with pytest.raises(ValueError, match="densities must be finite and nonnegative"):
+        tl.DensityFamily([np.ones(3), np.array([1.0, bad, 1.0])])
+
+
+@pytest.mark.parametrize("f, message", [
+    (np.where(np.arange(16) == 3, np.nan, 1.0), r"f\[3\] is nan"),
+    (-np.ones(16), r"f\[0\] is -1.0"),
+    (np.where(np.arange(16) == 15, np.inf, 1.0), r"f\[15\] is inf"),
+    (np.ones(15), r"shape \(15,\)"),
+    (1.0, r"shape \(\)"),
+])
+def test_weighted_kernels_refuse_bad_weights(f, message):
+    # unchecked, a NaN weight picks member 0, all-negative weights member 16,
+    # and delta_hat_weighted fails on an empty feasible set
+    pair, cls = tl.discretize_pair(tl.example_scenario(2), 16)
+    sp = tl.sample_labeled(pair.p, 64, seed=1)
+    u = tl.sample_unlabeled(pair.q, 64, seed=2)
+    for call in (lambda: weighted_member_risks(cls, sp, f),
+                 lambda: weighted_member_risks(cls, make_sample([], []), f),
+                 lambda: tl.weighted_erm(cls, sp, f),
+                 lambda: tl.delta_hat_weighted(sp, f, u, cls, CONF, 1)):
+        with pytest.raises(ValueError, match=message):
+            call()
+    # the raw threshold class is refused first, whatever f holds
+    line = tl.LabeledSample(np.array([0.5]), np.array([1]), seed=0)
+    with pytest.raises(TypeError, match="project it first"):
+        weighted_member_risks(tl.threshold_class(), line, f)
+
+
 def test_reweighted_transfer_unit_family_reduces_to_constrained_erm():
     pair, cls = tl.discretize_pair(tl.example_scenario(2), 16)
     sp = tl.sample_labeled(pair.p, 64, seed=1)
@@ -168,9 +206,7 @@ def test_reweighted_transfer_unit_family_reduces_to_constrained_erm():
     fam = tl.DensityFamily([np.ones(16)], pseudo_dim=0)
     h, f_ix = tl.reweighted_transfer_erm(sp, sq, u, fam, cls, CONF)
     assert f_ix == 0
-    from transferlab.reweighting import _weighted_feasible
-    mask, _ = _weighted_feasible(cls, sp, np.ones(16), CONF, 0)
-    from transferlab.hypotheses import member_risks
+    mask = weighted_set(cls, sp, np.ones(16), 0)[0]
     risks_q = member_risks(cls, sq)
     idx = np.flatnonzero(mask)
     assert h is cls.members[int(idx[np.argmin(risks_q[idx])])]
@@ -183,8 +219,7 @@ def test_reweighted_transfer_empty_target_lowest_feasible():
     sq = make_sample([], [])
     fam = tl.DensityFamily([np.ones(16)], pseudo_dim=0)
     h, _ = tl.reweighted_transfer_erm(sp, sq, u, fam, cls, CONF)
-    from transferlab.reweighting import _weighted_feasible
-    mask, _ = _weighted_feasible(cls, sp, np.ones(16), CONF, 0)
+    mask = weighted_set(cls, sp, np.ones(16), 0)[0]
     assert h is cls.members[int(np.flatnonzero(mask)[0])]
 
 
@@ -262,9 +297,7 @@ def test_reweighted_output_replays_constraint():
     sq = tl.sample_labeled(pair.q, 64, seed=78)
     u = tl.sample_unlabeled(pair.q, 512, seed=79)
     h, f_ix = tl.reweighted_transfer_erm(sp, sq, u, fam, cls, CONF)
-    from transferlab.reweighting import _weighted_feasible
-    from transferlab.procedures import confidence_width_weighted
-    mask, anchor = _weighted_feasible(cls, sp, fam.weights[f_ix], CONF, fam.pseudo_dim)
+    mask, anchor, _ = weighted_set(cls, sp, fam.weights[f_ix], fam.pseudo_dim)
     i = cls.members.index(h)
     assert mask[i]
     # the printed inequality itself holds for the returned hypothesis
