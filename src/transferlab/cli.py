@@ -40,6 +40,7 @@ from .discrepancy import (
     verify_family,
 )
 from .distributions import (
+    _line_extent,
     best_in_class,
     build_single_scale_family,
     build_two_scale_family,
@@ -388,9 +389,7 @@ class _Exponent:
         if self.grid_size is not None:
             if pair.discrete:
                 raise ConfigError("grid_size: applies only to a continuous scenario")
-            lo = min(pair.p.lo, pair.q.lo)
-            hi = max(pair.p.hi, pair.q.hi)
-            grid = np.linspace(lo, hi, self.grid_size)
+            grid = np.linspace(*_line_extent(pair), self.grid_size)
         if quantity in ("d_a", "d_y"):
             value = {"d_a": d_a, "d_y": d_y}[quantity](pair, cls, grid=grid)
             payload = {"quantity": quantity, "value": value}

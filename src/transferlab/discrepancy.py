@@ -16,6 +16,7 @@ import numpy as np
 
 from .distributions import (
     TransferPair,
+    _line_extent,
     member_disagreement_mass,
     member_true_risks,
 )
@@ -75,8 +76,7 @@ class PairProfile:
 
 
 def default_grid(pair: TransferPair) -> np.ndarray:
-    lo = min(pair.p.lo, pair.q.lo)
-    hi = max(pair.p.hi, pair.q.hi)
+    lo, hi = _line_extent(pair)
     grid = np.linspace(lo, hi, DEFAULT_GRID_SIZE)
     return np.unique(np.concatenate([grid, [pair.p.h_star, lo - 1.0, hi + 1.0]]))
 
@@ -84,27 +84,28 @@ def default_grid(pair: TransferPair) -> np.ndarray:
 def pair_profile(pair: TransferPair, cls: HypothesisClass,
                  grid=None) -> PairProfile:
     if pair.discrete:
-        return _discrete_profile(pair, cls)
+        return _discrete_profile(project_onto_support(cls, pair.p.support),
+                                 pair.p.mass, pair.p.eta, pair.q.mass, pair.q.eta)
     if cls.kind != THRESHOLD:
         raise TypeError("line scenarios pair with the threshold class")
     grid = default_grid(pair) if grid is None else np.unique(np.asarray(grid, dtype=np.float64))
     return _threshold_profile(pair, grid)
 
 
-def _discrete_profile(pair: TransferPair, cls: HypothesisClass) -> PairProfile:
-    cls = project_onto_support(cls, pair.p.support)
-    risks_p = member_true_risks(pair.p, cls)
-    risks_q = member_true_risks(pair.q, cls)
+def _discrete_profile(cls: HypothesisClass, mass_p: np.ndarray, eta_p: np.ndarray,
+                      mass_q: np.ndarray, eta_q: np.ndarray) -> PairProfile:
+    risks_p = member_true_risks(cls, mass_p, eta_p)
+    risks_q = member_true_risks(cls, mass_q, eta_q)
     star_p = int(np.argmin(risks_p))
     star_q = int(np.argmin(risks_q))
-    dis_q = member_disagreement_mass(pair.q, cls, star_p)
+    dis_q = member_disagreement_mass(cls, star_p, mass_q)
     dis_q_own = dis_q if star_q == star_p else \
-        member_disagreement_mass(pair.q, cls, star_q)
+        member_disagreement_mass(cls, star_q, mass_q)
     return PairProfile(
         members=cls,
         e_p=risks_p - risks_p[star_p],
         e_q=risks_q - risks_q[star_q],
-        dis_p=member_disagreement_mass(pair.p, cls, star_p),
+        dis_p=member_disagreement_mass(cls, star_p, mass_p),
         dis_q=dis_q,
         dis_q_own=dis_q_own,
         risk_q=risks_q,
@@ -273,7 +274,12 @@ def verify_membership(pair: TransferPair, cls: HypothesisClass, rho: float,
     """Checks, for every enumerated h, the three defining inequalities of the
     constrained pair class: constant*E_P >= E_Q^rho, P-side noise condition at
     beta_p, Q-side noise condition at beta_q (both with the same constant)."""
-    prof = pair_profile(pair, cls, grid)
+    return _membership(pair_profile(pair, cls, grid), rho, beta_p, beta_q, constant, tol)
+
+
+def _membership(prof: PairProfile, rho: float, beta_p: float, beta_q: float,
+                constant: float, tol: float) -> MembershipReport:
+    """`verify_membership`'s three checks on one pair's profile."""
     checks = (
         ("transfer", np.power(prof.e_q, rho), constant * prof.e_p),
         ("noise_p", prof.dis_p, constant * np.power(prof.e_p, beta_p)),
@@ -294,7 +300,7 @@ def verify_membership(pair: TransferPair, cls: HypothesisClass, rho: float,
 def verify_family(family, constant: float | None = None, tol: float = 1e-9,
                   rho: float | None = None, beta_p: float | None = None,
                   beta_q: float | None = None) -> list[MembershipReport]:
-    """Membership check for every pair in a sign-indexed family.
+    """Membership check for every pair of a sign-indexed family, read from its eta rows.
 
     Parameters default to the family's construction parameters; the constant
     defaults to 1 for single-scale and 2 for two-scale families.
@@ -305,8 +311,9 @@ def verify_family(family, constant: float | None = None, tol: float = 1e-9,
     beta_q = p["beta_q"] if beta_q is None else beta_q
     if constant is None:
         constant = 1.0 if family.kind == "single-scale" else 2.0
-    return [verify_membership(pair, family.cls, rho, beta_p, beta_q, constant, tol=tol)
-            for pair in family.pairs]
+    return [_membership(_discrete_profile(family.cls, family.mass_p, eta_p, family.mass_q, eta_q),
+                        rho, beta_p, beta_q, constant, tol)
+            for eta_p, eta_q in zip(family.eta_p, family.eta_q)]
 
 
 def gamma_rho_chain_check(pair: TransferPair, cls: HypothesisClass,
@@ -325,9 +332,3 @@ def gamma_rho_chain_check(pair: TransferPair, cls: HypothesisClass,
     return {"ok": bool(ok), "rho": r.value, "gamma": g.value,
             "beta_p": b.value, "bound": bound}
 
-
-def exponent_sweep(pair: TransferPair, cls: HypothesisClass, which: str,
-                   constants, grid=None) -> list[ExponentReport]:
-    """Convenience sweep of an exponent over a grid of constants."""
-    op = {"rho": rho_min, "gamma": gamma_min, "rho_prime": rho_prime_min}[which]
-    return [op(pair, cls, float(c), grid) for c in constants]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -115,7 +116,7 @@ def _check_joint(support: np.ndarray, mass: np.ndarray, eta: np.ndarray) -> None
     for name, arr in (("support", support), ("mass", mass), ("eta", eta)):
         bad = np.flatnonzero(~np.isfinite(arr))
         if bad.size:
-            raise ValueError(f"{name}[{bad[0]}] is {arr[bad[0]]}, not a finite number")
+            raise ValueError(f"{name}[{bad[0]}] is {arr.flat[bad[0]]}, not a finite number")
     if abs(mass.sum() - 1.0) > MASS_TOL:
         raise ValueError(f"mass sums to {mass.sum()!r}, not 1")
     if (mass < -MASS_TOL).any():
@@ -178,13 +179,10 @@ class ThresholdMarginal:
     density: Density1D
     h_star: float
 
-    @property
-    def lo(self):
-        return self.density.lo
 
-    @property
-    def hi(self):
-        return self.density.hi
+def _line_extent(pair) -> tuple[float, float]:
+    """The interval (lo, hi) that covers both sides of a line pair."""
+    return min(pair.p.density.lo, pair.q.density.lo), max(pair.p.density.hi, pair.q.density.hi)
 
 
 @dataclass(frozen=True)
@@ -294,25 +292,24 @@ def true_risk(dist, h: Hypothesis) -> float:
     raise TypeError(f"cannot evaluate risk under {type(dist).__name__}")
 
 
-def member_true_risks(joint: DiscreteJoint, cls: HypothesisClass) -> np.ndarray:
-    """Exact risk of every member of an enumerated class, as one product."""
-    w = joint.mass * (1.0 - 2.0 * joint.eta)
-    return _matvec(cls, w) + float(np.dot(joint.mass, joint.eta))
+def member_true_risks(cls: HypothesisClass, mass: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """Exact risk of every member of an enumerated class under (mass, eta), as one product."""
+    w = mass * (1.0 - 2.0 * eta)
+    return _matvec(cls, w) + float(np.dot(mass, eta))
 
 
-def member_disagreement_mass(joint: DiscreteJoint, cls: HypothesisClass,
-                             ref: int) -> np.ndarray:
-    """Marginal mass where each member disagrees with member `ref`, exactly."""
+def member_disagreement_mass(cls: HypothesisClass, ref: int, mass: np.ndarray) -> np.ndarray:
+    """Marginal `mass` where each member disagrees with member `ref`, exactly."""
     ref_lab = _row(cls, ref)
     # 1[h != ref] = h + ref - 2 h ref, folded into one product
-    return _matvec(cls, joint.mass * (1.0 - 2.0 * ref_lab)) + float(np.dot(joint.mass, ref_lab))
+    return _matvec(cls, mass * (1.0 - 2.0 * ref_lab)) + float(np.dot(mass, ref_lab))
 
 
 def best_in_class(dist, cls: HypothesisClass) -> Hypothesis:
     """Exhaustive minimizer of the true risk; lowest index on ties."""
     if isinstance(dist, DiscreteJoint):
         cls = project_onto_support(cls, dist.support)
-        return cls[int(np.argmin(member_true_risks(dist, cls)))]
+        return cls[int(np.argmin(member_true_risks(cls, dist.mass, dist.eta)))]
     if isinstance(dist, ThresholdMarginal):
         return Hypothesis(kind=THRESHOLD, threshold=dist.h_star)
     raise TypeError(f"cannot optimize over {type(dist).__name__}")
@@ -374,12 +371,10 @@ def chi2_bound(epsilon: float, z: int = 1) -> float:
     return q * (1.0 - p / q) ** 2 + (1.0 - q) * (1.0 - (1.0 - p) / (1.0 - q)) ** 2
 
 
-def _joint_kl(a: DiscreteJoint, b: DiscreteJoint) -> float:
-    """Exact KL between two joints sharing a marginal (conditional KL only)."""
-    if not np.array_equal(a.mass, b.mass):
-        raise ValueError("joints must share the X marginal")
+def _conditional_kl(mass: np.ndarray, eta_a: np.ndarray, eta_b: np.ndarray) -> float:
+    """Exact KL between the joints with marginal `mass` and etas eta_a, eta_b."""
     total = 0.0
-    for m, pa, pb in zip(a.mass, a.eta, b.eta):
+    for m, pa, pb in zip(mass, eta_a, eta_b):
         if m == 0.0 or pa == pb:
             continue
         if pa in (0.0, 1.0) or pb in (0.0, 1.0):
@@ -392,23 +387,47 @@ def _joint_kl(a: DiscreteJoint, b: DiscreteJoint) -> float:
 # sign-indexed hard families
 
 
-@dataclass
-class SigmaFamily:
-    """Distribution pairs indexed by sign vectors, sharing both marginals.
-
-    Every pair's optimal classifier labels the anchor point x_0 as 1; the
-    accompanying class enumerates exactly the label patterns with that anchor
-    fixed, which is the class all certification brute force runs over.
+class SigmaFamily(Sequence):
+    """Distribution pairs indexed by sign vectors over the points 0..d, sharing
+    both marginals: a family holds the `support`, `mass_p`, `mass_q` and
+    read-only (K, d + 1) matrices `eta_p`, `eta_q` whose row i is pair i's eta,
+    validated once.  `fam[i]` builds pair i once and caches it; `pairs` is the
+    family itself.  Every pair's optimal classifier labels the anchor point x_0
+    as 1; `cls` enumerates exactly the label patterns with that anchor fixed,
+    which is the class all certification brute force runs over.
     """
 
-    sigmas: np.ndarray  # (K, d) entries in {-1, +1}
-    pairs: list[TransferPair]
-    cls: HypothesisClass
-    params: dict
-    kind: str  # "single-scale" | "two-scale"
+    def __init__(self, sigmas: np.ndarray, mass_p: np.ndarray, margin_p, mass_q: np.ndarray,
+                 margin_q, params: dict, kind: str, certified: Certified):
+        d = sigmas.shape[1]
+        self.sigmas = sigmas  # (K, d) entries in {-1, +1}
+        self.cls = _anchored_cube_class(d, np.arange(d + 1, dtype=np.float64))
+        self.support = self.cls.support_coords
+        self.mass_p, self.eta_p = mass_p, _sigma_etas(sigmas, margin_p)
+        self.mass_q, self.eta_q = mass_q, _sigma_etas(sigmas, margin_q)
+        for mass, eta in ((mass_p, self.eta_p), (mass_q, self.eta_q)):
+            _check_joint(self.support, mass, eta)
+        for arr in (self.support, mass_p, self.eta_p, mass_q, self.eta_q):
+            arr.setflags(write=False)
+        self.params = params
+        self.kind = kind  # "single-scale" | "two-scale"
+        self.certified = certified
+        self._built: dict[int, TransferPair] = {}
+
+    @property
+    def pairs(self) -> "SigmaFamily":
+        return self
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.sigmas)
+
+    def __getitem__(self, i: int) -> TransferPair:
+        i = range(len(self))[operator.index(i)]
+        if i not in self._built:
+            self._built[i] = TransferPair(
+                DiscreteJoint(self.support, self.mass_p, self.eta_p[i]),
+                DiscreteJoint(self.support, self.mass_q, self.eta_q[i]), self.certified)
+        return self._built[i]
 
     def bayes(self, i: int) -> Hypothesis:
         labels = (1,) + tuple(int(s > 0) for s in self.sigmas[i])
@@ -457,17 +476,9 @@ def _family_sigmas(d: int, sigmas, seed: int) -> np.ndarray:
     return vg_packing(d, seed=seed, target=min(64, 2 ** d))
 
 
-def _sigma_pairs(sigmas, coords, mass_p, margin_p, mass_q, margin_q, certified):
-    """One pair per sign vector, sharing both marginals: eta is 1 on the anchor
-    and 1/2 + (sigma/2) * margin on the other points."""
-    def etas(margin):
-        eta = np.ones((len(sigmas), len(coords)))
-        eta[:, 1:] = 0.5 + (sigmas / 2.0) * margin
-        return eta
-
-    return [TransferPair(p=DiscreteJoint(coords, mass_p, eta_p),
-                         q=DiscreteJoint(coords, mass_q, eta_q), certified=certified)
-            for eta_p, eta_q in zip(etas(margin_p), etas(margin_q))]
+def _sigma_etas(sigmas: np.ndarray, margin) -> np.ndarray:
+    """One eta row per sign vector: 1 on x_0, 1/2 + (sigma/2) * margin elsewhere."""
+    return np.column_stack((np.ones(len(sigmas)), 0.5 + (sigmas / 2.0) * margin))
 
 
 def build_single_scale_family(d_h: int, rho: float, beta_p: float, beta_q: float,
@@ -490,8 +501,6 @@ def build_single_scale_family(d_h: int, rho: float, beta_p: float, beta_q: float
     if not (0.0 <= beta_p <= 1.0 and 0.0 <= beta_q <= 1.0):
         raise ValueError("beta_p, beta_q must lie in [0, 1]")
     sigmas = _family_sigmas(d, sigmas, seed)
-    coords = np.arange(d + 1, dtype=np.float64)
-    cls = _anchored_cube_class(d, coords)
 
     mass_q = np.full(d + 1, epsilon ** beta_q / d)
     mass_q[0] = 1.0 - epsilon ** beta_q
@@ -507,10 +516,9 @@ def build_single_scale_family(d_h: int, rho: float, beta_p: float, beta_q: float
         c_gamma=1.0 if gamma is not None and gamma >= 1.0 else None,
         beta_p=beta_p, beta_q=beta_q, c_p=1.0, c_q=1.0)
 
-    pairs = _sigma_pairs(sigmas, coords, mass_p, margin_p, mass_q, margin_q, certified)
     params = dict(d_h=d_h, rho=rho, beta_p=beta_p, beta_q=beta_q, epsilon=epsilon)
-    return SigmaFamily(sigmas=sigmas, pairs=pairs, cls=cls, params=params,
-                       kind="single-scale")
+    return SigmaFamily(sigmas, mass_p, margin_p, mass_q, margin_q, params, "single-scale",
+                       certified)
 
 
 def default_tau(gamma: float) -> float:
@@ -547,8 +555,6 @@ def build_two_scale_family(d_h: int, rho: float, beta_p: float, beta_q: float,
         raise ValueError("need at least 4 usable support points")
     half = d // 2
     sigmas = _family_sigmas(d, sigmas, seed)
-    coords = np.arange(d + 1, dtype=np.float64)
-    cls = _anchored_cube_class(d, coords)
 
     mass_q = np.empty(d + 1)
     mass_q[0] = 1.0 - 0.5 * (eps1 ** beta_q + eps2 / tau)
@@ -565,11 +571,10 @@ def build_two_scale_family(d_h: int, rho: float, beta_p: float, beta_q: float,
 
     certified = Certified(rho=rho, c_rho=1.0, gamma=gamma, c_gamma=2.0,
                           beta_p=beta_p, beta_q=beta_q, c_p=1.0, c_q=2.0)
-    pairs = _sigma_pairs(sigmas, coords, mass_p, margin_p, mass_q, margin_q, certified)
     params = dict(d_h=d_h, rho=rho, beta_p=beta_p, beta_q=beta_q,
                   eps1=eps1, eps2=eps2, tau=tau, gamma=gamma)
-    return SigmaFamily(sigmas=sigmas, pairs=pairs, cls=cls, params=params,
-                       kind="two-scale")
+    return SigmaFamily(sigmas, mass_p, margin_p, mass_q, margin_q, params, "two-scale",
+                       certified)
 
 
 def epsilon_schedule(n_p: float, n_q: float, d_h: int, rho: float,
@@ -587,10 +592,8 @@ def epsilon_schedule(n_p: float, n_q: float, d_h: int, rho: float,
 
 def kl_product(family: SigmaFamily, i: int, j: int, n_p: int, n_q: int) -> float:
     """Exact KL between the (sample-size powered) product measures of pairs i, j."""
-    if i == j:
-        return 0.0
-    a, b = family.pairs[i], family.pairs[j]
-    return n_p * _joint_kl(a.p, b.p) + n_q * _joint_kl(a.q, b.q)
+    return (n_p * _conditional_kl(family.mass_p, family.eta_p[i], family.eta_p[j])
+            + n_q * _conditional_kl(family.mass_q, family.eta_q[i], family.eta_q[j]))
 
 
 # ---------------------------------------------------------------------------
@@ -684,9 +687,7 @@ def discretize_pair(pair: TransferPair, cells: int) -> tuple[TransferPair, Hypot
     if pair.discrete:
         raise TypeError("pair is already discrete")
     p, q = pair.p, pair.q
-    lo = min(p.lo, q.lo)
-    hi = max(p.hi, q.hi)
-    edges = np.linspace(lo, hi, cells + 1)
+    edges = np.linspace(*_line_extent(pair), cells + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     mass_p = np.diff(p.density.cdf(edges))
     mass_q = np.diff(q.density.cdf(edges))

@@ -19,6 +19,7 @@ from .hypotheses import (
     HypothesisClass,
     LabeledSample,
     _f2_disagreements,
+    _weights,
     ensure_finite,
     member_disagreements,
     member_risks,
@@ -87,8 +88,10 @@ def _near_optimal(cls: HypothesisClass, sample: LabeledSample, conf: ConfidenceP
     With per-support weights f, R is f-weighted, dis f^2-weighted and the last
     term c*max(f)*A: the reweighted constraint.  An infinite A (an empty
     sample, or a subnormal delta) makes every member feasible without a pass;
-    the anchor is then 0 and dis None.
+    the anchor is then 0 and dis None.  f is checked before that shortcut.
     """
+    if f is not None:
+        f = _weights(cls, f)
     if len(sample) == 0 or math.isinf(width):
         return np.ones(len(cls), dtype=bool), 0, None
     if f is None:

@@ -10,7 +10,8 @@ count-built run see the same data; `label_counts_two_masks` is the package's
 earlier two-pass label counts on its sample indexing; and `adaptive_loop` is
 the package's earlier adaptive loop, which concatenates every point batch
 bought so far and recounts the whole sample each round, kept verbatim on the
-package's `delta_hat`, `erm` and widths.
+package's `delta_hat`, `erm` and widths; `joint_kl` is the package's earlier
+KL between two built joints, kept verbatim.
 """
 
 import math
@@ -20,7 +21,7 @@ import numpy as np
 
 from transferlab.adaptive import Round, SamplingTranscript, delta_hat, unlabeled_requirement
 from transferlab.discrepancy import ZERO, ExponentReport
-from transferlab.distributions import DiscreteJoint, ThresholdMarginal
+from transferlab.distributions import DiscreteJoint, ThresholdMarginal, kl_bernoulli
 from transferlab.distributions import sample_labeled as package_sample_labeled
 from transferlab.distributions import sample_unlabeled as package_sample_unlabeled
 from transferlab.hypotheses import (
@@ -282,6 +283,20 @@ def beta_max_loop(excess, dis, c_noise, members, grid_size):
     if witness is None:
         return ExponentReport(1.0, c_noise, degenerate=True, grid_size=grid_size)
     return ExponentReport(max(best, 0.0), c_noise, members[witness], grid_size=grid_size)
+
+
+def joint_kl(a: DiscreteJoint, b: DiscreteJoint) -> float:
+    """Exact KL between two joints sharing a marginal (conditional KL only)."""
+    if not np.array_equal(a.mass, b.mass):
+        raise ValueError("joints must share the X marginal")
+    total = 0.0
+    for m, pa, pb in zip(a.mass, a.eta, b.eta):
+        if m == 0.0 or pa == pb:
+            continue
+        if pa in (0.0, 1.0) or pb in (0.0, 1.0):
+            return math.inf
+        total += m * kl_bernoulli(pa, pb)
+    return total
 
 
 def rng_from(seed, *path):

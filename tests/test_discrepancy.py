@@ -179,6 +179,26 @@ def test_verify_membership_single_scale():
     assert not bad.ok and bad.violations[0]["witness_labels"] is not None
 
 
+@pytest.mark.parametrize("kind, args, overrides", [
+    ("single-scale", (9, 2.0, 0.5, 0.5, 0.25), {}),
+    ("single-scale", (9, 2.0, 0.5, 0.5, 0.25), {"rho": 1.99}),
+    ("single-scale", (13, 1.5, 0.5, 0.5, 0.05), {}),
+    ("single-scale", (15, 1.5, 0.5, 0.5, 0.05), {}),
+    ("two-scale", (9, 4.0, 0.5, 0.5, 0.25, 0.125), {}),
+])
+def test_verify_family_is_membership_of_every_built_pair(kind, args, overrides):
+    build = {"single-scale": tl.build_single_scale_family,
+             "two-scale": tl.build_two_scale_family}[kind]
+    fam = build(*args)
+    p = {**fam.params, **overrides}
+    constant = 1.0 if kind == "single-scale" else 2.0
+    got = tl.verify_family(fam, **overrides)
+    assert got == [tl.verify_membership(fam.pairs[i], fam.cls, p["rho"], p["beta_p"],
+                                        p["beta_q"], constant) for i in range(len(fam))]
+    # rho 1.99 < 2 breaks the transfer inequality once per pair
+    assert sum(len(r.violations) for r in got) == (len(fam) if overrides else 0)
+
+
 def test_verify_membership_identity_pair():
     pair, cls = identical_noiseless_pair()
     assert tl.verify_membership(pair, cls, 1.0, 1.0, 1.0, 1.0).ok
@@ -217,13 +237,6 @@ def test_witness_consistency_gamma():
     i = prof.members.index(rep.witness)
     ratio = math.log(prof.dis_p[i]) / math.log(prof.dis_q[i])
     assert ratio == pytest.approx(rep.value, abs=1e-12)
-
-
-def test_exponent_sweep_runs():
-    fam = tl.build_single_scale_family(9, 2.0, 0.5, 0.5, 0.25)
-    reps = tl.exponent_sweep(fam.pairs[0], fam.cls, "rho", [0.5, 1.0, 2.0])
-    assert len(reps) == 3
-    assert reps[0].value >= reps[-1].value - 1e-12
 
 
 def test_report_serialization():

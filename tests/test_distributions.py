@@ -449,6 +449,43 @@ def test_kl_product_symmetry_and_bound():
     assert a <= c0 * (n_p * eps ** (rho * (2 - bp)) + n_q * eps ** (2 - bq)) + 1e-12
 
 
+def test_kl_product_matches_kl_of_built_pairs():
+    # every (i, j) at d_h = 9, against the per-pair KL on two built joints
+    fam = tl.build_single_scale_family(9, 2.0, 0.5, 0.5, 0.25)
+    n_p, n_q = 50, 70
+    for i, a in enumerate(fam.pairs):
+        for j, b in enumerate(fam.pairs):
+            want = n_p * oracles.joint_kl(a.p, b.p) + n_q * oracles.joint_kl(a.q, b.q)
+            assert tl.kl_product(fam, i, j, n_p, n_q) == want
+
+
+def test_family_builds_a_pair_only_when_indexed(monkeypatch):
+    joints = []
+    post_init = tl.DiscreteJoint.__post_init__
+    monkeypatch.setattr(tl.DiscreteJoint, "__post_init__",
+                        lambda self: joints.append(post_init(self)))
+    fam = tl.build_single_scale_family(9, 2.0, 0.5, 0.5, 0.25)
+    two = tl.build_two_scale_family(9, 4.0, 0.5, 0.5, 0.25, 0.125)
+    tl.verify_family(fam)
+    tl.verify_family(two)
+    tl.kl_product(fam, 3, 12, 50, 70)
+    assert joints == []
+    assert not fam.eta_p.flags.writeable and not fam.mass_q.flags.writeable
+    pair = fam.pairs[5]
+    assert len(joints) == 2
+    assert fam.pairs[5] is pair and fam[5] is pair and fam[5 - len(fam)] is pair
+    assert len(joints) == 2
+    assert np.array_equal(pair.p.eta, fam.eta_p[5]) and np.array_equal(pair.q.mass, fam.mass_q)
+    assert fam[-1] is fam.pairs[len(fam) - 1]
+    with pytest.raises(TypeError):
+        fam[0:2]
+    for i in (len(fam), -len(fam) - 1):
+        with pytest.raises(IndexError):
+            fam.pairs[i]
+        with pytest.raises(IndexError):
+            tl.kl_product(fam, 0, i, 50, 70)
+
+
 def test_kl_product_with_tuned_epsilon_stays_small():
     # with the scale set from the sample sizes, the product KL is O(d)
     d_h, rho, bp, bq = 9, 2.0, 0.5, 0.5
@@ -505,7 +542,7 @@ def test_member_disagreement_mass_matches_formula():
                        (cut_pair.p, cut), (cut_pair.q, cut)):
         lab = oracles.label_matrix(cls)
         for i in range(len(cls)):
-            got = member_disagreement_mass(joint, cls, i)
+            got = member_disagreement_mass(cls, i, joint.mass)
             # the folded product over member i's own labels gives the same
             # bits; summing the disagreeing masses directly agrees to rounding
             ref = np.asarray(cls[i].labels, dtype=np.float64)
@@ -618,6 +655,15 @@ def test_certified_metadata_confirmed_by_brute_force():
         cert = pair.certified
         got = tl.gamma_min(pair, tl.threshold_class(), cert.c_gamma).value
         assert got <= cert.gamma + 1e-9
+
+
+def test_family_checks_its_arrays():
+    # a NaN rho passes the builders' range checks, as NaN < 1 is false; the
+    # family's one check of its masses and eta rows refuses it
+    for build in (lambda: tl.build_single_scale_family(9, np.nan, 0.5, 0.5, 0.25),
+                  lambda: tl.build_two_scale_family(9, np.nan, 0.5, 0.5, 0.25, 0.125)):
+        with pytest.raises(ValueError, match=r"mass\[0\] is nan"):
+            build()
 
 
 def test_family_builder_enumeration_cap():

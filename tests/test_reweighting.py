@@ -182,20 +182,37 @@ def test_density_family_refuses_non_finite_weights(bad):
 ])
 def test_weighted_kernels_refuse_bad_weights(f, message):
     # unchecked, a NaN weight picks member 0, all-negative weights member 16,
-    # and delta_hat_weighted fails on an empty feasible set
+    # and delta_hat_weighted fails on an empty feasible set; an empty sample or
+    # a subnormal delta skips the weighted kernels, so f is checked before that
     pair, cls = tl.discretize_pair(tl.example_scenario(2), 16)
     sp = tl.sample_labeled(pair.p, 64, seed=1)
     u = tl.sample_unlabeled(pair.q, 64, seed=2)
+    subnormal = tl.ConfidenceParams(delta=5e-324)
     for call in (lambda: weighted_member_risks(cls, sp, f),
                  lambda: weighted_member_risks(cls, make_sample([], []), f),
                  lambda: tl.weighted_erm(cls, sp, f),
-                 lambda: tl.delta_hat_weighted(sp, f, u, cls, CONF, 1)):
+                 lambda: tl.delta_hat_weighted(sp, f, u, cls, CONF, 1),
+                 lambda: tl.delta_hat_weighted(make_sample([], []), f, u, cls, CONF, 1),
+                 lambda: tl.delta_hat_weighted(sp, f, u, cls, subnormal, 1)):
         with pytest.raises(ValueError, match=message):
             call()
     # the raw threshold class is refused first, whatever f holds
     line = tl.LabeledSample(np.array([0.5]), np.array([1]), seed=0)
     with pytest.raises(TypeError, match="project it first"):
         weighted_member_risks(tl.threshold_class(), line, f)
+
+
+def test_reweighted_transfer_checks_densities_before_the_shortcut():
+    # an empty source sample, or a subnormal delta, makes every member feasible
+    # before a weighted kernel reads f; a density of the wrong length is refused
+    pair, cls = tl.discretize_pair(tl.example_scenario(2), 16)
+    sq = tl.sample_labeled(pair.q, 32, seed=2)
+    u = tl.sample_unlabeled(pair.q, 64, seed=3)
+    short = tl.DensityFamily([np.ones(3)])
+    for sp, conf in ((make_sample([], []), CONF),
+                     (tl.sample_labeled(pair.p, 64, seed=1), tl.ConfidenceParams(delta=5e-324))):
+        with pytest.raises(ValueError, match=r"shape \(3,\)"):
+            tl.reweighted_transfer_erm(sp, sq, u, short, cls, conf)
 
 
 def test_reweighted_transfer_unit_family_reduces_to_constrained_erm():
