@@ -46,7 +46,7 @@ class CostSchedule:
     exponent: float = 1.0
 
     def __post_init__(self):
-        if self.unit <= 0:
+        if not self.unit > 0:
             raise ValueError("unit cost must be positive")
         if self.form == "linear":
             object.__setattr__(self, "exponent", 1.0)
@@ -211,7 +211,7 @@ def optimal_sampling_costs(eps: float, vc_dim: int, beta_p: float, beta_q: float
         raise ValueError("eps must lie in (0, 1)")
     if not (0.0 < beta_p <= 1.0 and 0.0 < beta_q <= 1.0):
         raise ValueError("beta values must lie in (0, 1]")
-    if gamma <= 0.0:
+    if not gamma > 0.0:
         raise ValueError("gamma must be positive")
     n_q_star = vc_dim / eps ** (2.0 - beta_q)
     n_p_star = vc_dim / eps ** ((2.0 - beta_p) * gamma / beta_p)

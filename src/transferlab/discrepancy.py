@@ -167,7 +167,7 @@ def _max_exponent(lhs: np.ndarray, rhs: np.ndarray, constant: float,
 def rho_min(pair: TransferPair, cls: HypothesisClass, c_rho: float = 1.0,
             grid=None) -> ExponentReport:
     """Smallest transfer exponent at constant c_rho: c_rho E_P(h) >= E_Q(h)^rho."""
-    if c_rho <= 0:
+    if not c_rho > 0:
         raise ValueError("constant must be positive")
     prof = pair_profile(pair, cls, grid)
     return _max_exponent(prof.e_p, prof.e_q, c_rho, prof.members, prof.grid_size)
@@ -176,7 +176,7 @@ def rho_min(pair: TransferPair, cls: HypothesisClass, c_rho: float = 1.0,
 def gamma_min(pair: TransferPair, cls: HypothesisClass, c_gamma: float = 1.0,
               grid=None) -> ExponentReport:
     """Smallest marginal transfer exponent: c_gamma P_X(h != h*_P) >= Q_X(h != h*_P)^gamma."""
-    if c_gamma <= 0:
+    if not c_gamma > 0:
         raise ValueError("constant must be positive")
     prof = pair_profile(pair, cls, grid)
     return _max_exponent(prof.dis_p, prof.dis_q, c_gamma, prof.members, prof.grid_size)
@@ -186,7 +186,7 @@ def rho_prime_min(pair: TransferPair, cls: HypothesisClass, c: float = 1.0,
                   grid=None) -> ExponentReport:
     """rho_min with the target excess clipped at the source-optimal classifier:
     max{R_Q(h) - R_Q(h*_P), 0} replaces E_Q(h)."""
-    if c <= 0:
+    if not c > 0:
         raise ValueError("constant must be positive")
     prof = pair_profile(pair, cls, grid)
     clipped = np.maximum(prof.risk_q - prof.risk_q[prof.star_p], 0.0)
@@ -223,7 +223,7 @@ def beta_max(dist, cls: HypothesisClass, c_noise: float = 1.0, grid=None) -> Exp
     satisfied=False; if no hypothesis constrains beta at all, value 1 with
     degenerate=True.
     """
-    if c_noise <= 0:
+    if not c_noise > 0:
         raise ValueError("constant must be positive")
     if isinstance(dist, TransferPair):
         raise TypeError("pass one side of the pair, not the pair itself")
@@ -252,7 +252,7 @@ def d_y_localized(pair: TransferPair, cls: HypothesisClass, eps: float,
     every eps >= 0.  A threshold grid that misses h*_P has E_P > 0 everywhere;
     if no grid point has E_P <= eps, ValueError names the smallest E_P.
     """
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be >= 0")
     prof = pair_profile(pair, cls, grid)
     mask = prof.e_p <= eps

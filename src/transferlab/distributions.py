@@ -90,20 +90,8 @@ class DiscreteJoint:
     eta: np.ndarray
 
     def __post_init__(self):
-        support = np.asarray(self.support, dtype=np.float64)
-        mass = np.asarray(self.mass, dtype=np.float64)
-        eta = np.asarray(self.eta, dtype=np.float64)
-        if not (support.shape == mass.shape == eta.shape):
-            raise ValueError("support, mass, eta must have equal length")
-        # every test here fails on a NaN, as any comparison with NaN is false,
-        # and only a joint that fails one pays for the checks that name the fault
-        if not (np.isfinite(support).all() and abs(mass.sum() - 1.0) <= MASS_TOL
-                and mass.min() >= -MASS_TOL
-                and eta.min() >= -MASS_TOL and eta.max() <= 1 + MASS_TOL):
-            _check_joint(support, mass, eta)
-        for name, arr in (("support", support), ("mass", np.maximum(mass, 0.0)),
-                          ("eta", np.clip(eta, 0.0, 1.0))):
-            arr.setflags(write=False)
+        support, mass, (eta,) = _joint_arrays(self.support, self.mass, [self.eta])
+        for name, arr in (("support", support), ("mass", mass), ("eta", eta)):
             object.__setattr__(self, name, arr)
 
     @property
@@ -111,9 +99,15 @@ class DiscreteJoint:
         return int(self.mass.size)
 
 
-def _check_joint(support: np.ndarray, mass: np.ndarray, eta: np.ndarray) -> None:
-    """Raise the ValueError that names the first fault of a joint's arrays."""
-    for name, arr in (("support", support), ("mass", mass), ("eta", eta)):
+def _joint_arrays(support, mass, etas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check, clip and freeze the arrays of joints that share `support` and
+    `mass`, one joint per row of the (K, s) matrix `etas`.  The ValueError names
+    the first fault: shapes, a non-finite entry (by flat index), the mass sum or
+    sign, an eta outside [0, 1], each beyond MASS_TOL."""
+    support, mass, etas = (np.asarray(a, dtype=np.float64) for a in (support, mass, etas))
+    if not (etas.ndim == 2 and support.shape == mass.shape == etas.shape[1:]):
+        raise ValueError("support, mass, eta must have equal length")
+    for name, arr in (("support", support), ("mass", mass), ("eta", etas)):
         bad = np.flatnonzero(~np.isfinite(arr))
         if bad.size:
             raise ValueError(f"{name}[{bad[0]}] is {arr.flat[bad[0]]}, not a finite number")
@@ -121,8 +115,12 @@ def _check_joint(support: np.ndarray, mass: np.ndarray, eta: np.ndarray) -> None
         raise ValueError(f"mass sums to {mass.sum()!r}, not 1")
     if (mass < -MASS_TOL).any():
         raise ValueError("negative mass")
-    if (eta < -MASS_TOL).any() or (eta > 1 + MASS_TOL).any():
+    if (etas < -MASS_TOL).any() or (etas > 1 + MASS_TOL).any():
         raise ValueError("eta outside [0, 1]")
+    arrays = support, np.maximum(mass, 0.0), np.clip(etas, 0.0, 1.0)
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -402,13 +400,10 @@ class SigmaFamily(Sequence):
         d = sigmas.shape[1]
         self.sigmas = sigmas  # (K, d) entries in {-1, +1}
         self.cls = _anchored_cube_class(d, np.arange(d + 1, dtype=np.float64))
-        self.support = self.cls.support_coords
-        self.mass_p, self.eta_p = mass_p, _sigma_etas(sigmas, margin_p)
-        self.mass_q, self.eta_q = mass_q, _sigma_etas(sigmas, margin_q)
-        for mass, eta in ((mass_p, self.eta_p), (mass_q, self.eta_q)):
-            _check_joint(self.support, mass, eta)
-        for arr in (self.support, mass_p, self.eta_p, mass_q, self.eta_q):
-            arr.setflags(write=False)
+        self.support, self.mass_p, self.eta_p = _joint_arrays(
+            self.cls.support_coords, mass_p, _sigma_etas(sigmas, margin_p))
+        _, self.mass_q, self.eta_q = _joint_arrays(self.support, mass_q,
+                                                   _sigma_etas(sigmas, margin_q))
         self.params = params
         self.kind = kind  # "single-scale" | "two-scale"
         self.certified = certified
@@ -496,7 +491,7 @@ def build_single_scale_family(d_h: int, rho: float, beta_p: float, beta_q: float
         raise ValueError("need d_h - 1 >= 8")
     if not 0.0 < epsilon <= 0.5:
         raise ValueError("epsilon must lie in (0, 1/2]")
-    if rho < 1.0:
+    if not rho >= 1.0:
         raise ValueError("rho must be >= 1")
     if not (0.0 <= beta_p <= 1.0 and 0.0 <= beta_q <= 1.0):
         raise ValueError("beta_p, beta_q must lie in [0, 1]")
@@ -541,7 +536,7 @@ def build_two_scale_family(d_h: int, rho: float, beta_p: float, beta_q: float,
             raise ValueError(f"{name} must lie in (0, 1/2]")
     if not (0.0 < beta_p < 1.0 and 0.0 < beta_q < 1.0):
         raise ValueError("beta_p, beta_q must lie in (0, 1)")
-    if rho < max(1.0 / beta_p, 1.0 / beta_q):
+    if not rho >= max(1.0 / beta_p, 1.0 / beta_q):
         raise ValueError("rho must be >= max(1/beta_p, 1/beta_q)")
     gamma = rho * beta_p
     if tau is None:
@@ -619,7 +614,7 @@ def example_scenario(sid: int, gamma: float | None = None, n_angles: int = 16):
         return TransferPair(ThresholdMarginal(uniform_density(0.0, 2.0), 0.5),
                             ThresholdMarginal(uniform_density(0.0, 1.0), 0.5), cert)
     if sid == 3:
-        if gamma is None or gamma < 1.0:
+        if gamma is None or not gamma >= 1.0:
             raise ValueError("scenario 3 needs gamma >= 1")
         cert = Certified(rho=gamma, c_rho=1.0, gamma=gamma, c_gamma=1.0,
                          beta_p=1.0, beta_q=1.0, c_p=1.0, c_q=1.0)

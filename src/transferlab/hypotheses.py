@@ -29,6 +29,7 @@ class, which is projected afresh onto every union of them.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -186,8 +187,9 @@ class HypothesisClass(Sequence):
     class has neither: `len()`, indexing, `members` and `label_matrix` raise
     TypeError until it is projected.
 
-    `cls[i]` builds member i once and caches it; `members` is the cached list
-    of those same objects.
+    `cls[i]` builds member i once and caches it (i is an integer, negative
+    from the end; a slice raises TypeError); `members` is the cached list of
+    those same objects.
     """
 
     def __init__(self, label_matrix=None, vc_dim: int = 1, support_coords=None,
@@ -229,7 +231,7 @@ class HypothesisClass(Sequence):
         return len(self.label_matrix)
 
     def __getitem__(self, i: int) -> Hypothesis:
-        i = range(len(self))[i]
+        i = range(len(self))[operator.index(i)]
         h = self._built.get(i)
         if h is None:
             h = self._built[i] = self._build(i)
@@ -291,13 +293,15 @@ def project_class(cls: HypothesisClass, points) -> HypothesisClass:
 
     Returns the cut class over the distinct points: its n+1 members are the
     label patterns the one-sided threshold class induces on them.  A finite
-    class projects to itself.
+    class projects to itself.  A non-finite point raises ValueError.
     """
     if cls.kind == FINITE:
         return cls
-    pts = np.unique(np.asarray(points, dtype=np.float64))
+    points = np.asarray(points, dtype=np.float64)
+    pts = np.unique(points)
     if pts.size == 0:
         raise ValueError("cannot project onto an empty point set")
+    _refuse_non_finite(pts, [("points", points)])
     return _cut_class(pts)
 
 
@@ -314,6 +318,18 @@ def project_onto_support(cls: HypothesisClass, support) -> HypothesisClass:
         raise ValueError(f"support must be strictly increasing to project the threshold "
                          f"class onto it; support[{i}] is {support[i]} after {support[i - 1]}")
     return project_class(cls, support)
+
+
+def _refuse_non_finite(pts: np.ndarray, named) -> None:
+    """Raise the ValueError that names the first non-finite coordinate among
+    the `(name, xs)` pairs, if `pts`, their np.unique, holds one: it sorts -inf
+    first and +inf and NaN last, so its two ends tell."""
+    if np.isfinite(pts[:1]).all() and np.isfinite(pts[-1:]).all():
+        return
+    for name, xs in named:
+        bad = np.flatnonzero(~np.isfinite(xs))
+        if bad.size:
+            raise ValueError(f"{name}[{bad[0]}] is {xs[bad[0]]}, not a finite coordinate")
 
 
 def _cut_class(pts: np.ndarray) -> HypothesisClass:
@@ -336,7 +352,8 @@ def ensure_finite(cls: HypothesisClass, samples):
     threshold class is projected onto the union of all sample points, and the
     same np.unique bins every sample into counts over the cut class, so no
     point is searched again.  It reads points as coordinates, so a sample of
-    support indices (counts, or a non-empty integer sample) raises TypeError.
+    support indices (counts, or a non-empty integer sample) raises TypeError,
+    and a non-finite point ValueError.
     """
     if cls.kind != THRESHOLD:
         return cls, tuple([tally(cls, s) for s in samples])
@@ -347,6 +364,7 @@ def ensure_finite(cls: HypothesisClass, samples):
                             "(project_onto_support or discretize_pair)")
     xs = [np.asarray(s.xs, dtype=np.float64) for s in samples]
     pts, idx = np.unique(np.concatenate(xs), return_inverse=True)
+    _refuse_non_finite(pts, ((f"samples[{k}].xs", x) for k, x in enumerate(xs)))
     if pts.size == 0:
         pts = np.zeros(1)  # only empty samples: any one point gives the two cuts
     parts = np.split(idx, np.cumsum([x.size for x in xs])[:-1])

@@ -39,7 +39,7 @@ class ConfidenceParams:
     delta: float = 0.05
 
     def __post_init__(self):
-        if self.c <= 0:
+        if not self.c > 0:
             raise ValueError("c must be positive")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
@@ -50,9 +50,11 @@ class ConfidenceParams:
 
 
 def _width(n: int, vc_dim: int, tail: float) -> float:
-    """(d/n) log(max{n, d}/d) + (1/n) log(tail); +inf at n = 0."""
+    """(d/n) log(max{n, d}/d) + (1/n) log(tail); +inf at n = 0.  Needs d >= 1."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    if not vc_dim >= 1:
+        raise ValueError(f"capacity d must be >= 1, got {vc_dim}")
     if n == 0:
         return math.inf
     return (vc_dim / n) * math.log(max(n, vc_dim) / vc_dim) + (1.0 / n) * math.log(tail)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -31,8 +31,6 @@ from .procedures import (
     transfer_erm,
 )
 
-CSV_HEADER = ["n_p", "n_q", "estimator", "trials", "mean", "median", "q10", "q90", "seed"]
-
 ESTIMATORS = {
     "erm_p": lambda sp, sq, cls, conf: erm(cls, sp),
     "erm_q": lambda sp, sq, cls, conf: erm(cls, sq),
@@ -44,6 +42,8 @@ ESTIMATORS = {
 
 @dataclass
 class RateRow:
+    """One cell of a rate table; its fields, in order, are the CSV columns."""
+
     n_p: int
     n_q: int
     estimator: str
@@ -55,6 +55,11 @@ class RateRow:
     seed: int
 
 
+# each column's name and parser; under postponed annotations a field's type is its name
+_COLUMNS = [(f.name, {"int": int, "float": float, "str": str}[f.type]) for f in fields(RateRow)]
+CSV_HEADER = [name for name, _ in _COLUMNS]
+
+
 @dataclass
 class RateTable:
     rows: list[RateRow]
@@ -63,27 +68,23 @@ class RateTable:
         return len(self.rows)
 
     def to_csv(self, path) -> None:
+        """One row per cell; floats as their repr, so `from_csv` reads them back exactly."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_HEADER)
             for r in self.rows:
-                writer.writerow([r.n_p, r.n_q, r.estimator, r.trials,
-                                 repr(r.mean), repr(r.median), repr(r.q10),
-                                 repr(r.q90), r.seed])
+                writer.writerow([repr(v) if parse is float else v
+                                 for v, (_, parse) in zip(astuple(r), _COLUMNS)])
 
     @classmethod
     def from_csv(cls, path) -> "RateTable":
-        rows = []
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader)
             if header != CSV_HEADER:
                 raise ValueError(f"unexpected CSV header {header}")
-            for rec in reader:
-                rows.append(RateRow(int(rec[0]), int(rec[1]), rec[2], int(rec[3]),
-                                    float(rec[4]), float(rec[5]), float(rec[6]),
-                                    float(rec[7]), int(rec[8])))
-        return cls(rows)
+            return cls([RateRow(*(parse(v) for v, (_, parse) in zip(rec, _COLUMNS)))
+                        for rec in reader])
 
 
 def _resolve(estimator):
@@ -92,31 +93,17 @@ def _resolve(estimator):
     return ESTIMATORS[estimator], estimator
 
 
-def _trial_excess(pair: TransferPair, cls: HypothesisClass, est_fn, n_p, n_q,
-                  seed, cell_key, trial, conf, q_best_risk) -> float:
-    # an empty side derives no seed
-    seed_p = derive_seed(seed, cell_key, trial, 0) if n_p else 0
-    seed_q = derive_seed(seed, cell_key, trial, 1) if n_q else 0
-    sp = sample_labeled(pair.p, n_p, seed_p)
-    sq = sample_labeled(pair.q, n_q, seed_q)
-    h = est_fn(sp, sq, cls, conf)
-    return true_risk(pair.q, h) - q_best_risk
-
-
 def _cell_excesses(pair, cls, estimator, n_p, n_q, trials, seed, cell_key, conf):
+    """Each trial's exact target excess; trial t draws each non-empty side on
+    the stream of (seed, cell_key, t, side), and an empty side derives no seed."""
     est_fn, _ = _resolve(estimator)
     q_best = true_risk(pair.q, best_in_class(pair.q, cls))
-    return np.array([
-        _trial_excess(pair, cls, est_fn, n_p, n_q, seed, cell_key, t, conf, q_best)
-        for t in range(trials)])
-
-
-def _summarize(excesses: np.ndarray, n_p, n_q, name, trials, seed) -> RateRow:
-    return RateRow(
-        n_p=int(n_p), n_q=int(n_q), estimator=name, trials=int(trials),
-        mean=float(np.mean(excesses)), median=float(np.median(excesses)),
-        q10=float(np.quantile(excesses, 0.10)),
-        q90=float(np.quantile(excesses, 0.90)), seed=int(seed))
+    excesses = np.empty(trials)
+    for t in range(trials):
+        sp = sample_labeled(pair.p, n_p, derive_seed(seed, cell_key, t, 0) if n_p else 0)
+        sq = sample_labeled(pair.q, n_q, derive_seed(seed, cell_key, t, 1) if n_q else 0)
+        excesses[t] = true_risk(pair.q, est_fn(sp, sq, cls, conf)) - q_best
+    return excesses
 
 
 def monte_carlo(pair: TransferPair, cls: HypothesisClass, estimator, grid,
@@ -153,9 +140,10 @@ def sweep(cell_builder, estimator, grid, trials: int, seed: int,
             excesses = list(pool.map(_cell_excesses, *zip(*args)))
     else:
         excesses = [_cell_excesses(*a) for a in args]
-    rows = [_summarize(exc, n_p, n_q, name, trials, seed)
-            for exc, (n_p, n_q) in zip(excesses, cells)]
-    return RateTable(rows)
+    return RateTable([RateRow(n_p, n_q, name, int(trials), float(np.mean(exc)),
+                              float(np.median(exc)), float(np.quantile(exc, 0.10)),
+                              float(np.quantile(exc, 0.90)), int(seed))
+                      for exc, (n_p, n_q) in zip(excesses, cells)])
 
 
 @dataclass

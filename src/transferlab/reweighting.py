@@ -39,7 +39,7 @@ from .procedures import (
 class DensityFamily:
     """Finite family of finite, nonnegative per-point weight vectors over a support.
 
-    pseudo_dim is caller-declared capacity; for a finite family the default
+    pseudo_dim is caller-declared capacity, >= 0; for a finite family the default
     proxy is ceil(log2 of the family size).
     """
 
@@ -58,6 +58,8 @@ class DensityFamily:
                 raise ValueError("densities must be finite and nonnegative")
         if self.pseudo_dim is None:
             self.pseudo_dim = max(1, math.ceil(math.log2(max(2, len(self.weights)))))
+        elif not self.pseudo_dim >= 0:
+            raise ValueError(f"pseudo_dim must be >= 0, got {self.pseudo_dim}")
 
     def __len__(self) -> int:
         return len(self.weights)

@@ -452,6 +452,15 @@ BAD_FIELDS = [
       "--set", "tolerance=-0.1"], "tolerance"),
     # exited 3: a NaN weight reached the weighted kernels
     (REWEIGHT + ["--set", "densities=[[NaN,1,1,1],[1,1,1,1]]"], "densities"),
+    # NaN passed a library range guard: exited 0 printing rho 1.0, named the
+    # family, or exited 3
+    (["exponent", "--set", 'scenario={"id":3,"gamma":NaN}', "--set", "quantity=rho"],
+     "scenario.gamma"),
+    (["verify-family", "--config", str(CONFIGS / "single_scale_verify.json"),
+      "--set", "family.rho=NaN"], "family.rho"),
+    (ADAPTIVE + ["--set", "cost_p.unit=NaN"], "cost_p.unit"),
+    (["rates", "--config", str(CONFIGS / "target_rate_sweep.json"), "--set", "confidence.c=NaN",
+      "--set", "estimator=transfer", "--set", "trials=2"], "confidence.c"),
 ]
 
 

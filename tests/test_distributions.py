@@ -630,6 +630,11 @@ def test_threshold_class_needs_an_increasing_support(support):
             evaluate()
     increasing = tl.DiscreteJoint(np.arange(3.0), [0.3, 0.5, 0.2], [1.0, 1.0, 0.0])
     assert tl.true_risk(increasing, tl.best_in_class(increasing, tl.threshold_class())) == 0.0
+    # a bare threshold is evaluated at the support's coordinates, as its cut is
+    cuts = tl.hypotheses.project_onto_support(tl.threshold_class(), increasing.support)
+    for h in cuts.members:
+        assert tl.true_risk(increasing, tl.threshold_hypothesis(h.threshold)) == \
+            tl.true_risk(increasing, h)
 
 
 def test_certified_metadata_confirmed_by_brute_force():
@@ -658,12 +663,77 @@ def test_certified_metadata_confirmed_by_brute_force():
 
 
 def test_family_checks_its_arrays():
-    # a NaN rho passes the builders' range checks, as NaN < 1 is false; the
-    # family's one check of its masses and eta rows refuses it
-    for build in (lambda: tl.build_single_scale_family(9, np.nan, 0.5, 0.5, 0.25),
-                  lambda: tl.build_two_scale_family(9, np.nan, 0.5, 0.5, 0.25, 0.125)):
-        with pytest.raises(ValueError, match=r"mass\[0\] is nan"):
-            build()
+    # the builders refuse a NaN rho themselves (test_range_guards_refuse_nan);
+    # the family's arrays pass the joints' one check, which names a fault in
+    # the (K, s) eta matrix by its flat index
+    sigmas = np.array([[1] * 8, [-1] * 8], dtype=np.int8)
+    mass, margin = np.full(9, 1 / 9), np.full(8, 0.5)
+
+    def family(mass_p=mass, margin_p=margin):
+        return tl.SigmaFamily(sigmas, mass_p, margin_p, mass, margin, {}, "single-scale",
+                              tl.Certified())
+
+    with pytest.raises(ValueError, match=r"mass\[0\] is nan"):
+        family(mass_p=np.where(np.arange(9) == 0, np.nan, mass))
+    with pytest.raises(ValueError, match=r"eta\[3\] is nan"):
+        family(margin_p=np.where(np.arange(8) == 2, np.nan, margin))
+    with pytest.raises(ValueError, match=r"eta outside \[0, 1\]"):
+        family(margin_p=np.full(8, 1.5))
+    with pytest.raises(ValueError, match="mass sums to"):
+        family(mass_p=mass / 2)
+    fam = family()
+    assert fam.eta_p.shape == (2, 9) and not fam.eta_p.flags.writeable
+
+
+@pytest.mark.parametrize("build", [
+    lambda: tl.build_single_scale_family(9, 2.0, 0.5, 0.5, 0.25),
+    lambda: tl.build_two_scale_family(11, 4.0, 0.5, 0.5, 0.25, 0.125),
+], ids=["single-scale", "two-scale"])
+def test_family_arrays_are_its_pairs_arrays(build):
+    # bit for bit: a family and the joints it builds pass the same check
+    fam = build()
+    for i in range(len(fam)):
+        pair = fam[i]
+        for side, mass, eta in ((pair.p, fam.mass_p, fam.eta_p), (pair.q, fam.mass_q, fam.eta_q)):
+            assert side.support.tobytes() == fam.support.tobytes()
+            assert side.mass.tobytes() == mass.tobytes()
+            assert side.eta.tobytes() == eta[i].tobytes()
+
+
+@pytest.mark.parametrize("eta", [np.full((2, 2), 0.5), np.full((1, 2), 0.5), [0.5]],
+                         ids=["matrix", "one-row-matrix", "short"])
+def test_joint_refuses_an_eta_shaped_unlike_its_mass(eta):
+    with pytest.raises(ValueError, match="support, mass, eta must have equal length"):
+        tl.DiscreteJoint(np.arange(2.0), [0.5, 0.5], eta)
+
+
+NAN = float("nan")
+NAN_GUARDS = [
+    (lambda: tl.example_scenario(3, gamma=NAN), "scenario 3 needs gamma >= 1"),
+    (lambda: tl.build_single_scale_family(9, NAN, 0.5, 0.5, 0.25), "rho must be >= 1"),
+    (lambda: tl.build_two_scale_family(9, NAN, 0.5, 0.5, 0.25, 0.125), "rho must be >= max"),
+    (lambda: tl.ConfidenceParams(c=NAN), "c must be positive"),
+    (lambda: tl.CostSchedule("linear", NAN), "unit cost must be positive"),
+    (lambda: tl.rho_min(tl.example_scenario(2), tl.threshold_class(), NAN), "constant"),
+    (lambda: tl.gamma_min(tl.example_scenario(2), tl.threshold_class(), NAN), "constant"),
+    (lambda: tl.rho_prime_min(tl.example_scenario(2), tl.threshold_class(), NAN), "constant"),
+    (lambda: tl.beta_max(tl.example_scenario(2).q, tl.threshold_class(), NAN), "constant"),
+    (lambda: tl.d_y_localized(tl.example_scenario(2), tl.threshold_class(), NAN),
+     "eps must be >= 0"),
+    (lambda: tl.optimal_sampling_costs(0.1, 3, 0.5, 0.5, NAN, tl.CostSchedule("linear", 1.0),
+                                       tl.CostSchedule("linear", 1.0)), "gamma must be positive"),
+]
+
+
+@pytest.mark.parametrize("call,message", NAN_GUARDS,
+                         ids=["scenario3-gamma", "single-scale-rho", "two-scale-rho",
+                              "confidence-c", "cost-unit", "rho_min-c", "gamma_min-c",
+                              "rho_prime_min-c", "beta_max-c", "d_y_localized-eps",
+                              "optimal_sampling_costs-gamma"])
+def test_range_guards_refuse_nan(call, message):
+    # a guard written `x < lo` is false for NaN; each is written so NaN fails it
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_family_builder_enumeration_cap():

@@ -130,6 +130,24 @@ def test_project_class_counts():
     assert len(project_class(tc, [0.5])) == 2
     assert len(project_class(tc, [0.1, 0.4, 0.9])) == 4
     assert len(project_class(tc, [0.5, 0.5])) == 2
+    # a finite class projects to itself, whatever the points
+    finite = full_cube_class(2)
+    assert project_class(finite, [0.5, 7.0]) is finite
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_raw_threshold_projection_refuses_non_finite_points(bad):
+    # NaN gave NaN thresholds, and -inf an ERM threshold of -inf
+    line = make_sample([0.1, bad, 0.5], [1, 1, 0], discrete=False)
+    fine = make_sample([0.2], [1], discrete=False)
+    with pytest.raises(ValueError, match=re.escape(f"samples[0].xs[1] is {bad}, not a finite")):
+        erm(threshold_class(), line)
+    with pytest.raises(ValueError, match=re.escape(f"samples[1].xs[1] is {bad}, not a finite")):
+        ensure_finite(threshold_class(), (fine, line))
+    with pytest.raises(ValueError, match=re.escape(f"samples[2].xs[0] is {bad}, not a finite")):
+        ensure_finite(threshold_class(), (fine, fine, UnlabeledSample(np.array([bad]))))
+    with pytest.raises(ValueError, match=re.escape(f"points[1] is {bad}, not a finite")):
+        project_class(threshold_class(), [0.0, bad])
 
 
 def test_project_class_monotone_patterns():
@@ -194,6 +212,18 @@ def test_indexing_builds_each_member_once():
         assert cls[-1] is cls.members[-1]
         with pytest.raises(IndexError):
             cls[len(cls)]
+
+
+def test_class_indexes_by_integer_only():
+    # a slice gave a Hypothesis whose labels were lists, cached under a range
+    grid = tl.HypothesisClass(vc_dim=1, thresholds=np.linspace(0.0, 1.0, 5))
+    for cls in (full_cube_class(3), project_class(threshold_class(), [0.3, 0.1, 0.7]), grid):
+        for key in (slice(0, 2), 1.0, "1"):
+            with pytest.raises(TypeError):
+                cls[key]
+        assert cls._built == {}
+        assert cls[np.int64(1)] is cls[1] and list(cls._built) == [1]
+    assert grid[-1].threshold == 1.0 and grid[-1].labels is None
 
 
 def test_cut_class_kernels_match_matrix_and_oracle():

@@ -64,6 +64,16 @@ def test_width_sentinel_and_monotone_tail():
     assert vals[-1] < 1e-4
 
 
+def test_width_refuses_a_capacity_below_one():
+    # d = 0 divided by zero in log(max(n, d) / d)
+    for width in (lambda: tl.confidence_width(10, 0, 0.05),
+                  lambda: tl.confidence_width_anytime(10, -1, 0.05),
+                  lambda: tl.confidence_width_weighted(10, 1, -1, 0.05)):
+        with pytest.raises(ValueError, match="capacity d must be >= 1"):
+            width()
+    assert tl.confidence_width_weighted(10, 1, 0, 0.05) == tl.confidence_width(10, 1, 0.05)
+
+
 def test_width_anytime_identity():
     for n in (1, 7, 100, 4096):
         diff = tl.confidence_width_anytime(n, 6, 0.2) - tl.confidence_width(n, 6, 0.2)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -75,14 +76,20 @@ def test_parallel_jobs_bit_identical(tmp_path):
 
 
 def test_csv_header_and_roundtrip(tmp_path):
+    # the columns and their types come from RateRow's fields
+    assert tl.ratelab.CSV_HEADER == ["n_p", "n_q", "estimator", "trials", "mean", "median",
+                                     "q10", "q90", "seed"]
     pair, cls = small_family()
-    t = tl.monte_carlo(pair, cls, "erm_q", [(0, 64)], 10, seed=1, conf=CONF)
-    path = tmp_path / "rates.csv"
-    t.to_csv(path)
-    first = path.read_text().splitlines()[0]
-    assert first == "n_p,n_q,estimator,trials,mean,median,q10,q90,seed"
-    back = tl.RateTable.from_csv(path)
-    assert back.rows == t.rows
+    for name in tl.ESTIMATORS:
+        t = tl.monte_carlo(pair, cls, name, [(0, 64), (48, 16)], 10, seed=1, conf=CONF)
+        path = tmp_path / f"{name}.csv"
+        t.to_csv(path)
+        first = path.read_text().splitlines()[0]
+        assert first == "n_p,n_q,estimator,trials,mean,median,q10,q90,seed"
+        back = tl.RateTable.from_csv(path)
+        assert back.rows == t.rows
+        types = [int, int, str, int, float, float, float, float, int]
+        assert [type(v) for v in astuple(back.rows[0])] == types
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
