@@ -57,13 +57,13 @@ class CostSchedule:
             raise ValueError(f"unknown cost form {self.form!r}")
 
     def cost(self, n: float) -> float:
-        if n < 0:
+        if not n >= 0:
             raise ValueError("n must be >= 0")
         return self.unit * float(n) ** self.exponent
 
     def minimal_n(self, budget: float) -> int:
         """Smallest integer n >= 1 with cost(n) >= budget, exactly."""
-        if budget <= 0:
+        if not budget > 0:
             raise ValueError("budget must be positive")
         guess = (budget / self.unit) ** (1.0 / self.exponent)
         n = max(1, int(math.ceil(guess - 1e-9)))
@@ -133,7 +133,9 @@ class SamplingTranscript:
 def unlabeled_requirement(eps: float, delta: float, vc_dim: int,
                           kappa: float = 4.0) -> int:
     """Minimum unlabeled pool size for the adaptive run: kappa times the
-    (d/eps) log(1/eps) + (1/eps) log(1/delta) scaling."""
+    (d/eps) log(1/eps) + (1/eps) log(1/delta) scaling; kappa must be positive."""
+    if not kappa > 0:
+        raise ValueError(f"kappa must be positive, got {kappa}")
     return int(math.ceil(kappa * ((vc_dim / eps) * math.log(1.0 / eps)
                                   + (1.0 / eps) * math.log(1.0 / delta))))
 

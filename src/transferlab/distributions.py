@@ -15,6 +15,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import astuple, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -97,6 +98,16 @@ class DiscreteJoint:
     @property
     def size(self) -> int:
         return int(self.mass.size)
+
+    @cached_property
+    def cell_probs(self) -> np.ndarray:
+        """The normalized probabilities of the 2s cells (x, 0), (x, 1) in
+        support order, mass * (1 - eta) and mass * eta: one labeled draw's
+        multinomial, built once per joint and read-only."""
+        p = np.column_stack((self.mass * (1.0 - self.eta), self.mass * self.eta)).ravel()
+        p = p / p.sum()
+        p.setflags(write=False)
+        return p
 
 
 def _joint_arrays(support, mass, etas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -227,17 +238,31 @@ def sample_labeled(dist, n: int, seed: int) -> SampleCounts | LabeledSample:
     """n i.i.d. labeled draws on the seed's stream.
 
     A draw from a `DiscreteJoint` is its `SampleCounts`, from one multinomial
-    over the 2s cells (x, 0), (x, 1) with probabilities mass * (1 - eta) and
-    mass * eta; no point is drawn.  A draw from a line scenario is a
-    `LabeledSample` of float points from the seed's first n uniforms, labeled
-    by the optimal threshold.  An empty draw builds no generator.
+    over the 2s cells (x, 0), (x, 1) (`DiscreteJoint.cell_probs`); no point
+    is drawn.  A draw from a line scenario is a `LabeledSample` of float
+    points from the seed's first n uniforms, labeled by the optimal
+    threshold.  An empty draw builds no generator.
     """
     if isinstance(dist, DiscreteJoint):
-        cells = _multinomial(n, np.column_stack((dist.mass * (1.0 - dist.eta),
-                                                 dist.mass * dist.eta)).ravel(), seed)
-        return SampleCounts._trusted(cells[0::2] + cells[1::2], cells[1::2])
+        return SampleCounts._trusted(*_split_cells(_multinomial(n, dist.cell_probs, seed)))
     xs = _line_points(dist, n, seed)
     return LabeledSample(xs, (xs <= dist.h_star).view(np.int8), seed)
+
+
+def _labeled_trials(dist: DiscreteJoint, n: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """The counts of T labeled draws of n from a `DiscreteJoint`, draw t on
+    the stream of seeds[t] exactly as `sample_labeled(dist, n, seeds[t])`, as
+    (T, s) int64 matrices `points` and `ones`, one draw per row."""
+    cells = np.empty((len(seeds), 2 * dist.size), dtype=np.int64)
+    for t, seed in enumerate(seeds):
+        cells[t] = _multinomial(n, dist.cell_probs, seed)
+    return _split_cells(cells)
+
+
+def _split_cells(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-point counts and label-1 counts from (x, 0), (x, 1) cell counts
+    along the last axis."""
+    return cells[..., 0::2] + cells[..., 1::2], cells[..., 1::2]
 
 
 def sample_unlabeled(dist, n: int, seed: int) -> SampleCounts | UnlabeledSample:
@@ -245,14 +270,14 @@ def sample_unlabeled(dist, n: int, seed: int) -> SampleCounts | UnlabeledSample:
     counts from one multinomial over `mass` for a `DiscreteJoint`, the float
     points of `sample_labeled(dist, n, seed)` for a line scenario."""
     if isinstance(dist, DiscreteJoint):
-        return SampleCounts._trusted(_multinomial(n, dist.mass, seed))
+        return SampleCounts._trusted(_multinomial(n, dist.mass / dist.mass.sum(), seed))
     return UnlabeledSample(_line_points(dist, n, seed), seed)
 
 
 def _multinomial(n: int, p: np.ndarray, seed: int) -> np.ndarray:
-    """Counts of n draws over the cells of p, normalized by its sum."""
+    """Counts of n draws over the cells of p, which sums to 1."""
     rng = _rng(n, seed)
-    return np.zeros(p.size, dtype=np.int64) if rng is None else rng.multinomial(n, p / p.sum())
+    return np.zeros(p.size, dtype=np.int64) if rng is None else rng.multinomial(n, p)
 
 
 def _line_points(dist, n: int, seed: int) -> np.ndarray:

@@ -387,9 +387,8 @@ def member_risks(cls: HypothesisClass, sample: LabeledSample) -> np.ndarray:
     """Empirical risk of every member, exactly, as one matrix product."""
     if len(sample) == 0:
         return np.zeros(len(cls))
-    n0, n1 = _label_counts(cls, sample)
-    n = len(sample)
-    return (_matvec(cls, n0 - n1) + n1.sum()) / n
+    c = _labeled(cls, sample)
+    return _risks(cls, c.points, c.ones, len(sample))
 
 
 def member_disagreements(cls: HypothesisClass, ref: int, sample) -> np.ndarray:
@@ -397,11 +396,27 @@ def member_disagreements(cls: HypothesisClass, ref: int, sample) -> np.ndarray:
     ref_lab = _row(cls, ref)
     if len(sample) == 0:
         return np.zeros(len(cls))
-    counts = _point_counts(cls, sample)
-    n = counts.sum()
+    return _disagreements(cls, ref_lab, _counts(cls, sample).points, len(sample))
+
+
+def _risks(cls: HypothesisClass, points: np.ndarray, ones: np.ndarray, n: int) -> np.ndarray:
+    """Empirical risk of every member on samples of n labeled draws given as
+    integer counts, the trial axis last: (M,) for one sample's (s,) `points`
+    and `ones`, (M, T) for T samples as the columns of (s, T) counts, from
+    one product.  Every member's risk on an empty sample is 0."""
+    return (_matvec(cls, points - 2.0 * ones) + ones.sum(axis=0)) / max(n, 1)
+
+
+def _disagreements(cls: HypothesisClass, ref_lab: np.ndarray, points: np.ndarray,
+                   n: int) -> np.ndarray:
+    """Empirical disagreement of every member with the reference labels
+    `ref_lab` (`_row`) on samples of n draws given as integer point counts,
+    the trial axis last: (M,) for (s,) counts, (M, T) for (s, T) counts with
+    column t of `ref_lab` the reference of sample t.  0 on an empty sample."""
     # 1[h != ref] = h + ref - 2 h ref; counts are integers, so folding the
-    # reference into the weight vector keeps every sum exact
-    return (_matvec(cls, counts * (1.0 - 2.0 * ref_lab)) + np.dot(ref_lab, counts)) / n
+    # reference into the weights keeps every sum exact
+    return ((_matvec(cls, points * (1.0 - 2.0 * ref_lab)) + (ref_lab * points).sum(axis=0))
+            / max(n, 1))
 
 
 def weighted_member_risks(cls: HypothesisClass, sample: LabeledSample,
@@ -423,7 +438,7 @@ def _f2_disagreements(cls: HypothesisClass, ref: int, sample: LabeledSample,
                       f: np.ndarray) -> np.ndarray:
     """(1/n) sum of f(x)^2 over the sample points where each member and member
     `ref` disagree (for cuts: the points between them), a masked sum: never < 0."""
-    w2 = np.square(f) * _point_counts(cls, sample)
+    w2 = np.square(f) * _counts(cls, sample).points
     if cls.thresholds is None:
         dis = np.where(cls.label_matrix != cls.label_matrix[ref], w2, 0.0).sum(axis=1)
     else:
@@ -432,19 +447,22 @@ def _f2_disagreements(cls: HypothesisClass, ref: int, sample: LabeledSample,
 
 
 def _matvec(cls: HypothesisClass, w: np.ndarray) -> np.ndarray:
-    """Each member's labels dotted with the support weights w: one BLAS
-    product for a finite class, prefix sums for a cut class (cut i sums the
-    first i weights), which on integer w equal the matrix product bit for bit."""
+    """Each member's labels dotted with the support weights w, one column of
+    weights per sample: (M,) for w of shape (s,), (M, T) for (s, T).  One BLAS
+    product for a finite class, prefix sums down the support for a cut class
+    (cut i sums the first i weights), which on integer w equal the matrix
+    product bit for bit."""
     if cls.thresholds is None:
         return cls.label_matrix @ w
-    return np.concatenate(([0.0], np.cumsum(w)))
+    return np.concatenate((np.zeros((1,) + w.shape[1:]), np.cumsum(w, axis=0)))
 
 
-def _row(cls: HypothesisClass, i: int) -> np.ndarray:
-    """Labels of member i over the support, as floats; indexed like `cls[i]`."""
+def _row(cls: HypothesisClass, i) -> np.ndarray:
+    """Labels of member i over the support, as floats; indexed like `cls[i]`.
+    For an array of T indices, an (s, T) matrix with member i[t] in column t."""
     if cls.thresholds is None:
-        return cls.label_matrix[i]
-    return (np.arange(cls.support_size) < range(len(cls))[i]).astype(np.float64)
+        return cls.label_matrix[i].T
+    return np.less.outer(np.arange(cls.support_size), np.arange(len(cls))[i]).astype(np.float64)
 
 
 def _sample_indices(cls: HypothesisClass, xs: np.ndarray) -> np.ndarray:
@@ -502,13 +520,15 @@ def _counts(cls: HypothesisClass, sample) -> SampleCounts:
     return c
 
 
-def _label_counts(cls: HypothesisClass, sample):
-    """Per-support counts of label 0 and of label 1, as floats."""
+def _labeled(cls: HypothesisClass, sample) -> SampleCounts:
+    """The sample's counts over the class's support; TypeError without labels."""
     c = _counts(cls, sample)
     if c.ones is None:
         raise TypeError("label counts need a labeled sample")
+    return c
+
+
+def _label_counts(cls: HypothesisClass, sample):
+    """Per-support counts of label 0 and of label 1, as floats."""
+    c = _labeled(cls, sample)
     return (c.points - c.ones).astype(np.float64), c.ones.astype(np.float64)
-
-
-def _point_counts(cls: HypothesisClass, sample) -> np.ndarray:
-    return _counts(cls, sample).points.astype(np.float64)

@@ -100,11 +100,36 @@ def _near_optimal(cls: HypothesisClass, sample: LabeledSample, conf: ConfidenceP
         risks, sup = member_risks(cls, sample), 1.0
     else:
         risks, sup = weighted_member_risks(cls, sample, f), float(np.max(f))
-    best = int(np.argmin(risks))
-    dis = (member_disagreements(cls, best, sample) if f is None
-           else _f2_disagreements(cls, best, sample, f))
+    mask, best, dis = _near_optimal_set(
+        risks, lambda best: (member_disagreements(cls, best, sample) if f is None
+                             else _f2_disagreements(cls, best, sample, f)), conf, width, sup)
+    return mask, int(best), dis
+
+
+def _near_optimal_set(risks: np.ndarray, disagreements, conf: ConfidenceParams, width: float,
+                      sup: float = 1.0):
+    """The near-optimal mask R(h) - R(erm) <= c*sqrt(dis(h, erm)*A) + c*sup*A
+    at a finite width A, each column's anchor erm (lowest index on ties) and
+    dis, for the (M,) risks of one sample or the (M, T) risks of T samples,
+    element by element down each column; `disagreements(anchors)` gives dis
+    in the shape of the risks."""
+    best = np.argmin(risks, axis=0)
+    dis = disagreements(best)
     radius = conf.c * np.sqrt(dis * width) + conf.c * sup * width
-    return (risks - risks[best]) <= radius, best, dis
+    return (risks - risks.min(axis=0)) <= radius, best, dis
+
+
+def _feasible_argmin(feasible: np.ndarray, risks: np.ndarray) -> np.ndarray:
+    """Per column, the lowest-index member of least risk among the feasible
+    ones; the anchor of a near-optimal set is always feasible."""
+    return np.argmin(np.where(feasible, risks, np.inf), axis=0)
+
+
+def _source_or_anchor(feasible: np.ndarray, anchor, risks_p: np.ndarray) -> np.ndarray:
+    """Per column, the source ERM (lowest index) if it is feasible, else the anchor."""
+    erm_p = np.argmin(risks_p, axis=0)
+    keep = np.take_along_axis(feasible, np.expand_dims(erm_p, 0), 0)[0]
+    return np.where(keep, erm_p, anchor)
 
 
 def transfer_erm(sample_p: LabeledSample, sample_q: LabeledSample,
@@ -116,9 +141,7 @@ def transfer_erm(sample_p: LabeledSample, sample_q: LabeledSample,
     """
     cls, (sample_p, sample_q) = ensure_finite(cls, (sample_p, sample_q))
     feasible = near_optimal_mask(cls, sample_q, conf)
-    risks_p = member_risks(cls, sample_p)
-    idx = np.flatnonzero(feasible)
-    return cls[int(idx[np.argmin(risks_p[idx])])]
+    return cls[int(_feasible_argmin(feasible, member_risks(cls, sample_p)))]
 
 
 def reverse_transfer_erm(sample_p: LabeledSample, sample_q: LabeledSample,
@@ -140,5 +163,4 @@ def select_source_or_target(sample_p: LabeledSample, sample_q: LabeledSample,
     cls, (sample_p, sample_q) = ensure_finite(cls, (sample_p, sample_q))
     width = confidence_width(len(sample_q), cls.vc_dim, conf.delta)
     feasible, erm_q, _ = _near_optimal(cls, sample_q, conf, width)
-    erm_p = int(np.argmin(member_risks(cls, sample_p)))
-    return cls[erm_p if feasible[erm_p] else erm_q]
+    return cls[int(_source_or_anchor(feasible, erm_q, member_risks(cls, sample_p)))]

@@ -2,7 +2,9 @@
 
 Each grid cell runs independent trials (sample, fit, record the exact target
 excess risk), summarizes them by quantiles, and the resulting tables feed
-log-log slope fits against the closed-form theory exponents.  Medians are the
+log-log slope fits against the closed-form theory exponents.  A cell over a
+finite support draws all its trials first and fits them as one batch; its
+trials and their streams are those of the trial-by-trial path.  Medians are the
 primary statistic: the hardness statements are constant-probability events and
 medians are robust to the heavy-tailed small-sample regime.
 """
@@ -17,15 +19,21 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .distributions import (
+    DiscreteJoint,
     TransferPair,
+    _labeled_trials,
     best_in_class,
     derive_seed,
     sample_labeled,
     true_risk,
 )
-from .hypotheses import HypothesisClass, erm
+from .hypotheses import HypothesisClass, _disagreements, _risks, _row, erm
 from .procedures import (
     ConfidenceParams,
+    _feasible_argmin,
+    _near_optimal_set,
+    _source_or_anchor,
+    confidence_width,
     reverse_transfer_erm,
     select_source_or_target,
     transfer_erm,
@@ -95,15 +103,62 @@ def _resolve(estimator):
 
 def _cell_excesses(pair, cls, estimator, n_p, n_q, trials, seed, cell_key, conf):
     """Each trial's exact target excess; trial t draws each non-empty side on
-    the stream of (seed, cell_key, t, side), and an empty side derives no seed."""
-    est_fn, _ = _resolve(estimator)
+    the stream of (seed, cell_key, t, side), and an empty side derives no seed.
+
+    A batched cell (`_batches`) draws every trial first, then chooses all
+    trials' members at once (`_trial_choices`) and reads each chosen
+    member's true risk once; any other cell runs trial by trial."""
     q_best = true_risk(pair.q, best_in_class(pair.q, cls))
+    if _batches(pair, cls, estimator):
+        sides = []
+        for k, (joint, n) in enumerate(((pair.p, n_p), (pair.q, n_q))):
+            seeds = [derive_seed(seed, cell_key, t, k) if n else 0 for t in range(trials)]
+            points, ones = _labeled_trials(joint, n, seeds)
+            sides.append((points.T, ones.T, n))
+        chosen, trial = np.unique(_trial_choices(estimator, cls, *sides, conf),
+                                  return_inverse=True)
+        risks = np.array([true_risk(pair.q, cls[int(i)]) for i in chosen])
+        return risks[trial] - q_best
+    est_fn, _ = _resolve(estimator)
     excesses = np.empty(trials)
     for t in range(trials):
         sp = sample_labeled(pair.p, n_p, derive_seed(seed, cell_key, t, 0) if n_p else 0)
         sq = sample_labeled(pair.q, n_q, derive_seed(seed, cell_key, t, 1) if n_q else 0)
         excesses[t] = true_risk(pair.q, est_fn(sp, sq, cls, conf)) - q_best
     return excesses
+
+
+def _batches(pair, cls, estimator) -> bool:
+    """Whether a cell runs its trials as a batch: a registry estimator, a pair
+    of joints and a class over their support (a matrix or a cut class)."""
+    return (isinstance(estimator, str) and isinstance(pair.p, DiscreteJoint)
+            and isinstance(pair.q, DiscreteJoint)
+            and cls.support_size == pair.p.size == pair.q.size)
+
+
+def _trial_choices(estimator: str, cls: HypothesisClass, p, q,
+                   conf: ConfidenceParams) -> np.ndarray:
+    """The member index a registry estimator chooses in each of T trials, from
+    the cores its per-trial function uses: p and q are each side's (points,
+    ones, n), whose (s, T) counts hold trial t's n draws in column t."""
+    if estimator == "reverse_transfer":
+        estimator, p, q = "transfer", q, p
+    if estimator in ("erm_p", "erm_q"):
+        return np.argmin(_risks(cls, *(p if estimator == "erm_p" else q)), axis=0)
+    # each target sample's near-optimal set, as `_near_optimal` builds it
+    width = confidence_width(q[2], cls.vc_dim, conf.delta)
+    if math.isinf(width):  # no target draws (or a subnormal delta): all feasible
+        feasible, anchor = np.ones((len(cls), q[0].shape[1]), dtype=bool), 0
+    else:
+        feasible, anchor, _ = _near_optimal_set(
+            _risks(cls, *q), lambda best: _disagreements(cls, _row(cls, best), q[0], q[2]),
+            conf, width)
+    risks_p = _risks(cls, *p)
+    if estimator == "transfer":
+        return _feasible_argmin(feasible, risks_p)
+    if estimator == "selector":
+        return _source_or_anchor(feasible, anchor, risks_p)
+    raise KeyError(f"no batched form for estimator {estimator!r}")
 
 
 def monte_carlo(pair: TransferPair, cls: HypothesisClass, estimator, grid,

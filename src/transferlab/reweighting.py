@@ -29,6 +29,7 @@ from .hypotheses import (
 )
 from .procedures import (
     ConfidenceParams,
+    _feasible_argmin,
     _near_optimal,
     confidence_width_weighted,
     reverse_transfer_erm,
@@ -108,9 +109,7 @@ def reweighted_transfer_erm(sample_p: LabeledSample, sample_q: LabeledSample,
     f_ix = int(np.argmin(radii))
     width = confidence_width_weighted(len(sample_p), cls.vc_dim, family.pseudo_dim, conf.delta)
     mask = _near_optimal(cls, sample_p, conf, width, family.weights[f_ix])[0]
-    risks_q = member_risks(cls, sample_q)
-    idx = np.flatnonzero(mask)
-    return cls[int(idx[np.argmin(risks_q[idx])])], f_ix
+    return cls[int(_feasible_argmin(mask, member_risks(cls, sample_q)))], f_ix
 
 
 def multi_source_transfer_erm(sources: list[LabeledSample], sample_q: LabeledSample,

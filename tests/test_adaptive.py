@@ -58,6 +58,12 @@ def test_cost_schedule_validation():
         tl.CostSchedule("linear", 0.0)
     with pytest.raises(ValueError):
         tl.CostSchedule("exp", 1.0)
+    # NaN fails these guards too (test_range_guards_refuse_nan)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        tl.CostSchedule("linear", 1.0).cost(-1)
+    for budget in (0.0, -2.0):
+        with pytest.raises(ValueError, match="budget must be positive"):
+            tl.CostSchedule("linear", 1.0).minimal_n(budget)
 
 
 def test_delta_hat_single_member_class():

@@ -281,6 +281,9 @@ def test_cli_bytes_equal_on_points_and_counts(command, monkeypatch, tmp_path, ca
     for module in (cli, ratelab):
         monkeypatch.setattr(module, "sample_labeled", as_points(tl.sample_labeled))
     monkeypatch.setattr(cli, "sample_unlabeled", as_points(tl.sample_unlabeled))
+    # rate cells run trial by trial, so the points reach the estimators: their
+    # bytes must equal the counted run's, whose trials ran as one batch
+    monkeypatch.setattr(ratelab, "_batches", lambda pair, cls, estimator: False)
     points = output("points")
     assert sum(expanded) > 0
     assert points == counts

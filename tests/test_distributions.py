@@ -156,6 +156,19 @@ def test_empty_draws_build_no_generator(monkeypatch):
     assert calls == [(1,), (2,)]
 
 
+def test_trial_draws_are_the_per_trial_draws():
+    # row t of a batched draw holds exactly sample_labeled's counts on seeds[t]
+    fam = tl.build_single_scale_family(9, 1.0, 0.5, 0.5, 0.25)
+    joint, seeds = fam.pairs[2].q, [7, 2 ** 62 - 1, 0, 7]
+    for n in (0, 1, 100, 2 ** 20):
+        points, ones = distributions._labeled_trials(joint, n, seeds)
+        assert points.shape == ones.shape == (len(seeds), joint.size)
+        for t, seed in enumerate(seeds):
+            want = tl.sample_labeled(joint, n, seed)
+            assert np.array_equal(points[t], want.points) and np.array_equal(ones[t], want.ones)
+    assert not joint.cell_probs.flags.writeable
+
+
 def test_rng_from_keeps_short_paths_apart():
     # keys that shared a stream while paths were padded with zero words
     def first(*key):
@@ -722,6 +735,13 @@ NAN_GUARDS = [
      "eps must be >= 0"),
     (lambda: tl.optimal_sampling_costs(0.1, 3, 0.5, 0.5, NAN, tl.CostSchedule("linear", 1.0),
                                        tl.CostSchedule("linear", 1.0)), "gamma must be positive"),
+    (lambda: tl.unlabeled_requirement(0.1, 0.1, 3, kappa=NAN), "kappa must be positive"),
+    (lambda: tl.run_adaptive_sampling(0.1, tl.CostSchedule("linear", 1.0),
+                                      tl.CostSchedule("linear", 1.0), None, None, [],
+                                      tl.full_cube_class(3), kappa=NAN),
+     "kappa must be positive"),
+    (lambda: tl.CostSchedule("linear", 1.0).cost(NAN), "n must be >= 0"),
+    (lambda: tl.CostSchedule("power", 1.0, 0.5).minimal_n(NAN), "budget must be positive"),
 ]
 
 
@@ -729,11 +749,23 @@ NAN_GUARDS = [
                          ids=["scenario3-gamma", "single-scale-rho", "two-scale-rho",
                               "confidence-c", "cost-unit", "rho_min-c", "gamma_min-c",
                               "rho_prime_min-c", "beta_max-c", "d_y_localized-eps",
-                              "optimal_sampling_costs-gamma"])
+                              "optimal_sampling_costs-gamma", "unlabeled_requirement-kappa",
+                              "run_adaptive_sampling-kappa", "cost-n", "minimal_n-budget"])
 def test_range_guards_refuse_nan(call, message):
     # a guard written `x < lo` is false for NaN; each is written so NaN fails it
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize("kappa", [-1.0, 0.0])
+def test_unlabeled_requirement_refuses_a_kappa_below_zero_or_zero(kappa):
+    # at kappa = -1 the requirement was once -92, which any pool meets
+    with pytest.raises(ValueError, match=f"kappa must be positive, got {kappa}"):
+        tl.unlabeled_requirement(0.1, 0.1, 3, kappa=kappa)
+    with pytest.raises(ValueError, match="kappa must be positive"):
+        tl.run_adaptive_sampling(0.1, tl.CostSchedule("linear", 1.0),
+                                 tl.CostSchedule("linear", 1.0), None, None, [],
+                                 tl.full_cube_class(3), kappa=kappa)
 
 
 def test_family_builder_enumeration_cap():

@@ -1,14 +1,18 @@
 import math
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 import transferlab as tl
+from transferlab import ratelab
 
 CONF = tl.ConfidenceParams(c=1.0, delta=0.1)
+GOLDEN = Path(__file__).parent / "data" / "rates_golden"
 
 
 def small_family():
@@ -229,3 +233,104 @@ def test_super_transfer_source_slope_steeper():
     s_q = tl.fit_slope(t_q, "n_q", "median", drop_smallest=1).slope
     assert s_p < s_q - 0.5
     assert abs(s_q + 1.0) < 0.25
+
+
+@st.composite
+def trial_batches(draw):
+    """A class over s points (the full cube, or the cut class) and T trials of
+    (point, label) draws per side.  A side has 0 to 5 draws per trial; a tied
+    side adds each draw again with the other label, so every member ties on
+    it.  At delta = 1/e and n <= d the width is 1/n, so at c = 0.5 a member
+    one draw worse than the anchor, disagreeing on that draw alone, lies
+    exactly on the near-optimal radius."""
+    s, T = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    cls = (tl.project_class(tl.threshold_class(), np.arange(float(s))) if draw(st.booleans())
+           else tl.full_cube_class(s))
+    sides = []
+    for _ in range(2):
+        n = draw(st.integers(0, 5))
+        draws = st.lists(st.tuples(st.integers(0, s - 1), st.integers(0, 1)),
+                         min_size=n, max_size=n)
+        trials = [draw(draws) for _ in range(T)]
+        if draw(st.booleans()):
+            trials = [d + [(x, 1 - y) for x, y in d] for d in trials]
+        sides.append(trials)
+    conf = tl.ConfidenceParams(draw(st.sampled_from([0.5, 1.0, 2.0])),
+                               draw(st.sampled_from([1 / math.e, 0.1])))
+    return cls, sides, conf
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch=trial_batches())
+def test_trial_choices_match_the_oracles(batch):
+    # every batched choice equals the oracle's on that trial's samples alone
+    cls, sides, conf = batch
+    s = cls.support_size
+    counts, samples = [], []
+    for trials in sides:
+        points, ones = np.zeros((2, len(trials), s), dtype=np.int64)
+        for t, draws in enumerate(trials):
+            for x, y in draws:
+                points[t, x] += 1
+                ones[t, x] += y
+        counts.append((points.T, ones.T, len(trials[0])))
+        samples.append([tl.LabeledSample(np.array([x for x, _ in d], dtype=np.int64),
+                                         np.array([y for _, y in d], dtype=np.int8))
+                        for d in trials])
+    members, params = cls.members, (conf.c, conf.delta, cls.vc_dim)
+    pairs = list(zip(*samples))
+    want = {
+        "erm_p": [oracles.erm_index(members, sp) for sp, _ in pairs],
+        "erm_q": [oracles.erm_index(members, sq) for _, sq in pairs],
+        "transfer": [oracles.transfer_erm_index(members, sp, sq, *params) for sp, sq in pairs],
+        "reverse_transfer": [oracles.transfer_erm_index(members, sq, sp, *params)
+                             for sp, sq in pairs],
+        "selector": [oracles.selector_index(members, sp, sq, *params) for sp, sq in pairs],
+    }
+    for name in tl.ESTIMATORS:
+        assert ratelab._trial_choices(name, cls, *counts, conf).tolist() == want[name], name
+
+
+# cells of the golden tables: tuned d_h = 9 cells (empty sides included), one
+# cut-class cell from `discretize_pair` and one raw threshold-class cell
+GOLDEN_TUNED = [(0, 64), (64, 0), (0, 0), (256, 16), (16, 256), (1024, 1024), (4096, 8)]
+GOLDEN_CUT, GOLDEN_LINE = (200, 50), (96, 96)
+
+
+def _golden_builder(n_p, n_q):
+    line = tl.example_scenario(3, gamma=2.0)
+    if (n_p, n_q) == GOLDEN_CUT:
+        return tl.discretize_pair(line, 64)
+    if (n_p, n_q) == GOLDEN_LINE:
+        return line, tl.threshold_class()
+    eps = tl.epsilon_schedule(max(n_p, 1), max(n_q, 1), 9, 2.0, 0.5, 0.5)
+    fam = tl.build_single_scale_family(9, 2.0, 0.5, 0.5, eps)
+    return fam.pairs[fam.sigma_index("all-ones")], fam.cls
+
+
+def _golden_table(estimator: str, jobs: int) -> tl.RateTable:
+    """40 trials on every golden cell, then one trial on three tuned cells."""
+    many = tl.sweep(_golden_builder, estimator, GOLDEN_TUNED + [GOLDEN_CUT, GOLDEN_LINE],
+                    40, 2020, CONF, jobs)
+    one = tl.sweep(_golden_builder, estimator, [(0, 64), (128, 32), (64, 0)], 1, 2021,
+                   CONF, jobs)
+    return tl.RateTable(many.rows + one.rows)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("estimator", sorted(tl.ESTIMATORS))
+def test_rates_golden_bytes(estimator, jobs, tmp_path):
+    # the files pin every rate CSV byte for each registry estimator; regenerate
+    # them (see the end of this file) only for an intended change of output
+    path = tmp_path / f"{estimator}.csv"
+    _golden_table(estimator, jobs).to_csv(path)
+    assert path.read_bytes() == (GOLDEN / f"{estimator}.csv").read_bytes()
+
+
+if __name__ == "__main__":
+    # rewrite the golden files from the current code:
+    #   PYTHONPATH=src python tests/test_ratelab.py
+    GOLDEN.mkdir(exist_ok=True)
+    for name in sorted(tl.ESTIMATORS):
+        _golden_table(name, 1).to_csv(GOLDEN / f"{name}.csv")
+        print(f"wrote {GOLDEN / name}.csv")
