@@ -479,10 +479,11 @@ class _Rates:
     def _fit_options(self) -> dict:
         """Slope-fit options, refused before any trial runs where `fit_slope` would."""
         drop = self.drop_smallest
-        distinct = len({n_p if self.axis == "n_p" else n_q for n_p, n_q in self.grid})
-        if distinct < drop + 3:
-            raise ConfigError(f"grid: has {distinct} distinct {self.axis} values; the slope "
-                              f"fit needs drop_smallest + 3 = {drop + 3}")
+        kept = sorted({n_p if self.axis == "n_p" else n_q for n_p, n_q in self.grid})[drop:]
+        usable = sum(v > 0 for v in kept)  # log n needs n > 0
+        if usable < 3:
+            raise ConfigError(f"grid: has {usable} distinct positive {self.axis} values after "
+                              f"drop_smallest = {drop}; the slope fit needs 3")
         return {"axis": self.axis, "statistic": self.statistic, "drop_smallest": drop}
 
 

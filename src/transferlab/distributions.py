@@ -249,20 +249,19 @@ def sample_labeled(dist, n: int, seed: int) -> SampleCounts | LabeledSample:
     return LabeledSample(xs, (xs <= dist.h_star).view(np.int8), seed)
 
 
-def _labeled_trials(dist: DiscreteJoint, n: int, seeds) -> tuple[np.ndarray, np.ndarray]:
-    """The counts of T labeled draws of n from a `DiscreteJoint`, draw t on
-    the stream of seeds[t] exactly as `sample_labeled(dist, n, seeds[t])`, as
-    (T, s) int64 matrices `points` and `ones`, one draw per row."""
-    cells = np.empty((len(seeds), 2 * dist.size), dtype=np.int64)
+def _labeled_trials(dist: DiscreteJoint, n: int, seeds) -> SampleCounts:
+    """T labeled draws of n from a `DiscreteJoint` as one batch: column t of
+    its (s, T) int64 counts is exactly `sample_labeled(dist, n, seeds[t])`."""
+    cells = np.empty((2 * dist.size, len(seeds)), dtype=np.int64)
     for t, seed in enumerate(seeds):
-        cells[t] = _multinomial(n, dist.cell_probs, seed)
-    return _split_cells(cells)
+        cells[:, t] = _multinomial(n, dist.cell_probs, seed)
+    return SampleCounts._trusted(*_split_cells(cells))
 
 
 def _split_cells(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-point counts and label-1 counts from (x, 0), (x, 1) cell counts
-    along the last axis."""
-    return cells[..., 0::2] + cells[..., 1::2], cells[..., 1::2]
+    along the first axis."""
+    return cells[0::2] + cells[1::2], cells[1::2]
 
 
 def sample_unlabeled(dist, n: int, seed: int) -> SampleCounts | UnlabeledSample:
@@ -454,7 +453,10 @@ class SigmaFamily(Sequence):
         return finite_hypothesis(labels)
 
     def sigma_index(self, which="all-ones") -> int:
-        """Index of a sign vector: "all-ones", an integer, or an explicit vector."""
+        """Index of a sign vector: "all-ones", an integer, or an explicit
+        vector of the family's length d; a bool is none of these."""
+        if isinstance(which, (bool, np.bool_)):
+            raise ValueError(f"sigma index {which} is a bool, not an index or a sign vector")
         if isinstance(which, (int, np.integer)):
             if not 0 <= which < len(self):
                 raise ValueError(f"sigma index {which} is outside [0, {len(self)})")
@@ -463,7 +465,10 @@ class SigmaFamily(Sequence):
             if which != "all-ones":
                 raise ValueError(f"unknown sigma selector {which!r}")
             which = np.ones(self.sigmas.shape[1])
-        target = np.asarray(which, dtype=np.int8)
+        target, d = np.asarray(which, dtype=np.int8), self.sigmas.shape[1]
+        if target.shape != (d,):
+            raise ValueError(f"sign vector has shape {target.shape}, not ({d},): the "
+                             f"family's sign vectors have length {d}")
         hits = np.flatnonzero((self.sigmas == target).all(axis=1))
         if hits.size == 0:
             raise ValueError("sign vector not present in the family")

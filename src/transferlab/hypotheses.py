@@ -24,7 +24,11 @@ counts.  A finite-support draw is born in that form, as one multinomial over
 the support's cells, and never holds points; `tally` and `ensure_finite`
 (over the cut class it projects) are the only places where a point sample
 becomes counts.  A line sample keeps its float points for the raw threshold
-class, which is projected afresh onto every union of them.
+class, which is projected afresh onto every union of them.  A batch of T
+samples of n draws each is one library-built `SampleCounts` whose counts have
+a trailing trial axis: (s, T) `points` and `ones`, column t sample t, `len()`
+n.  `member_risks` and `member_disagreements` read a batch whole and give one
+column per sample, each equal bit for bit to that sample's own result.
 """
 
 from __future__ import annotations
@@ -118,8 +122,9 @@ class SampleCounts:
     kernels read: `points[i]` draws fell on support point i, and `ones[i]` of
     them carry label 1 (None for an unlabeled sample).  `len()` is the number
     of draws; two counts over one support add.  Counts built here are checked
-    (ValueError at the first bad index); the library's, valid by
-    construction, skip the check through `_trusted`.
+    (ValueError at the first bad index) and 1-D; the library's, valid by
+    construction, skip the check through `_trusted`, and a batch of T samples
+    holds them as (s, T) columns of n draws each, with `len()` n.
     """
 
     points: np.ndarray
@@ -142,7 +147,8 @@ class SampleCounts:
     def _fill(self, points, ones) -> "SampleCounts":
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "ones", ones)
-        object.__setattr__(self, "n", int(points.sum()))
+        # the draws per sample; every column of a batch holds the same n
+        object.__setattr__(self, "n", int(points.sum(axis=0).flat[0]))
         return self
 
     @classmethod
@@ -384,39 +390,32 @@ def erm(cls: HypothesisClass, sample: LabeledSample) -> Hypothesis:
 
 
 def member_risks(cls: HypothesisClass, sample: LabeledSample) -> np.ndarray:
-    """Empirical risk of every member, exactly, as one matrix product."""
+    """Empirical risk of every member, exactly, as one matrix product: (M,)
+    for a sample, (M, T) for a batch of T, column t sample t's.  Every
+    member's risk on an empty sample is 0."""
     if len(sample) == 0:
-        return np.zeros(len(cls))
+        return np.zeros(_kernel_shape(cls, sample))
     c = _labeled(cls, sample)
-    return _risks(cls, c.points, c.ones, len(sample))
+    return (_matvec(cls, c.points - 2.0 * c.ones) + c.ones.sum(axis=0)) / len(sample)
 
 
-def member_disagreements(cls: HypothesisClass, ref: int, sample) -> np.ndarray:
-    """Empirical disagreement of every member with member `ref` on the sample points."""
+def member_disagreements(cls: HypothesisClass, ref, sample) -> np.ndarray:
+    """Empirical disagreement of every member with member `ref` on the sample
+    points: (M,) for a sample, (M, T) for a batch of T with `ref` one index
+    per column, member ref[t] the reference of sample t.  0 on an empty sample."""
     ref_lab = _row(cls, ref)
     if len(sample) == 0:
-        return np.zeros(len(cls))
-    return _disagreements(cls, ref_lab, _counts(cls, sample).points, len(sample))
-
-
-def _risks(cls: HypothesisClass, points: np.ndarray, ones: np.ndarray, n: int) -> np.ndarray:
-    """Empirical risk of every member on samples of n labeled draws given as
-    integer counts, the trial axis last: (M,) for one sample's (s,) `points`
-    and `ones`, (M, T) for T samples as the columns of (s, T) counts, from
-    one product.  Every member's risk on an empty sample is 0."""
-    return (_matvec(cls, points - 2.0 * ones) + ones.sum(axis=0)) / max(n, 1)
-
-
-def _disagreements(cls: HypothesisClass, ref_lab: np.ndarray, points: np.ndarray,
-                   n: int) -> np.ndarray:
-    """Empirical disagreement of every member with the reference labels
-    `ref_lab` (`_row`) on samples of n draws given as integer point counts,
-    the trial axis last: (M,) for (s,) counts, (M, T) for (s, T) counts with
-    column t of `ref_lab` the reference of sample t.  0 on an empty sample."""
+        return np.zeros(_kernel_shape(cls, sample))
+    points = _counts(cls, sample).points
     # 1[h != ref] = h + ref - 2 h ref; counts are integers, so folding the
     # reference into the weights keeps every sum exact
     return ((_matvec(cls, points * (1.0 - 2.0 * ref_lab)) + (ref_lab * points).sum(axis=0))
-            / max(n, 1))
+            / len(sample))
+
+
+def _kernel_shape(cls: HypothesisClass, sample) -> tuple[int, ...]:
+    """The shape of a kernel's result: (M,) for a sample, (M, T) for a batch of T."""
+    return (len(cls),) + np.shape(getattr(sample, "points", None))[1:]
 
 
 def weighted_member_risks(cls: HypothesisClass, sample: LabeledSample,
@@ -515,8 +514,8 @@ def _counts(cls: HypothesisClass, sample) -> SampleCounts:
     """The sample as counts over the class's support: tallied, then sized."""
     size = _support_size(cls)
     c = tally(cls, sample)
-    if c.points.size != size:
-        raise ValueError(f"counts over {c.points.size} support points for a class over {size}")
+    if len(c.points) != size:
+        raise ValueError(f"counts over {len(c.points)} support points for a class over {size}")
     return c
 
 

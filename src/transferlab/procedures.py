@@ -19,6 +19,7 @@ from .hypotheses import (
     HypothesisClass,
     LabeledSample,
     _f2_disagreements,
+    _kernel_shape,
     _weights,
     ensure_finite,
     member_disagreements,
@@ -83,9 +84,11 @@ def near_optimal_mask(cls: HypothesisClass, sample: LabeledSample,
 
 
 def _near_optimal(cls: HypothesisClass, sample: LabeledSample, conf: ConfidenceParams,
-                  width: float, f=None) -> tuple[np.ndarray, int, np.ndarray | None]:
+                  width: float, f=None) -> tuple[np.ndarray, np.ndarray | int, np.ndarray | None]:
     """The near-optimal set {h : R(h) - R(erm) <= c*sqrt(dis(h, erm)*A) + c*A}
-    at width A as a mask, the anchor erm's index and dis, from one risk pass.
+    at width A as a mask, the anchor erm's index (lowest on ties) and dis,
+    from one risk pass: an (M,) mask for a sample, an (M, T) mask with one
+    anchor per column for a batch of T samples, element by element.
 
     With per-support weights f, R is f-weighted, dis f^2-weighted and the last
     term c*max(f)*A: the reweighted constraint.  An infinite A (an empty
@@ -95,26 +98,14 @@ def _near_optimal(cls: HypothesisClass, sample: LabeledSample, conf: ConfidenceP
     if f is not None:
         f = _weights(cls, f)
     if len(sample) == 0 or math.isinf(width):
-        return np.ones(len(cls), dtype=bool), 0, None
+        return np.ones(_kernel_shape(cls, sample), dtype=bool), 0, None
     if f is None:
         risks, sup = member_risks(cls, sample), 1.0
     else:
         risks, sup = weighted_member_risks(cls, sample, f), float(np.max(f))
-    mask, best, dis = _near_optimal_set(
-        risks, lambda best: (member_disagreements(cls, best, sample) if f is None
-                             else _f2_disagreements(cls, best, sample, f)), conf, width, sup)
-    return mask, int(best), dis
-
-
-def _near_optimal_set(risks: np.ndarray, disagreements, conf: ConfidenceParams, width: float,
-                      sup: float = 1.0):
-    """The near-optimal mask R(h) - R(erm) <= c*sqrt(dis(h, erm)*A) + c*sup*A
-    at a finite width A, each column's anchor erm (lowest index on ties) and
-    dis, for the (M,) risks of one sample or the (M, T) risks of T samples,
-    element by element down each column; `disagreements(anchors)` gives dis
-    in the shape of the risks."""
     best = np.argmin(risks, axis=0)
-    dis = disagreements(best)
+    dis = (member_disagreements(cls, best, sample) if f is None
+           else _f2_disagreements(cls, best, sample, f))
     radius = conf.c * np.sqrt(dis * width) + conf.c * sup * width
     return (risks - risks.min(axis=0)) <= radius, best, dis
 
@@ -125,11 +116,22 @@ def _feasible_argmin(feasible: np.ndarray, risks: np.ndarray) -> np.ndarray:
     return np.argmin(np.where(feasible, risks, np.inf), axis=0)
 
 
-def _source_or_anchor(feasible: np.ndarray, anchor, risks_p: np.ndarray) -> np.ndarray:
-    """Per column, the source ERM (lowest index) if it is feasible, else the anchor."""
-    erm_p = np.argmin(risks_p, axis=0)
+def _transfer_choice(cls: HypothesisClass, sample_p, sample_q,
+                     conf: ConfidenceParams) -> np.ndarray:
+    """Transfer ERM's index, one per column of a batch: the least source
+    risk among the target-near-optimal members (`_feasible_argmin`)."""
+    return _feasible_argmin(near_optimal_mask(cls, sample_q, conf), member_risks(cls, sample_p))
+
+
+def _selector_choice(cls: HypothesisClass, sample_p, sample_q,
+                     conf: ConfidenceParams) -> np.ndarray:
+    """The selector's index, one per column of a batch: the source ERM
+    (lowest index) if it is target-near-optimal, else the target ERM anchor."""
+    width = confidence_width(len(sample_q), cls.vc_dim, conf.delta)
+    feasible, erm_q, _ = _near_optimal(cls, sample_q, conf, width)
+    erm_p = np.argmin(member_risks(cls, sample_p), axis=0)
     keep = np.take_along_axis(feasible, np.expand_dims(erm_p, 0), 0)[0]
-    return np.where(keep, erm_p, anchor)
+    return np.where(keep, erm_p, erm_q)
 
 
 def transfer_erm(sample_p: LabeledSample, sample_q: LabeledSample,
@@ -140,8 +142,7 @@ def transfer_erm(sample_p: LabeledSample, sample_q: LabeledSample,
     no target data the constraint is vacuous and this is plain source ERM.
     """
     cls, (sample_p, sample_q) = ensure_finite(cls, (sample_p, sample_q))
-    feasible = near_optimal_mask(cls, sample_q, conf)
-    return cls[int(_feasible_argmin(feasible, member_risks(cls, sample_p)))]
+    return cls[int(_transfer_choice(cls, sample_p, sample_q, conf))]
 
 
 def reverse_transfer_erm(sample_p: LabeledSample, sample_q: LabeledSample,
@@ -161,6 +162,4 @@ def select_source_or_target(sample_p: LabeledSample, sample_q: LabeledSample,
     target excess of the source optimum.
     """
     cls, (sample_p, sample_q) = ensure_finite(cls, (sample_p, sample_q))
-    width = confidence_width(len(sample_q), cls.vc_dim, conf.delta)
-    feasible, erm_q, _ = _near_optimal(cls, sample_q, conf, width)
-    return cls[int(_source_or_anchor(feasible, erm_q, member_risks(cls, sample_p)))]
+    return cls[int(_selector_choice(cls, sample_p, sample_q, conf))]

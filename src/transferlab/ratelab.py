@@ -3,7 +3,9 @@
 Each grid cell runs independent trials (sample, fit, record the exact target
 excess risk), summarizes them by quantiles, and the resulting tables feed
 log-log slope fits against the closed-form theory exponents.  A cell over a
-finite support draws all its trials first and fits them as one batch; its
+finite support draws all its trials first, as one `SampleCounts` per side
+whose counts have a trailing trial axis, and each registry estimator chooses
+over that batch through the rule its procedure applies to one trial; its
 trials and their streams are those of the trial-by-trial path.  Medians are the
 primary statistic: the hardness statements are constant-probability events and
 medians are robust to the heavy-tailed small-sample regime.
@@ -27,13 +29,11 @@ from .distributions import (
     sample_labeled,
     true_risk,
 )
-from .hypotheses import HypothesisClass, _disagreements, _risks, _row, erm
+from .hypotheses import HypothesisClass, erm, member_risks
 from .procedures import (
     ConfidenceParams,
-    _feasible_argmin,
-    _near_optimal_set,
-    _source_or_anchor,
-    confidence_width,
+    _selector_choice,
+    _transfer_choice,
     reverse_transfer_erm,
     select_source_or_target,
     transfer_erm,
@@ -45,6 +45,16 @@ ESTIMATORS = {
     "transfer": transfer_erm,
     "reverse_transfer": reverse_transfer_erm,
     "selector": select_source_or_target,
+}
+
+# each registry estimator's member index over a batch of trials, one per
+# column, from the same rule its procedure applies to one trial
+_CHOICES = {
+    "erm_p": lambda cls, sp, sq, conf: np.argmin(member_risks(cls, sp), axis=0),
+    "erm_q": lambda cls, sp, sq, conf: np.argmin(member_risks(cls, sq), axis=0),
+    "transfer": _transfer_choice,
+    "reverse_transfer": lambda cls, sp, sq, conf: _transfer_choice(cls, sq, sp, conf),
+    "selector": _selector_choice,
 }
 
 
@@ -105,18 +115,16 @@ def _cell_excesses(pair, cls, estimator, n_p, n_q, trials, seed, cell_key, conf)
     """Each trial's exact target excess; trial t draws each non-empty side on
     the stream of (seed, cell_key, t, side), and an empty side derives no seed.
 
-    A batched cell (`_batches`) draws every trial first, then chooses all
-    trials' members at once (`_trial_choices`) and reads each chosen
-    member's true risk once; any other cell runs trial by trial."""
+    A batched cell (`_batches`) draws every trial first, as one batch per
+    side, chooses all trials' members at once (`_CHOICES`) and reads each
+    chosen member's true risk once; any other cell runs trial by trial."""
     q_best = true_risk(pair.q, best_in_class(pair.q, cls))
     if _batches(pair, cls, estimator):
-        sides = []
+        batches = []
         for k, (joint, n) in enumerate(((pair.p, n_p), (pair.q, n_q))):
             seeds = [derive_seed(seed, cell_key, t, k) if n else 0 for t in range(trials)]
-            points, ones = _labeled_trials(joint, n, seeds)
-            sides.append((points.T, ones.T, n))
-        chosen, trial = np.unique(_trial_choices(estimator, cls, *sides, conf),
-                                  return_inverse=True)
+            batches.append(_labeled_trials(joint, n, seeds))
+        chosen, trial = np.unique(_CHOICES[estimator](cls, *batches, conf), return_inverse=True)
         risks = np.array([true_risk(pair.q, cls[int(i)]) for i in chosen])
         return risks[trial] - q_best
     est_fn, _ = _resolve(estimator)
@@ -134,31 +142,6 @@ def _batches(pair, cls, estimator) -> bool:
     return (isinstance(estimator, str) and isinstance(pair.p, DiscreteJoint)
             and isinstance(pair.q, DiscreteJoint)
             and cls.support_size == pair.p.size == pair.q.size)
-
-
-def _trial_choices(estimator: str, cls: HypothesisClass, p, q,
-                   conf: ConfidenceParams) -> np.ndarray:
-    """The member index a registry estimator chooses in each of T trials, from
-    the cores its per-trial function uses: p and q are each side's (points,
-    ones, n), whose (s, T) counts hold trial t's n draws in column t."""
-    if estimator == "reverse_transfer":
-        estimator, p, q = "transfer", q, p
-    if estimator in ("erm_p", "erm_q"):
-        return np.argmin(_risks(cls, *(p if estimator == "erm_p" else q)), axis=0)
-    # each target sample's near-optimal set, as `_near_optimal` builds it
-    width = confidence_width(q[2], cls.vc_dim, conf.delta)
-    if math.isinf(width):  # no target draws (or a subnormal delta): all feasible
-        feasible, anchor = np.ones((len(cls), q[0].shape[1]), dtype=bool), 0
-    else:
-        feasible, anchor, _ = _near_optimal_set(
-            _risks(cls, *q), lambda best: _disagreements(cls, _row(cls, best), q[0], q[2]),
-            conf, width)
-    risks_p = _risks(cls, *p)
-    if estimator == "transfer":
-        return _feasible_argmin(feasible, risks_p)
-    if estimator == "selector":
-        return _source_or_anchor(feasible, anchor, risks_p)
-    raise KeyError(f"no batched form for estimator {estimator!r}")
 
 
 def monte_carlo(pair: TransferPair, cls: HypothesisClass, estimator, grid,
@@ -214,10 +197,10 @@ def fit_slope(table: RateTable, axis: str, statistic: str = "median",
               drop_smallest: int = 0) -> SlopeFit:
     """Least squares on (log n, log statistic) along one axis of the table.
 
-    Rows with a nonpositive statistic are left out and counted in
-    `n_excluded`; fewer than three usable rows is an error.  drop_smallest
-    removes that many of the smallest distinct axis values first (transient
-    small-sample regime).
+    Rows with a nonpositive statistic or axis value (log undefined) are left
+    out and counted in `n_excluded`; fewer than three usable rows is an
+    error.  drop_smallest removes that many of the smallest distinct axis
+    values first (transient small-sample regime).
     """
     if axis not in ("n_p", "n_q"):
         raise ValueError("axis must be 'n_p' or 'n_q'")
@@ -231,7 +214,7 @@ def fit_slope(table: RateTable, axis: str, statistic: str = "median",
         keep_from = np.sort(np.unique(xs))[drop_smallest:]
         mask = np.isin(xs, keep_from)
         xs, ys = xs[mask], ys[mask]
-    pos = ys > 0
+    pos = (ys > 0) & (xs > 0)
     xs, ys = xs[pos], ys[pos]
     if xs.size < 3:
         raise ValueError("need at least 3 usable rows for a slope fit")

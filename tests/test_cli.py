@@ -334,13 +334,24 @@ def test_select_rejects_sources_on_different_supports(capsys):
 
 def test_rates_rejects_sigma_index_out_of_range(tmp_path, capsys):
     family = ('family={"kind":"single-scale","d_h":9,"rho":1,"beta_p":0.5,'
-              '"beta_q":0.5,"epsilon":0.25,"sigma_index":%d}')
-    for ix in (999, 256, -1):
+              '"beta_q":0.5,"epsilon":0.25,"sigma_index":%s}')
+    for ix in ("999", "256", "-1", "[1]", "[-1]", "[1,1]"):
         assert run(["rates", "--jobs", "1", "--out", str(tmp_path / "r.csv"),
                     "--set", family % ix, "--set", "estimator=erm_q",
                     "--set", "grid=[[0,8]]", "--set", "trials=1"]) == 2
-        assert "sigma_index" in capsys.readouterr().err
+        assert named_fields(capsys.readouterr().err) == ["family.sigma_index"]
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_rates_fit_leaves_out_a_zero_axis_row(tmp_path, capsys):
+    # log 0 is undefined: the (64, 0) row is left out of the n_q fit and counted
+    out = tmp_path / "r.csv"
+    assert run(["rates", "--jobs", "1", "--out", str(out),
+                "--config", str(CONFIGS / "target_rate_sweep.json"),
+                "--set", "estimator=transfer", "--set", "drop_smallest=0",
+                "--set", "grid=[[64,16],[0,32],[64,64],[256,128],[64,0]]"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["n_used"], report["n_excluded"]) == (4, 1)
 
 
 @pytest.mark.parametrize("override,field", [
@@ -348,7 +359,9 @@ def test_rates_rejects_sigma_index_out_of_range(tmp_path, capsys):
     (["--set", "statistic=mode"], "statistic"),
     (["--set", "grid=[[0,64],[0,128],[0,256],[0,512]]"], "drop_smallest"),
     (["--set", "axis=n_p"], "n_p"),
-], ids=["axis", "statistic", "few-n_q", "few-n_p"])
+    # log 0 is undefined, so a zero n_q is no usable value
+    (["--set", "drop_smallest=0", "--set", "grid=[[0,0],[0,32],[0,64]]"], "grid"),
+], ids=["axis", "statistic", "few-n_q", "few-n_p", "zero-n_q"])
 def test_rates_fit_options_fail_before_trials(override, field, tmp_path, capsys):
     out = tmp_path / "r.csv"
     assert run(["rates", "--jobs", "1", "--out", str(out),

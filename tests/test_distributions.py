@@ -157,15 +157,17 @@ def test_empty_draws_build_no_generator(monkeypatch):
 
 
 def test_trial_draws_are_the_per_trial_draws():
-    # row t of a batched draw holds exactly sample_labeled's counts on seeds[t]
+    # column t of a batched draw holds exactly sample_labeled's counts on seeds[t]
     fam = tl.build_single_scale_family(9, 1.0, 0.5, 0.5, 0.25)
     joint, seeds = fam.pairs[2].q, [7, 2 ** 62 - 1, 0, 7]
     for n in (0, 1, 100, 2 ** 20):
-        points, ones = distributions._labeled_trials(joint, n, seeds)
-        assert points.shape == ones.shape == (len(seeds), joint.size)
+        batch = distributions._labeled_trials(joint, n, seeds)
+        assert batch.points.shape == batch.ones.shape == (joint.size, len(seeds))
+        assert len(batch) == n
         for t, seed in enumerate(seeds):
             want = tl.sample_labeled(joint, n, seed)
-            assert np.array_equal(points[t], want.points) and np.array_equal(ones[t], want.ones)
+            assert np.array_equal(batch.points[:, t], want.points)
+            assert np.array_equal(batch.ones[:, t], want.ones)
     assert not joint.cell_probs.flags.writeable
 
 
@@ -358,6 +360,15 @@ def test_sigma_index_selectors():
     assert fam.sigma_index(np.int64(255)) == 255
     for bad in (256, -1, "all-zeros"):
         with pytest.raises(ValueError):
+            fam.sigma_index(bad)
+    # a bool or a vector of another length would broadcast against every
+    # sign vector and select the all-ones (or the first) pair
+    for bad in (True, False, np.True_):
+        with pytest.raises(ValueError, match="bool"):
+            fam.sigma_index(bad)
+    for bad, shape in (([1], "(1,)"), ([-1], "(1,)"), ([1, 1], "(2,)"),
+                       ([1] * 9, "(9,)"), ([[1] * 8], "(1, 8)"), (np.ones(0), "(0,)")):
+        with pytest.raises(ValueError, match=rf"shape {re.escape(shape)}, not \(8,\)"):
             fam.sigma_index(bad)
 
 

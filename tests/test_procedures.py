@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import transferlab as tl
 from transferlab.procedures import _near_optimal, near_optimal_mask
-from transferlab.hypotheses import member_risks
+from transferlab.hypotheses import SampleCounts, member_disagreements, member_risks
 
 import oracles
 
@@ -200,6 +200,50 @@ def test_unit_weights_give_the_plain_near_optimal_set(data):
     mask1, anchor1, dis1 = _near_optimal(cls, sample, conf, width, np.ones(s))
     assert np.array_equal(mask, mask1) and anchor == anchor1
     assert (dis is None and dis1 is None) or np.array_equal(dis, dis1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_batch_is_its_columns(data):
+    # a batch of T samples gives, column by column, each sample's own kernel
+    # values, near-optimal mask, anchor and disagreements, bit for bit
+    s, T = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+    if data.draw(st.booleans()):
+        patterns = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=s, max_size=s),
+                                      min_size=1, max_size=2 ** s, unique_by=tuple))
+        cls = tl.finite_class(patterns)
+    else:
+        cls = tl.project_class(tl.threshold_class(), np.arange(float(s)))
+    n, scale = data.draw(st.integers(0, 8)), data.draw(st.sampled_from([1, 1000]))
+    points, ones = np.zeros((2, s, T), dtype=np.int64)  # n = 0: an empty batch
+    for t in range(T):
+        for x, y in data.draw(st.lists(st.tuples(st.integers(0, s - 1), st.integers(0, 1)),
+                                       min_size=n, max_size=n)):
+            points[x, t] += scale
+            ones[x, t] += scale * y
+    batch = SampleCounts._trusted(points, ones)
+    columns = [SampleCounts(points[:, t].copy(), ones[:, t].copy()) for t in range(T)]
+    assert len(batch) == n * scale
+    refs = np.array(data.draw(st.lists(st.integers(0, len(cls) - 1), min_size=T, max_size=T)))
+    conf = tl.ConfidenceParams(c=data.draw(st.sampled_from([0.5, 1.0, 2.0])),
+                               delta=data.draw(st.sampled_from([0.05, 0.1, 0.3])))
+    width = data.draw(st.one_of(
+        st.just(tl.confidence_width(len(batch), cls.vc_dim, conf.delta)),
+        st.floats(0.0, 10.0), st.just(math.inf)))
+    risks, dis = member_risks(cls, batch), member_disagreements(cls, refs, batch)
+    mask = near_optimal_mask(cls, batch, conf)
+    near, anchors, near_dis = _near_optimal(cls, batch, conf, width)
+    for got in (risks, dis, mask, near):
+        assert got.shape == (len(cls), T)
+    for t, col in enumerate(columns):
+        assert np.array_equal(risks[:, t], member_risks(cls, col))
+        assert np.array_equal(dis[:, t], member_disagreements(cls, refs[t], col))
+        assert np.array_equal(mask[:, t], near_optimal_mask(cls, col, conf))
+        want, anchor, want_dis = _near_optimal(cls, col, conf, width)
+        assert np.array_equal(near[:, t], want)
+        assert np.broadcast_to(anchors, (T,))[t] == anchor
+        assert (near_dis is None and want_dis is None) or np.array_equal(near_dis[:, t],
+                                                                          want_dis)
 
 
 def test_procedures_match_oracles_randomized():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import oracles
 import transferlab as tl
 from transferlab import ratelab
+from transferlab.hypotheses import SampleCounts
 
 CONF = tl.ConfidenceParams(c=1.0, delta=0.1)
 GOLDEN = Path(__file__).parent / "data" / "rates_golden"
@@ -161,6 +162,13 @@ def test_fit_slope_errors_and_exclusions():
         tl.fit_slope(tl.RateTable(ok_rows), "n_q", "median", drop_smallest=3)
     with pytest.raises(ValueError, match="drop_smallest must be >= 0, got -1"):
         tl.fit_slope(tl.RateTable(ok_rows), "n_q", "median", drop_smallest=-1)
+    # an empty side has no log n: its row is left out like a zero statistic
+    zero = [tl.RateRow(64, 0, "e", 1, 0.5, 0.5, 0, 0, 0)] + ok_rows[2:]
+    fit = tl.fit_slope(tl.RateTable(zero), "n_q", "median")
+    assert (fit.n_used, fit.n_excluded) == (3, 1)
+    assert fit.slope == pytest.approx(-1.0, abs=1e-12)
+    with pytest.raises(ValueError, match="at least 3 usable rows"):
+        tl.fit_slope(tl.RateTable(zero[:3]), "n_q", "median")
 
 
 def test_theory_rates_frozen_values():
@@ -273,7 +281,7 @@ def test_trial_choices_match_the_oracles(batch):
             for x, y in draws:
                 points[t, x] += 1
                 ones[t, x] += y
-        counts.append((points.T, ones.T, len(trials[0])))
+        counts.append(SampleCounts._trusted(points.T, ones.T))
         samples.append([tl.LabeledSample(np.array([x for x, _ in d], dtype=np.int64),
                                          np.array([y for _, y in d], dtype=np.int8))
                         for d in trials])
@@ -288,7 +296,7 @@ def test_trial_choices_match_the_oracles(batch):
         "selector": [oracles.selector_index(members, sp, sq, *params) for sp, sq in pairs],
     }
     for name in tl.ESTIMATORS:
-        assert ratelab._trial_choices(name, cls, *counts, conf).tolist() == want[name], name
+        assert ratelab._CHOICES[name](cls, *counts, conf).tolist() == want[name], name
 
 
 # cells of the golden tables: tuned d_h = 9 cells (empty sides included), one
