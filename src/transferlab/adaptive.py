@@ -24,6 +24,7 @@ from .distributions import derive_seed
 from .hypotheses import (
     HypothesisClass,
     LabeledSample,
+    _MAX_DRAWS,
     ensure_finite,
     erm,
     member_disagreements,
@@ -62,10 +63,17 @@ class CostSchedule:
         return self.unit * float(n) ** self.exponent
 
     def minimal_n(self, budget: float) -> int:
-        """Smallest integer n >= 1 with cost(n) >= budget, exactly."""
+        """Smallest integer n >= 1 with cost(n) >= budget, exactly; a budget
+        that needs more than 2^53 draws raises ValueError."""
         if not budget > 0:
             raise ValueError("budget must be positive")
-        guess = (budget / self.unit) ** (1.0 / self.exponent)
+        try:
+            guess = (budget / self.unit) ** (1.0 / self.exponent)
+        except OverflowError:
+            guess = math.inf
+        if not guess <= _MAX_DRAWS:
+            raise ValueError(f"budget {budget} needs {guess} draws at unit {self.unit} and "
+                             f"exponent {self.exponent}, above the 2^53 a sample holds")
         n = max(1, int(math.ceil(guess - 1e-9)))
         while self.cost(n) < budget:
             n += 1
@@ -82,15 +90,14 @@ def delta_hat(sample: LabeledSample, probe, cls: HypothesisClass,
     The near-optimality radius uses the anytime width of |sample| (valid
     across all rounds of the doubling loop); one `member_risks` pass finds the
     ERM too, and a probe that is the sample itself reuses the disagreements
-    that pass measured.  An empty sample makes every hypothesis eligible.
+    that pass measured, if it measured them.  An empty sample makes every
+    hypothesis eligible, and an empty probe gives 0.
     """
     same = probe is sample
     cls, (sample, probe) = ensure_finite(cls, (sample, probe))
-    if len(probe) == 0:
-        return 0.0
     width = confidence_width_anytime(len(sample), cls.vc_dim, conf.delta)
     mask, erm_ix, dis = _near_optimal(cls, sample, conf, width)
-    if not same:
+    if not same or dis is None:
         dis = member_disagreements(cls, erm_ix, probe)
     return float(np.max(dis[mask]))
 
@@ -136,8 +143,11 @@ def unlabeled_requirement(eps: float, delta: float, vc_dim: int,
     (d/eps) log(1/eps) + (1/eps) log(1/delta) scaling; kappa must be positive."""
     if not kappa > 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
-    return int(math.ceil(kappa * ((vc_dim / eps) * math.log(1.0 / eps)
-                                  + (1.0 / eps) * math.log(1.0 / delta))))
+    need = kappa * ((vc_dim / eps) * math.log(1.0 / eps) + (1.0 / eps) * math.log(1.0 / delta))
+    if not math.isfinite(need):
+        raise ValueError(f"the unlabeled requirement is {need} at eps={eps}, delta={delta}, "
+                         f"vc_dim={vc_dim}, kappa={kappa}")
+    return int(math.ceil(need))
 
 
 def run_adaptive_sampling(eps: float, sched_p: CostSchedule, sched_q: CostSchedule,

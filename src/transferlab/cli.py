@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -55,7 +56,7 @@ from .distributions import (
     scenario_to_dict,
     true_risk,
 )
-from .hypotheses import project_onto_support, threshold_class
+from .hypotheses import _MAX_DRAWS, project_onto_support, threshold_class
 from .procedures import ConfidenceParams
 from .ratelab import ESTIMATORS, compare_to_theory, monte_carlo, sweep
 from .reweighting import DensityFamily, multi_source_transfer_erm, reweighted_transfer_erm
@@ -128,8 +129,10 @@ def _emit(payload, out_path):
 # config declarations and the one parser over them
 
 _UNIONS = (typing.Union, types.UnionType)  # int | Literal["auto"] is a typing.Union
+_DRAWS = "a draw count in [0, 2^53]"  # a sample holds at most 2^53 draws
 _RANGES = {">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1, ">= 2": lambda v: v >= 2,
-           "> 0": lambda v: v > 0, "in (0, 1)": lambda v: 0 < v < 1}
+           "finite and > 0": lambda v: 0 < v < math.inf, "in (0, 1)": lambda v: 0 < v < 1,
+           "in [0, 1]": lambda v: 0 <= v <= 1, _DRAWS: lambda v: 0 <= v <= _MAX_DRAWS}
 
 
 def _opt(default=MISSING, *, needs=(), must=None):
@@ -275,7 +278,7 @@ class _Example:
                 print(f"{sid}: {desc}")
             return 0
         if self.id is None:
-            raise ConfigError("scenario describe/emit needs --set id=N")
+            raise ConfigError("id: required field for scenario describe and emit")
         if args.action == "describe":
             pair = self.build()[0]
             payload = {
@@ -378,7 +381,7 @@ class _Exponent:
     scenario: _Scenario
     quantity: Literal[QUANTITIES]
     constant: float = _opt(1.0, needs=("quantity", "rho", "gamma", "rho_prime", "beta_p",
-                                       "beta_q"), must="> 0")
+                                       "beta_q"), must="finite and > 0")
     eps: float | None = _opt(needs=("quantity", "d_y_localized"), must=">= 0")
     grid_size: int | None = _opt(None, must=">= 2")
 
@@ -411,11 +414,11 @@ class _Exponent:
 @dataclass(frozen=True)
 class _VerifyFamily:
     family: _Family
-    constant: float | None = None
+    constant: float | None = _opt(None, must="finite and > 0")
     tol: float = 1e-9
-    rho: float | None = None
-    beta_p: float | None = None
-    beta_q: float | None = None
+    rho: float | None = _opt(None, must="finite and > 0")
+    beta_p: float | None = _opt(None, must="in [0, 1]")
+    beta_q: float | None = _opt(None, must="in [0, 1]")
 
     def run(self, args) -> int:
         family = self.family.build("family")
@@ -437,12 +440,12 @@ class _VerifyFamily:
 class _Rates:
     ONE_OF: ClassVar[tuple] = ("family", "scenario")
     estimator: Literal[tuple(ESTIMATORS)]
-    grid: list[tuple[int, int]] = _opt(must=">= 0")
+    grid: list[tuple[int, int]] = _opt(must=_DRAWS)
     family: _FamilyPair | None = None
     scenario: _Scenario | None = None
     trials: int = _opt(200, must=">= 1")
     tune: bool = _opt(False, needs=("family.kind", "single-scale"))
-    c1: float = _opt(1.0, needs=("tune", True), must="> 0")
+    c1: float = _opt(1.0, needs=("tune", True), must="finite and > 0")
     confidence: ConfidenceParams = ConfidenceParams()
     theory_exponent: float | None = None
     tolerance: float = _opt(0.2, needs=("theory_exponent",), must=">= 0")
@@ -495,8 +498,8 @@ class _Adaptive:
     cost_q: _Cost
     family: _FamilyPair | None = None
     scenario: _Scenario | None = None
-    unlabeled: int | Literal["auto"] = _opt("auto", must=">= 0")
-    kappa: float = _opt(4.0, must="> 0")
+    unlabeled: int | Literal["auto"] = _opt("auto", must=_DRAWS)
+    kappa: float = _opt(4.0, must="finite and > 0")
     trials: int = _opt(1, must=">= 1")
     confidence: ConfidenceParams = ConfidenceParams()
     q_only: bool = False
@@ -544,9 +547,9 @@ class _Adaptive:
 @dataclass(frozen=True)
 class _Select:
     sources: list[_Scenario]
-    n_sources: list[int] = _opt(must=">= 0")
-    unlabeled: int = _opt(must=">= 0")
-    n_q: int = _opt(0, must=">= 0")
+    n_sources: list[int] = _opt(must=_DRAWS)
+    unlabeled: int = _opt(must=_DRAWS)
+    n_q: int = _opt(0, must=_DRAWS)
     trials: int = _opt(1, must=">= 1")
     confidence: ConfidenceParams = ConfidenceParams()
 
@@ -582,10 +585,10 @@ class _Select:
 class _Reweight:
     scenario: _Scenario
     densities: list[list[float]]
-    n_p: int = _opt(must=">= 0")
-    unlabeled: int = _opt(must=">= 0")
+    n_p: int = _opt(must=_DRAWS)
+    unlabeled: int = _opt(must=_DRAWS)
     pseudo_dim: int | None = _opt(None, must=">= 1")
-    n_q: int = _opt(0, must=">= 0")
+    n_q: int = _opt(0, must=_DRAWS)
     trials: int = _opt(1, must=">= 1")
     confidence: ConfidenceParams = ConfidenceParams()
 

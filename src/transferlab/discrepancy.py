@@ -140,6 +140,11 @@ def _logs(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, x.tolist()), np.float64, x.size)
 
 
+def _check_constant(name: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a positive finite constant, got {value}")
+
+
 def _max_exponent(lhs: np.ndarray, rhs: np.ndarray, constant: float,
                   members, grid_size) -> ExponentReport:
     """Smallest k with constant*lhs >= rhs^k for every member.
@@ -167,8 +172,7 @@ def _max_exponent(lhs: np.ndarray, rhs: np.ndarray, constant: float,
 def rho_min(pair: TransferPair, cls: HypothesisClass, c_rho: float = 1.0,
             grid=None) -> ExponentReport:
     """Smallest transfer exponent at constant c_rho: c_rho E_P(h) >= E_Q(h)^rho."""
-    if not c_rho > 0:
-        raise ValueError("constant must be positive")
+    _check_constant("c_rho", c_rho)
     prof = pair_profile(pair, cls, grid)
     return _max_exponent(prof.e_p, prof.e_q, c_rho, prof.members, prof.grid_size)
 
@@ -176,8 +180,7 @@ def rho_min(pair: TransferPair, cls: HypothesisClass, c_rho: float = 1.0,
 def gamma_min(pair: TransferPair, cls: HypothesisClass, c_gamma: float = 1.0,
               grid=None) -> ExponentReport:
     """Smallest marginal transfer exponent: c_gamma P_X(h != h*_P) >= Q_X(h != h*_P)^gamma."""
-    if not c_gamma > 0:
-        raise ValueError("constant must be positive")
+    _check_constant("c_gamma", c_gamma)
     prof = pair_profile(pair, cls, grid)
     return _max_exponent(prof.dis_p, prof.dis_q, c_gamma, prof.members, prof.grid_size)
 
@@ -186,8 +189,7 @@ def rho_prime_min(pair: TransferPair, cls: HypothesisClass, c: float = 1.0,
                   grid=None) -> ExponentReport:
     """rho_min with the target excess clipped at the source-optimal classifier:
     max{R_Q(h) - R_Q(h*_P), 0} replaces E_Q(h)."""
-    if not c > 0:
-        raise ValueError("constant must be positive")
+    _check_constant("c", c)
     prof = pair_profile(pair, cls, grid)
     clipped = np.maximum(prof.risk_q - prof.risk_q[prof.star_p], 0.0)
     return _max_exponent(prof.e_p, clipped, c, prof.members, prof.grid_size)
@@ -223,8 +225,7 @@ def beta_max(dist, cls: HypothesisClass, c_noise: float = 1.0, grid=None) -> Exp
     satisfied=False; if no hypothesis constrains beta at all, value 1 with
     degenerate=True.
     """
-    if not c_noise > 0:
-        raise ValueError("constant must be positive")
+    _check_constant("c_noise", c_noise)
     if isinstance(dist, TransferPair):
         raise TypeError("pass one side of the pair, not the pair itself")
     pair = TransferPair(dist, dist)
@@ -273,8 +274,19 @@ def verify_membership(pair: TransferPair, cls: HypothesisClass, rho: float,
                       grid=None, tol: float = 1e-9) -> MembershipReport:
     """Checks, for every enumerated h, the three defining inequalities of the
     constrained pair class: constant*E_P >= E_Q^rho, P-side noise condition at
-    beta_p, Q-side noise condition at beta_q (both with the same constant)."""
+    beta_p, Q-side noise condition at beta_q (both with the same constant).
+    The constant and rho must be positive and finite, each beta in [0, 1]."""
+    _check_membership_params(rho, beta_p, beta_q, constant)
     return _membership(pair_profile(pair, cls, grid), rho, beta_p, beta_q, constant, tol)
+
+
+def _check_membership_params(rho: float, beta_p: float, beta_q: float, constant: float) -> None:
+    _check_constant("constant", constant)
+    if not 0 < rho < math.inf:
+        raise ValueError(f"rho must be positive and finite, got {rho}")
+    for name, beta in (("beta_p", beta_p), ("beta_q", beta_q)):
+        if not 0 <= beta <= 1:
+            raise ValueError(f"{name} must lie in [0, 1], got {beta}")
 
 
 def _membership(prof: PairProfile, rho: float, beta_p: float, beta_q: float,
@@ -303,7 +315,8 @@ def verify_family(family, constant: float | None = None, tol: float = 1e-9,
     """Membership check for every pair of a sign-indexed family, read from its eta rows.
 
     Parameters default to the family's construction parameters; the constant
-    defaults to 1 for single-scale and 2 for two-scale families.
+    defaults to 1 for single-scale and 2 for two-scale families.  Their ranges
+    are `verify_membership`'s.
     """
     p = family.params
     rho = p["rho"] if rho is None else rho
@@ -311,6 +324,7 @@ def verify_family(family, constant: float | None = None, tol: float = 1e-9,
     beta_q = p["beta_q"] if beta_q is None else beta_q
     if constant is None:
         constant = 1.0 if family.kind == "single-scale" else 2.0
+    _check_membership_params(rho, beta_p, beta_q, constant)
     return [_membership(_discrete_profile(family.cls, family.mass_p, eta_p, family.mass_q, eta_q),
                         rho, beta_p, beta_q, constant, tol)
             for eta_p, eta_q in zip(family.eta_p, family.eta_q)]

@@ -26,6 +26,7 @@ from .hypotheses import (
     LabeledSample,
     SampleCounts,
     UnlabeledSample,
+    _MAX_DRAWS,
     _cube_patterns,
     _matvec,
     _row,
@@ -287,9 +288,11 @@ def _line_points(dist, n: int, seed: int) -> np.ndarray:
 
 
 def _rng(n: int, seed: int) -> np.random.Generator | None:
-    """The seed's generator for a draw of n >= 0; None for an empty draw."""
+    """The seed's generator for a draw of 0 <= n <= 2^53; None for an empty draw."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    if n > _MAX_DRAWS:
+        raise ValueError(f"n is {n}, above the 2^53 draws a sample holds")
     return rng_from(seed) if n else None
 
 

@@ -20,7 +20,8 @@ cached, so a procedure returns the same `Hypothesis` object as
 `cls.members[i]`.
 
 Every kernel reads a sample as its `SampleCounts`, which add by adding their
-counts.  A finite-support draw is born in that form, as one multinomial over
+counts; an empty sample is zero counts and passes the same checks as any
+other.  A finite-support draw is born in that form, as one multinomial over
 the support's cells, and never holds points; `tally` and `ensure_finite`
 (over the cut class it projects) are the only places where a point sample
 becomes counts.  A line sample keeps its float points for the raw threshold
@@ -42,6 +43,12 @@ import numpy as np
 
 FINITE = "finite-enumerated"
 THRESHOLD = "one-sided-threshold"
+
+# the most draws one sample holds: up to 2^53 every count sum the kernels
+# form is an exact float64 integer
+_MAX_DRAWS = 2 ** 53
+# the largest density weight: f^2 summed over 2^53 draws stays a finite float64
+_MAX_WEIGHT = 2.0 ** 485
 
 
 @dataclass(frozen=True)
@@ -121,10 +128,11 @@ class SampleCounts:
     """A sample over a support as per-support counts, the one form the
     kernels read: `points[i]` draws fell on support point i, and `ones[i]` of
     them carry label 1 (None for an unlabeled sample).  `len()` is the number
-    of draws; two counts over one support add.  Counts built here are checked
-    (ValueError at the first bad index) and 1-D; the library's, valid by
-    construction, skip the check through `_trusted`, and a batch of T samples
-    holds them as (s, T) columns of n draws each, with `len()` n.
+    of draws, at most 2^53; two counts over one support add.  Counts built
+    here are checked (ValueError at the first bad index, or past 2^53 draws)
+    and 1-D; the library's, valid by construction, skip the check through
+    `_trusted`, and a batch of T samples holds them as (s, T) columns of n
+    draws each, with `len()` n.
     """
 
     points: np.ndarray
@@ -142,6 +150,10 @@ class SampleCounts:
             i = int(np.argmax(bad))
             raise ValueError(f"invalid counts at support point {i}: points[{i}] is "
                              f"{points[i]}, ones[{i}] is {ones[i]}; need 0 <= ones <= points")
+        # a float sum cannot overflow, and up to 2^54 it bounds the exact one far below 2^63
+        if points.sum(dtype=np.float64) > 2.0 ** 54 or int(points.sum()) > _MAX_DRAWS:
+            raise ValueError(f"points sum to {sum(points.tolist())} draws, above the 2^53 "
+                             f"a sample holds")
         self._fill(points, None if self.ones is None else ones)
 
     def _fill(self, points, ones) -> "SampleCounts":
@@ -177,6 +189,8 @@ class SampleCounts:
                              f"support points do not add")
         if (self.ones is None) != (other.ones is None):
             raise TypeError("labeled and unlabeled counts do not add")
+        if self.n + other.n > _MAX_DRAWS:
+            raise ValueError(f"{self.n} + {other.n} draws is above the 2^53 a sample holds")
         ones = None if self.ones is None else self.ones + other.ones
         return SampleCounts._trusted(self.points + other.points, ones)
 
@@ -391,12 +405,10 @@ def erm(cls: HypothesisClass, sample: LabeledSample) -> Hypothesis:
 
 def member_risks(cls: HypothesisClass, sample: LabeledSample) -> np.ndarray:
     """Empirical risk of every member, exactly, as one matrix product: (M,)
-    for a sample, (M, T) for a batch of T, column t sample t's.  Every
-    member's risk on an empty sample is 0."""
-    if len(sample) == 0:
-        return np.zeros(_kernel_shape(cls, sample))
+    for a sample, (M, T) for a batch of T, column t sample t's.  An empty
+    sample is zero counts, checked like any other: every risk on it is 0."""
     c = _labeled(cls, sample)
-    return (_matvec(cls, c.points - 2.0 * c.ones) + c.ones.sum(axis=0)) / len(sample)
+    return (_matvec(cls, c.points - 2.0 * c.ones) + c.ones.sum(axis=0)) / max(len(sample), 1)
 
 
 def member_disagreements(cls: HypothesisClass, ref, sample) -> np.ndarray:
@@ -404,33 +416,24 @@ def member_disagreements(cls: HypothesisClass, ref, sample) -> np.ndarray:
     points: (M,) for a sample, (M, T) for a batch of T with `ref` one index
     per column, member ref[t] the reference of sample t.  0 on an empty sample."""
     ref_lab = _row(cls, ref)
-    if len(sample) == 0:
-        return np.zeros(_kernel_shape(cls, sample))
     points = _counts(cls, sample).points
     # 1[h != ref] = h + ref - 2 h ref; counts are integers, so folding the
     # reference into the weights keeps every sum exact
     return ((_matvec(cls, points * (1.0 - 2.0 * ref_lab)) + (ref_lab * points).sum(axis=0))
-            / len(sample))
-
-
-def _kernel_shape(cls: HypothesisClass, sample) -> tuple[int, ...]:
-    """The shape of a kernel's result: (M,) for a sample, (M, T) for a batch of T."""
-    return (len(cls),) + np.shape(getattr(sample, "points", None))[1:]
+            / max(len(sample), 1))
 
 
 def weighted_member_risks(cls: HypothesisClass, sample: LabeledSample,
                           f: np.ndarray) -> np.ndarray:
     """(1/n) sum of f(x) over each member's mislabeled sample points: row sums
     (prefix sums for cuts), not a blocked matrix product; 0 on an empty sample.
-    f must hold one finite, nonnegative weight per support point."""
+    f must hold one weight in [0, 2^485] per support point."""
     f = _weights(cls, f)
-    if len(sample) == 0:
-        return np.zeros(len(cls))
     n0, n1 = _label_counts(cls, sample)
     w = f * (n0 - n1)
     own = ((cls.label_matrix * w).sum(axis=1) if cls.thresholds is None
            else np.concatenate(([0.0], np.cumsum(w))))
-    return (own + np.dot(f, n1)) / len(sample)
+    return (own + np.dot(f, n1)) / max(len(sample), 1)
 
 
 def _f2_disagreements(cls: HypothesisClass, ref: int, sample: LabeledSample,
@@ -442,7 +445,7 @@ def _f2_disagreements(cls: HypothesisClass, ref: int, sample: LabeledSample,
         dis = np.where(cls.label_matrix != cls.label_matrix[ref], w2, 0.0).sum(axis=1)
     else:
         dis = np.concatenate((np.cumsum(w2[:ref][::-1])[::-1], [0.0], np.cumsum(w2[ref:])))
-    return dis / len(sample)
+    return dis / max(len(sample), 1)
 
 
 def _matvec(cls: HypothesisClass, w: np.ndarray) -> np.ndarray:
@@ -500,13 +503,14 @@ def _support_size(cls: HypothesisClass) -> int:
 
 
 def _weights(cls: HypothesisClass, f) -> np.ndarray:
-    """f as float64, refused unless one finite, nonnegative weight per support point."""
+    """f as float64, refused unless one weight in [0, 2^485] per support point."""
     size, f = _support_size(cls), np.asarray(f, dtype=np.float64)
     if f.shape != (size,):
         raise ValueError(f"f has shape {f.shape}, not one weight for each of {size} points")
-    bad = np.flatnonzero(~((f >= 0) & (f < np.inf)))
+    bad = np.flatnonzero(~((f >= 0) & (f <= _MAX_WEIGHT)))
     if bad.size:
-        raise ValueError(f"f[{bad[0]}] is {f[bad[0]]}; weights must be finite and nonnegative")
+        raise ValueError(f"f[{bad[0]}] is {f[bad[0]]}; weights must be finite and "
+                         f"nonnegative, at most 2^485")
     return f
 
 

@@ -19,7 +19,7 @@ from .hypotheses import (
     HypothesisClass,
     LabeledSample,
     _f2_disagreements,
-    _kernel_shape,
+    _labeled,
     _weights,
     ensure_finite,
     member_disagreements,
@@ -40,8 +40,8 @@ class ConfidenceParams:
     delta: float = 0.05
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise ValueError("c must be positive")
+        if not 0 < self.c < math.inf:
+            raise ValueError(f"c must be positive and finite, got {self.c}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
 
@@ -91,14 +91,16 @@ def _near_optimal(cls: HypothesisClass, sample: LabeledSample, conf: ConfidenceP
     anchor per column for a batch of T samples, element by element.
 
     With per-support weights f, R is f-weighted, dis f^2-weighted and the last
-    term c*max(f)*A: the reweighted constraint.  An infinite A (an empty
-    sample, or a subnormal delta) makes every member feasible without a pass;
-    the anchor is then 0 and dis None.  f is checked before that shortcut.
+    term c*max(f)*A: the reweighted constraint.  An infinite A (the width of
+    an empty sample, or of a subnormal delta) makes every member feasible
+    without a pass, since c*sqrt(0*A) would be NaN; the anchor is then 0 and
+    dis None.  f and the sample are checked before that shortcut.
     """
     if f is not None:
         f = _weights(cls, f)
-    if len(sample) == 0 or math.isinf(width):
-        return np.ones(_kernel_shape(cls, sample), dtype=bool), 0, None
+    sample = _labeled(cls, sample)
+    if math.isinf(width):
+        return np.ones((len(cls),) + sample.points.shape[1:], dtype=bool), 0, None
     if f is None:
         risks, sup = member_risks(cls, sample), 1.0
     else:

@@ -22,6 +22,7 @@ from .hypotheses import (
     THRESHOLD,
     HypothesisClass,
     LabeledSample,
+    _MAX_WEIGHT,
     ensure_finite,
     member_disagreements,
     member_risks,
@@ -38,7 +39,7 @@ from .procedures import (
 
 @dataclass
 class DensityFamily:
-    """Finite family of finite, nonnegative per-point weight vectors over a support.
+    """Finite family of per-point weight vectors in [0, 2^485] over a support.
 
     pseudo_dim is caller-declared capacity, >= 0; for a finite family the default
     proxy is ceil(log2 of the family size).
@@ -55,8 +56,8 @@ class DensityFamily:
         for w in self.weights:
             if w.size != size:
                 raise ValueError("weight vectors must share the support")
-            if not ((w >= 0) & (w < np.inf)).all():
-                raise ValueError("densities must be finite and nonnegative")
+            if not ((w >= 0) & (w <= _MAX_WEIGHT)).all():
+                raise ValueError("densities must be finite and nonnegative, at most 2^485")
         if self.pseudo_dim is None:
             self.pseudo_dim = max(1, math.ceil(math.log2(max(2, len(self.weights)))))
         elif not self.pseudo_dim >= 0:
@@ -87,8 +88,6 @@ def delta_hat_weighted(sample_p: LabeledSample, f: np.ndarray, probe,
     cls, (sample_p, probe) = ensure_finite(cls, (sample_p, probe))
     width = confidence_width_weighted(len(sample_p), cls.vc_dim, pdim, conf.delta)
     mask, anchor, _ = _near_optimal(cls, sample_p, conf, width, f)
-    if len(probe) == 0:
-        return 0.0
     return float(np.max(member_disagreements(cls, anchor, probe)[mask]))
 
 

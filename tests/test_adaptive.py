@@ -191,6 +191,19 @@ def test_adaptive_round_cap_diagnostic():
                                  fam.cls, CONF, seed=1, max_rounds=1)
 
 
+def test_adaptive_run_stops_at_2_53_draws():
+    # c = 1e300 keeps step 6 from firing, so the doubling target sample grows
+    # until the next batch would take it past 2^53 draws; unchecked, it grew
+    # to 2^55, where a disagreement read -3.6e-17 and the set lost its anchor
+    pair, cls = tl.discretize_pair(tl.example_scenario(2), 64)
+    sp, sq = _samplers(pair)
+    u = tl.sample_unlabeled(pair.q, 4096, seed=1)
+    with pytest.raises(ValueError, match=r"draws is above the 2\^53 a sample holds"):
+        tl.run_adaptive_sampling(0.1, tl.CostSchedule("linear", 1.0),
+                                 tl.CostSchedule("linear", 1.0), sp, sq, u, cls,
+                                 tl.ConfidenceParams(c=1e300, delta=0.1), seed=1, q_only=True)
+
+
 def test_transcript_jsonl_roundtrip_fields():
     fam = tl.build_single_scale_family(9, 2.0, 0.5, 0.5, 0.25)
     pair = fam.pairs[11]
@@ -282,6 +295,29 @@ def test_delta_hat_on_itself_equals_a_separate_probe():
         copy = tl.LabeledSample(s.xs.copy(), s.ys.copy(), 0)
         want = oracles.delta_hat_value(cls.members, s, copy, CONF.c, CONF.delta, cls.vc_dim)
         assert tl.delta_hat(s, s, cls, CONF) == tl.delta_hat(s, copy, cls, CONF) == want
+
+
+def test_delta_hat_on_itself_at_an_infinite_width():
+    # a subnormal delta makes the anytime width infinite: the set is every
+    # member, anchored at member 0, and measures no disagreement, so the
+    # sample as its own probe is measured like a separate probe
+    fam = tl.build_single_scale_family(9, 2.0, 0.5, 0.5, 0.25)
+    pair = fam.pairs[fam.sigma_index()]
+    conf = tl.ConfidenceParams(delta=1e-320)
+    for n in (0, 1, 50):
+        s = tl.sample_labeled(pair.q, n, 3)
+        copy = tl.SampleCounts(s.points.copy(), s.ones.copy())
+        want = float(np.max(tl.hypotheses.member_disagreements(fam.cls, 0, s)))
+        assert tl.delta_hat(s, s, fam.cls, conf) == tl.delta_hat(s, copy, fam.cls, conf) == want
+
+
+def test_delta_hat_checks_an_empty_probe():
+    # an empty probe is zero counts: 0 over the class's support, refused off it
+    pair, cls = tl.discretize_pair(tl.example_scenario(2), 16)
+    s = tl.sample_labeled(pair.p, 64, seed=1)
+    assert tl.delta_hat(s, tl.sample_unlabeled(pair.q, 0, 0), cls, CONF) == 0.0
+    with pytest.raises(ValueError, match="counts over 7 support points for a class over 16"):
+        tl.delta_hat(s, tl.SampleCounts(np.zeros(7, dtype=np.int64)), cls, CONF)
 
 
 def _joint(draw, size):

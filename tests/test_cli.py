@@ -1,6 +1,8 @@
 import copy
 import json
 import shlex
+import typing
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -74,6 +76,64 @@ def test_exponent_unknown_field_rejected(capsys):
 
 def test_exponent_missing_config_file():
     assert run(["exponent", "--config", "/nonexistent/x.json"]) == 2
+
+
+def _payload(doc) -> dict:
+    """A library result as the CLI prints it, read back."""
+    return json.loads(json.dumps(doc))
+
+
+@pytest.mark.parametrize("quantity", ["d_a", "d_y", "beta_p", "beta_q"])
+def test_exponent_prints_the_library_value(quantity, capsys):
+    argv = ["exponent", "--set", "scenario.id=2", "--set", f"quantity={quantity}"]
+    pair, cls = tl.example_scenario(2), tl.threshold_class()
+    if quantity in ("d_a", "d_y"):
+        want = {"quantity": quantity, "value": getattr(tl, quantity)(pair, cls)}
+    else:
+        argv += ["--set", "constant=2"]
+        side = pair.p if quantity == "beta_p" else pair.q
+        want = {"quantity": quantity, **tl.beta_max(side, cls, 2.0).to_json_dict()}
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out) == _payload(want)
+
+
+@pytest.mark.parametrize("scenario,quantity,build,op", [
+    ('{"id":1}', "rho", lambda: tl.example_scenario(1), tl.rho_min),
+    ('{"id":1,"n_angles":8}', "gamma", lambda: tl.example_scenario(1, n_angles=8), tl.gamma_min),
+    ('{"rcs_gap":0.2}', "rho_prime", lambda: tl.rcs_violating_pair(0.2), tl.rho_prime_min),
+], ids=["ring-rho", "ring-8-gamma", "rcs-rho_prime"])
+def test_exponent_on_finite_scenarios(scenario, quantity, build, op, capsys):
+    assert run(["exponent", "--set", f"scenario={scenario}", "--set", f"quantity={quantity}"]) == 0
+    want = {"quantity": quantity, **op(*build(), 1.0).to_json_dict()}
+    assert json.loads(capsys.readouterr().out) == _payload(want)
+
+
+def test_scenario_describe_ring(capsys):
+    assert run(["scenario", "describe", "--set", "id=1"]) == 0
+    pair, _ = tl.example_scenario(1)
+    assert json.loads(capsys.readouterr().out) == {
+        "id": 1, "summary": cli.SCENARIO_SUMMARY[1], "gamma": None, "discrete": True,
+        "certified": _payload(pair.certified.to_json_dict())}
+
+
+@pytest.mark.parametrize("action", ["describe", "emit"])
+def test_scenario_without_id_exits_2_naming_it(action, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["scenario", action, "--out", str(out)]) == 2
+    assert named_fields(capsys.readouterr().err) == ["id"]
+    assert not out.exists()
+
+
+def test_verify_two_scale_family_cmd(capsys):
+    doc = {"kind": "two-scale", "d_h": 9, "rho": 4.0, "beta_p": 0.5, "beta_q": 0.5,
+           "eps1": 0.25, "eps2": 0.125}
+    assert run(["verify-family", "--set", f"family={json.dumps(doc)}", "--set", "rho=3"]) == 0
+    fam = tl.build_two_scale_family(9, 4.0, 0.5, 0.5, 0.25, 0.125)
+    reports = tl.verify_family(fam, rho=3.0)
+    assert json.loads(capsys.readouterr().out) == _payload({
+        "family": fam.params, "kind": "two-scale", "pairs": len(fam),
+        "all_ok": all(r.ok for r in reports), "per_sigma_ok": [r.ok for r in reports],
+        "violations": sum(len(r.violations) for r in reports)})
 
 
 def test_verify_family_cmd(capsys):
@@ -477,6 +537,37 @@ BAD_FIELDS = [
     (ADAPTIVE + ["--set", "cost_p.unit=NaN"], "cost_p.unit"),
     (["rates", "--config", str(CONFIGS / "target_rate_sweep.json"), "--set", "confidence.c=NaN",
       "--set", "estimator=transfer", "--set", "trials=2"], "confidence.c"),
+    # infinity passed `> 0`: the radius at zero disagreement was inf * 0 = NaN,
+    # an infinite kappa raised OverflowError, a constant scaled every bound
+    (RATES + ["--set", "estimator=transfer", "--set", "confidence.c=Infinity"], "confidence.c"),
+    (ADAPTIVE + ["--set", "confidence.c=Infinity"], "confidence.c"),
+    (SELECT + ["--set", "confidence.c=Infinity"], "confidence.c"),
+    (REWEIGHT + ["--set", "confidence.c=Infinity"], "confidence.c"),
+    (EXPONENT + ["--set", "constant=Infinity"], "constant"),
+    (ADAPTIVE + ["--set", "kappa=Infinity"], "kappa"),
+    (["rates", "--config", str(CONFIGS / "target_rate_sweep.json"), "--set", "trials=2",
+      "--set", "c1=Infinity"], "c1"),
+    # verify-family checked none of its constant and overrides: constant -1
+    # reported 195 840 violations, and -Infinity raised a NaN warning
+    (VERIFY + ["--set", "constant=Infinity"], "constant"),
+    (VERIFY + ["--set", "constant=-1"], "constant"),
+    (VERIFY + ["--set", "rho=-Infinity"], "rho"),
+    (VERIFY + ["--set", "beta_p=-Infinity"], "beta_p"),
+    (VERIFY + ["--set", "beta_q=2"], "beta_q"),
+    # sizes past 2^53: an inexact 2^55 cell exited 0, and 2^63 draws exited 1
+    (["rates", "--config", str(CONFIGS / "target_rate_sweep.json"), "--set", "trials=2",
+      "--set", "grid=[[0,16],[0,32],[0,36028797018963968]]", "--set", "drop_smallest=0"],
+     "grid[2][1]"),
+    (["rates", "--config", str(CONFIGS / "target_rate_sweep.json"), "--set", "trials=2",
+      "--set", "grid=[[0,16],[0,32],[0,9223372036854775808]]", "--set", "drop_smallest=0"],
+     "grid[2][1]"),
+    (SELECT + ["--set", "n_sources=[9007199254740993]"], "n_sources[0]"),
+    (SELECT + ["--set", "n_q=9007199254740993"], "n_q"),
+    (SELECT + ["--set", "unlabeled=9007199254740993"], "unlabeled"),
+    (REWEIGHT + ["--set", "n_p=9007199254740993"], "n_p"),
+    (REWEIGHT + ["--set", "n_q=9007199254740993"], "n_q"),
+    (REWEIGHT + ["--set", "unlabeled=9007199254740993"], "unlabeled"),
+    (ADAPTIVE + ["--set", "unlabeled=9007199254740993"], "unlabeled"),
 ]
 
 
@@ -487,6 +578,25 @@ def test_bad_field_exits_2_and_names_it(argv, field, tmp_path, capsys):
     assert run(argv + ["--out", str(out)]) == 2
     assert field in named_fields(capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides,message", [
+    (["q_only=true", "eps=1e-16"], "above the 2^53 draws a sample holds"),
+    (["confidence.c=1e300"], "draws is above the 2^53 a sample holds"),
+    (["eps=1e-18"], "above the 2^53 draws a sample holds"),
+    (["kappa=1e300"], "above the 2^53 draws a sample holds"),
+    (["eps=1e-320"], "the unlabeled requirement is inf at eps=1e-320"),
+    (["confidence.delta=1e-320"], "the unlabeled requirement is inf at eps=0.1, delta=1e-320"),
+    (["cost_p.unit=1e-320"], "budget 1.0 needs inf draws at unit 1e-320"),
+    (["cost_p.form=power", "cost_p.exponent=1e-320"], "needs inf draws at unit 0.01 and exponent"),
+], ids=["q-only-eps", "huge-c", "eps", "kappa", "tiny-eps", "tiny-delta", "tiny-unit",
+        "tiny-exponent"])
+def test_adaptive_past_2_53_draws_exits_3_naming_the_size(overrides, message, capsys):
+    # these ran into a NaN radius at 2^55 draws (exit 3, "zero-size array")
+    # or an OverflowError traceback (exit 1)
+    argv = ADAPTIVE + [a for o in overrides for a in ("--set", o)]
+    assert run(argv) == 3
+    assert message in capsys.readouterr().err
 
 
 def three_point_doc(**fields) -> dict:
@@ -595,3 +705,98 @@ def test_wrong_json_type_exits_2_and_names_field(words, cfg, path, data, tmp_pat
     assert run(words + ["--config", str(config), "--out", str(out)]) == 2
     assert path in named_fields(capsys.readouterr().err)
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# every float field of every command at extreme values
+
+FAMILY9_DOC = json.loads(FAMILY9)
+TWO_SCALE_DOC = {"kind": "two-scale", "d_h": 9, "rho": 2.5, "beta_p": 0.5, "beta_q": 0.5,
+                 "eps1": 0.1, "eps2": 0.1, "tau": 0.75}
+FAMILY_FLOATS = ["family.rho", "family.beta_p", "family.beta_q", "family.epsilon"]
+TWO_SCALE_FLOATS = ["family.eps1", "family.eps2", "family.tau"]
+SCENARIO3 = {"id": 3, "gamma": 2.0, "cells": 16}
+CONF_DOC = {"c": 1.0, "delta": 0.1}
+CONF_FLOATS = ["confidence.c", "confidence.delta"]
+RATE_CELL = {"estimator": "transfer", "grid": [[8, 8]], "trials": 1}
+ADAPTIVE_DOC = {"eps": 0.2, "cost_p": {"form": "power", "unit": 0.01, "exponent": 1.0},
+                "cost_q": {"form": "power", "unit": 1.0, "exponent": 1.0}, "kappa": 4.0,
+                "trials": 1, "confidence": CONF_DOC}
+SELECT_DOC = {"n_sources": [16], "unlabeled": 64, "n_q": 4, "trials": 1}
+REWEIGHT_DOC = {"n_p": 16, "unlabeled": 16, "n_q": 4, "trials": 1}
+
+# (command words, a small config under which each listed float field applies, the fields)
+FLOAT_CONFIGS = [
+    (["scenario", "describe"], {"id": 3, "gamma": 2.0}, ["gamma"]),
+    (["exponent"], {"scenario": SCENARIO3, "quantity": "rho", "constant": 1.0},
+     ["scenario.gamma", "constant"]),
+    (["exponent"], {"scenario": {"rcs_gap": 0.15}, "quantity": "gamma"}, ["scenario.rcs_gap"]),
+    (["exponent"], {"scenario": {"id": 2}, "quantity": "d_y_localized", "eps": 0.01}, ["eps"]),
+    (["verify-family"], {"family": FAMILY9_DOC, "constant": 1.0, "tol": 1e-9, "rho": 1.0,
+                         "beta_p": 0.5, "beta_q": 0.5},
+     FAMILY_FLOATS + ["constant", "tol", "rho", "beta_p", "beta_q"]),
+    (["verify-family"], {"family": TWO_SCALE_DOC}, TWO_SCALE_FLOATS),
+    (["rates"], {**RATE_CELL, "family": FAMILY9_DOC, "tune": True, "c1": 1.0,
+                 "confidence": CONF_DOC}, FAMILY_FLOATS + ["c1"] + CONF_FLOATS),
+    (["rates"], {**RATE_CELL, "family": TWO_SCALE_DOC}, TWO_SCALE_FLOATS),
+    (["rates"], {**RATE_CELL, "scenario": SCENARIO3}, ["scenario.gamma"]),
+    (["rates"], {**RATE_CELL, "scenario": {"rcs_gap": 0.15}}, ["scenario.rcs_gap"]),
+    (["rates"], {"scenario": {"id": 2, "cells": 16}, "estimator": "erm_q", "trials": 1,
+                 "grid": [[0, 8], [0, 16], [0, 32]], "theory_exponent": -1.0,
+                 "tolerance": 0.2, "drop_smallest": 0}, ["theory_exponent", "tolerance"]),
+    (["adaptive"], {**ADAPTIVE_DOC, "scenario": {"id": 2, "cells": 16}},
+     ["eps", "cost_p.unit", "cost_p.exponent", "cost_q.unit", "cost_q.exponent", "kappa"]
+     + CONF_FLOATS),
+    (["adaptive"], {**ADAPTIVE_DOC, "scenario": SCENARIO3}, ["scenario.gamma"]),
+    (["adaptive"], {**ADAPTIVE_DOC, "scenario": {"rcs_gap": 0.15}}, ["scenario.rcs_gap"]),
+    (["adaptive"], {**ADAPTIVE_DOC, "family": FAMILY9_DOC}, FAMILY_FLOATS),
+    (["adaptive"], {**ADAPTIVE_DOC, "family": TWO_SCALE_DOC}, TWO_SCALE_FLOATS),
+    (["select"], {**SELECT_DOC, "sources": [{"id": 3, "gamma": 1.0, "cells": 8}],
+                  "confidence": CONF_DOC}, ["sources[0].gamma"] + CONF_FLOATS),
+    (["select"], {**SELECT_DOC, "sources": [{"rcs_gap": 0.15}]}, ["sources[0].rcs_gap"]),
+    (["reweight"], {**REWEIGHT_DOC, "scenario": {"id": 3, "gamma": 2.0, "cells": 4},
+                    "densities": [[1.0, 1.0, 1.0, 1.0]], "confidence": CONF_DOC},
+     ["scenario.gamma", "densities[0][0]"] + CONF_FLOATS),
+    (["reweight"], {**REWEIGHT_DOC, "scenario": {"rcs_gap": 0.15}, "densities": [[1.0, 1.0]]},
+     ["scenario.rcs_gap"]),
+]
+EXTREME_FLOATS = [float("inf"), float("-inf"), 1e-320, 1e300]
+FLOAT_CASES = [(words, cfg, path, value) for words, cfg, paths in FLOAT_CONFIGS
+               for path in paths for value in EXTREME_FLOATS]
+
+
+def _float_paths(tp, path=""):
+    """Dotted path of every float in a config declaration, lists at index 0."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        for f in fields(tp):
+            yield from _float_paths(hints[f.name], cli._join(path, f.name))
+    elif tp is float:
+        yield path
+    elif origin in cli._UNIONS:
+        for t in args:
+            yield from _float_paths(t, path)
+    elif origin in (list, tuple):
+        for i, t in enumerate(args[:1] if origin is list else args):
+            yield from _float_paths(t, f"{path}[{i}]")
+
+
+def test_float_sweep_covers_every_float_field():
+    for name, (decl, _) in cli._COMMANDS.items():
+        swept = {p for words, _, paths in FLOAT_CONFIGS if words[0] == name for p in paths}
+        assert swept == set(_float_paths(decl)), name
+
+
+@pytest.mark.parametrize("words,cfg,path,value", FLOAT_CASES,
+                         ids=[f"{w[0]}-{p}-{v}" for w, _, p, v in FLOAT_CASES])
+def test_extreme_float_exits_0_2_or_3(words, cfg, path, value, tmp_path, capsys):
+    # in process, where a NaN warning is an error: an extreme value is
+    # refused (2), fails the run with a message (3) or runs (0), and raises nothing
+    *keys, last = path.replace("[", ".[").split(".")
+    doc = copy.deepcopy(cfg)
+    _walk(doc, keys)[int(last[1:-1]) if last.startswith("[") else last] = value
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))  # json writes and reads Infinity
+    code = run(words + ["--config", str(config), "--out", str(tmp_path / "out"), "--jobs", "1"])
+    assert code in (0, 2, 3), capsys.readouterr().err

@@ -141,6 +141,26 @@ def test_finite_draws_follow_their_law(monkeypatch):
         assert _rejects(_pooled(tl.sample_unlabeled, joint), p_unlabeled)
 
 
+def test_a_draw_holds_at_most_2_53_draws():
+    # up to 2^53 draws every count sum is exact, so no disagreement reads < 0
+    # (at 2^55 one read -3.6e-17); past it a draw is refused before numpy's
+    # multinomial, which raised OverflowError from 2^63 on
+    fam = tl.build_single_scale_family(9, 1.0, 0.5, 0.5, 0.25)
+    joint = fam.pairs[0].q
+    s = tl.sample_labeled(joint, 2 ** 53, seed=1)
+    assert len(s) == 2 ** 53 and int(s.points.sum()) == 2 ** 53
+    best = int(np.argmin(tl.hypotheses.member_risks(fam.cls, s)))
+    assert (tl.hypotheses.member_disagreements(fam.cls, best, s) >= 0).all()
+    for n in (2 ** 53 + 1, 2 ** 63, 2 ** 70):
+        for draw in (lambda: tl.sample_labeled(joint, n, seed=1),
+                     lambda: tl.sample_unlabeled(joint, n, seed=1),
+                     lambda: distributions._labeled_trials(joint, n, [1, 2])):
+            with pytest.raises(ValueError, match=rf"n is {n}, above the 2\^53 draws"):
+                draw()
+    with pytest.raises(ValueError, match=r"above the 2\^53"):
+        s + tl.sample_labeled(joint, 1, seed=2)
+
+
 def test_empty_draws_build_no_generator(monkeypatch):
     calls = []
     real = distributions.rng_from
@@ -768,6 +788,60 @@ def test_range_guards_refuse_nan(call, message):
         call()
 
 
+INF = float("inf")
+FAMILY9 = tl.build_single_scale_family(9, 2.0, 0.5, 0.5, 0.25)
+# each call and the argument its ValueError names
+NON_FINITE_GUARDS = {
+    "confidence-c": (lambda: tl.ConfidenceParams(c=INF), "c must be positive and finite"),
+    "rho_min": (lambda: tl.rho_min(tl.example_scenario(2), tl.threshold_class(), INF),
+                "c_rho must be a positive finite constant"),
+    "gamma_min": (lambda: tl.gamma_min(tl.example_scenario(2), tl.threshold_class(), INF),
+                  "c_gamma must be a positive finite constant"),
+    "rho_prime_min": (lambda: tl.rho_prime_min(tl.example_scenario(2), tl.threshold_class(), INF),
+                      "c must be a positive finite constant"),
+    "beta_max": (lambda: tl.beta_max(tl.example_scenario(2).q, tl.threshold_class(), INF),
+                 "c_noise must be a positive finite constant"),
+    "verify_family-constant": (lambda: tl.verify_family(FAMILY9, constant=-1.0),
+                               "constant must be a positive finite constant, got -1.0"),
+    "verify_family-constant-inf": (lambda: tl.verify_family(FAMILY9, constant=INF),
+                                   "constant must be a positive finite constant, got inf"),
+    "verify_family-rho": (lambda: tl.verify_family(FAMILY9, rho=-INF),
+                          "rho must be positive and finite, got -inf"),
+    "verify_family-beta_p": (lambda: tl.verify_family(FAMILY9, beta_p=-INF),
+                             "beta_p must lie in [0, 1], got -inf"),
+    "verify_family-beta_q": (lambda: tl.verify_family(FAMILY9, beta_q=1.5),
+                             "beta_q must lie in [0, 1], got 1.5"),
+    "verify_membership-rho": (lambda: tl.verify_membership(FAMILY9.pairs[0], FAMILY9.cls, 0.0,
+                                                           0.5, 0.5, 1.0),
+                              "rho must be positive and finite, got 0.0"),
+    "verify_membership-constant": (lambda: tl.verify_membership(FAMILY9.pairs[0], FAMILY9.cls,
+                                                                2.0, 0.5, 0.5, INF),
+                                   "constant must be a positive finite constant"),
+    "unlabeled_requirement-eps": (lambda: tl.unlabeled_requirement(1e-320, 0.1, 3),
+                                  "the unlabeled requirement is inf at eps=1e-320"),
+    "unlabeled_requirement-delta": (lambda: tl.unlabeled_requirement(0.1, 1e-320, 3),
+                                    "the unlabeled requirement is inf at eps=0.1, delta=1e-320"),
+    "unlabeled_requirement-kappa": (lambda: tl.unlabeled_requirement(0.1, 0.1, 3, kappa=INF),
+                                    "kappa=inf"),
+    "minimal_n-unit": (lambda: tl.CostSchedule("linear", 1e-320).minimal_n(1.0),
+                       "budget 1.0 needs inf draws at unit 1e-320"),
+    "minimal_n-exponent": (lambda: tl.CostSchedule("power", 1.0, 1e-320).minimal_n(2.0),
+                           "budget 2.0 needs inf draws at unit 1.0 and exponent 1e-320"),
+    "minimal_n-past-2^53": (lambda: tl.CostSchedule("linear", 1.0).minimal_n(2.0 ** 54),
+                            "above the 2^53 a sample holds"),
+}
+
+
+@pytest.mark.parametrize("guard", list(NON_FINITE_GUARDS))
+def test_range_guards_refuse_a_non_finite_value(guard):
+    # an infinite constant turned the radius at zero disagreement into
+    # inf * 0 = NaN, an unchecked membership parameter certified nothing, and
+    # an infinite size raised OverflowError or looped on float rounding
+    call, message = NON_FINITE_GUARDS[guard]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
 @pytest.mark.parametrize("kappa", [-1.0, 0.0])
 def test_unlabeled_requirement_refuses_a_kappa_below_zero_or_zero(kappa):
     # at kappa = -1 the requirement was once -92, which any pool meets
@@ -777,6 +851,28 @@ def test_unlabeled_requirement_refuses_a_kappa_below_zero_or_zero(kappa):
         tl.run_adaptive_sampling(0.1, tl.CostSchedule("linear", 1.0),
                                  tl.CostSchedule("linear", 1.0), None, None, [],
                                  tl.full_cube_class(3), kappa=kappa)
+
+
+@pytest.mark.parametrize("build,args", [
+    (tl.build_single_scale_family, (9, 1.0, 0.5, 0.5, 0.25)),
+    (tl.build_two_scale_family, (9, 4.0, 0.5, 0.5, 0.25, 0.125)),
+], ids=["single-scale", "two-scale"])
+def test_family_builders_take_explicit_sigmas(build, args):
+    # explicit sign vectors give the default family's rows for those vectors
+    default = build(*args)
+    pick = [5, 0, 200]
+    fam = build(*args, sigmas=default.sigmas[pick].tolist())
+    assert np.array_equal(fam.sigmas, default.sigmas[pick])
+    for name in ("eta_p", "eta_q"):
+        assert np.array_equal(getattr(fam, name), getattr(default, name)[pick])
+    for name in ("support", "mass_p", "mass_q"):
+        assert np.array_equal(getattr(fam, name), getattr(default, name))
+    assert np.array_equal(fam.cls.label_matrix, default.cls.label_matrix)
+    assert [fam.bayes(i) for i in range(3)] == [default.bayes(j) for j in pick]
+    d = default.sigmas.shape[1]
+    for bad in (default.sigmas[0], np.zeros((1, d)), np.ones((1, d + 1)), [[2] * d]):
+        with pytest.raises(ValueError, match="sigmas must be sign vectors of length d"):
+            build(*args, sigmas=bad)
 
 
 def test_family_builder_enumeration_cap():

@@ -111,6 +111,36 @@ def test_empirical_risk_empty_sample_is_zero():
     assert member_risks(cls, make_sample([], []))[0] == 0.0
 
 
+# each kernel over a class of 3 support points; the disagreements read no labels
+KERNELS = {
+    "member_risks": lambda cls, s: member_risks(cls, s),
+    "member_disagreements": lambda cls, s: member_disagreements(cls, 0, s),
+    "weighted_member_risks": lambda cls, s: weighted_member_risks(cls, s, np.ones(3)),
+    "_f2_disagreements": lambda cls, s: _f2_disagreements(cls, 0, s, np.ones(3)),
+}
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("kernel", list(KERNELS))
+def test_an_empty_sample_passes_the_checks_of_a_one_draw_sample(kernel, n):
+    # an empty sample is zero counts, so the faults that refuse one draw
+    # refuse no draws too: counts over the wrong support, no labels, float
+    # coordinates over a class without coordinates
+    cls, call = full_cube_class(3), KERNELS[kernel]
+    off = np.eye(7, dtype=np.int64)[0] * n
+    with pytest.raises(ValueError, match="counts over 7 support points for a class over 3"):
+        call(cls, SampleCounts(off, off))
+    if kernel in ("member_risks", "weighted_member_risks"):
+        with pytest.raises(TypeError, match="label counts need a labeled sample"):
+            call(cls, SampleCounts(np.eye(3, dtype=np.int64)[0] * n))
+    with pytest.raises(TypeError, match="float-coordinate sample over a class without"):
+        call(cls, LabeledSample(np.zeros(n), np.zeros(n, dtype=np.int8)))
+    # over the class's own support every value on no draws is 0
+    on = np.eye(3, dtype=np.int64)[0] * n
+    got = call(cls, SampleCounts(on, on))
+    assert got.shape == (8,) and (got == 0).all() == (n == 0)
+
+
 def test_disagreement_identity_and_complement():
     cls = finite_class([[1, 0, 1], [0, 1, 0]])  # h and its complement
     s = make_sample([0, 1, 2, 0], [1, 1, 1, 1])
@@ -514,6 +544,24 @@ def test_user_built_counts_are_checked(points, ones, message):
     assert np.array_equal(member_risks(cube, built),
                           member_risks(cube, make_sample([0, 0, 1], [1, 0, 0])))
     assert len(SampleCounts(np.array([2, 0, 1]))) == 3
+
+
+@pytest.mark.parametrize("points,n", [
+    (np.array([2 ** 53, 1]), 2 ** 53 + 1),
+    (np.array([2 ** 62, 2 ** 62]), 2 ** 63),  # the int64 sum wraps to -2^63
+    (np.array([2 ** 63, 2 ** 63], dtype=np.uint64), 2 ** 64),  # the uint64 sum wraps to 0
+    (np.full(4096, 2 ** 52), 2 ** 64),  # every entry fits, the int64 sum wraps to 0
+], ids=["2^53+1", "int64-wrap", "uint64-wrap", "many-entries"])
+def test_counts_hold_at_most_2_53_draws(points, n):
+    # past 2^53 draws a count sum is no exact float64 integer; the check sums
+    # without wrapping and names the total
+    with pytest.raises(ValueError, match=rf"points sum to {n} draws, above the 2\^53"):
+        SampleCounts(points)
+    half = SampleCounts(np.array([2 ** 52, 2 ** 52]), np.array([0, 2 ** 52]))
+    assert len(half) == 2 ** 53
+    assert member_risks(full_cube_class(2), half).tolist() == [0.5, 1.0, 0.0, 0.5]
+    with pytest.raises(ValueError, match=rf"{2 ** 53} \+ 1 draws is above the 2\^53"):
+        half + SampleCounts(np.array([1, 0]), np.array([0, 0]))
 
 
 def test_unlabeled_points_where_labels_are_needed_raise_type_error():

@@ -289,6 +289,37 @@ def test_empty_target_gives_the_source_erm(data):
     assert tl.select_source_or_target(line, empty(), tl.threshold_class(), conf) == want
 
 
+@pytest.mark.parametrize("target,error,message", [
+    (SampleCounts(np.zeros(7, dtype=np.int64), np.zeros(7, dtype=np.int64)), ValueError,
+     "counts over 7 support points for a class over 3"),
+    (SampleCounts(np.zeros(3, dtype=np.int64)), TypeError, "label counts need a labeled sample"),
+    (tl.LabeledSample([], []), TypeError, "float-coordinate sample over a class without"),
+], ids=["off-support", "unlabeled", "float-coordinates"])
+def test_an_empty_target_is_checked_before_the_constraint_is_waived(target, error, message):
+    # no target data makes the constraint vacuous, but the empty target is
+    # still zero counts that must fit the class, as one draw must
+    cls = tl.full_cube_class(3)
+    source = SampleCounts(np.array([1, 0, 0]), np.array([1, 0, 0]))
+    for call in (lambda: tl.transfer_erm(source, target, cls, CONF),
+                 lambda: tl.reverse_transfer_erm(target, source, cls, CONF),
+                 lambda: tl.select_source_or_target(source, target, cls, CONF),
+                 lambda: near_optimal_mask(cls, target, CONF)):
+        with pytest.raises(error, match=message):
+            call()
+
+
+def test_transfer_erm_at_a_huge_finite_constant():
+    # a huge c makes every member target-feasible, so transfer ERM is the
+    # source ERM (here also the target ERM); at c = inf the radius at zero
+    # disagreement was inf * 0 = NaN, which dropped the anchor (member 251)
+    fam = tl.build_single_scale_family(9, 2.0, 0.5, 0.5, 0.25)
+    pair = fam.pairs[fam.sigma_index()]
+    sp, sq = tl.sample_labeled(pair.p, 4000, 3), tl.sample_labeled(pair.q, 50, 1003)
+    want = tl.erm(fam.cls, sp)
+    assert want is tl.erm(fam.cls, sq) is fam.cls[255]
+    assert tl.transfer_erm(sp, sq, fam.cls, tl.ConfidenceParams(c=1e200)) is want
+
+
 def test_transfer_erm_threshold_class_projection():
     pair = tl.example_scenario(2)
     sp = tl.sample_labeled(pair.p, 60, seed=5)

@@ -172,7 +172,8 @@ def test_density_family_validation_and_pdim_proxy():
     assert tl.DensityFamily([np.ones(3)], pseudo_dim=0).pseudo_dim == 0
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+# 2^486: the f^2-weighted disagreement overflowed, and 1e300 raised a warning
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2.0 ** 486, 1e300])
 def test_density_family_refuses_non_finite_weights(bad):
     with pytest.raises(ValueError, match="densities must be finite and nonnegative"):
         tl.DensityFamily([np.ones(3), np.array([1.0, bad, 1.0])])
@@ -184,6 +185,7 @@ def test_density_family_refuses_non_finite_weights(bad):
     (np.where(np.arange(16) == 15, np.inf, 1.0), r"f\[15\] is inf"),
     (np.ones(15), r"shape \(15,\)"),
     (1.0, r"shape \(\)"),
+    (np.where(np.arange(16) == 2, 1e300, 1.0), r"f\[2\] is 1e\+300; .* at most 2\^485"),
 ])
 def test_weighted_kernels_refuse_bad_weights(f, message):
     # unchecked, a NaN weight picks member 0, all-negative weights member 16,
@@ -205,6 +207,16 @@ def test_weighted_kernels_refuse_bad_weights(f, message):
     line = tl.LabeledSample(np.array([0.5]), np.array([1]), seed=0)
     with pytest.raises(TypeError, match="project it first"):
         weighted_member_risks(tl.threshold_class(), line, f)
+
+
+def test_delta_hat_weighted_checks_an_empty_probe():
+    # an empty probe is zero counts: 0 over the class's support, refused off it
+    pair, cls = tl.discretize_pair(tl.example_scenario(2), 16)
+    sp = tl.sample_labeled(pair.p, 64, seed=1)
+    f = np.ones(16)
+    assert tl.delta_hat_weighted(sp, f, tl.sample_unlabeled(pair.q, 0, 0), cls, CONF, 1) == 0.0
+    with pytest.raises(ValueError, match="counts over 7 support points for a class over 16"):
+        tl.delta_hat_weighted(sp, f, tl.SampleCounts(np.zeros(7, dtype=np.int64)), cls, CONF, 1)
 
 
 def test_reweighted_transfer_checks_densities_before_the_shortcut():
