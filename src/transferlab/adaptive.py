@@ -18,8 +18,6 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from .distributions import derive_seed
 from .hypotheses import (
     HypothesisClass,
@@ -27,12 +25,11 @@ from .hypotheses import (
     _MAX_DRAWS,
     ensure_finite,
     erm,
-    member_disagreements,
     tally,
 )
 from .procedures import (
     ConfidenceParams,
-    _near_optimal,
+    _delta_hat,
     confidence_width,
     confidence_width_anytime,
 )
@@ -90,16 +87,13 @@ def delta_hat(sample: LabeledSample, probe, cls: HypothesisClass,
     The near-optimality radius uses the anytime width of |sample| (valid
     across all rounds of the doubling loop); one `member_risks` pass finds the
     ERM too, and a probe that is the sample itself reuses the disagreements
-    that pass measured, if it measured them.  An empty sample makes every
-    hypothesis eligible, and an empty probe gives 0.
+    that pass measured.  An infinite width (an empty sample, or a subnormal
+    delta) makes every hypothesis eligible, and an empty probe gives 0.
     """
     same = probe is sample
     cls, (sample, probe) = ensure_finite(cls, (sample, probe))
     width = confidence_width_anytime(len(sample), cls.vc_dim, conf.delta)
-    mask, erm_ix, dis = _near_optimal(cls, sample, conf, width)
-    if not same or dis is None:
-        dis = member_disagreements(cls, erm_ix, probe)
-    return float(np.max(dis[mask]))
+    return _delta_hat(cls, sample, sample if same else probe, conf, width)
 
 
 @dataclass

@@ -117,7 +117,7 @@ def load_config(args) -> dict:
 
 
 def _emit(payload, out_path):
-    text = json.dumps(payload, indent=1)
+    text = json.dumps(payload, indent=1, allow_nan=False)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -131,6 +131,7 @@ def _emit(payload, out_path):
 _UNIONS = (typing.Union, types.UnionType)  # int | Literal["auto"] is a typing.Union
 _DRAWS = "a draw count in [0, 2^53]"  # a sample holds at most 2^53 draws
 _RANGES = {">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1, ">= 2": lambda v: v >= 2,
+           "finite": math.isfinite, "finite and >= 0": lambda v: 0 <= v < math.inf,
            "finite and > 0": lambda v: 0 < v < math.inf, "in (0, 1)": lambda v: 0 < v < 1,
            "in [0, 1]": lambda v: 0 <= v <= 1, _DRAWS: lambda v: 0 <= v <= _MAX_DRAWS}
 
@@ -257,7 +258,7 @@ class _Example:
     """One of the four benchmark scenarios: the `scenario` command's config."""
 
     id: int | None = None
-    gamma: float | None = _opt(None, needs=("id", 3, 4))
+    gamma: float | None = _opt(None, needs=("id", 3, 4), must="finite")
     cells: int | None = _opt(None, needs=("id", 2, 3, 4), must=">= 1")
     n_angles: int = _opt(16, needs=("id", 1))
 
@@ -319,7 +320,7 @@ class _Scenario(_Example):
 class _Family:
     kind: Literal["single-scale", "two-scale"]
     d_h: int
-    rho: float
+    rho: float = _opt(must="finite")
     beta_p: float
     beta_q: float
     epsilon: float | None = _opt(needs=("kind", "single-scale"))
@@ -350,6 +351,7 @@ class _FamilyPair(_Family):
 
 @dataclass(frozen=True)
 class _Cost(CostSchedule):
+    unit: float = _opt(must="finite and > 0")
     exponent: float = _opt(1.0, needs=("form", "power"))
 
 
@@ -382,7 +384,7 @@ class _Exponent:
     quantity: Literal[QUANTITIES]
     constant: float = _opt(1.0, needs=("quantity", "rho", "gamma", "rho_prime", "beta_p",
                                        "beta_q"), must="finite and > 0")
-    eps: float | None = _opt(needs=("quantity", "d_y_localized"), must=">= 0")
+    eps: float | None = _opt(needs=("quantity", "d_y_localized"), must="finite and >= 0")
     grid_size: int | None = _opt(None, must=">= 2")
 
     def run(self, args) -> int:
@@ -415,7 +417,7 @@ class _Exponent:
 class _VerifyFamily:
     family: _Family
     constant: float | None = _opt(None, must="finite and > 0")
-    tol: float = 1e-9
+    tol: float = _opt(1e-9, must="finite and >= 0")
     rho: float | None = _opt(None, must="finite and > 0")
     beta_p: float | None = _opt(None, must="in [0, 1]")
     beta_q: float | None = _opt(None, must="in [0, 1]")
@@ -447,8 +449,8 @@ class _Rates:
     tune: bool = _opt(False, needs=("family.kind", "single-scale"))
     c1: float = _opt(1.0, needs=("tune", True), must="finite and > 0")
     confidence: ConfidenceParams = ConfidenceParams()
-    theory_exponent: float | None = None
-    tolerance: float = _opt(0.2, needs=("theory_exponent",), must=">= 0")
+    theory_exponent: float | None = _opt(None, must="finite")
+    tolerance: float = _opt(0.2, needs=("theory_exponent",), must="finite and >= 0")
     axis: Literal["n_p", "n_q"] = _opt("n_q", needs=("theory_exponent",))
     statistic: Literal["mean", "median"] = _opt("median", needs=("theory_exponent",))
     drop_smallest: int = _opt(2, needs=("theory_exponent",), must=">= 0")
@@ -476,7 +478,7 @@ class _Rates:
         if fit is not None:
             report = compare_to_theory(table, self.theory_exponent, self.tolerance, **fit)
             _emit(report, args.out + ".report.json")
-            print(json.dumps(report))
+            print(json.dumps(report, allow_nan=False))
         return 0
 
     def _fit_options(self) -> dict:
@@ -530,17 +532,17 @@ class _Adaptive:
             summary["returned_by"].append(transcript.returned_by)
             summary["total_cost"].append(transcript.total_cost)
             summary["excess"].append(true_risk(pair.q, h) - q_best)
+        lines = [json.dumps(row, allow_nan=False) + "\n" for row in rows]
         if args.out:
             with open(args.out, "w") as fh:
-                for row in rows:
-                    fh.write(json.dumps(row) + "\n")
+                fh.writelines(lines)
         print(json.dumps({
             "trials": trials, "eps": eps,
             "success_rate": float(np.mean([e <= eps for e in summary["excess"]])),
             "median_cost": float(np.median(summary["total_cost"])),
             "step6_frac": float(np.mean([r == "step6" for r in summary["returned_by"]])),
             "step7_frac": float(np.mean([r == "step7" for r in summary["returned_by"]])),
-        }))
+        }, allow_nan=False))
         return 0
 
 

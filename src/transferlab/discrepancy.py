@@ -44,8 +44,9 @@ class ExponentReport:
     grid_size: int | None = None
 
     def to_json_dict(self) -> dict:
+        """Strict JSON: an infinite value (no finite exponent fits) is null."""
         return {
-            "value": self.value,
+            "value": self.value if math.isfinite(self.value) else None,
             "constant": self.constant,
             "witness_labels": None if self.witness is None or self.witness.labels is None
             else list(self.witness.labels),
@@ -143,6 +144,12 @@ def _logs(x: np.ndarray) -> np.ndarray:
 def _check_constant(name: str, value: float) -> None:
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be a positive finite constant, got {value}")
+
+
+def _check_tol(tol: float) -> None:
+    """A NaN or infinite tol would pass every check, a negative one fail exact fits."""
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
 
 
 def _max_exponent(lhs: np.ndarray, rhs: np.ndarray, constant: float,
@@ -275,13 +282,16 @@ def verify_membership(pair: TransferPair, cls: HypothesisClass, rho: float,
     """Checks, for every enumerated h, the three defining inequalities of the
     constrained pair class: constant*E_P >= E_Q^rho, P-side noise condition at
     beta_p, Q-side noise condition at beta_q (both with the same constant).
-    The constant and rho must be positive and finite, each beta in [0, 1]."""
-    _check_membership_params(rho, beta_p, beta_q, constant)
+    The constant and rho must be positive and finite, each beta in [0, 1] and
+    tol finite and >= 0."""
+    _check_membership_params(rho, beta_p, beta_q, constant, tol)
     return _membership(pair_profile(pair, cls, grid), rho, beta_p, beta_q, constant, tol)
 
 
-def _check_membership_params(rho: float, beta_p: float, beta_q: float, constant: float) -> None:
+def _check_membership_params(rho: float, beta_p: float, beta_q: float, constant: float,
+                             tol: float) -> None:
     _check_constant("constant", constant)
+    _check_tol(tol)
     if not 0 < rho < math.inf:
         raise ValueError(f"rho must be positive and finite, got {rho}")
     for name, beta in (("beta_p", beta_p), ("beta_q", beta_q)):
@@ -324,7 +334,7 @@ def verify_family(family, constant: float | None = None, tol: float = 1e-9,
     beta_q = p["beta_q"] if beta_q is None else beta_q
     if constant is None:
         constant = 1.0 if family.kind == "single-scale" else 2.0
-    _check_membership_params(rho, beta_p, beta_q, constant)
+    _check_membership_params(rho, beta_p, beta_q, constant, tol)
     return [_membership(_discrete_profile(family.cls, family.mass_p, eta_p, family.mass_q, eta_q),
                         rho, beta_p, beta_q, constant, tol)
             for eta_p, eta_q in zip(family.eta_p, family.eta_q)]
@@ -333,7 +343,9 @@ def verify_family(family, constant: float | None = None, tol: float = 1e-9,
 def gamma_rho_chain_check(pair: TransferPair, cls: HypothesisClass,
                             c_gamma: float = 1.0, c_noise: float = 1.0,
                             grid=None, tol: float = 1e-9) -> dict:
-    """Checks rho <= gamma / beta_P with the transfer constant c_gamma^(gamma/beta_P)."""
+    """Checks rho <= gamma / beta_P with the transfer constant c_gamma^(gamma/beta_P);
+    tol must be finite and >= 0."""
+    _check_tol(tol)
     g = gamma_min(pair, cls, c_gamma, grid)
     b = beta_max(pair.p, cls, c_noise, grid)
     if b.value <= 0.0 or not math.isfinite(g.value):

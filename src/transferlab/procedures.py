@@ -9,6 +9,7 @@ lowest enumeration index, so every procedure is reproducible.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, replace
 
@@ -71,11 +72,6 @@ def confidence_width_anytime(n: int, vc_dim: int, delta: float) -> float:
     return _width(n, vc_dim, 2.0 * n * n / delta)
 
 
-def confidence_width_weighted(n: int, vc_dim: int, pdim: int, delta: float) -> float:
-    """Width with the density family's capacity added to the class dimension."""
-    return confidence_width(n, vc_dim + pdim, delta)
-
-
 def near_optimal_mask(cls: HypothesisClass, sample: LabeledSample,
                       conf: ConfidenceParams) -> np.ndarray:
     """Members near-optimal on the sample (`_near_optimal`) at its confidence width."""
@@ -84,23 +80,20 @@ def near_optimal_mask(cls: HypothesisClass, sample: LabeledSample,
 
 
 def _near_optimal(cls: HypothesisClass, sample: LabeledSample, conf: ConfidenceParams,
-                  width: float, f=None) -> tuple[np.ndarray, np.ndarray | int, np.ndarray | None]:
+                  width: float, f=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The near-optimal set {h : R(h) - R(erm) <= c*sqrt(dis(h, erm)*A) + c*A}
     at width A as a mask, the anchor erm's index (lowest on ties) and dis,
-    from one risk pass: an (M,) mask for a sample, an (M, T) mask with one
-    anchor per column for a batch of T samples, element by element.
+    from one risk pass: an (M,) mask and dis for a sample, (M, T) ones with
+    one anchor per column for a batch of T samples, element by element.
 
     With per-support weights f, R is f-weighted, dis f^2-weighted and the last
-    term c*max(f)*A: the reweighted constraint.  An infinite A (the width of
-    an empty sample, or of a subnormal delta) makes every member feasible
-    without a pass, since c*sqrt(0*A) would be NaN; the anchor is then 0 and
-    dis None.  f and the sample are checked before that shortcut.
+    term c*max(f)*A: the reweighted constraint.  A radius past the float range
+    saturates to +inf.  An infinite A (the width of an empty sample, or of a
+    subnormal delta) admits every member, since c*sqrt(0*A) would be NaN.
     """
     if f is not None:
         f = _weights(cls, f)
     sample = _labeled(cls, sample)
-    if math.isinf(width):
-        return np.ones((len(cls),) + sample.points.shape[1:], dtype=bool), 0, None
     if f is None:
         risks, sup = member_risks(cls, sample), 1.0
     else:
@@ -108,8 +101,22 @@ def _near_optimal(cls: HypothesisClass, sample: LabeledSample, conf: ConfidenceP
     best = np.argmin(risks, axis=0)
     dis = (member_disagreements(cls, best, sample) if f is None
            else _f2_disagreements(cls, best, sample, f))
-    radius = conf.c * np.sqrt(dis * width) + conf.c * sup * width
+    radius = math.inf
+    if math.isfinite(width):  # dis <= max(f)^2: the radius overflows only if this bound does
+        fits = math.isfinite(conf.c * sup * (2.0 * math.sqrt(width) + width))
+        with contextlib.nullcontext() if fits else np.errstate(over="ignore"):
+            radius = conf.c * np.sqrt(dis * width) + conf.c * sup * width
     return (risks - risks.min(axis=0)) <= radius, best, dis
+
+
+def _delta_hat(cls: HypothesisClass, sample, probe, conf: ConfidenceParams,
+               width: float, f=None) -> float:
+    """delta-hat: the largest probe disagreement with the anchor over the set
+    (`_near_optimal`); a probe that is the sample reuses the set's plain dis."""
+    mask, anchor, dis = _near_optimal(cls, sample, conf, width, f)
+    if probe is not sample or f is not None:
+        dis = member_disagreements(cls, anchor, probe)
+    return float(np.max(dis[mask]))
 
 
 def _feasible_argmin(feasible: np.ndarray, risks: np.ndarray) -> np.ndarray:

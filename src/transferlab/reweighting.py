@@ -24,15 +24,15 @@ from .hypotheses import (
     LabeledSample,
     _MAX_WEIGHT,
     ensure_finite,
-    member_disagreements,
     member_risks,
     weighted_member_risks,
 )
 from .procedures import (
     ConfidenceParams,
+    _delta_hat,
     _feasible_argmin,
     _near_optimal,
-    confidence_width_weighted,
+    confidence_width,
     reverse_transfer_erm,
 )
 
@@ -86,9 +86,8 @@ def delta_hat_weighted(sample_p: LabeledSample, f: np.ndarray, probe,
     passing the f-weighted near-optimality constraint."""
     _refuse_raw_threshold(cls)
     cls, (sample_p, probe) = ensure_finite(cls, (sample_p, probe))
-    width = confidence_width_weighted(len(sample_p), cls.vc_dim, pdim, conf.delta)
-    mask, anchor, _ = _near_optimal(cls, sample_p, conf, width, f)
-    return float(np.max(member_disagreements(cls, anchor, probe)[mask]))
+    width = confidence_width(len(sample_p), cls.vc_dim + pdim, conf.delta)
+    return _delta_hat(cls, sample_p, probe, conf, width, f)
 
 
 def reweighted_transfer_erm(sample_p: LabeledSample, sample_q: LabeledSample,
@@ -106,7 +105,7 @@ def reweighted_transfer_erm(sample_p: LabeledSample, sample_q: LabeledSample,
     radii = [delta_hat_weighted(sample_p, f, unlabeled, cls, conf, family.pseudo_dim)
              for f in family.weights]
     f_ix = int(np.argmin(radii))
-    width = confidence_width_weighted(len(sample_p), cls.vc_dim, family.pseudo_dim, conf.delta)
+    width = confidence_width(len(sample_p), cls.vc_dim + family.pseudo_dim, conf.delta)
     mask = _near_optimal(cls, sample_p, conf, width, family.weights[f_ix])[0]
     return cls[int(_feasible_argmin(mask, member_risks(cls, sample_q)))], f_ix
 

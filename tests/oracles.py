@@ -192,19 +192,18 @@ def weighted_risk_value(member, sample, f):
 def delta_hat_weighted_value(members, sample, f, probe, c, delta, vc_dim, pdim):
     """Weighted delta-hat in exact arithmetic: the weighted risks and f^2
     disagreements are integer sums over one power-of-two denominator, the
-    anchor is the lowest index at the exact minimum, and each excess is
-    compared exactly with the float radius."""
+    anchor is the lowest index at the exact minimum (at every width), and each
+    excess is compared exactly with the float radius."""
     f = np.asarray(f, dtype=float)
     width = width_weighted(len(sample), vc_dim, pdim, delta)
-    if len(sample) == 0 or math.isinf(width):
+    n = len(sample)
+    units, den = _units(f, sample.xs)
+    # risks in units of 1/(den n), f^2 disagreements in units of 1/(den^2 n)
+    risks = [units[predict(h, sample.xs) != sample.ys].sum() for h in members]
+    anchor = risks.index(min(risks))
+    if n == 0 or math.isinf(width):
         mask = [True] * len(members)
-        anchor = 0
     else:
-        n = len(sample)
-        units, den = _units(f, sample.xs)
-        # risks in units of 1/(den n), f^2 disagreements in units of 1/(den^2 n)
-        risks = [units[predict(h, sample.xs) != sample.ys].sum() for h in members]
-        anchor = risks.index(min(risks))
         mask = []
         sup = float(np.max(f))
         ref = predict(members[anchor], sample.xs)
@@ -212,7 +211,8 @@ def delta_hat_weighted_value(members, sample, f, probe, c, delta, vc_dim, pdim):
             dis = predict(members[i], sample.xs) != ref
             dis_f2 = Fraction((units[dis] ** 2).sum(), den * den * n)
             radius = c * math.sqrt(float(dis_f2) * width) + c * sup * width
-            mask.append(Fraction(risks[i] - risks[anchor], den * n) <= Fraction(radius))
+            mask.append(radius == math.inf
+                        or Fraction(risks[i] - risks[anchor], den * n) <= Fraction(radius))
     if len(probe) == 0:
         return 0.0
     best = -math.inf

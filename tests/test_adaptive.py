@@ -299,16 +299,29 @@ def test_delta_hat_on_itself_equals_a_separate_probe():
 
 def test_delta_hat_on_itself_at_an_infinite_width():
     # a subnormal delta makes the anytime width infinite: the set is every
-    # member, anchored at member 0, and measures no disagreement, so the
-    # sample as its own probe is measured like a separate probe
+    # member, anchored at the sample's ERM as at any width, so the sample as
+    # its own probe is measured like a separate probe
     fam = tl.build_single_scale_family(9, 2.0, 0.5, 0.5, 0.25)
     pair = fam.pairs[fam.sigma_index()]
     conf = tl.ConfidenceParams(delta=1e-320)
     for n in (0, 1, 50):
         s = tl.sample_labeled(pair.q, n, 3)
         copy = tl.SampleCounts(s.points.copy(), s.ones.copy())
-        want = float(np.max(tl.hypotheses.member_disagreements(fam.cls, 0, s)))
+        erm_ix = int(np.argmin(tl.hypotheses.member_risks(fam.cls, s)))
+        want = float(np.max(tl.hypotheses.member_disagreements(fam.cls, erm_ix, s)))
         assert tl.delta_hat(s, s, fam.cls, conf) == tl.delta_hat(s, copy, fam.cls, conf) == want
+
+
+def test_delta_hat_at_an_infinite_width_anchors_at_the_erm():
+    # every member is in the set; member 2 is the ERM and member 1 disagrees
+    # with it everywhere, while measured from member 0 the widest is 3/4
+    cls = tl.finite_class([[0, 0, 0], [1, 0, 0], [0, 1, 1]])
+    s = tl.LabeledSample(np.array([0, 1, 2, 2]), np.ones(4, dtype=np.int64), 0)
+    copy = tl.LabeledSample(s.xs.copy(), s.ys.copy(), 0)
+    conf = tl.ConfidenceParams(delta=1e-320)
+    want = oracles.delta_hat_value(cls.members, s, s, conf.c, conf.delta, cls.vc_dim)
+    assert want == 1.0
+    assert tl.delta_hat(s, s, cls, conf) == tl.delta_hat(s, copy, cls, conf) == want
 
 
 def test_delta_hat_checks_an_empty_probe():

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import shlex
 import typing
 from dataclasses import fields, is_dataclass
@@ -106,6 +107,14 @@ def test_exponent_on_finite_scenarios(scenario, quantity, build, op, capsys):
     assert run(["exponent", "--set", f"scenario={scenario}", "--set", f"quantity={quantity}"]) == 0
     want = {"quantity": quantity, **op(*build(), 1.0).to_json_dict()}
     assert json.loads(capsys.readouterr().out) == _payload(want)
+
+
+def test_an_infinite_exponent_prints_null(capsys):
+    # the source-optimal classifier has target excess 0.15 at zero source
+    # excess, so no finite rho fits; strict JSON has no Infinity to print
+    assert tl.rho_min(*tl.rcs_violating_pair(0.15), 1.0).value == math.inf
+    assert run(["exponent", "--set", "scenario.rcs_gap=0.15", "--set", "quantity=rho"]) == 0
+    assert json.loads(capsys.readouterr().out, parse_constant=refuse_constant)["value"] is None
 
 
 def test_scenario_describe_ring(capsys):
@@ -568,6 +577,21 @@ BAD_FIELDS = [
     (REWEIGHT + ["--set", "n_q=9007199254740993"], "n_q"),
     (REWEIGHT + ["--set", "unlabeled=9007199254740993"], "unlabeled"),
     (ADAPTIVE + ["--set", "unlabeled=9007199254740993"], "unlabeled"),
+    # a NaN or infinite tol passed every check (all_ok true at constant 0.5,
+    # where tol 1e-9 finds 135 936 violations), a negative one failed exact fits
+    (VERIFY + ["--set", "tol=NaN"], "tol"),
+    (VERIFY + ["--set", "tol=Infinity"], "tol"),
+    (VERIFY + ["--set", "tol=-1"], "tol"),
+    # non-finite values that reached a payload as bare NaN or Infinity
+    (["rates", "--config", str(CONFIGS / "target_rate_sweep.json"), "--set", "trials=2",
+      "--set", "theory_exponent=Infinity"], "theory_exponent"),
+    (["rates", "--config", str(CONFIGS / "target_rate_sweep.json"), "--set", "trials=2",
+      "--set", "theory_exponent=-0.5", "--set", "tolerance=Infinity"], "tolerance"),
+    (["scenario", "describe", "--set", "id=3", "--set", "gamma=Infinity"], "gamma"),
+    (["exponent", "--set", "scenario.id=2", "--set", "quantity=d_y_localized",
+      "--set", "eps=Infinity"], "eps"),
+    (VERIFY + ["--set", "family.rho=Infinity"], "family.rho"),
+    (ADAPTIVE + ["--set", "cost_q.unit=Infinity"], "cost_q.unit"),
 ]
 
 
@@ -707,6 +731,13 @@ def test_wrong_json_type_exits_2_and_names_field(words, cfg, path, data, tmp_pat
     assert not out.exists()
 
 
+def test_reweight_radius_past_the_float_range_exits_0(capsys):
+    # c = 1e300 times a 1e10 density's disagreement overflowed with a RuntimeWarning
+    assert run(REWEIGHT + ["--set", "densities=[[1e10,1,1,1]]",
+                           "--set", "confidence.c=1e300"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 # ---------------------------------------------------------------------------
 # every float field of every command at extreme values
 
@@ -760,7 +791,7 @@ FLOAT_CONFIGS = [
     (["reweight"], {**REWEIGHT_DOC, "scenario": {"rcs_gap": 0.15}, "densities": [[1.0, 1.0]]},
      ["scenario.rcs_gap"]),
 ]
-EXTREME_FLOATS = [float("inf"), float("-inf"), 1e-320, 1e300]
+EXTREME_FLOATS = [float("inf"), float("-inf"), float("nan"), 1e-320, 1e300]
 FLOAT_CASES = [(words, cfg, path, value) for words, cfg, paths in FLOAT_CONFIGS
                for path in paths for value in EXTREME_FLOATS]
 
@@ -797,6 +828,27 @@ def test_extreme_float_exits_0_2_or_3(words, cfg, path, value, tmp_path, capsys)
     doc = copy.deepcopy(cfg)
     _walk(doc, keys)[int(last[1:-1]) if last.startswith("[") else last] = value
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps(doc))  # json writes and reads Infinity
-    code = run(words + ["--config", str(config), "--out", str(tmp_path / "out"), "--jobs", "1"])
-    assert code in (0, 2, 3), capsys.readouterr().err
+    config.write_text(json.dumps(doc))  # json writes and reads Infinity and NaN
+    out = tmp_path / "out"
+    code = run(words + ["--config", str(config), "--out", str(out), "--jobs", "1"])
+    captured = capsys.readouterr()
+    assert code in (0, 2, 3), captured.err
+    if code == 0:  # what it wrote is strict JSON: no NaN or Infinity
+        for text in strict_json_texts(words[0], out, captured.out):
+            json.loads(text, parse_constant=refuse_constant)
+
+
+def refuse_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+def strict_json_texts(command: str, out: Path, stdout: str) -> list[str]:
+    """The JSON documents a run wrote: stdout, and its --out file (JSON lines
+    for adaptive; for rates a CSV, so its report file instead)."""
+    texts = [stdout] if stdout.strip() else []
+    if command == "rates":
+        out = out.with_name(out.name + ".report.json")
+    if out.exists():
+        text = out.read_text()
+        texts += text.splitlines() if command == "adaptive" else [text]
+    return texts

@@ -229,6 +229,17 @@ def test_prop_gamma_to_rho_chain():
     assert out3["ok"] and out3["rho"] <= 3.0 + 1e-9
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+def test_membership_checks_refuse_a_tol_that_is_not_finite_and_nonnegative(tol):
+    # a NaN or infinite tol passed every check, a negative one failed exact fits
+    fam = tl.build_single_scale_family(9, 2.0, 0.5, 0.5, 0.25)
+    for call in (lambda: tl.verify_family(fam, constant=0.5, tol=tol),
+                 lambda: tl.verify_membership(fam.pairs[0], fam.cls, 2.0, 0.5, 0.5, 0.5, tol=tol),
+                 lambda: tl.gamma_rho_chain_check(fam.pairs[0], fam.cls, tol=tol)):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            call()
+
+
 def test_witness_consistency_gamma():
     fam = tl.build_single_scale_family(9, 4.0, 0.25, 0.9, 0.1)
     pair = fam.pairs[3]

@@ -67,11 +67,9 @@ def test_width_sentinel_and_monotone_tail():
 def test_width_refuses_a_capacity_below_one():
     # d = 0 divided by zero in log(max(n, d) / d)
     for width in (lambda: tl.confidence_width(10, 0, 0.05),
-                  lambda: tl.confidence_width_anytime(10, -1, 0.05),
-                  lambda: tl.confidence_width_weighted(10, 1, -1, 0.05)):
+                  lambda: tl.confidence_width_anytime(10, -1, 0.05)):
         with pytest.raises(ValueError, match="capacity d must be >= 1"):
             width()
-    assert tl.confidence_width_weighted(10, 1, 0, 0.05) == tl.confidence_width(10, 1, 0.05)
 
 
 def test_width_anytime_identity():
@@ -80,13 +78,9 @@ def test_width_anytime_identity():
         assert diff == pytest.approx((1.0 / n) * math.log(2.0 * n * n), abs=1e-12)
 
 
-def test_width_weighted_reduces_to_basic():
-    for n in (1, 10, 1000):
-        assert tl.confidence_width_weighted(n, 7, 0, 0.05) == tl.confidence_width(n, 7, 0.05)
-
-
 def test_width_weighted_frozen_value():
-    assert tl.confidence_width_weighted(1000, 5, 3, 0.05) == pytest.approx(
+    # the reweighted width adds the density family's capacity to the class's
+    assert tl.confidence_width(1000, 5 + 3, 0.05) == pytest.approx(
         0.041622242171972405, abs=1e-15)
 
 
@@ -198,8 +192,7 @@ def test_unit_weights_give_the_plain_near_optimal_set(data):
         st.floats(0.0, 10.0), st.just(math.inf)))
     mask, anchor, dis = _near_optimal(cls, sample, conf, width)
     mask1, anchor1, dis1 = _near_optimal(cls, sample, conf, width, np.ones(s))
-    assert np.array_equal(mask, mask1) and anchor == anchor1
-    assert (dis is None and dis1 is None) or np.array_equal(dis, dis1)
+    assert np.array_equal(mask, mask1) and anchor == anchor1 and np.array_equal(dis, dis1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -241,9 +234,23 @@ def test_a_batch_is_its_columns(data):
         assert np.array_equal(mask[:, t], near_optimal_mask(cls, col, conf))
         want, anchor, want_dis = _near_optimal(cls, col, conf, width)
         assert np.array_equal(near[:, t], want)
-        assert np.broadcast_to(anchors, (T,))[t] == anchor
-        assert (near_dis is None and want_dis is None) or np.array_equal(near_dis[:, t],
-                                                                          want_dis)
+        assert anchors[t] == anchor and np.array_equal(near_dis[:, t], want_dis)
+
+
+def test_a_batch_at_an_infinite_width_anchors_each_column_at_its_erm():
+    # every member is in the set, anchored per column at that column's ERM
+    # (members 2, 0 and 1 here), with that column's disagreements
+    cls = tl.finite_class([[0, 0, 0], [1, 0, 0], [0, 1, 1]])
+    points = np.array([[1, 0, 2], [1, 3, 0], [2, 1, 2]])
+    ones = np.array([[1, 0, 2], [1, 0, 0], [2, 0, 0]])
+    batch = SampleCounts._trusted(points, ones)
+    mask, anchors, dis = _near_optimal(cls, batch, tl.ConfidenceParams(), math.inf)
+    assert mask.shape == (3, 3) and mask.all()
+    assert np.array_equal(anchors, [2, 0, 1])
+    assert np.array_equal(anchors, np.argmin(member_risks(cls, batch), axis=0))
+    for t in range(3):
+        col = SampleCounts(points[:, t].copy(), ones[:, t].copy())
+        assert np.array_equal(dis[:, t], member_disagreements(cls, anchors[t], col))
 
 
 def test_procedures_match_oracles_randomized():
@@ -318,6 +325,16 @@ def test_transfer_erm_at_a_huge_finite_constant():
     want = tl.erm(fam.cls, sp)
     assert want is tl.erm(fam.cls, sq) is fam.cls[255]
     assert tl.transfer_erm(sp, sq, fam.cls, tl.ConfidenceParams(c=1e200)) is want
+
+
+def test_a_radius_whose_two_terms_overflow_only_in_their_sum():
+    # c*sqrt(dis*A) = 7.0e306 and c*A = 1.75e308 are finite but their sum is
+    # not: the radius saturates to +inf without a warning (an error here)
+    cls = tl.finite_class([[0, 0], [1, 1]])
+    s = make_sample([0], [1])
+    conf = tl.ConfidenceParams(c=2.8e305, delta=1e-272)
+    want = oracles.feasible_mask(cls.members, s, conf.c, conf.delta, cls.vc_dim)
+    assert want == [True, True] and near_optimal_mask(cls, s, conf).tolist() == want
 
 
 def test_transfer_erm_threshold_class_projection():

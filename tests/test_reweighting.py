@@ -3,7 +3,7 @@ import pytest
 
 import transferlab as tl
 from transferlab.hypotheses import _f2_disagreements, member_disagreements, member_risks
-from transferlab.procedures import _near_optimal, confidence_width_weighted
+from transferlab.procedures import _near_optimal, confidence_width
 from transferlab.reweighting import weighted_member_risks
 
 import oracles
@@ -17,7 +17,7 @@ def make_sample(xs, ys):
 
 def weighted_set(cls, sample, f, pdim):
     """The f-weighted near-optimal set of the sample: (mask, anchor, f^2 dis)."""
-    width = confidence_width_weighted(len(sample), cls.vc_dim, pdim, CONF.delta)
+    width = confidence_width(len(sample), cls.vc_dim + pdim, CONF.delta)
     return _near_optimal(cls, sample, CONF, width, f)
 
 
@@ -93,6 +93,37 @@ def test_delta_hat_weighted_matches_oracle_random_weights():
         want = oracles.delta_hat_weighted_value(cls.members, s, f, u, CONF.c,
                                                 CONF.delta, cls.vc_dim, pdim)
         assert got == want
+
+
+def test_delta_hat_weighted_at_an_infinite_width_anchors_at_the_weighted_erm():
+    # a subnormal delta admits every member; member 2 is the weighted ERM and
+    # member 1 disagrees with it everywhere, while from member 0 the widest is 3/4
+    cls = tl.finite_class([[0, 0, 0], [1, 0, 0], [0, 1, 1]])
+    s = make_sample([0, 1, 2, 2], [1, 1, 1, 1])
+    f = np.array([1.0, 2.0, 0.5])
+    conf = tl.ConfidenceParams(delta=1e-320)
+    want = oracles.delta_hat_weighted_value(cls.members, s, f, s, conf.c, conf.delta,
+                                            cls.vc_dim, 1)
+    assert want == 1.0 and tl.delta_hat_weighted(s, f, s, cls, conf, 1) == want
+
+
+def test_a_radius_past_the_float_range_saturates_without_a_warning():
+    # c = 1e300 times the f^2-weighted disagreement of a 1e10 density overflowed
+    # with a RuntimeWarning (an error in this suite); the radius is +inf
+    # instead, so every member is feasible and transfer picks the target ERM
+    pair, cls = tl.discretize_pair(tl.example_scenario(2), 4)
+    fam = tl.DensityFamily([np.array([1e10, 1.0, 1.0, 1.0])])
+    conf = tl.ConfidenceParams(c=1e300)
+    sp, sq = tl.sample_labeled(pair.p, 16, seed=1), tl.sample_labeled(pair.q, 8, seed=2)
+    u = tl.sample_unlabeled(pair.q, 16, seed=3)
+    h, f_ix = tl.reweighted_transfer_erm(sp, sq, u, fam, cls, conf)
+    assert f_ix == 0 and h == tl.erm(cls, sq)
+    width = confidence_width(len(sp), cls.vc_dim + fam.pseudo_dim, conf.delta)
+    assert _near_optimal(cls, sp, conf, width, fam.weights[0])[0].all()
+    want = oracles.delta_hat_weighted_value(cls.members, oracles.points_of(sp), fam.weights[0],
+                                            oracles.points_of(u), conf.c, conf.delta,
+                                            cls.vc_dim, fam.pseudo_dim)
+    assert tl.delta_hat_weighted(sp, fam.weights[0], u, cls, conf, fam.pseudo_dim) == want
 
 
 def test_weighted_erm_breaks_an_exact_tie_to_the_lowest_index():
@@ -220,8 +251,8 @@ def test_delta_hat_weighted_checks_an_empty_probe():
 
 
 def test_reweighted_transfer_checks_densities_before_the_shortcut():
-    # an empty source sample, or a subnormal delta, makes every member feasible
-    # before a weighted kernel reads f; a density of the wrong length is refused
+    # an empty source sample, or a subnormal delta, makes every member feasible;
+    # a density of the wrong length is refused all the same
     pair, cls = tl.discretize_pair(tl.example_scenario(2), 16)
     sq = tl.sample_labeled(pair.q, 32, seed=2)
     u = tl.sample_unlabeled(pair.q, 64, seed=3)
@@ -336,7 +367,7 @@ def test_reweighted_output_replays_constraint():
     assert mask[i]
     # the printed inequality itself holds for the returned hypothesis
     f = fam.weights[f_ix]
-    width = confidence_width_weighted(len(sp), cls.vc_dim, fam.pseudo_dim, CONF.delta)
+    width = confidence_width(len(sp), cls.vc_dim + fam.pseudo_dim, CONF.delta)
     risks = weighted_member_risks(cls, sp, f)
     lhs = risks[i] - risks[anchor]
     dis = _f2_disagreements(cls, anchor, sp, f)[i]
