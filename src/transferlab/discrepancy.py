@@ -285,7 +285,15 @@ def verify_membership(pair: TransferPair, cls: HypothesisClass, rho: float,
     The constant and rho must be positive and finite, each beta in [0, 1] and
     tol finite and >= 0."""
     _check_membership_params(rho, beta_p, beta_q, constant, tol)
-    return _membership(pair_profile(pair, cls, grid), rho, beta_p, beta_q, constant, tol)
+    prof = pair_profile(pair, cls, grid)
+
+    def witness(i):
+        labels = prof.members[i].labels
+        return None if labels is None else list(labels)
+    return _report([(name, idx.tolist(), lhs.tolist(), rhs.tolist(),
+                     list(map(witness, idx.tolist())))
+                    for name, idx, lhs, rhs in _violations(prof, rho, beta_p, beta_q,
+                                                           constant, tol)])
 
 
 def _check_membership_params(rho: float, beta_p: float, beta_q: float, constant: float,
@@ -299,24 +307,39 @@ def _check_membership_params(rho: float, beta_p: float, beta_q: float, constant:
             raise ValueError(f"{name} must lie in [0, 1], got {beta}")
 
 
-def _membership(prof: PairProfile, rho: float, beta_p: float, beta_q: float,
-                constant: float, tol: float) -> MembershipReport:
-    """`verify_membership`'s three checks on one pair's profile."""
+def _violations(prof: PairProfile, rho: float, beta_p: float, beta_q: float,
+                constant: float, tol: float) -> list[tuple]:
+    """Per check, in report order: its name, the violating members in ascending
+    order, and their lhs and rhs."""
     checks = (
         ("transfer", np.power(prof.e_q, rho), constant * prof.e_p),
         ("noise_p", prof.dis_p, constant * np.power(prof.e_p, beta_p)),
         ("noise_q", prof.dis_q_own, constant * np.power(prof.e_q, beta_q)),
     )
-    violations = []
+    out = []
     for name, small, big in checks:
         bad = np.flatnonzero(small > big + tol)
-        for i in bad:
-            labels = prof.members[i].labels
-            violations.append({
-                "check": name, "member": int(i),
-                "lhs": float(small[i]), "rhs": float(big[i]),
-                "witness_labels": None if labels is None else list(labels)})
-    return MembershipReport(ok=not violations, violations=violations)
+        out.append((name, bad, small[bad], big[bad]))
+    return out
+
+
+def _report(violations: list[tuple]) -> MembershipReport:
+    """A report from, per check, its name and lists of the violating members,
+    their lhs, rhs and witness labels."""
+    rows = [{"check": name, "member": i, "lhs": a, "rhs": b, "witness_labels": w}
+            for name, *cols in violations for i, a, b, w in zip(*cols)]
+    return MembershipReport(ok=not rows, violations=rows)
+
+
+def _tie_points(family) -> np.ndarray:
+    """The non-anchor points where flipping a sign need not flip the optimal
+    label: on either side a zero weight mass * (1 - 2 eta) in some row (a zero
+    mass or an eta of exactly 1/2), or a sign that is not +-1.  There the
+    lowest-index argmin does not commute with flipping the member's bit."""
+    ties = (np.abs(family.sigmas) != 1).any(axis=0)
+    for mass, eta in ((family.mass_p, family.eta_p), (family.mass_q, family.eta_q)):
+        ties |= (mass[1:] * (1.0 - 2.0 * eta[:, 1:]) == 0).any(axis=0)
+    return ties
 
 
 def verify_family(family, constant: float | None = None, tol: float = 1e-9,
@@ -327,6 +350,14 @@ def verify_family(family, constant: float | None = None, tol: float = 1e-9,
     Parameters default to the family's construction parameters; the constant
     defaults to 1 for single-scale and 2 for two-scale families.  Their ranges
     are `verify_membership`'s.
+
+    Pairs share both masses and margins, and bit j of a member's index is its
+    label on point j + 1, so flipping the signs in the bit mask f maps member m
+    of one pair onto member m ^ f of the other.  Pairs are grouped by their
+    signs on the tie points (`_tie_points`); the first pair of a group is
+    profiled, and every other pair's report is the representative's with each
+    violating member m read as m ^ f (re-sorted), at the representative's lhs
+    and rhs.  Those agree with the pair's own profile up to rounding.
     """
     p = family.params
     rho = p["rho"] if rho is None else rho
@@ -335,9 +366,29 @@ def verify_family(family, constant: float | None = None, tol: float = 1e-9,
     if constant is None:
         constant = 1.0 if family.kind == "single-scale" else 2.0
     _check_membership_params(rho, beta_p, beta_q, constant, tol)
-    return [_membership(_discrete_profile(family.cls, family.mass_p, eta_p, family.mass_q, eta_q),
-                        rho, beta_p, beta_q, constant, tol)
-            for eta_p, eta_q in zip(family.eta_p, family.eta_q)]
+    sigmas = family.sigmas
+    firsts: dict[bytes, int] = {}
+    reps = np.array([firsts.setdefault(key.tobytes(), i)
+                     for i, key in enumerate(sigmas[:, _tie_points(family)])])
+    codes = (sigmas < 0) @ (1 << np.arange(sigmas.shape[1]))
+    labels = family.cls.label_matrix.astype(np.int8)
+    reports: list = [None] * len(sigmas)
+    for r in firsts.values():
+        group = np.flatnonzero(reps == r)
+        flips = (codes[group] ^ codes[r])[:, None]
+        prof = _discrete_profile(family.cls, family.mass_p, family.eta_p[r],
+                                 family.mass_q, family.eta_q[r])
+        checks = []  # per failed check, one (name, members, lhs, rhs, witnesses) per pair
+        for name, idx, lhs, rhs in _violations(prof, rho, beta_p, beta_q, constant, tol):
+            if idx.size:
+                order = np.argsort(idx ^ flips, axis=1)
+                members = idx[order] ^ flips
+                checks.append([(name, *cols) for cols in zip(
+                    members.tolist(), lhs[order].tolist(), rhs[order].tolist(),
+                    labels[members].tolist())])
+        for g, i in enumerate(group.tolist()):
+            reports[i] = _report([check[g] for check in checks])
+    return reports
 
 
 def gamma_rho_chain_check(pair: TransferPair, cls: HypothesisClass,

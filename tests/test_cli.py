@@ -255,6 +255,27 @@ def test_reweight_cmd(capsys):
     assert len(doc["chosen"]) == 2
 
 
+# verify-family stdout recorded before pairs were derived from one profile per
+# sign-flip orbit: the shipped config, the same at rho 1.99 (one violation per
+# pair), a d_h = 13 family below its certified constant (684 736 violations)
+# and a family whose P margin underflows, so that every point is a tie point
+VERIFY_GOLDEN_RUNS = {
+    "shipped": ["--config", str(CONFIGS / "single_scale_verify.json")],
+    "rho_1_99": ["--config", str(CONFIGS / "single_scale_verify.json"), "--set", "rho=1.99"],
+    "d13_constant_0_9": ["--set", 'family={"kind":"single-scale","d_h":13,"rho":1,"beta_p":0.9,'
+                         '"beta_q":0.9,"epsilon":0.1,"seed":3}', "--set", "constant=0.9"],
+    "tie": ["--set", 'family={"kind":"single-scale","d_h":9,"rho":2000,"beta_p":0,'
+            '"beta_q":0.5,"epsilon":0.25}', "--set", "beta_p=0.5"],
+}
+
+
+@pytest.mark.parametrize("name", VERIFY_GOLDEN_RUNS)
+def test_verify_family_golden_bytes(name, capsys):
+    assert run(["verify-family"] + VERIFY_GOLDEN_RUNS[name]) == 0
+    golden = DATA / "verify_family_golden" / f"{name}.json"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
 def test_cli_runtime_error_exit_code(tmp_path, capsys):
     # adaptive on a continuous scenario without cells is a config error
     assert run(["adaptive", "--set", 'scenario={"id":2}', "--set", "eps=0.1",
@@ -772,7 +793,7 @@ FLOAT_CONFIGS = [
     (["rates"], {**RATE_CELL, "family": TWO_SCALE_DOC}, TWO_SCALE_FLOATS),
     (["rates"], {**RATE_CELL, "scenario": SCENARIO3}, ["scenario.gamma"]),
     (["rates"], {**RATE_CELL, "scenario": {"rcs_gap": 0.15}}, ["scenario.rcs_gap"]),
-    (["rates"], {"scenario": {"id": 2, "cells": 16}, "estimator": "erm_q", "trials": 1,
+    (["rates"], {"family": FAMILY9_DOC, "estimator": "erm_q", "trials": 1,
                  "grid": [[0, 8], [0, 16], [0, 32]], "theory_exponent": -1.0,
                  "tolerance": 0.2, "drop_smallest": 0}, ["theory_exponent", "tolerance"]),
     (["adaptive"], {**ADAPTIVE_DOC, "scenario": {"id": 2, "cells": 16}},
@@ -836,6 +857,17 @@ def test_extreme_float_exits_0_2_or_3(words, cfg, path, value, tmp_path, capsys)
     if code == 0:  # what it wrote is strict JSON: no NaN or Infinity
         for text in strict_json_texts(words[0], out, captured.out):
             json.loads(text, parse_constant=refuse_constant)
+
+
+def test_theory_exponent_row_reaches_the_fit(tmp_path):
+    # the sweep of theory_exponent and tolerance tests the fit only if the
+    # row's own config fits its rows and writes the report
+    [(words, cfg, _)] = [row for row in FLOAT_CONFIGS if "theory_exponent" in row[2]]
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "out.csv"
+    assert run(words + ["--config", str(config), "--out", str(out), "--jobs", "1"]) == 0
+    assert "slope" in json.loads(out.with_name(out.name + ".report.json").read_text())
 
 
 def refuse_constant(name):

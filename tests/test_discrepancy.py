@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -197,6 +198,70 @@ def test_verify_family_is_membership_of_every_built_pair(kind, args, overrides):
                                         p["beta_q"], constant) for i in range(len(fam))]
     # rho 1.99 < 2 breaks the transfer inequality once per pair
     assert sum(len(r.violations) for r in got) == (len(fam) if overrides else 0)
+
+
+# the certified grids of acceptance criteria 1 (single-scale) and 2 (two-scale)
+CERTIFIED_FAMILIES = (
+    [("single-scale", (d_h, rho, beta, beta, eps)) for d_h, rho, beta, eps in
+     itertools.product((9, 13), (1.0, 2.0, 4.0), (0.25, 0.5, 0.9), (0.1, 0.25, 0.5))]
+    + [("two-scale", (11, rho, bp, bq, 0.25, 0.125)) for rho, bp, bq in
+       ((2.0, 0.5, 0.5), (2.0, 0.5, 0.75), (4.0, 0.25, 0.5), (1.25, 0.8, 0.9))])
+BUILD = {"single-scale": tl.build_single_scale_family, "two-scale": tl.build_two_scale_family}
+
+
+def each_pair(fam, tol, rho, beta_p, beta_q, constant):
+    return [tl.verify_membership(fam.pairs[i], fam.cls, rho, beta_p, beta_q, constant, tol=tol)
+            for i in range(len(fam))]
+
+
+def assert_reports_match(got, want):
+    """Equal verdicts, checks, members and witnesses; lhs and rhs within 1e-12."""
+    assert [r.ok for r in got] == [r.ok for r in want]
+    for g, w in zip(got, want):
+        assert ([(v["check"], v["member"], v["witness_labels"]) for v in g.violations]
+                == [(v["check"], v["member"], v["witness_labels"]) for v in w.violations])
+        for side in ("lhs", "rhs"):
+            a = np.array([v[side] for v in g.violations])
+            b = np.array([v[side] for v in w.violations])
+            assert np.all(np.abs(a - b) <= 1e-12), side
+
+
+@pytest.mark.parametrize("kind, args", CERTIFIED_FAMILIES,
+                         ids=[f"{k}-{'-'.join(map(str, a))}" for k, a in CERTIFIED_FAMILIES])
+def test_verify_family_matches_each_pair_on_the_certified_grids(kind, args):
+    # every pair but the first is derived from the first by flipping member
+    # bits; each must match its own per-pair check, also where checks fail.
+    # Reports list up to 1.2M violations per setting over a whole family, so
+    # each family is checked on 8 of its sign vectors (4 at d_h 13), spread
+    # over it and led by its last
+    full = BUILD[kind](*args)
+    picks = np.linspace(len(full) - 1, 0, 8 if args[0] < 13 else 4).astype(int)
+    fam = BUILD[kind](*args, sigmas=full.sigmas[picks])
+    p = fam.params
+    base = {"rho": p["rho"], "beta_p": p["beta_p"], "beta_q": p["beta_q"],
+            "constant": 1.0 if kind == "single-scale" else 2.0}
+    for change in ({}, {"rho": p["rho"] * 0.99}, {"constant": 0.9},
+                   {"beta_p": p["beta_p"] + 0.05}):
+        q = {**base, **change}
+        for tol in (1e-9, 1e-12):
+            assert_reports_match(tl.verify_family(fam, tol=tol, **q), each_pair(fam, tol, **q))
+
+
+def test_verify_family_at_tie_points_is_each_pair_bit_for_bit():
+    # P's margin underflows to 0: every eta_p is 1/2, so every point is a tie
+    # point, where the lowest-index P-optimum stays put under a sign flip
+    fam = tl.build_single_scale_family(9, 2000.0, 0.0, 0.5, 0.25)
+    assert (fam.eta_p[:, 1:] == 0.5).all()
+    got = tl.verify_family(fam, beta_p=0.5)
+    assert got == each_pair(fam, 1e-9, 2000.0, 0.5, 0.5, 1.0)
+    assert sum(len(r.violations) for r in got) == 65280
+    # only the second block's P margin underflows: 16 groups of 16 pairs,
+    # each derived from its first pair by flips in the first block
+    fam = tl.build_two_scale_family(9, 40.0, 0.5, 0.05, 0.5, 0.125)
+    assert ((fam.eta_p[:, 1:] == 0.5).any(axis=0) == [False] * 4 + [True] * 4).all()
+    got = tl.verify_family(fam, rho=1.0)
+    assert_reports_match(got, each_pair(fam, 1e-9, 1.0, 0.5, 0.05, 2.0))
+    assert sum(len(r.violations) for r in got) == 61440
 
 
 def test_verify_membership_identity_pair():
