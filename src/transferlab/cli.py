@@ -432,7 +432,8 @@ class _VerifyFamily:
             "pairs": len(family),
             "all_ok": all(r.ok for r in reports),
             "per_sigma_ok": [r.ok for r in reports],
-            "violations": sum(len(r.violations) for r in reports),
+            "violations": sum(members.size for r in reports
+                              for members, _, _ in r.violations.values()),
         }
         _emit(payload, args.out)
         return 0

@@ -270,10 +270,17 @@ def d_y_localized(pair: TransferPair, cls: HypothesisClass, eps: float,
     return float(np.max(np.abs(prof.e_p[mask] - prof.e_q[mask])))
 
 
-@dataclass
+@dataclass(eq=False)
 class MembershipReport:
-    ok: bool
-    violations: list[dict]
+    """Per violated check ("transfer", "noise_p", "noise_q", in that order), the
+    violating member indices in ascending order and their lhs and rhs; a check
+    with no violation has no entry.  Member m's labels are `cls[m].labels`."""
+
+    violations: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 def verify_membership(pair: TransferPair, cls: HypothesisClass, rho: float,
@@ -282,18 +289,12 @@ def verify_membership(pair: TransferPair, cls: HypothesisClass, rho: float,
     """Checks, for every enumerated h, the three defining inequalities of the
     constrained pair class: constant*E_P >= E_Q^rho, P-side noise condition at
     beta_p, Q-side noise condition at beta_q (both with the same constant).
-    The constant and rho must be positive and finite, each beta in [0, 1] and
-    tol finite and >= 0."""
+    The report holds the violating members of each failed check with their lhs
+    and rhs (`MembershipReport`).  The constant and rho must be positive and
+    finite, each beta in [0, 1] and tol finite and >= 0."""
     _check_membership_params(rho, beta_p, beta_q, constant, tol)
     prof = pair_profile(pair, cls, grid)
-
-    def witness(i):
-        labels = prof.members[i].labels
-        return None if labels is None else list(labels)
-    return _report([(name, idx.tolist(), lhs.tolist(), rhs.tolist(),
-                     list(map(witness, idx.tolist())))
-                    for name, idx, lhs, rhs in _violations(prof, rho, beta_p, beta_q,
-                                                           constant, tol)])
+    return MembershipReport(_violations(prof, rho, beta_p, beta_q, constant, tol))
 
 
 def _check_membership_params(rho: float, beta_p: float, beta_q: float, constant: float,
@@ -308,27 +309,20 @@ def _check_membership_params(rho: float, beta_p: float, beta_q: float, constant:
 
 
 def _violations(prof: PairProfile, rho: float, beta_p: float, beta_q: float,
-                constant: float, tol: float) -> list[tuple]:
-    """Per check, in report order: its name, the violating members in ascending
+                constant: float, tol: float) -> dict:
+    """Per violated check, in report order: the violating members in ascending
     order, and their lhs and rhs."""
     checks = (
         ("transfer", np.power(prof.e_q, rho), constant * prof.e_p),
         ("noise_p", prof.dis_p, constant * np.power(prof.e_p, beta_p)),
         ("noise_q", prof.dis_q_own, constant * np.power(prof.e_q, beta_q)),
     )
-    out = []
+    out = {}
     for name, small, big in checks:
         bad = np.flatnonzero(small > big + tol)
-        out.append((name, bad, small[bad], big[bad]))
+        if bad.size:
+            out[name] = (bad, small[bad], big[bad])
     return out
-
-
-def _report(violations: list[tuple]) -> MembershipReport:
-    """A report from, per check, its name and lists of the violating members,
-    their lhs, rhs and witness labels."""
-    rows = [{"check": name, "member": i, "lhs": a, "rhs": b, "witness_labels": w}
-            for name, *cols in violations for i, a, b, w in zip(*cols)]
-    return MembershipReport(ok=not rows, violations=rows)
 
 
 def _tie_points(family) -> np.ndarray:
@@ -345,7 +339,8 @@ def _tie_points(family) -> np.ndarray:
 def verify_family(family, constant: float | None = None, tol: float = 1e-9,
                   rho: float | None = None, beta_p: float | None = None,
                   beta_q: float | None = None) -> list[MembershipReport]:
-    """Membership check for every pair of a sign-indexed family, read from its eta rows.
+    """Membership check for every pair of a sign-indexed family, read from its eta rows:
+    one `MembershipReport` per pair, in the family's order.
 
     Parameters default to the family's construction parameters; the constant
     defaults to 1 for single-scale and 2 for two-scale families.  Their ranges
@@ -355,9 +350,10 @@ def verify_family(family, constant: float | None = None, tol: float = 1e-9,
     label on point j + 1, so flipping the signs in the bit mask f maps member m
     of one pair onto member m ^ f of the other.  Pairs are grouped by their
     signs on the tie points (`_tie_points`); the first pair of a group is
-    profiled, and every other pair's report is the representative's with each
-    violating member m read as m ^ f (re-sorted), at the representative's lhs
-    and rhs.  Those agree with the pair's own profile up to rounding.
+    profiled, and every pair of the group gets, per failed check, one row of
+    the representative's violating members m read as m ^ f (re-sorted) and
+    of its lhs and rhs in that order.  Those agree with the pair's own profile
+    up to rounding.
     """
     p = family.params
     rho = p["rho"] if rho is None else rho
@@ -371,23 +367,20 @@ def verify_family(family, constant: float | None = None, tol: float = 1e-9,
     reps = np.array([firsts.setdefault(key.tobytes(), i)
                      for i, key in enumerate(sigmas[:, _tie_points(family)])])
     codes = (sigmas < 0) @ (1 << np.arange(sigmas.shape[1]))
-    labels = family.cls.label_matrix.astype(np.int8)
     reports: list = [None] * len(sigmas)
     for r in firsts.values():
         group = np.flatnonzero(reps == r)
         flips = (codes[group] ^ codes[r])[:, None]
         prof = _discrete_profile(family.cls, family.mass_p, family.eta_p[r],
                                  family.mass_q, family.eta_q[r])
-        checks = []  # per failed check, one (name, members, lhs, rhs, witnesses) per pair
-        for name, idx, lhs, rhs in _violations(prof, rho, beta_p, beta_q, constant, tol):
-            if idx.size:
-                order = np.argsort(idx ^ flips, axis=1)
-                members = idx[order] ^ flips
-                checks.append([(name, *cols) for cols in zip(
-                    members.tolist(), lhs[order].tolist(), rhs[order].tolist(),
-                    labels[members].tolist())])
+        checks = {}  # per failed check, its (members, lhs, rhs) with one row per pair
+        for name, (idx, lhs, rhs) in _violations(prof, rho, beta_p, beta_q,
+                                                 constant, tol).items():
+            order = np.argsort(idx ^ flips, axis=1)
+            checks[name] = (idx[order] ^ flips, lhs[order], rhs[order])
         for g, i in enumerate(group.tolist()):
-            reports[i] = _report([check[g] for check in checks])
+            reports[i] = MembershipReport({name: (members[g], lhs[g], rhs[g])
+                                           for name, (members, lhs, rhs) in checks.items()})
     return reports
 
 

@@ -142,7 +142,8 @@ def test_verify_two_scale_family_cmd(capsys):
     assert json.loads(capsys.readouterr().out) == _payload({
         "family": fam.params, "kind": "two-scale", "pairs": len(fam),
         "all_ok": all(r.ok for r in reports), "per_sigma_ok": [r.ok for r in reports],
-        "violations": sum(len(r.violations) for r in reports)})
+        "violations": sum(members.size for r in reports
+                          for members, _, _ in r.violations.values())})
 
 
 def test_verify_family_cmd(capsys):

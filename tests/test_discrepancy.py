@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 import transferlab as tl
-from transferlab.discrepancy import ZERO, _max_exponent, _min_noise_exponent, pair_profile
+from transferlab.discrepancy import (
+    ZERO,
+    _max_exponent,
+    _min_noise_exponent,
+    _violations,
+    pair_profile,
+)
 from transferlab.hypotheses import HypothesisClass, threshold_class
 
 import oracles
@@ -176,8 +182,24 @@ def test_verify_membership_single_scale():
     fam = tl.build_single_scale_family(9, 2.0, 0.5, 0.5, 0.25)
     rep = tl.verify_membership(fam.pairs[31], fam.cls, 2.0, 0.5, 0.5, 1.0)
     assert rep.ok
+    assert rep.violations == {}
     bad = tl.verify_membership(fam.pairs[31], fam.cls, 1.5, 0.5, 0.5, 1.0)
-    assert not bad.ok and bad.violations[0]["witness_labels"] is not None
+    assert not bad.ok and list(bad.violations)[0] == "transfer"
+    members = bad.violations["transfer"][0]
+    assert members.size and fam.cls[int(members[0])].labels is not None
+
+
+def violation_count(reports):
+    return sum(members.size for r in reports for members, _, _ in r.violations.values())
+
+
+def assert_reports_equal(got, want):
+    """The same failed checks, in order, with equal members, lhs and rhs."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert list(g.violations) == list(w.violations)
+        for name, cols in g.violations.items():
+            assert all(np.array_equal(a, b) for a, b in zip(cols, w.violations[name])), name
 
 
 @pytest.mark.parametrize("kind, args, overrides", [
@@ -194,10 +216,32 @@ def test_verify_family_is_membership_of_every_built_pair(kind, args, overrides):
     p = {**fam.params, **overrides}
     constant = 1.0 if kind == "single-scale" else 2.0
     got = tl.verify_family(fam, **overrides)
-    assert got == [tl.verify_membership(fam.pairs[i], fam.cls, p["rho"], p["beta_p"],
-                                        p["beta_q"], constant) for i in range(len(fam))]
+    assert_reports_equal(got, [tl.verify_membership(fam.pairs[i], fam.cls, p["rho"],
+                                                    p["beta_p"], p["beta_q"], constant)
+                               for i in range(len(fam))])
     # rho 1.99 < 2 breaks the transfer inequality once per pair
-    assert sum(len(r.violations) for r in got) == (len(fam) if overrides else 0)
+    assert violation_count(got) == (len(fam) if overrides else 0)
+
+
+def test_membership_report_shape():
+    fam = tl.build_single_scale_family(9, 2.0, 0.5, 0.5, 0.25)
+    for rep in tl.verify_family(fam):
+        assert rep.ok and rep.violations == {}
+    for i, rep in enumerate(tl.verify_family(fam, rho=1.99)):
+        assert not rep.ok and list(rep.violations) == ["transfer"]
+        members, lhs, rhs = rep.violations["transfer"]
+        assert members.dtype.kind == "i" and members.shape == (1,)
+        assert lhs.dtype == rhs.dtype == np.float64
+        # the member's labels are the witness: E_Q^1.99 > E_P on that hypothesis
+        pair, witness = fam.pairs[i], fam.cls[int(members[0])]
+        e_q = tl.excess_risk(pair.q, witness, fam.cls)
+        assert lhs[0] == pytest.approx(e_q ** 1.99, rel=1e-12)
+        assert rhs[0] == pytest.approx(tl.excess_risk(pair.p, witness, fam.cls), rel=1e-12)
+        assert lhs[0] > rhs[0] + 1e-9
+        own = _violations(pair_profile(pair, fam.cls), 1.99, 0.5, 0.5, 1.0, 1e-9)
+        assert list(own) == ["transfer"]
+        assert all(np.array_equal(a, b) for a, b in zip(own["transfer"], (members, lhs, rhs)))
+        assert rep == rep and rep != tl.MembershipReport({})
 
 
 # the certified grids of acceptance criteria 1 (single-scale) and 2 (two-scale)
@@ -215,15 +259,15 @@ def each_pair(fam, tol, rho, beta_p, beta_q, constant):
 
 
 def assert_reports_match(got, want):
-    """Equal verdicts, checks, members and witnesses; lhs and rhs within 1e-12."""
+    """Equal verdicts, checks and members; lhs and rhs within 1e-12."""
     assert [r.ok for r in got] == [r.ok for r in want]
     for g, w in zip(got, want):
-        assert ([(v["check"], v["member"], v["witness_labels"]) for v in g.violations]
-                == [(v["check"], v["member"], v["witness_labels"]) for v in w.violations])
-        for side in ("lhs", "rhs"):
-            a = np.array([v[side] for v in g.violations])
-            b = np.array([v[side] for v in w.violations])
-            assert np.all(np.abs(a - b) <= 1e-12), side
+        assert list(g.violations) == list(w.violations)
+        for name, (members, lhs, rhs) in g.violations.items():
+            want_members, want_lhs, want_rhs = w.violations[name]
+            assert np.array_equal(members, want_members), name
+            assert np.all(np.abs(lhs - want_lhs) <= 1e-12), name
+            assert np.all(np.abs(rhs - want_rhs) <= 1e-12), name
 
 
 @pytest.mark.parametrize("kind, args", CERTIFIED_FAMILIES,
@@ -231,12 +275,9 @@ def assert_reports_match(got, want):
 def test_verify_family_matches_each_pair_on_the_certified_grids(kind, args):
     # every pair but the first is derived from the first by flipping member
     # bits; each must match its own per-pair check, also where checks fail.
-    # Reports list up to 1.2M violations per setting over a whole family, so
-    # each family is checked on 8 of its sign vectors (4 at d_h 13), spread
-    # over it and led by its last
-    full = BUILD[kind](*args)
-    picks = np.linspace(len(full) - 1, 0, 8 if args[0] < 13 else 4).astype(int)
-    fam = BUILD[kind](*args, sigmas=full.sigmas[picks])
+    # Whole families: the 58 cases take about 19 s on 2 cores, most of
+    # it in the per-pair profiles of `each_pair`
+    fam = BUILD[kind](*args)
     p = fam.params
     base = {"rho": p["rho"], "beta_p": p["beta_p"], "beta_q": p["beta_q"],
             "constant": 1.0 if kind == "single-scale" else 2.0}
@@ -253,15 +294,15 @@ def test_verify_family_at_tie_points_is_each_pair_bit_for_bit():
     fam = tl.build_single_scale_family(9, 2000.0, 0.0, 0.5, 0.25)
     assert (fam.eta_p[:, 1:] == 0.5).all()
     got = tl.verify_family(fam, beta_p=0.5)
-    assert got == each_pair(fam, 1e-9, 2000.0, 0.5, 0.5, 1.0)
-    assert sum(len(r.violations) for r in got) == 65280
+    assert_reports_equal(got, each_pair(fam, 1e-9, 2000.0, 0.5, 0.5, 1.0))
+    assert violation_count(got) == 65280
     # only the second block's P margin underflows: 16 groups of 16 pairs,
     # each derived from its first pair by flips in the first block
     fam = tl.build_two_scale_family(9, 40.0, 0.5, 0.05, 0.5, 0.125)
     assert ((fam.eta_p[:, 1:] == 0.5).any(axis=0) == [False] * 4 + [True] * 4).all()
     got = tl.verify_family(fam, rho=1.0)
     assert_reports_match(got, each_pair(fam, 1e-9, 1.0, 0.5, 0.05, 2.0))
-    assert sum(len(r.violations) for r in got) == 61440
+    assert violation_count(got) == 61440
 
 
 def test_verify_membership_identity_pair():
@@ -452,11 +493,13 @@ def test_cut_class_matches_its_matrix():
             for args in ((2.0, 1.0, 1.0, 1.0), (1.0, 0.5, 0.5, 1.0), (3.0, 1.0, 1.0, 0.5)):
                 a = tl.verify_membership(pair, cut, *args).violations
                 b = tl.verify_membership(pair, twin, *args).violations
-                assert [(v["check"], v["member"], v["witness_labels"]) for v in a] == \
-                    [(v["check"], v["member"], v["witness_labels"]) for v in b]
-                for va, vb in zip(a, b):
-                    assert abs(va["lhs"] - vb["lhs"]) <= 1e-15
-                    assert abs(va["rhs"] - vb["rhs"]) <= 1e-15
+                assert list(a) == list(b)
+                for name, (members, lhs, rhs) in a.items():
+                    assert np.array_equal(members, b[name][0]), name
+                    assert [cut[m].labels for m in members.tolist()] == \
+                        [twin[m].labels for m in members.tolist()]
+                    assert np.all(np.abs(lhs - b[name][1]) <= 1e-15), name
+                    assert np.all(np.abs(rhs - b[name][2]) <= 1e-15), name
             for side in (pair.p, pair.q):
                 best = tl.best_in_class(side, cut)
                 assert best is cut[cut.members.index(best)]
