@@ -606,7 +606,6 @@ class _Reweight:
         with _owned("", "densities", "pseudo_dim"):
             family = DensityFamily(weights, self.pseudo_dim)
         chosen = []
-        labels = None
         for trial in range(self.trials):
             sp = _draw(sample_labeled, pair.p, self.n_p, args.seed, trial, _SOURCE)
             sq = _draw(sample_labeled, pair.q, self.n_q, args.seed, trial, _TARGET)
@@ -614,10 +613,11 @@ class _Reweight:
                               args.seed, trial, _UNLABELED)
             h, f_ix = reweighted_transfer_erm(sp, sq, unlabeled, family, cls, self.confidence)
             chosen.append(f_ix)
-            labels = None if h.labels is None else list(h.labels)
         freq = [chosen.count(i) / self.trials for i in range(len(family))]
+        t = h.threshold
         payload = {"trials": self.trials, "chosen": chosen, "frequency": freq,
-                   "last_hypothesis_labels": labels}
+                   "last_hypothesis_labels": None if h.labels is None else list(h.labels),
+                   "last_hypothesis_threshold": t if t is not None and math.isfinite(t) else None}
         _emit(payload, args.out)
         return 0
 

@@ -44,12 +44,14 @@ class ExponentReport:
     grid_size: int | None = None
 
     def to_json_dict(self) -> dict:
-        """Strict JSON: an infinite value (no finite exponent fits) is null."""
+        """Strict JSON: an infinite value (no finite exponent fits) or threshold is null."""
+        w = self.witness
+        t = None if w is None else w.threshold
         return {
             "value": self.value if math.isfinite(self.value) else None,
             "constant": self.constant,
-            "witness_labels": None if self.witness is None or self.witness.labels is None
-            else list(self.witness.labels),
+            "witness_labels": None if w is None or w.labels is None else list(w.labels),
+            "witness_threshold": t if t is not None and math.isfinite(t) else None,
         }
 
 
@@ -274,7 +276,7 @@ def d_y_localized(pair: TransferPair, cls: HypothesisClass, eps: float,
 class MembershipReport:
     """Per violated check ("transfer", "noise_p", "noise_q", in that order), the
     violating member indices in ascending order and their lhs and rhs; a check
-    with no violation has no entry.  Member m's labels are `cls[m].labels`."""
+    with no violation has no entry.  Member m is `cls[m]`."""
 
     violations: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
 
@@ -328,11 +330,15 @@ def _violations(prof: PairProfile, rho: float, beta_p: float, beta_q: float,
 def _tie_points(family) -> np.ndarray:
     """The non-anchor points where flipping a sign need not flip the optimal
     label: on either side a zero weight mass * (1 - 2 eta) in some row (a zero
-    mass or an eta of exactly 1/2), or a sign that is not +-1.  There the
-    lowest-index argmin does not commute with flipping the member's bit."""
+    mass or an eta of exactly 1/2), a weight whose magnitude differs across
+    the rows by more than 2^-40 of itself (a margin at the rounding level of
+    eta = 1/2), or a sign that is not +-1.  There the lowest-index argmin does
+    not commute with flipping the member's bit."""
     ties = (np.abs(family.sigmas) != 1).any(axis=0)
     for mass, eta in ((family.mass_p, family.eta_p), (family.mass_q, family.eta_q)):
-        ties |= (mass[1:] * (1.0 - 2.0 * eta[:, 1:]) == 0).any(axis=0)
+        w = np.abs(mass[1:] * (1.0 - 2.0 * eta[:, 1:]))
+        lo, hi = w.min(axis=0), w.max(axis=0)
+        ties |= (lo == 0) | (hi - lo > 2.0 ** -40 * hi)
     return ties
 
 

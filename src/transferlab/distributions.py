@@ -647,8 +647,8 @@ def example_scenario(sid: int, gamma: float | None = None, n_angles: int = 16):
         return TransferPair(ThresholdMarginal(uniform_density(0.0, 2.0), 0.5),
                             ThresholdMarginal(uniform_density(0.0, 1.0), 0.5), cert)
     if sid == 3:
-        if gamma is None or not gamma >= 1.0:
-            raise ValueError("scenario 3 needs gamma >= 1")
+        if gamma is None or not 1.0 <= gamma < math.inf:
+            raise ValueError(f"scenario 3 needs gamma >= 1 and finite, got {gamma}")
         cert = Certified(rho=gamma, c_rho=1.0, gamma=gamma, c_gamma=1.0,
                          beta_p=1.0, beta_q=1.0, c_p=1.0, c_q=1.0)
         return TransferPair(
@@ -714,6 +714,8 @@ def discretize_pair(pair: TransferPair, cells: int) -> tuple[TransferPair, Hypot
     """
     if pair.discrete:
         raise TypeError("pair is already discrete")
+    if not cells >= 1:
+        raise ValueError(f"cells must be >= 1, got {cells}")
     p, q = pair.p, pair.q
     edges = np.linspace(*_line_extent(pair), cells + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])

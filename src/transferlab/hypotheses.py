@@ -3,9 +3,9 @@
 A class is the sequence of its members, evaluated as a 0/1 label matrix of
 shape (M, s) over s support points.  A finite class stores that matrix.
 Projecting the one-sided threshold class (label 1 iff x <= t) onto a point set
-gives a cut class: the sorted points plus n+1 representative thresholds, where
-cut i labels the i smallest points 1.  Its risks and disagreements are prefix
-sums over the points, so it holds no matrix and takes O(n) memory.
+gives a cut class: the sorted points plus n+1 thresholds, cut i's labeling
+exactly the i smallest points 1.  Its risks and disagreements are prefix sums
+over the points, so it holds no matrix and takes O(n) memory.
 
 `ensure_finite` projects the threshold class onto the union of a procedure's
 samples.  The raw threshold class reads samples as coordinates, so it refuses
@@ -53,10 +53,10 @@ _MAX_WEIGHT = 2.0 ** 485
 
 @dataclass(frozen=True)
 class Hypothesis:
-    """A member of a class, as a record: a label pattern over a finite
-    support, a threshold (label 1 on x <= threshold), or both for a projected
-    threshold member.  It is built only to be returned or reported as a
-    witness, and it evaluates nothing: the class kernels (`member_risks`,
+    """A member of a class, as a record: a finite member's label pattern, or a
+    threshold member's threshold alone (label 1 on x <= threshold; a cut or
+    grid member has no labels).  It is built only to be returned or reported
+    as a witness, and it evaluates nothing: the class kernels (`member_risks`,
     `member_disagreements`, `weighted_member_risks`) give every member's
     value, and member i's is entry i.
     """
@@ -70,9 +70,8 @@ def finite_hypothesis(labels) -> Hypothesis:
     return Hypothesis(kind=FINITE, labels=tuple(int(b) for b in labels))
 
 
-def threshold_hypothesis(t: float, labels=None) -> Hypothesis:
-    lab = None if labels is None else tuple(int(b) for b in labels)
-    return Hypothesis(kind=THRESHOLD, labels=lab, threshold=float(t))
+def threshold_hypothesis(t: float) -> Hypothesis:
+    return Hypothesis(kind=THRESHOLD, threshold=float(t))
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,9 +200,9 @@ class HypothesisClass(Sequence):
     A finite class stores a read-only float64 (M, s) `label_matrix` of distinct
     0/1 rows over `support_size` = s points at optional `support_coords`.  A cut
     class, the threshold class projected onto sorted `support_coords`, stores
-    only those points and one representative threshold per member in
-    `thresholds`, and its `label_matrix` raises TypeError.  Threshold members
-    at a grid with no support carry no labels.  The un-projected threshold
+    only those points and the threshold that realizes each cut in
+    `thresholds`, and its `label_matrix` raises TypeError.  Its members, like
+    a grid's with no support, are their thresholds.  The un-projected threshold
     class has neither: `len()`, indexing, `members` and `label_matrix` raise
     TypeError until it is projected.
 
@@ -258,13 +257,10 @@ class HypothesisClass(Sequence):
         return h
 
     def _build(self, i: int) -> Hypothesis:
-        """Member i: labels as a tuple of int, threshold as float."""
+        """Member i: a finite member's labels as a tuple of int, else its threshold."""
         if self.thresholds is None:
             return Hypothesis(FINITE, tuple(self.label_matrix[i].astype(np.int8).tolist()))
-        t = float(self.thresholds[i])
-        if self.support_coords is None:
-            return Hypothesis(THRESHOLD, None, t)
-        return Hypothesis(THRESHOLD, (1,) * i + (0,) * (self.support_coords.size - i), t)
+        return Hypothesis(THRESHOLD, None, float(self.thresholds[i]))
 
     @cached_property
     def members(self) -> list[Hypothesis]:
@@ -353,15 +349,16 @@ def _refuse_non_finite(pts: np.ndarray, named) -> None:
 
 
 def _cut_class(pts: np.ndarray) -> HypothesisClass:
-    """The cut class over sorted distinct points, each cut realized by a
-    representative threshold: one below all points, midpoints between
-    neighbors, one above all points."""
-    n = pts.size
-    reps = np.empty(n + 1)
-    reps[0] = pts[0] - 1.0
-    reps[1:n] = 0.5 * (pts[:-1] + pts[1:])
-    reps[n] = pts[-1] + 1.0
-    return HypothesisClass(vc_dim=1, support_coords=pts, thresholds=reps)
+    """The cut class over sorted distinct finite points: cut i's threshold
+    labels exactly the i smallest points 1, pts[i-1] <= t_i < pts[i].  It is
+    the neighbors' midpoint if that rounds into range, else pts[i-1]; pts[0] - 1
+    (or the next float below) below all points; pts[-1] + 1 above them."""
+    with np.errstate(over="ignore"):  # a midpoint past the float range; the float below -max
+        mid = 0.5 * (pts[:-1] + pts[1:])
+        first = pts[0] - 1.0 if pts[0] - 1.0 < pts[0] else np.nextafter(pts[0], -np.inf)
+    inner = np.where((pts[:-1] <= mid) & (mid < pts[1:]), mid, pts[:-1])
+    return HypothesisClass(vc_dim=1, support_coords=pts,
+                           thresholds=np.concatenate(([first], inner, [pts[-1] + 1.0])))
 
 
 def ensure_finite(cls: HypothesisClass, samples):

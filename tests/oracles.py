@@ -51,20 +51,35 @@ def anchored_cube_members(d):
 
 
 def projected_members(points):
-    """The n+1 threshold members over n distinct points: cut i labels the i
-    smallest points 1 and sits below, between or above the points."""
+    """The n+1 threshold members over n distinct points, each its threshold
+    alone: cut i's threshold t labels exactly the i smallest points 1,
+    pts[i-1] <= t < pts[i].  It is the neighbors' midpoint if that lies in
+    range, else pts[i-1]; pts[0] - 1, or the float below pts[0] where that
+    rounds back to it, below all points; pts[-1] + 1 above them."""
     pts = sorted(set(float(x) for x in points))
     n = len(pts)
     members = []
     for i in range(n + 1):
         if i == 0:
             t = pts[0] - 1.0
+            if t == pts[0]:
+                t = math.nextafter(pts[0], -math.inf)
         elif i == n:
             t = pts[-1] + 1.0
         else:
-            t = 0.5 * (pts[i - 1] + pts[i])
-        members.append(Hypothesis(THRESHOLD, tuple(1 if j < i else 0 for j in range(n)), t))
+            t = 0.5 * (pts[i - 1] + pts[i])  # a Python float sum overflows to +-inf
+            if not pts[i - 1] <= t < pts[i]:
+                t = pts[i - 1]
+        members.append(Hypothesis(THRESHOLD, None, t))
     return members
+
+
+def labels_of(member, coords):
+    """A member's labels over the support points at `coords`: its label
+    tuple, or the labels its threshold induces, 1 on x <= threshold."""
+    if member.labels is not None:
+        return member.labels
+    return tuple(int(x <= member.threshold) for x in coords.tolist())
 
 
 def ring_members(k):

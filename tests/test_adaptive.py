@@ -257,7 +257,8 @@ def test_theory_cost_picks_cheaper_route():
 
 
 def _golden_run(name: str) -> str:
-    """Transcript JSONL of one fixed adaptive run, then its stopping rule and labels."""
+    """Transcript JSONL of one fixed adaptive run, then its stopping rule and
+    the labels of the returned member (a cut member's, induced by its threshold)."""
     unit = tl.CostSchedule("linear", 1.0)
     if name == "noisy_d9":
         fam = tl.build_single_scale_family(9, 2.0, 0.5, 0.5, 0.25)
@@ -270,7 +271,8 @@ def _golden_run(name: str) -> str:
                             seed=21)
     h, tr = tl.run_adaptive_sampling(eps, sched_p, unit, sp, sq, u, cls, CONF, seed=5,
                                      q_only=name.endswith("q_only"))
-    tail = {"returned_by": tr.returned_by, "labels": [int(v) for v in h.labels]}
+    labels = oracles.labels_of(h, cls.support_coords)
+    tail = {"returned_by": tr.returned_by, "labels": [int(v) for v in labels]}
     return tr.to_jsonl() + json.dumps(tail) + "\n"
 
 

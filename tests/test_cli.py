@@ -254,6 +254,10 @@ def test_reweight_cmd(capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["chosen"]) == 2
+    # the returned cut member is named by its threshold alone
+    _, cls = tl.discretize_pair(tl.example_scenario(2), 16)
+    assert doc["last_hypothesis_labels"] is None
+    assert doc["last_hypothesis_threshold"] in cls.thresholds.tolist()
 
 
 # verify-family stdout recorded before pairs were derived from one profile per
@@ -274,6 +278,22 @@ VERIFY_GOLDEN_RUNS = {
 def test_verify_family_golden_bytes(name, capsys):
     assert run(["verify-family"] + VERIFY_GOLDEN_RUNS[name]) == 0
     golden = DATA / "verify_family_golden" / f"{name}.json"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+EXPONENT_GOLDEN_RUNS = {
+    "shipped": ["--config", str(CONFIGS / "example2_exponent.json")],
+    "cells16_rho": ["--config", str(CONFIGS / "example2_exponent.json"),
+                    "--set", "scenario.cells=16", "--set", "quantity=rho"],
+}
+
+
+@pytest.mark.parametrize("name", EXPONENT_GOLDEN_RUNS)
+def test_exponent_golden_bytes(name, capsys):
+    # a grid witness (shipped) and a cut witness (cells16_rho) are each named
+    # by their threshold alone
+    assert run(["exponent"] + EXPONENT_GOLDEN_RUNS[name]) == 0
+    golden = DATA / "exponent_golden" / f"{name}.json"
     assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 

@@ -10,6 +10,7 @@ from transferlab.discrepancy import (
     ZERO,
     _max_exponent,
     _min_noise_exponent,
+    _tie_points,
     _violations,
     pair_profile,
 )
@@ -278,6 +279,7 @@ def test_verify_family_matches_each_pair_on_the_certified_grids(kind, args):
     # Whole families: the 58 cases take about 19 s on 2 cores, most of
     # it in the per-pair profiles of `each_pair`
     fam = BUILD[kind](*args)
+    assert not _tie_points(fam).any()  # one profile serves the whole family
     p = fam.params
     base = {"rho": p["rho"], "beta_p": p["beta_p"], "beta_q": p["beta_q"],
             "constant": 1.0 if kind == "single-scale" else 2.0}
@@ -303,6 +305,19 @@ def test_verify_family_at_tie_points_is_each_pair_bit_for_bit():
     got = tl.verify_family(fam, rho=1.0)
     assert_reports_match(got, each_pair(fam, 1e-9, 1.0, 0.5, 0.05, 2.0))
     assert violation_count(got) == 61440
+
+
+@pytest.mark.parametrize("rho", [15.9, 20.0, 40.0])
+def test_verify_family_at_rounding_level_margins_is_each_pair_bit_for_bit(rho):
+    # P's margin 0.1^rho (1.3e-16 at rho 15.9) puts eta_p within rounding of
+    # 1/2, on one side or the other by sign, so mass * (1 - 2 eta) differs
+    # across rows at the rounding level and every point is a tie point.  Read
+    # through flips, 136 of the 256 reports at rho 15.9 listed other
+    # violating members than the pair's own profile
+    fam = tl.build_single_scale_family(9, rho, 0.0, 0.5, 0.1)
+    assert _tie_points(fam).all()
+    got = tl.verify_family(fam, beta_p=0.5)
+    assert_reports_equal(got, each_pair(fam, 1e-9, rho, 0.5, 0.5, 1.0))
 
 
 def test_verify_membership_identity_pair():
@@ -360,11 +375,24 @@ def test_report_serialization():
     fam = tl.build_single_scale_family(9, 2.0, 0.5, 0.5, 0.25)
     rep = tl.rho_min(fam.pairs[0], fam.cls, 1.0)
     doc = rep.to_json_dict()
-    assert set(doc) == {"value", "constant", "witness_labels"}
+    assert set(doc) == {"value", "constant", "witness_labels", "witness_threshold"}
     assert doc["value"] == rep.value
     labels = json.loads(json.dumps(doc))["witness_labels"]
     assert labels == list(rep.witness.labels)
     assert all(type(b) is int for b in labels)
+    assert doc["witness_threshold"] is None
+    # a cut member and a grid member are their thresholds: no labels
+    pair, cut = tl.discretize_pair(tl.example_scenario(2), 16)
+    line = tl.example_scenario(2)
+    for rep in (tl.rho_min(pair, cut, 2.0), tl.gamma_min(line, tl.threshold_class(), 2.0)):
+        doc = json.loads(json.dumps(rep.to_json_dict(), allow_nan=False))
+        assert doc["witness_labels"] is None
+        assert doc["witness_threshold"] == rep.witness.threshold
+        assert type(doc["witness_threshold"]) is float
+    # a non-finite threshold is null, as an infinite value is
+    edge = tl.ExponentReport(math.inf, 1.0, tl.threshold_hypothesis(-math.inf))
+    assert edge.to_json_dict() == {"value": None, "constant": 1.0, "witness_labels": None,
+                                   "witness_threshold": None}
 
 
 def test_certification_and_radii_build_no_member(monkeypatch):
@@ -459,7 +487,8 @@ def assert_reports_close(got, want, members, ratio_at):
     assert (got.satisfied, got.degenerate) == (want.satisfied, want.degenerate)
     assert got.value == want.value or abs(got.value - want.value) <= 1e-15
     assert (got.witness is None) == (want.witness is None)
-    if got.witness is not None and got.witness.labels != want.witness.labels:
+    coords = members.support_coords
+    if got.witness is not None and oracles.labels_of(got.witness, coords) != want.witness.labels:
         assert abs(ratio_at(members.index(got.witness)) - want.value) <= 1e-15
 
 
@@ -496,14 +525,16 @@ def test_cut_class_matches_its_matrix():
                 assert list(a) == list(b)
                 for name, (members, lhs, rhs) in a.items():
                     assert np.array_equal(members, b[name][0]), name
-                    assert [cut[m].labels for m in members.tolist()] == \
+                    assert [oracles.labels_of(cut[m], cut.support_coords)
+                            for m in members.tolist()] == \
                         [twin[m].labels for m in members.tolist()]
                     assert np.all(np.abs(lhs - b[name][1]) <= 1e-15), name
                     assert np.all(np.abs(rhs - b[name][2]) <= 1e-15), name
             for side in (pair.p, pair.q):
                 best = tl.best_in_class(side, cut)
                 assert best is cut[cut.members.index(best)]
-                assert best.labels == tl.best_in_class(side, twin).labels
+                assert oracles.labels_of(best, cut.support_coords) == \
+                    tl.best_in_class(side, twin).labels
                 for i in range(len(cut)):
                     assert abs(tl.excess_risk(side, cut[i], cut)
                                - tl.excess_risk(side, twin[i], twin)) <= 1e-15

@@ -589,7 +589,7 @@ def test_member_disagreement_mass_matches_formula():
             got = member_disagreement_mass(cls, i, joint.mass)
             # the folded product over member i's own labels gives the same
             # bits; summing the disagreeing masses directly agrees to rounding
-            ref = np.asarray(cls[i].labels, dtype=np.float64)
+            ref = np.asarray(oracles.labels_of(cls[i], cls.support_coords), dtype=np.float64)
             assert np.array_equal(
                 got, lab @ (joint.mass * (1.0 - 2.0 * ref)) + np.dot(joint.mass, ref))
             want = ((lab != ref) * joint.mass).sum(axis=1)
@@ -608,6 +608,20 @@ def test_discretize_pair_masses():
     assert abs(pair.p.mass.sum() - 1) < 1e-12
     # Q mass lives on [0, 1] only: first half of the cells
     assert pair.q.mass[32:].sum() == 0.0
+
+
+@pytest.mark.parametrize("cells", [0, -3])
+def test_discretize_pair_refuses_fewer_than_one_cell(cells):
+    # 0 cells failed as "mass sums to np.float64(0.0), not 1", -3 in numpy's sampler
+    with pytest.raises(ValueError, match=re.escape(f"cells must be >= 1, got {cells}")):
+        tl.discretize_pair(tl.example_scenario(2), cells)
+
+
+def test_scenario_3_refuses_an_infinite_gamma():
+    # gamma = inf built, and drew every right-side point at 1.0
+    for gamma in (math.inf, -math.inf):
+        with pytest.raises(ValueError, match=re.escape(f"finite, got {gamma}")):
+            tl.example_scenario(3, gamma=gamma)
 
 
 def test_scenario_roundtrip_exact(tmp_path):

@@ -1,8 +1,10 @@
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import transferlab as tl
@@ -33,13 +35,16 @@ import oracles
 
 
 def assert_same_members(cls, want):
-    """Same members in the same order: labels as ints, thresholds as floats."""
+    """Same members in the same order, each one record: labels as ints, or a
+    threshold as a float that induces the member's labels over the support."""
     got = cls.members
     assert len(cls) == len(want)
     assert got == want
-    assert np.array_equal(oracles.label_matrix(cls), [h.labels for h in want])
+    assert np.array_equal(oracles.label_matrix(cls),
+                          [oracles.labels_of(h, cls.support_coords) for h in want])
     for h in got:
-        assert all(type(b) is int for b in h.labels)
+        assert (h.labels is None) != (h.threshold is None)
+        assert h.labels is None or all(type(b) is int for b in h.labels)
         assert h.threshold is None or type(h.threshold) is float
 
 
@@ -185,10 +190,11 @@ def test_project_class_monotone_patterns():
     pts = np.linspace(0, 1, 12)
     proj = project_class(tc, pts)
     assert len(proj) == 13
-    for h in proj.members:
-        lab = np.asarray(h.labels)
+    for i, h in enumerate(proj.members):
+        assert h.labels is None
+        lab = (pts <= h.threshold).astype(int)
         assert (np.diff(lab) <= 0).all()  # one-sided: 1s then 0s
-        assert np.array_equal(lab, (pts <= h.threshold).astype(int))
+        assert np.array_equal(lab, np.arange(12) < i)  # cut i: the i smallest points
 
 
 def test_project_class_empty_errors():
@@ -231,6 +237,45 @@ def test_project_class_matches_oracle():
         rng.shuffle(pts)
         assert_same_members(project_class(threshold_class(), pts),
                             oracles.projected_members(pts))
+
+
+MAX = float(np.finfo(np.float64).max)
+EDGE_POINTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=2.0 ** 54, max_value=MAX).flatmap(lambda x: st.sampled_from((x, -x))),
+    st.sampled_from((1e308, -1e308, 1.7e308, -1.7e308, MAX, -MAX)),
+    st.floats(min_value=-(2.0 ** -1022), max_value=2.0 ** -1022),  # subnormals and zeros
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(EDGE_POINTS, st.integers(0, 2)), min_size=1, max_size=6))
+@example([(1.0 + 2.0 ** -52, 1)])  # [1 + 2^-52, 1 + 2^-51]
+@example([(2.0 ** 54, 0), (2.0 ** 55, 0)])
+@example([(1e308, 0), (1.7e308, 0)])
+def test_cut_thresholds_realize_their_cuts(anchors):
+    # each anchor x brings k adjacent floats above it.  The midpoint of two
+    # adjacent floats rounded onto the upper one, pts[0] - 1 rounded back onto
+    # pts[0] from 2^53 up, and the midpoint of 1e308 and 1.7e308 overflowed
+    # with a warning; each threshold then labeled another cut than its own
+    pts = []
+    for x, k in anchors:
+        pts.append(x)
+        for _ in range(k):
+            x = math.nextafter(x, math.inf) if x < MAX else x
+            pts.append(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cls = project_class(threshold_class(), pts)
+    coords, t = cls.support_coords, cls.thresholds
+    assert t[0] < coords[0] and coords[-1] <= t[-1]
+    assert (coords[:-1] <= t[1:-1]).all() and (t[1:-1] < coords[1:]).all()
+    assert (np.diff(t) > 0).all()
+    for i, h in enumerate(cls.members):
+        assert h.labels is None and h.threshold == t[i]
+        assert np.array_equal(coords <= h.threshold, np.arange(coords.size) < i)
+        assert cls.members.index(h) == i
+    assert cls.members == oracles.projected_members(pts)
 
 
 def test_indexing_builds_each_member_once():
@@ -279,7 +324,7 @@ def test_cut_class_kernels_match_matrix_and_oracle():
             assert got.tolist() == [oracles.risk(h, s) for h in members]
         ref_ix = int(rng.integers(0, len(members)))
         ref = members[ref_ix]
-        ref_lab = np.asarray(ref.labels, dtype=np.float64)
+        ref_lab = np.asarray(oracles.labels_of(ref, cls.support_coords), dtype=np.float64)
         counts = n0 + n1
         want = (lab @ (counts * (1.0 - 2.0 * ref_lab)) + np.dot(ref_lab, counts)) / n
         for sample in (s, idx_sample):
@@ -600,7 +645,8 @@ def test_raw_threshold_class_refuses_index_samples():
     with pytest.raises(TypeError, match="project_onto_support"):
         erm(threshold_class(), s)
     h = erm(project_onto_support(threshold_class(), joint.support), s)
-    assert (h.labels, h.threshold) == ((1, 0, 0), 5.0)
+    assert (h.labels, h.threshold) == (None, 5.0)
+    assert oracles.labels_of(h, joint.support) == (1, 0, 0)
     assert tl.true_risk(joint, h) == 0.1
     cut, (empty,) = ensure_finite(threshold_class(), (make_sample([], []),))
     assert len(cut) == 2 and len(empty) == 0
