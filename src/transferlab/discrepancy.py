@@ -139,8 +139,10 @@ def _threshold_profile(pair: TransferPair, grid: np.ndarray) -> PairProfile:
 
 
 def _logs(x: np.ndarray) -> np.ndarray:
-    """math.log of every entry: np.log may round differently in the last bit."""
-    return np.fromiter(map(math.log, x.tolist()), np.float64, x.size)
+    """math.log of every entry, taken once per distinct value and indexed back:
+    np.log may round differently in the last bit."""
+    vals, back = np.unique(x, return_inverse=True)
+    return np.fromiter(map(math.log, vals.tolist()), np.float64, vals.size)[back]
 
 
 def _check_constant(name: str, value: float) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from collections.abc import Sequence
 from dataclasses import astuple, dataclass
@@ -353,26 +354,34 @@ def vg_packing(d: int, seed: int = 0, target: int | None = None) -> np.ndarray:
 
     Starts from the all-ones vector and greedily admits seeded random
     candidates, so the output is deterministic given (d, seed).  Stops once
-    `target` vectors are kept (default: the guaranteed 2^(d/8) + 1).
+    `target` vectors are kept, 1 <= target <= 2^d (default: the guaranteed
+    2^(d/8) + 1).
     """
     if d < 8:
         raise ValueError("packing construction needs d >= 8")
+    if target is not None and not 1 <= target <= 2 ** d:
+        # the vectors are distinct, so no more than 2^d of them fit
+        raise ValueError(f"target must be in [1, 2^{d}], got {target}")
     need = int(math.floor(2.0 ** (d / 8.0))) + 1 if target is None else int(target)
     min_dist = d / 8.0
     rng = rng_from(seed, 0x9AC)
-    kept = np.ones((1, d), dtype=np.int8)
+    kept = np.ones((need, d), dtype=np.int8)
+    # each kept vector's -1 positions as the bits of an int: the Hamming
+    # distance of two vectors is the popcount of their codes' XOR
+    codes = [0]
     tries = 0
     cap = 10_000 * need
-    while kept.shape[0] < need:
+    while len(codes) < need:
         if tries >= cap:
             raise RuntimeError(f"packing stalled after {tries} candidates")
         batch = rng.integers(0, 2, size=(256, d)).astype(np.int8) * 2 - 1
         tries += 256
-        for cand in batch:
-            dist = (kept != cand).sum(axis=1)
-            if (dist >= min_dist).all():
-                kept = np.vstack([kept, cand])
-                if kept.shape[0] >= need:
+        for i, row in enumerate(np.packbits(batch < 0, axis=1)):
+            c = int.from_bytes(row.tobytes(), "big")
+            if all((c ^ k).bit_count() >= min_dist for k in codes):
+                kept[len(codes)] = batch[i]
+                codes.append(c)
+                if len(codes) >= need:
                     break
     kept.setflags(write=False)
     return kept
@@ -487,7 +496,7 @@ def _anchored_cube_class(d: int, coords: np.ndarray) -> HypothesisClass:
     if d > 14:
         raise ValueError("families need d_h - 1 <= 14: certification enumerates "
                          f"all 2^d anchored patterns and d = {d} is too large")
-    patterns = np.ones((2 ** d, d + 1), dtype=np.int64)
+    patterns = np.ones((2 ** d, d + 1), dtype=np.uint8)
     patterns[:, 1:] = _cube_patterns(d)
     return finite_class(patterns, vc_dim=d, support_coords=coords)
 
@@ -714,6 +723,8 @@ def discretize_pair(pair: TransferPair, cells: int) -> tuple[TransferPair, Hypot
     """
     if pair.discrete:
         raise TypeError("pair is already discrete")
+    if isinstance(cells, bool) or not isinstance(cells, numbers.Integral):
+        raise TypeError(f"cells must be an integer, got {cells!r}")
     if not cells >= 1:
         raise ValueError(f"cells must be >= 1, got {cells}")
     p, q = pair.p, pair.q

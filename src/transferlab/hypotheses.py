@@ -268,28 +268,38 @@ class HypothesisClass(Sequence):
 
 
 def _cube_patterns(n: int) -> np.ndarray:
-    """All 2^n 0/1 patterns over n points; row i holds the bits of i, lowest first."""
-    return (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+    """All 2^n 0/1 patterns over n <= 32 points, as uint8; row i holds the
+    bits of i, lowest first."""
+    words = np.arange(2 ** n, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    return np.unpackbits(words, axis=1, count=n, bitorder="little")
 
 
 def finite_class(patterns, vc_dim: int | None = None,
                  support_coords=None) -> HypothesisClass:
-    """The class whose members are the given 0/1 label patterns, in order."""
+    """The class whose members are the given 0/1 label patterns, in order.
+
+    Duplicate patterns raise ValueError.  They are found with no sort over
+    whole rows: each row becomes one float code per 52 columns, its labels
+    dotted with powers of two (a sum below 2^52, exact in any order of
+    addition), the rows are lexsorted by their codes, and a duplicate is a
+    row whose codes equal its neighbor's."""
     lab = np.asarray(patterns)
     if lab.ndim != 2 or lab.size == 0:
         raise ValueError("finite class needs non-empty label patterns of one length")
     if not ((lab == 0) | (lab == 1)).all():
         raise ValueError("label patterns must hold only 0 and 1")
-    # one bytes key per row: np.unique on packed rows is far cheaper than axis=0
-    packed = np.packbits(lab.astype(bool), axis=1)
-    if np.unique(packed.view(np.dtype((np.void, packed.shape[1])))).size < len(lab):
-        raise ValueError("duplicate label pattern in enumeration")
     m, size = lab.shape
     if vc_dim is None:
         # a full enumeration over s points shatters all of them
         vc_dim = size if m == 2 ** size else max(1, int(np.log2(m)))
     coords = None if support_coords is None else np.asarray(support_coords, dtype=np.float64)
-    return HypothesisClass(lab, vc_dim, coords)
+    cls = HypothesisClass(lab, vc_dim, coords)
+    lab, pow2 = cls.label_matrix, np.exp2(np.arange(size) % 52)
+    codes = np.array([lab[:, j:j + 52] @ pow2[j:j + 52] for j in range(0, size, 52)])
+    codes = codes[:, np.lexsort(codes)]
+    if (codes[:, 1:] == codes[:, :-1]).all(axis=0).any():
+        raise ValueError("duplicate label pattern in enumeration")
+    return cls
 
 
 def full_cube_class(n_points: int, support_coords=None) -> HypothesisClass:

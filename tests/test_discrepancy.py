@@ -8,6 +8,7 @@ import pytest
 import transferlab as tl
 from transferlab.discrepancy import (
     ZERO,
+    _logs,
     _max_exponent,
     _min_noise_exponent,
     _tie_points,
@@ -459,10 +460,28 @@ def test_exponent_reductions_match_the_loops():
             assert reduce_(lhs, rhs, c, members, None) == want, (trial, reduce_.__name__)
 
 
+def test_logs_equal_math_log_entry_by_entry():
+    rng = np.random.default_rng(29)
+    tiny = np.nextafter(0.0, 1.0)
+    edges = np.array([tiny, 2.0 ** -1022, ZERO, 0.5, np.nextafter(1.0, 0.0), 1.0,
+                      np.nextafter(1.0, 2.0), 2.0, 1e300, np.finfo(np.float64).max])
+    distinct = np.concatenate((rng.random(5000), rng.exponential(size=3000), edges))
+    repeats = rng.choice(distinct[:40], 20000)  # heavy repeats, out of order
+    for x in (distinct, repeats, np.concatenate((repeats, distinct)), distinct[:1],
+              np.full(7, 0.3)):
+        got = _logs(x)
+        assert got.dtype == np.float64 and got.shape == x.shape
+        assert all(g == math.log(v) for g, v in zip(got.tolist(), x.tolist()))
+
+
 def test_exponent_reductions_match_the_loops_on_pairs():
     fam = tl.build_single_scale_family(9, 2.0, 0.5, 0.9, 0.25)
     tc = threshold_class()
+    # at rho = beta = 1 every live member of a d_h = 13 or 15 family ties at the
+    # largest ratio, so the reductions must pick the lowest index among thousands
+    wide = [tl.build_single_scale_family(d_h, 1.0, 1.0, 1.0, 0.25) for d_h in (13, 15)]
     cases = [(pair, fam.cls) for pair in fam.pairs] + [
+        (big.pairs[i], big.cls) for big in wide for i in (0, -1)] + [
         (tl.example_scenario(2), tc), (tl.example_scenario(3, gamma=2.0), tc),
         (tl.example_scenario(4, gamma=0.5), tc)]
     for pair, cls in cases:

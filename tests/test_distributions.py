@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -463,6 +464,36 @@ def test_vg_packing_instantiated_sizes():
         tl.vg_packing(7)
 
 
+@pytest.mark.parametrize("target", [0, -3, 257, float("nan")])
+def test_vg_packing_refuses_a_target_outside_one_to_two_to_the_d(target):
+    # 0 and -3 returned the all-ones row alone; a packing holds distinct vectors
+    with pytest.raises(ValueError, match=re.escape(f"target must be in [1, 2^8], got {target}")):
+        tl.vg_packing(8, 0, target)
+
+
+# sha256 (first 16 hex digits) over seeds 0-4 of repr(shape) + bytes of each
+# packing, recorded from the greedy loop that grew the packing by np.vstack
+PACKING_DIGESTS = {
+    (8, None): "7b532f11fe143b56", (8, 64): "3585fb9560a44da3", (8, 3): "7b532f11fe143b56",
+    (9, None): "8390994cf93f6a45", (9, 64): "e8e5868df0633671", (9, 3): "8390994cf93f6a45",
+    (12, None): "944167cae0ec1e18", (12, 64): "b5361de6987c30b9", (12, 3): "944167cae0ec1e18",
+    (14, None): "aaafbb15842f60c9", (14, 64): "bc5322375e1640c3", (14, 3): "bf6306b4a3e668a2",
+    (16, None): "3b1192cd5d37b5d3", (16, 64): "573c796968926242", (16, 3): "7efa09db1ed683f4",
+    (24, None): "68f626d4faa8325a", (24, 64): "01e7968f01cd838a", (24, 3): "dd0b30ddfac48dbb",
+    (32, None): "f729a137a3886133", (32, 64): "c6b07a5c1fc5ee23", (32, 3): "2542824a9a689c5a",
+}
+
+
+@pytest.mark.parametrize("d, target", sorted(PACKING_DIGESTS, key=str))
+def test_vg_packing_is_unchanged(d, target):
+    h = hashlib.sha256()
+    for seed in range(5):
+        pack = tl.vg_packing(d, seed=seed, target=target)
+        assert pack.dtype == np.int8 and not pack.flags.writeable
+        h.update(repr(pack.shape).encode() + pack.tobytes())
+    assert h.hexdigest()[:16] == PACKING_DIGESTS[d, target]
+
+
 def test_kl_bernoulli_zero_and_value():
     assert tl.kl_bernoulli(0.3, 0.3) == 0.0
     assert tl.kl_bernoulli(0.75, 0.25) == pytest.approx(0.5 * math.log(3), abs=1e-15)
@@ -615,6 +646,18 @@ def test_discretize_pair_refuses_fewer_than_one_cell(cells):
     # 0 cells failed as "mass sums to np.float64(0.0), not 1", -3 in numpy's sampler
     with pytest.raises(ValueError, match=re.escape(f"cells must be >= 1, got {cells}")):
         tl.discretize_pair(tl.example_scenario(2), cells)
+
+
+@pytest.mark.parametrize("cells", [2.5, 4.0, "4", True, None])
+def test_discretize_pair_refuses_a_non_integer_cell_count(cells):
+    # 2.5 failed in numpy's linspace and "4" as a str >= int comparison
+    with pytest.raises(TypeError, match=re.escape(f"cells must be an integer, got {cells!r}")):
+        tl.discretize_pair(tl.example_scenario(2), cells)
+
+
+def test_discretize_pair_takes_a_numpy_integer_cell_count():
+    pair, cls = tl.discretize_pair(tl.example_scenario(2), np.int64(4))
+    assert pair.p.size == 4 and len(cls) == 5
 
 
 def test_scenario_3_refuses_an_infinite_gamma():

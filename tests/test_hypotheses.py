@@ -217,12 +217,12 @@ def test_cut_class_holds_no_matrix():
 
 
 def test_full_cube_class_matches_oracle():
-    for n in range(1, 7):
+    for n in range(1, 15):
         assert_same_members(full_cube_class(n), oracles.full_cube_members(n))
 
 
 def test_anchored_cube_class_matches_oracle():
-    for d in range(1, 10):
+    for d in range(1, 15):
         cls = _anchored_cube_class(d, np.arange(d + 1, dtype=np.float64))
         assert_same_members(cls, oracles.anchored_cube_members(d))
 
@@ -424,6 +424,39 @@ def test_disagreement_zero_iff_equal_patterns_on_sample():
 def test_duplicate_patterns_rejected():
     with pytest.raises(ValueError):
         finite_class([(1, 0), (1, 0)])
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int8, np.int64, np.float64])
+@pytest.mark.parametrize("copy_at", [0, 4, 7])
+def test_duplicate_found_at_either_end(dtype, copy_at):
+    # eight distinct rows over 3 points; row copy_at is written over with row 2
+    rows = full_cube_class(3).label_matrix.astype(dtype)
+    assert np.array_equal(finite_class(rows).label_matrix, full_cube_class(3).label_matrix)
+    rows[copy_at] = rows[2]
+    with pytest.raises(ValueError, match="duplicate label pattern"):
+        finite_class(rows)
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int64, np.float64])
+@pytest.mark.parametrize("width", [53, 60, 104, 105, 200])
+def test_duplicate_check_reads_every_column_of_wide_rows(dtype, width):
+    # one float code per 52 columns: rows equal on one block of 52 and
+    # different in another are distinct, and equal rows are caught in any block
+    rng = np.random.default_rng(width)
+    base = rng.integers(0, 2, (6, width)).astype(dtype)
+    base[:, 0] = np.arange(6) % 2
+    base[:, 51] = np.arange(6) // 2 % 2
+    base[:, -1] = np.arange(6) // 4
+    for j in (0, 51, 52, width - 1):  # j >= 52: equal on the first 52 columns
+        flipped = base[0].copy()
+        flipped[j] = not flipped[j]
+        two = np.stack((base[0], flipped))
+        assert finite_class(two).label_matrix.shape == (2, width)
+        with pytest.raises(ValueError, match="duplicate label pattern"):
+            finite_class(np.vstack((two, two[:1])))
+    same = np.vstack((base, base[3:4]))
+    with pytest.raises(ValueError, match="duplicate label pattern"):
+        finite_class(same)
 
 
 def test_erm_minimality_on_large_enumeration():
