@@ -338,7 +338,10 @@ def project_onto_support(cls: HypothesisClass, support) -> HypothesisClass:
     class needs a strictly increasing support; any other raises ValueError."""
     if cls.kind == FINITE:
         return cls
-    bad = np.flatnonzero(~(np.diff(support) > 0))
+    support = np.asarray(support, dtype=np.float64)
+    # neighbours compared, not differenced: a difference of two finite floats
+    # overflows once they lie more than the largest float apart
+    bad = np.flatnonzero(~(support[1:] > support[:-1]))
     if bad.size:
         i = bad[0] + 1
         raise ValueError(f"support must be strictly increasing to project the threshold "

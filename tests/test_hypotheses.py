@@ -253,6 +253,7 @@ EDGE_POINTS = st.one_of(
 @example([(1.0 + 2.0 ** -52, 1)])  # [1 + 2^-52, 1 + 2^-51]
 @example([(2.0 ** 54, 0), (2.0 ** 55, 0)])
 @example([(1e308, 0), (1.7e308, 0)])
+@example([(1.1953862697246317e+308, 0), (-1e+308, 0), (-1.7e+308, 0)])
 def test_cut_thresholds_realize_their_cuts(anchors):
     # each anchor x brings k adjacent floats above it.  The midpoint of two
     # adjacent floats rounded onto the upper one, pts[0] - 1 rounded back onto
@@ -270,12 +271,24 @@ def test_cut_thresholds_realize_their_cuts(anchors):
     coords, t = cls.support_coords, cls.thresholds
     assert t[0] < coords[0] and coords[-1] <= t[-1]
     assert (coords[:-1] <= t[1:-1]).all() and (t[1:-1] < coords[1:]).all()
-    assert (np.diff(t) > 0).all()
+    assert (t[1:] > t[:-1]).all()  # np.diff overflows on thresholds more than MAX apart
     for i, h in enumerate(cls.members):
         assert h.labels is None and h.threshold == t[i]
         assert np.array_equal(coords <= h.threshold, np.arange(coords.size) < i)
         assert cls.members.index(h) == i
     assert cls.members == oracles.projected_members(pts)
+
+
+def test_projecting_onto_a_support_wider_than_the_largest_float():
+    # the span of these supports exceeds the largest float; checking their
+    # order by differencing overflowed with a warning
+    wide = np.array([-1.7e308, 0.0, 1.7e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cls = project_onto_support(threshold_class(), wide)
+        assert np.array_equal(cls.support_coords, wide)
+        with pytest.raises(ValueError, match=r"support\[2\] is -1.7e\+308 after 1.7e\+308"):
+            project_onto_support(threshold_class(), [-MAX, 1.7e308, -1.7e308])
 
 
 def test_indexing_builds_each_member_once():
