@@ -16,7 +16,7 @@ import numbers
 import operator
 from collections.abc import Sequence
 from dataclasses import astuple, dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -56,28 +56,131 @@ def derive_seed(seed, *path, bits: int = 62) -> int:
     without building a `Generator`.  For a power-of-two range numpy's bounded
     draw (Lemire's method) returns the top `bits` bits of the first raw PCG64
     output, so that is what this returns."""
-    if not 32 < bits < 64:
-        raise ValueError(f"bits must lie in (32, 64), got {bits}")
+    _check_bits(bits)
     raw = np.random.PCG64(np.random.SeedSequence(_seed_words(seed, path))).random_raw()
     return int(raw) >> (64 - bits)
 
 
+def _check_bits(bits: int) -> None:
+    if not 32 < bits < 64:
+        raise ValueError(f"bits must lie in (32, 64), got {bits}")
+
+
 def _seed_words(seed, path) -> np.ndarray:
-    """(seed mod 2^64, *path) as uint32 words: each value as its number of
+    """`_key_words(seed, path)` as a uint32 array, `SeedSequence`'s entropy."""
+    return np.array(_key_words(seed, path), dtype=np.uint32)
+
+
+def _key_words(seed, path) -> list[int]:
+    """(seed mod 2^64, *path) as 32-bit words: each value as its number of
     32-bit words, then those words, least significant first (one word for a
     value below 2^32, zero included).  The counts make the words decodable,
     so distinct keys give distinct words, and no word count is 0, so padding
     with zeros makes no key's words another's.  A negative path entry raises
     ValueError, as it does in `SeedSequence`."""
     words = []
-    for v in (int(seed) & (2**64 - 1), *map(operator.index, path)):
+    for v in (int(seed) & _MASK64, *map(operator.index, path)):
+        if 0 <= v <= 0xFFFFFFFF:
+            words += (1, v)
+            continue
         if v < 0:
             raise ValueError(f"rng path entries must be >= 0, got {v}")
         value = [v & 0xFFFFFFFF]
         while v := v >> 32:
             value.append(v & 0xFFFFFFFF)
         words += (len(value), *value)
-    return np.array(words, dtype=np.uint32)
+    return words
+
+
+# numpy's `SeedSequence` mixing constants and PCG64's 128-bit LCG multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64, _MASK128 = 2 ** 64 - 1, 2 ** 128 - 1
+_SHIFT = np.uint32(16)
+
+
+def _stream_batch(keys, bits: int = 62) -> list[tuple[int, int, int]]:
+    """For each key (seed, *path): the PCG64 (state, inc) that
+    `rng_from(seed, *path)` starts from and `derive_seed(seed, *path,
+    bits=bits)`, bit for bit, with `SeedSequence`'s mixing run over the batch.
+
+    A key of at most 4 words mixes as its words padded with zeros to 4, as in
+    `SeedSequence`; longer keys are grouped by word count.  The PCG64 seeding
+    and first output run per key on Python ints.  The fixed cost of the array
+    work makes this the route for a batch of keys only: one key is faster
+    through numpy."""
+    _check_bits(bits)
+    words = [_key_words(seed, path) for seed, *path in keys]
+    groups: dict[int, list[int]] = {}
+    for t, w in enumerate(words):
+        groups.setdefault(max(len(w), 4), []).append(t)
+    out = [None] * len(keys)
+    for count, rows in groups.items():
+        entropy = np.array([words[t] + [0] * (count - len(words[t])) for t in rows],
+                           dtype=np.uint32)
+        for t, (s_hi, s_lo, i_hi, i_lo) in zip(rows, _pcg_seeds(_pool(entropy))):
+            inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
+            state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
+            # the first output: one LCG step, then XSL-RR
+            step = (state * _PCG_MULT + inc) & _MASK128
+            x, rot = ((step >> 64) ^ step) & _MASK64, step >> 122
+            raw = ((x >> rot) | (x << (64 - rot))) & _MASK64
+            out[t] = (state, inc, raw >> (64 - bits))
+    return out
+
+
+@cache
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """The `count` + 1 hash constants init * mult^k mod 2^32, k = 0..count:
+    the k-th hash of a mixing pass XORs with the k-th and multiplies by the
+    next, whatever the data."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    consts = np.array(consts, dtype=np.uint32)
+    consts.setflags(write=False)
+    return consts
+
+
+def _hashmix(v: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    v = (v ^ xor) * mult
+    return v ^ (v >> _SHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return r ^ (r >> _SHIFT)
+
+
+def _pool(entropy: np.ndarray) -> np.ndarray:
+    """`SeedSequence`'s 4-word pool for each row of the (T, W) uint32
+    entropy, W >= 4: the first 4 words hashed in, each pool word mixed into
+    every other, then each further word mixed into every pool word.  When
+    every row has the same first 4 words (one cell's trials), the first two
+    phases run once."""
+    a = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * (entropy.shape[1] - 4))
+    head = entropy[:, :4]
+    if (head == head[0]).all():
+        head = head[:1]
+    pool = _hashmix(head, a[0:4], a[1:5])
+    for src in range(4):
+        dst, k = [d for d in range(4) if d != src], 4 + 3 * src
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src:src + 1], a[k:k + 3],
+                                                  a[k + 1:k + 4]))
+    extra = _hashmix(np.repeat(entropy[:, 4:], 4, axis=1), a[16:-1], a[17:])
+    for i in range(0, extra.shape[1], 4):
+        pool = _mix(pool, extra[:, i:i + 4])
+    return np.broadcast_to(pool, (len(entropy), 4))
+
+
+def _pcg_seeds(pool: np.ndarray) -> list[list[int]]:
+    """`generate_state(4, uint64)` of each pool row, which PCG64 reads as
+    its initial state (words 0, 1) and sequence (words 2, 3), high word first."""
+    b = _hash_consts(_INIT_B, _MULT_B, 8)
+    w = _hashmix(np.tile(pool, 2), b[:8], b[1:]).astype(np.uint64)
+    return (w[:, 0::2] | (w[:, 1::2] << np.uint64(32))).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +197,18 @@ class DiscreteJoint:
 
     def __post_init__(self):
         support, mass, (eta,) = _joint_arrays(self.support, self.mass, [self.eta])
+        self._set(support, mass, eta)
+
+    @classmethod
+    def _trusted(cls, support, mass, eta) -> "DiscreteJoint":
+        """A joint over arrays `_joint_arrays` already checked, clipped and
+        froze (a `SigmaFamily`'s rows), built without the check: the
+        library's only path past it."""
+        joint = cls.__new__(cls)
+        joint._set(support, mass, eta)
+        return joint
+
+    def _set(self, support, mass, eta) -> None:
         for name, arr in (("support", support), ("mass", mass), ("eta", eta)):
             object.__setattr__(self, name, arr)
 
@@ -253,11 +368,25 @@ def sample_labeled(dist, n: int, seed: int) -> SampleCounts | LabeledSample:
 
 def _labeled_trials(dist: DiscreteJoint, n: int, seeds) -> SampleCounts:
     """T labeled draws of n from a `DiscreteJoint` as one batch: column t of
-    its (s, T) int64 counts is exactly `sample_labeled(dist, n, seeds[t])`."""
-    cells = np.empty((2 * dist.size, len(seeds)), dtype=np.int64)
-    for t, seed in enumerate(seeds):
-        cells[:, t] = _multinomial(n, dist.cell_probs, seed)
+    its (s, T) int64 counts is exactly `sample_labeled(dist, n, seeds[t])`.
+    An empty draw builds no stream."""
+    cells = np.zeros((2 * dist.size, len(seeds)), dtype=np.int64)
+    if _check_draws(n):
+        for t, rng in enumerate(_generators(seeds)):
+            cells[:, t] = rng.multinomial(n, dist.cell_probs)
     return SampleCounts._trusted(*_split_cells(cells))
+
+
+def _generators(seeds):
+    """One `Generator`, set in turn to each seed's stream from one
+    `_stream_batch`: as yielded the t-th time, it draws as
+    `rng_from(seeds[t])` does, until the next is asked for."""
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for state, inc, _ in _stream_batch([(seed,) for seed in seeds]):
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def _split_cells(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -290,11 +419,16 @@ def _line_points(dist, n: int, seed: int) -> np.ndarray:
 
 def _rng(n: int, seed: int) -> np.random.Generator | None:
     """The seed's generator for a draw of 0 <= n <= 2^53; None for an empty draw."""
+    return rng_from(seed) if _check_draws(n) else None
+
+
+def _check_draws(n: int) -> int:
+    """n, once checked to be a draw count of 0 <= n <= 2^53."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > _MAX_DRAWS:
         raise ValueError(f"n is {n}, above the 2^53 draws a sample holds")
-    return rng_from(seed) if n else None
+    return n
 
 
 def _labels_on_support(h: Hypothesis, size: int, coords) -> np.ndarray:
@@ -456,8 +590,8 @@ class SigmaFamily(Sequence):
         i = range(len(self))[operator.index(i)]
         if i not in self._built:
             self._built[i] = TransferPair(
-                DiscreteJoint(self.support, self.mass_p, self.eta_p[i]),
-                DiscreteJoint(self.support, self.mass_q, self.eta_q[i]), self.certified)
+                DiscreteJoint._trusted(self.support, self.mass_p, self.eta_p[i]),
+                DiscreteJoint._trusted(self.support, self.mass_q, self.eta_q[i]), self.certified)
         return self._built[i]
 
     def bayes(self, i: int) -> Hypothesis:

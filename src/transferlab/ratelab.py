@@ -24,8 +24,8 @@ from .distributions import (
     DiscreteJoint,
     TransferPair,
     _labeled_trials,
+    _stream_batch,
     best_in_class,
-    derive_seed,
     sample_labeled,
     true_risk,
 )
@@ -113,25 +113,28 @@ def _resolve(estimator):
 
 def _cell_excesses(pair, cls, estimator, n_p, n_q, trials, seed, cell_key, conf):
     """Each trial's exact target excess; trial t draws each non-empty side on
-    the stream of (seed, cell_key, t, side), and an empty side derives no seed.
+    the stream of `derive_seed(seed, cell_key, t, side)`, and an empty side
+    derives no seed.  One `_stream_batch` call derives every seed of the cell.
 
     A batched cell (`_batches`) draws every trial first, as one batch per
     side, chooses all trials' members at once (`_CHOICES`) and reads each
     chosen member's true risk once; any other cell runs trial by trial."""
     q_best = true_risk(pair.q, best_in_class(pair.q, cls))
+    sides = ((pair.p, n_p), (pair.q, n_q))
+    keys = [(seed, cell_key, t, k) for k, (_, n) in enumerate(sides) if n for t in range(trials)]
+    derived = [d for _, _, d in _stream_batch(keys)]  # P's seeds first, if it draws
+    seeds_p = derived[:trials] if n_p else [0] * trials
+    seeds_q = derived[-trials:] if n_q else [0] * trials
     if _batches(pair, cls, estimator):
-        batches = []
-        for k, (joint, n) in enumerate(((pair.p, n_p), (pair.q, n_q))):
-            seeds = [derive_seed(seed, cell_key, t, k) if n else 0 for t in range(trials)]
-            batches.append(_labeled_trials(joint, n, seeds))
+        batches = [_labeled_trials(pair.p, n_p, seeds_p), _labeled_trials(pair.q, n_q, seeds_q)]
         chosen, trial = np.unique(_CHOICES[estimator](cls, *batches, conf), return_inverse=True)
         risks = np.array([true_risk(pair.q, cls[int(i)]) for i in chosen])
         return risks[trial] - q_best
     est_fn, _ = _resolve(estimator)
     excesses = np.empty(trials)
     for t in range(trials):
-        sp = sample_labeled(pair.p, n_p, derive_seed(seed, cell_key, t, 0) if n_p else 0)
-        sq = sample_labeled(pair.q, n_q, derive_seed(seed, cell_key, t, 1) if n_q else 0)
+        sp = sample_labeled(pair.p, n_p, seeds_p[t])
+        sq = sample_labeled(pair.q, n_q, seeds_q[t])
         excesses[t] = true_risk(pair.q, est_fn(sp, sq, cls, conf)) - q_best
     return excesses
 

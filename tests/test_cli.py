@@ -297,6 +297,18 @@ def test_exponent_golden_bytes(name, capsys):
     assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_rates_shipped_golden_bytes(jobs, tmp_path, capsys):
+    # the shipped rates config's CSV and stdout report, recorded before a
+    # cell's trial streams were built in one batch
+    out = tmp_path / "shipped.csv"
+    assert run(["rates", "--config", str(CONFIGS / "target_rate_sweep.json"), "--jobs", jobs,
+                "--out", str(out)]) == 0
+    golden = DATA / "rates_golden"
+    assert capsys.readouterr().out.encode() == (golden / "shipped.json").read_bytes()
+    assert out.read_bytes() == (golden / "shipped.csv").read_bytes()
+
+
 def test_cli_runtime_error_exit_code(tmp_path, capsys):
     # adaptive on a continuous scenario without cells is a config error
     assert run(["adaptive", "--set", 'scenario={"id":2}', "--set", "eps=0.1",

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -278,6 +278,64 @@ def test_derive_seed_equals_the_bounded_generator_draw(seed, path, bits, neg):
             fn(seed, *path, -neg)
 
 
+WORDS = st.integers(0, 2 ** 32 - 1)
+
+
+@st.composite
+def stream_batches(draw):
+    """Keys of mixed word counts: any seed and path, some of at most 4 words
+    (seed < 2^32 and at most one word of path), some a one-word derived seed,
+    then often a cell's keys (seed, cell, t, side), which share their first 4
+    words, or one key repeated."""
+    keys = draw(st.lists(st.tuples(SEEDS, st.lists(PATH_WORDS, max_size=4)).map(
+        lambda k: (k[0], *k[1])), max_size=6))
+    keys += draw(st.lists(st.tuples(WORDS), max_size=3))
+    keys += draw(st.lists(st.tuples(WORDS, WORDS), max_size=2))
+    seed, cell, trials = draw(WORDS), draw(WORDS), draw(st.integers(1, 5))
+    keys += draw(st.sampled_from([[], [(seed, cell)] * 3,
+                                  [(seed, cell, t, side) for side in (0, 1)
+                                   for t in range(trials)]]))
+    return draw(st.permutations(keys)) if keys else [(seed,)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(stream_batches(), st.sampled_from([33, 62, 63]), st.integers(1, 2 ** 40))
+@example([(1, 7, t, side) for side in (0, 1) for t in range(3)], 62, 1)
+@example([(5, 9)] * 3, 62, 1)
+def test_stream_batch_matches_numpy_streams(keys, bits, neg):
+    # bit for bit numpy's SeedSequence and PCG64 seeding, on every key of a batch
+    batch = distributions._stream_batch(keys, bits)
+    assert len(batch) == len(keys)
+    for key, (state, inc, derived) in zip(keys, batch):
+        want = {"state": state, "inc": inc}
+        assert distributions.rng_from(*key).bit_generator.state["state"] == want, key
+        assert oracles.rng_from(*key).bit_generator.state["state"] == want, key
+        assert distributions.derive_seed(*key, bits=bits) == derived, key
+        assert int(oracles.rng_from(*key).integers(2 ** bits)) == derived, key
+    with pytest.raises(ValueError, match="rng path entries must be >= 0"):
+        distributions._stream_batch(keys + [(keys[0][0], 1, -neg)], bits)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(SEEDS, min_size=1, max_size=6), st.integers(1, 200))
+def test_reused_generator_draws_each_stream(seeds, n):
+    # each yield draws as a fresh `rng_from(seed)`, whatever the one before
+    # drew: three uint32 draws leave half a 64-bit output buffered
+    p = np.array([0.1, 0.25, 0.3, 0.35])
+    for seed, rng in zip(seeds, distributions._generators(seeds)):
+        fresh = distributions.rng_from(seed)
+        for draw in (lambda g: g.integers(2 ** 32, size=3, dtype=np.uint32),
+                     lambda g: g.multinomial(n, p), lambda g: g.random(n),
+                     lambda g: g.integers(2 ** 32, size=3, dtype=np.uint32)):
+            assert np.array_equal(draw(rng), draw(fresh))
+
+
+def test_stream_batch_of_no_keys():
+    assert distributions._stream_batch([]) == []
+    with pytest.raises(ValueError, match=r"bits must lie in \(32, 64\), got 64"):
+        distributions._stream_batch([(1,)], bits=64)
+
+
 def test_sample_point_mass_deterministic_label():
     joint = tl.DiscreteJoint(np.arange(3.0), [1.0, 0.0, 0.0], [1.0, 0.5, 0.5])
     s = tl.sample_labeled(joint, 5, seed=3)
@@ -535,10 +593,11 @@ def test_kl_product_matches_kl_of_built_pairs():
 
 
 def test_family_builds_a_pair_only_when_indexed(monkeypatch):
+    # a checked and a trusted joint both set their arrays through `_set`
     joints = []
-    post_init = tl.DiscreteJoint.__post_init__
-    monkeypatch.setattr(tl.DiscreteJoint, "__post_init__",
-                        lambda self: joints.append(post_init(self)))
+    set_arrays = tl.DiscreteJoint._set
+    monkeypatch.setattr(tl.DiscreteJoint, "_set",
+                        lambda self, *arrays: joints.append(set_arrays(self, *arrays)))
     fam = tl.build_single_scale_family(9, 2.0, 0.5, 0.5, 0.25)
     two = tl.build_two_scale_family(9, 4.0, 0.5, 0.5, 0.25, 0.125)
     tl.verify_family(fam)
@@ -698,11 +757,12 @@ def test_scenario_dict_rejects_unknown_fields():
 
 
 def test_joint_invariants_enforced():
-    with pytest.raises(ValueError):
+    # a user-built joint passes the check a family's rows pass once
+    with pytest.raises(ValueError, match=r"mass sums to \S*1\.2\)?, not 1"):
         tl.DiscreteJoint(np.arange(2.0), [0.6, 0.6], [0.5, 0.5])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"eta outside \[0, 1\]"):
         tl.DiscreteJoint(np.arange(2.0), [0.5, 0.5], [1.5, 0.5])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="negative mass"):
         tl.DiscreteJoint(np.arange(2.0), [-0.5, 1.5], [0.5, 0.5])
     # finite coordinates whose sum overflows are a valid support
     assert tl.DiscreteJoint(np.array([1e308, 1.5e308]), [0.5, 0.5], [0.5, 0.5]).size == 2
@@ -791,7 +851,8 @@ def test_family_checks_its_arrays():
     lambda: tl.build_two_scale_family(11, 4.0, 0.5, 0.5, 0.25, 0.125),
 ], ids=["single-scale", "two-scale"])
 def test_family_arrays_are_its_pairs_arrays(build):
-    # bit for bit: a family and the joints it builds pass the same check
+    # bit for bit: a family and the joints it builds pass the same check, and
+    # the joints are built over the family's checked, read-only rows
     fam = build()
     for i in range(len(fam)):
         pair = fam[i]
@@ -799,6 +860,9 @@ def test_family_arrays_are_its_pairs_arrays(build):
             assert side.support.tobytes() == fam.support.tobytes()
             assert side.mass.tobytes() == mass.tobytes()
             assert side.eta.tobytes() == eta[i].tobytes()
+            assert side.support is fam.support and side.mass is mass
+            assert side.eta.base is eta and np.shares_memory(side.eta, eta[i])
+            assert not any(a.flags.writeable for a in (side.support, side.mass, side.eta))
 
 
 @pytest.mark.parametrize("eta", [np.full((2, 2), 0.5), np.full((1, 2), 0.5), [0.5]],

@@ -31,17 +31,28 @@ def test_noiseless_identical_median_zero():
 
 
 def test_empty_side_derives_no_seed(monkeypatch):
-    derived, draws = [], []
-    real_derive, real_rng = tl.ratelab.derive_seed, tl.distributions.rng_from
-    monkeypatch.setattr(tl.ratelab, "derive_seed",
-                        lambda *a: derived.append(a) or real_derive(*a))
+    # a cell derives its trial seeds in one batch, which holds no key of the
+    # empty P side, and P builds no stream, on the batched and the line path
+    derived, streams, draws = [], [], []
+    real_batch, real_rng = tl.distributions._stream_batch, tl.distributions.rng_from
+    monkeypatch.setattr(tl.ratelab, "_stream_batch",
+                        lambda keys: derived.append(keys) or real_batch(keys))
+    monkeypatch.setattr(tl.distributions, "_stream_batch",
+                        lambda keys: streams.append(keys) or real_batch(keys))
     monkeypatch.setattr(tl.distributions, "rng_from",
                         lambda *a: draws.append(a) or real_rng(*a))
+    q_keys = [(5, 0, t, 1) for t in range(3)]
+    q_seeds = [(d,) for _, _, d in real_batch(q_keys)]
     pair, cls = small_family()
     tl.monte_carlo(pair, cls, "erm_q", [(0, 32)], 3, seed=5, conf=CONF)
-    # per trial: the Q side's seed (role 1) and its draw; nothing for P
-    assert derived == [(5, 0, t, 1) for t in range(3)]
-    assert len(draws) == 3 and all(len(p) == 1 for p in draws)
+    # batched: the Q side's three streams, built in one batch
+    assert derived == [q_keys] and streams == [q_seeds] and draws == []
+    derived.clear()
+    streams.clear()
+    line = tl.example_scenario(3, gamma=2.0)
+    tl.monte_carlo(line, tl.threshold_class(), "erm_q", [(0, 32)], 3, seed=5, conf=CONF)
+    # trial by trial: one Q stream per trial, on the seeds of the same batch
+    assert derived == [q_keys] and streams == [] and draws == q_seeds
 
 
 def test_monte_carlo_reproducible_row():
