@@ -56,14 +56,10 @@ def derive_seed(seed, *path, bits: int = 62) -> int:
     without building a `Generator`.  For a power-of-two range numpy's bounded
     draw (Lemire's method) returns the top `bits` bits of the first raw PCG64
     output, so that is what this returns."""
-    _check_bits(bits)
-    raw = np.random.PCG64(np.random.SeedSequence(_seed_words(seed, path))).random_raw()
-    return int(raw) >> (64 - bits)
-
-
-def _check_bits(bits: int) -> None:
     if not 32 < bits < 64:
         raise ValueError(f"bits must lie in (32, 64), got {bits}")
+    raw = np.random.PCG64(np.random.SeedSequence(_seed_words(seed, path))).random_raw()
+    return int(raw) >> (64 - bits)
 
 
 def _seed_words(seed, path) -> np.ndarray:
@@ -80,9 +76,6 @@ def _key_words(seed, path) -> list[int]:
     ValueError, as it does in `SeedSequence`."""
     words = []
     for v in (int(seed) & _MASK64, *map(operator.index, path)):
-        if 0 <= v <= 0xFFFFFFFF:
-            words += (1, v)
-            continue
         if v < 0:
             raise ValueError(f"rng path entries must be >= 0, got {v}")
         value = [v & 0xFFFFFFFF]
@@ -101,17 +94,16 @@ _MASK64, _MASK128 = 2 ** 64 - 1, 2 ** 128 - 1
 _SHIFT = np.uint32(16)
 
 
-def _stream_batch(keys, bits: int = 62) -> list[tuple[int, int, int]]:
+def _stream_batch(keys) -> list[tuple[int, int, int]]:
     """For each key (seed, *path): the PCG64 (state, inc) that
-    `rng_from(seed, *path)` starts from and `derive_seed(seed, *path,
-    bits=bits)`, bit for bit, with `SeedSequence`'s mixing run over the batch.
+    `rng_from(seed, *path)` starts from and `derive_seed(seed, *path)`, bit
+    for bit, with `SeedSequence`'s mixing run over the batch.
 
     A key of at most 4 words mixes as its words padded with zeros to 4, as in
     `SeedSequence`; longer keys are grouped by word count.  The PCG64 seeding
     and first output run per key on Python ints.  The fixed cost of the array
     work makes this the route for a batch of keys only: one key is faster
     through numpy."""
-    _check_bits(bits)
     words = [_key_words(seed, path) for seed, *path in keys]
     groups: dict[int, list[int]] = {}
     for t, w in enumerate(words):
@@ -127,7 +119,7 @@ def _stream_batch(keys, bits: int = 62) -> list[tuple[int, int, int]]:
             step = (state * _PCG_MULT + inc) & _MASK128
             x, rot = ((step >> 64) ^ step) & _MASK64, step >> 122
             raw = ((x >> rot) | (x << (64 - rot))) & _MASK64
-            out[t] = (state, inc, raw >> (64 - bits))
+            out[t] = (state, inc, raw >> 2)
     return out
 
 
@@ -157,14 +149,9 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _pool(entropy: np.ndarray) -> np.ndarray:
     """`SeedSequence`'s 4-word pool for each row of the (T, W) uint32
     entropy, W >= 4: the first 4 words hashed in, each pool word mixed into
-    every other, then each further word mixed into every pool word.  When
-    every row has the same first 4 words (one cell's trials), the first two
-    phases run once."""
+    every other, then each further word mixed into every pool word."""
     a = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * (entropy.shape[1] - 4))
-    head = entropy[:, :4]
-    if (head == head[0]).all():
-        head = head[:1]
-    pool = _hashmix(head, a[0:4], a[1:5])
+    pool = _hashmix(entropy[:, :4], a[0:4], a[1:5])
     for src in range(4):
         dst, k = [d for d in range(4) if d != src], 4 + 3 * src
         pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src:src + 1], a[k:k + 3],
@@ -172,7 +159,7 @@ def _pool(entropy: np.ndarray) -> np.ndarray:
     extra = _hashmix(np.repeat(entropy[:, 4:], 4, axis=1), a[16:-1], a[17:])
     for i in range(0, extra.shape[1], 4):
         pool = _mix(pool, extra[:, i:i + 4])
-    return np.broadcast_to(pool, (len(entropy), 4))
+    return pool
 
 
 def _pcg_seeds(pool: np.ndarray) -> list[list[int]]:

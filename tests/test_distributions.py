@@ -299,21 +299,21 @@ def stream_batches(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(stream_batches(), st.sampled_from([33, 62, 63]), st.integers(1, 2 ** 40))
-@example([(1, 7, t, side) for side in (0, 1) for t in range(3)], 62, 1)
-@example([(5, 9)] * 3, 62, 1)
-def test_stream_batch_matches_numpy_streams(keys, bits, neg):
+@given(stream_batches(), st.integers(1, 2 ** 40))
+@example([(1, 7, t, side) for side in (0, 1) for t in range(3)], 1)
+@example([(5, 9)] * 3, 1)
+def test_stream_batch_matches_numpy_streams(keys, neg):
     # bit for bit numpy's SeedSequence and PCG64 seeding, on every key of a batch
-    batch = distributions._stream_batch(keys, bits)
+    batch = distributions._stream_batch(keys)
     assert len(batch) == len(keys)
     for key, (state, inc, derived) in zip(keys, batch):
         want = {"state": state, "inc": inc}
         assert distributions.rng_from(*key).bit_generator.state["state"] == want, key
         assert oracles.rng_from(*key).bit_generator.state["state"] == want, key
-        assert distributions.derive_seed(*key, bits=bits) == derived, key
-        assert int(oracles.rng_from(*key).integers(2 ** bits)) == derived, key
+        assert distributions.derive_seed(*key) == derived, key
+        assert int(oracles.rng_from(*key).integers(2 ** 62)) == derived, key
     with pytest.raises(ValueError, match="rng path entries must be >= 0"):
-        distributions._stream_batch(keys + [(keys[0][0], 1, -neg)], bits)
+        distributions._stream_batch(keys + [(keys[0][0], 1, -neg)])
 
 
 @settings(max_examples=30, deadline=None)
@@ -332,8 +332,6 @@ def test_reused_generator_draws_each_stream(seeds, n):
 
 def test_stream_batch_of_no_keys():
     assert distributions._stream_batch([]) == []
-    with pytest.raises(ValueError, match=r"bits must lie in \(32, 64\), got 64"):
-        distributions._stream_batch([(1,)], bits=64)
 
 
 def test_sample_point_mass_deterministic_label():
