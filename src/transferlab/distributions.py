@@ -92,35 +92,79 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK64, _MASK128 = 2 ** 64 - 1, 2 ** 128 - 1
 _SHIFT = np.uint32(16)
+_WORD, _HALF = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 
-def _stream_batch(keys) -> list[tuple[int, int, int]]:
-    """For each key (seed, *path): the PCG64 (state, inc) that
-    `rng_from(seed, *path)` starts from and `derive_seed(seed, *path)`, bit
-    for bit, with `SeedSequence`'s mixing run over the batch.
+def _stream_batch(prefix, entries) -> tuple[list[int], list[int]]:
+    """For each key (*prefix, *entries[t]): the PCG64 state and inc that
+    `rng_from(*key)` starts from, as two lists of ints, bit for bit, with
+    `SeedSequence`'s mixing run over the batch; `_derived_seeds` reads
+    `derive_seed(*key)` off them.
 
-    A key of at most 4 words mixes as its words padded with zeros to 4, as in
-    `SeedSequence`; longer keys are grouped by word count.  The PCG64 seeding
-    and first output run per key on Python ints.  The fixed cost of the array
-    work makes this the route for a batch of keys only: one key is faster
-    through numpy."""
-    words = [_key_words(seed, path) for seed, *path in keys]
-    groups: dict[int, list[int]] = {}
-    for t, w in enumerate(words):
-        groups.setdefault(max(len(w), 4), []).append(t)
-    out = [None] * len(keys)
-    for count, rows in groups.items():
-        entropy = np.array([words[t] + [0] * (count - len(words[t])) for t in rows],
-                           dtype=np.uint32)
-        for t, (s_hi, s_lo, i_hi, i_lo) in zip(rows, _pcg_seeds(_pool(entropy))):
+    `prefix` is the keys' shared (seed, *path), of Python ints, and `entries`
+    the (T, E) per-key entries, each in [0, 2^64) (`_entry_array`); with no
+    prefix, a key's first entry is its seed.  A key's words are those of
+    `_key_words`, built as arrays for the keys whose entries have the same
+    word counts; a key of at most 4 words mixes as its words padded with
+    zeros to 4, as in `SeedSequence`.  The PCG64 seeding runs per key on
+    Python ints.  The fixed cost of the array work makes this the route for
+    a batch of keys only: one key is faster through numpy."""
+    entries = _entry_array(entries)
+    head = _key_words(prefix[0], prefix[1:]) if prefix else []
+    wide = entries > _WORD  # the entries of two words
+    counts = wide.dot(1 << np.arange(wide.shape[1]))  # each key's word counts, as bits
+    states, incs = [0] * len(entries), [0] * len(entries)
+    for code in np.unique(counts).tolist():
+        group = np.flatnonzero(counts == code)
+        words = _entry_words(head, entries[group], code)
+        for t, (s_hi, s_lo, i_hi, i_lo) in zip(group.tolist(), _pcg_seeds(_pool(words))):
             inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
-            state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
-            # the first output: one LCG step, then XSL-RR
-            step = (state * _PCG_MULT + inc) & _MASK128
-            x, rot = ((step >> 64) ^ step) & _MASK64, step >> 122
-            raw = ((x >> rot) | (x << (64 - rot))) & _MASK64
-            out[t] = (state, inc, raw >> 2)
-    return out
+            states[t] = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
+            incs[t] = inc
+    return states, incs
+
+
+def _derived_seeds(states, incs) -> np.ndarray:
+    """`derive_seed`'s default 62 bits for each PCG64 (state, inc), as a
+    uint64 array: the top bits of its first output, one LCG step and then
+    XSL-RR, on Python ints."""
+    raws = []
+    for state, inc in zip(states, incs):
+        step = (state * _PCG_MULT + inc) & _MASK128
+        x, rot = ((step >> 64) ^ step) & _MASK64, step >> 122
+        raws.append(((x >> rot) | (x << (64 - rot))) & _MASK64)
+    return np.array(raws, dtype=np.uint64) >> np.uint64(2)
+
+
+def _entry_words(head, entries, code) -> np.ndarray:
+    """The (T, W) uint32 `SeedSequence` words, W >= 4, of the keys whose
+    shared words are `head` and whose entries are the rows of `entries`:
+    `head`, then each entry as its word count and words (entry e of two
+    words where bit e of `code` is set, else of one), then zeros up to 4."""
+    n_words = len(head) + 2 * entries.shape[1] + code.bit_count()
+    words = np.zeros((len(entries), max(n_words, 4)), dtype=np.uint32)
+    words[:, :len(head)] = head
+    at = len(head)
+    for e, entry in enumerate(entries.T):
+        n = 1 + (code >> e & 1)
+        words[:, at] = n
+        words[:, at + 1] = entry & _WORD
+        if n == 2:
+            words[:, at + 2] = entry >> _HALF
+        at += 1 + n
+    return words
+
+
+def _entry_array(entries) -> np.ndarray:
+    """The (T, E) entries as uint64; an entry below 0 or at or above 2^64
+    raises ValueError naming it, before any conversion to uint64."""
+    if isinstance(entries, np.ndarray) and entries.dtype == np.uint64:
+        return entries
+    entries = np.array(entries, dtype=object)
+    for v in entries.flat:
+        if not 0 <= operator.index(v) <= _MASK64:
+            raise ValueError(f"stream key entries must lie in [0, 2^64), got {v}")
+    return entries.astype(np.uint64)
 
 
 @cache
@@ -367,10 +411,15 @@ def _labeled_trials(dist: DiscreteJoint, n: int, seeds) -> SampleCounts:
 def _generators(seeds):
     """One `Generator`, set in turn to each seed's stream from one
     `_stream_batch`: as yielded the t-th time, it draws as
-    `rng_from(seeds[t])` does, until the next is asked for."""
+    `rng_from(seeds[t])` does, until the next is asked for.  Seeds given
+    as a uint64 array (derived seeds) pass to the batch as they are; any
+    other seeds are read mod 2^64, as `rng_from` reads them."""
+    if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):
+        seeds = np.array([int(seed) & _MASK64 for seed in seeds], dtype=np.uint64)
+    states, incs = _stream_batch((), seeds[:, None])
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
-    for state, inc, _ in _stream_batch([(seed,) for seed in seeds]):
+    for state, inc in zip(states, incs):
         bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                                "has_uint32": 0, "uinteger": 0}
         yield rng

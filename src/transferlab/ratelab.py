@@ -23,6 +23,7 @@ import numpy as np
 from .distributions import (
     DiscreteJoint,
     TransferPair,
+    _derived_seeds,
     _labeled_trials,
     _stream_batch,
     best_in_class,
@@ -114,15 +115,19 @@ def _resolve(estimator):
 def _cell_excesses(pair, cls, estimator, n_p, n_q, trials, seed, cell_key, conf):
     """Each trial's exact target excess; trial t draws each non-empty side on
     the stream of `derive_seed(seed, cell_key, t, side)`, and an empty side
-    derives no seed.  One `_stream_batch` call derives every seed of the cell.
+    derives no seed.  One `_stream_batch` call derives every seed of the
+    cell, over the prefix (seed, cell_key) and one (t, side) row per key.
 
     A batched cell (`_batches`) draws every trial first, as one batch per
     side, chooses all trials' members at once (`_CHOICES`) and reads each
     chosen member's true risk once; any other cell runs trial by trial."""
     q_best = true_risk(pair.q, best_in_class(pair.q, cls))
     sides = ((pair.p, n_p), (pair.q, n_q))
-    keys = [(seed, cell_key, t, k) for k, (_, n) in enumerate(sides) if n for t in range(trials)]
-    derived = [d for _, _, d in _stream_batch(keys)]  # P's seeds first, if it draws
+    drawn = np.array([k for k, (_, n) in enumerate(sides) if n], dtype=np.uint64)
+    rows = np.stack([np.tile(np.arange(trials, dtype=np.uint64), drawn.size),
+                     np.repeat(drawn, trials)], axis=1)
+    # P's seeds first, if it draws
+    derived = _derived_seeds(*_stream_batch((seed, cell_key), rows))
     seeds_p = derived[:trials] if n_p else [0] * trials
     seeds_q = derived[-trials:] if n_q else [0] * trials
     if _batches(pair, cls, estimator):
@@ -133,8 +138,8 @@ def _cell_excesses(pair, cls, estimator, n_p, n_q, trials, seed, cell_key, conf)
     est_fn, _ = _resolve(estimator)
     excesses = np.empty(trials)
     for t in range(trials):
-        sp = sample_labeled(pair.p, n_p, seeds_p[t])
-        sq = sample_labeled(pair.q, n_q, seeds_q[t])
+        sp = sample_labeled(pair.p, n_p, int(seeds_p[t]))
+        sq = sample_labeled(pair.q, n_q, int(seeds_q[t]))
         excesses[t] = true_risk(pair.q, est_fn(sp, sq, cls, conf)) - q_best
     return excesses
 

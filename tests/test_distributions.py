@@ -278,42 +278,56 @@ def test_derive_seed_equals_the_bounded_generator_draw(seed, path, bits, neg):
             fn(seed, *path, -neg)
 
 
-WORDS = st.integers(0, 2 ** 32 - 1)
+# batch entries of one word and of two, which may share a column
+ENTRY = st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 64 - 1))
 
 
 @st.composite
 def stream_batches(draw):
-    """Keys of mixed word counts: any seed and path, some of at most 4 words
-    (seed < 2^32 and at most one word of path), some a one-word derived seed,
-    then often a cell's keys (seed, cell, t, side), which share their first 4
-    words, or one key repeated."""
-    keys = draw(st.lists(st.tuples(SEEDS, st.lists(PATH_WORDS, max_size=4)).map(
-        lambda k: (k[0], *k[1])), max_size=6))
-    keys += draw(st.lists(st.tuples(WORDS), max_size=3))
-    keys += draw(st.lists(st.tuples(WORDS, WORDS), max_size=2))
-    seed, cell, trials = draw(WORDS), draw(WORDS), draw(st.integers(1, 5))
-    keys += draw(st.sampled_from([[], [(seed, cell)] * 3,
-                                  [(seed, cell, t, side) for side in (0, 1)
-                                   for t in range(trials)]]))
-    return draw(st.permutations(keys)) if keys else [(seed,)]
+    """A batch's shared prefix and its rows of entries: a prefix of any seed
+    and path, or none, so that each key's first entry is its seed (a
+    derived seed of one or two words at the second level); then 1 to 8
+    rows of 1 to 3 entries, as a uint64 array or as lists of ints."""
+    prefix = draw(st.one_of(st.just(()), st.tuples(SEEDS, st.lists(PATH_WORDS, max_size=2)).map(
+        lambda k: (k[0], *k[1]))))
+    width = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(ENTRY, min_size=width, max_size=width), min_size=1, max_size=8))
+    return prefix, draw(st.sampled_from([rows, np.array(rows, dtype=np.uint64)]))
 
 
 @settings(max_examples=150, deadline=None)
 @given(stream_batches(), st.integers(1, 2 ** 40))
-@example([(1, 7, t, side) for side in (0, 1) for t in range(3)], 1)
-@example([(5, 9)] * 3, 1)
-def test_stream_batch_matches_numpy_streams(keys, neg):
+# a cell's keys (seed, cell, t, side), of 8 words, and of 9 for a two-word
+# seed; then a negative seed and one above 2^64, each read mod 2^64
+@example(((1, 7), [[t, side] for side in (0, 1) for t in range(3)]), 1)
+@example(((2 ** 32 + 5, 7), [[t, side] for side in (0, 1) for t in range(3)]), 1)
+@example(((-3, 7), [[0, 0], [1, 1]]), 2 ** 33)
+@example(((2 ** 64 + 9, 7), [[0, 0], [1, 1]]), 2 ** 33)
+# derived seeds at the second level, one- and two-word ones in one column
+@example(((), np.array([[7], [2 ** 62 - 1], [0], [2 ** 32 - 1], [2 ** 32]], dtype=np.uint64)), 1)
+@example(((5,), [[1, 2 ** 40], [2 ** 40, 1], [3, 4], [2 ** 64 - 1, 0]]), 1)
+@example(((5, 9), [[0]] * 3), 1)
+def test_stream_batch_matches_numpy_streams(batch, neg):
     # bit for bit numpy's SeedSequence and PCG64 seeding, on every key of a batch
-    batch = distributions._stream_batch(keys)
-    assert len(batch) == len(keys)
-    for key, (state, inc, derived) in zip(keys, batch):
+    prefix, rows = batch
+    states, incs = distributions._stream_batch(prefix, rows)
+    derived = distributions._derived_seeds(states, incs)
+    listed = [[int(v) for v in row] for row in rows]
+    keys = [(*prefix, *row) for row in listed]
+    assert len(states) == len(incs) == derived.size == len(keys)
+    assert derived.dtype == np.uint64
+    for key, state, inc, seed in zip(keys, states, incs, derived.tolist()):
         want = {"state": state, "inc": inc}
         assert distributions.rng_from(*key).bit_generator.state["state"] == want, key
         assert oracles.rng_from(*key).bit_generator.state["state"] == want, key
-        assert distributions.derive_seed(*key) == derived, key
-        assert int(oracles.rng_from(*key).integers(2 ** 62)) == derived, key
+        assert distributions.derive_seed(*key) == seed, key
+        assert int(oracles.rng_from(*key).integers(2 ** 62)) == seed, key
+    # an entry outside [0, 2^64) is named before it becomes a uint64
+    for bad in (-1, -neg, 2 ** 64, 2 ** 64 + neg):
+        with pytest.raises(ValueError, match=rf"must lie in \[0, 2\^64\), got {bad}$"):
+            distributions._stream_batch(prefix, listed + [[bad] * len(listed[0])])
     with pytest.raises(ValueError, match="rng path entries must be >= 0"):
-        distributions._stream_batch(keys + [(keys[0][0], 1, -neg)])
+        distributions._stream_batch((1, -neg), rows)
 
 
 @settings(max_examples=30, deadline=None)
@@ -331,7 +345,10 @@ def test_reused_generator_draws_each_stream(seeds, n):
 
 
 def test_stream_batch_of_no_keys():
-    assert distributions._stream_batch([]) == []
+    assert distributions._stream_batch((1, 2), np.empty((0, 2), dtype=np.uint64)) == ([], [])
+    derived = distributions._derived_seeds([], [])
+    assert derived.dtype == np.uint64 and derived.size == 0
+    assert list(distributions._generators([])) == []
 
 
 def test_sample_point_mass_deterministic_label():

@@ -35,14 +35,19 @@ def test_empty_side_derives_no_seed(monkeypatch):
     # empty P side, and P builds no stream, on the batched and the line path
     derived, streams, draws = [], [], []
     real_batch, real_rng = tl.distributions._stream_batch, tl.distributions.rng_from
-    monkeypatch.setattr(tl.ratelab, "_stream_batch",
-                        lambda keys: derived.append(keys) or real_batch(keys))
-    monkeypatch.setattr(tl.distributions, "_stream_batch",
-                        lambda keys: streams.append(keys) or real_batch(keys))
+
+    def recording(log):
+        def batch(prefix, entries):
+            log.append([(*prefix, *map(int, row)) for row in entries])
+            return real_batch(prefix, entries)
+        return batch
+    monkeypatch.setattr(tl.ratelab, "_stream_batch", recording(derived))
+    monkeypatch.setattr(tl.distributions, "_stream_batch", recording(streams))
     monkeypatch.setattr(tl.distributions, "rng_from",
                         lambda *a: draws.append(a) or real_rng(*a))
     q_keys = [(5, 0, t, 1) for t in range(3)]
-    q_seeds = [(d,) for _, _, d in real_batch(q_keys)]
+    q_seeds = [(d,) for d in tl.distributions._derived_seeds(
+        *real_batch((5, 0), [[t, 1] for t in range(3)])).tolist()]
     pair, cls = small_family()
     tl.monte_carlo(pair, cls, "erm_q", [(0, 32)], 3, seed=5, conf=CONF)
     # batched: the Q side's three streams, built in one batch
