@@ -98,18 +98,16 @@ _WORD, _HALF = np.uint64(0xFFFFFFFF), np.uint64(32)
 def _stream_batch(prefix, entries) -> tuple[list[int], list[int]]:
     """For each key (*prefix, *entries[t]): the PCG64 state and inc that
     `rng_from(*key)` starts from, as two lists of ints, bit for bit, with
-    `SeedSequence`'s mixing run over the batch; `_derived_seeds` reads
-    `derive_seed(*key)` off them.
+    `SeedSequence`'s mixing run over the batch.
 
     `prefix` is the keys' shared (seed, *path), of Python ints, and `entries`
-    the (T, E) per-key entries, each in [0, 2^64) (`_entry_array`); with no
-    prefix, a key's first entry is its seed.  A key's words are those of
-    `_key_words`, built as arrays for the keys whose entries have the same
-    word counts; a key of at most 4 words mixes as its words padded with
-    zeros to 4, as in `SeedSequence`.  The PCG64 seeding runs per key on
-    Python ints.  The fixed cost of the array work makes this the route for
-    a batch of keys only: one key is faster through numpy."""
-    entries = _entry_array(entries)
+    the keys' (T, E) uint64 entries; with no prefix, a key's first entry is
+    its seed.  A key's words are those of `_key_words`, built as arrays for
+    the keys whose entries have the same word counts; a key of at most 4
+    words mixes as its words padded with zeros to 4, as in `SeedSequence`.
+    The PCG64 seeding runs per key on Python ints.  The fixed cost of the
+    array work makes this the route for a batch of keys only: one key is
+    faster through numpy."""
     head = _key_words(prefix[0], prefix[1:]) if prefix else []
     wide = entries > _WORD  # the entries of two words
     counts = wide.dot(1 << np.arange(wide.shape[1]))  # each key's word counts, as bits
@@ -124,12 +122,13 @@ def _stream_batch(prefix, entries) -> tuple[list[int], list[int]]:
     return states, incs
 
 
-def _derived_seeds(states, incs) -> np.ndarray:
-    """`derive_seed`'s default 62 bits for each PCG64 (state, inc), as a
-    uint64 array: the top bits of its first output, one LCG step and then
-    XSL-RR, on Python ints."""
+def _derived_seeds(prefix, entries) -> np.ndarray:
+    """`derive_seed(*prefix, *entries[t])` for each row t of the (T, E) uint64
+    `entries`, as a uint64 array, from one `_stream_batch`: the top 62 bits
+    of each key's first PCG64 output, one LCG step and then XSL-RR, on
+    Python ints."""
     raws = []
-    for state, inc in zip(states, incs):
+    for state, inc in zip(*_stream_batch(prefix, entries)):
         step = (state * _PCG_MULT + inc) & _MASK128
         x, rot = ((step >> 64) ^ step) & _MASK64, step >> 122
         raws.append(((x >> rot) | (x << (64 - rot))) & _MASK64)
@@ -153,18 +152,6 @@ def _entry_words(head, entries, code) -> np.ndarray:
             words[:, at + 2] = entry >> _HALF
         at += 1 + n
     return words
-
-
-def _entry_array(entries) -> np.ndarray:
-    """The (T, E) entries as uint64; an entry below 0 or at or above 2^64
-    raises ValueError naming it, before any conversion to uint64."""
-    if isinstance(entries, np.ndarray) and entries.dtype == np.uint64:
-        return entries
-    entries = np.array(entries, dtype=object)
-    for v in entries.flat:
-        if not 0 <= operator.index(v) <= _MASK64:
-            raise ValueError(f"stream key entries must lie in [0, 2^64), got {v}")
-    return entries.astype(np.uint64)
 
 
 @cache
@@ -251,7 +238,8 @@ class DiscreteJoint:
     def cell_probs(self) -> np.ndarray:
         """The normalized probabilities of the 2s cells (x, 0), (x, 1) in
         support order, mass * (1 - eta) and mass * eta: one labeled draw's
-        multinomial, built once per joint and read-only."""
+        multinomial, built once per joint and read-only.  The cells' layout
+        is the one `SampleCounts._of_cells` reads."""
         p = np.column_stack((self.mass * (1.0 - self.eta), self.mass * self.eta)).ravel()
         p = p / p.sum()
         p.setflags(write=False)
@@ -392,43 +380,26 @@ def sample_labeled(dist, n: int, seed: int) -> SampleCounts | LabeledSample:
     threshold.  An empty draw builds no generator.
     """
     if isinstance(dist, DiscreteJoint):
-        return SampleCounts._trusted(*_split_cells(_multinomial(n, dist.cell_probs, seed)))
+        return SampleCounts._of_cells(_multinomial(n, dist.cell_probs, seed))
     xs = _line_points(dist, n, seed)
     return LabeledSample(xs, (xs <= dist.h_star).view(np.int8), seed)
 
 
-def _labeled_trials(dist: DiscreteJoint, n: int, seeds) -> SampleCounts:
+def _labeled_trials(dist: DiscreteJoint, n: int, seeds: np.ndarray) -> SampleCounts:
     """T labeled draws of n from a `DiscreteJoint` as one batch: column t of
-    its (s, T) int64 counts is exactly `sample_labeled(dist, n, seeds[t])`.
-    An empty draw builds no stream."""
+    its (s, T) int64 counts is exactly `sample_labeled(dist, n, seeds[t])`,
+    for T uint64 seeds (`_derived_seeds`).  One PCG64 is set in turn to each
+    seed's stream, all from one `_stream_batch`.  An empty draw builds no
+    stream."""
     cells = np.zeros((2 * dist.size, len(seeds)), dtype=np.int64)
     if _check_draws(n):
-        for t, rng in enumerate(_generators(seeds)):
+        bit_generator = np.random.PCG64(0)
+        rng = np.random.Generator(bit_generator)
+        for t, (state, inc) in enumerate(zip(*_stream_batch((), seeds[:, None]))):
+            bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
             cells[:, t] = rng.multinomial(n, dist.cell_probs)
-    return SampleCounts._trusted(*_split_cells(cells))
-
-
-def _generators(seeds):
-    """One `Generator`, set in turn to each seed's stream from one
-    `_stream_batch`: as yielded the t-th time, it draws as
-    `rng_from(seeds[t])` does, until the next is asked for.  Seeds given
-    as a uint64 array (derived seeds) pass to the batch as they are; any
-    other seeds are read mod 2^64, as `rng_from` reads them."""
-    if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):
-        seeds = np.array([int(seed) & _MASK64 for seed in seeds], dtype=np.uint64)
-    states, incs = _stream_batch((), seeds[:, None])
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    for state, inc in zip(states, incs):
-        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-        yield rng
-
-
-def _split_cells(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point counts and label-1 counts from (x, 0), (x, 1) cell counts
-    along the first axis."""
-    return cells[0::2] + cells[1::2], cells[1::2]
+    return SampleCounts._of_cells(cells)
 
 
 def sample_unlabeled(dist, n: int, seed: int) -> SampleCounts | UnlabeledSample:
@@ -737,7 +708,8 @@ def build_two_scale_family(d_h: int, rho: float, beta_p: float, beta_q: float,
                            sigmas=None, seed: int = 0) -> SigmaFamily:
     """Hard pairs with two scales on the two halves of the support.
 
-    The support splits into blocks I1, I2 of size d/2.  Q uses scale eps1^beta_q
+    Past the anchor, the d = d_h - 1 support points split into blocks I1, I2
+    of size d/2, so d_h must be odd (ValueError otherwise).  Q uses scale eps1^beta_q
     masses with eps1^(1-beta_q) margins on I1, and (eps2/tau)/d masses with
     margin tau on I2; P mirrors this with gamma = rho * beta_p controlling its
     masses.  The pair has marginal transfer exponent gamma with constant 2 and
@@ -757,7 +729,8 @@ def build_two_scale_family(d_h: int, rho: float, beta_p: float, beta_q: float,
         raise ValueError("tau must lie in [max(1/2, (1/2)^(1/gamma)), 1)")
     d = d_h - 1
     if d % 2:
-        d -= 1
+        raise ValueError(f"d_h must be odd, so that its d_h - 1 points split into two "
+                         f"halves; got {d_h}")
     if d < 4:
         raise ValueError("need at least 4 usable support points")
     half = d // 2

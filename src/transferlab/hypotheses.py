@@ -172,11 +172,16 @@ class SampleCounts:
     @classmethod
     def _of(cls, idx: np.ndarray, ys, size: int) -> "SampleCounts":
         """Counts of support indices idx in [0, size) with labels ys (0 or 1;
-        None for an unlabeled sample), from one bincount: with labels, slot
-        2i counts (i, 0) and slot 2i + 1 counts (i, 1)."""
+        None for an unlabeled sample), from one bincount: with labels, over
+        the 2 * size cells that `_of_cells` reads."""
         if ys is None:
             return cls._trusted(np.bincount(idx, minlength=size))
-        cells = np.bincount(2 * idx + ys, minlength=2 * size)
+        return cls._of_cells(np.bincount(2 * idx + ys, minlength=2 * size))
+
+    @classmethod
+    def _of_cells(cls, cells: np.ndarray) -> "SampleCounts":
+        """Labeled counts from the counts of the 2s cells along the first
+        axis: cell 2i counts (i, 0) and cell 2i + 1 counts (i, 1)."""
         return cls._trusted(cells[0::2] + cells[1::2], cells[1::2])
 
     def __len__(self) -> int:

@@ -25,7 +25,6 @@ from .distributions import (
     TransferPair,
     _derived_seeds,
     _labeled_trials,
-    _stream_batch,
     best_in_class,
     sample_labeled,
     true_risk,
@@ -115,7 +114,7 @@ def _resolve(estimator):
 def _cell_excesses(pair, cls, estimator, n_p, n_q, trials, seed, cell_key, conf):
     """Each trial's exact target excess; trial t draws each non-empty side on
     the stream of `derive_seed(seed, cell_key, t, side)`, and an empty side
-    derives no seed.  One `_stream_batch` call derives every seed of the
+    derives no seed.  One `_derived_seeds` call derives every seed of the
     cell, over the prefix (seed, cell_key) and one (t, side) row per key.
 
     A batched cell (`_batches`) draws every trial first, as one batch per
@@ -127,7 +126,7 @@ def _cell_excesses(pair, cls, estimator, n_p, n_q, trials, seed, cell_key, conf)
     rows = np.stack([np.tile(np.arange(trials, dtype=np.uint64), drawn.size),
                      np.repeat(drawn, trials)], axis=1)
     # P's seeds first, if it draws
-    derived = _derived_seeds(*_stream_batch((seed, cell_key), rows))
+    derived = _derived_seeds((seed, cell_key), rows)
     seeds_p = derived[:trials] if n_p else [0] * trials
     seeds_q = derived[-trials:] if n_q else [0] * trials
     if _batches(pair, cls, estimator):

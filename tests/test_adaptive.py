@@ -19,6 +19,8 @@ def test_minimal_n_linear():
     assert tl.CostSchedule("linear", 1.0).minimal_n(8) == 8
     assert tl.CostSchedule("linear", 2.0).minimal_n(1) == 1
     assert tl.CostSchedule("linear", 0.01).minimal_n(1) == 100
+    # the guess rounds down within its 1e-9 slack, and the upward loop corrects it
+    assert tl.CostSchedule("linear", 1.0).minimal_n(1.000000000001) == 2
 
 
 def test_minimal_n_power():

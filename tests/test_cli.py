@@ -646,6 +646,20 @@ BAD_FIELDS = [
       "--set", "eps=Infinity"], "eps"),
     (VERIFY + ["--set", "family.rho=Infinity"], "family.rho"),
     (ADAPTIVE + ["--set", "cost_q.unit=Infinity"], "cost_q.unit"),
+    # refused all along, but by no test
+    (["verify-family", "--set", 'family={"kind":"single-scale","d_h":9,"rho":1,"beta_p":0.5,'
+      '"beta_q":0.5}'], "family.epsilon"),
+    (["verify-family", "--set", 'family={"d_h":9,"rho":1,"beta_p":0.5,"beta_q":0.5,'
+      '"epsilon":0.25}'], "family.kind"),
+    (["select", "--set", 'sources=[{"id":3,"gamma":1.0,"cells":8},{"id":3,"gamma":2.0,"cells":8}]',
+      "--set", "n_sources=[4]", "--set", "unlabeled=64"], "n_sources"),
+    (["select", "--set", 'sources=[{"id":2}]', "--set", "n_sources=[16]", "--set", "unlabeled=64"],
+     "sources"),
+    (["reweight", "--set", 'scenario={"id":2}', "--set", "densities=[[1,1,1,1]]",
+      "--set", "n_p=16", "--set", "unlabeled=16"], "scenario"),
+    # a two-scale family dropped a point of an even d_h and exited 0 reporting d_h 10
+    (["verify-family", "--set", 'family={"kind":"two-scale","d_h":10,"rho":2.0,"beta_p":0.5,'
+      '"beta_q":0.5,"eps1":0.25,"eps2":0.125}'], "family.d_h"),
 ]
 
 
@@ -656,6 +670,21 @@ def test_bad_field_exits_2_and_names_it(argv, field, tmp_path, capsys):
     assert run(argv + ["--out", str(out)]) == 2
     assert field in named_fields(capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify-family", "--set", "foo"], "--set expects key=value"),
+    (["verify-family", "--set", "a=1", "--set", "a.b=2"], "conflicts with a scalar"),
+    (["verify-family", "--config", "LIST"], "config file must hold a JSON object"),
+    (["rates", "--config", str(CONFIGS / "target_rate_sweep.json"), "--out", ""],
+     "rates needs --out for the CSV table"),
+], ids=["set-without-value", "set-under-scalar", "config-not-object", "rates-without-out"])
+def test_bad_command_line_exits_2_with_its_message(argv, message, tmp_path, capsys):
+    listed = tmp_path / "list.json"
+    listed.write_text("[1]")
+    assert run([str(listed) if a == "LIST" else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 @pytest.mark.parametrize("overrides,message", [

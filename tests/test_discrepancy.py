@@ -349,6 +349,10 @@ def test_prop_gamma_to_rho_chain():
     ex3, cls3 = tl.discretize_pair(tl.example_scenario(3, gamma=3.0), 128)
     out3 = tl.gamma_rho_chain_check(ex3, cls3)
     assert out3["ok"] and out3["rho"] <= 3.0 + 1e-9
+    # beta_P is 0 on the RCS-violating pair, so gamma / beta_P bounds nothing
+    out4 = tl.gamma_rho_chain_check(*tl.rcs_violating_pair(0.15))
+    assert out4["ok"] is True and out4["beta_p"] == 0.0
+    assert out4["bound"] == out4["rho"] == math.inf
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])

@@ -17,6 +17,11 @@ def all_ones_index(family):
     return int(np.flatnonzero((family.sigmas == 1).all(axis=1))[0])
 
 
+def _u64(rows) -> np.ndarray:
+    """Stream keys' entries or seeds, in the one form the stream batch reads."""
+    return np.array(rows, dtype=np.uint64)
+
+
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -155,7 +160,7 @@ def test_a_draw_holds_at_most_2_53_draws():
     for n in (2 ** 53 + 1, 2 ** 63, 2 ** 70):
         for draw in (lambda: tl.sample_labeled(joint, n, seed=1),
                      lambda: tl.sample_unlabeled(joint, n, seed=1),
-                     lambda: distributions._labeled_trials(joint, n, [1, 2])):
+                     lambda: distributions._labeled_trials(joint, n, _u64([1, 2]))):
             with pytest.raises(ValueError, match=rf"n is {n}, above the 2\^53 draws"):
                 draw()
     with pytest.raises(ValueError, match=r"above the 2\^53"):
@@ -180,12 +185,12 @@ def test_empty_draws_build_no_generator(monkeypatch):
 def test_trial_draws_are_the_per_trial_draws():
     # column t of a batched draw holds exactly sample_labeled's counts on seeds[t]
     fam = tl.build_single_scale_family(9, 1.0, 0.5, 0.5, 0.25)
-    joint, seeds = fam.pairs[2].q, [7, 2 ** 62 - 1, 0, 7]
+    joint, seeds = fam.pairs[2].q, np.array([7, 2 ** 62 - 1, 0, 7], dtype=np.uint64)
     for n in (0, 1, 100, 2 ** 20):
         batch = distributions._labeled_trials(joint, n, seeds)
         assert batch.points.shape == batch.ones.shape == (joint.size, len(seeds))
         assert len(batch) == n
-        for t, seed in enumerate(seeds):
+        for t, seed in enumerate(seeds.tolist()):
             want = tl.sample_labeled(joint, n, seed)
             assert np.array_equal(batch.points[:, t], want.points)
             assert np.array_equal(batch.ones[:, t], want.ones)
@@ -287,33 +292,32 @@ def stream_batches(draw):
     """A batch's shared prefix and its rows of entries: a prefix of any seed
     and path, or none, so that each key's first entry is its seed (a
     derived seed of one or two words at the second level); then 1 to 8
-    rows of 1 to 3 entries, as a uint64 array or as lists of ints."""
+    rows of 1 to 3 entries, as a uint64 array."""
     prefix = draw(st.one_of(st.just(()), st.tuples(SEEDS, st.lists(PATH_WORDS, max_size=2)).map(
         lambda k: (k[0], *k[1]))))
     width = draw(st.integers(1, 3))
     rows = draw(st.lists(st.lists(ENTRY, min_size=width, max_size=width), min_size=1, max_size=8))
-    return prefix, draw(st.sampled_from([rows, np.array(rows, dtype=np.uint64)]))
+    return prefix, _u64(rows)
 
 
 @settings(max_examples=150, deadline=None)
 @given(stream_batches(), st.integers(1, 2 ** 40))
 # a cell's keys (seed, cell, t, side), of 8 words, and of 9 for a two-word
 # seed; then a negative seed and one above 2^64, each read mod 2^64
-@example(((1, 7), [[t, side] for side in (0, 1) for t in range(3)]), 1)
-@example(((2 ** 32 + 5, 7), [[t, side] for side in (0, 1) for t in range(3)]), 1)
-@example(((-3, 7), [[0, 0], [1, 1]]), 2 ** 33)
-@example(((2 ** 64 + 9, 7), [[0, 0], [1, 1]]), 2 ** 33)
+@example(((1, 7), _u64([[t, side] for side in (0, 1) for t in range(3)])), 1)
+@example(((2 ** 32 + 5, 7), _u64([[t, side] for side in (0, 1) for t in range(3)])), 1)
+@example(((-3, 7), _u64([[0, 0], [1, 1]])), 2 ** 33)
+@example(((2 ** 64 + 9, 7), _u64([[0, 0], [1, 1]])), 2 ** 33)
 # derived seeds at the second level, one- and two-word ones in one column
-@example(((), np.array([[7], [2 ** 62 - 1], [0], [2 ** 32 - 1], [2 ** 32]], dtype=np.uint64)), 1)
-@example(((5,), [[1, 2 ** 40], [2 ** 40, 1], [3, 4], [2 ** 64 - 1, 0]]), 1)
-@example(((5, 9), [[0]] * 3), 1)
+@example(((), _u64([[7], [2 ** 62 - 1], [0], [2 ** 32 - 1], [2 ** 32]])), 1)
+@example(((5,), _u64([[1, 2 ** 40], [2 ** 40, 1], [3, 4], [2 ** 64 - 1, 0]])), 1)
+@example(((5, 9), _u64([[0]] * 3)), 1)
 def test_stream_batch_matches_numpy_streams(batch, neg):
     # bit for bit numpy's SeedSequence and PCG64 seeding, on every key of a batch
     prefix, rows = batch
     states, incs = distributions._stream_batch(prefix, rows)
-    derived = distributions._derived_seeds(states, incs)
-    listed = [[int(v) for v in row] for row in rows]
-    keys = [(*prefix, *row) for row in listed]
+    derived = distributions._derived_seeds(prefix, rows)
+    keys = [(*prefix, *row) for row in rows.tolist()]
     assert len(states) == len(incs) == derived.size == len(keys)
     assert derived.dtype == np.uint64
     for key, state, inc, seed in zip(keys, states, incs, derived.tolist()):
@@ -322,33 +326,29 @@ def test_stream_batch_matches_numpy_streams(batch, neg):
         assert oracles.rng_from(*key).bit_generator.state["state"] == want, key
         assert distributions.derive_seed(*key) == seed, key
         assert int(oracles.rng_from(*key).integers(2 ** 62)) == seed, key
-    # an entry outside [0, 2^64) is named before it becomes a uint64
-    for bad in (-1, -neg, 2 ** 64, 2 ** 64 + neg):
-        with pytest.raises(ValueError, match=rf"must lie in \[0, 2\^64\), got {bad}$"):
-            distributions._stream_batch(prefix, listed + [[bad] * len(listed[0])])
     with pytest.raises(ValueError, match="rng path entries must be >= 0"):
         distributions._stream_batch((1, -neg), rows)
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.lists(SEEDS, min_size=1, max_size=6), st.integers(1, 200))
-def test_reused_generator_draws_each_stream(seeds, n):
-    # each yield draws as a fresh `rng_from(seed)`, whatever the one before
-    # drew: three uint32 draws leave half a 64-bit output buffered
-    p = np.array([0.1, 0.25, 0.3, 0.35])
-    for seed, rng in zip(seeds, distributions._generators(seeds)):
-        fresh = distributions.rng_from(seed)
-        for draw in (lambda g: g.integers(2 ** 32, size=3, dtype=np.uint32),
-                     lambda g: g.multinomial(n, p), lambda g: g.random(n),
-                     lambda g: g.integers(2 ** 32, size=3, dtype=np.uint32)):
-            assert np.array_equal(draw(rng), draw(fresh))
+@given(st.lists(ENTRY, min_size=1, max_size=6), st.integers(0, 200))
+def test_labeled_trials_draw_each_seeds_stream(seeds, n):
+    # column t is a fresh `rng_from(seeds[t])`'s multinomial over the cells
+    # (x, 0), (x, 1), split into points and ones, whatever the column before drew
+    joint = tl.DiscreteJoint(np.arange(3.0), [0.2, 0.3, 0.5], [0.9, 0.4, 0.1])
+    batch = distributions._labeled_trials(joint, n, _u64(seeds))
+    for t, seed in enumerate(seeds):
+        cells = distributions.rng_from(seed).multinomial(n, joint.cell_probs)
+        assert np.array_equal(batch.points[:, t], cells[0::2] + cells[1::2])
+        assert np.array_equal(batch.ones[:, t], cells[1::2])
 
 
 def test_stream_batch_of_no_keys():
-    assert distributions._stream_batch((1, 2), np.empty((0, 2), dtype=np.uint64)) == ([], [])
-    derived = distributions._derived_seeds([], [])
-    assert derived.dtype == np.uint64 and derived.size == 0
-    assert list(distributions._generators([])) == []
+    for prefix, width in (((1, 2), 2), ((), 1)):
+        no_keys = np.empty((0, width), dtype=np.uint64)
+        assert distributions._stream_batch(prefix, no_keys) == ([], [])
+        derived = distributions._derived_seeds(prefix, no_keys)
+        assert derived.dtype == np.uint64 and derived.size == 0
 
 
 def test_sample_point_mass_deterministic_label():
@@ -502,6 +502,11 @@ def test_two_scale_rejects_bad_params():
         tl.build_two_scale_family(11, 2.0, 0.5, 0.5, 0.75, 0.25)  # eps1 too big
     with pytest.raises(ValueError):
         tl.build_two_scale_family(11, 2.0, 0.5, 0.5, 0.25, 0.25, tau=0.4)
+    # an even d_h left a point out: 9 points, vc_dim 8 and 256 pairs, yet
+    # params reported d_h 10
+    for d_h in (10, 4):
+        with pytest.raises(ValueError, match=rf"^d_h must be odd.*got {d_h}$"):
+            tl.build_two_scale_family(d_h, 2.0, 0.5, 0.5, 0.25, 0.125)
 
 
 def test_epsilon_schedule_matches_direct_formula():

@@ -679,6 +679,12 @@ def test_out_of_range_support_indices_are_refused(xs, first):
             member_disagreements(cls, 0, UnlabeledSample(np.array(xs)))
 
 
+def test_projected_class_refuses_points_off_its_support():
+    cls = project_class(threshold_class(), [0.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="sample contains points outside the projected support"):
+        member_risks(cls, LabeledSample(np.array([0.5]), np.array([1])))
+
+
 def test_raw_threshold_class_refuses_index_samples():
     # support indices read as coordinates gave a threshold in index space,
     # here 1.0 with two labels over a three-point support

@@ -33,31 +33,26 @@ def test_noiseless_identical_median_zero():
 def test_empty_side_derives_no_seed(monkeypatch):
     # a cell derives its trial seeds in one batch, which holds no key of the
     # empty P side, and P builds no stream, on the batched and the line path
-    derived, streams, draws = [], [], []
+    batches, draws = [], []
     real_batch, real_rng = tl.distributions._stream_batch, tl.distributions.rng_from
 
-    def recording(log):
-        def batch(prefix, entries):
-            log.append([(*prefix, *map(int, row)) for row in entries])
-            return real_batch(prefix, entries)
-        return batch
-    monkeypatch.setattr(tl.ratelab, "_stream_batch", recording(derived))
-    monkeypatch.setattr(tl.distributions, "_stream_batch", recording(streams))
+    def batch(prefix, entries):
+        batches.append([(*prefix, *row) for row in entries.tolist()])
+        return real_batch(prefix, entries)
+    monkeypatch.setattr(tl.distributions, "_stream_batch", batch)
     monkeypatch.setattr(tl.distributions, "rng_from",
                         lambda *a: draws.append(a) or real_rng(*a))
     q_keys = [(5, 0, t, 1) for t in range(3)]
-    q_seeds = [(d,) for d in tl.distributions._derived_seeds(
-        *real_batch((5, 0), [[t, 1] for t in range(3)])).tolist()]
+    q_seeds = [(tl.distributions.derive_seed(*key),) for key in q_keys]
     pair, cls = small_family()
     tl.monte_carlo(pair, cls, "erm_q", [(0, 32)], 3, seed=5, conf=CONF)
-    # batched: the Q side's three streams, built in one batch
-    assert derived == [q_keys] and streams == [q_seeds] and draws == []
-    derived.clear()
-    streams.clear()
+    # batched: the cell's keys, then the Q side's three streams, built in one batch
+    assert batches == [q_keys, q_seeds] and draws == []
+    batches.clear()
     line = tl.example_scenario(3, gamma=2.0)
     tl.monte_carlo(line, tl.threshold_class(), "erm_q", [(0, 32)], 3, seed=5, conf=CONF)
     # trial by trial: one Q stream per trial, on the seeds of the same batch
-    assert derived == [q_keys] and streams == [] and draws == q_seeds
+    assert batches == [q_keys] and draws == q_seeds
 
 
 def test_monte_carlo_reproducible_row():
