@@ -85,53 +85,58 @@ def _key_words(seed, path) -> list[int]:
     return words
 
 
-# numpy's `SeedSequence` mixing constants and PCG64's 128-bit LCG multiplier
+# numpy's `SeedSequence` mixing constants
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK64, _MASK128 = 2 ** 64 - 1, 2 ** 128 - 1
+_MASK64 = 2 ** 64 - 1
 _SHIFT = np.uint32(16)
 _WORD, _HALF = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 
-def _stream_batch(prefix, entries) -> tuple[list[int], list[int]]:
-    """For each key (*prefix, *entries[t]): the PCG64 state and inc that
-    `rng_from(*key)` starts from, as two lists of ints, bit for bit, with
-    `SeedSequence`'s mixing run over the batch.
+def _stream_batch(prefix, entries) -> list[np.random.PCG64]:
+    """For each key (*prefix, *entries[t]): the PCG64 that `rng_from(*key)`
+    runs on, bit for bit, with `SeedSequence`'s mixing run over the batch
+    and numpy seeding each PCG64 from its key's mixed words (`_Words`).
 
     `prefix` is the keys' shared (seed, *path), of Python ints, and `entries`
     the keys' (T, E) uint64 entries; with no prefix, a key's first entry is
     its seed.  A key's words are those of `_key_words`, built as arrays for
     the keys whose entries have the same word counts; a key of at most 4
     words mixes as its words padded with zeros to 4, as in `SeedSequence`.
-    The PCG64 seeding runs per key on Python ints.  The fixed cost of the
-    array work makes this the route for a batch of keys only: one key is
-    faster through numpy."""
+    The fixed cost of the array work makes this the route for a batch of
+    keys only: one key is faster through numpy."""
     head = _key_words(prefix[0], prefix[1:]) if prefix else []
     wide = entries > _WORD  # the entries of two words
     counts = wide.dot(1 << np.arange(wide.shape[1]))  # each key's word counts, as bits
-    states, incs = [0] * len(entries), [0] * len(entries)
+    streams = [None] * len(entries)
     for code in np.unique(counts).tolist():
         group = np.flatnonzero(counts == code)
-        words = _entry_words(head, entries[group], code)
-        for t, (s_hi, s_lo, i_hi, i_lo) in zip(group.tolist(), _pcg_seeds(_pool(words))):
-            inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
-            states[t] = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
-            incs[t] = inc
-    return states, incs
+        seeds = _pcg_seeds(_pool(_entry_words(head, entries[group], code)))
+        for t, words in zip(group.tolist(), seeds):
+            streams[t] = np.random.PCG64(_Words(words))
+    return streams
+
+
+class _Words(np.random.bit_generator.ISeedSequence):
+    """One key's `generate_state(4, uint64)`, the C-contiguous words that
+    `SeedSequence` would return, for numpy to seed a PCG64 from.  PCG64 reads
+    the array's memory as it is, so no other request is served."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"holds 4 uint64 words only, asked for {n_words} {np.dtype(dtype)}")
+        return self.words
 
 
 def _derived_seeds(prefix, entries) -> np.ndarray:
     """`derive_seed(*prefix, *entries[t])` for each row t of the (T, E) uint64
     `entries`, as a uint64 array, from one `_stream_batch`: the top 62 bits
-    of each key's first PCG64 output, one LCG step and then XSL-RR, on
-    Python ints."""
-    raws = []
-    for state, inc in zip(*_stream_batch(prefix, entries)):
-        step = (state * _PCG_MULT + inc) & _MASK128
-        x, rot = ((step >> 64) ^ step) & _MASK64, step >> 122
-        raws.append(((x >> rot) | (x << (64 - rot))) & _MASK64)
+    of each key's first raw PCG64 output, as in `derive_seed`."""
+    raws = [bit_generator.random_raw() for bit_generator in _stream_batch(prefix, entries)]
     return np.array(raws, dtype=np.uint64) >> np.uint64(2)
 
 
@@ -193,12 +198,12 @@ def _pool(entropy: np.ndarray) -> np.ndarray:
     return pool
 
 
-def _pcg_seeds(pool: np.ndarray) -> list[list[int]]:
-    """`generate_state(4, uint64)` of each pool row, which PCG64 reads as
-    its initial state (words 0, 1) and sequence (words 2, 3), high word first."""
+def _pcg_seeds(pool: np.ndarray) -> np.ndarray:
+    """`generate_state(4, uint64)` of each pool row, as a C-contiguous (T, 4)
+    uint64 array: the words PCG64 seeds itself from."""
     b = _hash_consts(_INIT_B, _MULT_B, 8)
     w = _hashmix(np.tile(pool, 2), b[:8], b[1:]).astype(np.uint64)
-    return (w[:, 0::2] | (w[:, 1::2] << np.uint64(32))).tolist()
+    return np.ascontiguousarray(w[:, 0::2] | (w[:, 1::2] << np.uint64(32)))
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +355,16 @@ class Certified:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Certified":
+        """`to_json_dict`'s object back.  ValueError names a key that is not
+        one of `JSON_KEYS` or whose value is neither a number nor null."""
+        if not isinstance(d, dict):
+            raise ValueError(f"certified must be a JSON object or null, got {d!r}")
+        unknown = set(d) - set(cls.JSON_KEYS)
+        if unknown:
+            raise ValueError(f"unknown certified fields: {sorted(unknown)}")
+        for k, v in d.items():
+            if v is not None and (isinstance(v, bool) or not isinstance(v, numbers.Real)):
+                raise ValueError(f"certified.{k} must be a number or null, got {v!r}")
         return cls(*(d.get(k) for k in cls.JSON_KEYS))
 
 
@@ -388,17 +403,12 @@ def sample_labeled(dist, n: int, seed: int) -> SampleCounts | LabeledSample:
 def _labeled_trials(dist: DiscreteJoint, n: int, seeds: np.ndarray) -> SampleCounts:
     """T labeled draws of n from a `DiscreteJoint` as one batch: column t of
     its (s, T) int64 counts is exactly `sample_labeled(dist, n, seeds[t])`,
-    for T uint64 seeds (`_derived_seeds`).  One PCG64 is set in turn to each
-    seed's stream, all from one `_stream_batch`.  An empty draw builds no
-    stream."""
+    for T uint64 seeds (`_derived_seeds`), each drawn on its own PCG64 from
+    one `_stream_batch`.  An empty draw builds no stream."""
     cells = np.zeros((2 * dist.size, len(seeds)), dtype=np.int64)
     if _check_draws(n):
-        bit_generator = np.random.PCG64(0)
-        rng = np.random.Generator(bit_generator)
-        for t, (state, inc) in enumerate(zip(*_stream_batch((), seeds[:, None]))):
-            bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
-            cells[:, t] = rng.multinomial(n, dist.cell_probs)
+        for t, bit_generator in enumerate(_stream_batch((), seeds[:, None])):
+            cells[:, t] = np.random.Generator(bit_generator).multinomial(n, dist.cell_probs)
     return SampleCounts._of_cells(cells)
 
 
@@ -709,11 +719,11 @@ def build_two_scale_family(d_h: int, rho: float, beta_p: float, beta_q: float,
     """Hard pairs with two scales on the two halves of the support.
 
     Past the anchor, the d = d_h - 1 support points split into blocks I1, I2
-    of size d/2, so d_h must be odd (ValueError otherwise).  Q uses scale eps1^beta_q
-    masses with eps1^(1-beta_q) margins on I1, and (eps2/tau)/d masses with
-    margin tau on I2; P mirrors this with gamma = rho * beta_p controlling its
-    masses.  The pair has marginal transfer exponent gamma with constant 2 and
-    noise constants (1, 2).
+    of size d/2, so d_h must be odd and at least 5 (ValueError otherwise).
+    Q uses scale eps1^beta_q masses with eps1^(1-beta_q) margins on I1, and
+    (eps2/tau)/d masses with margin tau on I2; P mirrors this with gamma =
+    rho * beta_p controlling its masses.  The pair has marginal transfer
+    exponent gamma with constant 2 and noise constants (1, 2).
     """
     for name, e in (("eps1", eps1), ("eps2", eps2)):
         if not 0.0 < e <= 0.5:
@@ -732,7 +742,7 @@ def build_two_scale_family(d_h: int, rho: float, beta_p: float, beta_q: float,
         raise ValueError(f"d_h must be odd, so that its d_h - 1 points split into two "
                          f"halves; got {d_h}")
     if d < 4:
-        raise ValueError("need at least 4 usable support points")
+        raise ValueError(f"d_h must be >= 5, got {d_h}")
     half = d // 2
     sigmas = _family_sigmas(d, sigmas, seed)
 
@@ -904,6 +914,8 @@ def scenario_to_dict(pair: TransferPair) -> dict:
 
 
 def scenario_from_dict(doc: dict) -> TransferPair:
+    if not isinstance(doc, dict):
+        raise ValueError(f"a scenario must be a JSON object, got {doc!r}")
     required = {"support", "mass_p", "eta_p", "mass_q", "eta_q", "certified"}
     unknown = set(doc) - required
     if unknown:

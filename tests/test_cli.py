@@ -660,6 +660,9 @@ BAD_FIELDS = [
     # a two-scale family dropped a point of an even d_h and exited 0 reporting d_h 10
     (["verify-family", "--set", 'family={"kind":"two-scale","d_h":10,"rho":2.0,"beta_p":0.5,'
       '"beta_q":0.5,"eps1":0.25,"eps2":0.125}'], "family.d_h"),
+    # a two-scale d_h below 5 named only the family
+    (["verify-family", "--set", 'family={"kind":"two-scale","d_h":3,"rho":2.0,"beta_p":0.5,'
+      '"beta_q":0.5,"eps1":0.25,"eps2":0.125}'], "family.d_h"),
 ]
 
 
@@ -720,7 +723,14 @@ def three_point_doc(**fields) -> dict:
     (three_point_doc(support=[0.0, 1.0, 1.0]), "strictly increasing"),
     (three_point_doc(mass_p=[0.2, float("nan"), 0.5]), "mass[1] is nan"),
     (three_point_doc(support=[0.0, float("nan"), 2.0]), "support[1] is nan"),
-], ids=["unsorted", "repeated", "nan-mass", "nan-support"])
+    # loaded with a misspelled key and a string constant (exit 0), ended in
+    # an AttributeError traceback (exit 1), or exited 3
+    (three_point_doc(certified={"rho": "two", "gama": 1.0}), "unknown certified fields"),
+    (three_point_doc(certified={"rho": "two"}), "certified.rho must be a number or null"),
+    (three_point_doc(certified=[1, 2]), "certified must be a JSON object or null"),
+    (5, "a scenario must be a JSON object"),
+], ids=["unsorted", "repeated", "nan-mass", "nan-support", "certified-key", "certified-value",
+        "certified-list", "not-an-object"])
 def test_bad_scenario_file_exits_2_naming_it(doc, message, tmp_path, capsys):
     path = tmp_path / "pair.json"
     path.write_text(json.dumps(doc))  # json writes and reads NaN

@@ -313,17 +313,17 @@ def stream_batches(draw):
 @example(((5,), _u64([[1, 2 ** 40], [2 ** 40, 1], [3, 4], [2 ** 64 - 1, 0]])), 1)
 @example(((5, 9), _u64([[0]] * 3)), 1)
 def test_stream_batch_matches_numpy_streams(batch, neg):
-    # bit for bit numpy's SeedSequence and PCG64 seeding, on every key of a batch
+    # bit for bit numpy's SeedSequence, and so its PCG64, on every key of a batch
     prefix, rows = batch
-    states, incs = distributions._stream_batch(prefix, rows)
+    streams = distributions._stream_batch(prefix, rows)
     derived = distributions._derived_seeds(prefix, rows)
     keys = [(*prefix, *row) for row in rows.tolist()]
-    assert len(states) == len(incs) == derived.size == len(keys)
+    assert len(streams) == derived.size == len(keys)
     assert derived.dtype == np.uint64
-    for key, state, inc, seed in zip(keys, states, incs, derived.tolist()):
-        want = {"state": state, "inc": inc}
-        assert distributions.rng_from(*key).bit_generator.state["state"] == want, key
-        assert oracles.rng_from(*key).bit_generator.state["state"] == want, key
+    for key, bit_generator, seed in zip(keys, streams, derived.tolist()):
+        assert isinstance(bit_generator, np.random.PCG64)
+        assert distributions.rng_from(*key).bit_generator.state == bit_generator.state, key
+        assert oracles.rng_from(*key).bit_generator.state == bit_generator.state, key
         assert distributions.derive_seed(*key) == seed, key
         assert int(oracles.rng_from(*key).integers(2 ** 62)) == seed, key
     with pytest.raises(ValueError, match="rng path entries must be >= 0"):
@@ -346,9 +346,18 @@ def test_labeled_trials_draw_each_seeds_stream(seeds, n):
 def test_stream_batch_of_no_keys():
     for prefix, width in (((1, 2), 2), ((), 1)):
         no_keys = np.empty((0, width), dtype=np.uint64)
-        assert distributions._stream_batch(prefix, no_keys) == ([], [])
+        assert distributions._stream_batch(prefix, no_keys) == []
         derived = distributions._derived_seeds(prefix, no_keys)
         assert derived.dtype == np.uint64 and derived.size == 0
+
+
+def test_stream_words_are_four_uint64_words_only():
+    # PCG64 reads the words' memory, so no other request may get them
+    words = distributions._Words(np.arange(4, dtype=np.uint64))
+    assert words.generate_state(4, np.uint64) is words.words
+    for n_words, dtype in ((8, np.uint32), (4, np.uint32), (2, np.uint64), (8, np.uint64)):
+        with pytest.raises(ValueError, match="holds 4 uint64 words only"):
+            words.generate_state(n_words, dtype)
 
 
 def test_sample_point_mass_deterministic_label():
@@ -506,6 +515,10 @@ def test_two_scale_rejects_bad_params():
     # params reported d_h 10
     for d_h in (10, 4):
         with pytest.raises(ValueError, match=rf"^d_h must be odd.*got {d_h}$"):
+            tl.build_two_scale_family(d_h, 2.0, 0.5, 0.5, 0.25, 0.125)
+    # too few points said "need at least 4 usable support points", naming no field
+    for d_h in (3, 1):
+        with pytest.raises(ValueError, match=rf"^d_h must be >= 5, got {d_h}$"):
             tl.build_two_scale_family(d_h, 2.0, 0.5, 0.5, 0.25, 0.125)
 
 
@@ -773,6 +786,35 @@ def test_scenario_dict_rejects_unknown_fields():
     doc = tl.scenario_to_dict(fam.pairs[0])
     doc["extra"] = 1
     with pytest.raises(ValueError):
+        tl.scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("certified,message", [
+    ({"rho": "two", "gama": 1.0}, r"unknown certified fields: \['gama'\]"),
+    ({"rho": "two"}, "certified.rho must be a number or null, got 'two'"),
+    ({"gamma": True}, "certified.gamma must be a number or null, got True"),
+    ({"C_rho": [1.0]}, r"certified.C_rho must be a number or null, got \[1.0\]"),
+    ([1, 2], r"certified must be a JSON object or null, got \[1, 2\]"),
+    ("rho", "certified must be a JSON object or null, got 'rho'"),
+])
+def test_scenario_dict_rejects_bad_certified(certified, message):
+    # these loaded as Certified(rho='two', gamma=None), or raised AttributeError
+    doc = tl.scenario_to_dict(tl.build_single_scale_family(9, 1.0, 0.5, 0.5, 0.25).pairs[0])
+    with pytest.raises(ValueError, match=message):
+        tl.scenario_from_dict({**doc, "certified": certified})
+
+
+def test_scenario_dict_reads_certified_numbers_and_nulls():
+    # integers, floats and null load, and a missing key is null
+    doc = tl.scenario_to_dict(tl.build_single_scale_family(9, 1.0, 0.5, 0.5, 0.25).pairs[0])
+    pair = tl.scenario_from_dict({**doc, "certified": {"rho": 2, "gamma": 1.5, "c_Q": None}})
+    assert pair.certified == tl.Certified(rho=2, gamma=1.5)
+
+
+@pytest.mark.parametrize("doc", [5, [1, 2], "pair", None])
+def test_scenario_dict_rejects_a_non_object(doc):
+    # a file holding 5 raised TypeError ("'int' object is not iterable")
+    with pytest.raises(ValueError, match="a scenario must be a JSON object, got"):
         tl.scenario_from_dict(doc)
 
 
