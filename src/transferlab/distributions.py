@@ -28,6 +28,7 @@ from .hypotheses import (
     SampleCounts,
     UnlabeledSample,
     _MAX_DRAWS,
+    _count,
     _cube_patterns,
     _matvec,
     _row,
@@ -441,8 +442,7 @@ def _rng(n: int, seed: int) -> np.random.Generator | None:
 
 def _check_draws(n: int) -> int:
     """n, once checked to be a draw count of 0 <= n <= 2^53."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = _count("n", n)
     if n > _MAX_DRAWS:
         raise ValueError(f"n is {n}, above the 2^53 draws a sample holds")
     return n
@@ -508,12 +508,11 @@ def vg_packing(d: int, seed: int = 0, target: int | None = None) -> np.ndarray:
     `target` vectors are kept, 1 <= target <= 2^d (default: the guaranteed
     2^(d/8) + 1).
     """
-    if d < 8:
-        raise ValueError("packing construction needs d >= 8")
+    d = _count("d", d, 8)
     if target is not None and not 1 <= target <= 2 ** d:
         # the vectors are distinct, so no more than 2^d of them fit
         raise ValueError(f"target must be in [1, 2^{d}], got {target}")
-    need = int(math.floor(2.0 ** (d / 8.0))) + 1 if target is None else int(target)
+    need = int(math.floor(2.0 ** (d / 8.0))) + 1 if target is None else _count("target", target)
     min_dist = d / 8.0
     rng = rng_from(seed, 0x9AC)
     kept = np.ones((need, d), dtype=np.int8)
@@ -679,9 +678,7 @@ def build_single_scale_family(d_h: int, rho: float, beta_p: float, beta_q: float
     margins.  By construction the pair admits transfer exponent rho with
     constant 1 and noise exponents (beta_p, beta_q) with constants 1.
     """
-    d = d_h - 1
-    if d < 8:
-        raise ValueError("need d_h - 1 >= 8")
+    d = _count("d_h", d_h, 9) - 1
     if not 0.0 < epsilon <= 0.5:
         raise ValueError("epsilon must lie in (0, 1/2]")
     if not rho >= 1.0:
@@ -737,12 +734,10 @@ def build_two_scale_family(d_h: int, rho: float, beta_p: float, beta_q: float,
         tau = default_tau(gamma)
     if not default_tau(gamma) - 1e-12 <= tau < 1.0:
         raise ValueError("tau must lie in [max(1/2, (1/2)^(1/gamma)), 1)")
-    d = d_h - 1
-    if d % 2:
+    if not d_h % 2:
         raise ValueError(f"d_h must be odd, so that its d_h - 1 points split into two "
                          f"halves; got {d_h}")
-    if d < 4:
-        raise ValueError(f"d_h must be >= 5, got {d_h}")
+    d = _count("d_h", d_h, 5) - 1
     half = d // 2
     sigmas = _family_sigmas(d, sigmas, seed)
 
@@ -828,9 +823,9 @@ def example_scenario(sid: int, gamma: float | None = None, n_angles: int = 16):
 
 
 def _ring_surrogate(n_angles: int):
-    if n_angles < 4 or n_angles % 2:
-        raise ValueError("ring surrogate needs an even number of angles >= 4")
-    k = n_angles
+    k = _count("n_angles", n_angles, 4)
+    if k % 2:
+        raise ValueError(f"n_angles must be even, got {k}")
     theta = 2.0 * np.pi * (np.arange(k) + 0.5) / k
     labels_star = (np.cos(theta) > 0.0).astype(int)
     # outer ring indices 0..k-1 (P support), inner ring k..2k-1 (Q support)
@@ -876,10 +871,7 @@ def discretize_pair(pair: TransferPair, cells: int) -> tuple[TransferPair, Hypot
     """
     if pair.discrete:
         raise TypeError("pair is already discrete")
-    if isinstance(cells, bool) or not isinstance(cells, numbers.Integral):
-        raise TypeError(f"cells must be an integer, got {cells!r}")
-    if not cells >= 1:
-        raise ValueError(f"cells must be >= 1, got {cells}")
+    cells = _count("cells", cells, 1)
     p, q = pair.p, pair.q
     edges = np.linspace(*_line_extent(pair), cells + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
@@ -923,6 +915,13 @@ def scenario_from_dict(doc: dict) -> TransferPair:
     missing = required - set(doc)
     if missing:
         raise ValueError(f"missing scenario fields: {sorted(missing)}")
+    # numbers as JSON has them: a string, bool or null is not coerced to one
+    for key in ("support", "mass_p", "eta_p", "mass_q", "eta_q"):
+        if not isinstance(doc[key], list):
+            raise ValueError(f"{key} must be a list of numbers, got {doc[key]!r}")
+        for i, v in enumerate(doc[key]):
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError(f"{key}[{i}] must be a number, got {v!r}")
     support = np.asarray(doc["support"], dtype=np.float64)
     cert = None if doc["certified"] is None else Certified.from_json_dict(doc["certified"])
     return TransferPair(

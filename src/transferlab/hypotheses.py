@@ -51,6 +51,15 @@ _MAX_DRAWS = 2 ** 53
 _MAX_WEIGHT = 2.0 ** 485
 
 
+def _count(name: str, value, least: int = 0) -> int:
+    """value as an int, once checked to be an integer (a bool is not) >= least."""
+    if isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if (count := operator.index(value)) < least:
+        raise ValueError(f"{name} must be >= {least}, got {count}")
+    return count
+
+
 @dataclass(frozen=True)
 class Hypothesis:
     """A member of a class, as a record: a finite member's label pattern, or a
@@ -218,8 +227,7 @@ class HypothesisClass(Sequence):
 
     def __init__(self, label_matrix=None, vc_dim: int = 1, support_coords=None,
                  thresholds=None):
-        if vc_dim < 1:
-            raise ValueError("vc_dim must be >= 1")
+        vc_dim = _count("vc_dim", vc_dim, 1)
         if label_matrix is not None:
             label_matrix = np.array(label_matrix, dtype=np.float64)
             label_matrix.setflags(write=False)

@@ -29,7 +29,7 @@ from .distributions import (
     sample_labeled,
     true_risk,
 )
-from .hypotheses import HypothesisClass, erm, member_risks
+from .hypotheses import HypothesisClass, _count, erm, member_risks
 from .procedures import (
     ConfidenceParams,
     _selector_choice,
@@ -170,22 +170,22 @@ def sweep(cell_builder, estimator, grid, trials: int, seed: int,
     Used for minimax-style experiments where the hard instance is re-tuned to
     each sample size; `cell_builder(n_p, n_q)` returns the cell's pair/class.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials, jobs = _count("trials", trials, 1), _count("jobs", jobs)
+    if jobs > 1 and callable(estimator):
+        raise ValueError("parallel runs need a registry estimator id")
     _, name = _resolve(estimator)
-    cells = [(int(n_p), int(n_q)) for n_p, n_q in grid]
+    cells = [(_count("n_p", n_p), _count("n_q", n_q)) for n_p, n_q in grid]
     args = []
     for ci, (n_p, n_q) in enumerate(cells):
         pair, cls = cell_builder(n_p, n_q)
         args.append((pair, cls, estimator, n_p, n_q, trials, seed, ci, conf))
-    if jobs > 1:
-        if callable(estimator):
-            raise ValueError("parallel runs need a registry estimator id")
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a fork pool starts all its workers at once: no more of them than cells
+    if (workers := min(jobs, len(cells))) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             excesses = list(pool.map(_cell_excesses, *zip(*args)))
     else:
         excesses = [_cell_excesses(*a) for a in args]
-    return RateTable([RateRow(n_p, n_q, name, int(trials), float(np.mean(exc)),
+    return RateTable([RateRow(n_p, n_q, name, trials, float(np.mean(exc)),
                               float(np.median(exc)), float(np.quantile(exc, 0.10)),
                               float(np.quantile(exc, 0.90)), int(seed))
                       for exc, (n_p, n_q) in zip(excesses, cells)])
@@ -213,8 +213,7 @@ def fit_slope(table: RateTable, axis: str, statistic: str = "median",
         raise ValueError("axis must be 'n_p' or 'n_q'")
     if statistic not in ("mean", "median"):
         raise ValueError("statistic must be 'mean' or 'median'")
-    if drop_smallest < 0:
-        raise ValueError(f"drop_smallest must be >= 0, got {drop_smallest}")
+    drop_smallest = _count("drop_smallest", drop_smallest)
     xs = np.array([getattr(r, axis) for r in table.rows], dtype=np.float64)
     ys = np.array([getattr(r, statistic) for r in table.rows], dtype=np.float64)
     if drop_smallest > 0:

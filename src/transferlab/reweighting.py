@@ -23,6 +23,7 @@ from .hypotheses import (
     HypothesisClass,
     LabeledSample,
     _MAX_WEIGHT,
+    _count,
     ensure_finite,
     member_risks,
     weighted_member_risks,
@@ -62,6 +63,7 @@ class DensityFamily:
             self.pseudo_dim = max(1, math.ceil(math.log2(max(2, len(self.weights)))))
         elif not self.pseudo_dim >= 0:
             raise ValueError(f"pseudo_dim must be >= 0, got {self.pseudo_dim}")
+        self.pseudo_dim = _count("pseudo_dim", self.pseudo_dim)
 
     def __len__(self) -> int:
         return len(self.weights)

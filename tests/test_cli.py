@@ -309,6 +309,16 @@ def test_rates_shipped_golden_bytes(jobs, tmp_path, capsys):
     assert out.read_bytes() == (golden / "shipped.csv").read_bytes()
 
 
+def test_adaptive_shipped_golden_bytes(tmp_path, capsys):
+    # the README's adaptive example: its stdout summary and every round record
+    out = tmp_path / "shipped.jsonl"
+    assert run(["adaptive", "--config", str(CONFIGS / "cheap_source_adaptive.json"),
+                "--seed", "7", "--out", str(out)]) == 0
+    golden = DATA / "adaptive_golden"
+    assert capsys.readouterr().out.encode() == (golden / "shipped.json").read_bytes()
+    assert out.read_bytes() == (golden / "shipped.jsonl").read_bytes()
+
+
 def test_cli_runtime_error_exit_code(tmp_path, capsys):
     # adaptive on a continuous scenario without cells is a config error
     assert run(["adaptive", "--set", 'scenario={"id":2}', "--set", "eps=0.1",
@@ -729,8 +739,13 @@ def three_point_doc(**fields) -> dict:
     (three_point_doc(certified={"rho": "two"}), "certified.rho must be a number or null"),
     (three_point_doc(certified=[1, 2]), "certified must be a JSON object or null"),
     (5, "a scenario must be a JSON object"),
+    # strings and bools loaded (exit 0), a dict exited 3 and a null named eta
+    (three_point_doc(mass_p=["0.2", "0.3", "0.5"]), "mass_p[0] must be a number, got '0.2'"),
+    (three_point_doc(eta_p=[True, False, True]), "eta_p[0] must be a number, got True"),
+    (three_point_doc(mass_p={"a": 1}), "mass_p must be a list of numbers"),
+    (three_point_doc(eta_q=[None, 1, 0]), "eta_q[0] must be a number, got None"),
 ], ids=["unsorted", "repeated", "nan-mass", "nan-support", "certified-key", "certified-value",
-        "certified-list", "not-an-object"])
+        "certified-list", "not-an-object", "string-mass", "bool-eta", "dict-mass", "null-eta"])
 def test_bad_scenario_file_exits_2_naming_it(doc, message, tmp_path, capsys):
     path = tmp_path / "pair.json"
     path.write_text(json.dumps(doc))  # json writes and reads NaN

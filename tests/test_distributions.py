@@ -811,6 +811,24 @@ def test_scenario_dict_reads_certified_numbers_and_nulls():
     assert pair.certified == tl.Certified(rho=2, gamma=1.5)
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("mass_p", ["0.2", "0.3", "0.5"], "mass_p[0] must be a number, got '0.2'"),
+    ("eta_p", [True, False, True], "eta_p[0] must be a number, got True"),
+    ("mass_p", {"a": 1}, "mass_p must be a list of numbers, got {'a': 1}"),
+    ("eta_q", [None, 1, 0], "eta_q[0] must be a number, got None"),
+    ("support", 3.0, "support must be a list of numbers, got 3.0"),
+    ("mass_q", [0.5, [0.3], 0.2], "mass_q[1] must be a number, got [0.3]"),
+])
+def test_scenario_dict_rejects_arrays_of_non_numbers(key, value, message):
+    # strings and bools loaded as numbers, a dict failed in float() and a
+    # null as "eta[0] is nan", naming no key
+    doc = {"support": [0.0, 1.0, 2.0], "mass_p": [0.2, 0.3, 0.5], "eta_p": [0.9, 0.8, 0.1],
+           "mass_q": [0.5, 0.3, 0.2], "eta_q": [1.0, 0.7, 0.0], "certified": None}
+    tl.scenario_from_dict(doc)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tl.scenario_from_dict({**doc, key: value})
+
+
 @pytest.mark.parametrize("doc", [5, [1, 2], "pair", None])
 def test_scenario_dict_rejects_a_non_object(doc):
     # a file holding 5 raised TypeError ("'int' object is not iterable")

@@ -702,3 +702,72 @@ def test_raw_threshold_class_refuses_index_samples():
     assert tl.true_risk(joint, h) == 0.1
     cut, (empty,) = ensure_finite(threshold_class(), (make_sample([], []),))
     assert len(cut) == 2 and len(empty) == 0
+
+
+def _rate_family():
+    fam = tl.build_single_scale_family(9, 1.0, 0.5, 0.5, 0.25)
+    return fam.pairs[0], fam.cls
+
+
+def _rate_table():
+    return tl.RateTable([tl.RateRow(0, n, "e", 1, 1.0 / n, 1.0 / n, 0, 0, 0)
+                         for n in (8, 16, 32, 64, 128)])
+
+
+# (field, least, call) for every entry point that reads a count through
+# `hypotheses._count`: the call passes its one argument as that count
+COUNT_SITES = {
+    "vc_dim": ("vc_dim", 1, lambda v: tl.HypothesisClass(vc_dim=v)),
+    "sample-joint": ("n", 0, lambda v: tl.sample_labeled(
+        tl.DiscreteJoint(np.arange(3.0), np.full(3, 1 / 3), np.ones(3)), v, 1)),
+    "sample-line": ("n", 0, lambda v: tl.sample_labeled(tl.example_scenario(2).p, v, 1)),
+    "cells": ("cells", 1, lambda v: tl.discretize_pair(tl.example_scenario(2), v)),
+    "packing-d": ("d", 8, lambda v: tl.vg_packing(v)),
+    "packing-target": ("target", 1, lambda v: tl.vg_packing(8, 0, v)),
+    "single-scale": ("d_h", 9, lambda v: tl.build_single_scale_family(v, 1.0, 0.5, 0.5, 0.25)),
+    "two-scale": ("d_h", 5, lambda v: tl.build_two_scale_family(v, 2.0, 0.5, 0.5, 0.25, 0.125)),
+    "n_angles": ("n_angles", 4, lambda v: tl.example_scenario(1, n_angles=v)),
+    "trials": ("trials", 1, lambda v: tl.monte_carlo(*_rate_family(), "erm_q", [(0, 8)], v, 1)),
+    "n_p": ("n_p", 0, lambda v: tl.monte_carlo(*_rate_family(), "erm_q", [(v, 8)], 2, 1)),
+    "n_q": ("n_q", 0, lambda v: tl.monte_carlo(*_rate_family(), "erm_q", [(8, v)], 2, 1)),
+    "jobs": ("jobs", 0, lambda v: tl.monte_carlo(*_rate_family(), "erm_q", [(0, 8)], 2, 1,
+                                                 jobs=v)),
+    "drop_smallest": ("drop_smallest", 0,
+                      lambda v: tl.fit_slope(_rate_table(), "n_q", drop_smallest=v)),
+    "pseudo_dim": ("pseudo_dim", 0, lambda v: tl.DensityFamily([np.ones(3)], pseudo_dim=v)),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, True, np.True_, np.float64(3.0)])
+@pytest.mark.parametrize("site", COUNT_SITES)
+def test_count_rule_refuses_a_non_integer_by_name(site, value):
+    # 64.7 ran as n_q 64, True as one trial, and 2.5 drew two points or
+    # failed in numpy naming nothing
+    field, _, call = COUNT_SITES[site]
+    with pytest.raises(TypeError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+        call(value)
+
+
+@pytest.mark.parametrize("site", COUNT_SITES)
+def test_count_rule_refuses_a_count_below_its_least_by_name(site):
+    field, least, call = COUNT_SITES[site]
+    with pytest.raises(ValueError, match=rf"^{field} must be"):
+        call(least - 1)
+
+
+def test_count_rule_takes_numpy_integers():
+    i64 = np.int64
+    joint = tl.DiscreteJoint(np.arange(3.0), np.full(3, 1 / 3), np.ones(3))
+    a, b = tl.sample_labeled(joint, i64(5), 1), tl.sample_labeled(joint, 5, 1)
+    assert np.array_equal(a.points, b.points) and np.array_equal(a.ones, b.ones)
+    assert np.array_equal(tl.vg_packing(i64(8), 0, i64(3)), tl.vg_packing(8, 0, 3))
+    assert tl.HypothesisClass(vc_dim=np.int32(2)).vc_dim == 2
+    assert tl.DensityFamily([np.ones(3)], pseudo_dim=np.uint8(2)).pseudo_dim == 2
+    assert (tl.example_scenario(1, n_angles=i64(8))[1].label_matrix
+            == tl.example_scenario(1, n_angles=8)[1].label_matrix).all()
+    pair, cls = _rate_family()
+    rows = tl.monte_carlo(pair, cls, "erm_q", [(i64(0), i64(8))], i64(3), 1, jobs=i64(1)).rows
+    assert rows == tl.monte_carlo(pair, cls, "erm_q", [(0, 8)], 3, 1).rows
+    assert all(type(v) is int for v in (rows[0].n_p, rows[0].n_q, rows[0].trials))
+    assert (tl.fit_slope(_rate_table(), "n_q", drop_smallest=i64(1))
+            == tl.fit_slope(_rate_table(), "n_q", drop_smallest=1))

@@ -91,6 +91,39 @@ def test_parallel_jobs_bit_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_sweep_starts_no_more_workers_than_cells(monkeypatch):
+    # a fork pool starts every worker it is given at its first submit, so
+    # jobs=10**6 on three cells asked for a million processes; this pool
+    # records its size and maps in this process, starting none
+    workers = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(ratelab, "ProcessPoolExecutor", Pool)
+    pair, cls = small_family()
+    grid = [(0, 64), (0, 128), (0, 256)]
+    serial = tl.monte_carlo(pair, cls, "erm_q", grid, 4, seed=2, conf=CONF)
+    assert tl.monte_carlo(pair, cls, "erm_q", grid, 4, seed=2, conf=CONF,
+                          jobs=10 ** 6).rows == serial.rows
+    assert workers == [3]
+    # one cell, or none, runs without a pool
+    assert tl.monte_carlo(pair, cls, "erm_q", grid[:1], 4, seed=2, conf=CONF,
+                          jobs=8).rows == serial.rows[:1]
+    assert tl.monte_carlo(pair, cls, "erm_q", [], 4, seed=2, conf=CONF, jobs=8).rows == []
+    assert workers == [3]
+
+
 def test_csv_header_and_roundtrip(tmp_path):
     # the columns and their types come from RateRow's fields
     assert tl.ratelab.CSV_HEADER == ["n_p", "n_q", "estimator", "trials", "mean", "median",
