@@ -29,6 +29,14 @@ from .hypotheses import (
 
 ZERO = 1e-14
 DEFAULT_GRID_SIZE = 2 ** 12 + 1
+# The exponent reductions screen each member's ratio of logs with np.log and
+# recheck with math.log only those within this relative slack of the screened
+# extreme.  The logs are of values in (ZERO, 1): negative normal floats.  If
+# np.log is within u ulps of math.log, a log is within u * 2^-52 of it
+# relatively and each quotient rounds by 2^-53, so a screened ratio is within
+# (4u + 2) * 2^-53 of the exact one to first order, and an exact extreme within
+# twice that of the screened one: 2^-40 covers u up to 1000 (np.log: 1 ulp).
+SCREEN_SLACK = 2.0 ** -40
 
 
 @dataclass
@@ -139,10 +147,11 @@ def _threshold_profile(pair: TransferPair, grid: np.ndarray) -> PairProfile:
 
 
 def _logs(x: np.ndarray) -> np.ndarray:
-    """math.log of every entry, taken once per distinct value and indexed back:
-    np.log may round differently in the last bit."""
-    vals, back = np.unique(x, return_inverse=True)
-    return np.fromiter(map(math.log, vals.tolist()), np.float64, vals.size)[back]
+    """math.log of every entry, taken once per distinct value and found back by
+    binary search: the exact recheck of the members that pass the np.log
+    screen (SCREEN_SLACK), since np.log may round differently in the last bit."""
+    vals = np.unique(x)
+    return np.fromiter(map(math.log, vals.tolist()), np.float64, vals.size)[np.searchsorted(vals, x)]
 
 
 def _check_constant(name: str, value: float) -> None:
@@ -163,7 +172,9 @@ def _max_exponent(lhs: np.ndarray, rhs: np.ndarray, constant: float,
     Computed as the max over members of log(constant*lhs)/log(rhs) among those
     with 0 < rhs < 1 and constant*lhs < 1; the first member with lhs = 0 < rhs,
     or rhs = 1 > constant*lhs, forces +inf.  Members with constant*lhs >= 1
-    satisfy the inequality for free.  Ties go to the lowest index.
+    satisfy the inequality for free.  Ties go to the lowest index.  Only the
+    members whose np.log ratio is within SCREEN_SLACK of the max, every exact
+    maximizer among them, are rechecked with math.log.
     """
     scaled = constant * lhs
     live = (rhs > ZERO) & (scaled < 1.0 - ZERO)
@@ -174,6 +185,8 @@ def _max_exponent(lhs: np.ndarray, rhs: np.ndarray, constant: float,
     idx = np.flatnonzero(live)
     if idx.size == 0:
         return ExponentReport(1.0, constant, degenerate=True, grid_size=grid_size)
+    rough = np.log(scaled[idx]) / np.log(rhs[idx])
+    idx = idx[rough >= rough.max() * (1.0 - SCREEN_SLACK)]
     ratios = _logs(scaled[idx]) / _logs(rhs[idx])
     k = int(np.argmax(ratios))
     return ExponentReport(float(ratios[k]), constant, members[int(idx[k])],
@@ -211,7 +224,8 @@ def _min_noise_exponent(excess: np.ndarray, dis: np.ndarray, c_noise: float,
     """beta_max's reduction: the first member with excess > 0 and dis >
     c_noise (1 + ZERO) violates beta = 0; otherwise the min of
     min(1, log(dis/c_noise)/log(excess)) over members with 0 < excess < 1 and
-    dis > 0, taken as 0 where dis >= c_noise.  Ties go to the lowest index."""
+    dis > 0, taken as 0 where dis >= c_noise.  Ties go to the lowest index.
+    Screened and rechecked as in `_max_exponent`, near the min."""
     dis = dis / c_noise
     violating = (excess > ZERO) & (dis > 1.0 + ZERO)
     if violating.any():
@@ -220,6 +234,9 @@ def _min_noise_exponent(excess: np.ndarray, dis: np.ndarray, c_noise: float,
     idx = np.flatnonzero((excess > ZERO) & (excess < 1.0 - ZERO) & (dis > ZERO))
     if idx.size == 0:
         return ExponentReport(1.0, c_noise, degenerate=True, grid_size=grid_size)
+    d, e = dis[idx], excess[idx]
+    rough = np.where(d < 1.0, np.minimum(1.0, np.log(d) / np.log(e)), 0.0)
+    idx = idx[rough <= rough.min() * (1.0 + SCREEN_SLACK)]
     d, e = dis[idx], excess[idx]
     ratios = np.where(d < 1.0, np.minimum(1.0, _logs(d) / _logs(e)), 0.0)
     k = int(np.argmin(ratios))

@@ -509,7 +509,8 @@ def vg_packing(d: int, seed: int = 0, target: int | None = None) -> np.ndarray:
     2^(d/8) + 1).
     """
     d = _count("d", d, 8)
-    if target is not None and not 1 <= target <= 2 ** d:
+    if target is not None and (isinstance(target, float) and math.isnan(target)
+                               or not 1 <= _count("target", target, -math.inf) <= 2 ** d):
         # the vectors are distinct, so no more than 2^d of them fit
         raise ValueError(f"target must be in [1, 2^{d}], got {target}")
     need = int(math.floor(2.0 ** (d / 8.0))) + 1 if target is None else _count("target", target)
@@ -734,7 +735,7 @@ def build_two_scale_family(d_h: int, rho: float, beta_p: float, beta_q: float,
         tau = default_tau(gamma)
     if not default_tau(gamma) - 1e-12 <= tau < 1.0:
         raise ValueError("tau must lie in [max(1/2, (1/2)^(1/gamma)), 1)")
-    if not d_h % 2:
+    if not _count("d_h", d_h, -math.inf) % 2:  # parity before the least: 4 is even
         raise ValueError(f"d_h must be odd, so that its d_h - 1 points split into two "
                          f"halves; got {d_h}")
     d = _count("d_h", d_h, 5) - 1
@@ -776,9 +777,12 @@ def epsilon_schedule(n_p: float, n_q: float, d_h: int, rho: float,
 
 
 def kl_product(family: SigmaFamily, i: int, j: int, n_p: int, n_q: int) -> float:
-    """Exact KL between the (sample-size powered) product measures of pairs i, j."""
-    return (n_p * _conditional_kl(family.mass_p, family.eta_p[i], family.eta_p[j])
-            + n_q * _conditional_kl(family.mass_q, family.eta_q[i], family.eta_q[j]))
+    """Exact KL between the (sample-size powered) product measures of pairs i, j.
+    An empty sample contributes 0, even where its per-draw KL is infinite."""
+    n_p, n_q = _count("n_p", n_p), _count("n_q", n_q)
+    kl_p = _conditional_kl(family.mass_p, family.eta_p[i], family.eta_p[j])
+    kl_q = _conditional_kl(family.mass_q, family.eta_q[i], family.eta_q[j])
+    return (n_p * kl_p if n_p else 0.0) + (n_q * kl_q if n_q else 0.0)
 
 
 # ---------------------------------------------------------------------------

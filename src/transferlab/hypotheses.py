@@ -53,9 +53,13 @@ _MAX_WEIGHT = 2.0 ** 485
 
 def _count(name: str, value, least: int = 0) -> int:
     """value as an int, once checked to be an integer (a bool is not) >= least."""
-    if isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__index__"):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    if (count := operator.index(value)) < least:
+    try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
+        count = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if count < least:
         raise ValueError(f"{name} must be >= {least}, got {count}")
     return count
 

@@ -503,6 +503,88 @@ def test_exponent_reductions_match_the_loops_on_pairs():
                     own.e_p, own.dis_p, c, own.members, own.grid_size)
 
 
+def test_screened_reductions_match_the_loops_at_one_ulp_near_ties():
+    # a copy of the extreme member with one input moved by an ulp either way
+    # (or not at all), placed before or after it, ties the extreme or misses
+    # it by about an ulp of the ratio: the np.log screen must keep both, and
+    # the exact recheck must pick the loop's value and lowest-index witness
+    rng = np.random.default_rng(43)
+    for trial in range(2000):
+        m = int(rng.integers(1, 200))
+        c = float(rng.choice([0.5, 1.0, 2.0]))
+        small, big = reduction_values(rng, m, 0.0), reduction_values(rng, m, 0.0)
+        for reduce_, loop, lhs, rhs in (
+                (_max_exponent, oracles.max_exponent_loop, small / c, big),
+                (_min_noise_exponent, oracles.beta_max_loop, big, small * c)):
+            w = loop(lhs, rhs, c, range(m), None).witness
+            twin = [lhs[w], rhs[w]]
+            if trial % 3:
+                twin[trial % 2] = np.nextafter(twin[trial % 2], (0.0, 1.0)[trial % 3 - 1])
+            j = int(rng.integers(0, m + 1))
+            lhs, rhs = np.insert(lhs, j, twin[0]), np.insert(rhs, j, twin[1])
+            members = range(m + 1)
+            assert reduce_(lhs, rhs, c, members, None) == loop(lhs, rhs, c, members, None), \
+                (trial, reduce_.__name__)
+
+
+def test_screened_reductions_match_the_loops_on_wide_ties_and_line_grids():
+    # at rho = beta = 1 thousands of members of a d_h = 13 or 15 family share
+    # each ratio, so thousands pass the screen; discretized line scenarios hold
+    # exact ties that float rounding splits by an ulp or so
+    wide = [tl.build_single_scale_family(d_h, 1.0, 1.0, 1.0, 0.25) for d_h in (13, 15)]
+    cases = [(big.pairs[i], big.cls) for big in wide for i in (1, len(big) // 2)]
+    for sc in (tl.example_scenario(2), tl.example_scenario(3, gamma=2.0),
+               tl.example_scenario(4, gamma=0.5)):
+        cases += [tl.discretize_pair(sc, cells) for cells in (14, 34, 42, 49, 53, 60, 61, 256)]
+    for pair, cls in cases:
+        prof = pair_profile(pair, cls)
+        clipped = np.maximum(prof.risk_q - prof.risk_q[prof.star_p], 0.0)
+        for c in (0.25, 3.0):
+            for lhs, rhs in ((prof.e_p, prof.e_q), (prof.dis_p, prof.dis_q),
+                             (prof.e_p, clipped)):
+                assert _max_exponent(lhs, rhs, c, prof.members, None) == \
+                    oracles.max_exponent_loop(lhs, rhs, c, prof.members, None)
+            for excess, dis in ((prof.e_p, prof.dis_p), (prof.e_q, prof.dis_q_own)):
+                assert _min_noise_exponent(excess, dis, c, prof.members, None) == \
+                    oracles.beta_max_loop(excess, dis, c, prof.members, None)
+
+
+def _agreeing_twin(x):
+    """A float next to x with the same math.log, where np.log agrees, or None."""
+    want = math.log(x)
+    for toward in (0.0, 1.0):
+        y = x
+        while math.log(y := float(np.nextafter(y, toward))) == want:
+            if float(np.log(y)) == want:
+                return y
+    return None
+
+
+def test_screen_keeps_the_extreme_where_np_log_rounds_apart():
+    # x and its twin y have the same math.log, so their ratios tie exactly and
+    # the first member is the witness; np.log rounds x's log apart, so the
+    # screen ranks x strictly above or below y.  The twin that the screen
+    # ranks last goes first: a reduction that reports screened ratios, or
+    # keeps only the screened extreme, names the second member.  On a numpy
+    # whose np.log rounds like math.log on these draws there is no such x.
+    rng = np.random.default_rng(7)
+    x = rng.uniform(1e-3, 0.5, 20000)
+    apart = x[np.log(x) != np.fromiter(map(math.log, x.tolist()), np.float64, x.size)]
+    for v in apart[:8].tolist():
+        y = _agreeing_twin(v)
+        if y is None:
+            continue
+        below = float(np.log(v)) > math.log(v)  # np.log's ratio is the smaller
+        for reduce_, loop, other, first in (
+                (_max_exponent, oracles.max_exponent_loop, 0.5, (v, y) if below else (y, v)),
+                (_min_noise_exponent, oracles.beta_max_loop, 1e-6, (y, v) if below else (v, y))):
+            vals, fixed = np.array(first), np.full(2, other)
+            lhs, rhs = (vals, fixed) if reduce_ is _max_exponent else (fixed, vals)
+            want = loop(lhs, rhs, 1.0, range(2), None)
+            assert want.witness == 0
+            assert reduce_(lhs, rhs, 1.0, range(2), None) == want, (v, reduce_.__name__)
+
+
 def assert_reports_close(got, want, members, ratio_at):
     """Values within 1e-15 and the same witness.  Where the witnesses differ,
     the matrix computation ties them: its ratio at the cut class's witness,

@@ -667,6 +667,19 @@ def test_kl_product_with_tuned_epsilon_stays_small():
     assert val <= 2 * c0 * c1 * (d_h - 1) + 1e-9
 
 
+def test_kl_product_counts_an_empty_sample_as_zero():
+    # with beta_P = 1 the source is noiseless and its per-draw KL infinite:
+    # n_p = 0 read 0 * inf = nan, not the target's finite KL
+    fam = tl.build_single_scale_family(9, 2.0, 1.0, 0.5, 0.25)
+    a, b = fam.pairs[0], fam.pairs[1]
+    assert tl.kl_product(fam, 0, 1, 0, 100) == 100 * oracles.joint_kl(a.q, b.q) > 0
+    assert tl.kl_product(fam, 0, 1, 100, 0) == math.inf
+    assert tl.kl_product(fam, 0, 1, 0, 0) == 0.0
+    noiseless = tl.build_single_scale_family(9, 1.0, 1.0, 1.0, 0.25)
+    for n_p, n_q, want in ((0, 100, math.inf), (100, 0, math.inf), (0, 0, 0.0)):
+        assert tl.kl_product(noiseless, 0, 1, n_p, n_q) == want
+
+
 # ---------------------------------------------------------------------------
 # scenarios and serialization
 

@@ -735,14 +735,22 @@ COUNT_SITES = {
     "drop_smallest": ("drop_smallest", 0,
                       lambda v: tl.fit_slope(_rate_table(), "n_q", drop_smallest=v)),
     "pseudo_dim": ("pseudo_dim", 0, lambda v: tl.DensityFamily([np.ones(3)], pseudo_dim=v)),
+    "kl-n_p": ("n_p", 0, lambda v: tl.kl_product(_kl_family(), 0, 1, v, 8)),
+    "kl-n_q": ("n_q", 0, lambda v: tl.kl_product(_kl_family(), 0, 1, 8, v)),
 }
 
 
-@pytest.mark.parametrize("value", [2.5, True, np.True_, np.float64(3.0)])
+def _kl_family():
+    return tl.build_single_scale_family(9, 1.0, 0.5, 0.5, 0.25)
+
+
+@pytest.mark.parametrize("value", [2.5, True, np.True_, np.float64(3.0), "4", np.array(3.0),
+                                   np.array([3, 4])])
 @pytest.mark.parametrize("site", COUNT_SITES)
 def test_count_rule_refuses_a_non_integer_by_name(site, value):
     # 64.7 ran as n_q 64, True as one trial, and 2.5 drew two points or
-    # failed in numpy naming nothing
+    # failed in numpy naming nothing; "4" and an array failed unnamed where a
+    # parity or range test ran first, and a 0-d float array failed in numpy
     field, _, call = COUNT_SITES[site]
     with pytest.raises(TypeError, match=re.escape(f"{field} must be an integer, got {value!r}")):
         call(value)
@@ -762,6 +770,8 @@ def test_count_rule_takes_numpy_integers():
     assert np.array_equal(a.points, b.points) and np.array_equal(a.ones, b.ones)
     assert np.array_equal(tl.vg_packing(i64(8), 0, i64(3)), tl.vg_packing(8, 0, 3))
     assert tl.HypothesisClass(vc_dim=np.int32(2)).vc_dim == 2
+    vc_dim = tl.HypothesisClass(vc_dim=np.array(2)).vc_dim  # a 0-d integer array
+    assert type(vc_dim) is int and vc_dim == 2
     assert tl.DensityFamily([np.ones(3)], pseudo_dim=np.uint8(2)).pseudo_dim == 2
     assert (tl.example_scenario(1, n_angles=i64(8))[1].label_matrix
             == tl.example_scenario(1, n_angles=8)[1].label_matrix).all()
