@@ -23,6 +23,7 @@ from .hypotheses import (
     HypothesisClass,
     LabeledSample,
     _MAX_DRAWS,
+    _count,
     ensure_finite,
     erm,
     tally,
@@ -134,7 +135,12 @@ class SamplingTranscript:
 def unlabeled_requirement(eps: float, delta: float, vc_dim: int,
                           kappa: float = 4.0) -> int:
     """Minimum unlabeled pool size for the adaptive run: kappa times the
-    (d/eps) log(1/eps) + (1/eps) log(1/delta) scaling; kappa must be positive."""
+    (d/eps) log(1/eps) + (1/eps) log(1/delta) scaling; eps and delta must lie
+    in (0, 1) and kappa must be positive."""
+    for name, value in (("eps", eps), ("delta", delta)):
+        if not 0.0 < value < 1.0:
+            raise ValueError(f"{name} must lie in (0, 1), got {value}")
+    vc_dim = _count("vc_dim", vc_dim, 1)
     if not kappa > 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
     need = kappa * ((vc_dim / eps) * math.log(1.0 / eps) + (1.0 / eps) * math.log(1.0 / delta))
@@ -159,8 +165,6 @@ def run_adaptive_sampling(eps: float, sched_p: CostSchedule, sched_q: CostSchedu
     `derive_seed(seed, t, 1, bits=63)`.  Returns (hypothesis, transcript).
     q_only runs the target-only baseline: no source batches and no step 7.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
     need = unlabeled_requirement(eps, conf.delta, cls.vc_dim, kappa)
     if len(unlabeled) < need:
         raise ValueError(f"unlabeled pool of {len(unlabeled)} is below the "

@@ -290,6 +290,10 @@ class Density1D:
     hi: float = 1.0
     g: float = 1.0
 
+    def __post_init__(self):
+        if self.form not in ("uniform", "left-uniform-right-power", "symmetric-power"):
+            raise ValueError(f"unknown density form {self.form!r}")
+
     def cdf(self, x) -> np.ndarray:
         x = np.clip(np.asarray(x, dtype=np.float64), self.lo, self.hi)
         if self.form == "uniform":
@@ -297,9 +301,7 @@ class Density1D:
         if self.form == "left-uniform-right-power":
             return np.where(x <= 0.0, (x + 1.0) / 2.0,
                             0.5 + 0.5 * np.abs(x) ** self.g)
-        if self.form == "symmetric-power":
-            return 0.5 + 0.5 * np.sign(x) * np.abs(x) ** self.g
-        raise ValueError(f"unknown density form {self.form!r}")
+        return 0.5 + 0.5 * np.sign(x) * np.abs(x) ** self.g
 
     def ppf(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=np.float64)
@@ -308,9 +310,7 @@ class Density1D:
         if self.form == "left-uniform-right-power":
             return np.where(u <= 0.5, 2.0 * u - 1.0,
                             np.maximum(2.0 * u - 1.0, 0.0) ** (1.0 / self.g))
-        if self.form == "symmetric-power":
-            return np.sign(u - 0.5) * np.abs(2.0 * u - 1.0) ** (1.0 / self.g)
-        raise ValueError(f"unknown density form {self.form!r}")
+        return np.sign(u - 0.5) * np.abs(2.0 * u - 1.0) ** (1.0 / self.g)
 
     def interval_mass(self, a: float, b: float) -> float:
         if b < a:
@@ -497,7 +497,7 @@ def excess_risk(dist, h: Hypothesis, cls: HypothesisClass) -> float:
 
 
 # ---------------------------------------------------------------------------
-# packing and KL utilities
+# sign-vector packing
 
 
 def vg_packing(d: int, seed: int = 0, target: int | None = None) -> np.ndarray:
@@ -536,36 +536,6 @@ def vg_packing(d: int, seed: int = 0, target: int | None = None) -> np.ndarray:
                     break
     kept.setflags(write=False)
     return kept
-
-
-def kl_bernoulli(p: float, q: float) -> float:
-    """KL(Ber(p) || Ber(q)); arguments must lie strictly inside (0, 1)."""
-    if not (0.0 < p < 1.0 and 0.0 < q < 1.0):
-        raise ValueError("kl_bernoulli needs p, q in the open interval (0, 1)")
-    return p * math.log(p / q) + (1.0 - p) * math.log((1.0 - p) / (1.0 - q))
-
-
-def chi2_bound(epsilon: float, z: int = 1) -> float:
-    """Chi-square upper bound on KL(1/2 + (z/2) eps || 1/2 - (z/2) eps)."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    if z not in (-1, 1):
-        raise ValueError("z must be -1 or +1")
-    p = 0.5 + (z / 2.0) * epsilon
-    q = 0.5 - (z / 2.0) * epsilon
-    return q * (1.0 - p / q) ** 2 + (1.0 - q) * (1.0 - (1.0 - p) / (1.0 - q)) ** 2
-
-
-def _conditional_kl(mass: np.ndarray, eta_a: np.ndarray, eta_b: np.ndarray) -> float:
-    """Exact KL between the joints with marginal `mass` and etas eta_a, eta_b."""
-    total = 0.0
-    for m, pa, pb in zip(mass, eta_a, eta_b):
-        if m == 0.0 or pa == pb:
-            continue
-        if pa in (0.0, 1.0) or pb in (0.0, 1.0):
-            return math.inf
-        total += m * kl_bernoulli(pa, pb)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -774,15 +744,6 @@ def epsilon_schedule(n_p: float, n_q: float, d_h: int, rho: float,
     term_q = (d_h / n_q) ** (1.0 / (2.0 - beta_q)) if n_q > 0 else math.inf
     eps = c1 * min(term_p, term_q)
     return min(eps, 0.5)
-
-
-def kl_product(family: SigmaFamily, i: int, j: int, n_p: int, n_q: int) -> float:
-    """Exact KL between the (sample-size powered) product measures of pairs i, j.
-    An empty sample contributes 0, even where its per-draw KL is infinite."""
-    n_p, n_q = _count("n_p", n_p), _count("n_q", n_q)
-    kl_p = _conditional_kl(family.mass_p, family.eta_p[i], family.eta_p[j])
-    kl_q = _conditional_kl(family.mass_q, family.eta_q[i], family.eta_q[j])
-    return (n_p * kl_p if n_p else 0.0) + (n_q * kl_q if n_q else 0.0)
 
 
 # ---------------------------------------------------------------------------

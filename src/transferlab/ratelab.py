@@ -101,8 +101,13 @@ class RateTable:
             header = next(reader)
             if header != CSV_HEADER:
                 raise ValueError(f"unexpected CSV header {header}")
-            return cls([RateRow(*(parse(v) for v, (_, parse) in zip(rec, _COLUMNS)))
-                        for rec in reader])
+            rows = []
+            for rec in reader:
+                if len(rec) != len(CSV_HEADER):
+                    raise ValueError(f"{path}: line {reader.line_num} has {len(rec)} fields, "
+                                     f"the header {len(CSV_HEADER)}")
+                rows.append(RateRow(*(parse(v) for v, (_, parse) in zip(rec, _COLUMNS))))
+            return cls(rows)
 
 
 def _resolve(estimator):

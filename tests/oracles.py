@@ -10,8 +10,8 @@ count-built run see the same data; `label_counts_two_masks` is the package's
 earlier two-pass label counts on its sample indexing; and `adaptive_loop` is
 the package's earlier adaptive loop, which concatenates every point batch
 bought so far and recounts the whole sample each round, kept verbatim on the
-package's `delta_hat`, `erm` and widths; `joint_kl` is the package's earlier
-KL between two built joints, kept verbatim.
+package's `delta_hat`, `erm` and widths.  `r_star` is the exact Bayes risk
+of the single-scale family template, which the package does not compute.
 """
 
 import math
@@ -21,7 +21,7 @@ import numpy as np
 
 from transferlab.adaptive import Round, SamplingTranscript, delta_hat, unlabeled_requirement
 from transferlab.discrepancy import ZERO, ExponentReport
-from transferlab.distributions import DiscreteJoint, ThresholdMarginal, kl_bernoulli
+from transferlab.distributions import DiscreteJoint, ThresholdMarginal
 from transferlab.distributions import sample_labeled as package_sample_labeled
 from transferlab.distributions import sample_unlabeled as package_sample_unlabeled
 from transferlab.hypotheses import (
@@ -300,18 +300,95 @@ def beta_max_loop(excess, dis, c_noise, members, grid_size):
     return ExponentReport(max(best, 0.0), c_noise, members[witness], grid_size=grid_size)
 
 
-def joint_kl(a: DiscreteJoint, b: DiscreteJoint) -> float:
-    """Exact KL between two joints sharing a marginal (conditional KL only)."""
-    if not np.array_equal(a.mass, b.mass):
-        raise ValueError("joints must share the X marginal")
-    total = 0.0
-    for m, pa, pb in zip(a.mass, a.eta, b.eta):
-        if m == 0.0 or pa == pb:
-            continue
-        if pa in (0.0, 1.0) or pb in (0.0, 1.0):
-            return math.inf
-        total += m * kl_bernoulli(pa, pb)
-    return total
+# the exact Bayes risk of the single-scale template (Assouad's argument, see
+# Tsybakov, Introduction to Nonparametric Estimation, 2009, section 2.7): with
+# a uniform prior over all 2^d sign vectors the posterior factorizes over the
+# d non-anchor points, so the Bayes risk under Q is d * w_Q * m_Q times the
+# chance that one point's posterior sign is wrong, a tie counting 1/2.  Any
+# prior's Bayes risk is at most the minimax risk over the family, so its
+# maximum over the scale is an exact finite-n lower-bound curve.
+
+TAIL = 1e-15  # each binomial keeps the terms whose pmf is at least this
+EPS_GRID = np.geomspace(1e-4, 0.5, 60)
+
+
+def truncation_bound(n_p, n_q, eps):
+    """What truncation can take off `bayes_risk_at_scale`: a binomial over
+    n + 1 terms loses at most (n + 1) * TAIL, and a side loses at most that
+    for its counts and again for their ones; the risk scales it by eps."""
+    return eps * 2 * (n_p + n_q + 2) * TAIL
+
+
+def _log_factorials(n):
+    return np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+
+
+def _binomial_pmf(n, k, log_p, log_q, log_fact):
+    """Bin(n, p) at k (broadcast; 0 where k > n), below TAIL set to 0."""
+    ok = k <= n
+    n, k = np.where(ok, n, 0), np.where(ok, k, 0)  # a masked cell reads Bin(0) at 0
+    pmf = np.exp(log_fact[n] - log_fact[k] - log_fact[n - k] + k * log_p + (n - k) * log_q)
+    return np.where(ok & (pmf >= TAIL), pmf, 0.0)
+
+
+def _evidence_law(n, w, m, log_fact):
+    """The law of a = ones - zeros at one point under sign +1, as (values,
+    probabilities): the point's count is Bin(n, w), w < 1, its ones
+    Bin(N, (1+m)/2); with margin 1 every label is 1, so a = N."""
+    if n == 0:
+        return np.zeros(1, dtype=np.int64), np.ones(1)
+    N = np.arange(n + 1)
+    p_n = _binomial_pmf(n, N, math.log(w), math.log1p(-w), log_fact)
+    N, p_n = N[p_n > 0], p_n[p_n > 0]
+    if m == 1.0:
+        return N, p_n
+    k = np.arange(N[-1] + 1)
+    p_k = _binomial_pmf(N[:, None], k, math.log((1 + m) / 2), math.log((1 - m) / 2), log_fact)
+    a = np.minimum(2 * k - N[:, None], N[-1])  # k > N has weight 0
+    law = np.bincount((a + N[-1]).ravel(), weights=(p_n[:, None] * p_k).ravel(),
+                      minlength=2 * N[-1] + 1)
+    return np.arange(-N[-1], N[-1] + 1), law
+
+
+def _log_odds(m):
+    """L = log((1 + m)/(1 - m)), the weight of one label's evidence."""
+    return math.inf if m == 1.0 else math.log1p(m) - math.log1p(-m)
+
+
+def bayes_risk_at_scale(eps, n_p, n_q, rho, beta_p, beta_q, d, log_fact=None):
+    """Bayes Q-excess of the single-scale template at scale eps, under a
+    uniform prior over all 2^d sign vectors, from n_p source and n_q target
+    draws.  The posterior sign at a point is wrong when a_P L_P + a_Q L_Q < 0;
+    a noiseless side decides the point with one draw, and equal weights
+    compare a_P + a_Q as integers.  Exact up to `truncation_bound`."""
+    if log_fact is None:
+        log_fact = _log_factorials(max(n_p, n_q))
+    w_q, m_q = eps ** beta_q / d, eps ** (1 - beta_q)
+    w_p, m_p = eps ** (rho * beta_p) / d, eps ** (rho * (1 - beta_p))
+    a_p, pr_p = _evidence_law(n_p, w_p, m_p, log_fact)
+    a_q, pr_q = _evidence_law(n_q, w_q, m_q, log_fact)
+    a_p, a_q = a_p[:, None], a_q[None, :]
+    l_p, l_q = _log_odds(m_p), _log_odds(m_q)
+    if l_p == l_q:
+        s = a_p + a_q
+    elif l_p == math.inf:
+        s = np.where(a_p != 0, a_p, a_q)
+    elif l_q == math.inf:
+        s = np.where(a_q != 0, a_q, a_p)
+    else:
+        s = a_p * l_p + a_q * l_q
+    wrong = pr_p @ ((s < 0) + 0.5 * (s == 0)) @ pr_q
+    return d * w_q * m_q * float(wrong)
+
+
+def r_star(n_p, n_q, rho, beta_p, beta_q, d):
+    """R*(n_p, n_q): the largest `bayes_risk_at_scale` over EPS_GRID, and the
+    lowest scale that reaches it, as (risk, eps)."""
+    log_fact = _log_factorials(max(n_p, n_q))
+    risks = [bayes_risk_at_scale(e, n_p, n_q, rho, beta_p, beta_q, d, log_fact)
+             for e in EPS_GRID]
+    i = int(np.argmax(risks))
+    return risks[i], float(EPS_GRID[i])
 
 
 def rng_from(seed, *path):

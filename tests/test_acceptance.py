@@ -330,11 +330,6 @@ def test_criterion_10_instance_10_support_order():
 
 
 def test_criterion_11_infrastructure():
-    # kl dominated by its chi-square bound across the scale grid
-    for eps in np.arange(0.01, 0.50, 0.01):
-        p, q = 0.5 + eps / 2, 0.5 - eps / 2
-        assert tl.kl_bernoulli(p, q) <= tl.chi2_bound(float(eps)) + 1e-15
-
     # packing guarantees at the standard dimensions
     for d in (8, 16, 24, 32):
         pack = tl.vg_packing(d, seed=7)
@@ -356,7 +351,7 @@ def test_criterion_11_infrastructure():
             paths.append(path)
         with open(paths[0], "rb") as fa, open(paths[1], "rb") as fb:
             assert fa.read() == fb.read()
-    report("criterion 11", "kl bound, packing bounds, deterministic replay")
+    report("criterion 11", "packing bounds, deterministic replay")
 
 
 def test_calibration_constant():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +124,16 @@ def test_unlabeled_requirement_scaling():
     a = tl.unlabeled_requirement(0.1, 0.1, 8)
     b = tl.unlabeled_requirement(0.05, 0.1, 8)
     assert b > a >= 8
+
+
+@pytest.mark.parametrize("eps, delta, name, value", [
+    (2.0, 0.9, "eps", 2.0), (0.0, 0.1, "eps", 0.0), (math.nan, 0.1, "eps", math.nan),
+    (0.1, 0.0, "delta", 0.0), (0.1, 1.5, "delta", 1.5), (0.1, 1.0, "delta", 1.0)])
+def test_unlabeled_requirement_names_an_eps_or_delta_outside_0_1(eps, delta, name, value):
+    # (2.0, 0.9) once asked for -1 points, delta 1.5 for 76, and a zero
+    # raised a bare ZeroDivisionError
+    with pytest.raises(ValueError, match=re.escape(f"{name} must lie in (0, 1), got {value}")):
+        tl.unlabeled_requirement(eps, delta, 1)
 
 
 def _samplers(pair, sample=tl.sample_labeled):

@@ -531,7 +531,7 @@ def test_epsilon_schedule_matches_direct_formula():
 
 
 # ---------------------------------------------------------------------------
-# packing and kl
+# packing
 
 
 def test_vg_packing_bounds():
@@ -585,46 +585,6 @@ def test_vg_packing_is_unchanged(d, target):
     assert h.hexdigest()[:16] == PACKING_DIGESTS[d, target]
 
 
-def test_kl_bernoulli_zero_and_value():
-    assert tl.kl_bernoulli(0.3, 0.3) == 0.0
-    assert tl.kl_bernoulli(0.75, 0.25) == pytest.approx(0.5 * math.log(3), abs=1e-15)
-    with pytest.raises(ValueError):
-        tl.kl_bernoulli(0.0, 0.5)
-
-
-def test_chi2_bound_value_and_domination():
-    assert tl.chi2_bound(0.5, 1) == pytest.approx(4 / 3, abs=1e-15)
-    for eps in np.arange(0.01, 0.50, 0.01):
-        p = 0.5 + eps / 2
-        q = 0.5 - eps / 2
-        assert tl.kl_bernoulli(p, q) <= tl.chi2_bound(float(eps)) + 1e-15
-
-
-def test_kl_product_symmetry_and_bound():
-    fam = tl.build_single_scale_family(9, 2.0, 0.5, 0.5, 0.25)
-    n_p, n_q = 50, 70
-    assert tl.kl_product(fam, 3, 3, n_p, n_q) == 0.0
-    a = tl.kl_product(fam, 3, 12, n_p, n_q)
-    b = tl.kl_product(fam, 12, 3, n_p, n_q)
-    assert a == pytest.approx(b, rel=1e-12)
-    # closed-form domination with the chi-square constant
-    rho, bp, bq, eps = 2.0, 0.5, 0.5, 0.25
-    e_p = eps ** (rho * (1 - bp))
-    e_q = eps ** (1 - bq)
-    c0 = max(tl.chi2_bound(e_p) / e_p ** 2, tl.chi2_bound(e_q) / e_q ** 2)
-    assert a <= c0 * (n_p * eps ** (rho * (2 - bp)) + n_q * eps ** (2 - bq)) + 1e-12
-
-
-def test_kl_product_matches_kl_of_built_pairs():
-    # every (i, j) at d_h = 9, against the per-pair KL on two built joints
-    fam = tl.build_single_scale_family(9, 2.0, 0.5, 0.5, 0.25)
-    n_p, n_q = 50, 70
-    for i, a in enumerate(fam.pairs):
-        for j, b in enumerate(fam.pairs):
-            want = n_p * oracles.joint_kl(a.p, b.p) + n_q * oracles.joint_kl(a.q, b.q)
-            assert tl.kl_product(fam, i, j, n_p, n_q) == want
-
-
 def test_family_builds_a_pair_only_when_indexed(monkeypatch):
     # a checked and a trusted joint both set their arrays through `_set`
     joints = []
@@ -635,7 +595,6 @@ def test_family_builds_a_pair_only_when_indexed(monkeypatch):
     two = tl.build_two_scale_family(9, 4.0, 0.5, 0.5, 0.25, 0.125)
     tl.verify_family(fam)
     tl.verify_family(two)
-    tl.kl_product(fam, 3, 12, 50, 70)
     assert joints == []
     assert not fam.eta_p.flags.writeable and not fam.mass_q.flags.writeable
     pair = fam.pairs[5]
@@ -649,39 +608,16 @@ def test_family_builds_a_pair_only_when_indexed(monkeypatch):
     for i in (len(fam), -len(fam) - 1):
         with pytest.raises(IndexError):
             fam.pairs[i]
-        with pytest.raises(IndexError):
-            tl.kl_product(fam, 0, i, 50, 70)
-
-
-def test_kl_product_with_tuned_epsilon_stays_small():
-    # with the scale set from the sample sizes, the product KL is O(d)
-    d_h, rho, bp, bq = 9, 2.0, 0.5, 0.5
-    n_p, n_q = 2048, 512
-    c1 = 0.5
-    eps = tl.epsilon_schedule(n_p, n_q, d_h, rho, bp, bq, c1=c1)
-    fam = tl.build_single_scale_family(d_h, rho, bp, bq, eps)
-    e_p = eps ** (rho * (1 - bp))
-    e_q = eps ** (1 - bq)
-    c0 = max(tl.chi2_bound(e_p) / e_p ** 2, tl.chi2_bound(e_q) / e_q ** 2)
-    val = tl.kl_product(fam, 0, len(fam) - 1, n_p, n_q)
-    assert val <= 2 * c0 * c1 * (d_h - 1) + 1e-9
-
-
-def test_kl_product_counts_an_empty_sample_as_zero():
-    # with beta_P = 1 the source is noiseless and its per-draw KL infinite:
-    # n_p = 0 read 0 * inf = nan, not the target's finite KL
-    fam = tl.build_single_scale_family(9, 2.0, 1.0, 0.5, 0.25)
-    a, b = fam.pairs[0], fam.pairs[1]
-    assert tl.kl_product(fam, 0, 1, 0, 100) == 100 * oracles.joint_kl(a.q, b.q) > 0
-    assert tl.kl_product(fam, 0, 1, 100, 0) == math.inf
-    assert tl.kl_product(fam, 0, 1, 0, 0) == 0.0
-    noiseless = tl.build_single_scale_family(9, 1.0, 1.0, 1.0, 0.25)
-    for n_p, n_q, want in ((0, 100, math.inf), (100, 0, math.inf), (0, 0, 0.0)):
-        assert tl.kl_product(noiseless, 0, 1, n_p, n_q) == want
 
 
 # ---------------------------------------------------------------------------
 # scenarios and serialization
+
+
+def test_density_refuses_an_unknown_form_when_built():
+    # it once built, and failed only at its first cdf or ppf
+    with pytest.raises(ValueError, match="unknown density form 'bogus'"):
+        tl.Density1D(form="bogus")
 
 
 def test_example4_interval_mass():

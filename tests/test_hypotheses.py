@@ -735,13 +735,8 @@ COUNT_SITES = {
     "drop_smallest": ("drop_smallest", 0,
                       lambda v: tl.fit_slope(_rate_table(), "n_q", drop_smallest=v)),
     "pseudo_dim": ("pseudo_dim", 0, lambda v: tl.DensityFamily([np.ones(3)], pseudo_dim=v)),
-    "kl-n_p": ("n_p", 0, lambda v: tl.kl_product(_kl_family(), 0, 1, v, 8)),
-    "kl-n_q": ("n_q", 0, lambda v: tl.kl_product(_kl_family(), 0, 1, 8, v)),
+    "unlabeled-vc_dim": ("vc_dim", 1, lambda v: tl.unlabeled_requirement(0.1, 0.1, v)),
 }
-
-
-def _kl_family():
-    return tl.build_single_scale_family(9, 1.0, 0.5, 0.5, 0.25)
 
 
 @pytest.mark.parametrize("value", [2.5, True, np.True_, np.float64(3.0), "4", np.array(3.0),

@@ -141,6 +141,21 @@ def test_csv_header_and_roundtrip(tmp_path):
         assert [type(v) for v in astuple(back.rows[0])] == types
 
 
+@pytest.mark.parametrize("edit, fields", [(lambda rec: rec + ",7", 10),
+                                          (lambda rec: rec.rsplit(",", 1)[0], 8)],
+                         ids=["extra-field", "short-row"])
+def test_csv_refuses_a_row_whose_field_count_differs_from_the_header(tmp_path, edit, fields):
+    # an extra field was dropped without a word, and a short row raised
+    # RateRow's TypeError naming no line
+    path = tmp_path / "rates.csv"
+    tl.RateTable([tl.RateRow(0, n, "erm_q", 3, 0.5, 0.5, 0.0, 1.0, 1) for n in (8, 16)]).to_csv(path)
+    lines = path.read_text().splitlines()
+    lines[2] = edit(lines[2])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"line 3 has {fields} fields, the header 9"):
+        tl.RateTable.from_csv(path)
+
+
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
