@@ -6,10 +6,12 @@ sample alone certifies the requested accuracy, or (b) every hypothesis that is
 near-optimal on the source sample is close to the source ERM in unlabeled
 target mass.  The disagreement-radius statistic driving both stopping rules is
 computed exactly over the projected class.  Each batch enters the running
-source and target samples once, through `hypotheses.tally`: over a support
-as counts that add to the running counts (a user-built point batch or pool
-is binned there once), and for the raw threshold class as line points, which
-are concatenated.
+source and target samples once.  Over a support it becomes counts there and
+is checked there, once: `hypotheses.tally` bins a user-built point batch or
+pool, then the size and label checks run.  The running counts add, and every
+statistic after that reads them directly.  For the raw threshold class a
+batch stays line points, which are concatenated and projected afresh for
+each statistic.
 """
 
 from __future__ import annotations
@@ -20,13 +22,15 @@ from dataclasses import asdict, dataclass, field
 
 from .distributions import derive_seed
 from .hypotheses import (
+    THRESHOLD,
     HypothesisClass,
     LabeledSample,
     _MAX_DRAWS,
     _count,
+    _counts,
+    _labeled,
     ensure_finite,
     erm,
-    tally,
 )
 from .procedures import (
     ConfidenceParams,
@@ -86,15 +90,34 @@ def delta_hat(sample: LabeledSample, probe, cls: HypothesisClass,
     hypotheses near-optimal on the sample.
 
     The near-optimality radius uses the anytime width of |sample| (valid
-    across all rounds of the doubling loop); one `member_risks` pass finds the
+    across all rounds of the doubling loop); one risk pass finds the
     ERM too, and a probe that is the sample itself reuses the disagreements
     that pass measured.  An infinite width (an empty sample, or a subnormal
     delta) makes every hypothesis eligible, and an empty probe gives 0.
     """
     same = probe is sample
     cls, (sample, probe) = ensure_finite(cls, (sample, probe))
+    sample = _labeled(cls, sample)
+    return _statistic(cls, sample, sample if same else _counts(cls, probe), conf)[0]
+
+
+def _statistic(cls: HypothesisClass, sample, probe, conf: ConfidenceParams):
+    """(delta_hat, the anchor's index) at the anytime width of |sample|.  Over
+    a support, sample and probe are counts already checked (`_labeled`,
+    `_counts`) and are read as they are.  The raw threshold class projects
+    onto their union through `delta_hat`, whose anchor is a member of that
+    projection, not of the sample's own; the anchor is then None."""
+    if cls.kind == THRESHOLD:
+        return delta_hat(sample, probe, cls, conf), None
     width = confidence_width_anytime(len(sample), cls.vc_dim, conf.delta)
-    return _delta_hat(cls, sample, sample if same else probe, conf, width)
+    return _delta_hat(cls, sample, probe, conf, width)
+
+
+def _entered(cls: HypothesisClass, sample, check):
+    """A sample as the round loop holds it: over a support, its counts,
+    checked here once by `check` (`_labeled` or `_counts`); for the raw
+    threshold class, its points."""
+    return sample if cls.kind == THRESHOLD else check(cls, sample)
 
 
 @dataclass
@@ -159,9 +182,11 @@ def run_adaptive_sampling(eps: float, sched_p: CostSchedule, sched_q: CostSchedu
 
     Each round appends one `Round`.  Step 6 stops when the target sample
     certifies eps, step 7 when the source delta_hat on the unlabeled pool is at
-    most eps/4; a stop returns the ERM of the certifying sample.  Samplers are
-    callbacks (n, seed) -> sample, such as `sample_labeled`; round t draws the
-    source batch on `derive_seed(seed, t, 0, bits=63)` and the target batch on
+    most eps/4; a stop returns the ERM of the certifying sample, which is the
+    anchor of the statistic that stopped it (for the raw threshold class, an
+    ERM pass over that sample's own points).  Samplers are callbacks
+    (n, seed) -> sample, such as `sample_labeled`; round t draws the source
+    batch on `derive_seed(seed, t, 0, bits=63)` and the target batch on
     `derive_seed(seed, t, 1, bits=63)`.  Returns (hypothesis, transcript).
     q_only runs the target-only baseline: no source batches and no step 7.
     """
@@ -169,7 +194,7 @@ def run_adaptive_sampling(eps: float, sched_p: CostSchedule, sched_q: CostSchedu
     if len(unlabeled) < need:
         raise ValueError(f"unlabeled pool of {len(unlabeled)} is below the "
                          f"required {need} for eps={eps}, delta={conf.delta}")
-    pool = tally(cls, unlabeled)
+    pool = _entered(cls, unlabeled, _counts)
     sample_p = sample_q = None
     transcript = SamplingTranscript()
     for t in range(1, max_rounds + 1):
@@ -178,29 +203,29 @@ def run_adaptive_sampling(eps: float, sched_p: CostSchedule, sched_q: CostSchedu
         if not q_only:
             n_tp = sched_p.minimal_n(budget)
             cost_p = sched_p.cost(n_tp)
-            batch = tally(cls, sampler_p(n_tp, derive_seed(seed, t, 0, bits=63)))
+            batch = _entered(cls, sampler_p(n_tp, derive_seed(seed, t, 0, bits=63)), _labeled)
             sample_p = batch if sample_p is None else sample_p + batch
         n_tq = sched_q.minimal_n(budget)
         cost_q = sched_q.cost(n_tq)
-        batch = tally(cls, sampler_q(n_tq, derive_seed(seed, t, 1, bits=63)))
+        batch = _entered(cls, sampler_q(n_tq, derive_seed(seed, t, 1, bits=63)), _labeled)
         sample_q = batch if sample_q is None else sample_q + batch
         transcript.total_cost += cost_p + cost_q
 
         a_q = confidence_width(len(sample_q), cls.vc_dim, conf.delta)
-        dhat_q = delta_hat(sample_q, sample_q, cls, conf)
+        dhat_q, anchor = _statistic(cls, sample_q, sample_q, conf)
         step6_lhs = conf.c * math.sqrt(dhat_q * a_q) + conf.c * a_q
         step7_stat, decision, winner = None, "continue", None
         if step6_lhs <= eps:
             decision, winner = "step6", sample_q
         elif not q_only:
-            step7_stat = delta_hat(sample_p, pool, cls, conf)
+            step7_stat, anchor = _statistic(cls, sample_p, pool, conf)
             if step7_stat <= eps / 4.0:
                 decision, winner = "step7", sample_p
         transcript.rounds.append(Round(t, n_tp, n_tq, cost_p, cost_q,
                                        step6_lhs, step7_stat, decision))
         if winner is not None:
             transcript.returned_by = decision
-            return erm(cls, winner), transcript
+            return (erm(cls, winner) if anchor is None else cls[anchor]), transcript
     raise RuntimeError(f"no stopping rule fired within {max_rounds} rounds; "
                        f"eps={eps} is likely unreachable at this configuration")
 
@@ -218,7 +243,8 @@ def optimal_sampling_costs(eps: float, vc_dim: int, beta_p: float, beta_q: float
     """Sample sizes at which each route alone reaches accuracy eps, and the
     cheaper route's cost: n_q* = d/eps^(2-beta_q), n_p* = d/eps^((2-beta_p)gamma/beta_p)."""
     if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    vc_dim = _count("vc_dim", vc_dim, 1)
     if not (0.0 < beta_p <= 1.0 and 0.0 < beta_q <= 1.0):
         raise ValueError("beta values must lie in (0, 1]")
     if not gamma > 0.0:

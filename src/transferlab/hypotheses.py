@@ -29,7 +29,10 @@ class, which is projected afresh onto every union of them.  A batch of T
 samples of n draws each is one library-built `SampleCounts` whose counts have
 a trailing trial axis: (s, T) `points` and `ones`, column t sample t, `len()`
 n.  `member_risks` and `member_disagreements` read a batch whole and give one
-column per sample, each equal bit for bit to that sample's own result.
+column per sample, each equal bit for bit to that sample's own result.  They
+check the sample they are given; `_risks` and `_disagreements` are the same
+arithmetic on counts already checked, for a caller that checks a sample once
+where it enters and reads it directly after that.
 """
 
 from __future__ import annotations
@@ -434,20 +437,33 @@ def member_risks(cls: HypothesisClass, sample: LabeledSample) -> np.ndarray:
     """Empirical risk of every member, exactly, as one matrix product: (M,)
     for a sample, (M, T) for a batch of T, column t sample t's.  An empty
     sample is zero counts, checked like any other: every risk on it is 0."""
-    c = _labeled(cls, sample)
-    return (_matvec(cls, c.points - 2.0 * c.ones) + c.ones.sum(axis=0)) / max(len(sample), 1)
+    return _risks(cls, _labeled(cls, sample))
+
+
+def _risks(cls: HypothesisClass, c: SampleCounts) -> np.ndarray:
+    """`member_risks` of labeled counts already checked by `_labeled`."""
+    return (_matvec(cls, c.points - 2.0 * c.ones) + c.ones.sum(axis=0)) / max(c.n, 1)
 
 
 def member_disagreements(cls: HypothesisClass, ref, sample) -> np.ndarray:
     """Empirical disagreement of every member with member `ref` on the sample
     points: (M,) for a sample, (M, T) for a batch of T with `ref` one index
     per column, member ref[t] the reference of sample t.  0 on an empty sample."""
-    ref_lab = _row(cls, ref)
-    points = _counts(cls, sample).points
-    # 1[h != ref] = h + ref - 2 h ref; counts are integers, so folding the
-    # reference into the weights keeps every sum exact
+    return _disagreements(cls, ref, _counts(cls, sample))
+
+
+def _disagreements(cls: HypothesisClass, ref, c: SampleCounts) -> np.ndarray:
+    """`member_disagreements` on counts already checked by `_counts`.  Counts
+    are integers, so every sum is exact: cut i and cut ref disagree on the
+    points between them, |P(i) - P(ref)| for the prefix counts P, and for a
+    matrix 1[h != ref] = h + ref - 2 h ref folds the reference into the weights."""
+    if cls.thresholds is not None:
+        prefix = _matvec(cls, c.points)
+        at_ref = prefix[ref] if prefix.ndim == 1 else prefix[ref, np.arange(prefix.shape[1])]
+        return np.abs(prefix - at_ref) / max(c.n, 1)
+    ref_lab, points = _row(cls, ref), c.points
     return ((_matvec(cls, points * (1.0 - 2.0 * ref_lab)) + (ref_lab * points).sum(axis=0))
-            / max(len(sample), 1))
+            / max(c.n, 1))
 
 
 def weighted_member_risks(cls: HypothesisClass, sample: LabeledSample,

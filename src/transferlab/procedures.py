@@ -9,7 +9,6 @@ lowest enumeration index, so every procedure is reproducible.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, replace
 
@@ -19,11 +18,13 @@ from .hypotheses import (
     Hypothesis,
     HypothesisClass,
     LabeledSample,
+    SampleCounts,
+    _disagreements,
     _f2_disagreements,
     _labeled,
+    _risks,
     _weights,
     ensure_finite,
-    member_disagreements,
     member_risks,
     weighted_member_risks,
 )
@@ -76,47 +77,54 @@ def near_optimal_mask(cls: HypothesisClass, sample: LabeledSample,
                       conf: ConfidenceParams) -> np.ndarray:
     """Members near-optimal on the sample (`_near_optimal`) at its confidence width."""
     width = confidence_width(len(sample), cls.vc_dim, conf.delta)
-    return _near_optimal(cls, sample, conf, width)[0]
+    return _near_optimal(cls, _labeled(cls, sample), conf, width)[0]
 
 
-def _near_optimal(cls: HypothesisClass, sample: LabeledSample, conf: ConfidenceParams,
+def _near_optimal(cls: HypothesisClass, c: SampleCounts, conf: ConfidenceParams,
                   width: float, f=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The near-optimal set {h : R(h) - R(erm) <= c*sqrt(dis(h, erm)*A) + c*A}
     at width A as a mask, the anchor erm's index (lowest on ties) and dis,
     from one risk pass: an (M,) mask and dis for a sample, (M, T) ones with
-    one anchor per column for a batch of T samples, element by element.
+    one anchor per column for a batch of T samples, element by element.  The
+    sample comes as counts already checked by `_labeled`, and is read as it is.
 
     With per-support weights f, R is f-weighted, dis f^2-weighted and the last
     term c*max(f)*A: the reweighted constraint.  A radius past the float range
     saturates to +inf.  An infinite A (the width of an empty sample, or of a
     subnormal delta) admits every member, since c*sqrt(0*A) would be NaN.
     """
-    if f is not None:
-        f = _weights(cls, f)
-    sample = _labeled(cls, sample)
     if f is None:
-        risks, sup = member_risks(cls, sample), 1.0
+        risks, sup = _risks(cls, c), 1.0
     else:
-        risks, sup = weighted_member_risks(cls, sample, f), float(np.max(f))
-    best = np.argmin(risks, axis=0)
-    dis = (member_disagreements(cls, best, sample) if f is None
-           else _f2_disagreements(cls, best, sample, f))
+        f = _weights(cls, f)
+        risks, sup = weighted_member_risks(cls, c, f), float(np.max(f))
+    best = risks.argmin(axis=0)
+    dis = _disagreements(cls, best, c) if f is None else _f2_disagreements(cls, best, c, f)
     radius = math.inf
     if math.isfinite(width):  # dis <= max(f)^2: the radius overflows only if this bound does
-        fits = math.isfinite(conf.c * sup * (2.0 * math.sqrt(width) + width))
-        with contextlib.nullcontext() if fits else np.errstate(over="ignore"):
-            radius = conf.c * np.sqrt(dis * width) + conf.c * sup * width
+        if math.isfinite(conf.c * sup * (2.0 * math.sqrt(width) + width)):
+            radius = _radius(dis, width, conf.c, sup)
+        else:
+            with np.errstate(over="ignore"):
+                radius = _radius(dis, width, conf.c, sup)
     return (risks - risks.min(axis=0)) <= radius, best, dis
 
 
-def _delta_hat(cls: HypothesisClass, sample, probe, conf: ConfidenceParams,
-               width: float, f=None) -> float:
-    """delta-hat: the largest probe disagreement with the anchor over the set
-    (`_near_optimal`); a probe that is the sample reuses the set's plain dis."""
+def _radius(dis: np.ndarray, width: float, c: float, sup: float) -> np.ndarray:
+    """c*sqrt(dis*A) + c*max(f)*A, element by element."""
+    return c * np.sqrt(dis * width) + c * sup * width
+
+
+def _delta_hat(cls: HypothesisClass, sample: SampleCounts, probe: SampleCounts,
+               conf: ConfidenceParams, width: float, f=None) -> tuple[float, int]:
+    """delta-hat and the anchor's index: the largest probe disagreement with
+    the anchor over the set (`_near_optimal`); a probe that is the sample
+    reuses the set's plain dis.  Both come as counts already checked, the
+    sample by `_labeled` and the probe by `_counts`."""
     mask, anchor, dis = _near_optimal(cls, sample, conf, width, f)
     if probe is not sample or f is not None:
-        dis = member_disagreements(cls, anchor, probe)
-    return float(np.max(dis[mask]))
+        dis = _disagreements(cls, anchor, probe)
+    return float(dis[mask].max()), int(anchor)
 
 
 def _feasible_argmin(feasible: np.ndarray, risks: np.ndarray) -> np.ndarray:
@@ -137,7 +145,7 @@ def _selector_choice(cls: HypothesisClass, sample_p, sample_q,
     """The selector's index, one per column of a batch: the source ERM
     (lowest index) if it is target-near-optimal, else the target ERM anchor."""
     width = confidence_width(len(sample_q), cls.vc_dim, conf.delta)
-    feasible, erm_q, _ = _near_optimal(cls, sample_q, conf, width)
+    feasible, erm_q, _ = _near_optimal(cls, _labeled(cls, sample_q), conf, width)
     erm_p = np.argmin(member_risks(cls, sample_p), axis=0)
     keep = np.take_along_axis(feasible, np.expand_dims(erm_p, 0), 0)[0]
     return np.where(keep, erm_p, erm_q)

@@ -24,6 +24,8 @@ from .hypotheses import (
     LabeledSample,
     _MAX_WEIGHT,
     _count,
+    _counts,
+    _labeled,
     ensure_finite,
     member_risks,
     weighted_member_risks,
@@ -89,7 +91,7 @@ def delta_hat_weighted(sample_p: LabeledSample, f: np.ndarray, probe,
     _refuse_raw_threshold(cls)
     cls, (sample_p, probe) = ensure_finite(cls, (sample_p, probe))
     width = confidence_width(len(sample_p), cls.vc_dim + pdim, conf.delta)
-    return _delta_hat(cls, sample_p, probe, conf, width, f)
+    return _delta_hat(cls, _labeled(cls, sample_p), _counts(cls, probe), conf, width, f)[0]
 
 
 def reweighted_transfer_erm(sample_p: LabeledSample, sample_q: LabeledSample,
@@ -108,7 +110,7 @@ def reweighted_transfer_erm(sample_p: LabeledSample, sample_q: LabeledSample,
              for f in family.weights]
     f_ix = int(np.argmin(radii))
     width = confidence_width(len(sample_p), cls.vc_dim + family.pseudo_dim, conf.delta)
-    mask = _near_optimal(cls, sample_p, conf, width, family.weights[f_ix])[0]
+    mask = _near_optimal(cls, _labeled(cls, sample_p), conf, width, family.weights[f_ix])[0]
     return cls[int(_feasible_argmin(mask, member_risks(cls, sample_q)))], f_ix
 
 

@@ -90,16 +90,17 @@ def test_delta_hat_matches_oracle():
 
 
 def test_delta_hat_computes_member_risks_once(monkeypatch):
+    # every risk pass, public or on checked counts, runs the private kernel
     calls = []
-    real = tl.hypotheses.member_risks
+    real = tl.hypotheses._risks
 
     def counted(cls, sample):
         calls.append(len(sample))
         return real(cls, sample)
 
     for mod in (tl.hypotheses, tl.procedures, tl.adaptive):
-        if hasattr(mod, "member_risks"):
-            monkeypatch.setattr(mod, "member_risks", counted)
+        if hasattr(mod, "_risks"):
+            monkeypatch.setattr(mod, "_risks", counted)
     fam = tl.build_single_scale_family(9, 1.0, 1.0, 1.0, 0.25)
     s = tl.sample_labeled(fam.pairs[3].q, 500, seed=1)
     u = tl.sample_unlabeled(fam.pairs[3].q, 200, seed=2)
@@ -257,7 +258,7 @@ def test_theory_cost_targets():
     assert out.cost_star == pytest.approx(100.0)
     out2 = tl.optimal_sampling_costs(0.1, 10, 0.5, 1.0, 2.0, lin, lin)
     assert out2.n_p_star == pytest.approx(10 / 0.1 ** 6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("eps must lie in (0, 1), got 1.0")):
         tl.optimal_sampling_costs(1.0, 10, 1.0, 1.0, 1.0, lin, lin)
 
 
@@ -368,8 +369,11 @@ def adaptive_cases(draw):
                            lambda u: tl.CostSchedule("linear", u)),
                        st.tuples(st.sampled_from([0.5, 1.0]), st.sampled_from([0.5, 0.8])).map(
                            lambda ua: tl.CostSchedule("power", *ua)))
+    # c = 1e300 keeps step 6 from firing; at 1e308 the radius bound c*(2*sqrt(A) + A)
+    # overflows, so the set is built under the saturating branch
+    conf = tl.ConfidenceParams(c=draw(st.sampled_from([1.0, 1e300, 1e308])), delta=CONF.delta)
     return dict(pair=tl.TransferPair(_joint(draw, size), _joint(draw, size)), cls=cls,
-                sched_p=draw(scheds), sched_q=draw(scheds),
+                conf=conf, sched_p=draw(scheds), sched_q=draw(scheds),
                 eps=draw(st.sampled_from([0.3, 0.2, 0.1])), q_only=draw(st.booleans()),
                 seed=draw(st.integers(0, 2 ** 40)), useed=draw(st.integers(0, 2 ** 40)))
 
@@ -378,14 +382,14 @@ def _both_runs(case, max_rounds):
     """The package's run on the package's draws and the concatenating
     oracle's on the oracle's point draws, each as its returned member and
     transcript or as the RuntimeError it raised."""
-    pair, cls, eps = case["pair"], case["cls"], case["eps"]
-    need = tl.unlabeled_requirement(eps, CONF.delta, cls.vc_dim)
+    pair, cls, eps, conf = case["pair"], case["cls"], case["eps"], case["conf"]
+    need = tl.unlabeled_requirement(eps, conf.delta, cls.vc_dim)
     out = []
     for run, lib in ((tl.run_adaptive_sampling, tl), (oracles.adaptive_loop, oracles)):
         sp, sq = _samplers(pair, lib.sample_labeled)
         pool = lib.sample_unlabeled(pair.q, need, case["useed"])
         try:
-            out.append(run(eps, case["sched_p"], case["sched_q"], sp, sq, pool, cls, CONF,
+            out.append(run(eps, case["sched_p"], case["sched_q"], sp, sq, pool, cls, conf,
                            seed=case["seed"], max_rounds=max_rounds, q_only=case["q_only"]))
         except RuntimeError as e:
             out.append(str(e))
@@ -434,6 +438,42 @@ def test_adaptive_run_bins_each_batch_once(monkeypatch):
             assert calls == want
 
 
+def test_adaptive_run_checks_each_running_sample_once(monkeypatch):
+    # over a support a batch is checked once, where it enters the loop; every
+    # statistic after that reads the running counts as they are, with no
+    # projection and no further check, and the stop returns the anchor it
+    # found, with no ERM pass (which would go through ensure_finite)
+    checked, projected = [], []
+    real_labeled, real_ensure = tl.hypotheses._labeled, tl.hypotheses.ensure_finite
+
+    def labeled(cls, sample):
+        checked.append(len(sample))
+        return real_labeled(cls, sample)
+
+    def ensure(cls, samples):
+        projected.append(len(samples))
+        return real_ensure(cls, samples)
+
+    for mod in (tl.hypotheses, tl.procedures, tl.adaptive):
+        for name, counted in (("_labeled", labeled), ("ensure_finite", ensure)):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted)
+    fam = tl.build_single_scale_family(9, 2.0, 0.5, 0.5, 0.25)
+    cut_pair, cut_cls = tl.discretize_pair(tl.example_scenario(3, gamma=2.0), 256)
+    for pair, cls in ((fam.pairs[11], fam.cls), (cut_pair, cut_cls)):
+        sp, sq = _samplers(pair)
+        u = tl.sample_unlabeled(pair.q, tl.unlabeled_requirement(0.1, CONF.delta, cls.vc_dim),
+                                21)
+        for q_only in (False, True):
+            checked.clear()
+            _, tr = tl.run_adaptive_sampling(0.1, tl.CostSchedule("linear", 0.01),
+                                             tl.CostSchedule("linear", 1.0), sp, sq, u, cls,
+                                             CONF, seed=5, q_only=q_only)
+            assert checked == [n for r in tr.rounds
+                               for n in ((r.n_tq,) if q_only else (r.n_tp, r.n_tq))]
+            assert projected == []
+
+
 @pytest.mark.parametrize("gamma, q_only, stop", [(2.0, False, ("step6", 9)),
                                                  (3.0, False, ("step6", 9)),
                                                  (2.0, True, ("step6", 9)),
@@ -441,7 +481,7 @@ def test_adaptive_run_bins_each_batch_once(monkeypatch):
 def test_raw_threshold_class_runs_with_line_samplers(gamma, q_only, stop):
     # line samples stay points: each round projects the raw class onto their union
     pair = tl.example_scenario(3, gamma=gamma)
-    case = dict(pair=pair, cls=tl.threshold_class(), eps=0.1, q_only=q_only, seed=5,
+    case = dict(pair=pair, cls=tl.threshold_class(), conf=CONF, eps=0.1, q_only=q_only, seed=5,
                 useed=21, sched_p=tl.CostSchedule("linear", 0.01),
                 sched_q=tl.CostSchedule("linear", 1.0))
     (h, tr), (h_want, tr_want) = _both_runs(case, max_rounds=64)

@@ -736,6 +736,8 @@ COUNT_SITES = {
                       lambda v: tl.fit_slope(_rate_table(), "n_q", drop_smallest=v)),
     "pseudo_dim": ("pseudo_dim", 0, lambda v: tl.DensityFamily([np.ones(3)], pseudo_dim=v)),
     "unlabeled-vc_dim": ("vc_dim", 1, lambda v: tl.unlabeled_requirement(0.1, 0.1, v)),
+    "costs-vc_dim": ("vc_dim", 1, lambda v: tl.optimal_sampling_costs(
+        0.1, v, 0.5, 0.5, 1.0, tl.CostSchedule("linear", 1.0), tl.CostSchedule("linear", 1.0))),
 }
 
 

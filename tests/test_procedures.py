@@ -151,16 +151,17 @@ def test_selector_rejects_misleading_source():
 
 def test_selector_reads_the_target_erm_from_the_near_optimal_set(monkeypatch):
     # a rejected source ERM falls back to the anchor of the target's
-    # near-optimal set: one risk pass over the target sample, not two
+    # near-optimal set: one risk pass over the target sample, not two (every
+    # risk pass, public or on checked counts, runs the private kernel)
     calls = []
-    real = tl.hypotheses.member_risks
+    real = tl.hypotheses._risks
 
     def counted(cls, sample):
         calls.append(len(sample))
         return real(cls, sample)
 
     for mod in (tl.hypotheses, tl.procedures):
-        monkeypatch.setattr(mod, "member_risks", counted)
+        monkeypatch.setattr(mod, "_risks", counted)
     pair, cls = tl.rcs_violating_pair(0.15)
     sp = tl.sample_labeled(pair.p, 8192, seed=1)
     sq = tl.sample_labeled(pair.q, 4096, seed=2)
