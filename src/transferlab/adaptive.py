@@ -245,10 +245,11 @@ def optimal_sampling_costs(eps: float, vc_dim: int, beta_p: float, beta_q: float
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     vc_dim = _count("vc_dim", vc_dim, 1)
-    if not (0.0 < beta_p <= 1.0 and 0.0 < beta_q <= 1.0):
-        raise ValueError("beta values must lie in (0, 1]")
+    for name, beta in (("beta_p", beta_p), ("beta_q", beta_q)):
+        if not 0.0 < beta <= 1.0:
+            raise ValueError(f"{name} must lie in (0, 1], got {beta}")
     if not gamma > 0.0:
-        raise ValueError("gamma must be positive")
+        raise ValueError(f"gamma must be positive, got {gamma}")
     n_q_star = vc_dim / eps ** (2.0 - beta_q)
     n_p_star = vc_dim / eps ** ((2.0 - beta_p) * gamma / beta_p)
     return CostTargets(n_q_star, n_p_star,

@@ -166,16 +166,16 @@ class SampleCounts:
             raise ValueError(f"invalid counts at support point {i}: points[{i}] is "
                              f"{points[i]}, ones[{i}] is {ones[i]}; need 0 <= ones <= points")
         # a float sum cannot overflow, and up to 2^54 it bounds the exact one far below 2^63
-        if points.sum(dtype=np.float64) > 2.0 ** 54 or int(points.sum()) > _MAX_DRAWS:
+        if points.sum(dtype=np.float64) > 2.0 ** 54 or (n := int(points.sum())) > _MAX_DRAWS:
             raise ValueError(f"points sum to {sum(points.tolist())} draws, above the 2^53 "
                              f"a sample holds")
-        self._fill(points, None if self.ones is None else ones)
+        self._fill(points, None if self.ones is None else ones, n)
 
-    def _fill(self, points, ones) -> "SampleCounts":
+    def _fill(self, points, ones, n: int) -> "SampleCounts":
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "ones", ones)
         # the draws per sample; every column of a batch holds the same n
-        object.__setattr__(self, "n", int(points.sum(axis=0).flat[0]))
+        object.__setattr__(self, "n", n)
         return self
 
     @classmethod
@@ -183,7 +183,7 @@ class SampleCounts:
         """Counts valid by construction (one bincount or multinomial, or a
         sum of valid counts), built without the check: the library's only
         path past it."""
-        return cls.__new__(cls)._fill(points, ones)
+        return cls.__new__(cls)._fill(points, ones, int(points.sum(axis=0).flat[0]))
 
     @classmethod
     def _of(cls, idx: np.ndarray, ys, size: int) -> "SampleCounts":
@@ -212,7 +212,8 @@ class SampleCounts:
         if self.n + other.n > _MAX_DRAWS:
             raise ValueError(f"{self.n} + {other.n} draws is above the 2^53 a sample holds")
         ones = None if self.ones is None else self.ones + other.ones
-        return SampleCounts._trusted(self.points + other.points, ones)
+        return SampleCounts.__new__(SampleCounts)._fill(self.points + other.points, ones,
+                                                        self.n + other.n)
 
 
 class HypothesisClass(Sequence):
@@ -472,11 +473,11 @@ def weighted_member_risks(cls: HypothesisClass, sample: LabeledSample,
     (prefix sums for cuts), not a blocked matrix product; 0 on an empty sample.
     f must hold one weight in [0, 2^485] per support point."""
     f = _weights(cls, f)
-    n0, n1 = _label_counts(cls, sample)
-    w = f * (n0 - n1)
+    c = _labeled(cls, sample)
+    w = f * (c.points - 2.0 * c.ones)  # label-0 minus label-1 counts
     own = ((cls.label_matrix * w).sum(axis=1) if cls.thresholds is None
            else np.concatenate(([0.0], np.cumsum(w))))
-    return (own + np.dot(f, n1)) / max(len(sample), 1)
+    return (own + np.dot(f, c.ones.astype(np.float64))) / max(len(sample), 1)
 
 
 def _f2_disagreements(cls: HypothesisClass, ref: int, sample: LabeledSample,
@@ -572,9 +573,3 @@ def _labeled(cls: HypothesisClass, sample) -> SampleCounts:
     if c.ones is None:
         raise TypeError("label counts need a labeled sample")
     return c
-
-
-def _label_counts(cls: HypothesisClass, sample):
-    """Per-support counts of label 0 and of label 1, as floats."""
-    c = _labeled(cls, sample)
-    return (c.points - c.ones).astype(np.float64), c.ones.astype(np.float64)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
@@ -110,12 +109,6 @@ class RateTable:
             return cls(rows)
 
 
-def _resolve(estimator):
-    if callable(estimator):
-        return estimator, getattr(estimator, "__name__", "custom")
-    return ESTIMATORS[estimator], estimator
-
-
 def _cell_excesses(pair, cls, estimator, n_p, n_q, trials, seed, cell_key, conf):
     """Each trial's exact target excess; trial t draws each non-empty side on
     the stream of `derive_seed(seed, cell_key, t, side)`, and an empty side
@@ -134,25 +127,23 @@ def _cell_excesses(pair, cls, estimator, n_p, n_q, trials, seed, cell_key, conf)
     derived = _derived_seeds((seed, cell_key), rows)
     seeds_p = derived[:trials] if n_p else [0] * trials
     seeds_q = derived[-trials:] if n_q else [0] * trials
-    if _batches(pair, cls, estimator):
+    if _batches(pair, cls):
         batches = [_labeled_trials(pair.p, n_p, seeds_p), _labeled_trials(pair.q, n_q, seeds_q)]
         chosen, trial = np.unique(_CHOICES[estimator](cls, *batches, conf), return_inverse=True)
         risks = np.array([true_risk(pair.q, cls[int(i)]) for i in chosen])
         return risks[trial] - q_best
-    est_fn, _ = _resolve(estimator)
     excesses = np.empty(trials)
     for t in range(trials):
         sp = sample_labeled(pair.p, n_p, int(seeds_p[t]))
         sq = sample_labeled(pair.q, n_q, int(seeds_q[t]))
-        excesses[t] = true_risk(pair.q, est_fn(sp, sq, cls, conf)) - q_best
+        excesses[t] = true_risk(pair.q, ESTIMATORS[estimator](sp, sq, cls, conf)) - q_best
     return excesses
 
 
-def _batches(pair, cls, estimator) -> bool:
-    """Whether a cell runs its trials as a batch: a registry estimator, a pair
-    of joints and a class over their support (a matrix or a cut class)."""
-    return (isinstance(estimator, str) and isinstance(pair.p, DiscreteJoint)
-            and isinstance(pair.q, DiscreteJoint)
+def _batches(pair, cls) -> bool:
+    """Whether a cell runs its trials as a batch: a pair of joints and a
+    class over their support (a matrix or a cut class)."""
+    return (isinstance(pair.p, DiscreteJoint) and isinstance(pair.q, DiscreteJoint)
             and cls.support_size == pair.p.size == pair.q.size)
 
 
@@ -174,11 +165,11 @@ def sweep(cell_builder, estimator, grid, trials: int, seed: int,
 
     Used for minimax-style experiments where the hard instance is re-tuned to
     each sample size; `cell_builder(n_p, n_q)` returns the cell's pair/class.
+    `estimator` is a key of `ESTIMATORS`, the one form a worker process runs.
     """
     trials, jobs = _count("trials", trials, 1), _count("jobs", jobs)
-    if jobs > 1 and callable(estimator):
-        raise ValueError("parallel runs need a registry estimator id")
-    _, name = _resolve(estimator)
+    if not (isinstance(estimator, str) and estimator in ESTIMATORS):
+        raise ValueError(f"estimator must be one of {', '.join(ESTIMATORS)}, got {estimator!r}")
     cells = [(_count("n_p", n_p), _count("n_q", n_q)) for n_p, n_q in grid]
     args = []
     for ci, (n_p, n_q) in enumerate(cells):
@@ -186,11 +177,12 @@ def sweep(cell_builder, estimator, grid, trials: int, seed: int,
         args.append((pair, cls, estimator, n_p, n_q, trials, seed, ci, conf))
     # a fork pool starts all its workers at once: no more of them than cells
     if (workers := min(jobs, len(cells))) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a fan-out loads the pool
         with ProcessPoolExecutor(max_workers=workers) as pool:
             excesses = list(pool.map(_cell_excesses, *zip(*args)))
     else:
         excesses = [_cell_excesses(*a) for a in args]
-    return RateTable([RateRow(n_p, n_q, name, trials, float(np.mean(exc)),
+    return RateTable([RateRow(n_p, n_q, estimator, trials, float(np.mean(exc)),
                               float(np.median(exc)), float(np.quantile(exc, 0.10)),
                               float(np.quantile(exc, 0.90)), int(seed))
                       for exc, (n_p, n_q) in zip(excesses, cells)])

@@ -262,6 +262,19 @@ def test_theory_cost_targets():
         tl.optimal_sampling_costs(1.0, 10, 1.0, 1.0, 1.0, lin, lin)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((1.5, 0.5, 1.0), "beta_p must lie in (0, 1], got 1.5"),
+    ((0.5, 0.0, 1.0), "beta_q must lie in (0, 1], got 0.0"),
+    ((0.5, math.nan, 1.0), "beta_q must lie in (0, 1], got nan"),
+    ((0.5, 0.5, -2.0), "gamma must be positive, got -2.0"),
+    ((0.5, 0.5, math.nan), "gamma must be positive, got nan"),
+])
+def test_theory_cost_names_the_argument_out_of_range(args, message):
+    lin = tl.CostSchedule("linear", 1.0)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tl.optimal_sampling_costs(0.1, 10, *args, lin, lin)
+
+
 def test_theory_cost_picks_cheaper_route():
     cheap_p = tl.CostSchedule("linear", 0.01)
     lin = tl.CostSchedule("linear", 1.0)

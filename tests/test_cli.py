@@ -1,3 +1,4 @@
+import concurrent.futures
 import copy
 import json
 import math
@@ -170,12 +171,12 @@ def test_rates_deterministic_bytes(tmp_path):
 def test_rates_tuned_cells_honour_jobs(tmp_path, monkeypatch):
     workers = []
 
-    class Pool(ratelab.ProcessPoolExecutor):
+    class Pool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
             workers.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(ratelab, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     args = ["rates", "--seed", "0", "--config", str(CONFIGS / "target_rate_sweep.json"),
             "--set", "grid=[[0,64],[0,128],[0,256]]", "--set", "trials=20",
             "--set", "drop_smallest=0"]
@@ -416,7 +417,7 @@ def test_cli_bytes_equal_on_points_and_counts(command, monkeypatch, tmp_path, ca
     monkeypatch.setattr(cli, "sample_unlabeled", as_points(tl.sample_unlabeled))
     # rate cells run trial by trial, so the points reach the estimators: their
     # bytes must equal the counted run's, whose trials ran as one batch
-    monkeypatch.setattr(ratelab, "_batches", lambda pair, cls, estimator: False)
+    monkeypatch.setattr(ratelab, "_batches", lambda pair, cls: False)
     points = output("points")
     assert sum(expanded) > 0
     assert points == counts

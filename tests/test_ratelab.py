@@ -1,4 +1,9 @@
+import concurrent.futures
 import math
+import os
+import re
+import subprocess
+import sys
 from dataclasses import astuple
 from pathlib import Path
 
@@ -110,7 +115,7 @@ def test_sweep_starts_no_more_workers_than_cells(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(ratelab, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     pair, cls = small_family()
     grid = [(0, 64), (0, 128), (0, 256)]
     serial = tl.monte_carlo(pair, cls, "erm_q", grid, 4, seed=2, conf=CONF)
@@ -277,14 +282,46 @@ def test_sweep_with_cell_builder():
     assert t.rows[0].median > t.rows[1].median
 
 
-def test_custom_estimator_callable():
-    pair, cls = small_family()
-    def first_member(sp, sq, c, conf):
-        return c.members[0]
-    t = tl.monte_carlo(pair, cls, first_member, [(8, 8)], 5, seed=1, conf=CONF)
-    assert t.rows[0].estimator == "first_member"
-    with pytest.raises(ValueError):
-        tl.sweep(lambda a, b: (pair, cls), first_member, [(8, 8)], 5, 1, CONF, jobs=2)
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("estimator", [lambda sp, sq, c, conf: c[0], "bogus"],
+                         ids=["callable", "bogus"])
+def test_sweep_refuses_an_unregistered_estimator(estimator, jobs, monkeypatch):
+    # a worker process runs an estimator by its registry id, so a rate table
+    # takes ids only, and refuses any other before it builds or runs a cell
+    built = []
+
+    def build(n_p, n_q):
+        built.append((n_p, n_q))
+        return small_family()
+
+    def no_cell(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(ratelab, "_cell_excesses", no_cell)
+    ids = re.escape(", ".join(ratelab.ESTIMATORS))
+    with pytest.raises(ValueError, match=f"estimator must be one of {ids}, got "):
+        tl.sweep(build, estimator, [(8, 8), (0, 8)], 5, 1, CONF, jobs=jobs)
+    with pytest.raises(ValueError, match=f"estimator must be one of {ids}, got "):
+        tl.monte_carlo(*small_family(), estimator, [(8, 8), (0, 8)], 5, 1, CONF, jobs=jobs)
+    assert built == []
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only a grid that fans out over worker processes loads the pool stack
+    code = (
+        "import sys, transferlab as tl\n"
+        "stack = ('multiprocessing', 'concurrent.futures.process')\n"
+        "loaded = [m for m in stack if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "fam = tl.build_single_scale_family(9, 1.0, 0.5, 0.5, 0.25)\n"
+        "tl.monte_carlo(fam.pairs[0], fam.cls, 'erm_q', [(0, 8), (0, 16)], 2, 1, jobs=2)\n"
+        "assert all(m in sys.modules for m in stack)\n")
+    src = str(Path(tl.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_super_transfer_source_slope_steeper():
