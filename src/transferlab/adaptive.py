@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from .distributions import derive_seed
 from .hypotheses import (
@@ -132,7 +132,7 @@ class Round:
     decision: str  # "continue" | "step6" | "step7"
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # the fields, in order; asdict would deep-copy each scalar
 
 
 @dataclass
@@ -190,6 +190,7 @@ def run_adaptive_sampling(eps: float, sched_p: CostSchedule, sched_q: CostSchedu
     `derive_seed(seed, t, 1, bits=63)`.  Returns (hypothesis, transcript).
     q_only runs the target-only baseline: no source batches and no step 7.
     """
+    max_rounds = _count("max_rounds", max_rounds, 1)
     need = unlabeled_requirement(eps, conf.delta, cls.vc_dim, kappa)
     if len(unlabeled) < need:
         raise ValueError(f"unlabeled pool of {len(unlabeled)} is below the "

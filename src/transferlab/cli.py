@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 import types
@@ -58,7 +57,7 @@ from .distributions import (
 )
 from .hypotheses import _MAX_DRAWS, project_onto_support, threshold_class
 from .procedures import ConfidenceParams
-from .ratelab import ESTIMATORS, compare_to_theory, monte_carlo, sweep
+from .ratelab import ESTIMATORS, compare_to_theory, sweep
 from .reweighting import DensityFamily, multi_source_transfer_erm, reweighted_transfer_erm
 
 SCENARIO_SUMMARY = {
@@ -458,23 +457,21 @@ class _Rates:
 
     def run(self, args) -> int:
         fit = self._fit_options() if self.theory_exponent is not None else None
-        jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
         if not args.out:
             raise ConfigError("rates needs --out for the CSV table")
         pair, cls = _pair_and_class(self)
-        if self.tune:
-            def build(n_p, n_q):
-                f = self.family
-                eps = epsilon_schedule(max(n_p, 1), max(n_q, 1), f.d_h, f.rho,
-                                       f.beta_p, f.beta_q, self.c1)
-                fam = replace(f, epsilon=eps).build("family")
-                return f.pair(fam, "family"), fam.cls
 
-            table = sweep(build, self.estimator, self.grid, self.trials, args.seed,
-                          self.confidence, jobs=jobs)
-        else:
-            table = monte_carlo(pair, cls, self.estimator, self.grid, self.trials,
-                                args.seed, self.confidence, jobs=jobs)
+        def build(n_p, n_q):  # a tuned cell's family is built at its own epsilon
+            if not self.tune:
+                return pair, cls
+            f = self.family
+            eps = epsilon_schedule(max(n_p, 1), max(n_q, 1), f.d_h, f.rho,
+                                   f.beta_p, f.beta_q, self.c1)
+            fam = replace(f, epsilon=eps).build("family")
+            return f.pair(fam, "family"), fam.cls
+
+        table = sweep(build, self.estimator, self.grid, self.trials, args.seed,
+                      self.confidence, jobs=args.jobs)
         table.to_csv(args.out)
         if fit is not None:
             report = compare_to_theory(table, self.theory_exponent, self.tolerance, **fit)
@@ -652,12 +649,13 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "scenario":
             p.add_argument("action", choices=("list", "describe", "emit"))
         p.add_argument("--config", metavar="PATH", help="JSON config file")
-        p.add_argument("--seed", type=int, default=0, metavar="U64",
-                       help="master seed; all randomness derives from it")
+        if name in ("rates", "adaptive", "select", "reweight"):  # the commands that draw
+            p.add_argument("--seed", type=int, default=0, metavar="U64",
+                           help="master seed; all randomness derives from it")
         p.add_argument("--out", metavar="PATH", required=name == "rates",
                        help="output file (stdout if omitted where applicable)")
-        p.add_argument("--jobs", type=int, default=0, metavar="N",
-                       help="worker processes for Monte Carlo (0 = all cores)")
+        p.add_argument("--jobs", type=int, default=1, metavar="N",
+                       help="worker processes for the rates cells (N >= 1, default 1)")
         p.add_argument("--set", action="append", metavar="K=V",
                        help="config override, e.g. --set family.rho=2 (repeatable)")
         p.set_defaults(decl=decl)
@@ -668,8 +666,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.jobs < 0:
-            raise ConfigError(f"--jobs: must be >= 0, got {args.jobs}")
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs: must be >= 1, got {args.jobs}")
         return _parse(args.decl, load_config(args)).run(args)
     except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -73,10 +73,10 @@ def _key_words(seed, path) -> list[int]:
     32-bit words, then those words, least significant first (one word for a
     value below 2^32, zero included).  The counts make the words decodable,
     so distinct keys give distinct words, and no word count is 0, so padding
-    with zeros makes no key's words another's.  A negative path entry raises
-    ValueError, as it does in `SeedSequence`."""
+    with zeros makes no key's words another's.  The seed is any integer; a
+    negative path entry raises ValueError, as it does in `SeedSequence`."""
     words = []
-    for v in (int(seed) & _MASK64, *map(operator.index, path)):
+    for v in (_count("seed", seed, -math.inf) & _MASK64, *map(operator.index, path)):
         if v < 0:
             raise ValueError(f"rng path entries must be >= 0, got {v}")
         value = [v & 0xFFFFFFFF]

@@ -167,7 +167,8 @@ def sweep(cell_builder, estimator, grid, trials: int, seed: int,
     each sample size; `cell_builder(n_p, n_q)` returns the cell's pair/class.
     `estimator` is a key of `ESTIMATORS`, the one form a worker process runs.
     """
-    trials, jobs = _count("trials", trials, 1), _count("jobs", jobs)
+    trials, jobs = _count("trials", trials, 1), _count("jobs", jobs, 1)
+    seed = _count("seed", seed, -math.inf)
     if not (isinstance(estimator, str) and estimator in ESTIMATORS):
         raise ValueError(f"estimator must be one of {', '.join(ESTIMATORS)}, got {estimator!r}")
     cells = [(_count("n_p", n_p), _count("n_q", n_q)) for n_p, n_q in grid]
@@ -184,7 +185,7 @@ def sweep(cell_builder, estimator, grid, trials: int, seed: int,
         excesses = [_cell_excesses(*a) for a in args]
     return RateTable([RateRow(n_p, n_q, estimator, trials, float(np.mean(exc)),
                               float(np.median(exc)), float(np.quantile(exc, 0.10)),
-                              float(np.quantile(exc, 0.90)), int(seed))
+                              float(np.quantile(exc, 0.90)), seed)
                       for exc, (n_p, n_q) in zip(excesses, cells)])
 
 

@@ -30,6 +30,21 @@ def test_minimal_n_power():
     assert sched.minimal_n(4.0001) == 17
 
 
+def test_minimal_n_names_a_budget_past_the_float_range():
+    # (1e200 / 1) ** 10 raises OverflowError, read as a guess of inf draws
+    with pytest.raises(ValueError, match=r"^budget 1e\+200 needs inf draws"):
+        tl.CostSchedule("power", 1.0, 0.1).minimal_n(1e200)
+
+
+def test_minimal_n_steps_down_to_the_least_n():
+    # the guess for this budget rounds to n + 1, which the downward loop corrects
+    sched = tl.CostSchedule("power", 1.0, 0.3)
+    budget = sched.cost(717155104780584)
+    n = sched.minimal_n(budget)
+    assert n == 717155104780584
+    assert sched.cost(n) >= budget > sched.cost(n - 1)
+
+
 def test_minimal_n_is_exact_inverse():
     rng = np.random.default_rng(0)
     for _ in range(200):
@@ -181,6 +196,20 @@ def test_transcript_accounting_and_budget_bracketing():
     assert total == pytest.approx(tr.total_cost)
     assert [r.decision for r in tr.rounds].count("continue") == len(tr.rounds) - 1
     assert len(tr.rounds) <= math.log2(tr.total_cost) + 2
+
+
+@pytest.mark.parametrize("q_only", [False, True])
+def test_transcript_counts_the_labels_bought(q_only):
+    pair, cls = tl.discretize_pair(tl.example_scenario(2), 16)
+    sp, sq = _samplers(pair)
+    u = tl.sample_unlabeled(pair.q, 4096, seed=1)
+    _, tr = tl.run_adaptive_sampling(0.2, tl.CostSchedule("linear", 1.0),
+                                     tl.CostSchedule("linear", 0.5), sp, sq, u, cls, CONF,
+                                     seed=2, q_only=q_only)
+    assert len(tr.rounds) > 1
+    assert tr.n_p == sum(r.n_tp for r in tr.rounds)
+    assert tr.n_q == sum(r.n_tq for r in tr.rounds) > 0
+    assert (tr.n_p == 0) == q_only
 
 
 def test_adaptive_rejects_small_unlabeled_pool():

@@ -187,6 +187,33 @@ def test_rates_tuned_cells_honour_jobs(tmp_path, monkeypatch):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_rates_runs_in_process_without_jobs(tmp_path, monkeypatch):
+    # --jobs defaulted to 0, which started a worker per core
+    class Refused(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("rates started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Refused)
+    assert run(["rates", "--config", str(CONFIGS / "target_rate_sweep.json"),
+                "--set", "trials=5", "--out", str(tmp_path / "r.csv")]) == 0
+
+
+DRAWING = ("rates", "adaptive", "select", "reweight")
+
+
+@pytest.mark.parametrize("name", cli._COMMANDS)
+def test_seed_is_an_option_of_the_commands_that_draw(name, capsys):
+    # scenario, exponent and verify-family took a --seed that they never read
+    argv = [name] + (["list"] if name == "scenario" else []) + ["--out", "unused", "--seed", "1"]
+    if name in DRAWING:
+        assert build_parser().parse_args(argv).seed == 1
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_rates_tuned_cells_use_family_seed(tmp_path):
     # at d_h = 12 the sign vectors are a seeded packing, so sigma_index 5 names
     # a different pair under each family.seed, in every tuned cell too
@@ -527,7 +554,7 @@ def test_every_shipped_config_is_covered():
 @pytest.mark.parametrize("name", sorted(CONFIG_COMMANDS))
 def test_shipped_config_runs(name, tmp_path, capsys):
     command = CONFIG_COMMANDS[name]
-    assert run(command + ["--config", str(CONFIGS / name), "--seed", "0", "--jobs", "1",
+    assert run(command + ["--config", str(CONFIGS / name), "--jobs", "1",
                           "--out", str(tmp_path / "out")]) == 0
 
 
@@ -565,6 +592,8 @@ BAD_FIELDS = [
     (["scenario", "describe", "--set", "id=2.7"], "id"),
     (["scenario", "list", "--set", "id=abc"], "id"),
     (EXPONENT + ["--jobs", "-1"], "--jobs"),
+    # --jobs 0 started a worker per core, and jobs=0 ran in-process
+    (RATES + ["--jobs", "0"], "--jobs"),
     # refused only by the library, after setup
     (SELECT + ["--set", "trials=abc"], "trials"),
     (ADAPTIVE + ["--set", "unlabeled=abc"], "unlabeled"),

@@ -18,7 +18,7 @@ from transferlab import (
     project_class,
     threshold_class,
 )
-from transferlab.distributions import _anchored_cube_class
+from transferlab.distributions import _anchored_cube_class, _key_words, derive_seed, rng_from
 from transferlab.hypotheses import (
     SampleCounts,
     _f2_disagreements,
@@ -729,7 +729,7 @@ COUNT_SITES = {
     "trials": ("trials", 1, lambda v: tl.monte_carlo(*_rate_family(), "erm_q", [(0, 8)], v, 1)),
     "n_p": ("n_p", 0, lambda v: tl.monte_carlo(*_rate_family(), "erm_q", [(v, 8)], 2, 1)),
     "n_q": ("n_q", 0, lambda v: tl.monte_carlo(*_rate_family(), "erm_q", [(8, v)], 2, 1)),
-    "jobs": ("jobs", 0, lambda v: tl.monte_carlo(*_rate_family(), "erm_q", [(0, 8)], 2, 1,
+    "jobs": ("jobs", 1, lambda v: tl.monte_carlo(*_rate_family(), "erm_q", [(0, 8)], 2, 1,
                                                  jobs=v)),
     "drop_smallest": ("drop_smallest", 0,
                       lambda v: tl.fit_slope(_rate_table(), "n_q", drop_smallest=v)),
@@ -737,7 +737,17 @@ COUNT_SITES = {
     "unlabeled-vc_dim": ("vc_dim", 1, lambda v: tl.unlabeled_requirement(0.1, 0.1, v)),
     "costs-vc_dim": ("vc_dim", 1, lambda v: tl.optimal_sampling_costs(
         0.1, v, 0.5, 0.5, 1.0, tl.CostSchedule("linear", 1.0), tl.CostSchedule("linear", 1.0))),
+    "max_rounds": ("max_rounds", 1, lambda v: _adaptive_run(max_rounds=v)),
 }
+
+
+def _adaptive_run(max_rounds=64, seed=0):
+    pair, cls = tl.discretize_pair(tl.example_scenario(2), 8)
+    unit = tl.CostSchedule("linear", 1.0)
+    return tl.run_adaptive_sampling(
+        0.2, unit, unit, lambda n, s: tl.sample_labeled(pair.p, n, s),
+        lambda n, s: tl.sample_labeled(pair.q, n, s), tl.sample_unlabeled(pair.q, 4096, 1), cls,
+        seed=seed, max_rounds=max_rounds)
 
 
 @pytest.mark.parametrize("value", [2.5, True, np.True_, np.float64(3.0), "4", np.array(3.0),
@@ -757,6 +767,42 @@ def test_count_rule_refuses_a_count_below_its_least_by_name(site):
     field, least, call = COUNT_SITES[site]
     with pytest.raises(ValueError, match=rf"^{field} must be"):
         call(least - 1)
+
+
+# every entry point that reads a seed: the call passes its one argument as the
+# seed.  A seed has no least, so the count rule reads it with none
+JOINT3 = tl.DiscreteJoint(np.arange(3.0), np.full(3, 1 / 3), np.ones(3))
+SEED_SITES = {
+    "sample_labeled": lambda v: tl.sample_labeled(JOINT3, 4, v),
+    "sample_unlabeled": lambda v: tl.sample_unlabeled(JOINT3, 4, v),
+    "sample-line": lambda v: tl.sample_labeled(tl.example_scenario(2).p, 4, v),
+    "rng_from": lambda v: rng_from(v, 1),
+    "derive_seed": lambda v: derive_seed(v, 1),
+    "vg_packing": lambda v: tl.vg_packing(8, v),
+    "monte_carlo": lambda v: tl.monte_carlo(*_rate_family(), "erm_q", [(0, 8)], 2, v),
+    "monte_carlo-no-cells": lambda v: tl.monte_carlo(*_rate_family(), "erm_q", [], 2, v),
+    "run_adaptive_sampling": lambda v: _adaptive_run(seed=v),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 3.7, True, np.True_, np.float64(3.0), "4",
+                                   np.array(2.0), np.array([3, 4])])
+@pytest.mark.parametrize("site", SEED_SITES)
+def test_seed_rule_refuses_a_non_integer_by_name(site, value):
+    # 3.7 drew seed 3's stream, 2.5 ran a rate table and wrote seed 2 into it,
+    # and True derived the seeds of 1
+    with pytest.raises(TypeError, match=re.escape(f"seed must be an integer, got {value!r}")):
+        SEED_SITES[site](value)
+
+
+def test_seed_rule_takes_numpy_integers():
+    # a numpy integer or 0-d integer array seed, of any sign, gives its int's words
+    for seed in (np.int64(-5), np.uint64(2 ** 63 + 5), np.int8(7), np.array(5)):
+        assert _key_words(seed, (1,)) == _key_words(int(seed), (1,))
+    draw = tl.sample_labeled(JOINT3, 9, np.int32(7))
+    assert np.array_equal(draw.points, tl.sample_labeled(JOINT3, 9, 7).points)
+    row = tl.monte_carlo(*_rate_family(), "erm_q", [(0, 8)], 2, np.int64(3)).rows[0]
+    assert type(row.seed) is int and row.seed == 3
 
 
 def test_count_rule_takes_numpy_integers():

@@ -84,6 +84,13 @@ def test_trials_below_one_rejected(trials):
         tl.monte_carlo(pair, cls, "erm_q", [(0, 8)], trials, 1, CONF)
 
 
+def test_rate_table_length_is_its_row_count():
+    pair, cls = small_family()
+    table = tl.monte_carlo(pair, cls, "erm_q", [(0, 8), (0, 16), (8, 0)], 2, seed=1, conf=CONF)
+    assert len(table) == len(table.rows) == 3
+    assert len(tl.RateTable([])) == 0
+
+
 def test_parallel_jobs_bit_identical(tmp_path):
     pair, cls = small_family()
     grid = [(0, 64), (0, 128), (0, 256)]
