@@ -156,8 +156,6 @@ def _owned(path: str, *names: str):
     only one, if one is given), else the object at `path`."""
     try:
         yield
-    except ConfigError:
-        raise
     except (ValueError, OSError) as exc:
         named = [n for n in names if re.search(rf"\b{n}\b", str(exc))]
         if not named and len(names) == 1:
@@ -173,8 +171,6 @@ def _kind(tp) -> str:
         return " or ".join(_kind(t) for t in args if t is not type(None))
     if origin in (list, tuple):
         return "a list" + (f" of {len(args)} items" if origin is tuple else "")
-    if is_dataclass(tp):
-        return "a JSON object"
     return {int: "an integer", float: "a number", bool: "true or false", str: "a string"}[tp]
 
 
@@ -650,8 +646,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("action", choices=("list", "describe", "emit"))
         p.add_argument("--config", metavar="PATH", help="JSON config file")
         if name in ("rates", "adaptive", "select", "reweight"):  # the commands that draw
-            p.add_argument("--seed", type=int, default=0, metavar="U64",
-                           help="master seed; all randomness derives from it")
+            p.add_argument("--seed", type=int, default=0, metavar="INT",
+                           help="master seed, any integer, read mod 2^64; all randomness "
+                                "derives from it")
         p.add_argument("--out", metavar="PATH", required=name == "rates",
                        help="output file (stdout if omitted where applicable)")
         p.add_argument("--jobs", type=int, default=1, metavar="N",

@@ -52,11 +52,12 @@ class ExponentReport:
     grid_size: int | None = None
 
     def to_json_dict(self) -> dict:
-        """Strict JSON: an infinite value (no finite exponent fits) or threshold is null."""
+        """Strict JSON: the value is null where no finite exponent fits (an
+        infinite value, or even beta = 0 fails), and so is an infinite threshold."""
         w = self.witness
         t = None if w is None else w.threshold
         return {
-            "value": self.value if math.isfinite(self.value) else None,
+            "value": self.value if self.satisfied and math.isfinite(self.value) else None,
             "constant": self.constant,
             "witness_labels": None if w is None or w.labels is None else list(w.labels),
             "witness_threshold": t if t is not None and math.isfinite(t) else None,
@@ -250,8 +251,8 @@ def beta_max(dist, cls: HypothesisClass, c_noise: float = 1.0, grid=None) -> Exp
     Takes one side of a pair (its own optimum anchors both quantities).
     Hypotheses with zero excess impose no constraint.  If some hypothesis
     violates the inequality even at beta = 0 the report carries value 0 with
-    satisfied=False; if no hypothesis constrains beta at all, value 1 with
-    degenerate=True.
+    satisfied=False (null in its JSON); if no hypothesis constrains beta at
+    all, value 1 with degenerate=True.
     """
     _check_constant("c_noise", c_noise)
     if isinstance(dist, TransferPair):
@@ -373,12 +374,12 @@ def verify_family(family, constant: float | None = None, tol: float = 1e-9,
 
     Pairs share both masses and margins, and bit j of a member's index is its
     label on point j + 1, so flipping the signs in the bit mask f maps member m
-    of one pair onto member m ^ f of the other.  Pairs are grouped by their
-    signs on the tie points (`_tie_points`); the first pair of a group is
-    profiled, and every pair of the group gets, per failed check, one row of
-    the representative's violating members m read as m ^ f (re-sorted) and
-    of its lhs and rhs in that order.  Those agree with the pair's own profile
-    up to rounding.
+    of one pair onto member m ^ f of the other.  A family without tie points
+    (`_tie_points`) profiles pair 0 once, and pair i gets, per failed check,
+    pair 0's violating members m read as m ^ f_i (re-sorted) and their lhs and
+    rhs in that order; those agree with pair i's own profile up to rounding.
+    A family with a tie point profiles every pair on its own, as
+    `verify_membership` does.
     """
     p = family.params
     rho = p["rho"] if rho is None else rho
@@ -387,26 +388,23 @@ def verify_family(family, constant: float | None = None, tol: float = 1e-9,
     if constant is None:
         constant = 1.0 if family.kind == "single-scale" else 2.0
     _check_membership_params(rho, beta_p, beta_q, constant, tol)
-    sigmas = family.sigmas
-    firsts: dict[bytes, int] = {}
-    reps = np.array([firsts.setdefault(key.tobytes(), i)
-                     for i, key in enumerate(sigmas[:, _tie_points(family)])])
-    codes = (sigmas < 0) @ (1 << np.arange(sigmas.shape[1]))
-    reports: list = [None] * len(sigmas)
-    for r in firsts.values():
-        group = np.flatnonzero(reps == r)
-        flips = (codes[group] ^ codes[r])[:, None]
-        prof = _discrete_profile(family.cls, family.mass_p, family.eta_p[r],
-                                 family.mass_q, family.eta_q[r])
-        checks = {}  # per failed check, its (members, lhs, rhs) with one row per pair
-        for name, (idx, lhs, rhs) in _violations(prof, rho, beta_p, beta_q,
-                                                 constant, tol).items():
-            order = np.argsort(idx ^ flips, axis=1)
-            checks[name] = (idx[order] ^ flips, lhs[order], rhs[order])
-        for g, i in enumerate(group.tolist()):
-            reports[i] = MembershipReport({name: (members[g], lhs[g], rhs[g])
-                                           for name, (members, lhs, rhs) in checks.items()})
-    return reports
+
+    def violations(i: int) -> dict:
+        prof = _discrete_profile(family.cls, family.mass_p, family.eta_p[i],
+                                 family.mass_q, family.eta_q[i])
+        return _violations(prof, rho, beta_p, beta_q, constant, tol)
+
+    if _tie_points(family).any():
+        return [MembershipReport(violations(i)) for i in range(len(family))]
+    codes = (family.sigmas < 0) @ (1 << np.arange(family.sigmas.shape[1]))
+    flips = (codes ^ codes[0])[:, None]
+    checks = {}  # per failed check, its (members, lhs, rhs) with one row per pair
+    for name, (idx, lhs, rhs) in violations(0).items():
+        order = np.argsort(idx ^ flips, axis=1)
+        checks[name] = (idx[order] ^ flips, lhs[order], rhs[order])
+    return [MembershipReport({name: (members[i], lhs[i], rhs[i])
+                              for name, (members, lhs, rhs) in checks.items()})
+            for i in range(len(family))]
 
 
 def gamma_rho_chain_check(pair: TransferPair, cls: HypothesisClass,

@@ -436,8 +436,10 @@ def _line_points(dist, n: int, seed: int) -> np.ndarray:
 
 
 def _rng(n: int, seed: int) -> np.random.Generator | None:
-    """The seed's generator for a draw of 0 <= n <= 2^53; None for an empty draw."""
-    return rng_from(seed) if _check_draws(n) else None
+    """The seed's generator for a draw of 0 <= n <= 2^53; None for an empty
+    draw, whose seed is read all the same."""
+    n, seed = _check_draws(n), _count("seed", seed, -math.inf)
+    return rng_from(seed) if n else None
 
 
 def _check_draws(n: int) -> int:
@@ -509,11 +511,10 @@ def vg_packing(d: int, seed: int = 0, target: int | None = None) -> np.ndarray:
     2^(d/8) + 1).
     """
     d = _count("d", d, 8)
-    if target is not None and (isinstance(target, float) and math.isnan(target)
-                               or not 1 <= _count("target", target, -math.inf) <= 2 ** d):
-        # the vectors are distinct, so no more than 2^d of them fit
+    need = (int(math.floor(2.0 ** (d / 8.0))) + 1 if target is None
+            else _count("target", target, -math.inf))
+    if not 1 <= need <= 2 ** d:  # the vectors are distinct, so no more than 2^d of them fit
         raise ValueError(f"target must be in [1, 2^{d}], got {target}")
-    need = int(math.floor(2.0 ** (d / 8.0))) + 1 if target is None else _count("target", target)
     min_dist = d / 8.0
     rng = rng_from(seed, 0x9AC)
     kept = np.ones((need, d), dtype=np.int8)
@@ -623,6 +624,7 @@ def _anchored_cube_class(d: int, coords: np.ndarray) -> HypothesisClass:
 
 
 def _family_sigmas(d: int, sigmas, seed: int) -> np.ndarray:
+    seed = _count("seed", seed, -math.inf)
     if sigmas is not None:
         arr = np.asarray(sigmas, dtype=np.int8)
         if arr.ndim != 2 or arr.shape[1] != d or not np.isin(arr, (-1, 1)).all():

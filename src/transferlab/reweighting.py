@@ -63,8 +63,6 @@ class DensityFamily:
                 raise ValueError("densities must be finite and nonnegative, at most 2^485")
         if self.pseudo_dim is None:
             self.pseudo_dim = max(1, math.ceil(math.log2(max(2, len(self.weights)))))
-        elif isinstance(self.pseudo_dim, float) and math.isnan(self.pseudo_dim):
-            raise ValueError(f"pseudo_dim must be >= 0, got {self.pseudo_dim}")
         self.pseudo_dim = _count("pseudo_dim", self.pseudo_dim)
 
     def __len__(self) -> int:

@@ -118,6 +118,19 @@ def test_an_infinite_exponent_prints_null(capsys):
     assert json.loads(capsys.readouterr().out, parse_constant=refuse_constant)["value"] is None
 
 
+def test_an_unsatisfiable_noise_exponent_prints_null_with_its_witness(capsys):
+    # at constant 0.4 even beta = 0 fails on P's side: the value 0.0 it
+    # printed read as "beta_max = 0 holds"
+    pair, cls = tl.rcs_violating_pair(0.15)
+    report = tl.beta_max(pair.p, cls, 0.4)
+    assert (report.value, report.satisfied) == (0.0, False)
+    assert run(["exponent", "--set", 'scenario={"rcs_gap":0.15}', "--set", "quantity=beta_p",
+                "--set", "constant=0.4"]) == 0
+    out = json.loads(capsys.readouterr().out, parse_constant=refuse_constant)
+    assert out == {"quantity": "beta_p", "value": None, "constant": 0.4,
+                   "witness_labels": list(report.witness.labels), "witness_threshold": None}
+
+
 def test_scenario_describe_ring(capsys):
     assert run(["scenario", "describe", "--set", "id=1"]) == 0
     pair, _ = tl.example_scenario(1)

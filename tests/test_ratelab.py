@@ -445,3 +445,11 @@ if __name__ == "__main__":
     for name in sorted(tl.ESTIMATORS):
         _golden_table(name, 1).to_csv(GOLDEN / f"{name}.csv")
         print(f"wrote {GOLDEN / name}.csv")
+
+
+def test_csv_refuses_a_foreign_header(tmp_path):
+    path = tmp_path / "rates.csv"
+    path.write_text("n_p,n_q,estimator\n0,8,erm_q\n")
+    with pytest.raises(ValueError, match=re.escape(
+            "unexpected CSV header ['n_p', 'n_q', 'estimator']")):
+        tl.RateTable.from_csv(path)
