@@ -34,13 +34,13 @@ from .discrepancy import (
     d_a,
     d_y,
     d_y_localized,
+    default_grid,
     gamma_min,
     rho_min,
     rho_prime_min,
     verify_family,
 )
 from .distributions import (
-    _line_extent,
     best_in_class,
     build_single_scale_family,
     build_two_scale_family,
@@ -389,7 +389,7 @@ class _Exponent:
         if self.grid_size is not None:
             if pair.discrete:
                 raise ConfigError("grid_size: applies only to a continuous scenario")
-            grid = np.linspace(*_line_extent(pair), self.grid_size)
+            grid = default_grid(pair, self.grid_size)
         if quantity in ("d_a", "d_y"):
             value = {"d_a": d_a, "d_y": d_y}[quantity](pair, cls, grid=grid)
             payload = {"quantity": quantity, "value": value}

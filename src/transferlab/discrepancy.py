@@ -2,9 +2,12 @@
 
 All exponents are computed at a caller-supplied constant by exhausting an
 enumerable class: pairs on a finite support are evaluated exactly, line
-scenarios are evaluated on an explicit threshold grid (recorded in the
-report).  Hypotheses whose bound side reaches 1 are skipped, since the
-defining inequalities hold for them automatically.
+scenarios are evaluated on an explicit threshold grid (its size recorded in
+the report) that always holds both optima h*_P and h*_Q.  Both kinds of pair
+are profiled by one rule: each side's excess and own disagreement are taken
+from its optimum, and Q's cross disagreement from h*_P.  Hypotheses whose
+bound side reaches 1 are skipped, since the defining inequalities hold for
+them automatically.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ class PairProfile:
     Arrays are aligned with `members` (the class itself, or for a line pair
     the threshold grid as a class), which builds a member only when it is
     indexed: excess risks under P and Q, marginal disagreement masses with the
-    P-optimal classifier, the Q disagreement mass with the Q-optimal member,
+    P-optimal member, the Q disagreement mass with the Q-optimal member,
     plain Q risks, and the index of the P- and Q-optimal members.
     """
 
@@ -87,64 +90,58 @@ class PairProfile:
     grid_size: int | None = None
 
 
-def default_grid(pair: TransferPair) -> np.ndarray:
+def default_grid(pair: TransferPair, size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
+    """`size` thresholds spanning the pair's extent, plus one beyond each end."""
     lo, hi = _line_extent(pair)
-    grid = np.linspace(lo, hi, DEFAULT_GRID_SIZE)
-    return np.unique(np.concatenate([grid, [pair.p.h_star, lo - 1.0, hi + 1.0]]))
+    return np.concatenate([[lo - 1.0], np.linspace(lo, hi, size), [hi + 1.0]])
 
 
 def pair_profile(pair: TransferPair, cls: HypothesisClass,
                  grid=None) -> PairProfile:
+    """A finite pair's profile over `cls` projected onto its support; a line
+    pair's over its threshold grid (`default_grid` if none is given), to
+    which both optima h*_P and h*_Q are added."""
+    p, q = pair.p, pair.q
     if pair.discrete:
-        return _discrete_profile(project_onto_support(cls, pair.p.support),
-                                 pair.p.mass, pair.p.eta, pair.q.mass, pair.q.eta)
+        cls = project_onto_support(cls, p.support)
+        return _profile(cls, *_finite_kernels(cls), (p.mass, p.eta), (q.mass, q.eta))
     if cls.kind != THRESHOLD:
         raise TypeError("line scenarios pair with the threshold class")
-    grid = default_grid(pair) if grid is None else np.unique(np.asarray(grid, dtype=np.float64))
-    return _threshold_profile(pair, grid)
+    grid = np.unique(np.append(default_grid(pair) if grid is None else grid,
+                               [p.h_star, q.h_star]))
+    # a line side is its CDF over the grid and at its own optimum; noiseless
+    # labels make a member's risk its disagreement mass with that optimum
+    sides = [(s.density.cdf(grid), float(s.density.cdf(s.h_star))) for s in (p, q)]
+    return _profile(HypothesisClass(thresholds=grid), lambda side: np.abs(side[0] - side[1]),
+                    lambda side, i: np.abs(side[0] - side[0][i]), *sides, grid.size)
 
 
-def _discrete_profile(cls: HypothesisClass, mass_p: np.ndarray, eta_p: np.ndarray,
-                      mass_q: np.ndarray, eta_q: np.ndarray) -> PairProfile:
-    risks_p = member_true_risks(cls, mass_p, eta_p)
-    risks_q = member_true_risks(cls, mass_q, eta_q)
-    star_p = int(np.argmin(risks_p))
-    star_q = int(np.argmin(risks_q))
-    dis_q = member_disagreement_mass(cls, star_p, mass_q)
-    dis_q_own = dis_q if star_q == star_p else \
-        member_disagreement_mass(cls, star_q, mass_q)
+def _finite_kernels(cls: HypothesisClass):
+    """`_profile`'s kernels over an enumerated class, for sides (mass, eta)."""
+    return (lambda side: member_true_risks(cls, *side),
+            lambda side, i: member_disagreement_mass(cls, i, side[0]))
+
+
+def _profile(members, risk, dis, p, q, grid_size=None) -> PairProfile:
+    """The profile of sides p and q from two per-side kernels: `risk(side)`,
+    every member's risk, and `dis(side, i)`, every member's disagreement mass
+    with member i.  A side's optimum is its lowest-index least risk, and its
+    excess and own disagreement are taken from it; Q's cross disagreement is
+    taken from P's optimum."""
+    risk_p, risk_q = risk(p), risk(q)
+    star_p, star_q = int(np.argmin(risk_p)), int(np.argmin(risk_q))
+    dis_q = dis(q, star_p)
     return PairProfile(
-        members=cls,
-        e_p=risks_p - risks_p[star_p],
-        e_q=risks_q - risks_q[star_q],
-        dis_p=member_disagreement_mass(cls, star_p, mass_p),
+        members=members,
+        e_p=risk_p - risk_p[star_p],
+        e_q=risk_q - risk_q[star_q],
+        dis_p=dis(p, star_p),
         dis_q=dis_q,
-        dis_q_own=dis_q_own,
-        risk_q=risks_q,
+        dis_q_own=dis_q if star_q == star_p else dis(q, star_q),
+        risk_q=risk_q,
         star_p=star_p,
-        star_q=star_q)
-
-
-def _threshold_profile(pair: TransferPair, grid: np.ndarray) -> PairProfile:
-    p, q = pair.p, pair.q
-    cdf_p = p.density.cdf(grid)
-    cdf_q = q.density.cdf(grid)
-    at_star_p = float(p.density.cdf(p.h_star))
-    at_star_q = float(q.density.cdf(q.h_star))
-    dis_p = np.abs(cdf_p - at_star_p)
-    dis_q = np.abs(cdf_q - at_star_q)
-    star_q = int(np.argmin(dis_q))
-    return PairProfile(
-        members=HypothesisClass(thresholds=grid),
-        e_p=dis_p,  # noiseless labels: excess risk equals disagreement mass
-        e_q=dis_q,
-        dis_p=dis_p,
-        dis_q=dis_q,
-        dis_q_own=np.abs(cdf_q - q.density.cdf(grid[star_q])),
-        risk_q=dis_q,
-        star_p=int(np.argmin(dis_p)),
         star_q=star_q,
-        grid_size=grid.size)
+        grid_size=grid_size)
 
 
 def _logs(x: np.ndarray) -> np.ndarray:
@@ -278,17 +275,13 @@ def d_y_localized(pair: TransferPair, cls: HypothesisClass, eps: float,
                   grid=None) -> float:
     """sup of |E_P - E_Q| over hypotheses with E_P <= eps.
 
-    On a finite support the P-optimal member has E_P = 0, so it qualifies for
-    every eps >= 0.  A threshold grid that misses h*_P has E_P > 0 everywhere;
-    if no grid point has E_P <= eps, ValueError names the smallest E_P.
+    The P-optimal member, of every finite class and every line grid, has
+    E_P = 0, so it qualifies for every eps >= 0.
     """
     if not eps >= 0:
         raise ValueError("eps must be >= 0")
     prof = pair_profile(pair, cls, grid)
     mask = prof.e_p <= eps
-    if not mask.any():
-        raise ValueError(f"no hypothesis has E_P <= eps = {eps!r}: the smallest "
-                         f"E_P on the grid is {float(prof.e_p.min())!r}")
     return float(np.max(np.abs(prof.e_p[mask] - prof.e_q[mask])))
 
 
@@ -389,9 +382,11 @@ def verify_family(family, constant: float | None = None, tol: float = 1e-9,
         constant = 1.0 if family.kind == "single-scale" else 2.0
     _check_membership_params(rho, beta_p, beta_q, constant, tol)
 
+    kernels = _finite_kernels(family.cls)
+
     def violations(i: int) -> dict:
-        prof = _discrete_profile(family.cls, family.mass_p, family.eta_p[i],
-                                 family.mass_q, family.eta_q[i])
+        prof = _profile(family.cls, *kernels, (family.mass_p, family.eta_p[i]),
+                        (family.mass_q, family.eta_q[i]))
         return _violations(prof, rho, beta_p, beta_q, constant, tol)
 
     if _tie_points(family).any():

@@ -507,15 +507,17 @@ def vg_packing(d: int, seed: int = 0, target: int | None = None) -> np.ndarray:
 
     Starts from the all-ones vector and greedily admits seeded random
     candidates, so the output is deterministic given (d, seed).  Stops once
-    `target` vectors are kept, 1 <= target <= 2^d (default: the guaranteed
-    2^(d/8) + 1).
+    `target` vectors are kept, 1 <= target <= 2^(d - D + 1) with D = ceil(d/8)
+    the distance kept (default: the guaranteed 2^(d/8) + 1).
     """
     d = _count("d", d, 8)
     need = (int(math.floor(2.0 ** (d / 8.0))) + 1 if target is None
             else _count("target", target, -math.inf))
-    if not 1 <= need <= 2 ** d:  # the vectors are distinct, so no more than 2^d of them fit
-        raise ValueError(f"target must be in [1, 2^{d}], got {target}")
-    min_dist = d / 8.0
+    min_dist = -(-d // 8)
+    bound = 2 ** (d - min_dist + 1)  # Singleton: no more vectors at distance D fit in d bits
+    if not 1 <= need <= bound:
+        raise ValueError(f"target must be in [1, 2^(d - D + 1)] = [1, {bound}] at d = {d}, "
+                         f"D = ceil(d/8) = {min_dist}, got {target}")
     rng = rng_from(seed, 0x9AC)
     kept = np.ones((need, d), dtype=np.int8)
     # each kept vector's -1 positions as the bits of an int: the Hamming
@@ -832,25 +834,23 @@ def rcs_violating_pair(gap: float = 0.15):
 def discretize_pair(pair: TransferPair, cells: int) -> tuple[TransferPair, HypothesisClass]:
     """Exact finite-support version of a line scenario on equal-width cells.
 
-    Cell masses come from the closed-form CDFs; labels are the optimal
-    threshold's labels at the cell centers.  The accompanying class is the
-    threshold class projected onto the centers.
+    Cell masses come from the closed-form CDFs; each side's labels are its
+    own optimal threshold's labels at the cell centers.  The accompanying
+    class is the threshold class projected onto the centers.
     """
     if pair.discrete:
         raise TypeError("pair is already discrete")
     cells = _count("cells", cells, 1)
-    p, q = pair.p, pair.q
     edges = np.linspace(*_line_extent(pair), cells + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    mass_p = np.diff(p.density.cdf(edges))
-    mass_q = np.diff(q.density.cdf(edges))
-    mass_p = mass_p / mass_p.sum()
-    mass_q = mass_q / mass_q.sum()
-    eta = (centers <= p.h_star).astype(np.float64)
-    joint_p = DiscreteJoint(centers, mass_p, eta)
-    joint_q = DiscreteJoint(centers, mass_q, eta)
+
+    def joint(side: ThresholdMarginal) -> DiscreteJoint:
+        mass = np.diff(side.density.cdf(edges))
+        eta = (centers <= side.h_star).astype(np.float64)
+        return DiscreteJoint(centers, mass / mass.sum(), eta)
+
     cls = project_class(threshold_class(), centers)
-    return TransferPair(joint_p, joint_q, pair.certified), cls
+    return TransferPair(joint(pair.p), joint(pair.q), pair.certified), cls
 
 
 # ---------------------------------------------------------------------------

@@ -376,10 +376,10 @@ def test_cli_runtime_error_exit_code(tmp_path, capsys):
     assert run(["adaptive", "--config", str(CONFIGS / "cheap_source_adaptive.json"),
                 "--set", "trials=1", "--set", "max_rounds=1", "--out", str(out)]) == 3
     assert "no stopping rule fired" in capsys.readouterr().err
-    # a grid that misses h*_P leaves no hypothesis with E_P <= 0
+    # a grid of 4 thresholds that misses h*_P gains it, so E_P <= 0 is no runtime error
     assert run(["exponent", "--set", "scenario.id=2", "--set", "quantity=d_y_localized",
-                "--set", "eps=0", "--set", "grid_size=4"]) == 3
-    assert "eps = 0.0: the smallest E_P on the grid is" in capsys.readouterr().err
+                "--set", "eps=0", "--set", "grid_size=4"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 0.0
 
 
 def test_cli_idempotent_given_seed(tmp_path, capsys):

@@ -159,16 +159,40 @@ def test_d_y_localized_tracks_inverse_n():
     assert abs(slope + 1.0) < 0.1
 
 
-def test_d_y_localized_grid_missing_h_star_names_eps():
-    # four grid points, none at h*_P = 0: every E_P is positive
+def test_d_y_localized_grid_missing_h_star_gains_it():
+    # four grid points, none at h*_P = 0: the profile adds h*_P, whose E_P is 0
     pair, cls = tl.example_scenario(2), threshold_class()
     grid = np.linspace(-1.0, 1.0, 4)
-    smallest = float(pair_profile(pair, cls, grid).e_p.min())
-    assert smallest > 0.0
-    with pytest.raises(ValueError, match=rf"eps = 0\.0: the smallest E_P on the grid "
-                       rf"is {smallest!r}"):
-        tl.d_y_localized(pair, cls, 0.0, grid=grid)
-    assert tl.d_y_localized(pair, cls, smallest, grid=grid) >= 0.0
+    assert pair.p.h_star not in grid
+    prof = pair_profile(pair, cls, grid)
+    assert prof.members[prof.star_p].threshold == pair.p.h_star
+    assert prof.e_p[prof.star_p] == 0.0
+    assert tl.d_y_localized(pair, cls, 0.0, grid=grid) == 0.0
+
+
+def distinct_optima_line_pair():
+    """P = Q = uniform on [-1, 1], with h*_P = 0.2 and h*_Q = 0.5."""
+    return tl.TransferPair(*(tl.ThresholdMarginal(tl.uniform_density(-1.0, 1.0), h)
+                             for h in (0.2, 0.5)))
+
+
+@pytest.mark.parametrize("grid", [None, np.linspace(-1.0, 1.0, 4)])
+def test_every_line_grid_holds_both_optima(grid):
+    prof = pair_profile(distinct_optima_line_pair(), threshold_class(), grid)
+    assert prof.members[prof.star_p].threshold == 0.2
+    assert prof.members[prof.star_q].threshold == 0.5
+    assert prof.e_p[prof.star_p] == prof.e_q[prof.star_q] == 0.0
+
+
+def test_distinct_optima_line_pair_reads_q_against_h_star_p():
+    # identical marginals: Q's disagreement with h*_P is P's, member by member,
+    # so gamma is 1 and d_a is 0 (taken from h*_Q they read inf and 0.15)
+    pair, cls = distinct_optima_line_pair(), threshold_class()
+    prof = pair_profile(pair, cls)
+    assert np.array_equal(prof.dis_q, prof.dis_p)
+    assert tl.gamma_min(pair, cls).value == 1.0
+    assert tl.d_a(pair, cls) == 0.0
+    assert tl.rho_min(pair, cls).value == math.inf  # at h*_P, E_P = 0 < E_Q
 
 
 def test_asymmetry_example3():

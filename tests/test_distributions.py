@@ -558,8 +558,22 @@ def test_vg_packing_instantiated_sizes():
 @pytest.mark.parametrize("target", [0, -3, 257])
 def test_vg_packing_refuses_a_target_outside_one_to_two_to_the_d(target):
     # 0 and -3 returned the all-ones row alone; a packing holds distinct vectors
-    with pytest.raises(ValueError, match=re.escape(f"target must be in [1, 2^8], got {target}")):
+    with pytest.raises(ValueError, match=re.escape(
+            f"target must be in [1, 2^(d - D + 1)] = [1, 256] at d = 8, D = ceil(d/8) = 1, "
+            f"got {target}")):
         tl.vg_packing(8, 0, target)
+
+
+def test_vg_packing_refuses_a_target_past_the_singleton_bound_before_any_draw(monkeypatch):
+    # at d = 9 the loop keeps distance 2, so at most 2^8 vectors fit; 257 drew
+    # 2.6 million candidates before the stall RuntimeError
+    def no_draw(*args):
+        raise AssertionError("drew before refusing")
+    monkeypatch.setattr(distributions, "rng_from", no_draw)
+    with pytest.raises(ValueError, match=re.escape(
+            "target must be in [1, 2^(d - D + 1)] = [1, 256] at d = 9, D = ceil(d/8) = 2, "
+            "got 257")):
+        tl.vg_packing(9, 0, 257)
 
 
 # sha256 (first 16 hex digits) over seeds 0-4 of repr(shape) + bytes of each
@@ -680,6 +694,15 @@ def test_discretize_pair_masses():
     assert abs(pair.p.mass.sum() - 1) < 1e-12
     # Q mass lives on [0, 1] only: first half of the cells
     assert pair.q.mass[32:].sum() == 0.0
+
+
+def test_discretize_pair_labels_each_side_by_its_own_optimum():
+    # P = Q = uniform on [-1, 1], h*_P = 0.2 and h*_Q = 0.5, on cells of width 0.1
+    pair, cls = tl.discretize_pair(tl.TransferPair(
+        *(tl.ThresholdMarginal(tl.uniform_density(-1.0, 1.0), h) for h in (0.2, 0.5))), 20)
+    for joint, h_star in ((pair.p, 0.2), (pair.q, 0.5)):
+        assert np.array_equal(joint.eta, joint.support <= h_star)
+        assert tl.best_in_class(joint, cls).threshold == pytest.approx(h_star, abs=1e-12)
 
 
 @pytest.mark.parametrize("cells", [0, -3])
