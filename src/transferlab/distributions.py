@@ -32,6 +32,7 @@ from .hypotheses import (
     _cube_patterns,
     _matvec,
     _row,
+    _support_size,
     finite_class,
     finite_hypothesis,
     full_cube_class,
@@ -97,26 +98,30 @@ _WORD, _HALF = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 def _stream_batch(prefix, entries) -> list[np.random.PCG64]:
     """For each key (*prefix, *entries[t]): the PCG64 that `rng_from(*key)`
-    runs on, bit for bit, with `SeedSequence`'s mixing run over the batch
-    and numpy seeding each PCG64 from its key's mixed words (`_Words`).
+    runs on, bit for bit, numpy seeding each from its key's words in
+    `_pcg_words` (through `_Words`).  The fixed cost of the array work makes
+    this the route for a batch of keys only: one key is faster through numpy."""
+    return [np.random.PCG64(_Words(words)) for words in _pcg_words(prefix, entries)]
+
+
+def _pcg_words(prefix, entries) -> np.ndarray:
+    """The (T, 4) C-contiguous uint64 `generate_state(4, uint64)` words of
+    `SeedSequence(_seed_words(*key))` for each key (*prefix, *entries[t]),
+    with `SeedSequence`'s mixing run over the batch.
 
     `prefix` is the keys' shared (seed, *path), of Python ints, and `entries`
     the keys' (T, E) uint64 entries; with no prefix, a key's first entry is
     its seed.  A key's words are those of `_key_words`, built as arrays for
     the keys whose entries have the same word counts; a key of at most 4
-    words mixes as its words padded with zeros to 4, as in `SeedSequence`.
-    The fixed cost of the array work makes this the route for a batch of
-    keys only: one key is faster through numpy."""
+    words mixes as its words padded with zeros to 4, as in `SeedSequence`."""
     head = _key_words(prefix[0], prefix[1:]) if prefix else []
     wide = entries > _WORD  # the entries of two words
     counts = wide.dot(1 << np.arange(wide.shape[1]))  # each key's word counts, as bits
-    streams = [None] * len(entries)
+    words = np.empty((len(entries), 4), dtype=np.uint64)
     for code in np.unique(counts).tolist():
-        group = np.flatnonzero(counts == code)
-        seeds = _pcg_seeds(_pool(_entry_words(head, entries[group], code)))
-        for t, words in zip(group.tolist(), seeds):
-            streams[t] = np.random.PCG64(_Words(words))
-    return streams
+        group = counts == code
+        words[group] = _pcg_seeds(_pool(_entry_words(head, entries[group], code)))
+    return words
 
 
 class _Words(np.random.bit_generator.ISeedSequence):
@@ -135,10 +140,48 @@ class _Words(np.random.bit_generator.ISeedSequence):
 
 def _derived_seeds(prefix, entries) -> np.ndarray:
     """`derive_seed(*prefix, *entries[t])` for each row t of the (T, E) uint64
-    `entries`, as a uint64 array, from one `_stream_batch`: the top 62 bits
-    of each key's first raw PCG64 output, as in `derive_seed`."""
-    raws = [bit_generator.random_raw() for bit_generator in _stream_batch(prefix, entries)]
-    return np.array(raws, dtype=np.uint64) >> np.uint64(2)
+    `entries`, as a uint64 array: the top 62 bits of each key's first raw
+    PCG64 output (`_first_raws` of its `_pcg_words`), as in `derive_seed`,
+    with no PCG64 built."""
+    return _first_raws(_pcg_words(prefix, entries)) >> np.uint64(2)
+
+
+# PCG64's 128-bit multiplier, as its high and low words
+_PCG_MULT = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_ONE, _63, _64, _ROT = np.uint64(1), np.uint64(63), np.uint64(64), np.uint64(58)
+
+
+def _first_raws(words: np.ndarray) -> np.ndarray:
+    """The first `random_raw()` of `PCG64(_Words(w))` for each row w of the
+    (T, 4) uint64 seed words, on arrays.  PCG64 seeds itself from the 128-bit
+    initstate (w0, w1) and initseq (w2, w3), high word first: state 0,
+    inc = 2 initseq + 1, a step, initstate added, a step; a raw draw steps
+    once more and outputs XSL-RR, the state's two words XORed and rotated
+    right by its top 6 bits.  A 128-bit value is its (high, low) uint64 words,
+    and every operand stays `np.uint64`, so numpy 1.24 casts as numpy 2 does."""
+    w0, w1, w2, w3 = words.T
+    inc = (w2 << _ONE) | (w3 >> _63), (w3 << _ONE) | _ONE
+    state = _pcg_step(*_add128(*inc, w0, w1), *inc)  # 0 * mult + inc is inc
+    hi, lo = _pcg_step(*state, *inc)
+    x, rot = hi ^ lo, hi >> _ROT
+    return (x >> rot) | (x << ((_64 - rot) & _63))
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    """(a + b) mod 2^128 on (high, low) uint64 words."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 step, state * mult + inc mod 2^128, on (high, low) words: the
+    low words' 128-bit product is built from their 32-bit halves."""
+    m_hi, m_lo = _PCG_MULT
+    l1, l0, m1, m0 = lo >> _HALF, lo & _WORD, m_lo >> _HALF, m_lo & _WORD
+    low, cross_l, cross_m = l0 * m0, l1 * m0, l0 * m1
+    mid = (low >> _HALF) + (cross_l & _WORD) + (cross_m & _WORD)
+    lo_hi = l1 * m1 + (cross_l >> _HALF) + (cross_m >> _HALF) + (mid >> _HALF)
+    return _add128(hi * m_lo + lo * m_hi + lo_hi, lo * m_lo, inc_hi, inc_lo)
 
 
 def _entry_words(head, entries, code) -> np.ndarray:
@@ -200,11 +243,11 @@ def _pool(entropy: np.ndarray) -> np.ndarray:
 
 
 def _pcg_seeds(pool: np.ndarray) -> np.ndarray:
-    """`generate_state(4, uint64)` of each pool row, as a C-contiguous (T, 4)
-    uint64 array: the words PCG64 seeds itself from."""
+    """`generate_state(4, uint64)` of each pool row, as a (T, 4) uint64
+    array: the words PCG64 seeds itself from."""
     b = _hash_consts(_INIT_B, _MULT_B, 8)
     w = _hashmix(np.tile(pool, 2), b[:8], b[1:]).astype(np.uint64)
-    return np.ascontiguousarray(w[:, 0::2] | (w[:, 1::2] << np.uint64(32)))
+    return w[:, 0::2] | (w[:, 1::2] << _HALF)
 
 
 # ---------------------------------------------------------------------------
@@ -401,14 +444,16 @@ def sample_labeled(dist, n: int, seed: int) -> SampleCounts | LabeledSample:
     return LabeledSample(xs, (xs <= dist.h_star).view(np.int8), seed)
 
 
-def _labeled_trials(dist: DiscreteJoint, n: int, seeds: np.ndarray) -> SampleCounts:
-    """T labeled draws of n from a `DiscreteJoint` as one batch: column t of
-    its (s, T) int64 counts is exactly `sample_labeled(dist, n, seeds[t])`,
-    for T uint64 seeds (`_derived_seeds`), each drawn on its own PCG64 from
-    one `_stream_batch`.  An empty draw builds no stream."""
-    cells = np.zeros((2 * dist.size, len(seeds)), dtype=np.int64)
+def _labeled_trials(dist: DiscreteJoint, n: int, streams) -> SampleCounts:
+    """T labeled draws of n from a `DiscreteJoint` as one batch, one per PCG64
+    of the T `streams`: column t of its (s, T) int64 counts is exactly
+    `sample_labeled(dist, n, seed)` when streams[t] is the `_stream_batch`
+    stream of that seed.  A cell slices each side's streams from one
+    `_stream_batch` over its `_derived_seeds`.  An empty draw reads none of
+    the streams, so they may be None."""
+    cells = np.zeros((2 * dist.size, len(streams)), dtype=np.int64)
     if _check_draws(n):
-        for t, bit_generator in enumerate(_stream_batch((), seeds[:, None])):
+        for t, bit_generator in enumerate(streams):
             cells[:, t] = np.random.Generator(bit_generator).multinomial(n, dist.cell_probs)
     return SampleCounts._of_cells(cells)
 
@@ -471,17 +516,42 @@ def true_risk(dist, h: Hypothesis) -> float:
     raise TypeError(f"cannot evaluate risk under {type(dist).__name__}")
 
 
+def _true_risks(dist: DiscreteJoint, cls: HypothesisClass, members: np.ndarray) -> np.ndarray:
+    """`true_risk(dist, cls[i])` for each index i of `members`, bit for bit,
+    for a matrix or cut class over the joint's support, with no member built:
+    the members' label rows (a cut's from `support <= threshold`) through
+    `true_risk`'s elementwise formula, then one `np.dot` per row."""
+    if cls.thresholds is None:
+        labels = cls.label_matrix[members]
+    else:
+        labels = (dist.support <= cls.thresholds[members, None]).astype(np.float64)
+    terms = labels * (1.0 - dist.eta) + (1.0 - labels) * dist.eta
+    return np.array([np.dot(dist.mass, row) for row in terms])
+
+
 def member_true_risks(cls: HypothesisClass, mass: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """Exact risk of every member of an enumerated class under (mass, eta), as one product."""
+    _refuse_off_support(cls, mass=mass, eta=eta)
     w = mass * (1.0 - 2.0 * eta)
     return _matvec(cls, w) + float(np.dot(mass, eta))
 
 
 def member_disagreement_mass(cls: HypothesisClass, ref: int, mass: np.ndarray) -> np.ndarray:
     """Marginal `mass` where each member disagrees with member `ref`, exactly."""
+    _refuse_off_support(cls, mass=mass)
     ref_lab = _row(cls, ref)
     # 1[h != ref] = h + ref - 2 h ref, folded into one product
     return _matvec(cls, mass * (1.0 - 2.0 * ref_lab)) + float(np.dot(mass, ref_lab))
+
+
+def _refuse_off_support(cls: HypothesisClass, **arrays) -> None:
+    """Raise the ValueError that names an array not of one entry per support
+    point of the class, with both sizes."""
+    size = _support_size(cls)
+    for name, arr in arrays.items():
+        if np.shape(arr) != (size,):
+            raise ValueError(f"{name} of shape {np.shape(arr)} for a class over {size} "
+                             f"support points")
 
 
 def best_in_class(dist, cls: HypothesisClass) -> Hypothesis:

@@ -24,6 +24,8 @@ from .distributions import (
     TransferPair,
     _derived_seeds,
     _labeled_trials,
+    _stream_batch,
+    _true_risks,
     best_in_class,
     sample_labeled,
     true_risk,
@@ -115,9 +117,12 @@ def _cell_excesses(pair, cls, estimator, n_p, n_q, trials, seed, cell_key, conf)
     derives no seed.  One `_derived_seeds` call derives every seed of the
     cell, over the prefix (seed, cell_key) and one (t, side) row per key.
 
-    A batched cell (`_batches`) draws every trial first, as one batch per
-    side, chooses all trials' members at once (`_CHOICES`) and reads each
-    chosen member's true risk once; any other cell runs trial by trial."""
+    A batched cell (`_batches`) builds both sides' streams in one
+    `_stream_batch` over the derived seeds, draws every trial first, as one
+    batch per side from its slice of them, chooses all trials' members at
+    once (`_CHOICES`) and reads each distinct chosen member's true risk once,
+    from the class's label rows (`_true_risks`); any other cell runs trial by
+    trial."""
     q_best = true_risk(pair.q, best_in_class(pair.q, cls))
     sides = ((pair.p, n_p), (pair.q, n_q))
     drawn = np.array([k for k, (_, n) in enumerate(sides) if n], dtype=np.uint64)
@@ -125,13 +130,14 @@ def _cell_excesses(pair, cls, estimator, n_p, n_q, trials, seed, cell_key, conf)
                      np.repeat(drawn, trials)], axis=1)
     # P's seeds first, if it draws
     derived = _derived_seeds((seed, cell_key), rows)
+    if _batches(pair, cls):
+        streams = _stream_batch((), derived[:, None])
+        batches = [_labeled_trials(pair.p, n_p, streams[:trials] if n_p else [None] * trials),
+                   _labeled_trials(pair.q, n_q, streams[-trials:] if n_q else [None] * trials)]
+        chosen, trial = np.unique(_CHOICES[estimator](cls, *batches, conf), return_inverse=True)
+        return _true_risks(pair.q, cls, chosen)[trial] - q_best
     seeds_p = derived[:trials] if n_p else [0] * trials
     seeds_q = derived[-trials:] if n_q else [0] * trials
-    if _batches(pair, cls):
-        batches = [_labeled_trials(pair.p, n_p, seeds_p), _labeled_trials(pair.q, n_q, seeds_q)]
-        chosen, trial = np.unique(_CHOICES[estimator](cls, *batches, conf), return_inverse=True)
-        risks = np.array([true_risk(pair.q, cls[int(i)]) for i in chosen])
-        return risks[trial] - q_best
     excesses = np.empty(trials)
     for t in range(trials):
         sp = sample_labeled(pair.p, n_p, int(seeds_p[t]))
@@ -171,7 +177,13 @@ def sweep(cell_builder, estimator, grid, trials: int, seed: int,
     seed = _count("seed", seed, -math.inf)
     if not (isinstance(estimator, str) and estimator in ESTIMATORS):
         raise ValueError(f"estimator must be one of {', '.join(ESTIMATORS)}, got {estimator!r}")
-    cells = [(_count("n_p", n_p), _count("n_q", n_q)) for n_p, n_q in grid]
+    cells = []
+    for i, entry in enumerate(grid):
+        try:
+            n_p, n_q = entry
+        except (TypeError, ValueError):
+            raise ValueError(f"grid[{i}] is {entry!r}, not an (n_p, n_q) pair") from None
+        cells.append((_count("n_p", n_p), _count("n_q", n_q)))
     args = []
     for ci, (n_p, n_q) in enumerate(cells):
         pair, cls = cell_builder(n_p, n_q)
@@ -183,9 +195,10 @@ def sweep(cell_builder, estimator, grid, trials: int, seed: int,
             excesses = list(pool.map(_cell_excesses, *zip(*args)))
     else:
         excesses = [_cell_excesses(*a) for a in args]
+    # np.median's midpoint can differ from np.quantile's 0.5 in the last bit
     return RateTable([RateRow(n_p, n_q, estimator, trials, float(np.mean(exc)),
-                              float(np.median(exc)), float(np.quantile(exc, 0.10)),
-                              float(np.quantile(exc, 0.90)), seed)
+                              float(np.median(exc)),
+                              *np.quantile(exc, [0.10, 0.90]).tolist(), seed)
                       for exc, (n_p, n_q) in zip(excesses, cells)])
 
 

@@ -38,6 +38,8 @@ class Mutant(NamedTuple):
 
 
 STREAMS = "tests/test_distributions.py::test_stream_batch_matches_numpy_streams"
+FIRST_RAWS = ("tests/test_distributions.py::test_first_raws_equal_numpy_pcg64s_first_draw",
+              STREAMS)
 RECHECK = tuple(f"tests/test_discrepancy.py::test_{name}" for name in (
     "screen_keeps_the_extreme_where_np_log_rounds_apart",
     "screened_reductions_match_the_loops_at_one_ulp_near_ties"))
@@ -65,6 +67,20 @@ MUTANTS = (
            "words[:, at] = n",
            "words[:, at] = 1",
            (STREAMS,), "each entry is preceded by its own word count"),
+    Mutant("distributions.py",
+           "return a_hi + b_hi + (lo < a_lo), lo",
+           "return a_hi + b_hi, lo",
+           FIRST_RAWS, "a 128-bit add carries out of its low word"),
+    Mutant("distributions.py",
+           "x, rot = hi ^ lo, hi >> _ROT",
+           "x, rot = hi ^ lo, lo >> _ROT",
+           FIRST_RAWS, "XSL-RR rotates by the top 6 bits of the state's high word"),
+    Mutant("ratelab.py",
+           "return _true_risks(pair.q, cls, chosen)[trial] - q_best",
+           "return _true_risks(DiscreteJoint._trusted(pair.q.support, pair.q.mass, pair.p.eta),\n"
+           "                            cls, chosen)[trial] - q_best",
+           ("tests/test_ratelab.py::test_rates_golden_bytes",),
+           "a batched cell reads its chosen members' risks under Q's eta"),
     Mutant("discrepancy.py",
            "SCREEN_SLACK = 2.0 ** -40",
            "SCREEN_SLACK = 0.0",

@@ -22,6 +22,11 @@ def _u64(rows) -> np.ndarray:
     return np.array(rows, dtype=np.uint64)
 
 
+def _streams(seeds) -> list:
+    """One batch of fresh streams, stream t that of seeds[t], as a cell builds them."""
+    return distributions._stream_batch((), _u64(seeds)[:, None])
+
+
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -160,7 +165,7 @@ def test_a_draw_holds_at_most_2_53_draws():
     for n in (2 ** 53 + 1, 2 ** 63, 2 ** 70):
         for draw in (lambda: tl.sample_labeled(joint, n, seed=1),
                      lambda: tl.sample_unlabeled(joint, n, seed=1),
-                     lambda: distributions._labeled_trials(joint, n, _u64([1, 2]))):
+                     lambda: distributions._labeled_trials(joint, n, _streams([1, 2]))):
             with pytest.raises(ValueError, match=rf"n is {n}, above the 2\^53 draws"):
                 draw()
     with pytest.raises(ValueError, match=r"above the 2\^53"):
@@ -187,7 +192,7 @@ def test_trial_draws_are_the_per_trial_draws():
     fam = tl.build_single_scale_family(9, 1.0, 0.5, 0.5, 0.25)
     joint, seeds = fam.pairs[2].q, np.array([7, 2 ** 62 - 1, 0, 7], dtype=np.uint64)
     for n in (0, 1, 100, 2 ** 20):
-        batch = distributions._labeled_trials(joint, n, seeds)
+        batch = distributions._labeled_trials(joint, n, _streams(seeds))
         assert batch.points.shape == batch.ones.shape == (joint.size, len(seeds))
         assert len(batch) == n
         for t, seed in enumerate(seeds.tolist()):
@@ -336,7 +341,7 @@ def test_labeled_trials_draw_each_seeds_stream(seeds, n):
     # column t is a fresh `rng_from(seeds[t])`'s multinomial over the cells
     # (x, 0), (x, 1), split into points and ones, whatever the column before drew
     joint = tl.DiscreteJoint(np.arange(3.0), [0.2, 0.3, 0.5], [0.9, 0.4, 0.1])
-    batch = distributions._labeled_trials(joint, n, _u64(seeds))
+    batch = distributions._labeled_trials(joint, n, _streams(seeds))
     for t, seed in enumerate(seeds):
         cells = distributions.rng_from(seed).multinomial(n, joint.cell_probs)
         assert np.array_equal(batch.points[:, t], cells[0::2] + cells[1::2])
@@ -358,6 +363,81 @@ def test_stream_words_are_four_uint64_words_only():
     for n_words, dtype in ((8, np.uint32), (4, np.uint32), (2, np.uint64), (8, np.uint64)):
         with pytest.raises(ValueError, match="holds 4 uint64 words only"):
             words.generate_state(n_words, dtype)
+
+
+# PCG64 seed words: any word, and the edge words 0, 2^64 - 1, 2^63 and the
+# 32-bit halves' edges
+WORD = st.one_of(st.integers(0, 2 ** 64 - 1),
+                 st.sampled_from([0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(WORD, min_size=4, max_size=4), min_size=1, max_size=8))
+# all zeros, all ones; the seeding add's low words carry (inc's low word
+# 2 * 2^63 + 1 = 1 plus 2^64 - 1); the multiply-adds' low words carry and
+# their 32-bit halves are all ones
+@example([[0, 0, 0, 0], [2 ** 64 - 1] * 4])
+@example([[0, 2 ** 64 - 1, 0, 2 ** 63], [2 ** 64 - 1, 2 ** 64 - 1, 2 ** 63, 2 ** 63 - 1]])
+@example([[2 ** 32 - 1, 2 ** 32 - 1, 2 ** 32 - 1, 2 ** 32 - 1], [1, 2 ** 64 - 2, 0, 2 ** 64 - 1]])
+def test_first_raws_equal_numpy_pcg64s_first_draw(rows):
+    # PCG64's seeding and first XSL-RR output as 128-bit arithmetic on arrays
+    words = _u64(rows)
+    raws = distributions._first_raws(words)
+    assert raws.dtype == np.uint64
+    want = [np.random.PCG64(distributions._Words(w)).random_raw() for w in words]
+    assert raws.tolist() == want
+
+
+def test_true_risks_from_class_rows_equal_true_risk():
+    # each chosen member's risk from the class's label rows, bit for bit
+    # true_risk's, for a matrix class and a cut class, repeats and all
+    fam = tl.build_single_scale_family(9, 2.0, 0.5, 0.5, 0.25)
+    cut_pair, cut = tl.discretize_pair(tl.example_scenario(3, gamma=2.0), 64)
+    for joint, cls in ((fam.pairs[3].q, fam.cls), (fam.pairs[3].p, fam.cls),
+                       (cut_pair.q, cut), (cut_pair.p, cut)):
+        members = np.concatenate((np.arange(len(cls)), [len(cls) - 1, 0, 5]))
+        risks = distributions._true_risks(joint, cls, members)
+        assert risks.tolist() == [tl.true_risk(joint, cls[int(i)]) for i in members]
+
+
+def _off_support():
+    """A 9-point joint, and classes over 16 and over 9 points with a 16-point joint."""
+    line = tl.example_scenario(3, gamma=2.0)
+    d9, _ = tl.discretize_pair(line, 9)
+    d16, cut16 = tl.discretize_pair(line, 16)
+    return d9, cut16, d16, tl.build_single_scale_family(9, 1.0, 0.5, 0.5, 0.25).cls
+
+
+# each entry point that reads a joint's mass or eta over a class: a class
+# over another support read 9-point prefix sums over a 16-point class, or
+# failed in numpy's matmul or broadcasting
+OFF_SUPPORT = {
+    "best_in_class-cut": (lambda d9, cut16, d16, fam9: tl.best_in_class(d9.q, cut16),
+                          "mass of shape (9,) for a class over 16 support points"),
+    "best_in_class-matrix": (lambda d9, cut16, d16, fam9: tl.best_in_class(d16.q, fam9),
+                             "mass of shape (16,) for a class over 9 support points"),
+    "excess_risk": (lambda d9, cut16, d16, fam9: tl.excess_risk(d9.q, cut16[3], cut16),
+                    "mass of shape (9,) for a class over 16 support points"),
+    "rho_min": (lambda d9, cut16, d16, fam9: tl.rho_min(d9, cut16),
+                "mass of shape (9,) for a class over 16 support points"),
+    "d_a": (lambda d9, cut16, d16, fam9: tl.d_a(d9, cut16),
+            "mass of shape (9,) for a class over 16 support points"),
+    "monte_carlo": (lambda d9, cut16, d16, fam9: tl.monte_carlo(d9, cut16, "erm_q", [(8, 8)], 2, 1),
+                    "mass of shape (9,) for a class over 16 support points"),
+    "member_true_risks-eta": (
+        lambda d9, cut16, d16, fam9: distributions.member_true_risks(cut16, d16.q.mass, d9.q.eta),
+        "eta of shape (9,) for a class over 16 support points"),
+    "member_disagreement_mass": (
+        lambda d9, cut16, d16, fam9: member_disagreement_mass(cut16, 0, d9.q.mass),
+        "mass of shape (9,) for a class over 16 support points"),
+}
+
+
+@pytest.mark.parametrize("site", OFF_SUPPORT)
+def test_a_joint_over_another_support_is_refused(site):
+    call, message = OFF_SUPPORT[site]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(*_off_support())
 
 
 def test_sample_point_mass_deterministic_label():

@@ -35,16 +35,23 @@ def test_noiseless_identical_median_zero():
     assert table.rows[0].median == 0.0
 
 
+def _record_key_batches(monkeypatch):
+    """The keys of every batch of seed words built, one list per batch: a
+    cell's `_derived_seeds` and its `_stream_batch` each build one."""
+    batches, real = [], tl.distributions._pcg_words
+
+    def words(prefix, entries):
+        batches.append([(*prefix, *row) for row in entries.tolist()])
+        return real(prefix, entries)
+    monkeypatch.setattr(tl.distributions, "_pcg_words", words)
+    return batches
+
+
 def test_empty_side_derives_no_seed(monkeypatch):
     # a cell derives its trial seeds in one batch, which holds no key of the
     # empty P side, and P builds no stream, on the batched and the line path
-    batches, draws = [], []
-    real_batch, real_rng = tl.distributions._stream_batch, tl.distributions.rng_from
-
-    def batch(prefix, entries):
-        batches.append([(*prefix, *row) for row in entries.tolist()])
-        return real_batch(prefix, entries)
-    monkeypatch.setattr(tl.distributions, "_stream_batch", batch)
+    batches, draws = _record_key_batches(monkeypatch), []
+    real_rng = tl.distributions.rng_from
     monkeypatch.setattr(tl.distributions, "rng_from",
                         lambda *a: draws.append(a) or real_rng(*a))
     q_keys = [(5, 0, t, 1) for t in range(3)]
@@ -58,6 +65,16 @@ def test_empty_side_derives_no_seed(monkeypatch):
     tl.monte_carlo(line, tl.threshold_class(), "erm_q", [(0, 32)], 3, seed=5, conf=CONF)
     # trial by trial: one Q stream per trial, on the seeds of the same batch
     assert batches == [q_keys] and draws == q_seeds
+
+
+def test_a_two_sided_cell_builds_its_streams_in_one_batch(monkeypatch):
+    # both sides' streams come from one batch over the cell's derived seeds,
+    # P's first, and each side draws on its own slice of it
+    batches = _record_key_batches(monkeypatch)
+    keys = [(5, 0, t, side) for side in (0, 1) for t in range(3)]
+    pair, cls = small_family()
+    tl.monte_carlo(pair, cls, "transfer", [(16, 32)], 3, seed=5, conf=CONF)
+    assert batches == [keys, [(tl.distributions.derive_seed(*key),) for key in keys]]
 
 
 def test_monte_carlo_reproducible_row():
@@ -82,6 +99,23 @@ def test_trials_below_one_rejected(trials):
         tl.sweep(lambda n_p, n_q: (pair, cls), "erm_q", [(0, 8)], trials, 1, CONF)
     with pytest.raises(ValueError, match="trials must be >= 1"):
         tl.monte_carlo(pair, cls, "erm_q", [(0, 8)], trials, 1, CONF)
+
+
+@pytest.mark.parametrize("grid, message", [
+    ([(1, 2, 3)], "grid[0] is (1, 2, 3), not an (n_p, n_q) pair"),
+    ([(8, 8), 5], "grid[1] is 5, not an (n_p, n_q) pair"),
+    ([(8, 8), (0, 8), (64,)], "grid[2] is (64,), not an (n_p, n_q) pair"),
+], ids=["triple", "scalar", "single"])
+def test_sweep_names_a_grid_entry_that_is_not_a_pair(grid, message):
+    # refused, naming the entry and its index, before any cell is built
+    built = []
+
+    def build(n_p, n_q):
+        built.append((n_p, n_q))
+        return small_family()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        tl.sweep(build, "erm_q", grid, 2, 1, CONF)
+    assert built == []
 
 
 def test_rate_table_length_is_its_row_count():
