@@ -20,7 +20,9 @@ import numpy as np
 from .distributions import (
     TransferPair,
     _line_extent,
-    member_disagreement_mass,
+    _member_disagreement_mass,
+    _member_true_risks,
+    _refuse_off_support,
     member_true_risks,
 )
 from .hypotheses import (
@@ -104,7 +106,9 @@ def pair_profile(pair: TransferPair, cls: HypothesisClass,
     p, q = pair.p, pair.q
     if pair.discrete:
         cls = project_onto_support(cls, p.support)
-        return _profile(cls, *_finite_kernels(cls), (p.mass, p.eta), (q.mass, q.eta))
+        # the checked risk kernel reads each side once, before its disagreements
+        return _profile(cls, *_finite_kernels(cls, member_true_risks), (p.mass, p.eta),
+                        (q.mass, q.eta))
     if cls.kind != THRESHOLD:
         raise TypeError("line scenarios pair with the threshold class")
     grid = np.unique(np.append(default_grid(pair) if grid is None else grid,
@@ -116,10 +120,12 @@ def pair_profile(pair: TransferPair, cls: HypothesisClass,
                     lambda side, i: np.abs(side[0] - side[0][i]), *sides, grid.size)
 
 
-def _finite_kernels(cls: HypothesisClass):
-    """`_profile`'s kernels over an enumerated class, for sides (mass, eta)."""
-    return (lambda side: member_true_risks(cls, *side),
-            lambda side, i: member_disagreement_mass(cls, i, side[0]))
+def _finite_kernels(cls: HypothesisClass, risks=_member_true_risks):
+    """`_profile`'s kernels over an enumerated class, for sides (mass, eta)
+    whose shapes are checked before their disagreements are read: by
+    `risks`, or by the caller."""
+    return (lambda side: risks(cls, *side),
+            lambda side, i: _member_disagreement_mass(cls, i, side[0]))
 
 
 def _profile(members, risk, dis, p, q, grid_size=None) -> PairProfile:
@@ -382,6 +388,8 @@ def verify_family(family, constant: float | None = None, tol: float = 1e-9,
         constant = 1.0 if family.kind == "single-scale" else 2.0
     _check_membership_params(rho, beta_p, beta_q, constant, tol)
 
+    # once for every pair: each eta row has its mass's shape (`_joint_arrays`)
+    _refuse_off_support(family.cls, mass_p=family.mass_p, mass_q=family.mass_q)
     kernels = _finite_kernels(family.cls)
 
     def violations(i: int) -> dict:

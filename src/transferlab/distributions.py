@@ -355,10 +355,9 @@ class Density1D:
                             np.maximum(2.0 * u - 1.0, 0.0) ** (1.0 / self.g))
         return np.sign(u - 0.5) * np.abs(2.0 * u - 1.0) ** (1.0 / self.g)
 
-    def interval_mass(self, a: float, b: float) -> float:
-        if b < a:
-            a, b = b, a
-        return float(self.cdf(b) - self.cdf(a))
+    def interval_mass(self, a, b) -> np.ndarray:
+        """The mass between a and b, in either order; elementwise over arrays."""
+        return np.abs(self.cdf(b) - self.cdf(a))
 
 
 def uniform_density(lo: float, hi: float) -> Density1D:
@@ -458,6 +457,19 @@ def _labeled_trials(dist: DiscreteJoint, n: int, streams) -> SampleCounts:
     return SampleCounts._of_cells(cells)
 
 
+def _line_trials(dist: ThresholdMarginal, n: int, streams) -> np.ndarray:
+    """T draws of n >= 1 points from a line side, each sorted once, as the
+    columns of an (n, T) block: column t holds the points of
+    `sample_labeled(dist, n, seed)`, sorted, when streams[t] is the
+    `_stream_batch` stream of that seed."""
+    uniforms = np.empty((len(streams), n))
+    for t, bit_generator in enumerate(streams):
+        np.random.Generator(bit_generator).random(out=uniforms[t])
+    xs = dist.density.ppf(uniforms)
+    xs.sort(axis=1)
+    return xs.T
+
+
 def sample_unlabeled(dist, n: int, seed: int) -> SampleCounts | UnlabeledSample:
     """n i.i.d. unlabeled draws on the seed's stream: per support point
     counts from one multinomial over `mass` for a `DiscreteJoint`, the float
@@ -512,7 +524,7 @@ def true_risk(dist, h: Hypothesis) -> float:
     if isinstance(dist, ThresholdMarginal):
         if h.threshold is None:
             raise TypeError("line scenarios evaluate threshold hypotheses only")
-        return abs(dist.density.interval_mass(h.threshold, dist.h_star))
+        return float(dist.density.interval_mass(h.threshold, dist.h_star))
     raise TypeError(f"cannot evaluate risk under {type(dist).__name__}")
 
 
@@ -532,6 +544,11 @@ def _true_risks(dist: DiscreteJoint, cls: HypothesisClass, members: np.ndarray) 
 def member_true_risks(cls: HypothesisClass, mass: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """Exact risk of every member of an enumerated class under (mass, eta), as one product."""
     _refuse_off_support(cls, mass=mass, eta=eta)
+    return _member_true_risks(cls, mass, eta)
+
+
+def _member_true_risks(cls: HypothesisClass, mass: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """`member_true_risks` of arrays already checked against the class."""
     w = mass * (1.0 - 2.0 * eta)
     return _matvec(cls, w) + float(np.dot(mass, eta))
 
@@ -539,6 +556,11 @@ def member_true_risks(cls: HypothesisClass, mass: np.ndarray, eta: np.ndarray) -
 def member_disagreement_mass(cls: HypothesisClass, ref: int, mass: np.ndarray) -> np.ndarray:
     """Marginal `mass` where each member disagrees with member `ref`, exactly."""
     _refuse_off_support(cls, mass=mass)
+    return _member_disagreement_mass(cls, ref, mass)
+
+
+def _member_disagreement_mass(cls: HypothesisClass, ref: int, mass: np.ndarray) -> np.ndarray:
+    """`member_disagreement_mass` of a mass already checked against the class."""
     ref_lab = _row(cls, ref)
     # 1[h != ref] = h + ref - 2 h ref, folded into one product
     return _matvec(cls, mass * (1.0 - 2.0 * ref_lab)) + float(np.dot(mass, ref_lab))

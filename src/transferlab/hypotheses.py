@@ -24,15 +24,17 @@ counts; an empty sample is zero counts and passes the same checks as any
 other.  A finite-support draw is born in that form, as one multinomial over
 the support's cells, and never holds points; `tally` and `ensure_finite`
 (over the cut class it projects) are the only places where a point sample
-becomes counts.  A line sample keeps its float points for the raw threshold
-class, which is projected afresh onto every union of them.  A batch of T
-samples of n draws each is one library-built `SampleCounts` whose counts have
-a trailing trial axis: (s, T) `points` and `ones`, column t sample t, `len()`
-n.  `member_risks` and `member_disagreements` read a batch whole and give one
-column per sample, each equal bit for bit to that sample's own result.  They
-check the sample they are given; `_risks` and `_disagreements` are the same
-arithmetic on counts already checked, for a caller that checks a sample once
-where it enters and reads it directly after that.
+becomes counts, besides the rate lab's one-sample line blocks, whose sorted
+points count one draw each over the cuts between positions.  A line sample
+keeps its float points for the raw threshold class, which is projected afresh
+onto every union of them.  A batch of T samples of n draws each is one
+library-built `SampleCounts` whose counts have a trailing trial axis: (s, T)
+`points` and `ones`, column t sample t, `len()` n.  `member_risks` and
+`member_disagreements` read a batch whole and give one column per sample,
+each equal bit for bit to that sample's own result.  They check the sample
+they are given; `_risks` and `_disagreements` are the same arithmetic on
+counts already checked, for a caller that checks a sample once where it
+enters and reads it directly after that.
 """
 
 from __future__ import annotations
@@ -384,15 +386,23 @@ def _refuse_non_finite(pts: np.ndarray, named) -> None:
 
 def _cut_class(pts: np.ndarray) -> HypothesisClass:
     """The cut class over sorted distinct finite points: cut i's threshold
-    labels exactly the i smallest points 1, pts[i-1] <= t_i < pts[i].  It is
-    the neighbors' midpoint if that rounds into range, else pts[i-1]; pts[0] - 1
-    (or the next float below) below all points; pts[-1] + 1 above them."""
+    labels exactly the i smallest points 1, pts[i-1] <= t_i < pts[i]
+    (`_cut_thresholds`)."""
+    return HypothesisClass(vc_dim=1, support_coords=pts, thresholds=_cut_thresholds(
+        np.concatenate(([-np.inf], pts)), np.concatenate((pts, [np.inf]))))
+
+
+def _cut_thresholds(below: np.ndarray, above: np.ndarray) -> np.ndarray:
+    """Each cut's threshold from its finite neighbours below < above, the
+    points next to it (-inf where no point lies below it, +inf where none
+    lies above): their midpoint if that rounds into [below, above), else
+    below; above - 1 (or the next float below) below all points; below + 1
+    above them."""
     with np.errstate(over="ignore"):  # a midpoint past the float range; the float below -max
-        mid = 0.5 * (pts[:-1] + pts[1:])
-        first = pts[0] - 1.0 if pts[0] - 1.0 < pts[0] else np.nextafter(pts[0], -np.inf)
-    inner = np.where((pts[:-1] <= mid) & (mid < pts[1:]), mid, pts[:-1])
-    return HypothesisClass(vc_dim=1, support_coords=pts,
-                           thresholds=np.concatenate(([first], inner, [pts[-1] + 1.0])))
+        mid = 0.5 * (below + above)
+        first = np.where(above - 1.0 < above, above - 1.0, np.nextafter(above, -np.inf))
+    inner = np.where((below <= mid) & (mid < above), mid, below)
+    return np.where(below == -np.inf, first, np.where(above == np.inf, below + 1.0, inner))
 
 
 def ensure_finite(cls: HypothesisClass, samples):

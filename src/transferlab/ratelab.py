@@ -6,9 +6,11 @@ log-log slope fits against the closed-form theory exponents.  A cell over a
 finite support draws all its trials first, as one `SampleCounts` per side
 whose counts have a trailing trial axis, and each registry estimator chooses
 over that batch through the rule its procedure applies to one trial; its
-trials and their streams are those of the trial-by-trial path.  Medians are the
-primary statistic: the hardness statements are constant-probability events and
-medians are robust to the heavy-tailed small-sample regime.
+trials and their streams are those of the trial-by-trial path.  A one-sample
+ERM cell on a line pair draws, sorts and chooses its trials in blocks of
+bounded size, on the same streams.  Medians are the primary statistic: the
+hardness statements are constant-probability events and medians are robust
+to the heavy-tailed small-sample regime.
 """
 
 from __future__ import annotations
@@ -21,16 +23,27 @@ import numpy as np
 
 from .distributions import (
     DiscreteJoint,
+    ThresholdMarginal,
     TransferPair,
     _derived_seeds,
     _labeled_trials,
+    _line_trials,
     _stream_batch,
     _true_risks,
     best_in_class,
     sample_labeled,
     true_risk,
 )
-from .hypotheses import HypothesisClass, _count, erm, member_risks
+from .hypotheses import (
+    THRESHOLD,
+    HypothesisClass,
+    SampleCounts,
+    _count,
+    _cut_class,
+    _cut_thresholds,
+    erm,
+    member_risks,
+)
 from .procedures import (
     ConfidenceParams,
     _selector_choice,
@@ -121,8 +134,10 @@ def _cell_excesses(pair, cls, estimator, n_p, n_q, trials, seed, cell_key, conf)
     `_stream_batch` over the derived seeds, draws every trial first, as one
     batch per side from its slice of them, chooses all trials' members at
     once (`_CHOICES`) and reads each distinct chosen member's true risk once,
-    from the class's label rows (`_true_risks`); any other cell runs trial by
-    trial."""
+    from the class's label rows (`_true_risks`).  A one-sample line cell
+    (`_line_batches`) draws, sorts and chooses its read side's trials in
+    blocks (`_line_erm_risks`).  Any other cell runs trial by trial: a
+    two-sample line trial projects the class onto the union of both samples."""
     q_best = true_risk(pair.q, best_in_class(pair.q, cls))
     sides = ((pair.p, n_p), (pair.q, n_q))
     drawn = np.array([k for k, (_, n) in enumerate(sides) if n], dtype=np.uint64)
@@ -138,6 +153,9 @@ def _cell_excesses(pair, cls, estimator, n_p, n_q, trials, seed, cell_key, conf)
         return _true_risks(pair.q, cls, chosen)[trial] - q_best
     seeds_p = derived[:trials] if n_p else [0] * trials
     seeds_q = derived[-trials:] if n_q else [0] * trials
+    if _line_batches(pair, cls, estimator):
+        side, n, seeds = ((pair.p, n_p, seeds_p), (pair.q, n_q, seeds_q))[estimator == "erm_q"]
+        return _line_erm_risks(pair.q, cls, estimator, side, n, seeds, conf) - q_best
     excesses = np.empty(trials)
     for t in range(trials):
         sp = sample_labeled(pair.p, n_p, int(seeds_p[t]))
@@ -153,6 +171,52 @@ def _batches(pair, cls) -> bool:
             and cls.support_size == pair.p.size == pair.q.size)
 
 
+# the most points a line block holds.  On a 2-core x86-64 host, 2^12 kept
+# the benchmark's rates pass within 0.7 MiB of the peak RSS of trial-by-trial
+# cells; 2^16 added about 3.7 MiB and ran the seven scenario-4 erm_p cells
+# (n = 2^6..2^12, 60 trials) no faster: 40 against 41 ms
+_LINE_BLOCK = 2 ** 12
+
+
+def _line_batches(pair, cls, estimator) -> bool:
+    """Whether a cell runs as a line batch: a one-sample ERM over the raw
+    threshold class on a pair of line sides."""
+    return (estimator in ("erm_p", "erm_q") and cls.kind == THRESHOLD
+            and isinstance(pair.p, ThresholdMarginal) and isinstance(pair.q, ThresholdMarginal))
+
+
+def _line_erm_risks(q, cls, estimator, side, n, seeds, conf) -> np.ndarray:
+    """Each trial's Q risk of the raw threshold class's ERM on the read
+    side's sample of n draws alone, bit for bit as `erm` projects it.
+
+    One `_stream_batch` builds every trial's stream.  Blocks of at most
+    `_LINE_BLOCK` points draw their trials and sort each (`_line_trials`);
+    `_CHOICES` picks each trial's cut among the n + 1 cuts between its sorted
+    positions, each point one draw labeled 1[x <= h*].  Equal points share a
+    label, so inside a run of them the risk lies strictly between its values
+    at the run's two ends.  The lowest minimizing position is therefore a
+    cut between distinct points, and it is the lowest-index ERM of the
+    projected class; its threshold comes from its two neighbours by
+    `_cut_class`'s rule.  An empty sample builds no stream: every trial gets
+    the empty sample's ERM."""
+    trials = len(seeds)
+    if not n:
+        return np.full(trials, true_risk(q, erm(cls, sample_labeled(side, 0, 0))))
+    positions, streams = _cut_class(np.arange(float(n))), _stream_batch((), seeds[:, None])
+    risks = np.empty(trials)
+    step = max(1, _LINE_BLOCK // n)
+    for start in range(0, trials, step):
+        xs = _line_trials(side, n, streams[start:start + step])
+        sample = SampleCounts._trusted(np.ones(xs.shape), xs <= side.h_star)
+        # the estimator's rule reads its own side of (sample, sample)
+        at, cols = _CHOICES[estimator](positions, sample, sample, conf), np.arange(xs.shape[1])
+        below = np.where(at > 0, xs[at - 1, cols], -np.inf)
+        above = np.where(at < n, xs[np.minimum(at, n - 1), cols], np.inf)
+        risks[start:start + step] = q.density.interval_mass(_cut_thresholds(below, above),
+                                                            q.h_star)
+    return risks
+
+
 def monte_carlo(pair: TransferPair, cls: HypothesisClass, estimator, grid,
                 trials: int, seed: int,
                 conf: ConfidenceParams = ConfidenceParams(),
@@ -160,7 +224,8 @@ def monte_carlo(pair: TransferPair, cls: HypothesisClass, estimator, grid,
     """Exact-excess Monte Carlo for one fixed pair over an (n_p, n_q) grid.
 
     Deterministic given (grid, trials, seed) regardless of the worker count:
-    every trial derives its own seed from (seed, cell index, trial index).
+    every trial derives its own seed from (seed, cell index, trial index,
+    side), one per side that draws.
     """
     return sweep(lambda n_p, n_q: (pair, cls), estimator, grid, trials, seed, conf, jobs)
 

@@ -114,6 +114,21 @@ MUTANTS = (
            ("tests/test_discrepancy.py::"
             "test_distinct_optima_line_pair_reads_q_against_h_star_p",),
            "Q's cross disagreement is taken from h*_P"),
+    Mutant("ratelab.py",
+           "sample = SampleCounts._trusted(np.ones(xs.shape), xs <= side.h_star)",
+           "sample = SampleCounts._trusted(np.ones(xs.shape), xs < side.h_star)",
+           ("tests/test_ratelab.py::test_one_sample_line_cells_match_the_oracle_on_forced_ties",),
+           "a line block labels a point on h* 1, as sample_labeled does"),
+    Mutant("hypotheses.py",
+           "inner = np.where((below <= mid) & (mid < above), mid, below)",
+           "inner = np.where((below <= mid) & (mid < above), mid, above)",
+           ("tests/test_hypotheses.py::test_cut_thresholds_realize_their_cuts",),
+           "a cut whose midpoint rounds out of range takes its lower neighbour"),
+    Mutant("ratelab.py",
+           "(pair.p, n_p, seeds_p)",
+           "(pair.p, n_p, seeds_q)",
+           ("tests/test_ratelab.py::test_rates_golden_bytes",),
+           "a one-sample line cell draws erm_p on P's slice of the cell's seeds"),
     Mutant("distributions.py",
            "(centers <= side.h_star)",
            "(centers <= pair.p.h_star)",

@@ -47,13 +47,17 @@ def _record_key_batches(monkeypatch):
     return batches
 
 
+def _record_draws(monkeypatch):
+    """The arguments of every `rng_from` call, one stream built per call."""
+    draws, real = [], tl.distributions.rng_from
+    monkeypatch.setattr(tl.distributions, "rng_from", lambda *a: draws.append(a) or real(*a))
+    return draws
+
+
 def test_empty_side_derives_no_seed(monkeypatch):
     # a cell derives its trial seeds in one batch, which holds no key of the
-    # empty P side, and P builds no stream, on the batched and the line path
-    batches, draws = _record_key_batches(monkeypatch), []
-    real_rng = tl.distributions.rng_from
-    monkeypatch.setattr(tl.distributions, "rng_from",
-                        lambda *a: draws.append(a) or real_rng(*a))
+    # empty P side, and P builds no stream, on the finite and the line batch
+    batches, draws = _record_key_batches(monkeypatch), _record_draws(monkeypatch)
     q_keys = [(5, 0, t, 1) for t in range(3)]
     q_seeds = [(tl.distributions.derive_seed(*key),) for key in q_keys]
     pair, cls = small_family()
@@ -63,8 +67,21 @@ def test_empty_side_derives_no_seed(monkeypatch):
     batches.clear()
     line = tl.example_scenario(3, gamma=2.0)
     tl.monte_carlo(line, tl.threshold_class(), "erm_q", [(0, 32)], 3, seed=5, conf=CONF)
-    # trial by trial: one Q stream per trial, on the seeds of the same batch
-    assert batches == [q_keys] and draws == q_seeds
+    # a one-sample line cell: the same keys, then Q's three streams in one batch
+    assert batches == [q_keys, q_seeds] and draws == []
+
+
+def test_a_two_sample_line_cell_builds_one_stream_per_trial_and_side(monkeypatch):
+    # a two-sample line trial projects onto the union of both samples, so it
+    # runs trial by trial: one stream per trial and side, P's first, on the
+    # seeds of the cell's one key batch
+    batches, draws = _record_key_batches(monkeypatch), _record_draws(monkeypatch)
+    keys = [(5, 0, t, side) for side in (0, 1) for t in range(3)]
+    seeds = [tl.distributions.derive_seed(*key) for key in keys]
+    line = tl.example_scenario(3, gamma=2.0)
+    tl.monte_carlo(line, tl.threshold_class(), "transfer", [(16, 32)], 3, seed=5, conf=CONF)
+    assert batches == [keys]
+    assert draws == [(seed,) for t in range(3) for seed in (seeds[t], seeds[3 + t])]
 
 
 def test_a_two_sided_cell_builds_its_streams_in_one_batch(monkeypatch):
@@ -378,6 +395,56 @@ def test_super_transfer_source_slope_steeper():
     s_q = tl.fit_slope(t_q, "n_q", "median", drop_smallest=1).slope
     assert s_p < s_q - 0.5
     assert abs(s_q + 1.0) < 0.25
+
+
+def _per_trial_excesses(pair, estimator, n_p, n_q, trials, seed, cell_key):
+    """The oracle of a one-sample line cell: each trial's ERM on its read
+    side's own draw, projected alone, and that member's exact Q excess."""
+    cls = tl.threshold_class()
+    side, n, key = (pair.p, n_p, 0) if estimator == "erm_p" else (pair.q, n_q, 1)
+    q_best = tl.true_risk(pair.q, tl.best_in_class(pair.q, cls))
+    return np.array([
+        tl.true_risk(pair.q, tl.erm(cls, tl.sample_labeled(
+            side, n, tl.distributions.derive_seed(seed, cell_key, t, key) if n else 0)))
+        - q_best for t in range(trials)])
+
+
+# 0 to 3 draws, a block of 2, 2 and 1 of five trials (2^12 // 1501 = 2), and
+# one trial per block past 2^12 points
+LINE_NS = (0, 1, 2, 3, 1501, 2 ** 12 + 1)
+
+
+@settings(max_examples=12, deadline=None)
+@given(sid=st.sampled_from([2, 3, 4]), gamma=st.floats(0.0, 1.0, exclude_max=True),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_one_sample_line_cells_match_the_per_trial_oracle(sid, gamma, seed):
+    # a one-sample ERM cell on a line pair runs as sorted blocks; each trial
+    # equals the per-trial path bit for bit, whether or not the other side
+    # draws too
+    gamma = {2: None, 3: 1.0 + 3.0 * gamma, 4: 0.05 + 0.9 * gamma}[sid]
+    pair, cls = tl.example_scenario(sid, gamma=gamma), tl.threshold_class()
+    for n in LINE_NS:
+        for estimator, n_p, n_q in (("erm_p", n, 0), ("erm_p", n, 7),
+                                    ("erm_q", 0, n), ("erm_q", 5, n)):
+            got = ratelab._cell_excesses(pair, cls, estimator, n_p, n_q, 5, seed, 3, CONF)
+            want = _per_trial_excesses(pair, estimator, n_p, n_q, 5, seed, 3)
+            assert got.tobytes() == want.tobytes(), (estimator, n_p, n_q)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 1501])
+def test_one_sample_line_cells_match_the_oracle_on_forced_ties(n):
+    # five distinct floats carry every draw, and h* is one of them: equal
+    # points share a label, so the batch needs no dedup to choose each trial's
+    # lowest-index ERM, and a point on h* is labeled 1
+    tie = tl.ThresholdMarginal(tl.uniform_density(1.0, 1.0 + 2.0 ** -50), 1.0 + 2.0 ** -51)
+    pair = tl.TransferPair(tie, tie)
+    xs = tl.sample_labeled(tie, 64, 0).xs
+    assert np.unique(xs).size == 5 and (xs == tie.h_star).any()
+    for estimator, n_p, n_q in (("erm_p", n, 0), ("erm_q", 0, n), ("erm_p", n, n)):
+        got = ratelab._cell_excesses(pair, tl.threshold_class(), estimator, n_p, n_q, 9, 7, 1,
+                                     CONF)
+        want = _per_trial_excesses(pair, estimator, n_p, n_q, 9, 7, 1)
+        assert got.tobytes() == want.tobytes(), (estimator, n_p, n_q)
 
 
 @st.composite
