@@ -21,8 +21,6 @@ from .distributions import (
     TransferPair,
     _line_extent,
     _member_disagreement_mass,
-    _member_true_risks,
-    _refuse_off_support,
     member_true_risks,
 )
 from .hypotheses import (
@@ -102,13 +100,15 @@ def pair_profile(pair: TransferPair, cls: HypothesisClass,
                  grid=None) -> PairProfile:
     """A finite pair's profile over `cls` projected onto its support; a line
     pair's over its threshold grid (`default_grid` if none is given), to
-    which both optima h*_P and h*_Q are added."""
+    which both optima h*_P and h*_Q are added.  A finite side's risks are read
+    first, by the checked `member_true_risks`, so its disagreements read a
+    mass already checked against the class."""
     p, q = pair.p, pair.q
     if pair.discrete:
         cls = project_onto_support(cls, p.support)
-        # the checked risk kernel reads each side once, before its disagreements
-        return _profile(cls, *_finite_kernels(cls, member_true_risks), (p.mass, p.eta),
-                        (q.mass, q.eta))
+        return _profile(cls, lambda side: member_true_risks(cls, *side),
+                        lambda side, i: _member_disagreement_mass(cls, i, side[0]),
+                        (p.mass, p.eta), (q.mass, q.eta))
     if cls.kind != THRESHOLD:
         raise TypeError("line scenarios pair with the threshold class")
     grid = np.unique(np.append(default_grid(pair) if grid is None else grid,
@@ -118,14 +118,6 @@ def pair_profile(pair: TransferPair, cls: HypothesisClass,
     sides = [(s.density.cdf(grid), float(s.density.cdf(s.h_star))) for s in (p, q)]
     return _profile(HypothesisClass(thresholds=grid), lambda side: np.abs(side[0] - side[1]),
                     lambda side, i: np.abs(side[0] - side[0][i]), *sides, grid.size)
-
-
-def _finite_kernels(cls: HypothesisClass, risks=_member_true_risks):
-    """`_profile`'s kernels over an enumerated class, for sides (mass, eta)
-    whose shapes are checked before their disagreements are read: by
-    `risks`, or by the caller."""
-    return (lambda side: risks(cls, *side),
-            lambda side, i: _member_disagreement_mass(cls, i, side[0]))
 
 
 def _profile(members, risk, dis, p, q, grid_size=None) -> PairProfile:
@@ -313,13 +305,6 @@ def verify_membership(pair: TransferPair, cls: HypothesisClass, rho: float,
     The report holds the violating members of each failed check with their lhs
     and rhs (`MembershipReport`).  The constant and rho must be positive and
     finite, each beta in [0, 1] and tol finite and >= 0."""
-    _check_membership_params(rho, beta_p, beta_q, constant, tol)
-    prof = pair_profile(pair, cls, grid)
-    return MembershipReport(_violations(prof, rho, beta_p, beta_q, constant, tol))
-
-
-def _check_membership_params(rho: float, beta_p: float, beta_q: float, constant: float,
-                             tol: float) -> None:
     _check_constant("constant", constant)
     _check_tol(tol)
     if not 0 < rho < math.inf:
@@ -327,6 +312,8 @@ def _check_membership_params(rho: float, beta_p: float, beta_q: float, constant:
     for name, beta in (("beta_p", beta_p), ("beta_q", beta_q)):
         if not 0 <= beta <= 1:
             raise ValueError(f"{name} must lie in [0, 1], got {beta}")
+    prof = pair_profile(pair, cls, grid)
+    return MembershipReport(_violations(prof, rho, beta_p, beta_q, constant, tol))
 
 
 def _violations(prof: PairProfile, rho: float, beta_p: float, beta_q: float,
@@ -364,8 +351,8 @@ def _tie_points(family) -> np.ndarray:
 def verify_family(family, constant: float | None = None, tol: float = 1e-9,
                   rho: float | None = None, beta_p: float | None = None,
                   beta_q: float | None = None) -> list[MembershipReport]:
-    """Membership check for every pair of a sign-indexed family, read from its eta rows:
-    one `MembershipReport` per pair, in the family's order.
+    """Membership check for every pair of a sign-indexed family: one
+    `MembershipReport` per pair, in the family's order.
 
     Parameters default to the family's construction parameters; the constant
     defaults to 1 for single-scale and 2 for two-scale families.  Their ranges
@@ -374,11 +361,11 @@ def verify_family(family, constant: float | None = None, tol: float = 1e-9,
     Pairs share both masses and margins, and bit j of a member's index is its
     label on point j + 1, so flipping the signs in the bit mask f maps member m
     of one pair onto member m ^ f of the other.  A family without tie points
-    (`_tie_points`) profiles pair 0 once, and pair i gets, per failed check,
-    pair 0's violating members m read as m ^ f_i (re-sorted) and their lhs and
-    rhs in that order; those agree with pair i's own profile up to rounding.
-    A family with a tie point profiles every pair on its own, as
-    `verify_membership` does.
+    (`_tie_points`) checks pair 0 with `verify_membership`, and pair i gets,
+    per failed check, pair 0's violating members m read as m ^ f_i (re-sorted)
+    and their lhs and rhs in that order; those agree with pair i's own
+    profile up to rounding.  A family with a tie point gets
+    `verify_membership` of every pair.
     """
     p = family.params
     rho = p["rho"] if rho is None else rho
@@ -386,23 +373,13 @@ def verify_family(family, constant: float | None = None, tol: float = 1e-9,
     beta_q = p["beta_q"] if beta_q is None else beta_q
     if constant is None:
         constant = 1.0 if family.kind == "single-scale" else 2.0
-    _check_membership_params(rho, beta_p, beta_q, constant, tol)
-
-    # once for every pair: each eta row has its mass's shape (`_joint_arrays`)
-    _refuse_off_support(family.cls, mass_p=family.mass_p, mass_q=family.mass_q)
-    kernels = _finite_kernels(family.cls)
-
-    def violations(i: int) -> dict:
-        prof = _profile(family.cls, *kernels, (family.mass_p, family.eta_p[i]),
-                        (family.mass_q, family.eta_q[i]))
-        return _violations(prof, rho, beta_p, beta_q, constant, tol)
-
+    args = (family.cls, rho, beta_p, beta_q, constant)
     if _tie_points(family).any():
-        return [MembershipReport(violations(i)) for i in range(len(family))]
+        return [verify_membership(family[i], *args, tol=tol) for i in range(len(family))]
     codes = (family.sigmas < 0) @ (1 << np.arange(family.sigmas.shape[1]))
     flips = (codes ^ codes[0])[:, None]
     checks = {}  # per failed check, its (members, lhs, rhs) with one row per pair
-    for name, (idx, lhs, rhs) in violations(0).items():
+    for name, (idx, lhs, rhs) in verify_membership(family[0], *args, tol=tol).violations.items():
         order = np.argsort(idx ^ flips, axis=1)
         checks[name] = (idx[order] ^ flips, lhs[order], rhs[order])
     return [MembershipReport({name: (members[i], lhs[i], rhs[i])

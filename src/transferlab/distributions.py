@@ -531,12 +531,10 @@ def true_risk(dist, h: Hypothesis) -> float:
 def _true_risks(dist: DiscreteJoint, cls: HypothesisClass, members: np.ndarray) -> np.ndarray:
     """`true_risk(dist, cls[i])` for each index i of `members`, bit for bit,
     for a matrix or cut class over the joint's support, with no member built:
-    the members' label rows (a cut's from `support <= threshold`) through
-    `true_risk`'s elementwise formula, then one `np.dot` per row."""
-    if cls.thresholds is None:
-        labels = cls.label_matrix[members]
-    else:
-        labels = (dist.support <= cls.thresholds[members, None]).astype(np.float64)
+    the members' label rows (`_row`, by support position like a batch's
+    counts) through `true_risk`'s elementwise formula, then one `np.dot` per
+    contiguous row."""
+    labels = np.ascontiguousarray(_row(cls, members).T)
     terms = labels * (1.0 - dist.eta) + (1.0 - labels) * dist.eta
     return np.array([np.dot(dist.mass, row) for row in terms])
 
@@ -544,11 +542,6 @@ def _true_risks(dist: DiscreteJoint, cls: HypothesisClass, members: np.ndarray) 
 def member_true_risks(cls: HypothesisClass, mass: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """Exact risk of every member of an enumerated class under (mass, eta), as one product."""
     _refuse_off_support(cls, mass=mass, eta=eta)
-    return _member_true_risks(cls, mass, eta)
-
-
-def _member_true_risks(cls: HypothesisClass, mass: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """`member_true_risks` of arrays already checked against the class."""
     w = mass * (1.0 - 2.0 * eta)
     return _matvec(cls, w) + float(np.dot(mass, eta))
 

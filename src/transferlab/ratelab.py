@@ -134,9 +134,10 @@ def _cell_excesses(pair, cls, estimator, n_p, n_q, trials, seed, cell_key, conf)
     `_stream_batch` over the derived seeds, draws every trial first, as one
     batch per side from its slice of them, chooses all trials' members at
     once (`_CHOICES`) and reads each distinct chosen member's true risk once,
-    from the class's label rows (`_true_risks`).  A one-sample line cell
-    (`_line_batches`) draws, sorts and chooses its read side's trials in
-    blocks (`_line_erm_risks`).  Any other cell runs trial by trial: a
+    from the class's label rows (`_true_risks`).  A one-sample ERM cell over
+    the raw threshold class, whose sides `sweep` has checked are line sides,
+    draws, sorts and chooses its read side's trials in blocks
+    (`_line_erm_risks`).  Any other cell runs trial by trial: a
     two-sample line trial projects the class onto the union of both samples."""
     q_best = true_risk(pair.q, best_in_class(pair.q, cls))
     sides = ((pair.p, n_p), (pair.q, n_q))
@@ -153,7 +154,7 @@ def _cell_excesses(pair, cls, estimator, n_p, n_q, trials, seed, cell_key, conf)
         return _true_risks(pair.q, cls, chosen)[trial] - q_best
     seeds_p = derived[:trials] if n_p else [0] * trials
     seeds_q = derived[-trials:] if n_q else [0] * trials
-    if _line_batches(pair, cls, estimator):
+    if estimator in ("erm_p", "erm_q") and cls.kind == THRESHOLD:
         side, n, seeds = ((pair.p, n_p, seeds_p), (pair.q, n_q, seeds_q))[estimator == "erm_q"]
         return _line_erm_risks(pair.q, cls, estimator, side, n, seeds, conf) - q_best
     excesses = np.empty(trials)
@@ -176,13 +177,6 @@ def _batches(pair, cls) -> bool:
 # cells; 2^16 added about 3.7 MiB and ran the seven scenario-4 erm_p cells
 # (n = 2^6..2^12, 60 trials) no faster: 40 against 41 ms
 _LINE_BLOCK = 2 ** 12
-
-
-def _line_batches(pair, cls, estimator) -> bool:
-    """Whether a cell runs as a line batch: a one-sample ERM over the raw
-    threshold class on a pair of line sides."""
-    return (estimator in ("erm_p", "erm_q") and cls.kind == THRESHOLD
-            and isinstance(pair.p, ThresholdMarginal) and isinstance(pair.q, ThresholdMarginal))
 
 
 def _line_erm_risks(q, cls, estimator, side, n, seeds, conf) -> np.ndarray:
@@ -237,6 +231,7 @@ def sweep(cell_builder, estimator, grid, trials: int, seed: int,
     Used for minimax-style experiments where the hard instance is re-tuned to
     each sample size; `cell_builder(n_p, n_q)` returns the cell's pair/class.
     `estimator` is a key of `ESTIMATORS`, the one form a worker process runs.
+    Every cell is built, and one that no route serves refused, before any runs.
     """
     trials, jobs = _count("trials", trials, 1), _count("jobs", jobs, 1)
     seed = _count("seed", seed, -math.inf)
@@ -252,6 +247,17 @@ def sweep(cell_builder, estimator, grid, trials: int, seed: int,
     args = []
     for ci, (n_p, n_q) in enumerate(cells):
         pair, cls = cell_builder(n_p, n_q)
+        # a finite cell is two joints over an enumerated class, a line cell two
+        # line sides over the raw threshold class; no route runs any other
+        raw = cls.kind == THRESHOLD
+        if not all(isinstance(side, ThresholdMarginal if raw else DiscreteJoint)
+                   for side in (pair.p, pair.q)):
+            raise ValueError(
+                f"cell {ci} has a {type(pair.p).__name__} P side, a {type(pair.q).__name__} "
+                f"Q side and {'the raw threshold' if raw else 'an enumerated'} class, which no "
+                f"rate route serves: pass a class projected onto the joints' support "
+                f"(project_onto_support) for two DiscreteJoint sides, or the raw threshold "
+                f"class (threshold_class()) for two ThresholdMarginal sides")
         args.append((pair, cls, estimator, n_p, n_q, trials, seed, ci, conf))
     # a fork pool starts all its workers at once: no more of them than cells
     if (workers := min(jobs, len(cells))) > 1:

@@ -135,6 +135,17 @@ MUTANTS = (
            ("tests/test_distributions.py::"
             "test_discretize_pair_labels_each_side_by_its_own_optimum",),
            "discretize_pair labels each side by its own optimum"),
+    Mutant("discrepancy.py",
+           "flips = (codes ^ codes[0])[:, None]",
+           "flips = (codes ^ codes[1])[:, None]",
+           ("tests/test_discrepancy.py::test_verify_family_is_membership_of_every_built_pair",),
+           "a tie-free family's pairs are read through flips from pair 0, the pair it checks"),
+    Mutant("distributions.py",
+           "    _refuse_off_support(cls, mass=mass, eta=eta)\n",
+           "",
+           ("tests/test_distributions.py::test_a_joint_over_another_support_is_refused",),
+           "member_true_risks checks both arrays' shapes, and a profile's disagreements "
+           "read the mass it checked"),
 )
 
 

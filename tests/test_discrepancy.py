@@ -315,6 +315,29 @@ def test_verify_family_matches_each_pair_on_the_certified_grids(kind, args):
             assert_reports_match(tl.verify_family(fam, tol=tol, **q), each_pair(fam, tol, **q))
 
 
+@pytest.mark.parametrize("family, overrides, checked", [
+    (lambda: tl.build_single_scale_family(9, 2.0, 0.5, 0.5, 0.25), {"rho": 1.99}, [0]),
+    (lambda: tl.build_two_scale_family(9, 40.0, 0.5, 0.05, 0.5, 0.125), {"rho": 1.0}, None),
+], ids=["tie-free", "tie"])
+def test_verify_family_checks_pairs_with_verify_membership(monkeypatch, family, overrides,
+                                                           checked):
+    # a tie-free family's pair 0, or every pair of a family with a tie point,
+    # gets verify_membership's own report, and no other pair is built
+    fam = family()
+    checked = range(len(fam)) if checked is None else checked
+    calls, real = [], tl.discrepancy.verify_membership
+    monkeypatch.setattr(tl.discrepancy, "verify_membership",
+                        lambda pair, *a, **k: calls.append(pair) or real(pair, *a, **k))
+    got = tl.verify_family(fam, **overrides)
+    assert calls == [fam[i] for i in checked] and sorted(fam._built) == list(checked)
+    p = {**fam.params, **overrides}
+    constant = 1.0 if fam.kind == "single-scale" else 2.0
+    want = [real(fam[i], fam.cls, p["rho"], p["beta_p"], p["beta_q"], constant)
+            for i in checked]
+    assert_reports_equal([got[i] for i in checked], want)
+    assert violation_count(want) > 0
+
+
 def test_verify_family_at_tie_points_is_each_pair_bit_for_bit():
     # P's margin underflows to 0: every eta_p is 1/2, so every point is a tie
     # point, where the lowest-index P-optimum stays put under a sign flip

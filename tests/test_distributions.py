@@ -390,11 +390,14 @@ def test_first_raws_equal_numpy_pcg64s_first_draw(rows):
 
 def test_true_risks_from_class_rows_equal_true_risk():
     # each chosen member's risk from the class's label rows, bit for bit
-    # true_risk's, for a matrix class and a cut class, repeats and all
+    # true_risk's, for a matrix class and a cut class, repeats and all; the
+    # noisy joint over the cut's support rounds apart if a row is read strided
     fam = tl.build_single_scale_family(9, 2.0, 0.5, 0.5, 0.25)
     cut_pair, cut = tl.discretize_pair(tl.example_scenario(3, gamma=2.0), 64)
+    rng = np.random.default_rng(7)
+    noisy = tl.DiscreteJoint(cut_pair.q.support, rng.dirichlet(np.ones(64)), rng.random(64))
     for joint, cls in ((fam.pairs[3].q, fam.cls), (fam.pairs[3].p, fam.cls),
-                       (cut_pair.q, cut), (cut_pair.p, cut)):
+                       (cut_pair.q, cut), (cut_pair.p, cut), (noisy, cut)):
         members = np.concatenate((np.arange(len(cls)), [len(cls) - 1, 0, 5]))
         risks = distributions._true_risks(joint, cls, members)
         assert risks.tolist() == [tl.true_risk(joint, cls[int(i)]) for i in members]
@@ -687,14 +690,21 @@ def test_family_builds_a_pair_only_when_indexed(monkeypatch):
                         lambda self, *arrays: joints.append(set_arrays(self, *arrays)))
     fam = tl.build_single_scale_family(9, 2.0, 0.5, 0.5, 0.25)
     two = tl.build_two_scale_family(9, 4.0, 0.5, 0.5, 0.25, 0.125)
+    assert joints == []
+    # a tie-free family checks pair 0 alone: two joints, built once
+    tl.verify_family(fam)
     tl.verify_family(fam)
     tl.verify_family(two)
-    assert joints == []
+    assert len(joints) == 4 and list(fam._built) == list(two._built) == [0]
     assert not fam.eta_p.flags.writeable and not fam.mass_q.flags.writeable
     pair = fam.pairs[5]
-    assert len(joints) == 2
+    assert len(joints) == 6
     assert fam.pairs[5] is pair and fam[5] is pair and fam[5 - len(fam)] is pair
-    assert len(joints) == 2
+    assert len(joints) == 6
+    # every point of this family is a tie point, so every pair is checked
+    ties = tl.build_single_scale_family(9, 2000.0, 0.0, 0.5, 0.25)
+    tl.verify_family(ties, beta_p=0.5)
+    assert len(joints) == 6 + 2 * len(ties) and sorted(ties._built) == list(range(len(ties)))
     assert np.array_equal(pair.p.eta, fam.eta_p[5]) and np.array_equal(pair.q.mass, fam.mass_q)
     assert fam[-1] is fam.pairs[len(fam) - 1]
     with pytest.raises(TypeError):

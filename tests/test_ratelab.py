@@ -135,6 +135,38 @@ def test_sweep_names_a_grid_entry_that_is_not_a_pair(grid, message):
     assert built == []
 
 
+def _unserved_cells():
+    """Per bad combination: a cell that no route runs, and its sides' and class's words."""
+    pair, cls = small_family()
+    line = tl.example_scenario(3, gamma=2.0)
+    return {
+        "joints-raw": ((pair, tl.threshold_class()),
+                       "a DiscreteJoint P side, a DiscreteJoint Q side and the raw threshold"),
+        "line-enumerated": ((line, tl.discretize_pair(line, 16)[1]), "a ThresholdMarginal P "
+                            "side, a ThresholdMarginal Q side and an enumerated"),
+        "mixed": ((tl.TransferPair(pair.p, line.q), cls),
+                  "a DiscreteJoint P side, a ThresholdMarginal Q side and an enumerated"),
+    }
+
+
+@pytest.mark.parametrize("combo", ["joints-raw", "line-enumerated", "mixed"])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_refuses_a_cell_no_route_serves_before_any_cell_runs(monkeypatch, combo, jobs):
+    # such a cell failed inside its first trial, after drawing it: joints with
+    # the raw class in ensure_finite's TypeError, line sides with an
+    # enumerated class on "sample contains points outside the projected support"
+    bad, words = _unserved_cells()[combo]
+    runs = []
+    monkeypatch.setattr(ratelab, "_cell_excesses", lambda *a: runs.append(a))
+    message = (f"cell 1 has {words} class, which no rate route serves: pass a class projected "
+               f"onto the joints' support (project_onto_support) for two DiscreteJoint sides, "
+               f"or the raw threshold class (threshold_class()) for two ThresholdMarginal sides")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        tl.sweep(lambda n_p, n_q: bad if n_p == 16 else small_family(), "erm_q",
+                 [(8, 8), (16, 16)], 2, 1, CONF, jobs=jobs)
+    assert runs == []
+
+
 def test_rate_table_length_is_its_row_count():
     pair, cls = small_family()
     table = tl.monte_carlo(pair, cls, "erm_q", [(0, 8), (0, 16), (8, 0)], 2, seed=1, conf=CONF)
