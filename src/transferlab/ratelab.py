@@ -28,6 +28,7 @@ from .distributions import (
     _derived_seeds,
     _labeled_trials,
     _line_trials,
+    _refuse_off_support,
     _stream_batch,
     _true_risks,
     best_in_class,
@@ -130,15 +131,16 @@ def _cell_excesses(pair, cls, estimator, n_p, n_q, trials, seed, cell_key, conf)
     derives no seed.  One `_derived_seeds` call derives every seed of the
     cell, over the prefix (seed, cell_key) and one (t, side) row per key.
 
-    A batched cell (`_batches`) builds both sides' streams in one
-    `_stream_batch` over the derived seeds, draws every trial first, as one
-    batch per side from its slice of them, chooses all trials' members at
-    once (`_CHOICES`) and reads each distinct chosen member's true risk once,
-    from the class's label rows (`_true_risks`).  A one-sample ERM cell over
-    the raw threshold class, whose sides `sweep` has checked are line sides,
-    draws, sorts and chooses its read side's trials in blocks
-    (`_line_erm_risks`).  Any other cell runs trial by trial: a
-    two-sample line trial projects the class onto the union of both samples."""
+    A cell over an enumerated class, whose joints `sweep` has checked lie on
+    its support, builds both sides' streams in one `_stream_batch` over the
+    derived seeds, draws every trial first, as one batch per side from its
+    slice of them, chooses all trials' members at once (`_CHOICES`) and reads
+    each distinct chosen member's true risk once, from the class's label
+    rows (`_true_risks`).  A one-sample ERM cell over the raw threshold
+    class, whose sides `sweep` has checked are line sides, draws, sorts and
+    chooses its read side's trials in blocks (`_line_erm_risks`).  A
+    two-sample line cell runs trial by trial: each trial projects the class
+    onto the union of both samples."""
     q_best = true_risk(pair.q, best_in_class(pair.q, cls))
     sides = ((pair.p, n_p), (pair.q, n_q))
     drawn = np.array([k for k, (_, n) in enumerate(sides) if n], dtype=np.uint64)
@@ -146,7 +148,7 @@ def _cell_excesses(pair, cls, estimator, n_p, n_q, trials, seed, cell_key, conf)
                      np.repeat(drawn, trials)], axis=1)
     # P's seeds first, if it draws
     derived = _derived_seeds((seed, cell_key), rows)
-    if _batches(pair, cls):
+    if cls.kind != THRESHOLD:
         streams = _stream_batch((), derived[:, None])
         batches = [_labeled_trials(pair.p, n_p, streams[:trials] if n_p else [None] * trials),
                    _labeled_trials(pair.q, n_q, streams[-trials:] if n_q else [None] * trials)]
@@ -154,7 +156,7 @@ def _cell_excesses(pair, cls, estimator, n_p, n_q, trials, seed, cell_key, conf)
         return _true_risks(pair.q, cls, chosen)[trial] - q_best
     seeds_p = derived[:trials] if n_p else [0] * trials
     seeds_q = derived[-trials:] if n_q else [0] * trials
-    if estimator in ("erm_p", "erm_q") and cls.kind == THRESHOLD:
+    if estimator in ("erm_p", "erm_q"):
         side, n, seeds = ((pair.p, n_p, seeds_p), (pair.q, n_q, seeds_q))[estimator == "erm_q"]
         return _line_erm_risks(pair.q, cls, estimator, side, n, seeds, conf) - q_best
     excesses = np.empty(trials)
@@ -163,13 +165,6 @@ def _cell_excesses(pair, cls, estimator, n_p, n_q, trials, seed, cell_key, conf)
         sq = sample_labeled(pair.q, n_q, int(seeds_q[t]))
         excesses[t] = true_risk(pair.q, ESTIMATORS[estimator](sp, sq, cls, conf)) - q_best
     return excesses
-
-
-def _batches(pair, cls) -> bool:
-    """Whether a cell runs its trials as a batch: a pair of joints and a
-    class over their support (a matrix or a cut class)."""
-    return (isinstance(pair.p, DiscreteJoint) and isinstance(pair.q, DiscreteJoint)
-            and cls.support_size == pair.p.size == pair.q.size)
 
 
 # the most points a line block holds.  On a 2-core x86-64 host, 2^12 kept
@@ -231,7 +226,8 @@ def sweep(cell_builder, estimator, grid, trials: int, seed: int,
     Used for minimax-style experiments where the hard instance is re-tuned to
     each sample size; `cell_builder(n_p, n_q)` returns the cell's pair/class.
     `estimator` is a key of `ESTIMATORS`, the one form a worker process runs.
-    Every cell is built, and one that no route serves refused, before any runs.
+    Every cell is built, and one that no route serves (sides of the wrong
+    types, or joints off an enumerated class's support) refused, before any runs.
     """
     trials, jobs = _count("trials", trials, 1), _count("jobs", jobs, 1)
     seed = _count("seed", seed, -math.inf)
@@ -247,8 +243,8 @@ def sweep(cell_builder, estimator, grid, trials: int, seed: int,
     args = []
     for ci, (n_p, n_q) in enumerate(cells):
         pair, cls = cell_builder(n_p, n_q)
-        # a finite cell is two joints over an enumerated class, a line cell two
-        # line sides over the raw threshold class; no route runs any other
+        # a finite cell is two joints on an enumerated class's support, a line
+        # cell two line sides over the raw threshold class; no route runs any other
         raw = cls.kind == THRESHOLD
         if not all(isinstance(side, ThresholdMarginal if raw else DiscreteJoint)
                    for side in (pair.p, pair.q)):
@@ -258,6 +254,8 @@ def sweep(cell_builder, estimator, grid, trials: int, seed: int,
                 f"rate route serves: pass a class projected onto the joints' support "
                 f"(project_onto_support) for two DiscreteJoint sides, or the raw threshold "
                 f"class (threshold_class()) for two ThresholdMarginal sides")
+        for side in () if raw else (pair.p, pair.q):
+            _refuse_off_support(cls, mass=side.mass)
         args.append((pair, cls, estimator, n_p, n_q, trials, seed, ci, conf))
     # a fork pool starts all its workers at once: no more of them than cells
     if (workers := min(jobs, len(cells))) > 1:

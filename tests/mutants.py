@@ -1,15 +1,18 @@
-"""Mutant registry: changes to `src/transferlab` that named tests must catch.
+"""Mutant registry: changes to `src/transferlab` and to the test oracles
+that named tests must catch.
 
-Each entry replaces one exact text of a module with another and names the
-tier-1 tests that must fail on the change.  For every entry the runner copies
-`src/` to a temporary directory, applies the change there and runs the named
-tests with `PYTHONPATH`, and pytest's `pythonpath` setting, at the copy.  A
-mutant that its tests pass survives and fails the run (as every mutant would
-if the checkout's package were imported instead); so does an entry whose old
-text does not occur exactly once in its file, so the registry follows the
-code.  Before any mutant, the named tests of every entry must pass on an
-unchanged copy.  Hypothesis runs with `--hypothesis-seed=0`, so a run
-repeats.  Stdlib and pytest only.
+Each entry replaces one exact text of a module or of a file under `tests/`
+with another and names the tier-1 tests that must fail on the change.  For
+every entry the runner copies `src/` to a temporary directory, applies the
+change there and runs the named tests with `PYTHONPATH`, and pytest's
+`pythonpath` setting, at the copy; an entry that changes a file under
+`tests/` copies `tests/` and the pytest settings too, and runs its tests in
+that copy.  A mutant that its tests pass survives and fails the run (as
+every mutant would if the checkout's files were read instead); so does an
+entry whose old text does not occur exactly once in its file, so the
+registry follows the code.  Before any mutant, the named tests of every
+entry must pass on an unchanged copy.  Hypothesis runs with
+`--hypothesis-seed=0`, so a run repeats.  Stdlib and pytest only.
 
     python tests/mutants.py   # exit 0 when every mutant is killed
 """
@@ -30,11 +33,16 @@ SRC = ROOT / "src"
 
 
 class Mutant(NamedTuple):
-    file: str  # module file name under src/transferlab
+    file: str  # module file name under src/transferlab, or a path under tests/
     old: str  # exact text, found exactly once in the file
     new: str
     tests: tuple[str, ...]  # pytest node ids, relative to the checkout
     reason: str
+
+    @property
+    def path(self) -> str:
+        """The changed file's path relative to the checkout."""
+        return self.file if self.file.startswith("tests/") else f"src/transferlab/{self.file}"
 
 
 STREAMS = "tests/test_distributions.py::test_stream_batch_matches_numpy_streams"
@@ -44,6 +52,7 @@ RECHECK = tuple(f"tests/test_discrepancy.py::test_{name}" for name in (
     "screen_keeps_the_extreme_where_np_log_rounds_apart",
     "screened_reductions_match_the_loops_at_one_ulp_near_ties"))
 CHOICES = ("tests/test_ratelab.py::test_trial_choices_match_the_oracles",)
+BAYES = ("tests/test_lower_bound.py::test_bayes_risk_matches_a_brute_force_sum",)
 
 MUTANTS = (
     Mutant("distributions.py",
@@ -146,21 +155,51 @@ MUTANTS = (
            ("tests/test_distributions.py::test_a_joint_over_another_support_is_refused",),
            "member_true_risks checks both arrays' shapes, and a profile's disagreements "
            "read the mass it checked"),
+    Mutant("ratelab.py",
+           "        for side in () if raw else (pair.p, pair.q):\n"
+           "            _refuse_off_support(cls, mass=side.mass)\n",
+           "",
+           ("tests/test_ratelab.py::"
+            "test_sweep_refuses_joints_off_the_class_support_before_any_cell_runs",),
+           "sweep refuses a joint off the class's support before any cell runs"),
+    Mutant("ratelab.py",
+           '"erm_q": lambda cls, sp, sq, conf: np.argmin(member_risks(cls, sq), axis=0),',
+           '"erm_q": lambda cls, sp, sq, conf: len(cls) - 1 - np.argmin(\n'
+           '        member_risks(cls, sq)[::-1], axis=0),',
+           ("tests/test_ratelab.py::test_erm_q_monte_carlo_mean_matches_the_exact_law",
+            "tests/test_ratelab.py::test_finite_cells_match_the_per_trial_oracle"),
+           "a finite erm_q cell's ties go to the lowest index: label 0 on the anchored cube"),
+    Mutant("tests/oracles.py",
+           "s = a_p * l_p + a_q * l_q",
+           "s = 0 * a_p + a_q * l_q",
+           BAYES, "R*'s posterior weighs the source's evidence (0 * a_p keeps the shapes)"),
+    Mutant("tests/oracles.py",
+           "eps ** (rho * (1 - beta_p))",
+           "eps ** (1 - beta_p)",
+           BAYES, "the source's label margin is eps^(rho (1 - beta_p))"),
 )
 
 
-def _copy_src(into: Path) -> Path:
-    shutil.copytree(SRC, into / "src",
-                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
-    return into / "src"
+def _copy(into: Path, tests: bool) -> Path:
+    """Copy `src/` under `into`, and `tests/` with the pytest settings if
+    `tests`; return where the tests run: the copy if it holds them, else
+    the checkout."""
+    ignore = shutil.ignore_patterns("__pycache__", "*.egg-info")
+    shutil.copytree(SRC, into / "src", ignore=ignore)
+    if not tests:
+        return ROOT
+    shutil.copytree(ROOT / "tests", into / "tests", ignore=ignore)
+    shutil.copy(ROOT / "pyproject.toml", into)
+    return into
 
 
-def _pytest(src: Path, tests) -> int:
-    """pytest's exit code on `tests` with the package imported from `src`: the
-    `pythonpath` setting, which names the checkout's `src`, is pointed there too."""
+def _pytest(src: Path, tests, cwd: Path) -> int:
+    """pytest's exit code on `tests`, run in `cwd`, with the package imported
+    from `src`: the `pythonpath` setting, which names the checkout's `src`,
+    is pointed there too."""
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
            "-o", f"pythonpath={src}", "--hypothesis-seed=0", *tests]
-    return subprocess.run(cmd, cwd=ROOT, env={**os.environ, "PYTHONPATH": str(src)},
+    return subprocess.run(cmd, cwd=cwd, env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True).returncode
 
 
@@ -168,22 +207,23 @@ def main() -> int:
     start = time.perf_counter()
     bad = 0
     for m in MUTANTS:
-        if (SRC / "transferlab" / m.file).read_text().count(m.old) != 1:
-            print(f"old text not found exactly once in {m.file}: {m.old!r}", file=sys.stderr)
+        if (ROOT / m.path).read_text().count(m.old) != 1:
+            print(f"old text not found exactly once in {m.path}: {m.old!r}", file=sys.stderr)
             bad += 1
     if bad:
         return 1
     with tempfile.TemporaryDirectory() as tmp:
         union = sorted({t for m in MUTANTS for t in m.tests})
-        code = _pytest(_copy_src(Path(tmp)), union)
+        code = _pytest(Path(tmp) / "src", union, _copy(Path(tmp), False))
         if code != 0:
             print(f"the registry's tests exit {code} on the unchanged source", file=sys.stderr)
             return 1
     for i, m in enumerate(MUTANTS):
         with tempfile.TemporaryDirectory() as tmp:
-            path = _copy_src(Path(tmp)) / "transferlab" / m.file
+            cwd = _copy(Path(tmp), m.file.startswith("tests/"))
+            path = Path(tmp) / m.path
             path.write_text(path.read_text().replace(m.old, m.new))
-            code = _pytest(path.parent.parent, m.tests)
+            code = _pytest(Path(tmp) / "src", m.tests, cwd)
         verdict = "killed" if code == 1 else "SURVIVED" if code == 0 else f"pytest exit {code}"
         print(f"{i:2d} {m.file}: {verdict}: {m.reason}")
         bad += code != 1

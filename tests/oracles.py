@@ -11,7 +11,8 @@ earlier two-pass label counts on its sample indexing; and `adaptive_loop` is
 the package's earlier adaptive loop, which concatenates every point batch
 bought so far and recounts the whole sample each round, kept verbatim on the
 package's `delta_hat`, `erm` and widths.  `r_star` is the exact Bayes risk
-of the single-scale family template, which the package does not compute.
+of the single-scale family template, and `erm_mean_excess` the exact mean
+excess of ERM on the anchored cube; the package computes neither.
 """
 
 import math
@@ -389,6 +390,31 @@ def r_star(n_p, n_q, rho, beta_p, beta_q, d):
              for e in EPS_GRID]
     i = int(np.argmax(risks))
     return risks[i], float(EPS_GRID[i])
+
+
+# the exact mean Q-excess of ERM on the anchored cube: a member is free at
+# each point but the anchor, so the lowest-index ERM labels each point by a
+# strict majority of its labels, and a tie (an empty point included) 0.  The
+# points' errors add up, so the mean excess is sum_j mass_j |2 eta_j - 1|
+# times the chance that point j's majority label is the wrong one.
+
+
+def erm_mean_excess(joint, n):
+    """The mean Q-excess of `erm` on the anchored cube from n draws of
+    `joint`, whose point 0 is the anchor that every member labels 1.  With
+    a = ones - zeros at point j under its better label's sign, ERM is wrong
+    there when a <= 0 if eta_j > 1/2 (a tie goes to 0), and when a < 0 if
+    eta_j < 1/2.  Exact up to `_evidence_law`'s truncation: at most
+    2 (n + 1) TAIL times the excess of each point."""
+    log_fact = _log_factorials(n)
+    total = 0.0
+    for w, eta in zip(joint.mass[1:], joint.eta[1:]):
+        m = abs(2.0 * eta - 1.0)
+        if m == 0.0:
+            continue
+        a, pr = _evidence_law(n, w, m, log_fact)
+        total += w * m * float(pr[a <= 0].sum() if eta > 0.5 else pr[a < 0].sum())
+    return total
 
 
 def rng_from(seed, *path):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 import transferlab as tl
-from transferlab import cli, ratelab
+from transferlab import cli
 from transferlab.cli import build_parser, load_config, main
 
 DATA = Path(__file__).parent / "data"
@@ -427,8 +427,6 @@ POINTS_VS_COUNTS = {
                  "--set", "trials=3"],
     "adaptive": ["adaptive", "--config", str(CONFIGS / "cheap_source_adaptive.json"),
                  "--seed", "7", "--set", "trials=3"],
-    "rates": ["rates", "--config", str(CONFIGS / "target_rate_sweep.json"), "--seed", "2",
-              "--jobs", "1", "--set", "trials=5"],
 }
 
 
@@ -439,8 +437,7 @@ def test_cli_bytes_equal_on_points_and_counts(command, monkeypatch, tmp_path, ca
     def output(tag):
         out = tmp_path / f"{tag}.out"
         assert run(POINTS_VS_COUNTS[command] + ["--out", str(out)]) == 0
-        return capsys.readouterr().out, out.read_bytes(), (
-            (tmp_path / f"{tag}.out.report.json").read_text() if command == "rates" else None)
+        return capsys.readouterr().out, out.read_bytes()
 
     counts = output("counts")
     expanded = []
@@ -452,12 +449,8 @@ def test_cli_bytes_equal_on_points_and_counts(command, monkeypatch, tmp_path, ca
             return oracles.points_of(got, seed)
         return draw
 
-    for module in (cli, ratelab):
-        monkeypatch.setattr(module, "sample_labeled", as_points(tl.sample_labeled))
+    monkeypatch.setattr(cli, "sample_labeled", as_points(tl.sample_labeled))
     monkeypatch.setattr(cli, "sample_unlabeled", as_points(tl.sample_unlabeled))
-    # rate cells run trial by trial, so the points reach the estimators: their
-    # bytes must equal the counted run's, whose trials ran as one batch
-    monkeypatch.setattr(ratelab, "_batches", lambda pair, cls: False)
     points = output("points")
     assert sum(expanded) > 0
     assert points == counts

@@ -9,7 +9,7 @@ from mutants import MUTANTS, ROOT
 def test_each_mutant_changes_one_text_and_names_existing_tests(mutant):
     # the registry follows the code: its run (`python tests/mutants.py`) fails
     # on an old text that is gone or ambiguous, and so does this check
-    assert (ROOT / "src" / "transferlab" / mutant.file).read_text().count(mutant.old) == 1
+    assert (ROOT / mutant.path).read_text().count(mutant.old) == 1
     assert mutant.new != mutant.old
     for node in mutant.tests:
         path, name = node.split("::")

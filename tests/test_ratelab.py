@@ -1,4 +1,5 @@
 import concurrent.futures
+import itertools
 import math
 import os
 import re
@@ -163,6 +164,26 @@ def test_sweep_refuses_a_cell_no_route_serves_before_any_cell_runs(monkeypatch, 
                f"or the raw threshold class (threshold_class()) for two ThresholdMarginal sides")
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         tl.sweep(lambda n_p, n_q: bad if n_p == 16 else small_family(), "erm_q",
+                 [(8, 8), (16, 16)], 2, 1, CONF, jobs=jobs)
+    assert runs == []
+
+
+@pytest.mark.parametrize("off", ["P", "Q"])
+@pytest.mark.parametrize("estimator", ["erm_p", "erm_q"])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_refuses_joints_off_the_class_support_before_any_cell_runs(
+        monkeypatch, off, estimator, jobs):
+    # a joint over 9 points with a class over 16: such a cell drew before it
+    # failed, or, for erm_q with P off the support, returned a row without
+    # reading P
+    line = tl.example_scenario(3, gamma=2.0)
+    d9, (d16, cut16) = tl.discretize_pair(line, 9)[0], tl.discretize_pair(line, 16)
+    bad = tl.TransferPair(d9.p, d16.q) if off == "P" else tl.TransferPair(d16.p, d9.q)
+    runs = []
+    monkeypatch.setattr(ratelab, "_cell_excesses", lambda *a: runs.append(a))
+    message = "mass of shape (9,) for a class over 16 support points"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        tl.sweep(lambda n_p, n_q: (bad if n_p == 16 else d16, cut16), estimator,
                  [(8, 8), (16, 16)], 2, 1, CONF, jobs=jobs)
     assert runs == []
 
@@ -477,6 +498,75 @@ def test_one_sample_line_cells_match_the_oracle_on_forced_ties(n):
                                      CONF)
         want = _per_trial_excesses(pair, estimator, n_p, n_q, 9, 7, 1)
         assert got.tobytes() == want.tobytes(), (estimator, n_p, n_q)
+
+
+FINITE_NS = ((0, 0), (0, 40), (40, 0), (13, 40), (300, 7))
+
+
+@pytest.mark.parametrize("estimator", sorted(tl.ESTIMATORS))
+def test_finite_cells_match_the_per_trial_oracle(estimator):
+    # every finite cell runs as a batch; each trial equals the registry
+    # procedure on its own draws, handed over as points, bit for bit
+    seed, key, derive = 2 ** 63 + 5, 2, tl.distributions.derive_seed
+    fam = tl.build_single_scale_family(9, 1.0, 0.5, 0.5, 0.25)
+    for pair, cls in ((fam[fam.sigma_index("all-ones")], fam.cls),
+                      tl.discretize_pair(tl.example_scenario(3, gamma=2.0), 16)):
+        q_best = tl.true_risk(pair.q, tl.best_in_class(pair.q, cls))
+        for n_p, n_q in FINITE_NS:
+            got = ratelab._cell_excesses(pair, cls, estimator, n_p, n_q, 6, seed, key, CONF)
+            want = np.array([tl.true_risk(pair.q, tl.ESTIMATORS[estimator](
+                oracles.sample_labeled(pair.p, n_p, derive(seed, key, t, 0) if n_p else 0),
+                oracles.sample_labeled(pair.q, n_q, derive(seed, key, t, 1) if n_q else 0),
+                cls, CONF)) - q_best for t in range(6)])
+            assert got.tobytes() == want.tobytes(), (n_p, n_q)
+
+
+def _erm_mean_excess_by_enumeration(joint, cls, n):
+    """The mean excess of the lowest-index ERM over every count vector of n
+    draws over the cells (x_0, 0), (x_0, 1), (x_1, 0), ..."""
+    labels = oracles.label_matrix(cls)
+    cells = np.column_stack((joint.mass * (1 - joint.eta), joint.mass * joint.eta)).ravel()
+    risks = labels @ cells[::2] + (1 - labels) @ cells[1::2]
+    total = 0.0
+    for draws in itertools.combinations_with_replacement(range(cells.size), n):
+        counts = np.bincount(np.array(draws, dtype=np.int64), minlength=cells.size)
+        coef = math.factorial(n) / math.prod(math.factorial(c) for c in counts)
+        chosen = np.argmin(labels @ counts[::2] + (1 - labels) @ counts[1::2])
+        total += coef * np.prod(cells ** counts) * (risks[chosen] - risks.min())
+    return total
+
+
+# (rho, beta_p, beta_q, eps): noisy sides; a noiseless target; a target with
+# no anchor mass
+LAW_FAMILIES = [(1.0, 0.5, 0.5, 0.25), (1.0, 0.5, 1.0, 0.3), (1.0, 0.5, 0.0, 0.2)]
+
+
+@pytest.mark.parametrize("family", LAW_FAMILIES, ids=str)
+def test_erm_mean_excess_matches_a_brute_force_sum(family):
+    # at all-ones every tie goes to the wrong label; the other sign vectors
+    # mix points where ERM's tie is right and wrong
+    fam = tl.build_single_scale_family(9, *family)
+    for i in (fam.sigma_index("all-ones"), 0, 100):
+        for n in range(5):
+            want = _erm_mean_excess_by_enumeration(fam[i].q, fam.cls, n)
+            assert oracles.erm_mean_excess(fam[i].q, n) == pytest.approx(want, rel=1e-12,
+                                                                         abs=1e-15), (i, n)
+
+
+# fixed before any run: k standard errors, T trials and the seed
+LAW_K, LAW_TRIALS, LAW_SEED = 4.0, 4000, 20261021
+
+
+def test_erm_q_monte_carlo_mean_matches_the_exact_law():
+    # the family's worst sign vector for ERM; ties sent to label 1 would move
+    # the n = 64 mean by tens of standard errors
+    fam = tl.build_single_scale_family(9, 1.0, 0.5, 0.5, 0.25)
+    pair = fam[fam.sigma_index("all-ones")]
+    for key, n in enumerate((64, 256, 1024)):
+        exc = ratelab._cell_excesses(pair, fam.cls, "erm_q", 0, n, LAW_TRIALS, LAW_SEED, key,
+                                     CONF)
+        law = oracles.erm_mean_excess(pair.q, n)
+        assert abs(exc.mean() - law) <= LAW_K * exc.std(ddof=1) / math.sqrt(LAW_TRIALS), n
 
 
 @st.composite
