@@ -112,15 +112,22 @@ def _pcg_words(prefix, entries) -> np.ndarray:
     `prefix` is the keys' shared (seed, *path), of Python ints, and `entries`
     the keys' (T, E) uint64 entries; with no prefix, a key's first entry is
     its seed.  A key's words are those of `_key_words`, built as arrays for
-    the keys whose entries have the same word counts; a key of at most 4
-    words mixes as its words padded with zeros to 4, as in `SeedSequence`."""
+    the keys whose entries have the same word counts (one group, with no
+    grouping pass, when all keys do); a key of at most 4 words mixes as its
+    words padded with zeros to 4, as in `SeedSequence`.  A prefix of at least
+    4 words is mixed once, by numpy's own `SeedSequence`, and each key mixes
+    only its entries' words into that pool."""
     head = _key_words(prefix[0], prefix[1:]) if prefix else []
+    start = (np.random.SeedSequence(np.array(head, dtype=np.uint32)).pool
+             if len(head) >= 4 else None)
     wide = entries > _WORD  # the entries of two words
     counts = wide.dot(1 << np.arange(wide.shape[1]))  # each key's word counts, as bits
+    codes = counts[:1].tolist() if (counts == counts[:1]).all() else np.unique(counts).tolist()
     words = np.empty((len(entries), 4), dtype=np.uint64)
-    for code in np.unique(counts).tolist():
+    for code in codes:
         group = counts == code
-        words[group] = _pcg_seeds(_pool(_entry_words(head, entries[group], code)))
+        words[group] = _pcg_seeds(_pool(_entry_words(head, entries[group], code), start,
+                                        len(head)))
     return words
 
 
@@ -133,7 +140,8 @@ class _Words(np.random.bit_generator.ISeedSequence):
         self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
+        # numpy's PCG64 asks for the np.uint64 class itself
+        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
             raise ValueError(f"holds 4 uint64 words only, asked for {n_words} {np.dtype(dtype)}")
         return self.words
 
@@ -226,17 +234,24 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ (r >> _SHIFT)
 
 
-def _pool(entropy: np.ndarray) -> np.ndarray:
+def _pool(entropy: np.ndarray, start=None, mixed: int = 4) -> np.ndarray:
     """`SeedSequence`'s 4-word pool for each row of the (T, W) uint32
     entropy, W >= 4: the first 4 words hashed in, each pool word mixed into
-    every other, then each further word mixed into every pool word."""
+    every other, then each further word mixed into every pool word.  Rows
+    that share their first `mixed` >= 4 words may pass those words' pool
+    as `start` (`SeedSequence(words).pool`); only the words after them are
+    mixed here, from the hash constant that follows the shared words'."""
     a = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * (entropy.shape[1] - 4))
-    pool = _hashmix(entropy[:, :4], a[0:4], a[1:5])
-    for src in range(4):
-        dst, k = [d for d in range(4) if d != src], 4 + 3 * src
-        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src:src + 1], a[k:k + 3],
-                                                  a[k + 1:k + 4]))
-    extra = _hashmix(np.repeat(entropy[:, 4:], 4, axis=1), a[16:-1], a[17:])
+    if start is None:
+        pool, mixed = _hashmix(entropy[:, :4], a[0:4], a[1:5]), 4
+        for src in range(4):
+            dst, k = [d for d in range(4) if d != src], 4 + 3 * src
+            pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src:src + 1], a[k:k + 3],
+                                                      a[k + 1:k + 4]))
+    else:
+        pool = np.broadcast_to(start, (len(entropy), 4))
+    at = 16 + 4 * (mixed - 4)
+    extra = _hashmix(np.repeat(entropy[:, mixed:], 4, axis=1), a[at:-1], a[at + 1:])
     for i in range(0, extra.shape[1], 4):
         pool = _mix(pool, extra[:, i:i + 4])
     return pool
@@ -459,7 +474,7 @@ def _labeled_trials(dist: DiscreteJoint, n: int, streams) -> SampleCounts:
 
 def _line_trials(dist: ThresholdMarginal, n: int, streams) -> np.ndarray:
     """T draws of n >= 1 points from a line side, each sorted once, as the
-    columns of an (n, T) block: column t holds the points of
+    rows of a (T, n) block: row t holds the points of
     `sample_labeled(dist, n, seed)`, sorted, when streams[t] is the
     `_stream_batch` stream of that seed."""
     uniforms = np.empty((len(streams), n))
@@ -467,7 +482,7 @@ def _line_trials(dist: ThresholdMarginal, n: int, streams) -> np.ndarray:
         np.random.Generator(bit_generator).random(out=uniforms[t])
     xs = dist.density.ppf(uniforms)
     xs.sort(axis=1)
-    return xs.T
+    return xs
 
 
 def sample_unlabeled(dist, n: int, seed: int) -> SampleCounts | UnlabeledSample:

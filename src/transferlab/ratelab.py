@@ -7,8 +7,9 @@ finite support draws all its trials first, as one `SampleCounts` per side
 whose counts have a trailing trial axis, and each registry estimator chooses
 over that batch through the rule its procedure applies to one trial; its
 trials and their streams are those of the trial-by-trial path.  A one-sample
-ERM cell on a line pair draws, sorts and chooses its trials in blocks of
-bounded size, on the same streams.  Medians are the primary statistic: the
+ERM cell on a line pair draws its trials in blocks of bounded size, on the
+same streams, and reads each trial's ERM from the two sample points next to
+h*, since its labels are noiseless.  Medians are the primary statistic: the
 hardness statements are constant-probability events and medians are robust
 to the heavy-tailed small-sample regime.
 """
@@ -38,9 +39,7 @@ from .distributions import (
 from .hypotheses import (
     THRESHOLD,
     HypothesisClass,
-    SampleCounts,
     _count,
-    _cut_class,
     _cut_thresholds,
     erm,
     member_risks,
@@ -129,7 +128,8 @@ def _cell_excesses(pair, cls, estimator, n_p, n_q, trials, seed, cell_key, conf)
     """Each trial's exact target excess; trial t draws each non-empty side on
     the stream of `derive_seed(seed, cell_key, t, side)`, and an empty side
     derives no seed.  One `_derived_seeds` call derives every seed of the
-    cell, over the prefix (seed, cell_key) and one (t, side) row per key.
+    cell, over the prefix (seed, cell_key), whose words are mixed once, and
+    one (t, side) row per key.
 
     A cell over an enumerated class, whose joints `sweep` has checked lie on
     its support, builds both sides' streams in one `_stream_batch` over the
@@ -137,10 +137,10 @@ def _cell_excesses(pair, cls, estimator, n_p, n_q, trials, seed, cell_key, conf)
     slice of them, chooses all trials' members at once (`_CHOICES`) and reads
     each distinct chosen member's true risk once, from the class's label
     rows (`_true_risks`).  A one-sample ERM cell over the raw threshold
-    class, whose sides `sweep` has checked are line sides, draws, sorts and
-    chooses its read side's trials in blocks (`_line_erm_risks`).  A
-    two-sample line cell runs trial by trial: each trial projects the class
-    onto the union of both samples."""
+    class, whose sides `sweep` has checked are line sides, draws its read
+    side's trials in blocks and reads each trial's ERM from its two points
+    next to h* (`_line_erm_risks`).  A two-sample line cell runs trial by
+    trial: each trial projects the class onto the union of both samples."""
     q_best = true_risk(pair.q, best_in_class(pair.q, cls))
     sides = ((pair.p, n_p), (pair.q, n_q))
     drawn = np.array([k for k, (_, n) in enumerate(sides) if n], dtype=np.uint64)
@@ -158,7 +158,7 @@ def _cell_excesses(pair, cls, estimator, n_p, n_q, trials, seed, cell_key, conf)
     seeds_q = derived[-trials:] if n_q else [0] * trials
     if estimator in ("erm_p", "erm_q"):
         side, n, seeds = ((pair.p, n_p, seeds_p), (pair.q, n_q, seeds_q))[estimator == "erm_q"]
-        return _line_erm_risks(pair.q, cls, estimator, side, n, seeds, conf) - q_best
+        return _line_erm_risks(pair.q, cls, side, n, seeds) - q_best
     excesses = np.empty(trials)
     for t in range(trials):
         sp = sample_labeled(pair.p, n_p, int(seeds_p[t]))
@@ -174,33 +174,31 @@ def _cell_excesses(pair, cls, estimator, n_p, n_q, trials, seed, cell_key, conf)
 _LINE_BLOCK = 2 ** 12
 
 
-def _line_erm_risks(q, cls, estimator, side, n, seeds, conf) -> np.ndarray:
+def _line_erm_risks(q, cls, side, n, seeds) -> np.ndarray:
     """Each trial's Q risk of the raw threshold class's ERM on the read
     side's sample of n draws alone, bit for bit as `erm` projects it.
 
-    One `_stream_batch` builds every trial's stream.  Blocks of at most
-    `_LINE_BLOCK` points draw their trials and sort each (`_line_trials`);
-    `_CHOICES` picks each trial's cut among the n + 1 cuts between its sorted
-    positions, each point one draw labeled 1[x <= h*].  Equal points share a
-    label, so inside a run of them the risk lies strictly between its values
-    at the run's two ends.  The lowest minimizing position is therefore a
-    cut between distinct points, and it is the lowest-index ERM of the
-    projected class; its threshold comes from its two neighbours by
-    `_cut_class`'s rule.  An empty sample builds no stream: every trial gets
-    the empty sample's ERM."""
+    A line side labels a point 1[x <= h*], so a sorted sample is a run of m
+    ones, then zeros, and cut k has sample risk |k - m| / n: the lowest-index
+    ERM of the projected class is the one cut of zero risk, between X+, the
+    m-th smallest point (the largest labeled 1), and X-, the next (-inf and
+    +inf where m = 0 or m = n).  Its threshold comes from those two
+    neighbours by `_cut_class`'s rule.  One `_stream_batch` builds every
+    trial's stream; blocks of at most `_LINE_BLOCK` points draw and sort
+    their trials (`_line_trials`), count each trial's ones and read its two
+    neighbours.  An empty sample builds no stream: every trial gets the
+    empty sample's ERM."""
     trials = len(seeds)
     if not n:
         return np.full(trials, true_risk(q, erm(cls, sample_labeled(side, 0, 0))))
-    positions, streams = _cut_class(np.arange(float(n))), _stream_batch((), seeds[:, None])
+    streams = _stream_batch((), seeds[:, None])
     risks = np.empty(trials)
     step = max(1, _LINE_BLOCK // n)
     for start in range(0, trials, step):
         xs = _line_trials(side, n, streams[start:start + step])
-        sample = SampleCounts._trusted(np.ones(xs.shape), xs <= side.h_star)
-        # the estimator's rule reads its own side of (sample, sample)
-        at, cols = _CHOICES[estimator](positions, sample, sample, conf), np.arange(xs.shape[1])
-        below = np.where(at > 0, xs[at - 1, cols], -np.inf)
-        above = np.where(at < n, xs[np.minimum(at, n - 1), cols], np.inf)
+        rows, m = np.arange(len(xs)), np.count_nonzero(xs <= side.h_star, axis=1)
+        below = np.where(m > 0, xs[rows, m - 1], -np.inf)
+        above = np.where(m < n, xs[rows, np.minimum(m, n - 1)], np.inf)
         risks[start:start + step] = q.density.interval_mass(_cut_thresholds(below, above),
                                                             q.h_star)
     return risks

@@ -52,6 +52,7 @@ RECHECK = tuple(f"tests/test_discrepancy.py::test_{name}" for name in (
     "screen_keeps_the_extreme_where_np_log_rounds_apart",
     "screened_reductions_match_the_loops_at_one_ulp_near_ties"))
 CHOICES = ("tests/test_ratelab.py::test_trial_choices_match_the_oracles",)
+LINE_TIES = "tests/test_ratelab.py::test_one_sample_line_cells_match_the_oracle_on_forced_ties"
 BAYES = ("tests/test_lower_bound.py::test_bayes_risk_matches_a_brute_force_sum",)
 
 MUTANTS = (
@@ -64,6 +65,13 @@ MUTANTS = (
            "        pool = _mix(pool, extra[:, i:i + 4])\n",
            "",
            (STREAMS,), "a key of more than 4 words mixes its further words into the pool"),
+    Mutant("distributions.py",
+           "at = 16 + 4 * (mixed - 4)",
+           "at = 16",
+           ("tests/test_distributions.py::"
+            "test_derived_seeds_over_a_shared_head_equal_derive_seed",),
+           "a key's words after a shared head of more than 4 words hash on from the "
+           "head's last constant"),
     Mutant("distributions.py",
            "_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875",
            "_INIT_A, _MULT_A = 0x43B0D7E6, 0x931E8875",
@@ -124,10 +132,15 @@ MUTANTS = (
             "test_distinct_optima_line_pair_reads_q_against_h_star_p",),
            "Q's cross disagreement is taken from h*_P"),
     Mutant("ratelab.py",
-           "sample = SampleCounts._trusted(np.ones(xs.shape), xs <= side.h_star)",
-           "sample = SampleCounts._trusted(np.ones(xs.shape), xs < side.h_star)",
-           ("tests/test_ratelab.py::test_one_sample_line_cells_match_the_oracle_on_forced_ties",),
-           "a line block labels a point on h* 1, as sample_labeled does"),
+           "np.count_nonzero(xs <= side.h_star, axis=1)",
+           "np.count_nonzero(xs < side.h_star, axis=1)",
+           (LINE_TIES,), "a line block labels a point on h* 1, as sample_labeled does"),
+    Mutant("ratelab.py",
+           "below = np.where(m > 0, xs[rows, m - 1], -np.inf)",
+           "below = np.where(m > 0, xs[rows, 0], -np.inf)",
+           (LINE_TIES,
+            "tests/test_ratelab.py::test_one_sample_line_cells_match_the_per_trial_oracle"),
+           "a line trial's lower neighbour is its largest point labeled 1, not its smallest"),
     Mutant("hypotheses.py",
            "inner = np.where((below <= mid) & (mid < above), mid, below)",
            "inner = np.where((below <= mid) & (mid < above), mid, above)",

@@ -348,6 +348,33 @@ def test_labeled_trials_draw_each_seeds_stream(seeds, n):
         assert np.array_equal(batch.ones[:, t], cells[1::2])
 
 
+ONE_WORD = st.integers(0, 2 ** 32 - 1)
+MIXED = [[0, 0], [2 ** 32, 1], [5, 2 ** 63], [2 ** 64 - 1, 2 ** 40], [7, 1]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(ONE_WORD, st.integers(2 ** 32, 2 ** 64 - 1)),
+       st.one_of(ONE_WORD, st.integers(2 ** 32, 2 ** 64 - 1)),
+       st.one_of(st.lists(st.tuples(ONE_WORD, ONE_WORD), min_size=1, max_size=6),
+                 st.lists(st.tuples(ENTRY, ENTRY), min_size=1, max_size=6)))
+# heads of 4, 5 and 6 words: a one-word seed and cell key, a two-word seed,
+# and a two-word cell key too; each with keys of several word counts and with
+# a cell's keys, which have one
+@example(5, 7, MIXED)
+@example(5, 7, [[t, side] for side in (0, 1) for t in range(4)])
+@example(2 ** 32 + 5, 7, MIXED)
+@example(2 ** 32 + 5, 7, [[t, side] for side in (0, 1) for t in range(4)])
+@example(2 ** 40, 2 ** 33, MIXED)
+@example(2 ** 40, 2 ** 33, [[t, side] for side in (0, 1) for t in range(4)])
+def test_derived_seeds_over_a_shared_head_equal_derive_seed(seed, cell_key, rows):
+    # a prefix of at least 4 words is mixed once, by numpy's SeedSequence, and
+    # each key mixes its entries on from there, group by group
+    assert len(distributions._key_words(seed, (cell_key,))) in (4, 5, 6)
+    derived = distributions._derived_seeds((seed, cell_key), _u64(rows))
+    assert derived.tolist() == [distributions.derive_seed(seed, cell_key, *row)
+                                for row in rows]
+
+
 def test_stream_batch_of_no_keys():
     for prefix, width in (((1, 2), 2), ((), 1)):
         no_keys = np.empty((0, width), dtype=np.uint64)

@@ -484,15 +484,24 @@ def test_one_sample_line_cells_match_the_per_trial_oracle(sid, gamma, seed):
             assert got.tobytes() == want.tobytes(), (estimator, n_p, n_q)
 
 
+# h* on the middle one of the five floats, below them all, and on the top one
+TIE_H_STARS = {"middle": 1.0 + 2.0 ** -51, "below": 1.0 - 2.0 ** -53, "top": 1.0 + 2.0 ** -50}
+
+
+@pytest.mark.parametrize("where", sorted(TIE_H_STARS))
 @pytest.mark.parametrize("n", [1, 2, 3, 64, 1501])
-def test_one_sample_line_cells_match_the_oracle_on_forced_ties(n):
-    # five distinct floats carry every draw, and h* is one of them: equal
-    # points share a label, so the batch needs no dedup to choose each trial's
-    # lowest-index ERM, and a point on h* is labeled 1
-    tie = tl.ThresholdMarginal(tl.uniform_density(1.0, 1.0 + 2.0 ** -50), 1.0 + 2.0 ** -51)
+def test_one_sample_line_cells_match_the_oracle_on_forced_ties(n, where):
+    # five distinct floats carry every draw: equal points share a label, so
+    # each trial's ERM lies between its largest point labeled 1 and its
+    # smallest labeled 0, and a point on h* is labeled 1.  With h* below every
+    # point no point is labeled 1, on the top one every point is: each trial
+    # then has a neighbour at -inf or +inf
+    tie = tl.ThresholdMarginal(tl.uniform_density(1.0, 1.0 + 2.0 ** -50), TIE_H_STARS[where])
     pair = tl.TransferPair(tie, tie)
     xs = tl.sample_labeled(tie, 64, 0).xs
-    assert np.unique(xs).size == 5 and (xs == tie.h_star).any()
+    labels = {"middle": {False, True}, "below": {False}, "top": {True}}[where]
+    assert np.unique(xs).size == 5 and set((xs <= tie.h_star).tolist()) == labels
+    assert (xs == tie.h_star).any() == (where != "below")
     for estimator, n_p, n_q in (("erm_p", n, 0), ("erm_q", 0, n), ("erm_p", n, n)):
         got = ratelab._cell_excesses(pair, tl.threshold_class(), estimator, n_p, n_q, 9, 7, 1,
                                      CONF)
@@ -554,15 +563,17 @@ def test_erm_mean_excess_matches_a_brute_force_sum(family):
 
 
 # fixed before any run: k standard errors, T trials and the seed
-LAW_K, LAW_TRIALS, LAW_SEED = 4.0, 4000, 20261021
+LAW_K, LAW_TRIALS, LAW_SEED = 4.0, 4000, 20261022
 
 
 def test_erm_q_monte_carlo_mean_matches_the_exact_law():
     # the family's worst sign vector for ERM; ties sent to label 1 would move
-    # the n = 64 mean by tens of standard errors
+    # the n = 64 mean by tens of standard errors.  A wrong point costs 1/32,
+    # so at n = 512 (law 5.6e-4) about 72 of the T trials are wrong somewhere
+    # and the sd rests on them; at n = 1024 (5.5e-6) under one would be
     fam = tl.build_single_scale_family(9, 1.0, 0.5, 0.5, 0.25)
     pair = fam[fam.sigma_index("all-ones")]
-    for key, n in enumerate((64, 256, 1024)):
+    for key, n in enumerate((64, 256, 512)):
         exc = ratelab._cell_excesses(pair, fam.cls, "erm_q", 0, n, LAW_TRIALS, LAW_SEED, key,
                                      CONF)
         law = oracles.erm_mean_excess(pair.q, n)
