@@ -49,19 +49,35 @@ def rng_from(seed, *path) -> np.random.Generator:
     has its own stream, whatever the length of the path or of its entries.
     `SeedSequence` reads the entropy as 32-bit words and pads fewer than four
     with zeros; `_seed_words` prefixes each value with its word count, so no
-    two keys give the same words, padded or not."""
-    return np.random.default_rng(np.random.SeedSequence(_seed_words(seed, path)))
+    two keys give the same words, padded or not.  numpy's PCG64 is seeded,
+    through `_Words`, from `_pcg_state`, the words its `SeedSequence` gives."""
+    return np.random.Generator(np.random.PCG64(_Words(np.array(_pcg_state(seed, path),
+                                                               dtype=np.uint64))))
 
 
 def derive_seed(seed, *path, bits: int = 62) -> int:
-    """`int(rng_from(seed, *path).integers(2 ** bits))`, for 32 < bits < 64,
-    without building a `Generator`.  For a power-of-two range numpy's bounded
-    draw (Lemire's method) returns the top `bits` bits of the first raw PCG64
-    output, so that is what this returns."""
+    """`int(rng_from(seed, *path).integers(2 ** bits))`, for an integer
+    32 < bits < 64, without a `Generator`.  For a power-of-two range numpy's
+    bounded draw (Lemire's method) returns the top `bits` bits of the first
+    raw PCG64 output: here `_first_raws`'s seeding, step and XSL-RR run on
+    128-bit Python ints from the words of `_pcg_state`."""
+    bits = _count("bits", bits)
     if not 32 < bits < 64:
         raise ValueError(f"bits must lie in (32, 64), got {bits}")
-    raw = np.random.PCG64(np.random.SeedSequence(_seed_words(seed, path))).random_raw()
-    return int(raw) >> (64 - bits)
+    w0, w1, w2, w3 = _pcg_state(seed, path)
+    inc = (w2 << 64 | w3) << 1 | 1
+    state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) * _PCG_MULT + inc & _MASK128
+    hi, lo = state >> 64, state & _MASK64
+    x, rot = hi ^ lo, hi >> 58
+    return (x >> rot | x << (64 - rot) & _MASK64) >> (64 - bits)
+
+
+def _pcg_state(seed, path) -> list[int]:
+    """`SeedSequence(_seed_words(seed, path)).generate_state(4, np.uint64)` as
+    Python ints: numpy mixes the pool, and `_pcg_seeds`'s hashes run here."""
+    pool = np.random.SeedSequence(_seed_words(seed, path)).pool.tolist()
+    h = [(v := (pool[i] ^ x) * m & 0xFFFFFFFF) ^ v >> 16 for i, x, m in _OUT_HASHES]
+    return [h[0] | h[1] << 32, h[2] | h[3] << 32, h[4] | h[5] << 32, h[6] | h[7] << 32]
 
 
 def _seed_words(seed, path) -> np.ndarray:
@@ -90,8 +106,12 @@ def _key_words(seed, path) -> list[int]:
 # numpy's `SeedSequence` mixing constants
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+# `generate_state`'s 8 output hashes: hash k reads pool word k & 3, XORs it
+# with init_B mult_B^k and multiplies by init_B mult_B^(k + 1), mod 2^32
+_OUT_HASHES = tuple((k & 3, _INIT_B * _MULT_B ** k & 0xFFFFFFFF,
+                     _INIT_B * _MULT_B ** (k + 1) & 0xFFFFFFFF) for k in range(8))
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK64 = 2 ** 64 - 1
+_MASK64, _MASK128 = 2 ** 64 - 1, 2 ** 128 - 1
 _SHIFT = np.uint32(16)
 _WORD, _HALF = np.uint64(0xFFFFFFFF), np.uint64(32)
 
@@ -100,7 +120,7 @@ def _stream_batch(prefix, entries) -> list[np.random.PCG64]:
     """For each key (*prefix, *entries[t]): the PCG64 that `rng_from(*key)`
     runs on, bit for bit, numpy seeding each from its key's words in
     `_pcg_words` (through `_Words`).  The fixed cost of the array work makes
-    this the route for a batch of keys only: one key is faster through numpy."""
+    this the route for a batch of keys only: one key is faster through `rng_from`."""
     return [np.random.PCG64(_Words(words)) for words in _pcg_words(prefix, entries)]
 
 
@@ -154,8 +174,9 @@ def _derived_seeds(prefix, entries) -> np.ndarray:
     return _first_raws(_pcg_words(prefix, entries)) >> np.uint64(2)
 
 
-# PCG64's 128-bit multiplier, as its high and low words
-_PCG_MULT = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+# PCG64's 128-bit multiplier, and its high and low words
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MULT_WORDS = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _MASK64)
 _ONE, _63, _64, _ROT = np.uint64(1), np.uint64(63), np.uint64(64), np.uint64(58)
 
 
@@ -184,7 +205,7 @@ def _add128(a_hi, a_lo, b_hi, b_lo):
 def _pcg_step(hi, lo, inc_hi, inc_lo):
     """One PCG64 step, state * mult + inc mod 2^128, on (high, low) words: the
     low words' 128-bit product is built from their 32-bit halves."""
-    m_hi, m_lo = _PCG_MULT
+    m_hi, m_lo = _MULT_WORDS
     l1, l0, m1, m0 = lo >> _HALF, lo & _WORD, m_lo >> _HALF, m_lo & _WORD
     low, cross_l, cross_m = l0 * m0, l1 * m0, l0 * m1
     mid = (low >> _HALF) + (cross_l & _WORD) + (cross_m & _WORD)
@@ -453,7 +474,8 @@ def sample_labeled(dist, n: int, seed: int) -> SampleCounts | LabeledSample:
     threshold.  An empty draw builds no generator.
     """
     if isinstance(dist, DiscreteJoint):
-        return SampleCounts._of_cells(_multinomial(n, dist.cell_probs, seed))
+        n = _check_draws(n)
+        return SampleCounts._of_cells(_multinomial(n, dist.cell_probs, seed), n)
     xs = _line_points(dist, n, seed)
     return LabeledSample(xs, (xs <= dist.h_star).view(np.int8), seed)
 
@@ -466,10 +488,10 @@ def _labeled_trials(dist: DiscreteJoint, n: int, streams) -> SampleCounts:
     `_stream_batch` over its `_derived_seeds`.  An empty draw reads none of
     the streams, so they may be None."""
     cells = np.zeros((2 * dist.size, len(streams)), dtype=np.int64)
-    if _check_draws(n):
+    if n := _check_draws(n):
         for t, bit_generator in enumerate(streams):
             cells[:, t] = np.random.Generator(bit_generator).multinomial(n, dist.cell_probs)
-    return SampleCounts._of_cells(cells)
+    return SampleCounts._of_cells(cells, n)
 
 
 def _line_trials(dist: ThresholdMarginal, n: int, streams) -> np.ndarray:
@@ -490,7 +512,8 @@ def sample_unlabeled(dist, n: int, seed: int) -> SampleCounts | UnlabeledSample:
     counts from one multinomial over `mass` for a `DiscreteJoint`, the float
     points of `sample_labeled(dist, n, seed)` for a line scenario."""
     if isinstance(dist, DiscreteJoint):
-        return SampleCounts._trusted(_multinomial(n, dist.mass / dist.mass.sum(), seed))
+        n = _check_draws(n)
+        return SampleCounts._trusted(_multinomial(n, dist.mass / dist.mass.sum(), seed), n=n)
     return UnlabeledSample(_line_points(dist, n, seed), seed)
 
 
@@ -503,14 +526,14 @@ def _multinomial(n: int, p: np.ndarray, seed: int) -> np.ndarray:
 def _line_points(dist, n: int, seed: int) -> np.ndarray:
     if not isinstance(dist, ThresholdMarginal):
         raise TypeError(f"cannot sample from {type(dist).__name__}")
-    rng = _rng(n, seed)
+    rng = _rng(_check_draws(n), seed)
     return dist.density.ppf(np.empty(0) if rng is None else rng.random(n))
 
 
 def _rng(n: int, seed: int) -> np.random.Generator | None:
-    """The seed's generator for a draw of 0 <= n <= 2^53; None for an empty
-    draw, whose seed is read all the same."""
-    n, seed = _check_draws(n), _count("seed", seed, -math.inf)
+    """The seed's generator for a draw of n, a checked draw count; None for
+    an empty draw, whose seed is read all the same."""
+    seed = _count("seed", seed, -math.inf)
     return rng_from(seed) if n else None
 
 

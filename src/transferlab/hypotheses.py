@@ -181,11 +181,11 @@ class SampleCounts:
         return self
 
     @classmethod
-    def _trusted(cls, points, ones=None) -> "SampleCounts":
-        """Counts valid by construction (one bincount or multinomial, or a
-        sum of valid counts), built without the check: the library's only
-        path past it."""
-        return cls.__new__(cls)._fill(points, ones, int(points.sum(axis=0).flat[0]))
+    def _trusted(cls, points, ones=None, *, n: int) -> "SampleCounts":
+        """Counts of n draws a sample, valid by construction (one bincount or
+        multinomial, or a sum of valid counts), built without the check or a
+        sum: the library's only path past them, given n by its caller."""
+        return cls.__new__(cls)._fill(points, ones, n)
 
     @classmethod
     def _of(cls, idx: np.ndarray, ys, size: int) -> "SampleCounts":
@@ -193,14 +193,14 @@ class SampleCounts:
         None for an unlabeled sample), from one bincount: with labels, over
         the 2 * size cells that `_of_cells` reads."""
         if ys is None:
-            return cls._trusted(np.bincount(idx, minlength=size))
-        return cls._of_cells(np.bincount(2 * idx + ys, minlength=2 * size))
+            return cls._trusted(np.bincount(idx, minlength=size), n=idx.size)
+        return cls._of_cells(np.bincount(2 * idx + ys, minlength=2 * size), idx.size)
 
     @classmethod
-    def _of_cells(cls, cells: np.ndarray) -> "SampleCounts":
-        """Labeled counts from the counts of the 2s cells along the first
-        axis: cell 2i counts (i, 0) and cell 2i + 1 counts (i, 1)."""
-        return cls._trusted(cells[0::2] + cells[1::2], cells[1::2])
+    def _of_cells(cls, cells: np.ndarray, n: int) -> "SampleCounts":
+        """Labeled counts of n draws a sample from the counts of the 2s cells
+        along the first axis: cell 2i counts (i, 0), cell 2i + 1 (i, 1)."""
+        return cls._trusted(cells[0::2] + cells[1::2], cells[1::2], n=n)
 
     def __len__(self) -> int:
         return self.n
@@ -214,8 +214,7 @@ class SampleCounts:
         if self.n + other.n > _MAX_DRAWS:
             raise ValueError(f"{self.n} + {other.n} draws is above the 2^53 a sample holds")
         ones = None if self.ones is None else self.ones + other.ones
-        return SampleCounts.__new__(SampleCounts)._fill(self.points + other.points, ones,
-                                                        self.n + other.n)
+        return SampleCounts._trusted(self.points + other.points, ones, n=self.n + other.n)
 
 
 class HypothesisClass(Sequence):

@@ -54,6 +54,7 @@ RECHECK = tuple(f"tests/test_discrepancy.py::test_{name}" for name in (
 CHOICES = ("tests/test_ratelab.py::test_trial_choices_match_the_oracles",)
 LINE_TIES = "tests/test_ratelab.py::test_one_sample_line_cells_match_the_oracle_on_forced_ties"
 BAYES = ("tests/test_lower_bound.py::test_bayes_risk_matches_a_brute_force_sum",)
+DERIVE = ("tests/test_distributions.py::test_derive_seed_equals_the_bounded_generator_draw",)
 
 MUTANTS = (
     Mutant("distributions.py",
@@ -92,6 +93,19 @@ MUTANTS = (
            "x, rot = hi ^ lo, hi >> _ROT",
            "x, rot = hi ^ lo, lo >> _ROT",
            FIRST_RAWS, "XSL-RR rotates by the top 6 bits of the state's high word"),
+    Mutant("distributions.py",
+           "_OUT_HASHES = tuple((k & 3,",
+           "_OUT_HASHES = tuple((k % 3,",
+           DERIVE, "output hash k of a scalar key reads pool word k & 3"),
+    Mutant("distributions.py",
+           "inc = (w2 << 64 | w3) << 1 | 1",
+           "inc = (w2 << 64 | w3) << 1",
+           DERIVE, "a derived seed's PCG64 increment is odd"),
+    Mutant("distributions.py",
+           "return SampleCounts._of_cells(cells, n)",
+           "return SampleCounts._of_cells(cells, n + 1)",
+           ("tests/test_distributions.py::test_every_draw_route_counts_its_n_draws",),
+           "a batch of trials counts the n draws each column holds"),
     Mutant("ratelab.py",
            "return _true_risks(pair.q, cls, chosen)[trial] - q_best",
            "return _true_risks(DiscreteJoint._trusted(pair.q.support, pair.q.mass, pair.p.eta),\n"

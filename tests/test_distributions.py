@@ -202,6 +202,20 @@ def test_trial_draws_are_the_per_trial_draws():
     assert not joint.cell_probs.flags.writeable
 
 
+@pytest.mark.parametrize("n", [0, 1, 37])
+def test_every_draw_route_counts_its_n_draws(n):
+    # len() is every column's point sum, whichever route built the counts
+    joint = tl.DiscreteJoint(np.arange(3.0), [0.2, 0.3, 0.5], [0.9, 0.4, 0.1])
+    cls = tl.project_class(tl.threshold_class(), joint.support)
+    idx = np.random.default_rng(n).integers(0, 3, n)
+    for counts in (tl.sample_labeled(joint, n, 5), tl.sample_unlabeled(joint, n, 5),
+                   distributions._labeled_trials(joint, n, _streams([5, 6, 7])),
+                   tl.hypotheses.tally(cls, tl.LabeledSample(idx, idx % 2)),
+                   tl.hypotheses.tally(cls, tl.UnlabeledSample(joint.support[idx]))):
+        assert len(counts) == n
+        assert (counts.points.sum(axis=0) == n).all()
+
+
 def test_rng_from_keeps_short_paths_apart():
     # keys that shared a stream while paths were padded with zero words
     def first(*key):
@@ -274,18 +288,37 @@ PATH_WORDS = st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 70
 
 
 @settings(max_examples=100, deadline=None)
-@given(SEEDS, st.lists(PATH_WORDS, max_size=4), st.sampled_from([62, 63]),
-       st.integers(1, 2 ** 40))
-def test_derive_seed_equals_the_bounded_generator_draw(seed, path, bits, neg):
-    want = int(oracles.rng_from(seed, *path).integers(2 ** bits))
-    assert int(distributions.rng_from(seed, *path).integers(2 ** bits)) == want
-    assert distributions.derive_seed(seed, *path, bits=bits) == want
+@given(SEEDS, st.lists(PATH_WORDS, max_size=4), st.integers(1, 2 ** 40))
+def test_derive_seed_equals_the_bounded_generator_draw(seed, path, neg):
+    # the whole PCG64 state, its increment included, and the bounded draw at
+    # every bits from 33 to 63, each from a fresh copy of the oracle's stream
+    oracle = oracles.rng_from(seed, *path).bit_generator
+    state = oracle.state
+    assert distributions.rng_from(seed, *path).bit_generator.state == state
+    for bits in range(33, 64):
+        oracle.state = state
+        want = int(np.random.Generator(oracle).integers(2 ** bits))
+        assert distributions.derive_seed(seed, *path, bits=bits) == want, bits
     # the uint32 words give the stream of the ints
     assert np.array_equal(distributions.rng_from(seed, *path).random(3),
                           oracles.rng_from(seed, *path).random(3))
     for fn in (oracles.rng_from, distributions.rng_from, distributions.derive_seed):
         with pytest.raises(ValueError):
             fn(seed, *path, -neg)
+
+
+@pytest.mark.parametrize("bits, error", [(np.int64(40), None), (40.5, TypeError),
+                                         ("40", TypeError), (True, TypeError),
+                                         (32, ValueError), (64, ValueError)],
+                         ids=["int64", "float", "str", "bool", "32", "64"])
+def test_derive_seed_reads_bits_by_the_count_rule(bits, error):
+    # an integer of any type in (32, 64); a float, a string or a bool is not one
+    if error is None:
+        got = distributions.derive_seed(5, 1, bits=bits)
+        assert type(got) is int and got == int(oracles.rng_from(5, 1).integers(2 ** 40))
+    else:
+        with pytest.raises(error, match="bits must"):
+            distributions.derive_seed(5, 1, bits=bits)
 
 
 # batch entries of one word and of two, which may share a column

@@ -83,6 +83,7 @@ def _evidence_label(a_p, a_q, l_p, l_q):
 
 # (rho, beta_p, beta_q, eps, n_p, n_q): both sides noisy; equal weights; a
 # noiseless source.  Seed and trial count were fixed before the first run.
+MC_SEED, MC_TRIALS = 20261020, 2000
 MC_CELLS = [(2.0, 0.5, 0.5, 0.2, 64, 64), (1.0, 0.5, 0.5, 0.2, 32, 32),
             (1.0, 1.0, 0.5, 0.2, 16, 32)]
 
@@ -97,7 +98,7 @@ def test_bayes_risk_matches_a_bayes_monte_carlo(cell):
     fam = tl.build_single_scale_family(9, rho, beta_p, beta_q, eps)
     l_p, l_q = (math.inf if m == 1.0 else math.log1p(m) - math.log1p(-m)
                 for m in (abs(2 * fam.eta_p[0, 1] - 1), abs(2 * fam.eta_q[0, 1] - 1)))
-    rng, trials, excess = np.random.default_rng(20261020), 2000, []
+    rng, trials, excess = np.random.default_rng(MC_SEED), MC_TRIALS, []
     for t in range(trials):
         i = int(rng.integers(len(fam)))
         pair = fam[i]

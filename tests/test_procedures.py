@@ -215,9 +215,9 @@ def test_a_batch_is_its_columns(data):
                                        min_size=n, max_size=n)):
             points[x, t] += scale
             ones[x, t] += scale * y
-    batch = SampleCounts._trusted(points, ones)
+    batch = SampleCounts._trusted(points, ones, n=n * scale)
     columns = [SampleCounts(points[:, t].copy(), ones[:, t].copy()) for t in range(T)]
-    assert len(batch) == n * scale
+    assert len(batch) == n * scale and all(len(col) == n * scale for col in columns)
     refs = np.array(data.draw(st.lists(st.integers(0, len(cls) - 1), min_size=T, max_size=T)))
     conf = tl.ConfidenceParams(c=data.draw(st.sampled_from([0.5, 1.0, 2.0])),
                                delta=data.draw(st.sampled_from([0.05, 0.1, 0.3])))
@@ -244,7 +244,7 @@ def test_a_batch_at_an_infinite_width_anchors_each_column_at_its_erm():
     cls = tl.finite_class([[0, 0, 0], [1, 0, 0], [0, 1, 1]])
     points = np.array([[1, 0, 2], [1, 3, 0], [2, 1, 2]])
     ones = np.array([[1, 0, 2], [1, 0, 0], [2, 0, 0]])
-    batch = SampleCounts._trusted(points, ones)
+    batch = SampleCounts._trusted(points, ones, n=4)  # each column holds 4 draws
     mask, anchors, dis = _near_optimal(cls, batch, tl.ConfidenceParams(), math.inf)
     assert mask.shape == (3, 3) and mask.all()
     assert np.array_equal(anchors, [2, 0, 1])

@@ -618,7 +618,7 @@ def test_trial_choices_match_the_oracles(batch):
             for x, y in draws:
                 points[t, x] += 1
                 ones[t, x] += y
-        counts.append(SampleCounts._trusted(points.T, ones.T))
+        counts.append(SampleCounts._trusted(points.T, ones.T, n=len(trials[0])))
         samples.append([tl.LabeledSample(np.array([x for x, _ in d], dtype=np.int64),
                                          np.array([y for _, y in d], dtype=np.int8))
                         for d in trials])
