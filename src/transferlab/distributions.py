@@ -116,39 +116,17 @@ _SHIFT = np.uint32(16)
 _WORD, _HALF = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 
-def _stream_batch(prefix, entries) -> list[np.random.PCG64]:
-    """For each key (*prefix, *entries[t]): the PCG64 that `rng_from(*key)`
-    runs on, bit for bit, numpy seeding each from its key's words in
-    `_pcg_words` (through `_Words`).  The fixed cost of the array work makes
-    this the route for a batch of keys only: one key is faster through `rng_from`."""
-    return [np.random.PCG64(_Words(words)) for words in _pcg_words(prefix, entries)]
-
-
-def _pcg_words(prefix, entries) -> np.ndarray:
-    """The (T, 4) C-contiguous uint64 `generate_state(4, uint64)` words of
-    `SeedSequence(_seed_words(*key))` for each key (*prefix, *entries[t]),
-    with `SeedSequence`'s mixing run over the batch.
-
-    `prefix` is the keys' shared (seed, *path), of Python ints, and `entries`
-    the keys' (T, E) uint64 entries; with no prefix, a key's first entry is
-    its seed.  A key's words are those of `_key_words`, built as arrays for
-    the keys whose entries have the same word counts (one group, with no
-    grouping pass, when all keys do); a key of at most 4 words mixes as its
-    words padded with zeros to 4, as in `SeedSequence`.  A prefix of at least
-    4 words is mixed once, by numpy's own `SeedSequence`, and each key mixes
-    only its entries' words into that pool."""
-    head = _key_words(prefix[0], prefix[1:]) if prefix else []
-    start = (np.random.SeedSequence(np.array(head, dtype=np.uint32)).pool
-             if len(head) >= 4 else None)
-    wide = entries > _WORD  # the entries of two words
-    counts = wide.dot(1 << np.arange(wide.shape[1]))  # each key's word counts, as bits
-    codes = counts[:1].tolist() if (counts == counts[:1]).all() else np.unique(counts).tolist()
-    words = np.empty((len(entries), 4), dtype=np.uint64)
-    for code in codes:
-        group = counts == code
-        words[group] = _pcg_seeds(_pool(_entry_words(head, entries[group], code), start,
-                                        len(head)))
-    return words
+def _stream_batch(seeds) -> list[np.random.PCG64]:
+    """The PCG64 that `rng_from(seed)` runs on, bit for bit, for each of the
+    uint64 `seeds`, numpy seeding each from its `_pcg_seeds` words (through
+    `_Words`).  A seed's key words are [1 + (high > 0), low, high, 0]: for a
+    seed below 2^32 that is [1, low] with `SeedSequence`'s zero padding.  The
+    fixed cost of the array work makes this the route for a batch of seeds
+    only: one seed is faster through `rng_from`."""
+    words = np.zeros((len(seeds), 4), dtype=np.uint32)
+    words[:, 1], words[:, 2] = seeds & _WORD, seeds >> _HALF
+    words[:, 0] = 1 + (words[:, 2] > 0)
+    return [np.random.PCG64(_Words(w)) for w in _pcg_seeds(_pool(words))]
 
 
 class _Words(np.random.bit_generator.ISeedSequence):
@@ -166,12 +144,19 @@ class _Words(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
-def _derived_seeds(prefix, entries) -> np.ndarray:
-    """`derive_seed(*prefix, *entries[t])` for each row t of the (T, E) uint64
-    `entries`, as a uint64 array: the top 62 bits of each key's first raw
-    PCG64 output (`_first_raws` of its `_pcg_words`), as in `derive_seed`,
-    with no PCG64 built."""
-    return _first_raws(_pcg_words(prefix, entries)) >> np.uint64(2)
+def _derived_seeds(seed, cell_key, trials: int, sides) -> np.ndarray:
+    """`derive_seed(seed, cell_key, t, side)` for each side of `sides` and,
+    within it, each trial t < `trials` < 2^32, as a uint64 array: the top 62
+    bits of each key's first raw PCG64 output (`_first_raws`), with no PCG64
+    built.  The head (seed, cell_key), of at least 4 words, is mixed once by
+    numpy's `SeedSequence`, and each key mixes its words [1, t, 1, side] on
+    from the head's pool."""
+    head = _key_words(seed, (cell_key,))
+    words = np.ones((len(sides) * trials, 4), dtype=np.uint32)
+    words[:, 1] = np.tile(np.arange(trials, dtype=np.uint32), len(sides))
+    words[:, 3] = np.repeat(np.array(sides, dtype=np.uint32), trials)
+    pool = _pool(words, np.random.SeedSequence(np.array(head, dtype=np.uint32)).pool, len(head))
+    return _first_raws(_pcg_seeds(pool)) >> np.uint64(2)
 
 
 # PCG64's 128-bit multiplier, and its high and low words
@@ -213,25 +198,6 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
     return _add128(hi * m_lo + lo * m_hi + lo_hi, lo * m_lo, inc_hi, inc_lo)
 
 
-def _entry_words(head, entries, code) -> np.ndarray:
-    """The (T, W) uint32 `SeedSequence` words, W >= 4, of the keys whose
-    shared words are `head` and whose entries are the rows of `entries`:
-    `head`, then each entry as its word count and words (entry e of two
-    words where bit e of `code` is set, else of one), then zeros up to 4."""
-    n_words = len(head) + 2 * entries.shape[1] + code.bit_count()
-    words = np.zeros((len(entries), max(n_words, 4)), dtype=np.uint32)
-    words[:, :len(head)] = head
-    at = len(head)
-    for e, entry in enumerate(entries.T):
-        n = 1 + (code >> e & 1)
-        words[:, at] = n
-        words[:, at + 1] = entry & _WORD
-        if n == 2:
-            words[:, at + 2] = entry >> _HALF
-        at += 1 + n
-    return words
-
-
 @cache
 def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
     """The `count` + 1 hash constants init * mult^k mod 2^32, k = 0..count:
@@ -255,24 +221,25 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ (r >> _SHIFT)
 
 
-def _pool(entropy: np.ndarray, start=None, mixed: int = 4) -> np.ndarray:
-    """`SeedSequence`'s 4-word pool for each row of the (T, W) uint32
-    entropy, W >= 4: the first 4 words hashed in, each pool word mixed into
-    every other, then each further word mixed into every pool word.  Rows
-    that share their first `mixed` >= 4 words may pass those words' pool
-    as `start` (`SeedSequence(words).pool`); only the words after them are
-    mixed here, from the hash constant that follows the shared words'."""
-    a = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * (entropy.shape[1] - 4))
+def _pool(words: np.ndarray, start=None, mixed: int = 0) -> np.ndarray:
+    """`SeedSequence`'s 4-word pool for each row of the (T, W) uint32 words.
+    With no `start`, a row is a key's 4 words, hashed in, then each pool word
+    mixed into every other.  Otherwise `start` is the pool of the `mixed` >= 4
+    words the rows share (`SeedSequence(head).pool`), and each of a row's
+    words is mixed into every pool word, hashed on from the constant that
+    follows the shared words'."""
     if start is None:
-        pool, mixed = _hashmix(entropy[:, :4], a[0:4], a[1:5]), 4
+        a = _hash_consts(_INIT_A, _MULT_A, 16)
+        pool = _hashmix(words, a[0:4], a[1:5])
         for src in range(4):
             dst, k = [d for d in range(4) if d != src], 4 + 3 * src
             pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src:src + 1], a[k:k + 3],
                                                       a[k + 1:k + 4]))
-    else:
-        pool = np.broadcast_to(start, (len(entropy), 4))
+        return pool
     at = 16 + 4 * (mixed - 4)
-    extra = _hashmix(np.repeat(entropy[:, mixed:], 4, axis=1), a[at:-1], a[at + 1:])
+    a = _hash_consts(_INIT_A, _MULT_A, at + 4 * words.shape[1])
+    extra = _hashmix(np.repeat(words, 4, axis=1), a[at:-1], a[at + 1:])
+    pool = np.broadcast_to(start, (len(words), 4))
     for i in range(0, extra.shape[1], 4):
         pool = _mix(pool, extra[:, i:i + 4])
     return pool
@@ -361,7 +328,9 @@ class Density1D:
 
     forms: "uniform" on [lo, hi]; "left-uniform-right-power" with density 1/2 on
     [-1, 0] and (g/2) t^(g-1) on (0, 1]; "symmetric-power" with density
-    (g/2) |t|^(g-1) on [-1, 1].
+    (g/2) |t|^(g-1) on [-1, 1].  Fields the closed forms do not describe (a
+    non-finite bound or g, lo >= hi, a power form's g <= 0 or bounds other
+    than [-1, 1]) raise a ValueError naming the field when built.
     """
 
     form: str
@@ -372,6 +341,17 @@ class Density1D:
     def __post_init__(self):
         if self.form not in ("uniform", "left-uniform-right-power", "symmetric-power"):
             raise ValueError(f"unknown density form {self.form!r}")
+        for name in ("lo", "hi", "g"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} is {value!r}, not a finite number")
+        if not self.lo < self.hi:
+            raise ValueError(f"hi must exceed lo, got lo {self.lo!r} and hi {self.hi!r}")
+        if self.form != "uniform":
+            if (self.lo, self.hi) != (-1.0, 1.0):
+                raise ValueError(f"a {self.form} density lies on [-1, 1]: lo and hi must be "
+                                 f"-1 and 1, got {self.lo!r} and {self.hi!r}")
+            if not self.g > 0.0:
+                raise ValueError(f"g must be > 0 for a {self.form} density, got {self.g!r}")
 
     def cdf(self, x) -> np.ndarray:
         x = np.clip(np.asarray(x, dtype=np.float64), self.lo, self.hi)
@@ -532,9 +512,12 @@ def _line_points(dist, n: int, seed: int) -> np.ndarray:
 
 def _rng(n: int, seed: int) -> np.random.Generator | None:
     """The seed's generator for a draw of n, a checked draw count; None for
-    an empty draw, whose seed is read all the same."""
-    seed = _count("seed", seed, -math.inf)
-    return rng_from(seed) if n else None
+    an empty draw.  The seed is read once by the count rule: in `rng_from`,
+    or here for an empty draw."""
+    if n:
+        return rng_from(seed)
+    _count("seed", seed, -math.inf)
+    return None
 
 
 def _check_draws(n: int) -> int:

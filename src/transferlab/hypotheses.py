@@ -24,8 +24,8 @@ counts; an empty sample is zero counts and passes the same checks as any
 other.  A finite-support draw is born in that form, as one multinomial over
 the support's cells, and never holds points; `tally` and `ensure_finite`
 (over the cut class it projects) are the only places where a point sample
-becomes counts, besides the rate lab's one-sample line blocks, whose sorted
-points count one draw each over the cuts between positions.  A line sample
+becomes counts; the rate lab's one-sample line blocks make none, reading
+each trial's ERM from its two sorted points next to h*.  A line sample
 keeps its float points for the raw threshold class, which is projected afresh
 onto every union of them.  A batch of T samples of n draws each is one
 library-built `SampleCounts` whose counts have a trailing trial axis: (s, T)

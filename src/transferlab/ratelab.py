@@ -128,8 +128,7 @@ def _cell_excesses(pair, cls, estimator, n_p, n_q, trials, seed, cell_key, conf)
     """Each trial's exact target excess; trial t draws each non-empty side on
     the stream of `derive_seed(seed, cell_key, t, side)`, and an empty side
     derives no seed.  One `_derived_seeds` call derives every seed of the
-    cell, over the prefix (seed, cell_key), whose words are mixed once, and
-    one (t, side) row per key.
+    cell, over the head (seed, cell_key), whose words are mixed once.
 
     A cell over an enumerated class, whose joints `sweep` has checked lie on
     its support, builds both sides' streams in one `_stream_batch` over the
@@ -142,14 +141,10 @@ def _cell_excesses(pair, cls, estimator, n_p, n_q, trials, seed, cell_key, conf)
     next to h* (`_line_erm_risks`).  A two-sample line cell runs trial by
     trial: each trial projects the class onto the union of both samples."""
     q_best = true_risk(pair.q, best_in_class(pair.q, cls))
-    sides = ((pair.p, n_p), (pair.q, n_q))
-    drawn = np.array([k for k, (_, n) in enumerate(sides) if n], dtype=np.uint64)
-    rows = np.stack([np.tile(np.arange(trials, dtype=np.uint64), drawn.size),
-                     np.repeat(drawn, trials)], axis=1)
     # P's seeds first, if it draws
-    derived = _derived_seeds((seed, cell_key), rows)
+    derived = _derived_seeds(seed, cell_key, trials, [k for k, n in enumerate((n_p, n_q)) if n])
     if cls.kind != THRESHOLD:
-        streams = _stream_batch((), derived[:, None])
+        streams = _stream_batch(derived)
         batches = [_labeled_trials(pair.p, n_p, streams[:trials] if n_p else [None] * trials),
                    _labeled_trials(pair.q, n_q, streams[-trials:] if n_q else [None] * trials)]
         chosen, trial = np.unique(_CHOICES[estimator](cls, *batches, conf), return_inverse=True)
@@ -191,7 +186,7 @@ def _line_erm_risks(q, cls, side, n, seeds) -> np.ndarray:
     trials = len(seeds)
     if not n:
         return np.full(trials, true_risk(q, erm(cls, sample_labeled(side, 0, 0))))
-    streams = _stream_batch((), seeds[:, None])
+    streams = _stream_batch(seeds)
     risks = np.empty(trials)
     step = max(1, _LINE_BLOCK // n)
     for start in range(0, trials, step):
@@ -228,6 +223,9 @@ def sweep(cell_builder, estimator, grid, trials: int, seed: int,
     types, or joints off an enumerated class's support) refused, before any runs.
     """
     trials, jobs = _count("trials", trials, 1), _count("jobs", jobs, 1)
+    # a stream key holds the trial index as one 32-bit word
+    if trials >= 2 ** 32:
+        raise ValueError(f"trials is {trials}, above the 2^32 - 1 trials a cell keys")
     seed = _count("seed", seed, -math.inf)
     if not (isinstance(estimator, str) and estimator in ESTIMATORS):
         raise ValueError(f"estimator must be one of {', '.join(ESTIMATORS)}, got {estimator!r}")

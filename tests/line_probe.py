@@ -7,8 +7,11 @@ runs and that `tests/data/unrun_lines.txt` does not list, and on a listed
 statement that now runs, so the list only shrinks.  The list keys a statement
 by module, enclosing function and stripped source text, one per line with the
 reason it stays unrun, tab-separated.  Worker processes and subprocesses are
-not traced: a statement reached only there counts as unrun.  Stdlib and pytest
-only; about twice tier-1's time.
+not traced: a statement reached only there counts as unrun.  The module files
+are hashed when tracing starts and again before their lines are mapped: a
+file that changed in between is named, and the probe fails without mapping,
+since traced line numbers no longer match the text.  Stdlib and pytest only;
+about twice tier-1's time.
 
     python tests/line_probe.py   # exit 0 when the unrun statements are the listed ones
 
@@ -18,6 +21,7 @@ An unlisted statement is printed tab-separated, as the list keys it.
 from __future__ import annotations
 
 import ast
+import hashlib
 import os
 import sys
 from collections import Counter
@@ -60,6 +64,11 @@ def statements(path: Path) -> list[tuple[range, str, str]]:
 
     walk(ast.parse(text, str(path)), "<module>")
     return out
+
+
+def hashes() -> dict[str, str]:
+    """Each module file's name and the sha256 of its bytes."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in SRC.glob("*.py")}
 
 
 def run_tier1() -> tuple[int, dict[str, set[int]]]:
@@ -112,7 +121,16 @@ def listed() -> Counter:
 
 
 def main() -> int:
+    before = hashes()
     code, ran = run_tier1()
+    after = hashes()
+    changed = sorted(name for name in before.keys() | after.keys()
+                     if before.get(name) != after.get(name))
+    for name in changed:
+        print(f"line probe: {SRC / name} changed while tier-1 ran; its traced lines "
+              f"do not map onto it", file=sys.stderr)
+    if changed:
+        return 1
     if code != 0:
         print(f"line probe: tier-1 exited {code}; no line set to check", file=sys.stderr)
         return 1

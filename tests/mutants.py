@@ -12,7 +12,9 @@ every mutant would if the checkout's files were read instead); so does an
 entry whose old text does not occur exactly once in its file, so the
 registry follows the code.  Before any mutant, the named tests of every
 entry must pass on an unchanged copy.  Hypothesis runs with
-`--hypothesis-seed=0`, so a run repeats.  Stdlib and pytest only.
+`--hypothesis-seed=0`, so a run repeats, and under the `mutants` profile of
+`tests/conftest.py`, which skips the explain phase: it only annotates a
+failure, and a verdict reads pytest's exit code alone.  Stdlib and pytest only.
 
     python tests/mutants.py   # exit 0 when every mutant is killed
 """
@@ -78,13 +80,21 @@ MUTANTS = (
            "_INIT_A, _MULT_A = 0x43B0D7E6, 0x931E8875",
            (STREAMS,), "the hash constants are SeedSequence's"),
     Mutant("distributions.py",
-           "words[:, at + 2] = entry >> _HALF",
-           "words[:, at + 2] = 0",
-           (STREAMS,), "a two-word entry keeps its high word"),
+           "words[:, 1], words[:, 2] = seeds & _WORD, seeds >> _HALF",
+           "words[:, 1], words[:, 2] = seeds & _WORD, 0",
+           (STREAMS,), "a two-word stream seed keeps its high word"),
     Mutant("distributions.py",
-           "words[:, at] = n",
-           "words[:, at] = 1",
-           (STREAMS,), "each entry is preceded by its own word count"),
+           "words[:, 0] = 1 + (words[:, 2] > 0)",
+           "words[:, 0] = 1",
+           (STREAMS,), "a stream seed's words start with its word count, 2 from 2^32 on"),
+    Mutant("distributions.py",
+           "    words[:, 1] = np.tile(np.arange(trials, dtype=np.uint32), len(sides))\n"
+           "    words[:, 3] = np.repeat(np.array(sides, dtype=np.uint32), trials)\n",
+           "    words[:, 3] = np.tile(np.arange(trials, dtype=np.uint32), len(sides))\n"
+           "    words[:, 1] = np.repeat(np.array(sides, dtype=np.uint32), trials)\n",
+           ("tests/test_distributions.py::"
+            "test_derived_seeds_over_a_shared_head_equal_derive_seed",),
+           "a cell key's words after its head are [1, t, 1, side], the trial's first"),
     Mutant("distributions.py",
            "return a_hi + b_hi + (lo < a_lo), lo",
            "return a_hi + b_hi, lo",
@@ -196,6 +206,16 @@ MUTANTS = (
            ("tests/test_ratelab.py::test_erm_q_monte_carlo_mean_matches_the_exact_law",
             "tests/test_ratelab.py::test_finite_cells_match_the_per_trial_oracle"),
            "a finite erm_q cell's ties go to the lowest index: label 0 on the anchored cube"),
+    Mutant("ratelab.py",
+           "    if trials >= 2 ** 32:\n",
+           "    if trials > 2 ** 32:\n",
+           ("tests/test_ratelab.py::test_sweep_refuses_trials_a_key_word_cannot_hold",),
+           "sweep refuses 2^32 trials, whose last index a key word cannot hold"),
+    Mutant("distributions.py",
+           "if not self.lo < self.hi:",
+           "if not self.lo <= self.hi:",
+           ("tests/test_distributions.py::test_density_refuses_equal_bounds",),
+           "a density of equal bounds is refused when built"),
     Mutant("tests/oracles.py",
            "s = a_p * l_p + a_q * l_q",
            "s = 0 * a_p + a_q * l_q",
@@ -225,7 +245,8 @@ def _pytest(src: Path, tests, cwd: Path) -> int:
     from `src`: the `pythonpath` setting, which names the checkout's `src`,
     is pointed there too."""
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-           "-o", f"pythonpath={src}", "--hypothesis-seed=0", *tests]
+           "-o", f"pythonpath={src}", "--hypothesis-seed=0",
+           "--hypothesis-profile=mutants", *tests]
     return subprocess.run(cmd, cwd=cwd, env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True).returncode
 

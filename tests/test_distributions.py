@@ -24,7 +24,7 @@ def _u64(rows) -> np.ndarray:
 
 def _streams(seeds) -> list:
     """One batch of fresh streams, stream t that of seeds[t], as a cell builds them."""
-    return distributions._stream_batch((), _u64(seeds)[:, None])
+    return distributions._stream_batch(_u64(seeds))
 
 
 # ---------------------------------------------------------------------------
@@ -321,55 +321,46 @@ def test_derive_seed_reads_bits_by_the_count_rule(bits, error):
             distributions.derive_seed(5, 1, bits=bits)
 
 
-# batch entries of one word and of two, which may share a column
-ENTRY = st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 64 - 1))
-
-
-@st.composite
-def stream_batches(draw):
-    """A batch's shared prefix and its rows of entries: a prefix of any seed
-    and path, or none, so that each key's first entry is its seed (a
-    derived seed of one or two words at the second level); then 1 to 8
-    rows of 1 to 3 entries, as a uint64 array."""
-    prefix = draw(st.one_of(st.just(()), st.tuples(SEEDS, st.lists(PATH_WORDS, max_size=2)).map(
-        lambda k: (k[0], *k[1]))))
-    width = draw(st.integers(1, 3))
-    rows = draw(st.lists(st.lists(ENTRY, min_size=width, max_size=width), min_size=1, max_size=8))
-    return prefix, _u64(rows)
+# stream seeds of one word and of two, and the edges of both: a derived seed
+# has 62 bits, and a stream seed may use all 64
+STREAM_SEED = st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 64 - 1),
+                        st.sampled_from([0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 62 - 1, 2 ** 64 - 1]))
+# the sides of a cell that draw, P's first
+SIDES = st.sampled_from([[0, 1], [0], [1]])
 
 
 @settings(max_examples=150, deadline=None)
-@given(stream_batches(), st.integers(1, 2 ** 40))
+@given(SEEDS, PATH_WORDS, st.integers(1, 4), SIDES, st.lists(STREAM_SEED, max_size=6),
+       st.integers(1, 2 ** 40))
 # a cell's keys (seed, cell, t, side), of 8 words, and of 9 for a two-word
-# seed; then a negative seed and one above 2^64, each read mod 2^64
-@example(((1, 7), _u64([[t, side] for side in (0, 1) for t in range(3)])), 1)
-@example(((2 ** 32 + 5, 7), _u64([[t, side] for side in (0, 1) for t in range(3)])), 1)
-@example(((-3, 7), _u64([[0, 0], [1, 1]])), 2 ** 33)
-@example(((2 ** 64 + 9, 7), _u64([[0, 0], [1, 1]])), 2 ** 33)
-# derived seeds at the second level, one- and two-word ones in one column
-@example(((), _u64([[7], [2 ** 62 - 1], [0], [2 ** 32 - 1], [2 ** 32]])), 1)
-@example(((5,), _u64([[1, 2 ** 40], [2 ** 40, 1], [3, 4], [2 ** 64 - 1, 0]])), 1)
-@example(((5, 9), _u64([[0]] * 3)), 1)
-def test_stream_batch_matches_numpy_streams(batch, neg):
-    # bit for bit numpy's SeedSequence, and so its PCG64, on every key of a batch
-    prefix, rows = batch
-    streams = distributions._stream_batch(prefix, rows)
-    derived = distributions._derived_seeds(prefix, rows)
-    keys = [(*prefix, *row) for row in rows.tolist()]
-    assert len(streams) == derived.size == len(keys)
+# seed; then a negative seed and one above 2^64, each read mod 2^64; then
+# stream seeds of one and two words at their edges
+@example(1, 7, 3, [0, 1], [], 1)
+@example(2 ** 32 + 5, 7, 3, [0, 1], [], 1)
+@example(-3, 7, 2, [1], [], 2 ** 33)
+@example(2 ** 64 + 9, 7, 2, [0], [], 2 ** 33)
+@example(5, 0, 1, [0, 1], [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 62 - 1, 2 ** 64 - 1], 1)
+def test_stream_batch_matches_numpy_streams(seed, cell_key, trials, sides, extra, neg):
+    # a cell's two levels, bit for bit numpy's SeedSequence and so its PCG64:
+    # each key's derived seed, then the stream of each derived or extra seed
+    keys = [(seed, cell_key, t, side) for side in sides for t in range(trials)]
+    derived = distributions._derived_seeds(seed, cell_key, trials, sides)
     assert derived.dtype == np.uint64
-    for key, bit_generator, seed in zip(keys, streams, derived.tolist()):
+    assert derived.tolist() == [distributions.derive_seed(*key) for key in keys]
+    assert derived.tolist() == [int(oracles.rng_from(*key).integers(2 ** 62)) for key in keys]
+    seeds = [*derived.tolist(), *extra]
+    streams = distributions._stream_batch(_u64(seeds))
+    assert len(streams) == len(seeds)
+    for stream_seed, bit_generator in zip(seeds, streams):
         assert isinstance(bit_generator, np.random.PCG64)
-        assert distributions.rng_from(*key).bit_generator.state == bit_generator.state, key
-        assert oracles.rng_from(*key).bit_generator.state == bit_generator.state, key
-        assert distributions.derive_seed(*key) == seed, key
-        assert int(oracles.rng_from(*key).integers(2 ** 62)) == seed, key
+        assert distributions.rng_from(stream_seed).bit_generator.state == bit_generator.state
+        assert oracles.rng_from(stream_seed).bit_generator.state == bit_generator.state
     with pytest.raises(ValueError, match="rng path entries must be >= 0"):
-        distributions._stream_batch((1, -neg), rows)
+        distributions._derived_seeds(seed, -neg, trials, sides)
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.lists(ENTRY, min_size=1, max_size=6), st.integers(0, 200))
+@given(st.lists(STREAM_SEED, min_size=1, max_size=6), st.integers(0, 200))
 def test_labeled_trials_draw_each_seeds_stream(seeds, n):
     # column t is a fresh `rng_from(seeds[t])`'s multinomial over the cells
     # (x, 0), (x, 1), split into points and ones, whatever the column before drew
@@ -382,38 +373,51 @@ def test_labeled_trials_draw_each_seeds_stream(seeds, n):
 
 
 ONE_WORD = st.integers(0, 2 ** 32 - 1)
-MIXED = [[0, 0], [2 ** 32, 1], [5, 2 ** 63], [2 ** 64 - 1, 2 ** 40], [7, 1]]
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(ONE_WORD, st.integers(2 ** 32, 2 ** 64 - 1)),
-       st.one_of(ONE_WORD, st.integers(2 ** 32, 2 ** 64 - 1)),
-       st.one_of(st.lists(st.tuples(ONE_WORD, ONE_WORD), min_size=1, max_size=6),
-                 st.lists(st.tuples(ENTRY, ENTRY), min_size=1, max_size=6)))
+@given(SEEDS, st.one_of(ONE_WORD, st.integers(2 ** 32, 2 ** 64 - 1)), st.integers(1, 6), SIDES)
 # heads of 4, 5 and 6 words: a one-word seed and cell key, a two-word seed,
-# and a two-word cell key too; each with keys of several word counts and with
-# a cell's keys, which have one
-@example(5, 7, MIXED)
-@example(5, 7, [[t, side] for side in (0, 1) for t in range(4)])
-@example(2 ** 32 + 5, 7, MIXED)
-@example(2 ** 32 + 5, 7, [[t, side] for side in (0, 1) for t in range(4)])
-@example(2 ** 40, 2 ** 33, MIXED)
-@example(2 ** 40, 2 ** 33, [[t, side] for side in (0, 1) for t in range(4)])
-def test_derived_seeds_over_a_shared_head_equal_derive_seed(seed, cell_key, rows):
-    # a prefix of at least 4 words is mixed once, by numpy's SeedSequence, and
-    # each key mixes its entries on from there, group by group
+# and a two-word cell key too; a negative seed and seeds of 2^64 and above,
+# read mod 2^64, at each of the three
+@example(5, 7, 4, [0, 1])
+@example(2 ** 32 + 5, 7, 4, [0, 1])
+@example(2 ** 40, 2 ** 33, 4, [0, 1])
+@example(2 ** 64 + 5, 7, 3, [1])
+@example(-5, 7, 3, [0, 1])
+@example(-5, 2 ** 33, 2, [0])
+@example(2 ** 64, 2 ** 33, 2, [0, 1])
+def test_derived_seeds_over_a_shared_head_equal_derive_seed(seed, cell_key, trials, sides):
+    # the head (seed, cell_key) is mixed once, by numpy's SeedSequence, and
+    # each key mixes its words [1, t, 1, side] on from there
     assert len(distributions._key_words(seed, (cell_key,))) in (4, 5, 6)
-    derived = distributions._derived_seeds((seed, cell_key), _u64(rows))
-    assert derived.tolist() == [distributions.derive_seed(seed, cell_key, *row)
-                                for row in rows]
+    derived = distributions._derived_seeds(seed, cell_key, trials, sides)
+    assert derived.tolist() == [distributions.derive_seed(seed, cell_key, t, side)
+                                for side in sides for t in range(trials)]
+
+
+@pytest.mark.parametrize("n", [0, 4])
+def test_a_draw_reads_its_seed_once(monkeypatch, n):
+    # by the count rule, in `_rng` for an empty draw and in `rng_from` for any
+    # other (`test_seed_rule_refuses_a_non_integer_by_name` checks its TypeError)
+    reads, real = [], distributions._count
+    monkeypatch.setattr(distributions, "_count",
+                        lambda name, *a: reads.append(name) or real(name, *a))
+    joint = tl.DiscreteJoint(np.arange(3.0), np.full(3, 1 / 3), np.ones(3))
+    line = tl.example_scenario(2).p
+    for draw in (lambda v: tl.sample_labeled(joint, n, v),
+                 lambda v: tl.sample_unlabeled(joint, n, v),
+                 lambda v: tl.sample_labeled(line, n, v)):
+        reads.clear()
+        draw(7)
+        assert reads.count("seed") == 1
 
 
 def test_stream_batch_of_no_keys():
-    for prefix, width in (((1, 2), 2), ((), 1)):
-        no_keys = np.empty((0, width), dtype=np.uint64)
-        assert distributions._stream_batch(prefix, no_keys) == []
-        derived = distributions._derived_seeds(prefix, no_keys)
-        assert derived.dtype == np.uint64 and derived.size == 0
+    # a cell with n_p = n_q = 0 passes no sides: no derived seeds, no streams
+    derived = distributions._derived_seeds(1, 2, 3, [])
+    assert derived.dtype == np.uint64 and derived.size == 0
+    assert distributions._stream_batch(derived) == []
 
 
 def test_stream_words_are_four_uint64_words_only():
@@ -782,6 +786,49 @@ def test_density_refuses_an_unknown_form_when_built():
     # it once built, and failed only at its first cdf or ppf
     with pytest.raises(ValueError, match="unknown density form 'bogus'"):
         tl.Density1D(form="bogus")
+
+
+def test_density_refuses_reversed_uniform_bounds():
+    # it built with CDF 1 everywhere, so every interval mass was 0
+    with pytest.raises(ValueError, match="hi must exceed lo, got lo 1.0 and hi 0.0"):
+        tl.Density1D("uniform", 1.0, 0.0)
+
+
+def test_density_refuses_equal_bounds():
+    # its CDF divided 0 by 0 and warned `invalid value`
+    with pytest.raises(ValueError, match="hi must exceed lo, got lo 0.5 and hi 0.5"):
+        tl.Density1D("uniform", 0.5, 0.5)
+
+
+@pytest.mark.parametrize("form", ["left-uniform-right-power", "symmetric-power"])
+def test_density_refuses_a_power_form_of_g_zero(form):
+    # its ppf raised ZeroDivisionError
+    with pytest.raises(ValueError, match=f"g must be > 0 for a {form} density, got 0.0"):
+        tl.Density1D(form, g=0.0)
+
+
+@pytest.mark.parametrize("form", ["left-uniform-right-power", "symmetric-power"])
+def test_density_refuses_a_power_form_of_negative_g(form):
+    # its cdf warned divide by zero
+    with pytest.raises(ValueError, match=f"g must be > 0 for a {form} density, got -0.5"):
+        tl.Density1D(form, g=-0.5)
+
+
+@pytest.mark.parametrize("form", ["left-uniform-right-power", "symmetric-power"])
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 2.0), (-2.0, 2.0)])
+def test_density_refuses_a_power_form_off_its_support(form, lo, hi):
+    # the closed forms are those of [-1, 1], whatever the bounds say
+    with pytest.raises(ValueError, match=rf"lies on \[-1, 1\]: lo and hi must be -1 and 1, "
+                                         rf"got {lo} and {hi}"):
+        tl.Density1D(form, lo, hi, 2.0)
+
+
+@pytest.mark.parametrize("form", ["uniform", "left-uniform-right-power", "symmetric-power"])
+@pytest.mark.parametrize("field", ["lo", "hi", "g"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_density_refuses_a_non_finite_field(form, field, value):
+    with pytest.raises(ValueError, match=f"{field} is {value!r}, not a finite number"):
+        tl.Density1D(form, **{field: value})
 
 
 def test_example4_interval_mass():

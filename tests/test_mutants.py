@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+import line_probe
 from mutants import MUTANTS, ROOT
 
 
@@ -78,3 +79,16 @@ def test_every_fixed_seed_of_a_statistical_test_is_spent():
     spans = _spent()
     assert [(name, seed) for name, seed in sorted(fixed)
             if not any(lo <= seed <= hi for lo, hi in spans)] == []
+
+
+def test_line_probe_names_a_module_changed_while_tier1_ran(monkeypatch, capsys):
+    # traced line numbers of an edited file would map onto its new text as
+    # spurious unrun lines: the probe names the file and maps nothing
+    assert set(line_probe.hashes()) == {p.name for p in line_probe.SRC.glob("*.py")}
+    seen = iter([{"stay.py": "0", "edited.py": "1"}, {"stay.py": "0", "edited.py": "2"}])
+    monkeypatch.setattr(line_probe, "hashes", lambda: next(seen))
+    monkeypatch.setattr(line_probe, "run_tier1", lambda: (0, {}))
+    monkeypatch.setattr(line_probe, "unrun", lambda ran: pytest.fail("lines were mapped"))
+    assert line_probe.main() == 1
+    err = capsys.readouterr().err
+    assert "edited.py changed while tier-1 ran" in err and "stay.py" not in err

@@ -38,13 +38,20 @@ def test_noiseless_identical_median_zero():
 
 def _record_key_batches(monkeypatch):
     """The keys of every batch of seed words built, one list per batch: a
-    cell's `_derived_seeds` and its `_stream_batch` each build one."""
-    batches, real = [], tl.distributions._pcg_words
+    cell's `_derived_seeds` (keys (seed, cell_key, t, side)) and its
+    `_stream_batch` (keys (derived seed,)) each build one."""
+    batches = []
+    derived, streams = ratelab._derived_seeds, ratelab._stream_batch
 
-    def words(prefix, entries):
-        batches.append([(*prefix, *row) for row in entries.tolist()])
-        return real(prefix, entries)
-    monkeypatch.setattr(tl.distributions, "_pcg_words", words)
+    def derive(seed, cell_key, trials, sides):
+        batches.append([(seed, cell_key, t, side) for side in sides for t in range(trials)])
+        return derived(seed, cell_key, trials, sides)
+
+    def stream(seeds):
+        batches.append([(seed,) for seed in seeds.tolist()])
+        return streams(seeds)
+    monkeypatch.setattr(ratelab, "_derived_seeds", derive)
+    monkeypatch.setattr(ratelab, "_stream_batch", stream)
     return batches
 
 
@@ -70,6 +77,10 @@ def test_empty_side_derives_no_seed(monkeypatch):
     tl.monte_carlo(line, tl.threshold_class(), "erm_q", [(0, 32)], 3, seed=5, conf=CONF)
     # a one-sample line cell: the same keys, then Q's three streams in one batch
     assert batches == [q_keys, q_seeds] and draws == []
+    batches.clear()
+    tl.monte_carlo(pair, cls, "erm_q", [(0, 0)], 3, seed=5, conf=CONF)
+    # a cell that draws on neither side passes no sides: no key, no stream
+    assert batches == [[], []] and draws == []
 
 
 def test_a_two_sample_line_cell_builds_one_stream_per_trial_and_side(monkeypatch):
@@ -108,6 +119,19 @@ def test_monte_carlo_quantiles_ordered():
     r = t.rows[0]
     assert r.q10 <= r.median <= r.q90
     assert r.trials == 50
+
+
+def test_sweep_refuses_trials_a_key_word_cannot_hold(monkeypatch):
+    # a stream key holds the trial index as one 32-bit word: 2^32 trials are
+    # refused before any cell is built or seed derived; 2^32 - 1 pass the check
+    built = []
+    monkeypatch.setattr(ratelab, "_derived_seeds", lambda *a: built.append(a))
+    pair, cls = small_family()
+    with pytest.raises(ValueError, match=r"trials is 4294967296, above the 2\^32 - 1 trials"):
+        tl.sweep(lambda n_p, n_q: built.append((n_p, n_q)) or (pair, cls), "erm_q",
+                 [(0, 8)], 2 ** 32, 1, CONF)
+    assert built == []
+    assert len(tl.monte_carlo(pair, cls, "erm_q", [], 2 ** 32 - 1, 1, CONF)) == 0
 
 
 @pytest.mark.parametrize("trials", [0, -1])
